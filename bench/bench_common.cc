@@ -45,14 +45,25 @@ namespace {
 // --host-threads so bench binaries opt into real host parallelism without
 // threading the value through each table loop.
 int g_host_threads = 1;
+
+[[noreturn]] void UsageError(const char* argv0, const std::string& arg) {
+  std::fprintf(stderr,
+               "error: bad argument: %s\n"
+               "usage: %s [--scale=X] [--datasets=A,B] [--host-threads=N] "
+               "[--devices=N] [--json=PATH] [--metrics-out=PATH] "
+               "[--trace-out=PATH]\n",
+               arg.c_str(), argv0);
+  std::exit(2);
+}
 }  // namespace
 
 Args ParseArgs(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool valid = true;
     if (StartsWith(arg, "--scale=")) {
-      args.scale = std::atof(arg.c_str() + 8);
+      valid = ParseDouble(arg.substr(8), &args.scale) && args.scale > 0.0;
     } else if (StartsWith(arg, "--datasets=")) {
       const std::string list = arg.substr(11);  // keep alive for the views
       for (auto token : SplitTokens(list, ",")) {
@@ -65,14 +76,15 @@ Args ParseArgs(int argc, char** argv) {
     } else if (StartsWith(arg, "--json=")) {
       args.json_out = arg.substr(7);
     } else if (StartsWith(arg, "--host-threads=")) {
-      args.host_threads = std::max(1, std::atoi(arg.c_str() + 15));
+      valid = ParseInt32(arg.substr(15), &args.host_threads) &&
+              args.host_threads >= 1;
     } else if (StartsWith(arg, "--devices=")) {
-      args.devices = std::max(1, std::atoi(arg.c_str() + 10));
-    } else if (StartsWith(arg, "--benchmark")) {
-      // Ignore google-benchmark flags when mixed binaries share a runner.
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      valid = ParseInt32(arg.substr(10), &args.devices) && args.devices >= 1;
+    } else if (!StartsWith(arg, "--benchmark")) {
+      // --benchmark* flags pass through for google-benchmark runners.
+      valid = false;
     }
+    if (!valid) UsageError(argv[0], arg);
   }
   g_host_threads = args.host_threads;
   return args;

@@ -44,8 +44,10 @@ struct Args {
   bool Selected(const std::string& name) const;
 };
 
-// Parses the shared flags. As a side effect, --host-threads=<n> configures
-// the executors MakeGpuExecutor / MakeCpuExecutor hand out.
+// Parses the shared flags. An unknown flag or a malformed or out-of-range
+// number exits 2 with a usage line; --benchmark* flags pass through. As a
+// side effect, --host-threads=<n> configures the executors MakeGpuExecutor /
+// MakeCpuExecutor hand out.
 Args ParseArgs(int argc, char** argv);
 
 // One machine-readable result row for --json output. Sim seconds are the

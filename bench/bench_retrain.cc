@@ -14,11 +14,13 @@
 
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.h"
 #include "cluster/cluster.h"
 #include "cluster/cluster_trainer.h"
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/model_io.h"
 #include "online/delta.h"
@@ -89,9 +91,11 @@ int main(int argc, char** argv) {
   cluster::ClusterTrainOptions cold_options;
   cold_options.train = train;
   cluster::ClusterTrainReport cold_report;
+  const Stopwatch cold_watch;
   MpSvmModel cold_model = ValueOrDie(cluster::ClusterTrainer(cold_options)
                                          .Train(drifted, &cold_cluster,
                                                 &cold_report));
+  const double cold_wall = cold_watch.ElapsedSeconds();
 
   // Warm path: the pre-delta model's checkpoints seed the affected pairs.
   cluster::SimCluster warm_cluster =
@@ -107,9 +111,11 @@ int main(int argc, char** argv) {
   online::WarmRetrainOptions warm_options;
   warm_options.train = train;
   online::WarmRetrainReport warm_report;
+  const Stopwatch warm_watch;
   MpSvmModel warm_model = ValueOrDie(
       online::WarmRetrain(drifted, previous, affected, warm_options,
                           &warm_cluster, &warm_report));
+  const double warm_wall = warm_watch.ElapsedSeconds();
 
   // Counter-verified byte-identity: every carried pair's checkpoint must
   // serialize exactly as it did in the pre-delta model.
@@ -137,15 +143,16 @@ int main(int argc, char** argv) {
   const double warm_sim = warm_report.makespan_sim_seconds;
   const double cut = warm_sim > 0.0 ? cold_sim / warm_sim : 0.0;
 
-  TablePrinter table({"Path", "Pairs solved", "Makespan (sim)", "Cut"});
+  TablePrinter table(
+      {"Path", "Pairs solved", "Makespan (sim)", "Cut", "Wall"});
   table.AddRow({"cold full train",
                 StrPrintf("%zu", pairs.size()),
-                Sec(cold_sim), "1.0x"});
+                Sec(cold_sim), "1.0x", Sec(cold_wall)});
   table.AddRow({"warm retrain",
                 StrPrintf("%lld/%zu",
                           static_cast<long long>(warm_report.pairs_retrained),
                           pairs.size()),
-                Sec(warm_sim), Speedup(cut)});
+                Sec(warm_sim), Speedup(cut), Sec(warm_wall)});
   table.Print();
   std::printf(
       "\nCarried pairs byte-identical to the pre-delta model: %lld/%lld\n"
@@ -155,14 +162,17 @@ int main(int argc, char** argv) {
       static_cast<long long>(warm_report.warm_seeded_rows));
 
   std::vector<JsonRow> json_rows;
-  for (const auto& [impl, sim] :
-       {std::pair<const char*, double>{"GMP-SVM cold-retrain", cold_sim},
-        std::pair<const char*, double>{"GMP-SVM warm-retrain", warm_sim}}) {
+  for (const auto& [impl, sim, wall] :
+       {std::tuple<const char*, double, double>{"GMP-SVM cold-retrain",
+                                                cold_sim, cold_wall},
+        std::tuple<const char*, double, double>{"GMP-SVM warm-retrain",
+                                                warm_sim, warm_wall}}) {
     JsonRow row;
     row.dataset = spec.name;
     row.impl = impl;
     row.model = device_model.name;
     row.train_sim = sim;
+    row.train_wall = wall;
     json_rows.push_back(std::move(row));
   }
   WriteBenchJson(args, "retrain", json_rows);

@@ -24,6 +24,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "prob/pairwise_coupling.h"
 #include "simd/simd.h"
 #include "sparse/csr_matrix.h"
@@ -105,18 +106,25 @@ int main(int argc, char** argv) {
   double min_speedup = 0.0;
   std::string json_out;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--min-speedup=", 14) == 0) {
-      min_speedup = std::atof(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_out = argv[i] + 7;
+    const std::string arg = argv[i];
+    bool valid = true;
+    if (StartsWith(arg, "--reps=")) {
+      valid = ParseInt32(arg.substr(7), &reps) && reps >= 1;
+    } else if (StartsWith(arg, "--min-speedup=")) {
+      valid = ParseDouble(arg.substr(14), &min_speedup) && min_speedup >= 0.0;
+    } else if (StartsWith(arg, "--json=")) {
+      json_out = arg.substr(7);
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      valid = false;
+    }
+    if (!valid) {
+      std::fprintf(stderr,
+                   "error: bad argument: %s\n"
+                   "usage: %s [--reps=N] [--min-speedup=X] [--json=PATH]\n",
+                   arg.c_str(), argv[0]);
       return 2;
     }
   }
-  if (reps < 1) reps = 1;
 
   // The coupling fixture pins eps = 0 so every solve runs the full sweep
   // budget; silence the (expected) iteration-limit warning it triggers.

@@ -11,17 +11,55 @@
 namespace gmpsvm {
 namespace {
 
-// r-matrix layout helper: one k*k block per instance in the tile.
-inline double& RAt(std::vector<double>& r, int k, int64_t i, int s, int t) {
-  return r[(static_cast<size_t>(i) * k + s) * k + t];
-}
-
 // The coupling stage inherits the predict-level SIMD tier unless it was
 // overridden explicitly.
 CouplingOptions ResolveCoupling(const PredictOptions& options) {
   CouplingOptions coupling = options.coupling;
   if (coupling.simd == simd::SimdTier::kAuto) coupling.simd = options.simd;
   return coupling;
+}
+
+int32_t ArgMax(const double* p, int k) {
+  return static_cast<int32_t>(std::max_element(p, p + k) - p);
+}
+
+// Per-row tail shared by the exact path (shared and per-SVM kernel values)
+// and the cascade's exact fallback. `decision_value(pi)` is binary SVM pi's
+// decision value for this row. Voting tallies their signs into `out` as vote
+// fractions; otherwise each becomes a local probability (Equation 12) in the
+// k x k `r` and the row is coupled (Equation 14/15) into `out`. `r` must be
+// zero outside the model's pair cells; every call rewrites exactly those
+// cells, so one scratch serves any number of rows. The coupling solve's wall
+// time is added to `*coupling_nanos`; a failed solve returns its status
+// prefixed with `row`.
+template <typename DecisionValue>
+Status FinishRow(const MpSvmModel& model, bool voting,
+                 const CouplingOptions& coupling, int64_t row,
+                 const DecisionValue& decision_value, std::vector<double>& r,
+                 double* out, int64_t* coupling_nanos) {
+  const int k = model.num_classes;
+  if (voting) {
+    // LibSVM's plain multi-class rule: the sign of each decision value votes.
+    std::fill(out, out + k, 0.0);
+    for (size_t pi = 0; pi < model.svms.size(); ++pi) {
+      const BinarySvmEntry& svm = model.svms[pi];
+      out[decision_value(pi) >= 0 ? svm.class_s : svm.class_t] += 1.0;
+    }
+    for (int c = 0; c < k; ++c) out[c] /= model.num_pairs();
+    return Status::OK();
+  }
+  for (size_t pi = 0; pi < model.svms.size(); ++pi) {
+    const BinarySvmEntry& svm = model.svms[pi];
+    const double prob_s = svm.sigmoid.Probability(decision_value(pi));
+    r[static_cast<size_t>(svm.class_s) * k + svm.class_t] = prob_s;
+    r[static_cast<size_t>(svm.class_t) * k + svm.class_s] = 1.0 - prob_s;
+  }
+  const int64_t t0 = simd::NowNanos();
+  Result<std::vector<double>> p = CoupleProbabilities(r, k, coupling);
+  *coupling_nanos += simd::NowNanos() - t0;
+  if (!p.ok()) return p.status().WithContext(StrPrintf("row %" PRId64, row));
+  std::copy(p.value().begin(), p.value().end(), out);
+  return Status::OK();
 }
 
 }  // namespace
@@ -147,12 +185,12 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
     streams.push_back(executor->CreateStream(1.0 / group));
   }
 
+  const bool share = options.share_kernel_values;
   std::vector<double> kblock;    // tile x pool (shared path)
   std::vector<double> kpair;     // tile x max_svs (per-SVM path)
-  std::vector<double> r;         // tile x k x k local probabilities
-  std::vector<double> p;         // tile x k coupled probabilities
-  std::vector<double> votes;     // tile x k (voting mode)
+  std::vector<double> dv;        // pairs x tile decision values (per-SVM path)
   std::vector<int32_t> tile_ids;
+  std::vector<Status> row_status;
   std::vector<uint8_t> hit;          // kernel-cache mask (one per pool row)
   std::vector<int32_t> miss_cols;    // pool columns the cache did not hold
   std::vector<double> miss_values;   // their freshly computed kernel values
@@ -163,12 +201,8 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
     tile_ids.resize(static_cast<size_t>(tile));
     std::iota(tile_ids.begin(), tile_ids.end(), static_cast<int32_t>(tile_begin));
 
-    r.assign(static_cast<size_t>(tile) * k * k, 0.0);
-    if (voting) votes.assign(static_cast<size_t>(tile) * k, 0.0);
-    // Diagonal-free r: set r_st + r_ts = 1 with r_ss unused.
-
     DeviceAllocation block_reservation;
-    if (options.share_kernel_values) {
+    if (share) {
       // One batched product for the whole tile against the shared SV pool.
       GMP_ASSIGN_OR_RETURN(
           block_reservation,
@@ -228,10 +262,14 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
     }
 
     // Decision values + sigmoid per binary SVM, optionally concurrent; each
-    // stream waits for this tile's shared kernel block.
+    // stream waits for this tile's shared kernel block. Only the charges are
+    // pair-major: they depend on the tile size and each SVM's nsv alone, so
+    // the row-fused host pass below cannot move them. The per-SVM ablation
+    // also computes its kernel blocks and decision values here, as charged.
     for (StreamId stream : streams) {
       executor->StreamWait(stream, kDefaultStream);
     }
+    if (!share) dv.resize(model.svms.size() * static_cast<size_t>(tile));
 
     for (size_t pi = 0; pi < model.svms.size(); ++pi) {
       const BinarySvmEntry& svm = model.svms[pi];
@@ -239,20 +277,7 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
       const int64_t nsv = svm.num_svs();
 
       const double t0 = executor->StreamTime(stream);
-      std::vector<double> v(static_cast<size_t>(tile), svm.bias);
-      if (options.share_kernel_values) {
-        // Gather from the shared block; tile rows write disjoint v entries.
-        // The coefficient-times-kernel-value sum runs through the tier's
-        // canonical gather-dot (the same tree the cascade's lazy path uses).
-        executor->HostParallelFor(
-            tile, /*min_chunk=*/64, [&](int64_t begin, int64_t end) {
-              for (int64_t i = begin; i < end; ++i) {
-                const double* krow = kblock.data() + i * pool;
-                v[static_cast<size_t>(i)] +=
-                    ops.gather_dot(svm.sv_coef.data(), svm.sv_pool_index.data(),
-                                   nsv, krow);
-              }
-            });
+      if (share) {
         TaskCost cost;
         cost.parallel_items = tile;
         cost.flops = 2.0 * static_cast<double>(tile * nsv);
@@ -261,6 +286,8 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
         executor->Charge(stream, cost);
       } else {
         // Per-SVM kernel computation: recompute K(test_tile, its SVs).
+        double* v = dv.data() + pi * static_cast<size_t>(tile);
+        std::fill(v, v + tile, svm.bias);
         kpair.resize(static_cast<size_t>(tile * std::max<int64_t>(1, nsv)));
         if (nsv > 0) {
           computer.ComputeBlock(tile_ids, svm.sv_pool_index, executor, stream,
@@ -268,9 +295,8 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
           executor->HostParallelFor(
               tile, /*min_chunk=*/64, [&](int64_t begin, int64_t end) {
                 for (int64_t i = begin; i < end; ++i) {
-                  const double* krow = kpair.data() + i * nsv;
-                  v[static_cast<size_t>(i)] +=
-                      ops.dot(svm.sv_coef.data(), krow, nsv);
+                  v[i] +=
+                      ops.dot(svm.sv_coef.data(), kpair.data() + i * nsv, nsv);
                 }
               });
           TaskCost cost;
@@ -283,32 +309,12 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
       result.phases.Add("decision_values", executor->StreamTime(stream) - t0);
 
       if (voting) {
-        // LibSVM's plain multi-class rule: sign of the decision value votes.
-        // Each instance owns its votes row, so rows partition cleanly.
-        executor->HostParallelFor(
-            tile, /*min_chunk=*/256, [&](int64_t begin, int64_t end) {
-              for (int64_t i = begin; i < end; ++i) {
-                const int winner =
-                    v[static_cast<size_t>(i)] >= 0 ? svm.class_s : svm.class_t;
-                votes[static_cast<size_t>(i) * k + winner] += 1.0;
-              }
-            });
         TaskCost vote_cost;
         vote_cost.parallel_items = tile;
         vote_cost.flops = 2.0 * static_cast<double>(tile);
         executor->Charge(stream, vote_cost);
       } else {
-        // Local probabilities (Equation 12).
         const double t1 = executor->StreamTime(stream);
-        executor->HostParallelFor(
-            tile, /*min_chunk=*/256, [&](int64_t begin, int64_t end) {
-              for (int64_t i = begin; i < end; ++i) {
-                const double prob_s =
-                    svm.sigmoid.Probability(v[static_cast<size_t>(i)]);
-                RAt(r, k, i, svm.class_s, svm.class_t) = prob_s;
-                RAt(r, k, i, svm.class_t, svm.class_s) = 1.0 - prob_s;
-              }
-            });
         TaskCost sigmoid_cost;
         sigmoid_cost.parallel_items = tile;
         sigmoid_cost.flops = 10.0 * static_cast<double>(tile);
@@ -320,29 +326,47 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
 
     // Coupling (or vote counting) waits for all SVM streams.
     for (StreamId s : streams) executor->StreamWait(kDefaultStream, s);
-    if (voting) {
-      const int num_pairs = model.num_pairs();
-      for (int64_t i = 0; i < tile; ++i) {
-        const double* vi = votes.data() + i * k;
-        double* out_row = result.probabilities.data() + (tile_begin + i) * k;
-        for (int c2 = 0; c2 < k; ++c2) out_row[c2] = vi[c2] / num_pairs;
-        result.labels[static_cast<size_t>(tile_begin + i)] =
-            static_cast<int32_t>(std::max_element(vi, vi + k) - vi);
-      }
-    } else {
-      const double t2 = executor->StreamTime(kDefaultStream);
-      p.resize(static_cast<size_t>(tile) * k);
-      GMP_RETURN_NOT_OK(
-          CoupleBatch(r, k, tile, coupling, executor, kDefaultStream, p.data()));
-      result.phases.Add("coupling", executor->StreamTime(kDefaultStream) - t2);
 
-      for (int64_t i = 0; i < tile; ++i) {
-        const double* pi_row = p.data() + i * k;
-        double* out_row = result.probabilities.data() + (tile_begin + i) * k;
-        std::copy(pi_row, pi_row + k, out_row);
-        result.labels[static_cast<size_t>(tile_begin + i)] = static_cast<int32_t>(
-            std::max_element(pi_row, pi_row + k) - pi_row);
-      }
+    // Row-fused host pass: each row's decision values (gathered from the
+    // shared block through the tier's canonical gather-dot, the same tree the
+    // cascade's lazy path uses), sigmoids and coupling, with one k x k r
+    // scratch per chunk. Rows write disjoint outputs and status slots.
+    row_status.assign(static_cast<size_t>(tile), Status::OK());
+    executor->HostParallelFor(
+        tile, /*min_chunk=*/1, [&](int64_t begin, int64_t end) {
+          std::vector<double> r(static_cast<size_t>(k) * k, 0.0);
+          int64_t coupling_nanos = 0;
+          for (int64_t i = begin; i < end; ++i) {
+            const double* krow = share ? kblock.data() + i * pool : nullptr;
+            const auto decision_value = [&](size_t pi) {
+              const BinarySvmEntry& svm = model.svms[pi];
+              return share ? svm.bias + ops.gather_dot(svm.sv_coef.data(),
+                                                       svm.sv_pool_index.data(),
+                                                       svm.num_svs(), krow)
+                           : dv[pi * static_cast<size_t>(tile) + i];
+            };
+            double* out_row = result.probabilities.data() + (tile_begin + i) * k;
+            row_status[static_cast<size_t>(i)] =
+                FinishRow(model, voting, coupling, tile_begin + i,
+                          decision_value, r, out_row, &coupling_nanos);
+            result.labels[static_cast<size_t>(tile_begin + i)] =
+                ArgMax(out_row, k);
+          }
+          simd::RecordPathNanos(simd::SimdPath::kCoupling, coupling_nanos);
+        });
+    for (const Status& status : row_status) GMP_RETURN_NOT_OK(status);
+
+    if (!voting) {
+      // One Gaussian elimination per row is O(k^3); rows are independent.
+      const double t2 = executor->StreamTime(kDefaultStream);
+      TaskCost cost;
+      cost.parallel_items = tile;
+      cost.flops = static_cast<double>(tile) * (2.0 / 3.0) *
+                   static_cast<double>(k) * k * k;
+      cost.bytes_read = static_cast<double>(tile * k * k) * sizeof(double);
+      cost.bytes_written = static_cast<double>(tile * k) * sizeof(double);
+      executor->Charge(kDefaultStream, cost);
+      result.phases.Add("coupling", executor->StreamTime(kDefaultStream) - t2);
     }
     executor->SynchronizeAll();
   }
@@ -519,7 +543,9 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
           std::vector<int32_t> cevals(static_cast<size_t>(k), 0);
           std::vector<uint8_t> alive(static_cast<size_t>(k), 1);
           std::vector<int32_t> survivors;
-          std::vector<double> rsub, psub, rfull;
+          std::vector<double> rsub, psub;
+          std::vector<double> rfull(static_cast<size_t>(k) * k, 0.0);
+          int64_t coupling_nanos = 0;
 
           for (int64_t i = begin; i < end; ++i) {
             const int32_t row_id = tile_ids[static_cast<size_t>(i)];
@@ -651,10 +677,13 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
                   rsub[static_cast<size_t>(b) * ks + a] = 1.0 - r;
                 }
               }
+              const int64_t t0 = simd::NowNanos();
               Result<std::vector<double>> sub =
                   CoupleProbabilities(rsub, ks, coupling);
+              coupling_nanos += simd::NowNanos() - t0;
               if (!sub.ok()) {
-                row_status[static_cast<size_t>(i)] = sub.status();
+                row_status[static_cast<size_t>(i)] = sub.status().WithContext(
+                    StrPrintf("row %" PRId64, tile_begin + i));
                 continue;
               }
               psub = std::move(sub.value());
@@ -697,32 +726,19 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
                   c.fb_fresh += static_cast<int64_t>(pending.size());
                 }
               }
-              rfull.assign(static_cast<size_t>(k) * k, 0.0);
-              for (const BinarySvmEntry& svm : model.svms) {
-                const int64_t nsv = svm.num_svs();
-                double v;
-                if (share) {
-                  v = svm.bias + ops.gather_dot(svm.sv_coef.data(),
-                                                svm.sv_pool_index.data(), nsv,
-                                                krow);
-                  c.fb_refs += nsv;
-                } else {
-                  v = eval(svm, &c.fb_stats, &c.fb_fresh, &c.fb_refs);
-                }
-                const double prob_s = svm.sigmoid.Probability(v);
-                rfull[static_cast<size_t>(svm.class_s) * k + svm.class_t] =
-                    prob_s;
-                rfull[static_cast<size_t>(svm.class_t) * k + svm.class_s] =
-                    1.0 - prob_s;
-              }
-              Result<std::vector<double>> full =
-                  CoupleProbabilities(rfull, k, coupling);
-              if (!full.ok()) {
-                row_status[static_cast<size_t>(i)] = full.status();
+              // The kernel row is complete, so eval only gathers here.
+              const Status tail = FinishRow(
+                  model, /*voting=*/false, coupling, tile_begin + i,
+                  [&](size_t pi) {
+                    return eval(model.svms[pi], &c.fb_stats, &c.fb_fresh,
+                                &c.fb_refs);
+                  },
+                  rfull, out_row, &coupling_nanos);
+              if (!tail.ok()) {
+                row_status[static_cast<size_t>(i)] = tail;
                 continue;
               }
               c.coup_cube += static_cast<int64_t>(k) * k * k;
-              std::copy(full.value().begin(), full.value().end(), out_row);
             } else {
               for (int a = 0; a < ks; ++a) {
                 out_row[survivors[static_cast<size_t>(a)]] =
@@ -731,9 +747,9 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
               c.eliminated = k - ks;
             }
             result.labels[static_cast<size_t>(tile_begin + i)] =
-                static_cast<int32_t>(std::max_element(out_row, out_row + k) -
-                                     out_row);
+                ArgMax(out_row, k);
           }
+          simd::RecordPathNanos(simd::SimdPath::kCoupling, coupling_nanos);
         });
 
     for (const Status& status : row_status) {

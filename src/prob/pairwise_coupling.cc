@@ -1,7 +1,6 @@
 #include "prob/pairwise_coupling.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/logging.h"
@@ -22,9 +21,10 @@ namespace {
 // square, an exact sign flip). Callers leave r's diagonal at zero (it has no
 // meaning in Equation 15), which makes the accumulated r_ss^2 term and its
 // subtraction exact no-ops; a nonzero diagonal would still cancel up to one
-// rounding.
-void BuildQ(std::span<const double> r, int k, const simd::SimdOps& ops,
-            std::vector<double>* q) {
+// rounding. A NaN estimate (e.g. from a NaN feature) is rejected: r_st
+// reaches diagonal t, and it would leave the solution undefined.
+Status BuildQ(std::span<const double> r, int k, const simd::SimdOps& ops,
+              std::vector<double>* q) {
   q->resize(static_cast<size_t>(k) * k);
   std::vector<double> diag(static_cast<size_t>(k), 0.0);
   std::vector<double> sq(static_cast<size_t>(k));
@@ -44,6 +44,12 @@ void BuildQ(std::span<const double> r, int k, const simd::SimdOps& ops,
     const double r_ss = r_row[s];
     q_row[s] = diag[static_cast<size_t>(s)] - r_ss * r_ss;
   }
+  for (double d : diag) {
+    if (std::isnan(d)) {
+      return Status::InvalidArgument("pairwise coupling: r holds a NaN estimate");
+    }
+  }
+  return Status::OK();
 }
 
 // Solves Q x = e by Gaussian elimination with partial pivoting, adding a
@@ -55,7 +61,7 @@ void BuildQ(std::span<const double> r, int k, const simd::SimdOps& ops,
 Result<std::vector<double>> SolveDirect(std::span<const double> r, int k,
                                         const simd::SimdOps& ops) {
   std::vector<double> q;
-  BuildQ(r, k, ops, &q);
+  GMP_RETURN_NOT_OK(BuildQ(r, k, ops, &q));
   const double kRidge0 = 0.0;
   for (double ridge = kRidge0;; ridge = (ridge == 0.0 ? 1e-10 : ridge * 100)) {
     std::vector<double> m = q;
@@ -132,7 +138,7 @@ Result<std::vector<double>> SolveIterative(std::span<const double> r, int k,
                                            const CouplingOptions& options,
                                            const simd::SimdOps& ops) {
   std::vector<double> q;
-  BuildQ(r, k, ops, &q);
+  GMP_RETURN_NOT_OK(BuildQ(r, k, ops, &q));
   std::vector<double> p(static_cast<size_t>(k), 1.0 / k);
   std::vector<double> qp(static_cast<size_t>(k), 0.0);
   const double eps = options.eps / k;
@@ -190,8 +196,7 @@ Result<std::vector<double>> CoupleProbabilities(std::span<const double> r, int k
         StrPrintf("r has %zu entries; expected %d", r.size(), k * k));
   }
   const simd::SimdOps& ops = simd::OpsFor(options.simd);
-  // Counters only: this runs inside CoupleBatch's parallel loop, which adds
-  // the wall time for the whole batch via RecordPathNanos.
+  // Counters only: callers time the solve and add it via RecordPathNanos.
   simd::RecordPath(simd::SimdPath::kCoupling,
                    static_cast<int64_t>(k) * k,
                    (2.0 / 3.0) * static_cast<double>(k) * k * k);
@@ -199,54 +204,6 @@ Result<std::vector<double>> CoupleProbabilities(std::span<const double> r, int k
     return SolveDirect(r, k, ops);
   }
   return SolveIterative(r, k, options, ops);
-}
-
-Status CoupleBatch(std::span<const double> r, int k, int64_t count,
-                   const CouplingOptions& options, SimExecutor* executor,
-                   StreamId stream, double* out) {
-  if (count < 0 || r.size() != static_cast<size_t>(count) * k * k) {
-    return Status::InvalidArgument("coupling batch size mismatch");
-  }
-  // Instances are independent and write disjoint k-blocks of `out`. Failures
-  // are exceptional (the ridge retries almost always converge), so the
-  // parallel pass only flags them; a serial rerun reproduces the exact
-  // first-failing status a sequential loop would have returned.
-  std::atomic<bool> any_failed{false};
-  const int64_t t_start = simd::NowNanos();
-  executor->HostParallelFor(
-      count, /*min_chunk=*/32, [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          Result<std::vector<double>> p = CoupleProbabilities(
-              r.subspan(static_cast<size_t>(i) * k * k,
-                        static_cast<size_t>(k) * k),
-              k, options);
-          if (!p.ok()) {
-            any_failed.store(true, std::memory_order_relaxed);
-            continue;
-          }
-          std::copy(p.value().begin(), p.value().end(), out + i * k);
-        }
-      });
-  if (any_failed.load(std::memory_order_relaxed)) {
-    for (int64_t i = 0; i < count; ++i) {
-      GMP_ASSIGN_OR_RETURN(
-          std::vector<double> p,
-          CoupleProbabilities(r.subspan(static_cast<size_t>(i) * k * k,
-                                        static_cast<size_t>(k) * k),
-                              k, options));
-      std::copy(p.begin(), p.end(), out + i * k);
-    }
-  }
-  simd::RecordPathNanos(simd::SimdPath::kCoupling, simd::NowNanos() - t_start);
-  // One Gaussian elimination is O(k^3); instances are independent.
-  TaskCost cost;
-  cost.parallel_items = count;
-  cost.flops = static_cast<double>(count) * (2.0 / 3.0) *
-               static_cast<double>(k) * k * k;
-  cost.bytes_read = static_cast<double>(r.size()) * sizeof(double);
-  cost.bytes_written = static_cast<double>(count * k) * sizeof(double);
-  executor->Charge(stream, cost);
-  return Status::OK();
 }
 
 }  // namespace gmpsvm

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "device/executor.h"
 #include "simd/simd.h"
 
 namespace gmpsvm {
@@ -39,17 +38,12 @@ struct CouplingOptions {
 
 // Couples one instance. `r` is k*k row-major; r[s*k + t] = P(s | {s,t}, x)
 // for s != t (the diagonal is ignored). Returns p of length k, nonnegative,
-// summing to 1. Host-only (uncharged) — used by reference code and tests.
+// summing to 1; kInvalidArgument if r holds a NaN estimate.
+// Host-only (uncharged): the predictor calls it once per row and charges the
+// tile's coupling as one batch task (Phase (iii)-(3) of the GPU baseline and
+// GMP-SVM).
 Result<std::vector<double>> CoupleProbabilities(std::span<const double> r, int k,
                                                 const CouplingOptions& options);
-
-// Couples `count` instances, r laid out instance-major (count blocks of
-// k*k), writing `count` rows of k probabilities to `out`. Charges the work
-// as one batch task: instances are independent, so parallelism scales with
-// the batch (this is Phase (iii)-(3) of the GPU baseline and GMP-SVM).
-Status CoupleBatch(std::span<const double> r, int k, int64_t count,
-                   const CouplingOptions& options, SimExecutor* executor,
-                   StreamId stream, double* out);
 
 }  // namespace gmpsvm
 

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <optional>
 
 #include "../test_util.h"
+#include "common/string_util.h"
 #include "core/mp_trainer.h"
+#include "kernel/kernel_computer.h"
 #include "metrics/metrics.h"
+#include "simd/simd.h"
 
 namespace gmpsvm {
 namespace {
@@ -135,8 +141,144 @@ TEST(MpSvmPredictorTest, TilingDoesNotChangeResults) {
       MpSvmPredictor(&fx.model).Predict(fx.test.features(), &e1, one_tile));
   auto r2 = ValueOrDie(
       MpSvmPredictor(&fx.model).Predict(fx.test.features(), &e2, tiny_tiles));
-  for (size_t i = 0; i < r1.probabilities.size(); ++i) {
-    EXPECT_NEAR(r1.probabilities[i], r2.probabilities[i], 1e-12);
+  // Rows are predicted independently, so tiling is byte-neutral.
+  ASSERT_EQ(r1.probabilities.size(), r2.probabilities.size());
+  EXPECT_EQ(0, std::memcmp(r1.probabilities.data(), r2.probabilities.data(),
+                           r1.probabilities.size() * sizeof(double)));
+  EXPECT_EQ(r1.labels, r2.labels);
+}
+
+// Independent per-row reference built from public pieces: the tile x pool
+// kernel block, each pair's gather-dot, its sigmoid, and one coupling solve
+// per row — all on the scalar tier, the canonical arithmetic.
+struct NaiveReference {
+  std::vector<double> probabilities;
+  std::vector<int32_t> labels;
+};
+
+NaiveReference NaivePredict(const MpSvmModel& model, const CsrMatrix& test) {
+  const int k = model.num_classes;
+  const int64_t n = test.rows();
+  const int64_t pool = model.pool_size();
+  KernelComputer computer(&test, &model.support_vectors, model.kernel,
+                          simd::SimdTier::kScalar);
+  const simd::SimdOps& ops = simd::OpsFor(simd::SimdTier::kScalar);
+  std::vector<int32_t> rows(static_cast<size_t>(n)), cols(static_cast<size_t>(pool));
+  std::iota(rows.begin(), rows.end(), 0);
+  std::iota(cols.begin(), cols.end(), 0);
+  std::vector<double> block(static_cast<size_t>(n * pool));
+  SimExecutor scratch = Gpu();
+  computer.ComputeBlock(rows, cols, &scratch, kDefaultStream, block.data());
+
+  CouplingOptions coupling;
+  coupling.simd = simd::SimdTier::kScalar;
+  NaiveReference ref;
+  for (int64_t i = 0; i < n; ++i) {
+    std::vector<double> r(static_cast<size_t>(k) * k, 0.0);
+    for (const BinarySvmEntry& svm : model.svms) {
+      double v = svm.bias;
+      if (svm.num_svs() > 0) {
+        v += ops.gather_dot(svm.sv_coef.data(), svm.sv_pool_index.data(),
+                            svm.num_svs(), block.data() + i * pool);
+      }
+      const double prob_s = svm.sigmoid.Probability(v);
+      r[static_cast<size_t>(svm.class_s) * k + svm.class_t] = prob_s;
+      r[static_cast<size_t>(svm.class_t) * k + svm.class_s] = 1.0 - prob_s;
+    }
+    const std::vector<double> p = ValueOrDie(CoupleProbabilities(r, k, coupling));
+    ref.probabilities.insert(ref.probabilities.end(), p.begin(), p.end());
+    ref.labels.push_back(
+        static_cast<int32_t>(std::max_element(p.begin(), p.end()) - p.begin()));
+  }
+  return ref;
+}
+
+TEST(MpSvmPredictorTest, RowFusedMatchesNaiveReference) {
+  TrainedFixture fx = MakeFixture(5, 83);
+  const int64_t n = fx.test.size();
+  const NaiveReference ref = NaivePredict(fx.model, fx.test.features());
+  for (simd::SimdTier tier :
+       {simd::SimdTier::kScalar, simd::SimdTier::kAvx2, simd::SimdTier::kNeon}) {
+    if (!simd::TierSupported(tier)) continue;
+    for (bool share : {true, false}) {
+      for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}, n}) {
+        // Simulated time, phases and counters depend only on sizes: they
+        // must not move with the host thread count.
+        std::optional<PredictResult> serial;
+        ExecutorCounters serial_counters;
+        for (int threads : {1, 4}) {
+          const std::string what =
+              StrPrintf("tier=%s share=%d tile=%lld threads=%d",
+                        simd::TierName(tier), share,
+                        static_cast<long long>(tile), threads);
+          ExecutorModel device = ExecutorModel::TeslaP100();
+          device.host_threads = threads;
+          SimExecutor exec(device);
+          PredictOptions options;
+          options.simd = tier;
+          options.share_kernel_values = share;
+          options.tile_rows = tile;
+          PredictResult result = ValueOrDie(
+              MpSvmPredictor(&fx.model).Predict(fx.test.features(), &exec, options));
+          ASSERT_EQ(result.probabilities.size(), ref.probabilities.size()) << what;
+          EXPECT_EQ(0, std::memcmp(result.probabilities.data(),
+                                   ref.probabilities.data(),
+                                   ref.probabilities.size() * sizeof(double)))
+              << what;
+          EXPECT_EQ(result.labels, ref.labels) << what;
+          if (!serial.has_value()) {
+            serial = std::move(result);
+            serial_counters = exec.counters();
+            continue;
+          }
+          EXPECT_EQ(result.sim_seconds, serial->sim_seconds) << what;
+          EXPECT_EQ(result.phases.phases(), serial->phases.phases()) << what;
+          const ExecutorCounters& c = exec.counters();
+          EXPECT_EQ(c.launches, serial_counters.launches) << what;
+          EXPECT_EQ(c.flops, serial_counters.flops) << what;
+          EXPECT_EQ(c.bytes_read, serial_counters.bytes_read) << what;
+          EXPECT_EQ(c.bytes_written, serial_counters.bytes_written) << what;
+          EXPECT_EQ(c.kernel_values_computed, serial_counters.kernel_values_computed)
+              << what;
+          EXPECT_EQ(c.kernel_values_reused, serial_counters.kernel_values_reused)
+              << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
+  // Under a linear kernel a NaN feature makes every pairwise estimate of its
+  // row NaN, which the coupling solve rejects. Rows 2 and 5 fail; whatever
+  // the tiling, thread count or path, Predict returns row 2's status.
+  TrainedFixture fx = MakeFixture(3, 89);
+  fx.model.kernel.type = KernelType::kLinear;
+  const CsrMatrix& clean = fx.test.features();
+  CsrBuilder builder(clean.cols());
+  for (int64_t i = 0; i < clean.rows(); ++i) {
+    std::vector<double> values(clean.RowValues(i).begin(), clean.RowValues(i).end());
+    if (i == 2 || i == 5) values[0] = std::nan("");
+    builder.AddRow(clean.RowIndices(i), values);
+  }
+  const CsrMatrix poisoned = ValueOrDie(builder.Finish());
+  for (int threads : {1, 4}) {
+    for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}}) {
+      for (bool cascade : {false, true}) {
+        ExecutorModel device = ExecutorModel::TeslaP100();
+        device.host_threads = threads;
+        SimExecutor exec(device);
+        PredictOptions options;
+        options.tile_rows = tile;
+        if (cascade) options.cascade.mode = CascadeOptions::Mode::kEliminate;
+        auto result = MpSvmPredictor(&fx.model).Predict(poisoned, &exec, options);
+        ASSERT_FALSE(result.ok()) << "threads=" << threads << " tile=" << tile
+                                  << " cascade=" << cascade;
+        EXPECT_TRUE(result.status().IsInvalidArgument());
+        EXPECT_EQ(result.status().message().rfind("row 2: ", 0), 0u)
+            << result.status().ToString();
+      }
+    }
   }
 }
 

@@ -28,6 +28,7 @@ TEST(CouplingTest, RejectsBadInput) {
   CouplingOptions opts;
   EXPECT_FALSE(CoupleProbabilities(std::vector<double>{1.0}, 1, opts).ok());
   EXPECT_FALSE(CoupleProbabilities(std::vector<double>{1, 2, 3}, 2, opts).ok());
+  EXPECT_FALSE(CoupleProbabilities(std::vector<double>(9, 0.5), 2, opts).ok());
 }
 
 class CouplingMethodTest : public ::testing::TestWithParam<CouplingMethod> {};
@@ -83,6 +84,19 @@ TEST_P(CouplingMethodTest, TwoClassesReduceToDirectEstimate) {
   EXPECT_NEAR(p[1], 0.3, 1e-6);
 }
 
+TEST_P(CouplingMethodTest, NanEstimateFails) {
+  // A NaN pairwise estimate leaves the distribution undefined; both methods
+  // report it instead of returning NaN probabilities.
+  std::vector<double> r = ConsistentR({0.5, 0.3, 0.2});
+  r[1] = std::nan("");
+  r[3] = std::nan("");
+  CouplingOptions opts;
+  opts.method = GetParam();
+  auto p = CoupleProbabilities(r, 3, opts);
+  ASSERT_FALSE(p.ok());
+  EXPECT_TRUE(p.status().IsInvalidArgument());
+}
+
 INSTANTIATE_TEST_SUITE_P(BothMethods, CouplingMethodTest,
                          ::testing::Values(CouplingMethod::kGaussianElimination,
                                            CouplingMethod::kIterative));
@@ -129,36 +143,6 @@ TEST(CouplingTest, PaperExampleOneFavorsClassOne) {
   EXPECT_GT(p[0], p[1]);
   EXPECT_GT(p[0], p[2]);
   EXPECT_GT(p[0], 0.4);
-}
-
-TEST(CouplingBatchTest, MatchesSingleInstancePath) {
-  SimExecutor exec(ExecutorModel::TeslaP100());
-  const std::vector<double> t1 = {0.6, 0.25, 0.15};
-  const std::vector<double> t2 = {0.1, 0.1, 0.8};
-  auto r1 = ConsistentR(t1);
-  auto r2 = ConsistentR(t2);
-  std::vector<double> batch;
-  batch.insert(batch.end(), r1.begin(), r1.end());
-  batch.insert(batch.end(), r2.begin(), r2.end());
-  std::vector<double> out(6);
-  CouplingOptions opts;
-  GMP_CHECK_OK(CoupleBatch(batch, 3, 2, opts, &exec, kDefaultStream, out.data()));
-  auto p1 = ValueOrDie(CoupleProbabilities(r1, 3, opts));
-  auto p2 = ValueOrDie(CoupleProbabilities(r2, 3, opts));
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_DOUBLE_EQ(out[s], p1[static_cast<size_t>(s)]);
-    EXPECT_DOUBLE_EQ(out[3 + s], p2[static_cast<size_t>(s)]);
-  }
-  EXPECT_GT(exec.NowSeconds(), 0.0);
-}
-
-TEST(CouplingBatchTest, RejectsSizeMismatch) {
-  SimExecutor exec(ExecutorModel::TeslaP100());
-  std::vector<double> r(9, 0.5);
-  std::vector<double> out(3);
-  CouplingOptions opts;
-  EXPECT_FALSE(
-      CoupleBatch(r, 3, 2, opts, &exec, kDefaultStream, out.data()).ok());
 }
 
 TEST(CouplingTest, NearDegenerateRStaysFinite) {
