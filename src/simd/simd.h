@@ -46,6 +46,10 @@ enum class SimdTier {
   kNeon = 3,    // aarch64 NEON, 2 doubles per vector
 };
 
+// Rows per register-blocked panel of gather_dot_panel: one AVX2 vector, two
+// NEON vectors. A constant of the contract, not a tuning knob.
+inline constexpr int kPanelRows = 4;
+
 // Function table for one tier. All routines are pure host computation; the
 // caller owns cost accounting. Pointers are always non-null within a
 // supported tier's table.
@@ -56,6 +60,15 @@ struct SimdOps {
   // sum_p vals[p] * dense[idx[p]] in the canonical blocked-tree order.
   double (*gather_dot)(const double* vals, const int32_t* idx, int64_t n,
                        const double* dense) = nullptr;
+
+  // gather_dot against kPanelRows dense rows at once. The rows are stored
+  // interleaved, panel[c * kPanelRows + r] holding row r's column c, so each
+  // nonzero (idx[p], vals[p]) is loaded once and feeds every row of the
+  // panel. The canonical tree runs per row, with one row per lane instead of
+  // one product per lane, so out[r] is bitwise gather_dot(vals, idx, n,
+  // row r). `panel` must be 32-byte aligned.
+  void (*gather_dot_panel)(const double* vals, const int32_t* idx, int64_t n,
+                           const double* panel, double* out) = nullptr;
 
   // Contiguous sum_p a[p] * b[p], same reduction tree as gather_dot (the
   // two agree bitwise when idx is the identity).

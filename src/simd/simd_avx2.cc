@@ -38,7 +38,9 @@ inline __m256d Pow2Vec(__m128i e32) {
 inline __m256d ExpVec(__m256d x) {
   const __m256d lo = _mm256_set1_pd(kExpLo);
   const __m256d hi = _mm256_set1_pd(kExpHi);
-  const __m256d xc = _mm256_min_pd(_mm256_max_pd(x, lo), hi);
+  // max/min return their second operand when either is NaN, so x goes
+  // second: a NaN input stays NaN, as in the scalar and NEON tiers.
+  const __m256d xc = _mm256_min_pd(hi, _mm256_max_pd(lo, x));
 
   const __m256d nf = _mm256_floor_pd(_mm256_add_pd(
       _mm256_mul_pd(xc, _mm256_set1_pd(kLog2E)), _mm256_set1_pd(0.5)));
@@ -129,6 +131,40 @@ double GatherDotAvx2(const double* vals, const int32_t* idx, int64_t n,
   }
   for (; p < n; ++p) acc += vals[p] * dense[idx[p]];
   return acc;
+}
+
+// Lane r of the result is product vals[q] * (panel row r)[idx[q]]: one
+// broadcast and one aligned 4-row load per nonzero.
+inline __m256d PanelProduct(const double* vals, const int32_t* idx,
+                            const double* panel, int64_t q) {
+  return _mm256_mul_pd(
+      _mm256_set1_pd(vals[q]),
+      _mm256_load_pd(panel + static_cast<int64_t>(idx[q]) * kPanelRows));
+}
+
+// The block-8 tree of GatherDotAvx2, run lane-wise: s_j = c_j + c_{j+4},
+// block = (s0 + s2) + (s1 + s3), accumulated left to right, tail
+// sequential. No horizontal step — each lane is already one row's sum.
+void GatherDotPanelAvx2(const double* vals, const int32_t* idx, int64_t n,
+                        const double* panel, double* out) {
+  __m256d acc = _mm256_setzero_pd();
+  int64_t p = 0;
+  for (; p + 8 <= n; p += 8) {
+    const __m256d s0 = _mm256_add_pd(PanelProduct(vals, idx, panel, p),
+                                     PanelProduct(vals, idx, panel, p + 4));
+    const __m256d s1 = _mm256_add_pd(PanelProduct(vals, idx, panel, p + 1),
+                                     PanelProduct(vals, idx, panel, p + 5));
+    const __m256d s2 = _mm256_add_pd(PanelProduct(vals, idx, panel, p + 2),
+                                     PanelProduct(vals, idx, panel, p + 6));
+    const __m256d s3 = _mm256_add_pd(PanelProduct(vals, idx, panel, p + 3),
+                                     PanelProduct(vals, idx, panel, p + 7));
+    acc = _mm256_add_pd(
+        acc, _mm256_add_pd(_mm256_add_pd(s0, s2), _mm256_add_pd(s1, s3)));
+  }
+  for (; p < n; ++p) {
+    acc = _mm256_add_pd(acc, PanelProduct(vals, idx, panel, p));
+  }
+  _mm256_storeu_pd(out, acc);
 }
 
 double DotAvx2(const double* a, const double* b, int64_t n) {
@@ -251,6 +287,7 @@ const SimdOps* Avx2OpsTable() {
       /*name=*/"avx2",
       /*lane_width=*/4,
       GatherDotAvx2,
+      GatherDotPanelAvx2,
       DotAvx2,
       GaussianTransformAvx2,
       PolyTransformAvx2,

@@ -14,8 +14,9 @@
 //
 // Accuracy: the exp core is the Cephes rational approximation (~1-2 ulp over
 // the full range); tanh is derived from it (a few ulp). That is far inside
-// every tolerance the calibration and solver tests use. Inputs are assumed
-// finite (kernel dot products and norms always are).
+// every tolerance the calibration and solver tests use. A NaN input (a NaN
+// feature reaching a kernel transform) yields NaN in every tier, so
+// downstream checks reject it the same way whichever tier ran.
 //
 // These functions are also the *scalar* kernel-transform implementation:
 // KernelFunction::FromDot routes through the FromDot helpers at the bottom,
@@ -62,8 +63,11 @@ inline double Pow2(int64_t e) {
 // inputs below return exactly 0 (gradual denormals in (-745, -708.4) are
 // flushed — a deliberate, documented deviation from libm that every tier
 // shares). The unclamped core and the final blend mirror the vector
-// implementations step for step.
+// implementations step for step. NaN in gives NaN out in every tier; the
+// scalar tier returns early because converting NaN to an integer below is
+// undefined behaviour in C++.
 inline double Exp(double x) {
+  if (std::isnan(x)) return x;
   const double xc = x < kExpLo ? kExpLo : (x > kExpHi ? kExpHi : x);
 
   // n = round-to-nearest-ish integer via floor(x*log2e + 0.5), matching the

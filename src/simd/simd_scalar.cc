@@ -22,17 +22,32 @@ inline double BlockTree(const double c[8]) {
   return (s0 + s2) + (s1 + s3);
 }
 
-double GatherDotScalar(const double* vals, const int32_t* idx, int64_t n,
-                       const double* dense) {
+// sum_p vals[p] * dense[idx[p] * kStride] in the canonical tree; kStride is
+// 1 for a plain dense row and kPanelRows for one row of an interleaved panel.
+template <int64_t kStride>
+double StridedGatherDot(const double* vals, const int32_t* idx, int64_t n,
+                        const double* dense) {
   double acc = 0.0;
   int64_t p = 0;
   double c[8];
   for (; p + 8 <= n; p += 8) {
-    for (int j = 0; j < 8; ++j) c[j] = vals[p + j] * dense[idx[p + j]];
+    for (int j = 0; j < 8; ++j) c[j] = vals[p + j] * dense[idx[p + j] * kStride];
     acc += BlockTree(c);
   }
-  for (; p < n; ++p) acc += vals[p] * dense[idx[p]];
+  for (; p < n; ++p) acc += vals[p] * dense[idx[p] * kStride];
   return acc;
+}
+
+double GatherDotScalar(const double* vals, const int32_t* idx, int64_t n,
+                       const double* dense) {
+  return StridedGatherDot<1>(vals, idx, n, dense);
+}
+
+void GatherDotPanelScalar(const double* vals, const int32_t* idx, int64_t n,
+                          const double* panel, double* out) {
+  for (int r = 0; r < kPanelRows; ++r) {
+    out[r] = StridedGatherDot<kPanelRows>(vals, idx, n, panel + r);
+  }
 }
 
 double DotScalar(const double* a, const double* b, int64_t n) {
@@ -93,6 +108,7 @@ const SimdOps* ScalarOpsTable() {
       /*name=*/"scalar",
       /*lane_width=*/1,
       GatherDotScalar,
+      GatherDotPanelScalar,
       DotScalar,
       GaussianTransformScalar,
       PolyTransformScalar,

@@ -48,9 +48,12 @@ struct OpStats {
 // Batched sparse row-dot products (the SpMM X_B · X_Tᵀ used to compute kernel
 // rows in one shot, Section 3.3.1):
 //   out[b * targets.size() + j] = X.row(batch[b]) · X.row(targets[j])
-// Implemented by scattering each batch row into a dense workspace and
-// streaming the target rows through it — O(|batch| * nnz(targets) +
-// |batch| * dim), the standard row-wise SpGEMM schedule.
+// Implemented as the row-wise SpGEMM schedule, register blocked: batch rows
+// are scattered simd::kPanelRows at a time into an interleaved dense panel,
+// and each target nonzero is loaded once per panel and multiplied into all
+// of its rows (SimdOps::gather_dot_panel). O(|batch| * nnz(targets)) flops,
+// with the target nonzeros streamed |batch| / kPanelRows times. Each entry
+// is bitwise the single-row gather_dot (ScatterRowDots) of its pair.
 //
 // `out` must have batch.size() * targets.size() entries.
 OpStats BatchRowDots(const CsrMatrix& x, std::span<const int32_t> batch,

@@ -249,11 +249,11 @@ TEST(MpSvmPredictorTest, RowFusedMatchesNaiveReference) {
 }
 
 TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
-  // Under a linear kernel a NaN feature makes every pairwise estimate of its
-  // row NaN, which the coupling solve rejects. Rows 2 and 5 fail; whatever
-  // the tiling, thread count or path, Predict returns row 2's status.
+  // A NaN feature makes every pairwise estimate of its row NaN, under the
+  // linear and the Gaussian kernel and on every SIMD tier, and the coupling
+  // solve rejects it. Rows 2 and 5 fail; whatever the kernel, tier, tiling,
+  // thread count or path, Predict returns row 2's status.
   TrainedFixture fx = MakeFixture(3, 89);
-  fx.model.kernel.type = KernelType::kLinear;
   const CsrMatrix& clean = fx.test.features();
   CsrBuilder builder(clean.cols());
   for (int64_t i = 0; i < clean.rows(); ++i) {
@@ -262,21 +262,32 @@ TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
     builder.AddRow(clean.RowIndices(i), values);
   }
   const CsrMatrix poisoned = ValueOrDie(builder.Finish());
-  for (int threads : {1, 4}) {
-    for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}}) {
-      for (bool cascade : {false, true}) {
-        ExecutorModel device = ExecutorModel::TeslaP100();
-        device.host_threads = threads;
-        SimExecutor exec(device);
-        PredictOptions options;
-        options.tile_rows = tile;
-        if (cascade) options.cascade.mode = CascadeOptions::Mode::kEliminate;
-        auto result = MpSvmPredictor(&fx.model).Predict(poisoned, &exec, options);
-        ASSERT_FALSE(result.ok()) << "threads=" << threads << " tile=" << tile
-                                  << " cascade=" << cascade;
-        EXPECT_TRUE(result.status().IsInvalidArgument());
-        EXPECT_EQ(result.status().message().rfind("row 2: ", 0), 0u)
-            << result.status().ToString();
+  for (KernelType type : {KernelType::kLinear, KernelType::kGaussian}) {
+    fx.model.kernel.type = type;
+    for (simd::SimdTier tier :
+         {simd::SimdTier::kScalar, simd::SimdTier::kAvx2, simd::SimdTier::kNeon}) {
+      if (!simd::TierSupported(tier)) continue;
+      for (int threads : {1, 4}) {
+        for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}}) {
+          for (bool cascade : {false, true}) {
+            const std::string what = StrPrintf(
+                "kernel=%d tier=%s threads=%d tile=%lld cascade=%d",
+                static_cast<int>(type), simd::TierName(tier), threads,
+                static_cast<long long>(tile), cascade);
+            ExecutorModel device = ExecutorModel::TeslaP100();
+            device.host_threads = threads;
+            SimExecutor exec(device);
+            PredictOptions options;
+            options.simd = tier;
+            options.tile_rows = tile;
+            if (cascade) options.cascade.mode = CascadeOptions::Mode::kEliminate;
+            auto result = MpSvmPredictor(&fx.model).Predict(poisoned, &exec, options);
+            ASSERT_FALSE(result.ok()) << what;
+            EXPECT_TRUE(result.status().IsInvalidArgument()) << what;
+            EXPECT_EQ(result.status().message().rfind("row 2: ", 0), 0u)
+                << what << ": " << result.status().ToString();
+          }
+        }
       }
     }
   }

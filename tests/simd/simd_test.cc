@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -146,6 +147,96 @@ TEST(SimdTierIdentityTest, DotAndGatherDotBitwiseAcrossTiers) {
                   want_dot)
             << ops.name << " n=" << n;
       }
+    }
+  }
+}
+
+TEST(SimdTierIdentityTest, GatherDotPanelIsPerRowGatherDotOnEveryTier) {
+  // Each lane of a register-blocked panel must reproduce the single-row
+  // gather_dot of its row bit for bit: main loop, tail, and a zero row.
+  const std::vector<SimdTier> tiers = SupportedTiers();
+  const SimdOps& ref = simd::OpsFor(SimdTier::kScalar);
+  constexpr int64_t kCols = 512;
+  constexpr int kRows = simd::kPanelRows;
+  // 32-byte-aligned interleaved panel, plus the same rows stored plainly.
+  std::vector<double> storage(kCols * kRows + 4, 0.0);
+  const size_t misalign =
+      reinterpret_cast<uintptr_t>(storage.data()) % 32 / sizeof(double);
+  double* panel = storage.data() + (4 - misalign) % 4;
+  std::vector<std::vector<double>> rows(kRows, std::vector<double>(kCols));
+  Rng rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    for (int r = 0; r < kRows; ++r) {
+      for (int64_t c = 0; c < kCols; ++c) {
+        // Row kRows - 1 stays zero: the unused rows of a partial panel.
+        const double v = r == kRows - 1 ? 0.0 : rng.Normal();
+        rows[r][static_cast<size_t>(c)] = v;
+        panel[c * kRows + r] = v;
+      }
+    }
+    for (int64_t n : kLengths) {
+      std::vector<double> vals(static_cast<size_t>(n));
+      std::vector<int32_t> idx(static_cast<size_t>(n));
+      for (auto& v : vals) v = rng.Normal();
+      int32_t last = 0;
+      for (auto& v : idx) {
+        last += 1 + static_cast<int32_t>(rng.Uniform(0.0, 5.0));
+        v = last % kCols;
+      }
+      std::sort(idx.begin(), idx.end());
+      for (SimdTier tier : tiers) {
+        const SimdOps& ops = simd::OpsFor(tier);
+        double got[kRows];
+        ops.gather_dot_panel(vals.data(), idx.data(), n, panel, got);
+        for (int r = 0; r < kRows; ++r) {
+          const double want =
+              ref.gather_dot(vals.data(), idx.data(), n, rows[r].data());
+          EXPECT_EQ(std::memcmp(&got[r], &want, sizeof(double)), 0)
+              << ops.name << " n=" << n << " row=" << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTierIdentityTest, NanPropagatesThroughTransformsOnEveryTier) {
+  // A NaN feature reaches the kernel transforms as a NaN dot product or
+  // norm. Every tier must return NaN for it, so coupling rejects the row
+  // whichever tier ran; the AVX2 exp clamp once turned NaN into a finite
+  // value.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(simd::Exp(nan)));
+  EXPECT_TRUE(std::isnan(simd::Tanh(nan)));
+  for (SimdTier tier : SupportedTiers()) {
+    const SimdOps& ops = simd::OpsFor(tier);
+    // Nine values: a full vector pass plus a scalar tail on every tier.
+    std::vector<double> norms(9, 1.0);
+    std::vector<int32_t> targets(9);
+    for (int32_t j = 0; j < 9; ++j) targets[static_cast<size_t>(j)] = j;
+    for (size_t at : {size_t{0}, size_t{3}, size_t{8}}) {
+      std::vector<double> g(9, 0.5), s(9, 0.5);
+      g[at] = nan;
+      s[at] = nan;
+      ops.gaussian_transform(g.data(), norms.data(), targets.data(), 9, 1.0,
+                             0.5);
+      ops.sigmoid_transform(s.data(), 9, 0.5, 0.1);
+      for (size_t j = 0; j < 9; ++j) {
+        EXPECT_EQ(std::isnan(g[j]), j == at) << ops.name << " gaussian " << j;
+        EXPECT_EQ(std::isnan(s[j]), j == at) << ops.name << " sigmoid " << j;
+      }
+      // A NaN norm (the row's own or a target's) poisons the same way.
+      std::vector<double> bad_norms = norms;
+      bad_norms[at] = nan;
+      std::vector<double> h(9, 0.5);
+      ops.gaussian_transform(h.data(), bad_norms.data(), targets.data(), 9,
+                             1.0, 0.5);
+      for (size_t j = 0; j < 9; ++j) {
+        EXPECT_EQ(std::isnan(h[j]), j == at) << ops.name << " norm " << j;
+      }
+      std::vector<double> all(9, 0.5);
+      ops.gaussian_transform(all.data(), norms.data(), targets.data(), 9, nan,
+                             0.5);
+      for (double v : all) EXPECT_TRUE(std::isnan(v)) << ops.name;
     }
   }
 }

@@ -255,6 +255,54 @@ TEST(ScatterRowDotsTest, StatsMatchSingleRowBatch) {
   EXPECT_GT(s.flops, 0.0);
 }
 
+TEST(BatchRowDotsTest, PanelsMatchSingleRowDotsAtEveryBatchSize) {
+  // Batch rows run in register-blocked panels of simd::kPanelRows. Every
+  // batch size — empty, a partial panel, whole panels, whole plus partial —
+  // must give, per entry, the bits of the single-row ScatterRowDots, on
+  // every tier and pool size. The fixture has empty rows and a batch that
+  // repeats a row inside one panel.
+  const CsrMatrix dense_a = RandomSparse(40, 70, 0.3, 51);
+  const CsrMatrix b = RandomSparse(25, 70, 0.25, 52);
+  // The same rows with row 0 emptied.
+  CsrBuilder a_builder(dense_a.cols());
+  a_builder.AddRow({}, {});
+  for (int64_t r = 1; r < dense_a.rows(); ++r) {
+    a_builder.AddRow(dense_a.RowIndices(r), dense_a.RowValues(r));
+  }
+  const CsrMatrix a = ValueOrDie(a_builder.Finish());
+  const std::vector<int32_t> pick = {0, 9, 9, 17, 3, 39, 22, 5, 11, 30, 1};
+  std::vector<int32_t> targets;
+  for (int32_t i = 0; i < 25; ++i) targets.push_back(i);
+
+  std::vector<simd::SimdTier> tiers = {simd::SimdTier::kScalar};
+  if (simd::TierSupported(simd::SimdTier::kAvx2)) {
+    tiers.push_back(simd::SimdTier::kAvx2);
+  }
+  if (simd::TierSupported(simd::SimdTier::kNeon)) {
+    tiers.push_back(simd::SimdTier::kNeon);
+  }
+  ThreadPool pool(4);
+  for (size_t size = 0; size <= pick.size(); ++size) {
+    const std::vector<int32_t> batch(pick.begin(),
+                                     pick.begin() + static_cast<int64_t>(size));
+    for (simd::SimdTier tier : tiers) {
+      const simd::SimdOps& ops = simd::OpsFor(tier);
+      std::vector<double> want(batch.size() * targets.size());
+      for (size_t bi = 0; bi < batch.size(); ++bi) {
+        ScatterRowDots(a, batch[bi], b, targets,
+                       want.data() + bi * targets.size(), &ops);
+      }
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::vector<double> got(want.size(), -9.0);
+        BatchRowDots2(a, batch, b, targets, got.data(), p, &ops);
+        EXPECT_TRUE(want.empty() || std::memcmp(want.data(), got.data(),
+                                                want.size() * sizeof(double)) == 0)
+            << ops.name << " batch size " << size << " pool " << (p != nullptr);
+      }
+    }
+  }
+}
+
 TEST(OpStatsTest, Accumulates) {
   OpStats a{10, 20, 30};
   OpStats b{1, 2, 3};
