@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <numeric>
 
 #include "common/logging.h"
@@ -385,6 +386,13 @@ Result<PredictResult> MpSvmPredictor::PredictRows(
     if (rows[i].indices.size() != rows[i].values.size()) {
       return Status::InvalidArgument(
           StrPrintf("row %zu: indices/values size mismatch", i));
+    }
+    for (size_t j = 0; j < rows[i].values.size(); ++j) {
+      if (!std::isfinite(rows[i].values[j])) {
+        return Status::InvalidArgument(
+            StrPrintf("row %zu: feature %d value %g is not finite", i,
+                      rows[i].indices[j], rows[i].values[j]));
+      }
     }
     builder.AddRow(rows[i].indices, rows[i].values);
   }

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -43,6 +45,16 @@ Result<LibsvmFile> ParseLines(std::istream& in, int64_t min_dim,
             StrPrintf("line %lld: bad label '%s'", static_cast<long long>(line_no),
                       buf.c_str()));
       }
+      // Rounding must land in int32 range: a non-finite or huge label would
+      // make the conversion below undefined.
+      const double rounded = std::round(label_value);
+      if (!std::isfinite(label_value) ||
+          rounded < static_cast<double>(std::numeric_limits<int32_t>::min()) ||
+          rounded > static_cast<double>(std::numeric_limits<int32_t>::max())) {
+        return Status::IoError(StrPrintf(
+            "line %lld: label '%s' is not finite or exceeds the 32-bit range",
+            static_cast<long long>(line_no), buf.c_str()));
+      }
       label = static_cast<int32_t>(label_value >= 0 ? label_value + 0.5
                                                     : label_value - 0.5);
     }
@@ -72,6 +84,11 @@ Result<LibsvmFile> ParseLines(std::istream& in, int64_t min_dim,
       if (vend != vbuf.c_str() + vbuf.size() || errno != 0) {
         return Status::IoError(StrPrintf("line %lld: bad feature value",
                                          static_cast<long long>(line_no)));
+      }
+      if (!std::isfinite(value)) {
+        return Status::IoError(
+            StrPrintf("line %lld: feature %d value '%s' is not finite",
+                      static_cast<long long>(line_no), index, vbuf.c_str()));
       }
       indices.push_back(index - 1);  // to 0-based
       values.push_back(value);

@@ -19,10 +19,10 @@
 //     independent of the target subset, so per-shard slices concatenate to
 //     the exact full-row bits;
 //   * selection — WorkingSetSelector's distributed refresh admits exactly
-//     the members the full sort would (working_set.h);
-//   * updates — the inner loop and the aggregate f update run in the same
-//     element order as the single-device solver, and the convergence
-//     reduction merges min/max, which are order-free.
+//     the members its single-shard Update() would (working_set.h);
+//   * updates — the inner loop and the aggregate f update are the
+//     single-device SubproblemBatch, and the convergence reduction merges
+//     min/max, which are order-free.
 // Fault parity: only the coordinator's executor may carry a FaultInjector
 // (the trainer attaches the per-pair injector there); the solver then
 // consults kDeviceAlloc / kKernelRowBatch / kBufferEvict in exactly the

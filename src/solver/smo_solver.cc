@@ -321,38 +321,7 @@ Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
     stats->phases.Add("other", executor->StreamTime(stream) - time_base - kernel_time);
   }
 
-  // Bias (Equation (11)): b = -rho; rho is the mean f over free support
-  // vectors, or the midpoint of the violation interval when none are free.
-  double sum_free = 0.0;
-  int64_t num_free = 0;
-  double f_up_min = kInf, f_low_max = -kInf;
-  for (int64_t i = 0; i < n; ++i) {
-    const double a = alpha[static_cast<size_t>(i)];
-    if (a > 0 && a < cvec[static_cast<size_t>(i)]) {
-      sum_free += f[static_cast<size_t>(i)];
-      ++num_free;
-    }
-    if (InUpSet(y[i], a, cvec[static_cast<size_t>(i)])) f_up_min = std::min(f_up_min, f[static_cast<size_t>(i)]);
-    if (InLowSet(y[i], a, cvec[static_cast<size_t>(i)])) f_low_max = std::max(f_low_max, f[static_cast<size_t>(i)]);
-  }
-  const double rho =
-      num_free > 0 ? sum_free / static_cast<double>(num_free) : (f_up_min + f_low_max) / 2.0;
-
-  // Dual objective of the maximization form of problem (2):
-  // sum(alpha) - 0.5*alpha'Q alpha = -0.5 * sum_i alpha_i * (G_i - 1).
-  double objective = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    const double g_i = y[i] * f[static_cast<size_t>(i)];
-    objective += alpha[static_cast<size_t>(i)] * (g_i - 1.0);
-  }
-  objective *= -0.5;
-
-  BinarySolution solution;
-  solution.alpha = std::move(alpha);
-  solution.bias = -rho;
-  solution.objective = objective;
-  solution.f = std::move(f);
-  return solution;
+  return FinishSolution(std::move(alpha), std::move(f), y, cvec);
 }
 
 }  // namespace gmpsvm

@@ -1,4 +1,5 @@
-// Working-set selection for the batched SMO solver (Section 3.3.1).
+// Working-set selection for the batched SMO solver (Section 3.3.1), and the
+// optimality-check helpers every SMO solver shares.
 //
 // Each refresh keeps ws_size - q members of the previous working set and adds
 // the q most-violating eligible instances: the top q/2 by ascending
@@ -12,10 +13,10 @@
 #define GMPSVM_SOLVER_WORKING_SET_H_
 
 #include <cstdint>
-#include <deque>
 #include <span>
-#include <unordered_set>
 #include <vector>
+
+#include "solver/svm_problem.h"
 
 namespace gmpsvm {
 
@@ -28,6 +29,26 @@ inline bool InUpSet(int8_t y, double alpha, double c) {
 inline bool InLowSet(int8_t y, double alpha, double c) {
   return (y > 0 && alpha > 0) || (y < 0 && alpha < c);
 }
+
+// The extremes of the optimality check (Constraint (9)) over all instances:
+// the smallest f in I_up and the largest f in I_low (+inf / -inf when the
+// set is empty). The solution is optimal once f_low_max - f_up_min < eps.
+struct ViolationExtremes {
+  double f_up_min;
+  double f_low_max;
+};
+ViolationExtremes FindViolationExtremes(std::span<const double> f,
+                                        std::span<const double> alpha,
+                                        std::span<const int8_t> y,
+                                        std::span<const double> c);
+
+// Packages a solver's final state: the bias of Equation (11), b = -rho,
+// where rho is the mean f over free support vectors or, when none is free,
+// the midpoint of the violation interval; and the dual objective of the
+// maximization form of problem (2).
+BinarySolution FinishSolution(std::vector<double> alpha, std::vector<double> f,
+                              std::span<const int8_t> y,
+                              std::span<const double> c);
 
 struct WorkingSetConfig {
   // Working set size == GPU buffer rows (the paper's bs; default 1024).
@@ -43,13 +64,17 @@ struct WorkingSetConfig {
   DropPolicy drop_policy = DropPolicy::kOldest;
 };
 
+// Admission order: each side admits its eligible non-members in the total
+// order (f, index) — ascending for I_up, the exact reverse for I_low — so the
+// selection is a pure function of the solver state, whatever the partition
+// the candidates were collected over.
 class WorkingSetSelector {
  public:
   // `n` is the binary problem size; sizes are clamped to it.
   WorkingSetSelector(const WorkingSetConfig& config, int64_t n);
 
   // Refreshes the working set from the current solver state. The first call
-  // fills the whole set. Returns the new working set (unordered).
+  // fills the whole set. Returns the new working set, oldest member first.
   const std::vector<int32_t>& Update(std::span<const double> f,
                                      std::span<const double> alpha,
                                      std::span<const int8_t> y,
@@ -59,20 +84,21 @@ class WorkingSetSelector {
 
   // --- Distributed refresh (src/dist) ---------------------------------------
   //
-  // The distributed solver selects the same working set as Update() without
-  // any shard looking at instances outside its contiguous range:
+  // Update() is this protocol over one shard covering [0, n). The distributed
+  // solver runs it without any shard looking at instances outside its
+  // contiguous range:
   //   1. BeginDistributedRefresh() drops the stale members (bookkeeping only
   //      under kOldest) and returns how many new violators the merge needs;
   //   2. each shard calls CollectShardCandidates() over its own range and
-  //      gets back its top `needed` eligible non-members per side, ordered by
-  //      the same total order (f, index) the full sort uses;
-  //   3. FinishDistributedRefresh() merges the shard lists in that total
-  //      order and admits exactly as Update()'s full-sort scan would.
-  // Any instance the full scan admits ranks within the top `needed` eligible
-  // candidates of its own shard on the relevant side, so the merged selection
-  // equals the full-sort selection for every shard partition (working_set_test
-  // checks the equivalence). Requires DropPolicy::kOldest: kLeastViolating's
-  // nth_element tie behaviour is not reproducible from shard-local data.
+  //      gets back its top `needed` eligible non-members per side, in the
+  //      admission order;
+  //   3. FinishDistributedRefresh() merges the shard lists in that order and
+  //      admits up to `needed` of them.
+  // Any instance a scan over all n admits ranks within the top `needed`
+  // eligible candidates of its own shard on the relevant side, so the merged
+  // selection is the same for every shard partition (working_set_test checks
+  // it against a full-sort reference). Requires DropPolicy::kOldest:
+  // kLeastViolating scores members against extremes over all n.
 
   // Per-shard candidate lists for one distributed refresh.
   struct ShardCandidates {
@@ -92,32 +118,27 @@ class WorkingSetSelector {
                                          std::span<const int8_t> y,
                                          std::span<const double> c) const;
 
-  // Merges the shard candidate lists and admits new members exactly as
-  // Update() would. Returns the new working set.
+  // Merges the shard candidate lists and admits the new members. Returns the
+  // new working set.
   const std::vector<int32_t>& FinishDistributedRefresh(
-      std::span<const ShardCandidates> shards, std::span<const double> f,
-      std::span<const double> alpha, std::span<const int8_t> y,
-      std::span<const double> c);
+      std::span<const ShardCandidates> shards, std::span<const double> f);
 
   // Effective (clamped) configuration.
   int ws_size() const { return ws_size_; }
   int q() const { return q_; }
 
  private:
-  void Drop(int count, std::span<const double> f, std::span<const double> alpha,
-            std::span<const int8_t> y, std::span<const double> c);
-  // Admits up to `count` new violators; returns how many were added.
-  int Admit(int count, std::span<const double> f, std::span<const double> alpha,
-            std::span<const int8_t> y, std::span<const double> c);
+  // Drops up to q stale members (none on the first call) and returns how
+  // many new violators the refresh admits. kOldest ignores the state spans.
+  int DropStale(std::span<const double> f, std::span<const double> alpha,
+                std::span<const int8_t> y, std::span<const double> c);
 
   WorkingSetConfig::DropPolicy drop_policy_;
   int ws_size_;
   int q_;
   int64_t n_;
-  std::vector<int32_t> members_;
-  std::deque<int32_t> insertion_order_;  // for kOldest
-  std::unordered_set<int32_t> member_set_;
-  std::vector<int32_t> sorted_;  // scratch: all indices sorted by f
+  std::vector<int32_t> members_;  // admission order: oldest first
+  std::vector<uint8_t> is_member_;
 };
 
 }  // namespace gmpsvm

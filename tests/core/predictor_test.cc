@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <optional>
 
@@ -419,6 +420,24 @@ TEST(MpSvmPredictorTest, PredictRowsRejectsMismatchedRow) {
       MpSvmPredictor(&fx.model).PredictRows({&bad, 1}, &exec, PredictOptions{});
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
+}
+
+TEST(MpSvmPredictorTest, PredictRowsRejectsNonFiniteFeatureNamingTheRow) {
+  TrainedFixture fx = MakeFixture(3, 63);
+  const std::vector<int32_t> idx{0, 1};
+  const std::vector<double> good{0.5, 1.0};
+  for (double bad_value : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> bad{0.5, bad_value};
+    const std::vector<SparseRowView> rows{{idx, good}, {idx, good}, {idx, bad}};
+    SimExecutor exec = Gpu();
+    auto result = MpSvmPredictor(&fx.model).PredictRows(rows, &exec, PredictOptions{});
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalidArgument());
+    EXPECT_EQ(result.status().message().rfind("row 2:", 0), 0u)
+        << result.status().ToString();
+  }
 }
 
 TEST(MpSvmPredictorTest, PredictOneMatchesBatchRow) {

@@ -56,6 +56,24 @@ TEST(ParseLibsvmTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseLibsvm("1 1\n0 1:2\n").ok());           // missing colon
 }
 
+// Non-finite or out-of-range labels and non-finite feature values are
+// rejected with an IoError naming the line, not converted or passed on.
+TEST(ParseLibsvmTest, RejectsNonFiniteAndOutOfRangeInput) {
+  for (const char* content : {
+           "1 1:1\nnan 1:2\n", "1 1:1\n-inf 1:2\n", "1 1:1\n3e9 1:2\n",
+           "1 1:1\n-2147483648.5 1:2\n", "1 1:1\n0 1:nan\n", "1 1:1\n0 1:2 2:inf\n",
+           "1 1:1\n0 1:-INF\n"}) {
+    const auto parsed = ParseLibsvm(content);
+    ASSERT_FALSE(parsed.ok()) << content;
+    EXPECT_TRUE(parsed.status().IsIoError()) << content;
+    EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos)
+        << parsed.status().ToString();
+  }
+  // The 32-bit extremes themselves still parse.
+  auto file = ValueOrDie(ParseLibsvm("2147483647 1:1\n-2147483648 1:2\n"));
+  EXPECT_EQ(file.label_values, (std::vector<int32_t>{2147483647, -2147483647 - 1}));
+}
+
 TEST(ParseLibsvmTest, ScientificNotationValues) {
   auto file = ValueOrDie(ParseLibsvm("1 1:1e-3 2:2.5E2\n0 1:-4e0\n"));
   EXPECT_DOUBLE_EQ(file.dataset.features().RowValues(0)[0], 1e-3);

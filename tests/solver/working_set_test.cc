@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
+#include <limits>
+#include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -224,7 +227,107 @@ INSTANTIATE_TEST_SUITE_P(Sweep, WorkingSetSweepTest,
                          ::testing::Combine(::testing::Values(4, 16, 32, 64, 128),
                                             ::testing::Values(2, 8, 16, 64)));
 
-// --- Distributed refresh ----------------------------------------------------
+// --- Reference selection ----------------------------------------------------
+
+// A direct implementation of the selection: sort all n instances by
+// (f, index), drop the q stale members, then admit by scanning the sorted
+// order from both ends. It shares nothing with the selector's candidate
+// path, so it is the reference both Update() and every distributed shard
+// split must match.
+class FullSortReference {
+ public:
+  FullSortReference(const WorkingSetConfig& config, int64_t n)
+      : policy_(config.drop_policy), n_(n) {
+    ws_size_ = static_cast<int>(std::min<int64_t>(std::max(2, config.ws_size), n));
+    q_ = std::clamp(config.q, 2, ws_size_);
+  }
+
+  const std::vector<int32_t>& Update(const State& s) {
+    std::vector<int32_t> sorted(static_cast<size_t>(n_));
+    for (int64_t i = 0; i < n_; ++i) sorted[static_cast<size_t>(i)] = static_cast<int32_t>(i);
+    std::sort(sorted.begin(), sorted.end(), [&s](int32_t a, int32_t b) {
+      if (s.f[a] != s.f[b]) return s.f[a] < s.f[b];
+      return a < b;
+    });
+    if (!members_.empty()) Drop(std::min<int>(q_, static_cast<int>(members_.size())), s);
+    Admit(sorted, ws_size_ - static_cast<int>(members_.size()), s);
+    return members_;
+  }
+
+ private:
+  void Drop(int count, const State& s) {
+    std::set<int32_t> to_drop;
+    if (policy_ == WorkingSetConfig::DropPolicy::kOldest) {
+      while (static_cast<int>(to_drop.size()) < count && !insertion_order_.empty()) {
+        const int32_t oldest = insertion_order_.front();
+        insertion_order_.pop_front();
+        if (member_set_.count(oldest) != 0) to_drop.insert(oldest);
+      }
+    } else {
+      double f_up_min = std::numeric_limits<double>::infinity();
+      double f_low_max = -std::numeric_limits<double>::infinity();
+      for (int64_t i = 0; i < n_; ++i) {
+        if (InUpSet(s.y[i], s.alpha[i], s.c[i])) f_up_min = std::min(f_up_min, s.f[i]);
+        if (InLowSet(s.y[i], s.alpha[i], s.c[i])) f_low_max = std::max(f_low_max, s.f[i]);
+      }
+      std::vector<std::pair<double, int32_t>> scored;
+      for (int32_t m : members_) {
+        double score = -std::numeric_limits<double>::infinity();
+        if (InUpSet(s.y[m], s.alpha[m], s.c[m])) score = std::max(score, f_low_max - s.f[m]);
+        if (InLowSet(s.y[m], s.alpha[m], s.c[m])) score = std::max(score, s.f[m] - f_up_min);
+        scored.emplace_back(score, m);
+      }
+      std::sort(scored.begin(), scored.end());
+      for (int i = 0; i < count; ++i) to_drop.insert(scored[static_cast<size_t>(i)].second);
+    }
+    std::vector<int32_t> kept;
+    for (int32_t m : members_) {
+      if (to_drop.count(m) == 0) kept.push_back(m);
+    }
+    members_ = std::move(kept);
+    for (int32_t d : to_drop) member_set_.erase(d);
+  }
+
+  void Admit(const std::vector<int32_t>& sorted, int count, const State& s) {
+    if (count <= 0) return;
+    const auto take = [&](int32_t i) {
+      members_.push_back(i);
+      member_set_.insert(i);
+      insertion_order_.push_back(i);
+    };
+    int added = 0;
+    int up_added = 0;
+    for (size_t k = 0; k < sorted.size() && up_added < count / 2; ++k) {
+      const int32_t i = sorted[k];
+      if (member_set_.count(i) != 0 || !InUpSet(s.y[i], s.alpha[i], s.c[i])) continue;
+      take(i);
+      ++up_added;
+      ++added;
+    }
+    int low_added = 0;
+    for (size_t k = sorted.size(); k-- > 0 && low_added < count - up_added;) {
+      const int32_t i = sorted[k];
+      if (member_set_.count(i) != 0 || !InLowSet(s.y[i], s.alpha[i], s.c[i])) continue;
+      take(i);
+      ++low_added;
+      ++added;
+    }
+    for (size_t k = 0; k < sorted.size() && added < count; ++k) {
+      const int32_t i = sorted[k];
+      if (member_set_.count(i) != 0 || !InUpSet(s.y[i], s.alpha[i], s.c[i])) continue;
+      take(i);
+      ++added;
+    }
+  }
+
+  WorkingSetConfig::DropPolicy policy_;
+  int64_t n_;
+  int ws_size_ = 0;
+  int q_ = 0;
+  std::vector<int32_t> members_;
+  std::deque<int32_t> insertion_order_;
+  std::set<int32_t> member_set_;
+};
 
 // Contiguous [begin, end) shard bounds: shard j gets [j*n/S, (j+1)*n/S).
 std::vector<std::pair<int64_t, int64_t>> ShardBounds(int64_t n, int shards) {
@@ -252,36 +355,102 @@ State MixedState(int n) {
   return s;
 }
 
+// Mixed state where only every third f value is distinct: long runs of
+// equal f put the (f, index) tie-break on every admission.
+State TiedState(int n) {
+  State s = MixedState(n);
+  for (int i = 0; i < n; ++i) s.f[static_cast<size_t>(i)] = s.f[static_cast<size_t>(i - i % 3)];
+  return s;
+}
+
+// Every instance is up-eligible only (y = +1, alpha = 0): the low side is
+// empty and the up side must fill the whole refresh.
+State OneSidedState(int n) {
+  State s;
+  for (int i = 0; i < n; ++i) {
+    s.y.push_back(1);
+    s.alpha.push_back(0.0);
+    s.f.push_back(std::fmod(static_cast<double>(i) * 0.618, 2.0));
+  }
+  s.FinishC();
+  return s;
+}
+
+// Evolves the state the way solver iterations would: perturbs f and moves
+// some working-set alphas between free and bound.
+void Evolve(const std::vector<int32_t>& ws, int round, State* s) {
+  for (int32_t m : ws) {
+    s->f[static_cast<size_t>(m)] += (m % 3 == 0) ? 0.25 : -0.125;
+    s->alpha[static_cast<size_t>(m)] =
+        (round + m) % 3 == 0 ? 0.0 : ((round + m) % 3 == 1 ? 1.0 : 0.5);
+  }
+}
+
+struct RefCase {
+  const char* name;
+  State (*make)(int);
+  int n;
+  int ws_size;
+  int q;
+};
+
+// n = 103 is prime, so shard splits are uneven; ws_size >= n clamps the set
+// to every instance.
+const RefCase kRefCases[] = {
+    {"mixed", MixedState, 103, 16, 6},
+    {"ties", TiedState, 103, 16, 8},
+    {"one-sided", OneSidedState, 40, 12, 12},
+    {"ws>=n", MixedState, 30, 64, 32},
+    {"ws==n", TiedState, 24, 24, 12},
+};
+
+TEST(WorkingSetReferenceTest, UpdateMatchesFullSortForBothDropPolicies) {
+  for (const auto policy : {WorkingSetConfig::DropPolicy::kOldest,
+                            WorkingSetConfig::DropPolicy::kLeastViolating}) {
+    for (const RefCase& tc : kRefCases) {
+      WorkingSetConfig cfg;
+      cfg.ws_size = tc.ws_size;
+      cfg.q = tc.q;
+      cfg.drop_policy = policy;
+      State s = tc.make(tc.n);
+      WorkingSetSelector sel(cfg, tc.n);
+      FullSortReference ref(cfg, tc.n);
+      for (int round = 0; round < 8; ++round) {
+        const std::vector<int32_t> expected = ref.Update(s);
+        const std::vector<int32_t> got = sel.Update(s.f, s.alpha, s.y, s.c);
+        ASSERT_EQ(got, expected) << tc.name << " policy=" << static_cast<int>(policy)
+                                 << " round=" << round;
+        Evolve(got, round, &s);
+      }
+    }
+  }
+}
+
 // The merged shard selection must equal the full-sort selection exactly —
 // same members, same order — for any shard partition, across consecutive
 // refreshes of an evolving state. This is the property the distributed
 // solver's byte-identity proof leans on (dist/dist_solver.h).
 TEST(WorkingSetDistributedRefreshTest, MatchesFullSortForAnyShardCount) {
-  WorkingSetConfig cfg;
-  cfg.ws_size = 16;
-  cfg.q = 6;
-  const int n = 103;  // prime: uneven shard splits
-  for (int shards : {1, 2, 3, 4, 7}) {
-    State s = MixedState(n);
-    WorkingSetSelector full(cfg, n);
-    WorkingSetSelector dist(cfg, n);
-    for (int round = 0; round < 6; ++round) {
-      const std::vector<int32_t> expected = full.Update(s.f, s.alpha, s.y, s.c);
-      const int needed = dist.BeginDistributedRefresh();
-      std::vector<WorkingSetSelector::ShardCandidates> collected;
-      for (const auto& [begin, end] : ShardBounds(n, shards)) {
-        collected.push_back(
-            dist.CollectShardCandidates(begin, end, needed, s.f, s.alpha, s.y, s.c));
-      }
-      const std::vector<int32_t> merged =
-          dist.FinishDistributedRefresh(collected, s.f, s.alpha, s.y, s.c);
-      ASSERT_EQ(merged, expected) << "shards=" << shards << " round=" << round;
-      // Evolve the state the way solver iterations would: perturb f and move
-      // some working-set alphas between free and bound.
-      for (int32_t m : merged) {
-        s.f[static_cast<size_t>(m)] += (m % 3 == 0) ? 0.25 : -0.125;
-        s.alpha[static_cast<size_t>(m)] =
-            (round + m) % 3 == 0 ? 0.0 : ((round + m) % 3 == 1 ? 1.0 : 0.5);
+  for (const RefCase& tc : kRefCases) {
+    WorkingSetConfig cfg;
+    cfg.ws_size = tc.ws_size;
+    cfg.q = tc.q;
+    for (int shards : {1, 2, 3, 4, 7}) {
+      State s = tc.make(tc.n);
+      FullSortReference ref(cfg, tc.n);
+      WorkingSetSelector dist(cfg, tc.n);
+      for (int round = 0; round < 6; ++round) {
+        const std::vector<int32_t> expected = ref.Update(s);
+        const int needed = dist.BeginDistributedRefresh();
+        std::vector<WorkingSetSelector::ShardCandidates> collected;
+        for (const auto& [begin, end] : ShardBounds(tc.n, shards)) {
+          collected.push_back(
+              dist.CollectShardCandidates(begin, end, needed, s.f, s.alpha, s.y, s.c));
+        }
+        const std::vector<int32_t> merged = dist.FinishDistributedRefresh(collected, s.f);
+        ASSERT_EQ(merged, expected)
+            << tc.name << " shards=" << shards << " round=" << round;
+        Evolve(merged, round, &s);
       }
     }
   }
