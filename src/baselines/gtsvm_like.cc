@@ -7,11 +7,7 @@ namespace gmpsvm {
 Result<MpSvmModel> GtsvmLikeTrainer::Train(const Dataset& dataset,
                                            SimExecutor* executor,
                                            MpTrainReport* report) const {
-  Stopwatch wall;
-  executor->SynchronizeAll();
-  const double sim_base = executor->NowSeconds();
-  const ExecutorCounters counters_base = executor->counters();
-
+  const TrainRunStart start(executor);
   executor->Transfer(kDefaultStream,
                      static_cast<double>(dataset.features().ByteSize()),
                      TransferDirection::kHostToDevice);
@@ -60,16 +56,7 @@ Result<MpSvmModel> GtsvmLikeTrainer::Train(const Dataset& dataset,
   model.support_vectors = dataset.features().SelectRows(pool_rows);
   model.pool_source_rows = std::move(pool_rows);
 
-  executor->SynchronizeAll();
-  if (report != nullptr) {
-    report->sim_seconds = executor->NowSeconds() - sim_base;
-    report->wall_seconds = wall.ElapsedSeconds();
-    report->kernel_values_computed = executor->counters().kernel_values_computed -
-                                     counters_base.kernel_values_computed;
-    report->kernel_values_reused = executor->counters().kernel_values_reused -
-                                   counters_base.kernel_values_reused;
-    report->peak_device_bytes = executor->counters().peak_bytes_in_use;
-  }
+  FinishTrainReport(start, executor, report);
   return model;
 }
 

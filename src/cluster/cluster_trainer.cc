@@ -5,80 +5,63 @@
 #include <memory>
 #include <thread>
 
-#include "common/logging.h"
+#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "core/sigmoid_cv.h"
-#include "fault/retry.h"
-#include "prob/platt.h"
+#include "core/pair_engine.h"
 
 namespace gmpsvm::cluster {
 namespace {
 
-// SplitMix64 finalizer: the standard seed-spreading step (same construction
-// Rng::Fork uses internally). Used directly here because per-pair fault
-// injectors need a derived SEED, not a forked Rng object.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
+// Salts of the independent seed streams a chaos plan splits into: one
+// injector per pair, one loss draw per device and one per node. Each member
+// needs a derived SEED, not a forked Rng object.
+constexpr uint64_t kPairSalt = 0x70A1B;
+constexpr uint64_t kDeviceSalt = 0xD00D;
+constexpr uint64_t kNodeSalt = 0x40DE;
+
+// Seed of member `index` of the `salt` stream: a function of the plan seed
+// and the index only — never of the device assignment or node grouping,
+// which is what makes chaos runs topology invariant.
+uint64_t FaultSeed(uint64_t plan_seed, uint64_t salt, uint64_t index) {
+  return SplitMix64(plan_seed ^ SplitMix64(salt + index));
 }
 
-// Seed for pair p's injector: a function of the plan seed and the pair index
-// only, never of the device assignment — this is what makes chaos runs
-// device-count invariant.
-uint64_t PairFaultSeed(uint64_t plan_seed, size_t pair_index) {
-  return SplitMix64(plan_seed ^ SplitMix64(0x70A1Bull + pair_index));
-}
-
-// Seed for device d's loss draw (independent of the pair streams).
-uint64_t DeviceFaultSeed(uint64_t plan_seed, int device) {
-  return SplitMix64(plan_seed ^ SplitMix64(0xD00Dull + static_cast<uint64_t>(device)));
-}
-
-// Seed for node m's loss draw (independent of the pair and device streams).
-uint64_t NodeFaultSeed(uint64_t plan_seed, int node) {
-  return SplitMix64(plan_seed ^ SplitMix64(0x40DEull + static_cast<uint64_t>(node)));
-}
-
-// Device-origin phase span helper (same shape mp_trainer.cc uses for its
-// pair phases; kept local because both copies are file-scope details).
-void RecordPhaseSpan(SimExecutor* executor, StreamId stream, std::string name,
-                     double start, double end) {
-  obs::SpanRecorder* recorder = executor->span_recorder();
-  if (recorder == nullptr || end <= start) return;
-  obs::SpanEvent span;
-  span.name = std::move(name);
-  span.origin = obs::SpanEvent::Origin::kDevice;
-  span.lane = executor->lane_base() + stream;
-  span.start_seconds = start;
-  span.end_seconds = end;
-  span.is_phase = true;
-  recorder->RecordSpan(span);
-}
-
-// Phase A: train one sharded pair across its shard group with the
-// distributed solver, then fit the sigmoid on the coordinator. Mirrors the
-// whole-pair path (SolveGmpPairImpl + RunPairWithRetry in mp_trainer.cc)
-// step for step so the outcome — checkpoint, stats, retry/degrade behaviour
-// — is byte-identical to training the pair whole on one device.
-Result<PairTrainOutcome> TrainShardedPair(
-    const Dataset& dataset, const MpTrainOptions& options,
-    const dist::ClusterTopology& topology, SimCluster* cluster,
-    const ShardedPair& sharded,
-    const PairFaultInjectorFactory& injector_factory,
-    dist::DistStats* dist_stats) {
-  const auto pairs = dataset.ClassPairs();
-  const int s = pairs[sharded.pair].first;
-  const int t = pairs[sharded.pair].second;
-
-  BinaryProblem problem = dataset.MakePairProblem(s, t, options.c, options.kernel);
-  if (!options.class_weights.empty()) {
-    problem.weight_pos = options.class_weights[static_cast<size_t>(s)];
-    problem.weight_neg = options.class_weights[static_cast<size_t>(t)];
+// Loss draws at `site` for members 1..count-1 (member 0 never dies, so
+// progress is always possible), each from its own seed stream.
+std::vector<bool> DrawLosses(const ClusterTrainOptions& options,
+                             fault::Site site, uint64_t salt, int count) {
+  std::vector<bool> lost(static_cast<size_t>(count), false);
+  if (!options.fault.has_value() || !(options.fault->ProbFor(site) > 0.0)) {
+    return lost;
   }
-  const int64_t n = problem.n();
+  for (int i = 1; i < count; ++i) {
+    fault::FaultPlan plan = *options.fault;
+    plan.seed = FaultSeed(options.fault->seed, salt, static_cast<uint64_t>(i));
+    fault::FaultInjector injector(plan, options.fault_metrics);
+    lost[static_cast<size_t>(i)] = injector.ShouldInject(site);
+  }
+  return lost;
+}
+
+// Trains one sharded pair across its shard group: DistSmoSolver solves it,
+// and the pair engine's fit, sigmoid and retry run on the coordinator — the
+// same body and retry loop as a whole pair, so the outcome (checkpoint,
+// stats, retry and degrade behaviour) is byte-identical to training the pair
+// whole on one device.
+Result<PairTrainOutcome> TrainShardedPair(
+    const Dataset& dataset, const MpTrainOptions& options, SimCluster* cluster,
+    const ShardedPair& sharded, const PairFaultInjectorFactory& injectors,
+    dist::DistStats* dist_stats) {
+  const auto [s, t] = dataset.ClassPairs()[sharded.pair];
+  KernelComputer computer(&dataset.features(), options.kernel);
+  // Sharded pairs always solve through direct kernel rows, never a shared
+  // block cache.
+  PairEngine engine = GmpPairEngine(dataset, options, computer,
+                                    /*executor=*/nullptr, /*cache=*/nullptr);
+  engine.injectors = injectors;
+  const PairJob job = MakePairJob(engine, sharded.pair, s, t);
+  const int64_t n = job.problem.n();
 
   // Never more shards than rows; the scheduler already caps this, but loss
   // re-forming may have shrunk the group below the cap it was built for.
@@ -87,161 +70,72 @@ Result<PairTrainOutcome> TrainShardedPair(
   const std::vector<std::pair<int64_t, int64_t>> ranges =
       dist::ContiguousShardRanges(n, static_cast<int>(n_shards));
 
-  std::vector<dist::Shard> shards(n_shards);
-  for (size_t j = 0; j < n_shards; ++j) {
-    const int d = sharded.devices[j];
-    shards[j].executor = cluster->device(d);
-    shards[j].stream = kDefaultStream;
-    shards[j].device = d;
-    shards[j].begin = ranges[j].first;
-    shards[j].end = ranges[j].second;
-    shards[j].executor->SynchronizeAll();
-  }
-  SimExecutor* const coord = shards[0].executor;
-  const StreamId coord_stream = shards[0].stream;
-
   // Each shard pays host->device transfer for its instance slice: the
   // slice's share of the full feature matrix (pair rows are dataset rows).
   const double dataset_rows = static_cast<double>(std::max<int64_t>(
       static_cast<int64_t>(dataset.size()), 1));
-  for (const dist::Shard& shard : shards) {
+  std::vector<dist::Shard> shards(n_shards);
+  for (size_t j = 0; j < n_shards; ++j) {
+    dist::Shard& shard = shards[j];
+    shard.device = sharded.devices[j];
+    shard.executor = cluster->device(shard.device);
+    shard.stream = kDefaultStream;
+    shard.begin = ranges[j].first;
+    shard.end = ranges[j].second;
+    shard.executor->SynchronizeAll();
     const double fraction =
         static_cast<double>(shard.end - shard.begin) / dataset_rows;
-    const double load_t0 = shard.executor->StreamTime(shard.stream);
-    shard.executor->Transfer(
-        shard.stream,
-        static_cast<double>(dataset.features().ByteSize()) * fraction,
-        TransferDirection::kHostToDevice);
-    RecordPhaseSpan(shard.executor, shard.stream, "data_load", load_t0,
-                    shard.executor->StreamTime(shard.stream));
+    ChargeDataLoad(shard.executor, shard.stream,
+                   static_cast<double>(dataset.features().ByteSize()) * fraction);
   }
 
-  KernelComputer computer(&dataset.features(), options.kernel);
-  const dist::DistSmoSolver dist_solver(options.batch, &topology);
-
+  const dist::DistSmoSolver dist_solver(options.batch, &cluster->topology());
+  engine.solve = [&](const BinaryProblem& problem, int, int,
+                     std::span<const double>, SimExecutor*, StreamId,
+                     SolverStats* stats) {
+    dist::DistStats attempt_dist;
+    Result<BinarySolution> solved =
+        dist_solver.Solve(problem, computer, shards, stats, &attempt_dist);
+    dist_stats->Merge(attempt_dist);
+    return solved;
+  };
   // The pair's injector lives on the coordinator only — exactly the
   // single-device consult sequence (dist_solver.h).
-  fault::FaultInjector* const base_injector = coord->fault_injector();
-  std::unique_ptr<fault::FaultInjector> pair_injector;
-  if (injector_factory != nullptr) {
-    pair_injector = injector_factory(sharded.pair);
-    coord->SetFaultInjector(pair_injector.get());
-  }
-
   PairTrainOutcome outcome;
-  outcome.pair_index = sharded.pair;
-
-  const auto attempt = [&]() -> Result<PairCheckpoint> {
-    SolverStats stats;
-    dist::DistStats attempt_dist;
-    const double smo_t0 = coord->StreamTime(coord_stream);
-    Result<BinarySolution> solved =
-        dist_solver.Solve(problem, computer, shards, &stats, &attempt_dist);
-    // Work done by failed attempts still counts toward the pair.
-    outcome.stats.Merge(stats);
-    dist_stats->Merge(attempt_dist);
-    if (!solved.ok()) return solved.status();
-    const BinarySolution& solution = *solved;
-    RecordPhaseSpan(coord, coord_stream, StrPrintf("smo %dv%d", s, t), smo_t0,
-                    coord->StreamTime(coord_stream));
-
-    std::vector<double> v;
-    if (options.sigmoid_cv_folds >= 2) {
-      // CV folds re-solve sub-problems; those run whole on the coordinator
-      // through a plain solver — the same calls the whole-pair path makes.
-      BatchSmoSolver plain(options.batch);
-      GMP_ASSIGN_OR_RETURN(
-          v, CrossValidatedDecisionValues(
-                 problem, computer,
-                 [&](const BinaryProblem& sub, SimExecutor* e, StreamId str) {
-                   return plain.Solve(sub, computer, e, str, nullptr);
-                 },
-                 options.sigmoid_cv_folds, /*seed=*/1u, coord, coord_stream));
-    } else {
-      // v_i = f_i + y_i + b (Equation 3 vs Equation 11).
-      v.resize(solution.f.size());
-      for (size_t i = 0; i < v.size(); ++i) {
-        v[i] = solution.f[i] + static_cast<double>(problem.y[i]) +
-               solution.bias;
-      }
-    }
-    const double sigmoid_t0 = coord->StreamTime(coord_stream);
-    GMP_ASSIGN_OR_RETURN(
-        SigmoidParams sigmoid,
-        FitSigmoid(v, problem.y, options.platt, coord, coord_stream,
-                   options.platt_parallel_candidates));
-    RecordPhaseSpan(coord, coord_stream, StrPrintf("sigmoid %dv%d", s, t),
-                    sigmoid_t0, coord->StreamTime(coord_stream));
-    outcome.sigmoid_seconds +=
-        coord->StreamTime(coord_stream) - sigmoid_t0;
-    outcome.sigmoid_done = true;
-
-    PairCheckpoint pair;
-    pair.class_s = s;
-    pair.class_t = t;
-    pair.bias = solution.bias;
-    pair.sigmoid = sigmoid;
-    for (int64_t i = 0; i < problem.n(); ++i) {
-      const double a = solution.alpha[static_cast<size_t>(i)];
-      if (a <= 0.0) continue;
-      pair.sv_rows.push_back(problem.rows[static_cast<size_t>(i)]);
-      pair.sv_coef.push_back(
-          a * static_cast<double>(problem.y[static_cast<size_t>(i)]));
-    }
-    return pair;
-  };
-
-  // Same retry/degrade policy as RunPairWithRetry, backoff charged to the
-  // coordinator with the same (s, t) seed.
-  const fault::RetryPolicy& policy = options.pair_retry;
-  Status failure = Status::OK();
-  for (int att = 1;; ++att) {
-    Result<PairCheckpoint> result = attempt();
-    if (result.ok()) {
-      outcome.checkpoint = std::move(result).value();
-      break;
-    }
-    if (!fault::IsTransientFault(result.status())) {
-      failure = result.status();
-      break;
-    }
-    if (att >= policy.max_attempts) {
-      if (options.pair_failure_policy == PairFailurePolicy::kFailFast) {
-        failure = Status::Unavailable(StrPrintf(
-            "pair %dv%d failed after %d attempts: %s", s, t, att,
-            result.status().message().c_str()));
-        break;
-      }
-      GMP_LOG(Warning) << "pair " << s << "v" << t << " degraded after "
-                       << att << " attempts: " << result.status().message();
-      outcome.checkpoint.class_s = s;
-      outcome.checkpoint.class_t = t;
-      outcome.checkpoint.degraded = true;
-      break;
-    }
-    ++outcome.retries;
-    const uint64_t seed =
-        (static_cast<uint64_t>(s) << 32) | static_cast<uint64_t>(t);
-    coord->AdvanceStream(coord_stream, fault::BackoffSeconds(policy, att, seed),
-                         "retry_backoff");
-  }
-
-  if (injector_factory != nullptr) coord->SetFaultInjector(base_injector);
+  const Status status = RunPairWithRetry(engine, job, shards[0].executor,
+                                         shards[0].stream, &outcome);
   for (const dist::Shard& shard : shards) shard.executor->SynchronizeAll();
-  if (!failure.ok()) return failure;
-  outcome.degraded = outcome.checkpoint.degraded;
+  GMP_RETURN_NOT_OK(status);
   return outcome;
 }
 
 }  // namespace
 
-Status ClusterTrainOptions::Validate(int num_classes) const {
+Status ValidateClusterRun(const char* what, const MpTrainOptions& train,
+                          const std::optional<fault::FaultPlan>& fault,
+                          int num_classes) {
   GMP_RETURN_NOT_OK(train.Validate(num_classes));
   if (!train.checkpoint.dir.empty() || train.checkpoint.resume) {
-    return Status::InvalidArgument(
-        "cluster training does not support checkpoint/resume; use a single "
-        "device (GmpSvmTrainer) for checkpointed sessions");
+    return Status::InvalidArgument(StrPrintf(
+        "%s does not support checkpoint/resume; use a single device "
+        "(GmpSvmTrainer) for checkpointed sessions",
+        what));
   }
+  if (fault.has_value()) {
+    GMP_RETURN_NOT_OK(fault->Validate());
+    if (fault->interrupt_after_pairs > 0) {
+      return Status::InvalidArgument(StrPrintf(
+          "%s does not support interrupt_after_pairs (a single-device "
+          "checkpoint/resume concept)",
+          what));
+    }
+  }
+  return Status::OK();
+}
+
+Status ClusterTrainOptions::Validate(int num_classes) const {
+  GMP_RETURN_NOT_OK(
+      ValidateClusterRun("cluster training", train, fault, num_classes));
   if (!(schedule.affinity_discount >= 0.0 && schedule.affinity_discount < 0.5)) {
     return Status::InvalidArgument(
         StrPrintf("affinity_discount must be in [0, 0.5), got %g",
@@ -263,14 +157,6 @@ Status ClusterTrainOptions::Validate(int num_classes) const {
     return Status::InvalidArgument(
         "intra-pair sharding requires the kOldest working-set drop policy "
         "(the distributed refresh cannot reproduce kLeastViolating)");
-  }
-  if (fault.has_value()) {
-    GMP_RETURN_NOT_OK(fault->Validate());
-    if (fault->interrupt_after_pairs > 0) {
-      return Status::InvalidArgument(
-          "cluster training does not support interrupt_after_pairs (a "
-          "single-device checkpoint/resume concept)");
-    }
   }
   return Status::OK();
 }
@@ -366,38 +252,15 @@ Result<MpSvmModel> ClusterTrainer::Train(const Dataset& dataset,
   std::vector<size_t> all_pairs(pairs.size());
   for (size_t p = 0; p < pairs.size(); ++p) all_pairs[p] = p;
 
-  // Node-loss draws: once per non-primary node, from a stream that depends
-  // only on the plan seed and the node index. Node 0 never dies; losing a
-  // node loses every device on it.
-  std::vector<bool> node_lost(static_cast<size_t>(topology.num_nodes), false);
-  int nodes_lost = 0;
-  if (options_.fault.has_value() && options_.fault->node_loss_prob > 0.0) {
-    for (int m = 1; m < topology.num_nodes; ++m) {
-      fault::FaultPlan node_plan = *options_.fault;
-      node_plan.seed = NodeFaultSeed(options_.fault->seed, m);
-      fault::FaultInjector node_injector(node_plan, options_.fault_metrics);
-      if (node_injector.ShouldInject(fault::Site::kNodeLoss)) {
-        node_lost[static_cast<size_t>(m)] = true;
-        ++nodes_lost;
-      }
-    }
-  }
-
-  // Device-loss draws: once per non-primary device, from a stream that
-  // depends only on the plan seed and the device index (never the node
-  // grouping, so draws match across topologies). Device 0 never dies.
-  std::vector<bool> lost(static_cast<size_t>(n_devices), false);
-  if (options_.fault.has_value() && options_.fault->device_loss_prob > 0.0) {
-    for (int d = 1; d < n_devices; ++d) {
-      fault::FaultPlan device_plan = *options_.fault;
-      device_plan.seed = DeviceFaultSeed(options_.fault->seed, d);
-      fault::FaultInjector device_injector(device_plan,
-                                           options_.fault_metrics);
-      if (device_injector.ShouldInject(fault::Site::kDeviceLoss)) {
-        lost[static_cast<size_t>(d)] = true;
-      }
-    }
-  }
+  // Loss draws: once per non-primary node and per non-primary device. Device
+  // draws never depend on the node grouping, so they match across
+  // topologies; losing a node loses every device on it.
+  const std::vector<bool> node_lost = DrawLosses(
+      options_, fault::Site::kNodeLoss, kNodeSalt, topology.num_nodes);
+  const int nodes_lost =
+      static_cast<int>(std::count(node_lost.begin(), node_lost.end(), true));
+  std::vector<bool> lost =
+      DrawLosses(options_, fault::Site::kDeviceLoss, kDeviceSalt, n_devices);
   int devices_lost = 0;
   for (int d = 1; d < n_devices; ++d) {
     if (node_lost[static_cast<size_t>(topology.node_of(d))]) {
@@ -489,62 +352,108 @@ Result<MpSvmModel> ClusterTrainer::Train(const Dataset& dataset,
     }
   }
 
-  // Per-pair injector factory: injectors depend on the pair index only, so
-  // the fault sequence a pair experiences is the same on any device.
-  PairFaultInjectorFactory injector_factory;
-  if (options_.fault.has_value()) {
-    const fault::FaultPlan base_plan = *options_.fault;
-    obs::MetricsRegistry* fault_metrics = options_.fault_metrics;
-    injector_factory =
-        [base_plan, fault_metrics](size_t pair_index)
-        -> std::unique_ptr<fault::FaultInjector> {
-      fault::FaultPlan plan = base_plan;
-      plan.seed = PairFaultSeed(base_plan.seed, pair_index);
-      // Pair injectors never consult kDeviceLoss (the trainer draws losses
-      // separately above), so the probability staying set is harmless.
-      return std::make_unique<fault::FaultInjector>(plan, fault_metrics);
-    };
+  GMP_ASSIGN_OR_RETURN(
+      AssignmentRun run,
+      TrainAssignment(dataset, options_.train, cluster, assignment, all_pairs,
+                      PairFaultInjectors(options_.fault, options_.fault_metrics)));
+
+  std::vector<PairCheckpoint> checkpoints(pairs.size());
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    checkpoints[p] = run.outcomes[p].checkpoint;
   }
+
+  if (report != nullptr) {
+    const double makespan = run.merged.sim_seconds;
+    report->makespan_sim_seconds = makespan;
+    report->wall_seconds = wall.ElapsedSeconds();
+    report->merged = std::move(run.merged);
+    report->merged.wall_seconds = report->wall_seconds;
+    report->pairs_rescheduled = pairs_rescheduled;
+    report->devices_lost = devices_lost;
+    report->nodes = topology.num_nodes;
+    report->nodes_lost = nodes_lost;
+    report->pairs_sharded = static_cast<int>(assignment.sharded_pairs.size());
+    report->shards_rescheduled = shards_rescheduled;
+    report->dist = run.dist;
+    report->pair_device = std::move(run.pair_device);
+    report->devices.resize(static_cast<size_t>(n_devices));
+    for (int d = 0; d < n_devices; ++d) {
+      const double elapsed = run.device_seconds[static_cast<size_t>(d)];
+      DeviceUtilization& util = report->devices[static_cast<size_t>(d)];
+      util.model_name = cluster->model(d).name;
+      util.pairs_trained = static_cast<int>(
+          assignment.device_pairs[static_cast<size_t>(d)].size());
+      util.lost = lost[static_cast<size_t>(d)];
+      util.sim_seconds = elapsed;
+      util.utilization = makespan > 0.0 ? elapsed / makespan : 0.0;
+    }
+    report->pair_outcomes = std::move(run.outcomes);
+  }
+
+  return AssembleModelFromPairs(dataset, options_.train, checkpoints);
+}
+
+PairFaultInjectorFactory PairFaultInjectors(
+    const std::optional<fault::FaultPlan>& plan,
+    obs::MetricsRegistry* metrics) {
+  if (!plan.has_value()) return nullptr;
+  return [base_plan = *plan,
+          metrics](size_t pair_index) -> std::unique_ptr<fault::FaultInjector> {
+    fault::FaultPlan pair_plan = base_plan;
+    pair_plan.seed = FaultSeed(base_plan.seed, kPairSalt, pair_index);
+    // Pair injectors never consult kDeviceLoss or kNodeLoss (the trainer
+    // draws losses separately), so those probabilities staying set is
+    // harmless.
+    return std::make_unique<fault::FaultInjector>(pair_plan, metrics);
+  };
+}
+
+Result<AssignmentRun> TrainAssignment(
+    const Dataset& dataset, const MpTrainOptions& options, SimCluster* cluster,
+    const PairAssignment& assignment, const std::vector<size_t>& pair_indices,
+    const PairFaultInjectorFactory& injectors,
+    const PairWarmStartProvider& warm_start) {
+  const int n_devices = cluster->num_devices();
 
   // Baselines so elapsed sim time / counter deltas are attributable to this
   // run even on reused executors.
-  std::vector<double> base_seconds(static_cast<size_t>(n_devices), 0.0);
-  std::vector<int64_t> base_kernel_computed(static_cast<size_t>(n_devices), 0);
-  std::vector<int64_t> base_kernel_reused(static_cast<size_t>(n_devices), 0);
-  for (int d = 0; d < n_devices; ++d) {
-    SimExecutor* dev = cluster->device(d);
-    dev->SynchronizeAll();
-    base_seconds[static_cast<size_t>(d)] = dev->NowSeconds();
-    base_kernel_computed[static_cast<size_t>(d)] =
-        dev->counters().kernel_values_computed;
-    base_kernel_reused[static_cast<size_t>(d)] =
-        dev->counters().kernel_values_reused;
-  }
+  std::vector<TrainRunStart> starts;
+  for (int d = 0; d < n_devices; ++d) starts.emplace_back(cluster->device(d));
 
-  // Phase A: sharded pairs, sequentially in pair order. Each solve spans
+  AssignmentRun run;
+  run.outcomes.resize(static_cast<size_t>(dataset.num_pairs()));
+  run.pair_device.assign(run.outcomes.size(), -1);
+
+  // Sharded pairs first, sequentially in pair order. Each solve spans
   // several devices, so these cannot overlap the per-device threads below;
-  // they run first and leave every participant synchronized.
-  dist::DistStats dist_stats;
-  std::vector<PairTrainOutcome> sharded_outcomes;
-  sharded_outcomes.reserve(assignment.sharded_pairs.size());
-  for (const ShardedPair& sp : assignment.sharded_pairs) {
+  // they leave every participant synchronized. A sharded pair reports its
+  // coordinator as the training device.
+  for (const ShardedPair& sharded : assignment.sharded_pairs) {
     GMP_ASSIGN_OR_RETURN(
-        PairTrainOutcome outcome,
-        TrainShardedPair(dataset, options_.train, topology, cluster, sp,
-                         injector_factory, &dist_stats));
-    sharded_outcomes.push_back(std::move(outcome));
+        run.outcomes[sharded.pair],
+        TrainShardedPair(dataset, options, cluster, sharded, injectors,
+                         &run.dist));
+    run.pair_device[sharded.pair] = sharded.devices[0];
   }
 
-  // Phase B — one thread per device: each device is an independent
-  // simulator, so this is wall-clock parallelism only — simulated results
-  // are identical to running the devices one after another.
+  // Then one thread per device: each device is an independent simulator, so
+  // this is wall-clock parallelism only — simulated results are identical to
+  // running the devices one after another.
   using DeviceResult = Result<std::vector<PairTrainOutcome>>;
   std::vector<DeviceResult> device_results(
       static_cast<size_t>(n_devices), DeviceResult(std::vector<PairTrainOutcome>{}));
+  // Each device keeps its own shared block cache: pairs co-located on it
+  // reuse each other's class segments; there is no cross-device sharing.
   const auto run_device = [&](int d) {
-    device_results[static_cast<size_t>(d)] = TrainGmpPairSubset(
-        dataset, options_.train, cluster->device(d),
-        assignment.device_pairs[static_cast<size_t>(d)], injector_factory);
+    SimExecutor* device = cluster->device(d);
+    KernelComputer computer(&dataset.features(), options.kernel);
+    std::unique_ptr<SharedBlockCache> cache;
+    PairEngine engine =
+        GmpPairEngine(dataset, options, computer, device, &cache);
+    engine.injectors = injectors;
+    engine.warm_start = warm_start;
+    device_results[static_cast<size_t>(d)] = RunPairs(
+        engine, device, assignment.device_pairs[static_cast<size_t>(d)]);
   };
   if (n_devices == 1) {
     run_device(0);
@@ -555,103 +464,40 @@ Result<MpSvmModel> ClusterTrainer::Train(const Dataset& dataset,
     for (std::thread& th : threads) th.join();
   }
 
-  // Propagate failures in device-index order for a deterministic error.
+  // Propagate failures in device-index order for a deterministic error, then
+  // re-key outcomes by global pair index.
   for (int d = 0; d < n_devices; ++d) {
-    if (!device_results[static_cast<size_t>(d)].ok()) {
-      return device_results[static_cast<size_t>(d)].status();
+    DeviceResult& result = device_results[static_cast<size_t>(d)];
+    if (!result.ok()) return result.status();
+    for (PairTrainOutcome& outcome : *result) {
+      run.pair_device[outcome.pair_index] = d;
+      run.outcomes[outcome.pair_index] = std::move(outcome);
     }
   }
-
-  // Re-key outcomes by global pair index. Sharded pairs report their
-  // coordinator as the training device.
-  std::vector<PairTrainOutcome> by_pair(pairs.size());
-  std::vector<int> pair_device(pairs.size(), -1);
-  for (int d = 0; d < n_devices; ++d) {
-    for (PairTrainOutcome& outcome : *device_results[static_cast<size_t>(d)]) {
-      pair_device[outcome.pair_index] = d;
-      by_pair[outcome.pair_index] = std::move(outcome);
-    }
-  }
-  for (size_t i = 0; i < sharded_outcomes.size(); ++i) {
-    PairTrainOutcome& outcome = sharded_outcomes[i];
-    pair_device[outcome.pair_index] = assignment.sharded_pairs[i].devices[0];
-    by_pair[outcome.pair_index] = std::move(outcome);
-  }
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    if (pair_device[p] < 0) {
+  for (size_t p : pair_indices) {
+    if (run.pair_device[p] < 0) {
       return Status::Internal(
           StrPrintf("pair %zu was scheduled on no device", p));
     }
   }
 
-  std::vector<PairCheckpoint> checkpoints;
-  checkpoints.reserve(pairs.size());
-  for (const PairTrainOutcome& outcome : by_pair) {
-    checkpoints.push_back(outcome.checkpoint);
-  }
-
-  std::vector<double> elapsed(static_cast<size_t>(n_devices), 0.0);
-  double makespan = 0.0;
+  // Merge per-pair statistics in global ClassPairs() order — the same order
+  // (and sigmoid-before-solver sequence) the single-device trainer uses, so
+  // merged reports line up across device counts.
+  for (size_t p : pair_indices) MergePairOutcome(run.outcomes[p], &run.merged);
   for (int d = 0; d < n_devices; ++d) {
-    elapsed[static_cast<size_t>(d)] = cluster->device(d)->NowSeconds() -
-                                      base_seconds[static_cast<size_t>(d)];
-    makespan = std::max(makespan, elapsed[static_cast<size_t>(d)]);
+    MpTrainReport device;
+    FinishTrainReport(starts[static_cast<size_t>(d)], cluster->device(d),
+                      &device);
+    run.device_seconds.push_back(device.sim_seconds);
+    MpTrainReport& merged = run.merged;
+    merged.sim_seconds = std::max(merged.sim_seconds, device.sim_seconds);
+    merged.kernel_values_computed += device.kernel_values_computed;
+    merged.kernel_values_reused += device.kernel_values_reused;
+    merged.peak_device_bytes =
+        std::max(merged.peak_device_bytes, device.peak_device_bytes);
   }
-
-  if (report != nullptr) {
-    report->makespan_sim_seconds = makespan;
-    report->wall_seconds = wall.ElapsedSeconds();
-    report->pairs_rescheduled = pairs_rescheduled;
-    report->devices_lost = devices_lost;
-    report->nodes = topology.num_nodes;
-    report->nodes_lost = nodes_lost;
-    report->pairs_sharded = static_cast<int>(assignment.sharded_pairs.size());
-    report->shards_rescheduled = shards_rescheduled;
-    report->dist = dist_stats;
-    report->pair_device = std::move(pair_device);
-
-    // Merge per-pair statistics in global ClassPairs() order — the same
-    // order (and sigmoid-before-solver sequence) the single-device trainer
-    // uses, so merged reports line up across device counts.
-    MpTrainReport& merged = report->merged;
-    for (const PairTrainOutcome& outcome : by_pair) {
-      if (outcome.sigmoid_done) {
-        merged.phases.Add("sigmoid", outcome.sigmoid_seconds);
-      }
-      merged.solver.Merge(outcome.stats);
-      merged.phases.Merge(outcome.stats.phases);
-      merged.pair_retries += outcome.retries;
-      if (outcome.degraded) ++merged.pairs_degraded;
-    }
-    merged.sim_seconds = makespan;
-    merged.wall_seconds = report->wall_seconds;
-    for (int d = 0; d < n_devices; ++d) {
-      const ExecutorCounters& counters = cluster->device(d)->counters();
-      merged.kernel_values_computed +=
-          counters.kernel_values_computed -
-          base_kernel_computed[static_cast<size_t>(d)];
-      merged.kernel_values_reused += counters.kernel_values_reused -
-                                     base_kernel_reused[static_cast<size_t>(d)];
-      merged.peak_device_bytes =
-          std::max(merged.peak_device_bytes, counters.peak_bytes_in_use);
-    }
-
-    report->devices.resize(static_cast<size_t>(n_devices));
-    for (int d = 0; d < n_devices; ++d) {
-      DeviceUtilization& util = report->devices[static_cast<size_t>(d)];
-      util.model_name = cluster->model(d).name;
-      util.pairs_trained = static_cast<int>(
-          assignment.device_pairs[static_cast<size_t>(d)].size());
-      util.lost = lost[static_cast<size_t>(d)];
-      util.sim_seconds = elapsed[static_cast<size_t>(d)];
-      util.utilization = makespan > 0.0
-                             ? elapsed[static_cast<size_t>(d)] / makespan
-                             : 0.0;
-    }
-    report->pair_outcomes = std::move(by_pair);
-  }
-
-  return AssembleModelFromPairs(dataset, options_.train, checkpoints);
+  return run;
 }
 
 }  // namespace gmpsvm::cluster

@@ -1,13 +1,15 @@
 // Cluster training: shard the k(k-1)/2 pair problems across devices and, for
 // oversized pairs, shard a single pair's instances across several devices.
 //
-// The trainer schedules pairs with the cost-model-aware pair scheduler.
-// Pairs the scheduler marked for intra-pair sharding train first (Phase A):
-// each runs once through dist::DistSmoSolver across its shard group, merges
-// priced by the cluster's node topology. The remaining whole pairs then
-// train through TrainGmpPairSubset (one std::thread per device — devices are
-// independent simulators, so this is pure wall-clock parallelism; Phase B).
-// Results are stitched back together in global ClassPairs() order with
+// The trainer schedules pairs with the cost-model-aware pair scheduler and
+// trains the assignment with TrainAssignment. Pairs the scheduler marked for
+// intra-pair sharding train first (Phase A): each runs once through
+// dist::DistSmoSolver across its shard group, merges priced by the cluster's
+// node topology, with the pair engine's fit and retry on the coordinator.
+// The remaining whole pairs then train through the pair engine
+// (core/pair_engine.h), one std::thread per device — devices are independent
+// simulators, so this is pure wall-clock parallelism (Phase B). Results are
+// stitched back together in global ClassPairs() order with
 // AssembleModelFromPairs.
 //
 // Determinism contract (extends PR 4): the model, predicted probabilities,
@@ -135,6 +137,50 @@ struct ClusterTrainReport {
   // series (per-link byte counters labeled {link=intra_node|inter_node}).
   void PublishTo(obs::MetricsRegistry* registry) const;
 };
+
+// Checks `train` and `fault` for a run across a cluster, which keeps no
+// single-device session: checkpoint/resume and interrupt_after_pairs are
+// rejected. `what` names the run in messages.
+Status ValidateClusterRun(const char* what, const MpTrainOptions& train,
+                          const std::optional<fault::FaultPlan>& fault,
+                          int num_classes);
+
+// What training one PairAssignment across a cluster produced.
+struct AssignmentRun {
+  // Per global pair index: the pair's outcome and the device that trained it
+  // (a sharded pair's coordinator); -1 for a pair the assignment did not
+  // hold.
+  std::vector<PairTrainOutcome> outcomes;
+  std::vector<int> pair_device;
+  // Simulated seconds each device spent on the run.
+  std::vector<double> device_seconds;
+  // The outcomes merged in ClassPairs() order, with sim_seconds = the
+  // makespan (the max of device_seconds) and the devices' kernel values and
+  // peak memory; wall_seconds is left to the caller.
+  MpTrainReport merged;
+  // Communication accounting summed over the sharded solves.
+  dist::DistStats dist;
+};
+
+// Per-pair fault injectors for a chaos run (none without a plan): pair p's
+// injector is seeded from (plan seed, p) only, so a pair sees the same fault
+// sequence on any device or shard group. `metrics` may be null.
+PairFaultInjectorFactory PairFaultInjectors(
+    const std::optional<fault::FaultPlan>& plan, obs::MetricsRegistry* metrics);
+
+// Trains `assignment` on `cluster`: its sharded pairs first, in pair order,
+// then each device's whole pairs through the pair engine on one thread per
+// device (GMP-SVM's solver, each device with its own shared block cache when
+// options.share_kernel_blocks is on). Every device pays its data load, even
+// with no pairs. Fails with the first failing sharded pair, else the
+// lowest-indexed failing device, and with kInternal if a pair in
+// `pair_indices` was scheduled on no device. The cluster trainer and the
+// warm retrain share this fan-out.
+Result<AssignmentRun> TrainAssignment(
+    const Dataset& dataset, const MpTrainOptions& options, SimCluster* cluster,
+    const PairAssignment& assignment, const std::vector<size_t>& pair_indices,
+    const PairFaultInjectorFactory& injectors,
+    const PairWarmStartProvider& warm_start = nullptr);
 
 class ClusterTrainer {
  public:

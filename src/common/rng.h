@@ -11,6 +11,15 @@
 
 namespace gmpsvm {
 
+// One SplitMix64 step: spreads `x` into a well-mixed 64-bit value, so
+// adjacent inputs give unrelated seeds.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 // A seeded PRNG wrapper (xoshiro-quality via std::mt19937_64) with the
 // sampling helpers the data generators need.
 class Rng {

@@ -3,165 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
-#include "common/logging.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/model_io.h"
+#include "core/pair_engine.h"
 #include "core/shared_blocks.h"
-#include "core/sigmoid_cv.h"
-#include "device/fork_join.h"
 #include "fault/fault_injector.h"
-#include "prob/pairwise_coupling.h"
 
 namespace gmpsvm {
 namespace {
 
-// Emits a named device-origin phase span for [start, end) on `stream` if the
-// executor has a span recorder attached. Phase spans envelop the leaf task
-// spans the executor records itself; they are excluded from busy-time math.
-void RecordPhaseSpan(SimExecutor* executor, StreamId stream, std::string name,
-                     double start, double end) {
-  obs::SpanRecorder* recorder = executor->span_recorder();
-  if (recorder == nullptr || end <= start) return;
-  obs::SpanEvent span;
-  span.name = std::move(name);
-  span.origin = obs::SpanEvent::Origin::kDevice;
-  span.lane = executor->lane_base() + stream;
-  span.start_seconds = start;
-  span.end_seconds = end;
-  span.is_phase = true;
-  recorder->RecordSpan(span);
-}
-
-// Accumulates trained binary SVMs into a model with (optionally deduplicated)
-// support-vector pool.
-class ModelBuilder {
- public:
-  ModelBuilder(const Dataset* dataset, const MpTrainOptions& options)
-      : dataset_(dataset), options_(options) {
-    model_.num_classes = dataset->num_classes();
-    model_.c = options.c;
-    model_.kernel = options.kernel;
-  }
-
-  // Support-vector pool indices depend on insertion order, so callers must
-  // feed pairs in ClassPairs() order — this is what keeps resumed runs
-  // byte-identical to uninterrupted ones.
-  void AddEntry(const PairCheckpoint& pair) {
-    BinarySvmEntry entry;
-    entry.class_s = pair.class_s;
-    entry.class_t = pair.class_t;
-    entry.bias = pair.bias;
-    entry.sigmoid = pair.sigmoid;
-    for (size_t m = 0; m < pair.sv_rows.size(); ++m) {
-      entry.sv_pool_index.push_back(PoolIndex(pair.sv_rows[m]));
-      entry.sv_coef.push_back(pair.sv_coef[m]);
-    }
-    model_.svms.push_back(std::move(entry));
-  }
-
-  MpSvmModel Finish() {
-    model_.support_vectors = dataset_->features().SelectRows(pool_rows_);
-    model_.pool_source_rows = std::move(pool_rows_);
-    // Cascade statistics (docs/cascade.md): a pure function of the dataset's
-    // class priors and each pair's Platt slope, so sequential, pair-parallel,
-    // cluster, and resumed runs all stamp identical stats. |sigmoid.a| is the
-    // calibrated sharpness of the pair's decision boundary (degraded pairs
-    // have a zero slope and sort last); weighting by the priors puts pairs
-    // that can eliminate the most probability mass first.
-    const double total = static_cast<double>(dataset_->size());
-    model_.cascade.clear();
-    model_.cascade.reserve(model_.svms.size());
-    for (const BinarySvmEntry& svm : model_.svms) {
-      PairCascadeStats stats;
-      if (total > 0.0) {
-        stats.prior_s =
-            static_cast<double>(dataset_->ClassRows(svm.class_s).size()) / total;
-        stats.prior_t =
-            static_cast<double>(dataset_->ClassRows(svm.class_t).size()) / total;
-      }
-      stats.score = std::abs(svm.sigmoid.a) * (stats.prior_s + stats.prior_t);
-      model_.cascade.push_back(stats);
-    }
-    return std::move(model_);
-  }
-
- private:
-  int32_t PoolIndex(int32_t global_row) {
-    if (options_.share_support_vectors) {
-      auto [it, inserted] =
-          pool_map_.try_emplace(global_row, static_cast<int32_t>(pool_rows_.size()));
-      if (inserted) pool_rows_.push_back(global_row);
-      return it->second;
-    }
-    pool_rows_.push_back(global_row);
-    return static_cast<int32_t>(pool_rows_.size() - 1);
-  }
-
-  const Dataset* dataset_;
-  const MpTrainOptions& options_;
-  MpSvmModel model_;
-  std::vector<int32_t> pool_rows_;
-  std::unordered_map<int32_t, int32_t> pool_map_;
-};
-
-// Decision values on the training instances come for free from the final
-// optimality indicators: v_i = f_i + y_i + b (Equation 3 vs Equation 11).
-std::vector<double> TrainingDecisionValues(const BinaryProblem& problem,
-                                           const BinarySolution& solution) {
-  std::vector<double> v(solution.f.size());
-  for (size_t i = 0; i < v.size(); ++i) {
-    v[i] = solution.f[i] + static_cast<double>(problem.y[i]) + solution.bias;
-  }
-  return v;
-}
-
-// Distills a solved pair into its checkpoint-shaped result: the positive
-// alphas as (global row, alpha * y) plus bias and sigmoid. Model entries are
-// rebuilt from this whether the pair was just trained or loaded from disk, so
-// the two paths cannot diverge.
-PairCheckpoint DistillPair(int s, int t, const BinaryProblem& problem,
-                           const BinarySolution& solution,
-                           const SigmoidParams& sigmoid) {
-  PairCheckpoint pair;
-  pair.class_s = s;
-  pair.class_t = t;
-  pair.bias = solution.bias;
-  pair.sigmoid = sigmoid;
-  for (int64_t i = 0; i < problem.n(); ++i) {
-    const double a = solution.alpha[static_cast<size_t>(i)];
-    if (a <= 0.0) continue;
-    pair.sv_rows.push_back(problem.rows[static_cast<size_t>(i)]);
-    pair.sv_coef.push_back(a * static_cast<double>(problem.y[static_cast<size_t>(i)]));
-  }
-  return pair;
-}
-
-// The neutral entry a pair degrades to: no SVs, decision value 0, sigmoid
-// {0, 0} so the pairwise probability is exactly 0.5.
-PairCheckpoint DegradedPair(int s, int t) {
-  PairCheckpoint pair;
-  pair.class_s = s;
-  pair.class_t = t;
-  pair.degraded = true;
-  return pair;
-}
-
-uint64_t Fnv1a64(const std::string& text) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 
 uint64_t Fnv1a64Bytes(const void* data, size_t bytes, uint64_t h) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -183,7 +40,7 @@ uint64_t TrainFingerprint(const Dataset& dataset, const MpTrainOptions& options)
   for (int k = 0; k < dataset.num_classes(); ++k) {
     key << " " << dataset.ClassRows(k).size();
   }
-  uint64_t content = 1469598103934665603ull;
+  uint64_t content = kFnvOffset;
   const auto& labels = dataset.labels();
   content = Fnv1a64Bytes(labels.data(), labels.size() * sizeof(labels[0]),
                          content);
@@ -203,7 +60,8 @@ uint64_t TrainFingerprint(const Dataset& dataset, const MpTrainOptions& options)
       << " cv=" << options.sigmoid_cv_folds
       << " shared_sv=" << (options.share_support_vectors ? 1 : 0);
   for (double w : options.class_weights) key << " w=" << w;
-  return Fnv1a64(key.str());
+  const std::string text = key.str();
+  return Fnv1a64Bytes(text.data(), text.size(), kFnvOffset);
 }
 
 // Manages the checkpoint directory for one training run: loads completed
@@ -294,200 +152,79 @@ class CheckpointSession {
   int unflushed_ = 0;
 };
 
-// Runs `attempt` for pair (s, t) under the options' retry policy. Transient
-// (kUnavailable) failures are retried with exponential backoff charged as
-// simulated time to `stream`; exhaustion either propagates (kFailFast) or
-// yields a degraded neutral pair (kSkipDegraded). Any other error propagates
-// immediately.
-Result<PairCheckpoint> RunPairWithRetry(
-    const MpTrainOptions& options, SimExecutor* executor, StreamId stream,
-    int s, int t, const std::function<Result<PairCheckpoint>()>& attempt,
-    MpTrainReport* report) {
-  const fault::RetryPolicy& policy = options.pair_retry;
-  for (int att = 1;; ++att) {
-    Result<PairCheckpoint> result = attempt();
-    if (result.ok()) return result;
-    if (!fault::IsTransientFault(result.status())) return result.status();
-    if (att >= policy.max_attempts) {
-      if (options.pair_failure_policy == PairFailurePolicy::kFailFast) {
-        return Status::Unavailable(StrPrintf(
-            "pair %dv%d failed after %d attempts: %s", s, t, att,
-            result.status().message().c_str()));
-      }
-      if (report != nullptr) ++report->pairs_degraded;
-      GMP_LOG(Warning) << "pair " << s << "v" << t << " degraded after " << att
-                       << " attempts: " << result.status().message();
-      return DegradedPair(s, t);
+// Both single-device trainers: every pair the checkpoint does not resume
+// runs through the pair engine, with SmoSolver on the default stream for the
+// sequential baseline or GMP-SVM's batched solver otherwise, and the model is
+// assembled in ClassPairs() order.
+Result<MpSvmModel> TrainOnOneDevice(const Dataset& dataset,
+                                    const MpTrainOptions& options,
+                                    bool sequential, SimExecutor* executor,
+                                    MpTrainReport* report) {
+  GMP_RETURN_NOT_OK(options.Validate(dataset.num_classes()));
+  const TrainRunStart start(executor);
+
+  KernelComputer computer(&dataset.features(), options.kernel);
+  // The shared block cache lives across the whole run so later pairs reuse
+  // earlier pairs' class segments; the sequential baseline never reads one.
+  std::unique_ptr<SharedBlockCache> cache;
+  PairEngine engine = GmpPairEngine(dataset, options, computer, executor,
+                                    sequential ? nullptr : &cache);
+  if (sequential) {
+    const SmoSolver solver(options.smo);
+    engine.solve = [solver, &computer](const BinaryProblem& problem, int, int,
+                                       std::span<const double>,
+                                       SimExecutor* exec, StreamId stream,
+                                       SolverStats* stats) {
+      return solver.Solve(problem, computer, exec, stream, stats);
+    };
+    engine.solve_fold = [solver, &computer](const BinaryProblem& sub,
+                                            SimExecutor* exec,
+                                            StreamId stream) {
+      return solver.Solve(sub, computer, exec, stream, nullptr);
+    };
+    engine.sequential = true;
+  }
+
+  CheckpointSession ckpt;
+  GMP_RETURN_NOT_OK(ckpt.Init(options.checkpoint,
+                              TrainFingerprint(dataset, options),
+                              dataset.num_classes(), report));
+  const auto pairs = dataset.ClassPairs();
+  std::vector<PairCheckpoint> results(pairs.size());
+  std::vector<size_t> todo;  // indices into `pairs` that still need training
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    if (const PairCheckpoint* loaded = ckpt.Loaded(pairs[p].first, pairs[p].second)) {
+      results[p] = *loaded;
+    } else {
+      todo.push_back(p);
     }
-    if (report != nullptr) ++report->pair_retries;
-    const uint64_t seed =
-        (static_cast<uint64_t>(s) << 32) | static_cast<uint64_t>(t);
-    executor->AdvanceStream(stream, fault::BackoffSeconds(policy, att, seed),
-                            "retry_backoff");
   }
-}
-
-// Consults the fault plan's simulated-kill knob after `completed_this_run`
-// newly trained pairs; on interrupt, flushes the checkpoint manifest so a
-// resume can pick up from here.
-Status MaybeInterrupt(SimExecutor* executor, CheckpointSession* ckpt,
-                      int64_t completed_this_run) {
-  fault::FaultInjector* injector = executor->fault_injector();
-  if (injector == nullptr ||
-      !injector->ShouldInterruptTraining(completed_this_run)) {
-    return Status::OK();
-  }
-  GMP_RETURN_NOT_OK(ckpt->Flush());
-  return Status::Unavailable(
-      StrPrintf("training interrupted by fault plan after %lld pairs",
-                static_cast<long long>(completed_this_run)));
-}
-
-// Worker-thread count for pair-level training: the trainer option wins,
-// otherwise the executor model's host_threads applies.
-int ResolvePairThreads(const MpTrainOptions& options, const SimExecutor* executor) {
-  return options.host_threads > 0 ? options.host_threads
-                                  : executor->model().host_threads;
-}
-
-// Pool to run pair workers on: the executor's own host pool when its size
-// already matches, otherwise a trainer-owned pool parked in `owned`.
-ThreadPool* ResolvePairPool(SimExecutor* executor, int threads,
-                            std::unique_ptr<ThreadPool>* owned) {
-  ThreadPool* pool = executor->host_pool();
-  if (pool != nullptr && pool->num_threads() == threads) return pool;
-  *owned = std::make_unique<ThreadPool>(threads);
-  return owned->get();
-}
-
-// One pair's workload and results when pairs train on worker threads. The
-// satellite executor records every charge into `log`; replaying the logs in
-// pair order afterwards reproduces the serial run's timeline, counters and
-// span stream exactly.
-struct PairTask {
-  size_t pair_index = 0;
-  int s = 0;
-  int t = 0;
-  StreamId stream = kDefaultStream;
-  BinaryProblem problem;
-  ExecEventLog log;
-  std::optional<SimExecutor> satellite;
-  double base = 0.0;
-  std::optional<Result<PairCheckpoint>> outcome;
-  SolverStats stats;
-  double sigmoid_seconds = 0.0;
-  bool sigmoid_done = false;
-};
-
-void FillReport(SimExecutor* executor, double sim_base,
-                const ExecutorCounters& counters_base, const Stopwatch& wall,
-                MpTrainReport* report) {
-  if (report == nullptr) return;
-  report->sim_seconds = executor->NowSeconds() - sim_base;
-  report->wall_seconds = wall.ElapsedSeconds();
-  report->kernel_values_computed =
-      executor->counters().kernel_values_computed - counters_base.kernel_values_computed;
-  report->kernel_values_reused =
-      executor->counters().kernel_values_reused - counters_base.kernel_values_reused;
-  report->peak_device_bytes = executor->counters().peak_bytes_in_use;
-}
-
-// The GMP path for one pair against an arbitrary executor/stream: batched
-// solver (through the shared block cache when one is given), then concurrent
-// sigmoid fitting on the pair's own stream (Section 3.3.2). Shared by
-// GmpSvmTrainer::Train and TrainGmpPairSubset so the single-device and
-// cluster paths run identical numeric code.
-Result<PairCheckpoint> SolveGmpPairImpl(
-    const MpTrainOptions& options, BatchSmoSolver& solver,
-    KernelComputer& computer, SharedBlockCache* cache, SimExecutor* exec,
-    StreamId stream, int s, int t, const BinaryProblem& problem,
-    SolverStats* stats, double* sigmoid_seconds, bool* sigmoid_done,
-    std::span<const double> initial_alpha = {}) {
-  BinarySolution solution;
-  const double smo_t0 = exec->StreamTime(stream);
-  if (cache != nullptr) {
-    SharedRowSource source(&problem, s, t, cache, &computer);
-    GMP_ASSIGN_OR_RETURN(
-        solution,
-        initial_alpha.empty()
-            ? solver.Solve(problem, computer, &source, exec, stream, stats)
-            : solver.SolveWarm(problem, computer, &source, initial_alpha, exec,
-                               stream, stats));
-  } else {
-    GMP_ASSIGN_OR_RETURN(
-        solution,
-        initial_alpha.empty()
-            ? solver.Solve(problem, computer, exec, stream, stats)
-            : solver.SolveWarm(problem, computer, initial_alpha, exec, stream,
-                               stats));
-  }
-  RecordPhaseSpan(exec, stream, StrPrintf("smo %dv%d", s, t), smo_t0,
-                  exec->StreamTime(stream));
-
-  // Concurrent sigmoid fitting on the pair's own stream, with parallel
-  // candidate evaluation (Section 3.3.2).
-  std::vector<double> v;
-  if (options.sigmoid_cv_folds >= 2) {
-    GMP_ASSIGN_OR_RETURN(
-        v, CrossValidatedDecisionValues(
-               problem, computer,
-               [&](const BinaryProblem& sub, SimExecutor* e, StreamId str) {
-                 return solver.Solve(sub, computer, e, str, nullptr);
-               },
-               options.sigmoid_cv_folds, /*seed=*/1u, exec, stream));
-  } else {
-    v = TrainingDecisionValues(problem, solution);
-  }
-  const double sigmoid_t0 = exec->StreamTime(stream);
-  GMP_ASSIGN_OR_RETURN(
-      SigmoidParams sigmoid,
-      FitSigmoid(v, problem.y, options.platt, exec, stream,
-                 options.platt_parallel_candidates));
-  RecordPhaseSpan(exec, stream, StrPrintf("sigmoid %dv%d", s, t), sigmoid_t0,
-                  exec->StreamTime(stream));
-  *sigmoid_seconds = exec->StreamTime(stream) - sigmoid_t0;
-  *sigmoid_done = true;
-  return DistillPair(s, t, problem, solution, sigmoid);
-}
-
-// Greedily packs `todo` (indices into `pairs`) into concurrent groups under
-// the executor's memory budget: each pair needs its kernel buffer
-// (min(ws, n_pair) * n_pair doubles) on the device, and a group never exceeds
-// max_concurrent_svms.
-std::vector<std::vector<size_t>> PackPairGroups(
-    const Dataset& dataset, const MpTrainOptions& options,
-    const SimExecutor& executor, const std::vector<size_t>& todo,
-    const std::vector<std::pair<int, int>>& pairs) {
-  const int64_t ws_rows = std::max(2, options.batch.working_set.ws_size);
-  const size_t budget = executor.memory_budget();
-  std::vector<std::vector<size_t>> groups;
-  std::vector<size_t> current;
-  size_t current_bytes = 0;
-  const size_t usable = budget > executor.bytes_in_use()
-                            ? (budget - executor.bytes_in_use()) * 6 / 10
-                            : 0;
-  for (size_t p : todo) {
-    const auto& [s, t] = pairs[p];
-    const int64_t n_pair =
-        static_cast<int64_t>(dataset.ClassRows(s).size() +
-                             dataset.ClassRows(t).size());
-    const size_t need = static_cast<size_t>(std::min<int64_t>(ws_rows, n_pair) *
-                                            n_pair) *
-                        sizeof(double);
-    const bool full = !current.empty() &&
-                      (static_cast<int>(current.size()) >=
-                           std::max(1, options.max_concurrent_svms) ||
-                       current_bytes + need > usable);
-    if (full) {
-      groups.push_back(std::move(current));
-      current.clear();
-      current_bytes = 0;
+  int64_t completed_this_run = 0;
+  engine.on_complete = [&](const PairTrainOutcome& outcome) -> Status {
+    GMP_RETURN_NOT_OK(ckpt.OnPairComplete(outcome.checkpoint));
+    // The fault plan's simulated kill: flush the manifest so a resume can
+    // pick up from here.
+    fault::FaultInjector* injector = executor->fault_injector();
+    if (injector == nullptr ||
+        !injector->ShouldInterruptTraining(++completed_this_run)) {
+      return Status::OK();
     }
-    current.push_back(p);
-    current_bytes += need;
+    GMP_RETURN_NOT_OK(ckpt.Flush());
+    return Status::Unavailable(
+        StrPrintf("training interrupted by fault plan after %lld pairs",
+                  static_cast<long long>(completed_this_run)));
+  };
+  GMP_ASSIGN_OR_RETURN(std::vector<PairTrainOutcome> outcomes,
+                       RunPairs(engine, executor, todo, report));
+  // Moved, not copied: copies freed before assembly scatter the model's
+  // per-pair arrays, which slowed k=64 prediction by about 10%.
+  for (PairTrainOutcome& outcome : outcomes) {
+    results[outcome.pair_index] = std::move(outcome.checkpoint);
   }
-  if (!current.empty()) groups.push_back(std::move(current));
-  return groups;
+  GMP_RETURN_NOT_OK(ckpt.Flush());
+  FinishTrainReport(start, executor, report);
+  // Resumed and trained pairs alike, in ClassPairs() order.
+  return AssembleModelFromPairs(dataset, options, results);
 }
 
 }  // namespace
@@ -540,6 +277,26 @@ Status MpTrainOptions::Validate(int num_classes) const {
         "checkpoint.resume requires checkpoint.dir to be set");
   }
   return Status::OK();
+}
+
+TrainRunStart::TrainRunStart(SimExecutor* executor) {
+  executor->SynchronizeAll();
+  sim_seconds = executor->NowSeconds();
+  counters = executor->counters();
+}
+
+void FinishTrainReport(const TrainRunStart& start, SimExecutor* executor,
+                       MpTrainReport* report) {
+  executor->SynchronizeAll();
+  if (report == nullptr) return;
+  const ExecutorCounters& counters = executor->counters();
+  report->sim_seconds = executor->NowSeconds() - start.sim_seconds;
+  report->wall_seconds = start.wall.ElapsedSeconds();
+  report->kernel_values_computed =
+      counters.kernel_values_computed - start.counters.kernel_values_computed;
+  report->kernel_values_reused =
+      counters.kernel_values_reused - start.counters.kernel_values_reused;
+  report->peak_device_bytes = counters.peak_bytes_in_use;
 }
 
 void MpTrainReport::PublishTo(obs::MetricsRegistry* registry) const {
@@ -601,494 +358,25 @@ void MpTrainReport::PublishTo(obs::MetricsRegistry* registry) const {
 Result<MpSvmModel> SequentialMpTrainer::Train(const Dataset& dataset,
                                               SimExecutor* executor,
                                               MpTrainReport* report) const {
-  GMP_RETURN_NOT_OK(options_.Validate(dataset.num_classes()));
-  Stopwatch wall;
-  executor->SynchronizeAll();
-  const double sim_base = executor->NowSeconds();
-  const ExecutorCounters counters_base = executor->counters();
-
-  // Ship the training data to the device once.
-  const double load_t0 = executor->StreamTime(kDefaultStream);
-  executor->Transfer(kDefaultStream, static_cast<double>(dataset.features().ByteSize()),
-                     TransferDirection::kHostToDevice);
-  RecordPhaseSpan(executor, kDefaultStream, "data_load", load_t0,
-                  executor->StreamTime(kDefaultStream));
-
-  KernelComputer computer(&dataset.features(), options_.kernel);
-  SmoSolver solver(options_.smo);
-  ModelBuilder builder(&dataset, options_);
-
-  CheckpointSession ckpt;
-  GMP_RETURN_NOT_OK(ckpt.Init(options_.checkpoint,
-                              TrainFingerprint(dataset, options_),
-                              dataset.num_classes(), report));
-
-  const auto pairs = dataset.ClassPairs();
-  std::vector<std::optional<PairCheckpoint>> results(pairs.size());
-  int64_t completed_this_run = 0;
-
-  // Everything one pair needs, against an arbitrary executor/stream so the
-  // serial path (main executor) and the pair-parallel path (per-pair
-  // satellite executors) run identical numeric code.
-  auto solve_pair = [&](SimExecutor* exec, StreamId stream, int s, int t,
-                        const BinaryProblem& problem, SolverStats* stats,
-                        double* sigmoid_seconds,
-                        bool* sigmoid_done) -> Result<PairCheckpoint> {
-    const double smo_t0 = exec->StreamTime(stream);
-    GMP_ASSIGN_OR_RETURN(
-        BinarySolution solution,
-        solver.Solve(problem, computer, exec, stream, stats));
-    RecordPhaseSpan(exec, stream, StrPrintf("smo %dv%d", s, t), smo_t0,
-                    exec->StreamTime(stream));
-
-    std::vector<double> v;
-    if (options_.sigmoid_cv_folds >= 2) {
-      SmoSolver cv_solver(options_.smo);
-      GMP_ASSIGN_OR_RETURN(
-          v, CrossValidatedDecisionValues(
-                 problem, computer,
-                 [&](const BinaryProblem& sub, SimExecutor* e, StreamId str) {
-                   return cv_solver.Solve(sub, computer, e, str, nullptr);
-                 },
-                 options_.sigmoid_cv_folds, /*seed=*/1u, exec, stream));
-    } else {
-      v = TrainingDecisionValues(problem, solution);
-    }
-    const double sigmoid_t0 = exec->StreamTime(stream);
-    GMP_ASSIGN_OR_RETURN(
-        SigmoidParams sigmoid,
-        FitSigmoid(v, problem.y, options_.platt, exec, stream,
-                   /*parallel_candidates=*/1));
-    RecordPhaseSpan(exec, stream, StrPrintf("sigmoid %dv%d", s, t), sigmoid_t0,
-                    exec->StreamTime(stream));
-    *sigmoid_seconds = exec->StreamTime(stream) - sigmoid_t0;
-    *sigmoid_done = true;
-    return DistillPair(s, t, problem, solution, sigmoid);
-  };
-
-  // Per-pair report contributions, in the exact order the serial loop applies
-  // them: the sigmoid phase (only when that stage ran), then the solver
-  // stats, then the solver's own phase attribution.
-  auto merge_pair_report = [&](const SolverStats& stats, double sigmoid_seconds,
-                               bool sigmoid_done) {
-    if (report == nullptr) return;
-    if (sigmoid_done) report->phases.Add("sigmoid", sigmoid_seconds);
-    report->solver.Merge(stats);
-    report->phases.Merge(stats.phases);
-  };
-
-  const int pair_threads = ResolvePairThreads(options_, executor);
-  // Chaos runs stay serial: fault and backoff decisions are consumed in pair
-  // order, so only the injector-free path is trivially thread-count
-  // invariant.
-  const bool pair_parallel =
-      pair_threads > 1 && executor->fault_injector() == nullptr;
-
-  if (pair_parallel) {
-    std::unique_ptr<ThreadPool> owned_pool;
-    ThreadPool* pool = ResolvePairPool(executor, pair_threads, &owned_pool);
-
-    std::vector<PairTask> tasks;
-    tasks.reserve(pairs.size());
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      const int s = pairs[p].first;
-      const int t = pairs[p].second;
-      if (const PairCheckpoint* loaded = ckpt.Loaded(s, t)) {
-        results[p] = *loaded;
-        continue;
-      }
-      PairTask task;
-      task.pair_index = p;
-      task.s = s;
-      task.t = t;
-      task.problem = dataset.MakePairProblem(s, t, options_.c, options_.kernel);
-      if (!options_.class_weights.empty()) {
-        task.problem.weight_pos = options_.class_weights[static_cast<size_t>(s)];
-        task.problem.weight_neg = options_.class_weights[static_cast<size_t>(t)];
-      }
-      tasks.push_back(std::move(task));
-    }
-    // Fork only once the vector is final: satellites hold &task.log.
-    for (PairTask& task : tasks) {
-      task.satellite.emplace(
-          ForkSatellite(executor, kDefaultStream, &task.log, pool));
-      task.base = task.satellite->StreamTime(kDefaultStream);
-    }
-    pool->ParallelFor(
-        static_cast<int64_t>(tasks.size()),
-        [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            PairTask& task = tasks[static_cast<size_t>(i)];
-            task.outcome = solve_pair(&*task.satellite, kDefaultStream, task.s,
-                                      task.t, task.problem, &task.stats,
-                                      &task.sigmoid_seconds,
-                                      &task.sigmoid_done);
-          }
-        },
-        /*min_chunk=*/1);
-    // Replay in pair order. A failing pair returns after its own replay and
-    // report merge, exactly where the serial loop would have stopped; later
-    // pairs' events are discarded with their satellites.
-    for (PairTask& task : tasks) {
-      JoinSatellite(task.log, *task.satellite, task.base, executor,
-                    kDefaultStream);
-      merge_pair_report(task.stats, task.sigmoid_seconds, task.sigmoid_done);
-      if (!task.outcome->ok()) return task.outcome->status();
-      results[task.pair_index] = std::move(*task.outcome).value();
-      GMP_RETURN_NOT_OK(ckpt.OnPairComplete(*results[task.pair_index]));
-      ++completed_this_run;
-    }
-  } else {
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      const int s = pairs[p].first;
-      const int t = pairs[p].second;
-      if (const PairCheckpoint* loaded = ckpt.Loaded(s, t)) {
-        results[p] = *loaded;
-        continue;
-      }
-      BinaryProblem problem =
-          dataset.MakePairProblem(s, t, options_.c, options_.kernel);
-      if (!options_.class_weights.empty()) {
-        problem.weight_pos = options_.class_weights[static_cast<size_t>(s)];
-        problem.weight_neg = options_.class_weights[static_cast<size_t>(t)];
-      }
-
-      auto attempt = [&]() -> Result<PairCheckpoint> {
-        SolverStats stats;
-        double sigmoid_seconds = 0.0;
-        bool sigmoid_done = false;
-        Result<PairCheckpoint> result =
-            solve_pair(executor, kDefaultStream, s, t, problem, &stats,
-                       &sigmoid_seconds, &sigmoid_done);
-        // Work done by failed attempts still counts.
-        merge_pair_report(stats, sigmoid_seconds, sigmoid_done);
-        return result;
-      };
-
-      GMP_ASSIGN_OR_RETURN(
-          PairCheckpoint pair,
-          RunPairWithRetry(options_, executor, kDefaultStream, s, t, attempt,
-                           report));
-      results[p] = std::move(pair);
-      GMP_RETURN_NOT_OK(ckpt.OnPairComplete(*results[p]));
-      ++completed_this_run;
-      GMP_RETURN_NOT_OK(MaybeInterrupt(executor, &ckpt, completed_this_run));
-    }
-  }
-
-  GMP_RETURN_NOT_OK(ckpt.Flush());
-  // Feed the builder in ClassPairs() order regardless of which pairs were
-  // resumed: pool indices depend on insertion order.
-  for (auto& result : results) builder.AddEntry(*result);
-
-  executor->SynchronizeAll();
-  FillReport(executor, sim_base, counters_base, wall, report);
-  return builder.Finish();
+  return TrainOnOneDevice(dataset, options_, /*sequential=*/true, executor,
+                          report);
 }
 
 Result<MpSvmModel> GmpSvmTrainer::Train(const Dataset& dataset,
                                         SimExecutor* executor,
                                         MpTrainReport* report) const {
-  GMP_RETURN_NOT_OK(options_.Validate(dataset.num_classes()));
-  Stopwatch wall;
-  executor->SynchronizeAll();
-  const double sim_base = executor->NowSeconds();
-  const ExecutorCounters counters_base = executor->counters();
-
-  const double load_t0 = executor->StreamTime(kDefaultStream);
-  executor->Transfer(kDefaultStream, static_cast<double>(dataset.features().ByteSize()),
-                     TransferDirection::kHostToDevice);
-  RecordPhaseSpan(executor, kDefaultStream, "data_load", load_t0,
-                  executor->StreamTime(kDefaultStream));
-
-  KernelComputer computer(&dataset.features(), options_.kernel);
-  BatchSmoSolver solver(options_.batch);
-  ModelBuilder builder(&dataset, options_);
-
-  // Shared block cache lives across the whole run so later pairs reuse
-  // earlier pairs' class segments.
-  std::unique_ptr<SharedBlockCache> cache;
-  if (options_.share_kernel_blocks) {
-    cache = std::make_unique<SharedBlockCache>(&dataset, &computer,
-                                               options_.shared_cache_bytes, executor);
-  }
-
-  CheckpointSession ckpt;
-  GMP_RETURN_NOT_OK(ckpt.Init(options_.checkpoint,
-                              TrainFingerprint(dataset, options_),
-                              dataset.num_classes(), report));
-
-  const auto pairs = dataset.ClassPairs();
-  std::vector<std::optional<PairCheckpoint>> results(pairs.size());
-  std::vector<size_t> todo;  // indices into `pairs` that still need training
-  todo.reserve(pairs.size());
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    if (const PairCheckpoint* loaded = ckpt.Loaded(pairs[p].first, pairs[p].second)) {
-      results[p] = *loaded;
-    } else {
-      todo.push_back(p);
-    }
-  }
-
-  // Greedily pack the remaining pairs into concurrent groups under the
-  // memory budget (each pair needs its kernel buffer on the device).
-  const std::vector<std::vector<size_t>> groups =
-      PackPairGroups(dataset, options_, *executor, todo, pairs);
-  int64_t completed_this_run = 0;
-
-  // Everything one pair needs, against an arbitrary executor/stream so the
-  // serial path (main executor) and the pair-parallel path (per-pair
-  // satellite executors) run identical numeric code. The cache branch only
-  // runs serially: pair parallelism requires share_kernel_blocks off.
-  auto solve_pair = [&](SimExecutor* exec, StreamId stream, int s, int t,
-                        const BinaryProblem& problem, SolverStats* stats,
-                        double* sigmoid_seconds,
-                        bool* sigmoid_done) -> Result<PairCheckpoint> {
-    return SolveGmpPairImpl(options_, solver, computer, cache.get(), exec,
-                            stream, s, t, problem, stats, sigmoid_seconds,
-                            sigmoid_done);
-  };
-
-  auto merge_pair_report = [&](const SolverStats& stats, double sigmoid_seconds,
-                               bool sigmoid_done) {
-    if (report == nullptr) return;
-    if (sigmoid_done) report->phases.Add("sigmoid", sigmoid_seconds);
-    report->solver.Merge(stats);
-    report->phases.Merge(stats.phases);
-  };
-
-  const int pair_threads = ResolvePairThreads(options_, executor);
-  // Serial fallbacks: chaos runs consume fault/backoff decisions in pair
-  // order, and the shared block cache's hit/miss accounting depends on the
-  // order pairs touch it — both stay on the serial path so every output is
-  // thread-count invariant.
-  const bool pair_parallel = pair_threads > 1 &&
-                             executor->fault_injector() == nullptr &&
-                             cache == nullptr;
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool =
-      pair_parallel ? ResolvePairPool(executor, pair_threads, &owned_pool)
-                    : nullptr;
-
-  for (const auto& group : groups) {
-    // One stream per pair in the group, each owning an equal share of SMs
-    // (the paper caps SMs per binary SVM to enable concurrency).
-    const double share = 1.0 / static_cast<double>(group.size());
-    std::vector<StreamId> streams;
-    streams.reserve(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      streams.push_back(executor->CreateStream(share));
-    }
-
-    if (pair_parallel) {
-      std::vector<PairTask> tasks(group.size());
-      for (size_t gi = 0; gi < group.size(); ++gi) {
-        PairTask& task = tasks[gi];
-        task.pair_index = group[gi];
-        task.s = pairs[task.pair_index].first;
-        task.t = pairs[task.pair_index].second;
-        task.stream = streams[gi];
-        task.problem = dataset.MakePairProblem(task.s, task.t, options_.c,
-                                               options_.kernel);
-        if (!options_.class_weights.empty()) {
-          task.problem.weight_pos =
-              options_.class_weights[static_cast<size_t>(task.s)];
-          task.problem.weight_neg =
-              options_.class_weights[static_cast<size_t>(task.t)];
-        }
-      }
-      // Each satellite mirrors its pair's own stream; nothing else touches
-      // that stream before the join, so replayed spans land exactly.
-      for (PairTask& task : tasks) {
-        task.satellite.emplace(
-            ForkSatellite(executor, task.stream, &task.log, pool));
-        task.base = task.satellite->StreamTime(kDefaultStream);
-      }
-      pool->ParallelFor(
-          static_cast<int64_t>(tasks.size()),
-          [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-              PairTask& task = tasks[static_cast<size_t>(i)];
-              task.outcome = solve_pair(&*task.satellite, kDefaultStream,
-                                        task.s, task.t, task.problem,
-                                        &task.stats, &task.sigmoid_seconds,
-                                        &task.sigmoid_done);
-            }
-          },
-          /*min_chunk=*/1);
-      for (PairTask& task : tasks) {
-        JoinSatellite(task.log, *task.satellite, task.base, executor,
-                      task.stream);
-        merge_pair_report(task.stats, task.sigmoid_seconds, task.sigmoid_done);
-        if (!task.outcome->ok()) return task.outcome->status();
-        results[task.pair_index] = std::move(*task.outcome).value();
-        GMP_RETURN_NOT_OK(ckpt.OnPairComplete(*results[task.pair_index]));
-        ++completed_this_run;
-      }
-    } else {
-      for (size_t gi = 0; gi < group.size(); ++gi) {
-        const size_t pair_index = group[gi];
-        const int s = pairs[pair_index].first;
-        const int t = pairs[pair_index].second;
-        const StreamId stream = streams[gi];
-        BinaryProblem problem =
-            dataset.MakePairProblem(s, t, options_.c, options_.kernel);
-        if (!options_.class_weights.empty()) {
-          problem.weight_pos = options_.class_weights[static_cast<size_t>(s)];
-          problem.weight_neg = options_.class_weights[static_cast<size_t>(t)];
-        }
-
-        auto attempt = [&]() -> Result<PairCheckpoint> {
-          SolverStats stats;
-          double sigmoid_seconds = 0.0;
-          bool sigmoid_done = false;
-          Result<PairCheckpoint> result =
-              solve_pair(executor, stream, s, t, problem, &stats,
-                         &sigmoid_seconds, &sigmoid_done);
-          // Work done by failed attempts still counts.
-          merge_pair_report(stats, sigmoid_seconds, sigmoid_done);
-          return result;
-        };
-
-        GMP_ASSIGN_OR_RETURN(
-            PairCheckpoint pair,
-            RunPairWithRetry(options_, executor, stream, s, t, attempt, report));
-        results[pair_index] = std::move(pair);
-        GMP_RETURN_NOT_OK(ckpt.OnPairComplete(*results[pair_index]));
-        ++completed_this_run;
-        GMP_RETURN_NOT_OK(MaybeInterrupt(executor, &ckpt, completed_this_run));
-      }
-    }
-    // Barrier between groups: buffers are reclaimed before the next group.
-    executor->SynchronizeAll();
-  }
-
-  GMP_RETURN_NOT_OK(ckpt.Flush());
-  // Pool indices depend on insertion order: feed the builder in ClassPairs()
-  // order regardless of which pairs were resumed from the checkpoint.
-  for (auto& result : results) builder.AddEntry(*result);
-
-  executor->SynchronizeAll();
-  FillReport(executor, sim_base, counters_base, wall, report);
-  return builder.Finish();
+  return TrainOnOneDevice(dataset, options_, /*sequential=*/false, executor,
+                          report);
 }
 
-Result<std::vector<PairTrainOutcome>> TrainGmpPairSubset(
-    const Dataset& dataset, const MpTrainOptions& options,
-    SimExecutor* executor, const std::vector<size_t>& pair_indices,
-    const PairFaultInjectorFactory& injector_factory,
-    const PairWarmStartProvider& warm_start) {
-  GMP_RETURN_NOT_OK(options.Validate(dataset.num_classes()));
-  const auto pairs = dataset.ClassPairs();
-  for (size_t p : pair_indices) {
-    if (p >= pairs.size()) {
-      return Status::InvalidArgument(
-          StrPrintf("pair index %zu out of range (dataset has %zu pairs)", p,
-                    pairs.size()));
-    }
-  }
-  executor->SynchronizeAll();
-
-  // Each device pays for its own copy of the training data — there is no
-  // modeled device-to-device interconnect (docs/cost_model.md).
-  const double load_t0 = executor->StreamTime(kDefaultStream);
-  executor->Transfer(kDefaultStream,
-                     static_cast<double>(dataset.features().ByteSize()),
-                     TransferDirection::kHostToDevice);
-  RecordPhaseSpan(executor, kDefaultStream, "data_load", load_t0,
-                  executor->StreamTime(kDefaultStream));
-
-  KernelComputer computer(&dataset.features(), options.kernel);
-  BatchSmoSolver solver(options.batch);
-  // Per-device shared block cache: pairs co-located on this device reuse each
-  // other's class segments; there is no cross-device sharing.
-  std::unique_ptr<SharedBlockCache> cache;
-  if (options.share_kernel_blocks) {
-    cache = std::make_unique<SharedBlockCache>(
-        &dataset, &computer, options.shared_cache_bytes, executor);
-  }
-
-  const std::vector<std::vector<size_t>> groups =
-      PackPairGroups(dataset, options, *executor, pair_indices, pairs);
-
-  std::vector<PairTrainOutcome> outcomes;
-  outcomes.reserve(pair_indices.size());
-  fault::FaultInjector* const base_injector = executor->fault_injector();
-
-  for (const auto& group : groups) {
-    const double share = 1.0 / static_cast<double>(group.size());
-    std::vector<StreamId> streams;
-    streams.reserve(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      streams.push_back(executor->CreateStream(share));
-    }
-    for (size_t gi = 0; gi < group.size(); ++gi) {
-      const size_t pair_index = group[gi];
-      const int s = pairs[pair_index].first;
-      const int t = pairs[pair_index].second;
-      const StreamId stream = streams[gi];
-      BinaryProblem problem =
-          dataset.MakePairProblem(s, t, options.c, options.kernel);
-      if (!options.class_weights.empty()) {
-        problem.weight_pos = options.class_weights[static_cast<size_t>(s)];
-        problem.weight_neg = options.class_weights[static_cast<size_t>(t)];
-      }
-
-      std::unique_ptr<fault::FaultInjector> pair_injector;
-      if (injector_factory != nullptr) {
-        pair_injector = injector_factory(pair_index);
-        executor->SetFaultInjector(pair_injector.get());
-      }
-
-      PairTrainOutcome outcome;
-      outcome.pair_index = pair_index;
-      MpTrainReport pair_report;
-      const std::vector<double> warm_alpha =
-          warm_start != nullptr ? warm_start(pair_index, problem)
-                                : std::vector<double>{};
-      auto attempt = [&]() -> Result<PairCheckpoint> {
-        SolverStats stats;
-        double sigmoid_seconds = 0.0;
-        bool sigmoid_done = false;
-        Result<PairCheckpoint> result = SolveGmpPairImpl(
-            options, solver, computer, cache.get(), executor, stream, s, t,
-            problem, &stats, &sigmoid_seconds, &sigmoid_done, warm_alpha);
-        // Work done by failed attempts still counts toward the pair.
-        outcome.stats.Merge(stats);
-        outcome.sigmoid_seconds += sigmoid_seconds;
-        outcome.sigmoid_done = outcome.sigmoid_done || sigmoid_done;
-        return result;
-      };
-      Result<PairCheckpoint> pair = RunPairWithRetry(
-          options, executor, stream, s, t, attempt, &pair_report);
-      if (injector_factory != nullptr) {
-        executor->SetFaultInjector(base_injector);
-      }
-      if (!pair.ok()) return pair.status();
-      outcome.checkpoint = std::move(pair).value();
-      outcome.retries = pair_report.pair_retries;
-      outcome.degraded = outcome.checkpoint.degraded;
-      outcomes.push_back(std::move(outcome));
-    }
-    // Barrier between groups: buffers are reclaimed before the next group.
-    executor->SynchronizeAll();
-  }
-
-  executor->SynchronizeAll();
-  return outcomes;
-}
-
-Result<MpSvmModel> AssembleModelFromPairs(
-    const Dataset& dataset, const MpTrainOptions& options,
-    const std::vector<PairCheckpoint>& pairs_in_order) {
-  GMP_RETURN_NOT_OK(options.Validate(dataset.num_classes()));
+Status CheckPairOrder(const Dataset& dataset,
+                      const std::vector<PairCheckpoint>& pairs_in_order) {
   const auto pairs = dataset.ClassPairs();
   if (pairs_in_order.size() != pairs.size()) {
     return Status::InvalidArgument(
         StrPrintf("got %zu pair checkpoints, dataset has %zu pairs",
                   pairs_in_order.size(), pairs.size()));
   }
-  ModelBuilder builder(&dataset, options);
   for (size_t p = 0; p < pairs.size(); ++p) {
     const PairCheckpoint& pair = pairs_in_order[p];
     if (pair.class_s != pairs[p].first || pair.class_t != pairs[p].second) {
@@ -1096,9 +384,65 @@ Result<MpSvmModel> AssembleModelFromPairs(
           "pair checkpoint %zu is %dv%d, expected %dv%d", p, pair.class_s,
           pair.class_t, pairs[p].first, pairs[p].second));
     }
-    builder.AddEntry(pair);
   }
-  return builder.Finish();
+  return Status::OK();
+}
+
+Result<MpSvmModel> AssembleModelFromPairs(
+    const Dataset& dataset, const MpTrainOptions& options,
+    const std::vector<PairCheckpoint>& pairs_in_order) {
+  GMP_RETURN_NOT_OK(options.Validate(dataset.num_classes()));
+  GMP_RETURN_NOT_OK(CheckPairOrder(dataset, pairs_in_order));
+  MpSvmModel model;
+  model.num_classes = dataset.num_classes();
+  model.c = options.c;
+  model.kernel = options.kernel;
+  // Support-vector pool indices depend on insertion order, so pairs enter in
+  // ClassPairs() order however they were trained — this is what keeps
+  // resumed and cluster runs byte-identical to uninterrupted ones.
+  std::vector<int32_t> pool_rows;
+  std::unordered_map<int32_t, int32_t> pool_slot;
+  const auto pool_index = [&](int32_t global_row) {
+    if (options.share_support_vectors) {
+      auto [it, inserted] = pool_slot.try_emplace(
+          global_row, static_cast<int32_t>(pool_rows.size()));
+      if (inserted) pool_rows.push_back(global_row);
+      return it->second;
+    }
+    pool_rows.push_back(global_row);
+    return static_cast<int32_t>(pool_rows.size() - 1);
+  };
+  // Cascade statistics (docs/cascade.md): a pure function of the dataset's
+  // class priors and each pair's Platt slope, so sequential, pair-parallel,
+  // cluster, and resumed runs all stamp identical stats. |sigmoid.a| is the
+  // calibrated sharpness of the pair's decision boundary (degraded pairs
+  // have a zero slope and sort last); weighting by the priors puts pairs
+  // that can eliminate the most probability mass first.
+  const double total = static_cast<double>(dataset.size());
+  for (const PairCheckpoint& pair : pairs_in_order) {
+    BinarySvmEntry entry;
+    entry.class_s = pair.class_s;
+    entry.class_t = pair.class_t;
+    entry.bias = pair.bias;
+    entry.sigmoid = pair.sigmoid;
+    for (size_t m = 0; m < pair.sv_rows.size(); ++m) {
+      entry.sv_pool_index.push_back(pool_index(pair.sv_rows[m]));
+      entry.sv_coef.push_back(pair.sv_coef[m]);
+    }
+    PairCascadeStats stats;
+    if (total > 0.0) {
+      stats.prior_s =
+          static_cast<double>(dataset.ClassRows(pair.class_s).size()) / total;
+      stats.prior_t =
+          static_cast<double>(dataset.ClassRows(pair.class_t).size()) / total;
+    }
+    stats.score = std::abs(pair.sigmoid.a) * (stats.prior_s + stats.prior_t);
+    model.svms.push_back(std::move(entry));
+    model.cascade.push_back(stats);
+  }
+  model.support_vectors = dataset.features().SelectRows(pool_rows);
+  model.pool_source_rows = std::move(pool_rows);
+  return model;
 }
 
 }  // namespace gmpsvm

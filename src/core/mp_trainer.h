@@ -124,12 +124,12 @@ struct MpTrainOptions {
   // Real worker threads for pair-level training (wall-clock only; models,
   // reports, counters, and traces are byte-identical for every value — see
   // docs/performance.md). 0 inherits the executor model's host_threads; 1
-  // forces today's serial orchestration. Pair-level parallelism engages only
-  // when no fault injector is attached (chaos runs stay serial so fault/RNG
-  // streams remain per-pair) and, for GmpSvmTrainer, only with
-  // share_kernel_blocks disabled (shared-cache hit/miss accounting is
-  // schedule-dependent); the data-parallel kernel ops still apply in those
-  // cases.
+  // forces serial orchestration. Pairs fork/join across the threads under
+  // one rule, on a single device and on each cluster device alike: no fault
+  // injector, attached or per pair (fault draws are consumed in pair order),
+  // and no shared block cache (its hit/miss accounting depends on the order
+  // pairs touch it), so GMP needs share_kernel_blocks off. The
+  // data-parallel kernel ops still use the threads otherwise.
   int host_threads = 0;
 
   // Checks the whole configuration, including the nested batch-solver
@@ -173,11 +173,26 @@ struct MpTrainReport {
   void PublishTo(obs::MetricsRegistry* registry) const;
 };
 
-// --- Multi-device building blocks (used by src/cluster) ----------------------
+// An executor's state when a training run starts, taken after synchronizing
+// it, so FinishTrainReport charges the run alone even on a reused executor.
+struct TrainRunStart {
+  explicit TrainRunStart(SimExecutor* executor);
+  Stopwatch wall;
+  double sim_seconds = 0.0;
+  ExecutorCounters counters;
+};
+
+// Synchronizes `executor` and, when `report` is non-null, fills its
+// simulated and wall seconds, kernel-value counters and peak device memory
+// since `start`.
+void FinishTrainReport(const TrainRunStart& start, SimExecutor* executor,
+                       MpTrainReport* report);
+
+// --- Pair-engine building blocks (core/pair_engine.h, src/cluster) ----------
 //
 // Cluster training splits the k(k-1)/2 pairwise problems across devices:
-// each device trains its assigned subset with TrainGmpPairSubset, then the
-// per-pair results are stitched back together — in global ClassPairs() order,
+// each device trains its subset through the pair engine, then the per-pair
+// results are stitched back together — in global ClassPairs() order,
 // because support-vector pool indices depend on insertion order — with
 // AssembleModelFromPairs. Pair solutions are schedule-invariant (the kernel
 // math is exact), so the assembled model is byte-identical to a single-device
@@ -210,28 +225,19 @@ using PairFaultInjectorFactory =
 // vector to solve cold. The online pipeline derives the seeds from the
 // previous model's PairCheckpoint; the seeds are clamped into the box and
 // constraint-repaired by BatchSmoSolver::SolveWarm, so any previous solution
-// of overlapping data is a legal seed.
+// of overlapping data is a legal seed. Called once per pair before its first
+// attempt; cluster devices call it concurrently.
 using PairWarmStartProvider =
     std::function<std::vector<double>(size_t pair_index,
                                       const BinaryProblem& problem)>;
 
-// Trains the subset of dataset.ClassPairs() named by `pair_indices` on one
-// executor with the GMP-SVM machinery: groups packed under the memory budget,
-// one SM-capped stream per pair in a group, an optional per-executor shared
-// block cache, and the per-pair retry policy. Pair orchestration is serial
-// (devices parallelize across executors; op bodies still use the executor's
-// host pool). `options.checkpoint` is ignored — cluster checkpointing is a
-// documented non-goal. Fails fast on the first pair whose error is not
-// recoverable under the options' failure policy.
-Result<std::vector<PairTrainOutcome>> TrainGmpPairSubset(
-    const Dataset& dataset, const MpTrainOptions& options,
-    SimExecutor* executor, const std::vector<size_t>& pair_indices,
-    const PairFaultInjectorFactory& injector_factory = nullptr,
-    const PairWarmStartProvider& warm_start = nullptr);
+// InvalidArgument unless `pairs_in_order` holds one checkpoint per dataset
+// pair, labeled in ClassPairs() order.
+Status CheckPairOrder(const Dataset& dataset,
+                      const std::vector<PairCheckpoint>& pairs_in_order);
 
 // Assembles the final model from per-pair checkpoints given in ClassPairs()
-// order. Rejects a vector whose size or pair labels do not match the
-// dataset's pair enumeration.
+// order. Rejects a vector that fails CheckPairOrder.
 Result<MpSvmModel> AssembleModelFromPairs(
     const Dataset& dataset, const MpTrainOptions& options,
     const std::vector<PairCheckpoint>& pairs_in_order);

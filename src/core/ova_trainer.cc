@@ -3,22 +3,16 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <unordered_map>
 
-#include "common/thread_pool.h"
-#include "device/fork_join.h"
+#include "core/pair_engine.h"
 #include "solver/batch_smo_solver.h"
 
 namespace gmpsvm {
 
 Result<OvaModel> OvaTrainer::Train(const Dataset& dataset, SimExecutor* executor,
                                    MpTrainReport* report) const {
-  Stopwatch wall;
-  executor->SynchronizeAll();
-  const double sim_base = executor->NowSeconds();
-  const ExecutorCounters counters_base = executor->counters();
-
+  const TrainRunStart start(executor);
   executor->Transfer(kDefaultStream,
                      static_cast<double>(dataset.features().ByteSize()),
                      TransferDirection::kHostToDevice);
@@ -48,132 +42,68 @@ Result<OvaModel> OvaTrainer::Train(const Dataset& dataset, SimExecutor* executor
     return problem;
   };
 
-  // One class's solver + sigmoid work, against an arbitrary executor so the
-  // serial path (main executor) and the class-parallel path (satellite
-  // executors) run identical numeric code.
-  auto solve_class = [&](SimExecutor* exec, const BinaryProblem& problem,
-                         SolverStats* stats, BinarySolution* solution,
-                         SigmoidParams* sigmoid) -> Status {
+  struct ClassTask {
+    BinaryProblem problem;
+    Status status;
+    SolverStats stats;
+    BinarySolution solution;
+    SigmoidParams sigmoid;
+  };
+  std::vector<ClassTask> tasks(static_cast<size_t>(dataset.num_classes()));
+  for (int cls = 0; cls < dataset.num_classes(); ++cls) {
+    tasks[static_cast<size_t>(cls)].problem = make_problem(cls);
+  }
+  const auto solve_class = [&](ClassTask* task, SimExecutor* exec,
+                               StreamId stream) -> Status {
+    GMP_ASSIGN_OR_RETURN(task->solution,
+                         solver.Solve(task->problem, computer, exec, stream,
+                                      &task->stats));
     GMP_ASSIGN_OR_RETURN(
-        *solution,
-        solver.Solve(problem, computer, exec, kDefaultStream, stats));
-    std::vector<double> v(solution->f.size());
-    for (size_t i = 0; i < v.size(); ++i) {
-      v[i] = solution->f[i] + static_cast<double>(problem.y[i]) + solution->bias;
-    }
-    GMP_ASSIGN_OR_RETURN(
-        *sigmoid,
-        FitSigmoid(v, problem.y, options_.platt, exec, kDefaultStream,
+        task->sigmoid,
+        FitSigmoid(TrainingDecisionValues(task->problem, task->solution),
+                   task->problem.y, options_.platt, exec, stream,
                    options_.platt_parallel_candidates));
     return Status::OK();
   };
 
-  // Builds the class's model entry; pool indices depend on insertion order,
-  // so entries must be added in class order on one thread.
-  auto add_entry = [&](int cls, const BinaryProblem& problem,
-                       const BinarySolution& solution,
-                       const SigmoidParams& sigmoid) {
-    OvaClassEntry entry;
-    entry.cls = cls;
-    entry.bias = solution.bias;
-    entry.sigmoid = sigmoid;
-    for (int64_t i = 0; i < problem.n(); ++i) {
-      const double a = solution.alpha[static_cast<size_t>(i)];
-      if (a <= 0.0) continue;
-      const int32_t global_row = problem.rows[static_cast<size_t>(i)];
-      auto [it, inserted] = pool_map.try_emplace(
-          global_row, static_cast<int32_t>(model.pool_source_rows.size()));
-      if (inserted) model.pool_source_rows.push_back(global_row);
-      entry.sv_pool_index.push_back(it->second);
-      entry.sv_coef.push_back(a * problem.y[static_cast<size_t>(i)]);
-    }
-    model.classes.push_back(std::move(entry));
-  };
-
-  const int class_threads = options_.host_threads > 0
-                                ? options_.host_threads
-                                : executor->model().host_threads;
-  // Chaos runs stay serial so fault decisions are consumed in class order.
-  const bool class_parallel =
-      class_threads > 1 && executor->fault_injector() == nullptr;
-
-  if (class_parallel) {
-    ThreadPool* pool = executor->host_pool();
-    std::unique_ptr<ThreadPool> owned_pool;
-    if (pool == nullptr || pool->num_threads() != class_threads) {
-      owned_pool = std::make_unique<ThreadPool>(class_threads);
-      pool = owned_pool.get();
-    }
-
-    struct ClassTask {
-      BinaryProblem problem;
-      ExecEventLog log;
-      std::optional<SimExecutor> satellite;
-      double base = 0.0;
-      Status status;
-      SolverStats stats;
-      BinarySolution solution;
-      SigmoidParams sigmoid;
-    };
-    std::vector<ClassTask> tasks(static_cast<size_t>(dataset.num_classes()));
-    for (int cls = 0; cls < dataset.num_classes(); ++cls) {
-      ClassTask& task = tasks[static_cast<size_t>(cls)];
-      task.problem = make_problem(cls);
-      task.satellite.emplace(
-          ForkSatellite(executor, kDefaultStream, &task.log, pool));
-      task.base = task.satellite->StreamTime(kDefaultStream);
-    }
-    pool->ParallelFor(
-        static_cast<int64_t>(tasks.size()),
-        [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            ClassTask& task = tasks[static_cast<size_t>(i)];
-            task.status = solve_class(&*task.satellite, task.problem,
-                                      &task.stats, &task.solution,
-                                      &task.sigmoid);
-          }
-        },
-        /*min_chunk=*/1);
-    // Replay in class order; a failing class returns after its own replay,
-    // exactly where the serial loop would have stopped.
-    for (int cls = 0; cls < dataset.num_classes(); ++cls) {
-      ClassTask& task = tasks[static_cast<size_t>(cls)];
-      JoinSatellite(task.log, *task.satellite, task.base, executor,
-                    kDefaultStream);
-      GMP_RETURN_NOT_OK(task.status);
-      add_entry(cls, task.problem, task.solution, task.sigmoid);
-      if (report != nullptr) {
-        report->solver.Merge(task.stats);
-        report->phases.Merge(task.stats.phases);
-      }
-    }
-  } else {
-    for (int cls = 0; cls < dataset.num_classes(); ++cls) {
-      BinaryProblem problem = make_problem(cls);
-      SolverStats stats;
-      BinarySolution solution;
-      SigmoidParams sigmoid;
-      GMP_RETURN_NOT_OK(
-          solve_class(executor, problem, &stats, &solution, &sigmoid));
-      add_entry(cls, problem, solution, sigmoid);
-      if (report != nullptr) {
-        report->solver.Merge(stats);
-        report->phases.Merge(stats.phases);
-      }
-    }
-  }
+  // Classes fork/join under the pair engine's rule (no fault injector, more
+  // than one host thread). Pool indices depend on insertion order, so
+  // entries are added in class order, on the calling thread.
+  std::unique_ptr<ThreadPool> owned_pool;
+  ThreadPool* pool =
+      ForkJoinPool(options_, executor, /*serial_only=*/false, &owned_pool);
+  GMP_RETURN_NOT_OK(RunJobsInOrder(
+      executor, pool, std::vector<StreamId>(tasks.size(), kDefaultStream),
+      [&](size_t cls, SimExecutor* exec, StreamId stream) {
+        tasks[cls].status = solve_class(&tasks[cls], exec, stream);
+      },
+      [&](size_t cls) -> Status {
+        const ClassTask& task = tasks[cls];
+        GMP_RETURN_NOT_OK(task.status);
+        OvaClassEntry entry;
+        entry.cls = static_cast<int>(cls);
+        entry.bias = task.solution.bias;
+        entry.sigmoid = task.sigmoid;
+        for (int64_t i = 0; i < task.problem.n(); ++i) {
+          const double a = task.solution.alpha[static_cast<size_t>(i)];
+          if (a <= 0.0) continue;
+          const int32_t global_row = task.problem.rows[static_cast<size_t>(i)];
+          auto [it, inserted] = pool_map.try_emplace(
+              global_row, static_cast<int32_t>(model.pool_source_rows.size()));
+          if (inserted) model.pool_source_rows.push_back(global_row);
+          entry.sv_pool_index.push_back(it->second);
+          entry.sv_coef.push_back(a * task.problem.y[static_cast<size_t>(i)]);
+        }
+        model.classes.push_back(std::move(entry));
+        if (report != nullptr) {
+          report->solver.Merge(task.stats);
+          report->phases.Merge(task.stats.phases);
+        }
+        return Status::OK();
+      }));
   model.support_vectors = dataset.features().SelectRows(model.pool_source_rows);
 
-  executor->SynchronizeAll();
-  if (report != nullptr) {
-    report->sim_seconds = executor->NowSeconds() - sim_base;
-    report->wall_seconds = wall.ElapsedSeconds();
-    report->kernel_values_computed = executor->counters().kernel_values_computed -
-                                     counters_base.kernel_values_computed;
-    report->kernel_values_reused = executor->counters().kernel_values_reused -
-                                   counters_base.kernel_values_reused;
-    report->peak_device_bytes = executor->counters().peak_bytes_in_use;
-  }
+  FinishTrainReport(start, executor, report);
   return model;
 }
 

@@ -8,20 +8,6 @@
 #include "common/string_util.h"
 
 namespace gmpsvm::online {
-namespace {
-
-// Phase seeds for the daemon's deterministic streams, spread through
-// SplitMix64 so traffic, canary sampling, and fault decisions never share a
-// sequence.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 Status RetrainDaemonOptions::Validate(int num_classes) const {
   if (delta_dir.empty()) {
     return Status::InvalidArgument("delta_dir must be set");

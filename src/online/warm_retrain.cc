@@ -1,42 +1,24 @@
 #include "online/warm_retrain.h"
 
-#include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <thread>
 #include <unordered_map>
 
+#include "cluster/cluster_trainer.h"
 #include "common/string_util.h"
 
 namespace gmpsvm::online {
-namespace {
-
-// Same construction as the cluster trainer's pair-injector seeding: a pure
-// function of (plan seed, pair index), never of the device assignment.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-uint64_t PairFaultSeed(uint64_t plan_seed, size_t pair_index) {
-  return SplitMix64(plan_seed ^ SplitMix64(0x70A1Bull + pair_index));
-}
-
-}  // namespace
 
 Status WarmRetrainOptions::Validate(int num_classes) const {
-  GMP_RETURN_NOT_OK(train.Validate(num_classes));
-  if (!train.checkpoint.dir.empty() || train.checkpoint.resume) {
-    return Status::InvalidArgument(
-        "warm retraining does not support checkpoint/resume");
-  }
-  if (fault.has_value()) {
-    GMP_RETURN_NOT_OK(fault->Validate());
-    if (fault->interrupt_after_pairs > 0) {
-      return Status::InvalidArgument(
-          "warm retraining does not support interrupt_after_pairs");
-    }
+  GMP_RETURN_NOT_OK(
+      cluster::ValidateClusterRun("warm retraining", train, fault, num_classes));
+  // Warm seeds need BatchSmoSolver::SolveWarm; DistSmoSolver has no warm
+  // path, so retrained pairs always train whole.
+  if (schedule.max_shards_per_pair != 1) {
+    return Status::InvalidArgument(StrPrintf(
+        "warm retraining does not support intra-pair sharding: "
+        "max_shards_per_pair must be 1, got %d",
+        schedule.max_shards_per_pair));
   }
   return Status::OK();
 }
@@ -93,146 +75,67 @@ Result<MpSvmModel> WarmRetrain(const Dataset& dataset,
   if (cluster == nullptr || cluster->num_devices() < 1) {
     return Status::InvalidArgument("cluster must have at least one device");
   }
-  const auto pairs = dataset.ClassPairs();
-  if (previous.size() != pairs.size()) {
-    return Status::InvalidArgument(
-        StrPrintf("got %zu previous checkpoints, dataset has %zu pairs",
-                  previous.size(), pairs.size()));
-  }
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    if (previous[p].class_s != pairs[p].first ||
-        previous[p].class_t != pairs[p].second) {
-      return Status::InvalidArgument(StrPrintf(
-          "previous checkpoint %zu is %dv%d, expected %dv%d", p,
-          previous[p].class_s, previous[p].class_t, pairs[p].first,
-          pairs[p].second));
-    }
-  }
+  GMP_RETURN_NOT_OK(CheckPairOrder(dataset, previous));
 
   const std::vector<size_t> retrain_indices =
       AffectedPairIndices(dataset, affected_classes, previous);
 
-  int64_t warm_seeded_rows = 0;
+  // Warm seeds: the previous pair's alphas keyed by global row. sv_coef
+  // stores alpha * y with alpha >= 0, so |sv_coef| recovers alpha regardless
+  // of which side the row sat on — which also makes relabeled rows legal
+  // seeds (SolveWarm clamps into the box and repairs the equality
+  // constraint). Devices seed their pairs concurrently.
+  std::atomic<int64_t> warm_seeded_rows{0};
+  const PairWarmStartProvider warm_start =
+      [&previous, &warm_seeded_rows](size_t pair_index,
+                                     const BinaryProblem& problem) {
+        const PairCheckpoint& prev = previous[pair_index];
+        if (prev.degraded || prev.sv_rows.empty()) {
+          return std::vector<double>{};
+        }
+        std::unordered_map<int32_t, double> alpha_by_row;
+        alpha_by_row.reserve(prev.sv_rows.size());
+        for (size_t m = 0; m < prev.sv_rows.size(); ++m) {
+          alpha_by_row.emplace(prev.sv_rows[m], std::fabs(prev.sv_coef[m]));
+        }
+        std::vector<double> seed(static_cast<size_t>(problem.n()), 0.0);
+        int64_t seeded = 0;
+        for (size_t i = 0; i < seed.size(); ++i) {
+          const auto it = alpha_by_row.find(problem.rows[i]);
+          if (it != alpha_by_row.end()) {
+            seed[i] = it->second;
+            ++seeded;
+          }
+        }
+        warm_seeded_rows += seeded;
+        return seed;
+      };
 
-  PairFaultInjectorFactory injector_factory;
-  if (options.fault.has_value()) {
-    const fault::FaultPlan base_plan = *options.fault;
-    obs::MetricsRegistry* fault_metrics = options.fault_metrics;
-    injector_factory = [base_plan, fault_metrics](size_t pair_index)
-        -> std::unique_ptr<fault::FaultInjector> {
-      fault::FaultPlan plan = base_plan;
-      plan.seed = PairFaultSeed(base_plan.seed, pair_index);
-      return std::make_unique<fault::FaultInjector>(plan, fault_metrics);
-    };
-  }
-
-  const int n_devices = cluster->num_devices();
   const cluster::PairAssignment assignment = cluster::SchedulePairs(
       dataset, retrain_indices, cluster->speeds(), {}, options.schedule);
-
-  std::vector<double> base_seconds(static_cast<size_t>(n_devices), 0.0);
-  for (int d = 0; d < n_devices; ++d) {
-    SimExecutor* dev = cluster->device(d);
-    dev->SynchronizeAll();
-    base_seconds[static_cast<size_t>(d)] = dev->NowSeconds();
-  }
-
-  // One thread per device — wall-clock parallelism only, each device is an
-  // independent simulator (same contract as ClusterTrainer). Each device
-  // gets its own warm provider so the seeded-row counter never races;
-  // totals are aggregated after the join.
-  using DeviceResult = Result<std::vector<PairTrainOutcome>>;
-  std::vector<DeviceResult> device_results(
-      static_cast<size_t>(n_devices),
-      DeviceResult(std::vector<PairTrainOutcome>{}));
-  std::vector<int64_t> device_seeded(static_cast<size_t>(n_devices), 0);
-  const auto run_device = [&](int d) {
-    // Warm seeds: the previous pair's alphas keyed by global row. sv_coef
-    // stores alpha * y with alpha >= 0, so |sv_coef| recovers alpha
-    // regardless of which side the row sat on — which also makes relabeled
-    // rows legal seeds (SolveWarm clamps into the box and repairs the
-    // equality constraint).
-    int64_t local_seeded = 0;
-    PairWarmStartProvider local_provider =
-        [&previous, &local_seeded](size_t pair_index,
-                                   const BinaryProblem& problem) {
-          const PairCheckpoint& prev = previous[pair_index];
-          if (prev.degraded || prev.sv_rows.empty()) {
-            return std::vector<double>{};
-          }
-          std::unordered_map<int32_t, double> alpha_by_row;
-          alpha_by_row.reserve(prev.sv_rows.size());
-          for (size_t m = 0; m < prev.sv_rows.size(); ++m) {
-            alpha_by_row.emplace(prev.sv_rows[m], std::fabs(prev.sv_coef[m]));
-          }
-          std::vector<double> seed(static_cast<size_t>(problem.n()), 0.0);
-          for (size_t i = 0; i < seed.size(); ++i) {
-            const auto it = alpha_by_row.find(problem.rows[i]);
-            if (it != alpha_by_row.end()) {
-              seed[i] = it->second;
-              ++local_seeded;
-            }
-          }
-          return seed;
-        };
-    device_results[static_cast<size_t>(d)] = TrainGmpPairSubset(
-        dataset, options.train, cluster->device(d),
-        assignment.device_pairs[static_cast<size_t>(d)], injector_factory,
-        local_provider);
-    device_seeded[static_cast<size_t>(d)] = local_seeded;
-  };
-  if (n_devices == 1) {
-    run_device(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(n_devices));
-    for (int d = 0; d < n_devices; ++d) threads.emplace_back(run_device, d);
-    for (std::thread& th : threads) th.join();
-  }
-
-  for (int d = 0; d < n_devices; ++d) {
-    if (!device_results[static_cast<size_t>(d)].ok()) {
-      return device_results[static_cast<size_t>(d)].status();
-    }
-    warm_seeded_rows += device_seeded[static_cast<size_t>(d)];
-  }
+  GMP_ASSIGN_OR_RETURN(
+      cluster::AssignmentRun run,
+      cluster::TrainAssignment(
+          dataset, options.train, cluster, assignment, retrain_indices,
+          cluster::PairFaultInjectors(options.fault, options.fault_metrics),
+          warm_start));
 
   // Stitch: retrained outcomes replace their slots, everything else carries
   // the previous checkpoint verbatim (byte identity by construction).
   std::vector<PairCheckpoint> checkpoints(previous);
-  std::vector<PairTrainOutcome> retrained(pairs.size());
-  std::vector<bool> have_outcome(pairs.size(), false);
-  for (int d = 0; d < n_devices; ++d) {
-    for (PairTrainOutcome& outcome : *device_results[static_cast<size_t>(d)]) {
-      const size_t p = outcome.pair_index;
-      checkpoints[p] = outcome.checkpoint;
-      have_outcome[p] = true;
-      retrained[p] = std::move(outcome);
-    }
-  }
-  for (size_t p : retrain_indices) {
-    if (!have_outcome[p]) {
-      return Status::Internal(
-          StrPrintf("retrained pair %zu was scheduled on no device", p));
-    }
-  }
+  for (size_t p : retrain_indices) checkpoints[p] = run.outcomes[p].checkpoint;
 
   if (report != nullptr) {
     report->pairs_retrained = static_cast<int64_t>(retrain_indices.size());
     report->pairs_carried =
-        static_cast<int64_t>(pairs.size() - retrain_indices.size());
+        static_cast<int64_t>(previous.size() - retrain_indices.size());
     report->warm_seeded_rows = warm_seeded_rows;
-    double makespan = 0.0;
-    for (int d = 0; d < n_devices; ++d) {
-      makespan = std::max(makespan, cluster->device(d)->NowSeconds() -
-                                        base_seconds[static_cast<size_t>(d)]);
-    }
-    report->makespan_sim_seconds = makespan;
+    report->makespan_sim_seconds = run.merged.sim_seconds;
+    report->pair_retries += run.merged.pair_retries;
+    report->pairs_degraded += run.merged.pairs_degraded;
     report->retrained.clear();
     for (size_t p : retrain_indices) {
-      report->pair_retries += retrained[p].retries;
-      if (retrained[p].degraded) ++report->pairs_degraded;
-      report->retrained.push_back(std::move(retrained[p]));
+      report->retrained.push_back(std::move(run.outcomes[p]));
     }
   }
 

@@ -9,9 +9,10 @@
 // pattern — and carries every untouched PairCheckpoint into the assembled
 // model byte for byte.
 //
-// Retrained pairs are sharded across the cluster with the same LPT scheduler
-// and per-pair fault-injector seeding the cluster trainer uses, so the
-// result is byte-identical at any device count, with or without chaos.
+// Retrained pairs are spread across the cluster with the same LPT scheduler,
+// per-device fan-out (cluster::TrainAssignment) and per-pair fault-injector
+// seeding the cluster trainer uses, so the result is byte-identical at any
+// device count, with or without chaos.
 
 #ifndef GMPSVM_ONLINE_WARM_RETRAIN_H_
 #define GMPSVM_ONLINE_WARM_RETRAIN_H_
@@ -31,7 +32,9 @@ struct WarmRetrainOptions {
   // rejected (cluster semantics, same as ClusterTrainOptions).
   MpTrainOptions train;
 
-  // Pair-to-device scheduling of the retrained pairs.
+  // Pair-to-device scheduling of the retrained pairs. max_shards_per_pair
+  // must stay 1: warm seeds need BatchSmoSolver::SolveWarm, and the sharded
+  // solver (dist::DistSmoSolver) has no warm path.
   cluster::ScheduleOptions schedule;
 
   // Optional chaos plan for the retrained pairs: each pair gets an injector

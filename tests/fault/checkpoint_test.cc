@@ -215,6 +215,50 @@ TEST(CheckpointResumeTest, InterruptThenResumeIsByteIdentical) {
   EXPECT_EQ(SerializeModel(resumed), SerializeModel(clean));
 }
 
+// A serial chaos run is interrupted after 2 pairs; the resume runs without
+// an injector at 4 host threads and with the shared block cache off, so the
+// remaining pairs take the fork/join path. The resumed model must still equal
+// the uninterrupted one byte for byte.
+template <typename Trainer>
+void ExpectForkJoinResumeIsByteIdentical(const std::string& dir_name) {
+  auto data = ValueOrDie(MakeMulticlassBlobs(4, 18, 5, 2.5, 42));
+  MpTrainOptions options = SmallOptions();
+
+  SimExecutor clean_gpu(ExecutorModel::TeslaP100());
+  const std::string clean = SerializeModel(
+      ValueOrDie(Trainer(options).Train(data, &clean_gpu, nullptr)));
+
+  options.checkpoint.dir = FreshDir(dir_name);
+  fault::FaultPlan plan = fault::FaultPlan::Chaos(5);
+  plan.interrupt_after_pairs = 2;
+  fault::FaultInjector injector(plan);
+  SimExecutor gpu(ExecutorModel::TeslaP100());
+  gpu.SetFaultInjector(&injector);
+  auto interrupted = Trainer(options).Train(data, &gpu, nullptr);
+  ASSERT_FALSE(interrupted.ok());
+  EXPECT_TRUE(interrupted.status().IsUnavailable())
+      << interrupted.status().ToString();
+
+  options.checkpoint.resume = true;
+  options.host_threads = 4;
+  options.share_kernel_blocks = false;
+  SimExecutor resume_gpu(ExecutorModel::TeslaP100());
+  MpTrainReport report;
+  auto resumed =
+      ValueOrDie(Trainer(options).Train(data, &resume_gpu, &report));
+  EXPECT_GE(report.pairs_resumed, 2);
+  EXPECT_EQ(SerializeModel(resumed), clean);
+}
+
+TEST(CheckpointResumeTest, GmpResumeThroughForkJoinIsByteIdentical) {
+  ExpectForkJoinResumeIsByteIdentical<GmpSvmTrainer>("ckpt_fork_join_gmp");
+}
+
+TEST(CheckpointResumeTest, SequentialResumeThroughForkJoinIsByteIdentical) {
+  ExpectForkJoinResumeIsByteIdentical<SequentialMpTrainer>(
+      "ckpt_fork_join_sequential");
+}
+
 TEST(CheckpointResumeTest, ResumeRetrainsDegradedPairs) {
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 14, 4, 3.0, 9));
   MpTrainOptions options = SmallOptions();

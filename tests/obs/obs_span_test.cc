@@ -144,7 +144,8 @@ TEST(TraceRecorderTest, LaneWidthWrapsStreamsIntoBand) {
   cost.flops = 1e9;
   exec.Charge(last, cost);
   ASSERT_EQ(trace.size(), 1u);
-  const SpanEvent& span = trace.events().back();
+  // events() returns a copy, so keep the span by value.
+  const SpanEvent span = trace.events().back();
   EXPECT_GE(span.lane, 16);
   EXPECT_LT(span.lane, 20);
 }

@@ -214,6 +214,23 @@ TEST(WarmRetrainTest, RejectsInvalidOptionsAndMismatchedCheckpoints) {
   auto r4 = WarmRetrain(base, previous, {0}, options, nullptr, nullptr);
   ASSERT_FALSE(r4.ok());
   EXPECT_TRUE(r4.status().IsInvalidArgument());
+
+  // Warm seeds need BatchSmoSolver::SolveWarm and the sharded solver has no
+  // warm path, so a schedule that would shard a retrained pair is rejected
+  // up front rather than dropping the pair.
+  cluster::SimCluster two =
+      cluster::SimCluster::Homogeneous(2, ExecutorModel::TeslaP100());
+  WarmRetrainOptions sharding;
+  sharding.train = SmallOptions();
+  sharding.schedule.max_shards_per_pair = 2;
+  sharding.schedule.shard_oversize_factor = 0.0;
+  sharding.schedule.topology = &two.topology();
+  auto r5 = WarmRetrain(base, previous, {0}, sharding, &two, nullptr);
+  ASSERT_FALSE(r5.ok());
+  EXPECT_TRUE(r5.status().IsInvalidArgument()) << r5.status().ToString();
+  EXPECT_NE(r5.status().message().find("max_shards_per_pair"),
+            std::string::npos)
+      << r5.status().ToString();
 }
 
 }  // namespace
