@@ -204,6 +204,8 @@ Result<FleetConfig> ParseFleetConfig(const std::string& text) {
     } else if (key == "shed_start") {
       GMP_ASSIGN_OR_RETURN(config.shed_start_fraction,
                            ParseDoubleField(line, key, value));
+      const Status status = ValidateShedStart(config.shed_start_fraction);
+      if (!status.ok()) return LineError(line, status.message());
     } else {
       return LineError(line, StrPrintf("unknown key '%.*s'",
                                        static_cast<int>(key.size()),

@@ -14,7 +14,7 @@
 //   scale_down_ticks 4
 //   share_sv on
 //   sv_cache_capacity 1048576
-//   shed_start 0.75
+//   shed_start 0.75    # >= 0; >= 1 turns overload shedding off
 //
 //   # tenant <name> model=<path> [priority=N] [rate=R] [burst=B] [weight=W]
 //   #   [decision=probability|voting] [cascade=exact|eliminate]
@@ -38,7 +38,7 @@
 
 #include "common/status.h"
 #include "fleet/autoscaler.h"
-#include "fleet/tenant_registry.h"
+#include "fleet/fleet_server.h"
 
 namespace gmpsvm::fleet {
 

@@ -1,6 +1,8 @@
 #include "fleet/fleet_server.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <utility>
 
 #include "common/string_util.h"
@@ -9,21 +11,49 @@
 namespace gmpsvm::fleet {
 namespace {
 
-// Lane band per replica, matching the router's layout: replica i's workers
-// trace into lanes [base + i*16*workers, ...).
-constexpr int kReplicaLaneBand = 16;
+constexpr std::string_view kTenantKeyPrefix = "tenant:";
 
-SvStoreOptions StoreOptions(const FleetOptions& options,
-                            obs::MetricsRegistry* metrics) {
-  SvStoreOptions store;
-  store.kernel_value_capacity =
-      options.share_support_vectors ? options.sv_cache_capacity : 0;
-  store.retention = options.sv_retention;
-  store.metrics = metrics;
-  return store;
+Status ValidateSpec(const TenantSpec& spec) {
+  if (spec.name.empty()) {
+    return Status::InvalidArgument("tenant name must be non-empty");
+  }
+  for (char c : spec.name) {
+    if (c == ':' || std::isspace(static_cast<unsigned char>(c))) {
+      return Status::InvalidArgument(
+          "tenant name must not contain ':' or whitespace: " + spec.name);
+    }
+  }
+  if (spec.priority < 0) {
+    return Status::InvalidArgument("tenant priority must be >= 0: " +
+                                   spec.name);
+  }
+  if (spec.weight < 0.0) {
+    return Status::InvalidArgument("tenant weight must be >= 0: " + spec.name);
+  }
+  if (spec.predict.has_value()) {
+    const Status status = spec.predict->Validate();
+    if (!status.ok()) {
+      return Status::InvalidArgument("tenant " + spec.name +
+                                     " predict options: " + status.message());
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
+
+std::string TenantModelKey(std::string_view name) {
+  return std::string(kTenantKeyPrefix) + std::string(name);
+}
+
+Status ValidateShedStart(double shed_start_fraction) {
+  if (std::isnan(shed_start_fraction) || shed_start_fraction < 0.0) {
+    return Status::InvalidArgument(StrPrintf(
+        "shed_start must be >= 0 (>= 1 disables overload shedding), got %g",
+        shed_start_fraction));
+  }
+  return Status::OK();
+}
 
 FleetServer::FleetServer(FleetOptions options)
     : options_(std::move(options)),
@@ -32,12 +62,15 @@ FleetServer::FleetServer(FleetOptions options)
                          : nullptr),
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : owned_metrics_.get()),
-      sv_store_(StoreOptions(options_, metrics_)),
-      autoscaler_(options_.autoscale) {
+      sv_store_({.kernel_value_capacity = options_.share_support_vectors
+                                              ? options_.sv_cache_capacity
+                                              : 0,
+                 .metrics = metrics_}),
+      autoscaler_(options_.autoscale),
+      router_(&models_, MakeRouterOptions()) {
   options_.initial_replicas = std::max(1, options_.initial_replicas);
-  // Tenant hot-swaps ride the same validator/fault gate as single-model
-  // serving.
-  tenants_.SetFaultInjector(options_.serve.fault);
+  // Tenant hot-swaps ride the same fault gate as single-model serving.
+  models_.SetFaultInjector(options_.serve.fault);
 
   replicas_gauge_ = metrics_->GetGauge(
       "gmpsvm_fleet_replicas", "Live serving replicas in the fleet");
@@ -55,65 +88,64 @@ FleetServer::FleetServer(FleetOptions options)
 
 FleetServer::~FleetServer() { (void)Shutdown(); }
 
-Status FleetServer::AddReplicaLocked() {
-  const int index = replicas_created_;
-  Replica replica;
-  replica.registry = std::make_unique<obs::MetricsRegistry>();
-  ServeOptions serve = options_.serve;
-  serve.metrics = replica.registry.get();
-  serve.lane_base = options_.serve.lane_base +
-                    index * std::max(1, serve.num_workers) * kReplicaLaneBand;
-  if (!options_.devices.empty()) {
-    serve.executor_model =
-        options_.devices[static_cast<size_t>(index) % options_.devices.size()];
-  }
-  if (options_.share_support_vectors) {
-    serve.kernel_cache_resolver = [this](const ModelHandle& handle) {
-      return sv_store_.Bind(handle);
-    };
-  }
-  // Per-tenant PredictOptions overrides: batches resolve their tenant from
-  // the namespaced model key ("tenant:<name>"); tenants without an override
-  // (and non-tenant keys) keep the fleet-wide serve.predict.
-  serve.predict_options_resolver =
-      [this](const std::string& model_name) -> std::optional<PredictOptions> {
-    const std::string prefix = TenantRegistry::ModelKey("");
-    if (model_name.compare(0, prefix.size(), prefix) != 0) {
-      return std::nullopt;
-    }
-    Result<TenantSpec> spec = tenants_.GetSpec(model_name.substr(prefix.size()));
-    if (!spec.ok()) return std::nullopt;
-    return spec->predict;
+RouterOptions FleetServer::MakeRouterOptions() {
+  RouterOptions router;
+  router.serve = options_.serve;
+  router.serve.predict_options_resolver = [this](const ModelHandle& handle) {
+    return BatchOptions(handle);
   };
-  replica.server =
-      std::make_unique<InferenceServer>(tenants_.models(), std::move(serve));
-  GMP_RETURN_NOT_OK(replica.server->Start());
-  if (paused_) replica.server->Pause();
-  ++replicas_created_;
-  replicas_.push_back(std::move(replica));
-  return Status::OK();
+  router.devices = {DeviceFor(0)};
+  router.metrics = metrics_;
+  return router;
+}
+
+ExecutorModel FleetServer::DeviceFor(int replica) const {
+  if (options_.devices.empty()) return options_.serve.executor_model;
+  return options_.devices[static_cast<size_t>(replica) %
+                          options_.devices.size()];
+}
+
+PredictOptions FleetServer::BatchOptions(const ModelHandle& handle) {
+  // Batches resolve their tenant from the namespaced model key; tenants
+  // without an override keep the fleet-wide serve.predict.
+  const std::string_view key = handle.name;
+  const TenantState* tenant =
+      key.starts_with(kTenantKeyPrefix)
+          ? FindTenant(key.substr(kTenantKeyPrefix.size()))
+          : nullptr;
+  PredictOptions predict = tenant != nullptr && tenant->spec.predict.has_value()
+                               ? *tenant->spec.predict
+                               : options_.serve.predict;
+  if (options_.share_support_vectors) {
+    predict.kernel_cache = sv_store_.Bind(handle);
+  }
+  return predict;
 }
 
 Status FleetServer::Start() {
   GMP_RETURN_NOT_OK(options_.autoscale.Validate());
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  if (shut_down_) return Status::FailedPrecondition("fleet was shut down");
-  if (started_) return Status::FailedPrecondition("fleet already started");
-  started_ = true;
+  GMP_RETURN_NOT_OK(ValidateShedStart(options_.shed_start_fraction));
+  GMP_RETURN_NOT_OK(router_.Start());
   const int initial =
       std::clamp(options_.initial_replicas, options_.autoscale.min_replicas,
                  options_.autoscale.max_replicas);
-  for (int i = 0; i < initial; ++i) {
-    GMP_RETURN_NOT_OK(AddReplicaLocked());
+  for (int r = 1; r < initial; ++r) {
+    GMP_RETURN_NOT_OK(router_.AddReplica(DeviceFor(r)));
   }
-  replicas_gauge_->Set(static_cast<double>(replicas_.size()));
+  replicas_gauge_->Set(static_cast<double>(router_.num_replicas()));
   return Status::OK();
 }
 
 Result<int64_t> FleetServer::AddTenant(const TenantSpec& spec,
                                        MpSvmModel model) {
+  GMP_RETURN_NOT_OK(ValidateSpec(spec));
+  std::lock_guard<std::mutex> lock(tenants_mu_);
+  if (tenants_.count(spec.name) != 0) {
+    return Status::FailedPrecondition("tenant already exists: " + spec.name);
+  }
   GMP_ASSIGN_OR_RETURN(int64_t version,
-                       tenants_.AddTenant(spec, std::move(model)));
+                       models_.Register(TenantModelKey(spec.name),
+                                        std::move(model)));
   auto state = std::make_unique<TenantState>();
   state->spec = spec;
   state->bucket = std::make_unique<TokenBucket>(spec.quota);
@@ -140,27 +172,31 @@ Result<int64_t> FleetServer::AddTenant(const TenantSpec& spec,
   state->latency = metrics_->GetHistogram(
       "gmpsvm_fleet_latency_seconds", "Admission-to-response latency",
       obs::Histogram::LatencyBuckets(), labels);
-  std::lock_guard<std::mutex> lock(tenants_mu_);
   max_priority_ = std::max(max_priority_, spec.priority);
-  tenant_states_[spec.name] = std::move(state);
+  tenants_.emplace(spec.name, std::move(state));
   return version;
 }
 
 Result<int64_t> FleetServer::SwapTenantModel(const std::string& tenant,
                                              MpSvmModel model) {
-  return tenants_.SwapModel(tenant, std::move(model));
+  if (FindTenant(tenant) == nullptr) {
+    return Status::FailedPrecondition("no such tenant: " + tenant);
+  }
+  // The registry's own lock serializes the swap itself.
+  return models_.Register(TenantModelKey(tenant), std::move(model));
 }
 
-FleetServer::TenantState* FleetServer::FindTenant(const std::string& name) {
+const FleetServer::TenantState* FleetServer::FindTenant(
+    std::string_view name) const {
   std::lock_guard<std::mutex> lock(tenants_mu_);
-  const auto it = tenant_states_.find(name);
-  return it == tenant_states_.end() ? nullptr : it->second.get();
+  const auto it = tenants_.find(name);
+  return it == tenants_.end() ? nullptr : it->second.get();
 }
 
 Result<std::future<Result<PredictResponse>>> FleetServer::Submit(
     const std::string& tenant, std::span<const int32_t> indices,
     std::span<const double> values, Deadline deadline) {
-  TenantState* state = FindTenant(tenant);
+  const TenantState* state = FindTenant(tenant);
   if (state == nullptr) {
     return Status::FailedPrecondition("no such tenant: " + tenant);
   }
@@ -175,22 +211,11 @@ Result<std::future<Result<PredictResponse>>> FleetServer::Submit(
         state->bucket->RetryAfterSeconds(now)));
   }
 
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  if (replicas_.empty()) {
-    state->rejected->Increment();
-    return Status::FailedPrecondition("fleet is not serving");
-  }
-
-  size_t depth = 0;
-  size_t capacity = 0;
-  for (const Replica& replica : replicas_) {
-    depth += replica.server->queue_depth();
-    capacity += replica.server->options().queue_capacity;
-  }
-
   // Gate 2: the overload priority ladder — lowest priority sheds first.
+  const size_t capacity = router_.queue_capacity();
   const double fraction =
-      capacity > 0 ? static_cast<double>(depth) / static_cast<double>(capacity)
+      capacity > 0 ? static_cast<double>(router_.queue_depth()) /
+                         static_cast<double>(capacity)
                    : 0.0;
   const double shed_start = options_.shed_start_fraction;
   if (shed_start < 1.0 && fraction > shed_start) {
@@ -213,16 +238,6 @@ Result<std::future<Result<PredictResponse>>> FleetServer::Submit(
     }
   }
 
-  // Route least-loaded first (ties to the lowest index), spilling to the
-  // next replica only on a full queue.
-  std::vector<std::pair<size_t, size_t>> order;  // (depth, replica index)
-  order.reserve(replicas_.size());
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    order.emplace_back(replicas_[r].server->queue_depth(), r);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
   CompletionCallback on_complete =
       [state](const Result<PredictResponse>& response) {
         if (response.ok()) {
@@ -232,51 +247,29 @@ Result<std::future<Result<PredictResponse>>> FleetServer::Submit(
           state->failed->Increment();
         }
       };
-
-  Status last = Status::ResourceExhausted("no replica accepted the request");
-  const std::string model_key = TenantRegistry::ModelKey(tenant);
-  for (const auto& [unused_depth, r] : order) {
-    auto submitted = replicas_[r].server->Submit(indices, values, deadline,
-                                                 model_key, on_complete);
-    if (submitted.ok()) {
-      state->admitted->Increment();
-      return submitted;
-    }
-    if (!submitted.status().IsResourceExhausted()) {
-      state->rejected->Increment();
-      return submitted.status();
-    }
-    last = submitted.status();
+  auto submitted = router_.Submit(indices, values, deadline,
+                                  TenantModelKey(tenant),
+                                  std::move(on_complete));
+  if (!submitted.ok()) {
+    state->rejected->Increment();
+    return submitted.status();
   }
-  state->rejected->Increment();
-  return last;
+  state->admitted->Increment();
+  return submitted;
 }
 
 Result<PredictResponse> FleetServer::Predict(const std::string& tenant,
                                              std::span<const int32_t> indices,
                                              std::span<const double> values,
                                              Deadline deadline) {
-  GMP_ASSIGN_OR_RETURN(auto future, Submit(tenant, indices, values, deadline));
-  // Bounded slices: an infinite deadline's Remaining() overflows wait_for.
-  while (future.wait_for(deadline.BoundedRemaining(std::chrono::seconds(1))) !=
-         std::future_status::ready) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("request deadline expired while waiting");
-    }
-  }
-  return future.get();
+  return AwaitResponse(Submit(tenant, indices, values, deadline), deadline);
 }
 
 ScaleDecision FleetServer::ScaleTick() {
-  std::unique_lock<std::mutex> lock(replicas_mu_);
-  if (!started_ || shut_down_ || replicas_.empty()) {
-    return ScaleDecision::kHold;
-  }
-  size_t depth = 0;
-  for (const Replica& replica : replicas_) {
-    depth += replica.server->queue_depth();
-  }
-  const int count = static_cast<int>(replicas_.size());
+  std::lock_guard<std::mutex> lock(scale_mu_);
+  const int count = router_.num_replicas();
+  if (count == 0) return ScaleDecision::kHold;  // not serving
+  const size_t depth = router_.queue_depth();
   replicas_gauge_->Set(static_cast<double>(count));
   queue_depth_gauge_->Set(static_cast<double>(depth));
   mean_depth_gauge_->Set(static_cast<double>(depth) / count);
@@ -286,76 +279,33 @@ ScaleDecision FleetServer::ScaleTick() {
   const ScaleDecision decision =
       autoscaler_.Tick(mean_depth_gauge_->Value(), count);
   if (decision == ScaleDecision::kScaleUp) {
-    if (AddReplicaLocked().ok()) {
-      scale_ups_->Increment();
-      replicas_gauge_->Set(static_cast<double>(replicas_.size()));
-    }
+    if (router_.AddReplica(DeviceFor(count)).ok()) scale_ups_->Increment();
   } else if (decision == ScaleDecision::kScaleDown) {
-    Replica victim = std::move(replicas_.back());
-    replicas_.pop_back();
-    retired_registries_.push_back(std::move(victim.registry));
-    scale_downs_->Increment();
-    replicas_gauge_->Set(static_cast<double>(replicas_.size()));
-    lock.unlock();
-    // Drain-and-retire outside the lock: accepted requests are answered
-    // while new submissions route to the surviving replicas.
-    (void)victim.server->Shutdown();
+    if (router_.RetireNewest().ok()) scale_downs_->Increment();
   }
+  replicas_gauge_->Set(static_cast<double>(router_.num_replicas()));
   return decision;
 }
 
-void FleetServer::PauseAll() {
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  paused_ = true;
-  for (Replica& replica : replicas_) replica.server->Pause();
-}
+void FleetServer::PauseAll() { router_.Pause(); }
 
-void FleetServer::ResumeAll() {
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  paused_ = false;
-  for (Replica& replica : replicas_) replica.server->Resume();
-}
+void FleetServer::ResumeAll() { router_.Resume(); }
 
 Status FleetServer::Shutdown() {
-  std::vector<Replica> replicas;
-  {
-    std::lock_guard<std::mutex> lock(replicas_mu_);
-    if (shut_down_) return Status::OK();
-    shut_down_ = true;
-    replicas = std::move(replicas_);
-    replicas_.clear();
-    for (Replica& replica : replicas) {
-      retired_registries_.push_back(std::move(replica.registry));
-    }
-  }
-  Status first = Status::OK();
-  for (Replica& replica : replicas) {
-    const Status status = replica.server->Shutdown();
-    if (first.ok() && !status.ok()) first = status;
-  }
+  const Status status = router_.Shutdown();
   replicas_gauge_->Set(0.0);
-  return first;
+  return status;
 }
 
-int FleetServer::num_replicas() const {
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  return static_cast<int>(replicas_.size());
-}
+int FleetServer::num_replicas() const { return router_.num_replicas(); }
 
-size_t FleetServer::total_queue_depth() const {
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  size_t depth = 0;
-  for (const Replica& replica : replicas_) {
-    depth += replica.server->queue_depth();
-  }
-  return depth;
-}
+size_t FleetServer::total_queue_depth() const { return router_.queue_depth(); }
 
 FleetStatsSnapshot FleetServer::Snapshot() const {
   FleetStatsSnapshot snap;
   {
     std::lock_guard<std::mutex> lock(tenants_mu_);
-    for (const auto& [name, state] : tenant_states_) {
+    for (const auto& [name, state] : tenants_) {
       TenantStatsSnapshot tenant;
       tenant.tenant = name;
       tenant.submitted = static_cast<uint64_t>(state->submitted->Value());
@@ -375,30 +325,25 @@ FleetStatsSnapshot FleetServer::Snapshot() const {
       snap.tenants.push_back(std::move(tenant));
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(replicas_mu_);
-    snap.replicas = static_cast<int>(replicas_.size());
-    const int workers = std::max(1, options_.serve.num_workers);
-    auto accumulate = [&](obs::MetricsRegistry* registry) {
-      for (int w = 0; w < workers; ++w) {
-        const obs::Labels labels{{"worker", std::to_string(w)}};
-        snap.kernel_values_computed += static_cast<int64_t>(
-            registry
-                ->GetCounter("gmpsvm_kernel_values_computed_total",
-                             "Kernel-function evaluations actually computed.",
-                             labels)
-                ->Value());
-        snap.kernel_values_reused += static_cast<int64_t>(
-            registry
-                ->GetCounter("gmpsvm_kernel_values_reused_total",
-                             "Kernel values served from a buffer instead of "
-                             "recomputed.",
-                             labels)
-                ->Value());
-      }
-    };
-    for (const Replica& replica : replicas_) accumulate(replica.registry.get());
-    for (const auto& registry : retired_registries_) accumulate(registry.get());
+  snap.replicas = router_.num_replicas();
+  const int workers = std::max(1, options_.serve.num_workers);
+  for (obs::MetricsRegistry* registry : router_.replica_registries()) {
+    for (int w = 0; w < workers; ++w) {
+      const obs::Labels labels{{"worker", std::to_string(w)}};
+      snap.kernel_values_computed += static_cast<int64_t>(
+          registry
+              ->GetCounter("gmpsvm_kernel_values_computed_total",
+                           "Kernel-function evaluations actually computed.",
+                           labels)
+              ->Value());
+      snap.kernel_values_reused += static_cast<int64_t>(
+          registry
+              ->GetCounter("gmpsvm_kernel_values_reused_total",
+                           "Kernel values served from a buffer instead of "
+                           "recomputed.",
+                           labels)
+              ->Value());
+    }
   }
   snap.scale_ups = static_cast<uint64_t>(scale_ups_->Value());
   snap.scale_downs = static_cast<uint64_t>(scale_downs_->Value());

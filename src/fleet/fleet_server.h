@@ -1,35 +1,41 @@
-// FleetServer: multi-tenant serving over a dynamic replica set.
+// FleetServer: multi-tenant admission over one ReplicaRouter.
 //
-//   client ──Submit(tenant, row)──▶ quota gate (per-tenant token bucket)
+//   client ──Submit(tenant, row)──▶ tenant table (spec, quota, counters)
+//                                       │ unknown tenant: kFailedPrecondition
+//                                   quota gate (per-tenant token bucket)
 //                                       │ shed: kUnavailable + retry-after
 //                                   overload gate (priority ladder over the
-//                                       │ fleet-wide queue fraction)
-//                                   least-loaded replica (InferenceServer,
-//                                       │ one simulated device per worker)
+//                                       │ router's queue fraction)
+//                                   ReplicaRouter::Submit (least-loaded
+//                                       │ replica, spill on a full queue)
 //                                   model-homogeneous micro-batches against
-//                                       │ the tenant's registry snapshot
+//                                       │ the tenant's model snapshot
 //                                   shared SV store (cross-tenant kernel-
 //                                           value reuse, Section 3.3.3)
 //
-// Every tenant's models live in the TenantRegistry's namespace and hot-swap
-// through the validator/rollback gate. With share_support_vectors on, all
-// replicas bind their batches to one SvStore, so a kernel value computed for
-// one tenant's query is gathered — not recomputed — when a co-resident model
-// references the same support vector; probabilities stay byte-identical to
-// the sharing-off path at any cache capacity.
+// Three layers, one job each: an InferenceServer is one replica, the
+// ReplicaRouter is the replica set, and the fleet owns admission, tenants,
+// the SV store and the autoscaling policy. Every tenant's models live in the
+// fleet's ModelRegistry under "tenant:<name>" and hot-swap through its
+// validator/rollback gate. With share_support_vectors on, every batch binds
+// to one SvStore, so a kernel value computed for one tenant's query is
+// gathered — not recomputed — when a co-resident model references the same
+// support vector; probabilities stay byte-identical to the sharing-off path
+// at any cache capacity.
 //
 // Replica autoscaling is gauge-driven: ScaleTick() publishes the fleet's
 // queue-depth gauges and feeds the mean depth per replica to the Autoscaler;
-// a scale-up adds a replica (cycling through the configured device models —
-// a SimCluster's devices make a natural substrate), a scale-down
-// drain-and-retires the newest one. Both respect min/max_replicas.
+// a scale-up adds a replica through the router (replica i runs on
+// devices[i % devices.size()] — a SimCluster's devices make a natural
+// substrate), a scale-down drain-and-retires the newest one. Both respect
+// min/max_replicas.
 //
 // Observability: per-tenant series (gmpsvm_fleet_*_total{tenant=...},
-// gmpsvm_fleet_latency_seconds{tenant=...}) and fleet gauges publish into
-// FleetOptions::metrics (or a private registry when null). Each replica
-// keeps a private ServeStats registry so per-worker series never collide;
-// Snapshot() aggregates kernel-evaluation counters across live and retired
-// replicas.
+// gmpsvm_fleet_latency_seconds{tenant=...}), fleet gauges, the SV store's
+// gmpsvm_fleet_sv_* and the router's gmpsvm_router_* publish into
+// FleetOptions::metrics (or a private registry when null). Snapshot()
+// aggregates kernel-evaluation counters across the router's live and
+// retired replicas.
 
 #ifndef GMPSVM_FLEET_FLEET_SERVER_H_
 #define GMPSVM_FLEET_FLEET_SERVER_H_
@@ -38,24 +44,57 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "fleet/autoscaler.h"
 #include "fleet/quota.h"
 #include "fleet/sv_store.h"
-#include "fleet/tenant_registry.h"
-#include "serve/server.h"
+#include "serve/model_registry.h"
+#include "serve/replica_router.h"
 
 namespace gmpsvm::fleet {
 
+struct TenantSpec {
+  // Non-empty, without ':' or whitespace.
+  std::string name;
+
+  // Load-shedding priority: under fleet overload, lower priorities are shed
+  // first (0 sheds earliest). Negative values are invalid.
+  int priority = 0;
+
+  // Admission quota; rate <= 0 means unlimited.
+  QuotaSpec quota;
+
+  // Expected traffic share, informational (workload generators and config
+  // files use it to weight tenants). Negative values are invalid.
+  double weight = 1.0;
+
+  // Per-tenant PredictOptions override: every batch of this tenant's
+  // requests runs with these options instead of the fleet-wide defaults
+  // (decision rule, cascade mode/knobs, coupling — the whole struct).
+  // Validated at registration, so a tenant can never be created with options
+  // its batches would reject at predict time.
+  std::optional<PredictOptions> predict;
+};
+
+// The fleet registry key tenant `name`'s models live under ("tenant:<name>"),
+// apart from any name registered directly.
+std::string TenantModelKey(std::string_view name);
+
+// Rejects a negative or NaN shed_start_fraction; values >= 1 mean no
+// overload shedding.
+Status ValidateShedStart(double shed_start_fraction);
+
 struct FleetOptions {
   // Template applied to every replica. Its model_name, metrics and
-  // kernel_cache_resolver are managed by the fleet; its lane_base is the
-  // base of replica 0's trace band; its fault injector reaches every
-  // replica's devices.
+  // predict_options_resolver are managed by the fleet; its lane_base is the
+  // base of the first replica's trace band; its fault injector reaches every
+  // replica's devices and the tenant swap gate.
   ServeOptions serve;
 
   // Replica device models, cycled as replicas are added (replica i runs on
@@ -70,20 +109,17 @@ struct FleetOptions {
   // kernel block (the reference path results are compared against).
   bool share_support_vectors = true;
   int64_t sv_cache_capacity = 1 << 20;
-  // Which whole query the store retires first on overflow; the
-  // frequency-weighted policy is opt-in, FIFO is the default.
-  SvStoreOptions::RetentionPolicy sv_retention =
-      SvStoreOptions::RetentionPolicy::kFifo;
 
   // Fleet-wide queue fraction where priority shedding begins. At fraction f
   // in (shed_start_fraction, 1], a tenant with priority p (ladder top P) is
   // admitted only while f <= shed_start + (1 - shed_start) * (p+1)/(P+1) —
   // lowest priority sheds first, the top rung only at a completely full
-  // fleet. >= 1 disables overload shedding (quota shedding still applies).
+  // fleet. >= 1 disables overload shedding (quota shedding still applies);
+  // negative or NaN is rejected by Start().
   double shed_start_fraction = 0.75;
 
-  // Shared registry for fleet + per-tenant series; nullptr keeps a private
-  // one (reachable via metrics()).
+  // Shared registry for the fleet, per-tenant, SV-store and router series;
+  // nullptr keeps a private one (reachable via metrics()).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -132,8 +168,12 @@ class FleetServer {
   // [min_replicas, max_replicas]).
   Status Start();
 
-  // Tenant lifecycle; AddTenant before or after Start(). Swaps go through
-  // the validator/rollback gate (see TenantRegistry).
+  // Tenant lifecycle; AddTenant before or after Start(). AddTenant fails
+  // with kInvalidArgument on a malformed spec or a model the validator
+  // rejects, and with kFailedPrecondition when the tenant exists; a failed
+  // AddTenant creates no tenant. Swaps go through the registry's
+  // validator/rollback gate: on rejection the previous version keeps
+  // serving.
   Result<int64_t> AddTenant(const TenantSpec& spec, MpSvmModel model);
   Result<int64_t> SwapTenantModel(const std::string& tenant, MpSvmModel model);
 
@@ -167,7 +207,8 @@ class FleetServer {
 
   int num_replicas() const;
   size_t total_queue_depth() const;
-  TenantRegistry& tenants() { return tenants_; }
+  // Every tenant's models (validator and fault gate included).
+  ModelRegistry& models() { return models_; }
   SvStore& sv_store() { return sv_store_; }
   obs::MetricsRegistry* metrics() const { return metrics_; }
   const FleetOptions& options() const { return options_; }
@@ -188,16 +229,12 @@ class FleetServer {
     obs::Histogram* latency;
   };
 
-  struct Replica {
-    std::unique_ptr<obs::MetricsRegistry> registry;  // private per-worker series
-    std::unique_ptr<InferenceServer> server;
-  };
-
-  // Creates (and starts, when the fleet is started) the next replica.
-  // Requires replicas_mu_.
-  Status AddReplicaLocked();
-
-  TenantState* FindTenant(const std::string& name);
+  RouterOptions MakeRouterOptions();
+  ExecutorModel DeviceFor(int replica) const;
+  // The options a batch of `handle`'s tenant runs with (the router's
+  // per-batch hook).
+  PredictOptions BatchOptions(const ModelHandle& handle);
+  const TenantState* FindTenant(std::string_view name) const;
 
   FleetOptions options_;
 
@@ -206,9 +243,8 @@ class FleetServer {
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;
 
-  TenantRegistry tenants_;
+  ModelRegistry models_;
   SvStore sv_store_;
-  Autoscaler autoscaler_;
   Stopwatch clock_;  // the token buckets' timeline
 
   obs::Gauge* replicas_gauge_;
@@ -217,17 +253,18 @@ class FleetServer {
   obs::Counter* scale_ups_;
   obs::Counter* scale_downs_;
 
+  // Tenant states are never removed, so pointers into the table stay valid
+  // for the fleet's lifetime (completion callbacks hold them).
   mutable std::mutex tenants_mu_;
-  std::map<std::string, std::unique_ptr<TenantState>> tenant_states_;
+  std::map<std::string, std::unique_ptr<TenantState>, std::less<>> tenants_;
   int max_priority_ = 0;
 
-  mutable std::mutex replicas_mu_;
-  std::vector<Replica> replicas_;
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> retired_registries_;
-  int replicas_created_ = 0;  // lane/device assignment survives retirement
-  bool started_ = false;
-  bool shut_down_ = false;
-  bool paused_ = false;
+  std::mutex scale_mu_;  // serializes ScaleTick
+  Autoscaler autoscaler_;
+
+  // Declared last: its workers call back into the tenant table and the
+  // store, so it shuts down before they are destroyed.
+  ReplicaRouter router_;
 };
 
 }  // namespace gmpsvm::fleet

@@ -1,7 +1,6 @@
 #include "fleet/sv_store.h"
 
 #include <cstring>
-#include <limits>
 #include <utility>
 
 namespace gmpsvm::fleet {
@@ -91,7 +90,7 @@ SvStore::SvStore(const SvStoreOptions& options) : options_(options) {
     evicted_counter_ = options_.metrics->GetCounter(
         "gmpsvm_fleet_sv_evicted_total",
         "Cached kernel values retired by deterministic query eviction "
-        "(FIFO or frequency-weighted, per the retention policy)");
+        "(FIFO)");
     unique_svs_gauge_ = options_.metrics->GetGauge(
         "gmpsvm_fleet_sv_unique",
         "Deduplicated support vectors across co-resident models");
@@ -179,25 +178,9 @@ int64_t SvStore::InternQueryLocked(const SparseRowView& row, uint64_t hash) {
 void SvStore::EvictLocked() {
   while (options_.kernel_value_capacity >= 0 &&
          values_resident_ > options_.kernel_value_capacity &&
-         !queries_.empty()) {
-    int64_t victim = -1;
-    if (options_.retention == SvStoreOptions::RetentionPolicy::kFifo) {
-      if (query_fifo_.empty()) break;
-      victim = query_fifo_.front();
-      query_fifo_.pop_front();
-    } else {
-      // kFrequency: fewest Gather uses wins eviction. queries_ iterates in
-      // ascending id (= interning) order and only a strictly smaller count
-      // replaces the candidate, so ties fall to the oldest query — the
-      // documented FIFO tie-break.
-      int64_t best_uses = std::numeric_limits<int64_t>::max();
-      for (const auto& [id, entry] : queries_) {
-        if (entry.uses < best_uses) {
-          best_uses = entry.uses;
-          victim = id;
-        }
-      }
-    }
+         !query_fifo_.empty()) {
+    const int64_t victim = query_fifo_.front();
+    query_fifo_.pop_front();
     auto it = queries_.find(victim);
     if (it == queries_.end()) continue;
     const int64_t freed = static_cast<int64_t>(it->second.kernel_values.size());
@@ -233,8 +216,7 @@ int64_t SvStore::Gather(const std::vector<int64_t>& global_ids,
       const uint64_t hash = HashRow(row.indices, row.values, kFnvOffset);
       const int64_t qid = FindQueryLocked(row, hash);
       if (qid >= 0) {
-        QueryEntry& q = queries_.at(qid);
-        ++q.uses;
+        const QueryEntry& q = queries_.at(qid);
         for (size_t j = 0; j < pool; ++j) {
           const auto it = q.kernel_values.find(global_ids[j]);
           if (it != q.kernel_values.end()) {

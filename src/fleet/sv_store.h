@@ -9,18 +9,17 @@
 // model references the same support vector against the same query content:
 // Section 3.3.3's kernel-value sharing applied across tenants. Bindings
 // implement core's PredictionKernelCache and plug into the predictor's
-// shared-kernel path via ServeOptions::kernel_cache_resolver.
+// shared-kernel path through PredictOptions::kernel_cache (the fleet sets it
+// per batch via ServeOptions::predict_options_resolver).
 //
 // Correctness contract: a kernel value is a pure function of (query row,
 // SV row, kernel params) and cache misses run through the predictor's own
 // batched ComputeBlock path, so probabilities are byte-identical with the
 // store attached or not, at ANY capacity. Hashes only accelerate lookup —
 // every match is confirmed by exact content comparison, so collisions cost
-// time, never correctness. Eviction retires whole queries under the
-// configured retention policy — interning order (FIFO, the default) or
-// fewest-uses-first with an interning-order tie-break (frequency) — both
-// deterministic for a deterministic request sequence, making hit/miss
-// counters reproducible too.
+// time, never correctness. Eviction retires whole queries in interning
+// order (FIFO), deterministic for a deterministic request sequence, making
+// hit/miss counters reproducible too.
 
 #ifndef GMPSVM_FLEET_SV_STORE_H_
 #define GMPSVM_FLEET_SV_STORE_H_
@@ -45,17 +44,6 @@ struct SvStoreOptions {
   // value caching entirely (dedup bookkeeping still runs, every Gather
   // misses); < 0 means unbounded.
   int64_t kernel_value_capacity = 1 << 20;
-
-  // Which query to retire when over capacity:
-  //   kFifo      — oldest interned query first (the original policy);
-  //   kFrequency — the query with the fewest Gather uses first, ties broken
-  //                by interning order (all-equal use counts degrade to FIFO
-  //                exactly).
-  // Both are deterministic for a deterministic request sequence, and both
-  // preserve byte-identical probabilities at any capacity — the policy only
-  // moves hit/miss counts.
-  enum class RetentionPolicy { kFifo, kFrequency };
-  RetentionPolicy retention = RetentionPolicy::kFifo;
 
   // Optional registry for gmpsvm_fleet_sv_* series; nullptr disables.
   obs::MetricsRegistry* metrics = nullptr;
@@ -107,7 +95,6 @@ class SvStore {
     std::vector<int32_t> indices;
     std::vector<double> values;
     std::unordered_map<int64_t, double> kernel_values;  // global SV id -> K
-    int64_t uses = 0;  // Gather calls that located this query (kFrequency)
   };
 
   int64_t InternSvLocked(const std::shared_ptr<const MpSvmModel>& owner,

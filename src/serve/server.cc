@@ -7,14 +7,21 @@
 #include "common/string_util.h"
 
 namespace gmpsvm {
-namespace {
 
-// Lane spacing for per-worker device executors sharing one TraceRecorder:
-// worker w's simulated streams occupy lanes [16w, 16w + 16) so rows from
-// different workers never collide in the merged trace.
-constexpr int kWorkerLaneStride = 16;
-
-}  // namespace
+Result<PredictResponse> AwaitResponse(
+    Result<std::future<Result<PredictResponse>>> submitted, Deadline deadline) {
+  GMP_ASSIGN_OR_RETURN(auto future, std::move(submitted));
+  // Wait in bounded slices: Deadline::Remaining() of an infinite deadline is
+  // duration::max, which overflows wait_for's internal now() + duration
+  // arithmetic on common implementations.
+  while (future.wait_for(deadline.BoundedRemaining(std::chrono::seconds(1))) !=
+         std::future_status::ready) {
+    if (deadline.Expired()) {
+      return Status::DeadlineExceeded("request deadline expired while waiting");
+    }
+  }
+  return future.get();
+}
 
 InferenceServer::InferenceServer(ModelRegistry* registry, ServeOptions options)
     : registry_(registry),
@@ -46,12 +53,6 @@ Status InferenceServer::Start() {
     workers_->Schedule([this, w] { WorkerLoop(w); });
   }
   return Status::OK();
-}
-
-Result<std::future<Result<PredictResponse>>> InferenceServer::Submit(
-    std::span<const int32_t> indices, std::span<const double> values,
-    Deadline deadline) {
-  return Submit(indices, values, deadline, std::string(), nullptr);
 }
 
 Result<std::future<Result<PredictResponse>>> InferenceServer::Submit(
@@ -91,17 +92,7 @@ Result<std::future<Result<PredictResponse>>> InferenceServer::Submit(
 Result<PredictResponse> InferenceServer::Predict(
     std::span<const int32_t> indices, std::span<const double> values,
     Deadline deadline) {
-  GMP_ASSIGN_OR_RETURN(auto future, Submit(indices, values, deadline));
-  // Wait in bounded slices: Deadline::Remaining() of an infinite deadline is
-  // duration::max, which overflows wait_for's internal now() + duration
-  // arithmetic on common implementations.
-  while (future.wait_for(deadline.BoundedRemaining(std::chrono::seconds(1))) !=
-         std::future_status::ready) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("request deadline expired while waiting");
-    }
-  }
-  return future.get();
+  return AwaitResponse(Submit(indices, values, deadline), deadline);
 }
 
 void InferenceServer::Pause() { queue_.Pause(); }
@@ -174,8 +165,9 @@ void InferenceServer::WorkerLoop(int worker_index) {
   const int host_lane = options_.lane_base + worker_index;
   if (trace != nullptr) {
     executor.SetSpanRecorder(
-        trace, options_.lane_base + worker_index * kWorkerLaneStride,
-        kWorkerLaneStride);
+        trace,
+        options_.lane_base + worker_index * ServeOptions::kLanesPerWorker,
+        ServeOptions::kLanesPerWorker);
   }
   std::vector<SparseRowView> rows;
 
@@ -226,16 +218,10 @@ void InferenceServer::WorkerLoop(int worker_index) {
     }
 
     MpSvmPredictor predictor(handle->model.get());
-    PredictOptions predict = options_.predict;
-    if (options_.predict_options_resolver) {
-      if (std::optional<PredictOptions> per_model =
-              options_.predict_options_resolver(batch_model)) {
-        predict = *std::move(per_model);
-      }
-    }
-    if (options_.kernel_cache_resolver) {
-      predict.kernel_cache = options_.kernel_cache_resolver(*handle);
-    }
+    const PredictOptions predict =
+        options_.predict_options_resolver
+            ? options_.predict_options_resolver(*handle)
+            : options_.predict;
     Result<PredictResult> result = [&] {
       obs::HostSpan span(trace,
                          StrPrintf("predict batch=%d", batch_size),

@@ -30,7 +30,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 
@@ -66,23 +65,13 @@ struct ServeOptions {
   // Passed through to MpSvmPredictor for every batch.
   PredictOptions predict;
 
-  // Optional resolver mapping the model snapshot a batch runs against to a
-  // cross-model kernel-value cache binding (the fleet SV store). Returning
-  // nullptr disables caching for that batch. Called on worker threads —
-  // must be thread-safe and outlive the server. Only consulted on the
-  // shared-kernel path; results stay byte-identical either way.
-  std::function<PredictionKernelCache*(const ModelHandle&)>
-      kernel_cache_resolver;
-
-  // Optional resolver for per-model PredictOptions overrides (the fleet's
-  // per-tenant cascade/decision knobs). Consulted once per batch with the
-  // batch's resolved model name; returning nullopt keeps the server-wide
-  // `predict` above. The returned options replace `predict` wholesale (the
-  // kernel_cache_resolver still applies afterwards) and must already be
-  // valid — the fleet validates them at tenant registration. Called on
-  // worker threads: must be thread-safe and outlive the server.
-  std::function<std::optional<PredictOptions>(const std::string& model_name)>
-      predict_options_resolver;
+  // Optional per-batch hook: the PredictOptions a batch runs with, given the
+  // model snapshot it resolved to (the fleet returns the tenant's override
+  // bound to its shared SV store). Unset = every batch runs with `predict`.
+  // The returned options must already be valid — the fleet validates them
+  // at tenant registration. Called on worker threads: must be thread-safe
+  // and outlive the server.
+  std::function<PredictOptions(const ModelHandle&)> predict_options_resolver;
 
   // Simulated device each worker runs on.
   ExecutorModel executor_model = ExecutorModel::TeslaP100();
@@ -95,14 +84,17 @@ struct ServeOptions {
   // Optional span sink: workers record per-batch queue_wait/predict/respond
   // host spans on a per-worker lane, and each worker's simulated device
   // feeds its stream spans into the same recorder (lane base
-  // lane_base + 16 * worker), yielding one merged Chrome trace. Must outlive
-  // the server.
+  // lane_base + kLanesPerWorker * worker), yielding one merged Chrome trace.
+  // Must outlive the server.
   obs::TraceRecorder* trace = nullptr;
 
+  // Lanes each worker's simulated device occupies in a shared trace.
+  static constexpr int kLanesPerWorker = 16;
+
   // Offset added to every lane this server emits (host and device). Lets
-  // several servers — e.g. a ReplicaRouter's per-device replicas — share one
-  // recorder without their rows colliding; give each replica a band of
-  // 16 * num_workers lanes.
+  // several servers — e.g. a ReplicaRouter's replicas — share one recorder
+  // without their rows colliding; each replica takes a band of
+  // kLanesPerWorker * num_workers lanes.
   int lane_base = 0;
 
   // --- Fault recovery -------------------------------------------------------
@@ -125,6 +117,12 @@ struct ServeOptions {
   int recover_after_successes = 8;
 };
 
+// Waits for a submitted request and flattens admission and per-request
+// errors into one Result: the shared tail of every Predict convenience
+// (InferenceServer, ReplicaRouter, FleetServer).
+Result<PredictResponse> AwaitResponse(
+    Result<std::future<Result<PredictResponse>>> submitted, Deadline deadline);
+
 class InferenceServer {
  public:
   // The registry must outlive the server.
@@ -146,10 +144,7 @@ class InferenceServer {
   // errors) carry library Status codes. Submit itself fails fast with
   // kResourceExhausted (queue full), kInvalidArgument (malformed row), or
   // kFailedPrecondition (shut down) — no future is created on failure.
-  Result<std::future<Result<PredictResponse>>> Submit(
-      std::span<const int32_t> indices, std::span<const double> values,
-      Deadline deadline = Deadline::Infinite());
-
+  //
   // Multi-model admission: the request resolves against `model_name`
   // (batches are formed per model, so it never shares a tile with another
   // model's requests), and `on_complete` — if non-empty — runs on the worker
@@ -157,7 +152,7 @@ class InferenceServer {
   // empty model_name falls back to options().model_name.
   Result<std::future<Result<PredictResponse>>> Submit(
       std::span<const int32_t> indices, std::span<const double> values,
-      Deadline deadline, std::string model_name,
+      Deadline deadline = Deadline::Infinite(), std::string model_name = {},
       CompletionCallback on_complete = nullptr);
 
   // Convenience: Submit + wait, flattening admission and per-request errors

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <string>
@@ -10,6 +11,7 @@
 #include "../test_util.h"
 #include "core/mp_trainer.h"
 #include "core/predictor.h"
+#include "fault/fault_injector.h"
 #include "fleet/fleet_config.h"
 
 namespace gmpsvm::fleet {
@@ -251,7 +253,7 @@ TEST(FleetServerTest, SwapGoesThroughValidatorAndServesTheNewVersion) {
   FleetOptions options;
   options.serve.num_workers = 1;
   FleetServer fleet(options);
-  fleet.tenants().SetValidator([](const MpSvmModel& model) {
+  fleet.models().SetValidator([](const MpSvmModel& model) {
     return model.num_classes >= 3
                ? Status::OK()
                : Status::InvalidArgument("needs >= 3 classes");
@@ -353,6 +355,135 @@ TEST(FleetServerTest, AddTenantRejectsInvalidPredictOverride) {
   EXPECT_NE(result.status().message().find("broken"), std::string::npos);
   EXPECT_NE(result.status().message().find("cascade.budget"),
             std::string::npos);
+}
+
+// Tenant-table contract: spec checks, versioned per-tenant model chains in
+// the fleet's ModelRegistry, and the validator/fault rollback gate.
+
+TEST(FleetServerTest, RejectsMalformedSpecsWithoutCreatingTenants) {
+  FleetServer fleet(FleetOptions{});
+  EXPECT_TRUE(fleet.AddTenant(Spec(""), TrainSmallModel(1))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(fleet.AddTenant(Spec("a:b"), TrainSmallModel(1))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(fleet.AddTenant(Spec("a b"), TrainSmallModel(1))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(fleet.AddTenant(Spec("ok", -1), TrainSmallModel(1))
+                  .status()
+                  .IsInvalidArgument());
+  TenantSpec negative_weight = Spec("w");
+  negative_weight.weight = -1.0;
+  EXPECT_TRUE(fleet.AddTenant(negative_weight, TrainSmallModel(1))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(fleet.Snapshot().tenants.empty());
+  EXPECT_EQ(fleet.models().size(), 0u);
+}
+
+TEST(FleetServerTest, DuplicateTenantFails) {
+  FleetServer fleet(FleetOptions{});
+  EXPECT_EQ(ValueOrDie(fleet.AddTenant(Spec("acme"), TrainSmallModel(1))), 1);
+  auto dup = fleet.AddTenant(Spec("acme"), TrainSmallModel(2));
+  EXPECT_TRUE(dup.status().IsFailedPrecondition());
+  EXPECT_EQ(fleet.Snapshot().tenants.size(), 1u);
+}
+
+TEST(FleetServerTest, SwapBumpsVersionPerTenant) {
+  FleetServer fleet(FleetOptions{});
+  ValueOrDie(fleet.AddTenant(Spec("a"), TrainSmallModel(1)));
+  ValueOrDie(fleet.AddTenant(Spec("b"), TrainSmallModel(2)));
+  EXPECT_EQ(ValueOrDie(fleet.SwapTenantModel("a", TrainSmallModel(3))), 2);
+  EXPECT_EQ(ValueOrDie(fleet.SwapTenantModel("a", TrainSmallModel(4))), 3);
+  // Tenant b's chain is independent.
+  EXPECT_EQ(ValueOrDie(fleet.models().Get(TenantModelKey("b"))).version, 1);
+  // Swapping a tenant that does not exist is an error, not a create.
+  EXPECT_TRUE(fleet.SwapTenantModel("ghost", TrainSmallModel(5))
+                  .status()
+                  .IsFailedPrecondition());
+  EXPECT_FALSE(fleet.models().Get(TenantModelKey("ghost")).ok());
+}
+
+TEST(FleetServerTest, ValidatorRejectionLeavesOldVersionServing) {
+  FleetServer fleet(FleetOptions{});
+  fleet.models().SetValidator([](const MpSvmModel& model) {
+    return model.num_classes >= 3
+               ? Status::OK()
+               : Status::InvalidArgument("needs >= 3 classes");
+  });
+  ValueOrDie(fleet.AddTenant(Spec("acme"), TrainSmallModel(1, /*k=*/3)));
+  auto rejected = fleet.SwapTenantModel("acme", TrainSmallModel(2, /*k=*/2));
+  EXPECT_TRUE(rejected.status().IsInvalidArgument());
+  auto handle = ValueOrDie(fleet.models().Get(TenantModelKey("acme")));
+  EXPECT_EQ(handle.version, 1);
+  EXPECT_EQ(handle.model->num_classes, 3);
+  // A rejected initial registration must not create the tenant at all.
+  EXPECT_FALSE(fleet.AddTenant(Spec("bad"), TrainSmallModel(3, /*k=*/2)).ok());
+  EXPECT_TRUE(fleet.SwapTenantModel("bad", TrainSmallModel(4))
+                  .status()
+                  .IsFailedPrecondition());
+  EXPECT_EQ(fleet.Snapshot().tenants.size(), 1u);
+}
+
+TEST(FleetServerTest, InjectedSwapFaultRollsBack) {
+  fault::FaultPlan plan;
+  plan.swap_fail_prob = 1.0;
+  plan.max_consecutive_per_site = 0;
+  fault::FaultInjector injector(plan);
+
+  // The serve template's injector reaches the tenant swap gate.
+  FleetOptions options;
+  options.serve.fault = &injector;
+  FleetServer fleet(options);
+  ValueOrDie(fleet.AddTenant(Spec("acme"), TrainSmallModel(1)));
+  auto failed = fleet.SwapTenantModel("acme", TrainSmallModel(2));
+  EXPECT_TRUE(failed.status().IsUnavailable()) << failed.status().ToString();
+  EXPECT_EQ(ValueOrDie(fleet.models().Get(TenantModelKey("acme"))).version, 1);
+  fleet.models().SetFaultInjector(nullptr);
+  EXPECT_EQ(ValueOrDie(fleet.SwapTenantModel("acme", TrainSmallModel(2))), 2);
+}
+
+TEST(FleetServerTest, TenantKeysCannotCollideWithDirectModels) {
+  FleetServer fleet(FleetOptions{});
+  ValueOrDie(fleet.AddTenant(Spec("acme"), TrainSmallModel(1)));
+  // A model registered directly under a plain name is a different key space.
+  ValueOrDie(fleet.models().Register("acme", TrainSmallModel(2)));
+  EXPECT_EQ(fleet.models().size(), 2u);
+  EXPECT_EQ(TenantModelKey("acme"), "tenant:acme");
+  EXPECT_EQ(ValueOrDie(fleet.models().Get("tenant:acme")).name, "tenant:acme");
+}
+
+TEST(FleetServerTest, StartRejectsNegativeOrNanShedStart) {
+  for (double shed_start : {-1.0, std::nan("")}) {
+    FleetOptions options;
+    options.shed_start_fraction = shed_start;
+    FleetServer fleet(options);
+    const Status started = fleet.Start();
+    EXPECT_TRUE(started.IsInvalidArgument()) << started.ToString();
+    EXPECT_NE(started.message().find("shed_start"), std::string::npos);
+    EXPECT_EQ(fleet.num_replicas(), 0);
+  }
+  // Values at or above 1 still mean "no overload shedding".
+  FleetOptions options;
+  options.shed_start_fraction = 1.5;
+  FleetServer fleet(options);
+  EXPECT_TRUE(fleet.Start().ok());
+  EXPECT_TRUE(fleet.Shutdown().ok());
+}
+
+TEST(FleetConfigTest, RejectsNegativeOrNanShedStartWithLineNumber) {
+  for (const char* value : {"-1", "nan"}) {
+    auto config = ParseFleetConfig(std::string("replicas 2\nshed_start ") +
+                                   value + "\ntenant t model=a.model\n");
+    ASSERT_FALSE(config.ok()) << value;
+    EXPECT_NE(config.status().message().find("line 2"), std::string::npos)
+        << config.status().ToString();
+    EXPECT_NE(config.status().message().find("shed_start"), std::string::npos);
+  }
+  auto off = ValueOrDie(ParseFleetConfig("shed_start 1\ntenant t model=a\n"));
+  EXPECT_EQ(off.shed_start_fraction, 1.0);
 }
 
 TEST(FleetConfigTest, ParsesPerTenantPredictKeys) {

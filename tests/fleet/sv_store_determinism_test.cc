@@ -40,8 +40,6 @@ struct Config {
   int replicas;
   int workers;
   bool chaos;
-  SvStoreOptions::RetentionPolicy retention =
-      SvStoreOptions::RetentionPolicy::kFifo;
 };
 
 TEST(SvStoreDeterminismTest, ProbabilitiesAreByteIdenticalAcrossTheMatrix) {
@@ -74,12 +72,6 @@ TEST(SvStoreDeterminismTest, ProbabilitiesAreByteIdenticalAcrossTheMatrix) {
       {"workers-8", true, -1, 1, 8, false},
       {"chaos-replicas-4-workers-8", true, 64, 4, 8, true},
       {"chaos-unbounded", true, -1, 1, 1, true},
-      // Frequency-weighted retention changes only WHICH query is retired,
-      // never any served probability.
-      {"freq-cap-small", true, 64, 1, 1, false,
-       SvStoreOptions::RetentionPolicy::kFrequency},
-      {"chaos-freq", true, 64, 4, 8, true,
-       SvStoreOptions::RetentionPolicy::kFrequency},
   };
 
   for (const Config& config : configs) {
@@ -92,7 +84,6 @@ TEST(SvStoreDeterminismTest, ProbabilitiesAreByteIdenticalAcrossTheMatrix) {
     options.autoscale.max_replicas = config.replicas;
     options.share_support_vectors = config.share;
     options.sv_cache_capacity = config.capacity;
-    options.sv_retention = config.retention;
     if (config.replicas > 1) {
       // Exercise the device-cycling path explicitly.
       options.devices = {ExecutorModel::TeslaP100(),

@@ -201,54 +201,6 @@ TEST_F(SvStoreTest, UnboundedCapacityNeverEvicts) {
   EXPECT_EQ(stats.values_resident, queries_.size() * pool());
 }
 
-TEST_F(SvStoreTest, FrequencyRetentionEvictsLeastUsedQuery) {
-  SvStoreOptions options;
-  options.kernel_value_capacity = 2 * pool();  // room for two queries
-  options.retention = SvStoreOptions::RetentionPolicy::kFrequency;
-  SvStore store(options);
-  PredictionKernelCache* cache = store.Bind(ValueOrDie(models_.Get("a")));
-
-  ASSERT_NO_FATAL_FAILURE(MissAndCommit(cache, Query(0), /*salt=*/1.0));
-  ASSERT_NO_FATAL_FAILURE(MissAndCommit(cache, Query(1), /*salt=*/2.0));
-
-  // A hit on query 0 makes query 1 the least-used resident.
-  std::vector<double> out(pool(), 0.0);
-  std::vector<uint8_t> hit(pool(), 0);
-  EXPECT_EQ(cache->Gather(Query(0), out, hit), pool());
-
-  std::fill(hit.begin(), hit.end(), 0);
-  ASSERT_NO_FATAL_FAILURE(MissAndCommit(cache, Query(2), /*salt=*/3.0));
-
-  // FIFO would have retired query 0 (the oldest); frequency retires the
-  // never-rehit query 1 instead.
-  std::fill(hit.begin(), hit.end(), 0);
-  EXPECT_EQ(cache->Gather(Query(1), out, hit), 0);
-  std::fill(hit.begin(), hit.end(), 0);
-  EXPECT_EQ(cache->Gather(Query(0), out, hit), pool());
-  for (int64_t j = 0; j < pool(); ++j) EXPECT_EQ(out[j], 1.0 + 0.5 * j);
-  std::fill(hit.begin(), hit.end(), 0);
-  EXPECT_EQ(cache->Gather(Query(2), out, hit), pool());
-  EXPECT_EQ(store.stats().values_evicted, pool());
-}
-
-TEST_F(SvStoreTest, FrequencyTiesDegradeToFifoOrder) {
-  SvStoreOptions options;
-  options.kernel_value_capacity = pool();  // room for exactly one query
-  options.retention = SvStoreOptions::RetentionPolicy::kFrequency;
-  SvStore store(options);
-  PredictionKernelCache* cache = store.Bind(ValueOrDie(models_.Get("a")));
-
-  ASSERT_NO_FATAL_FAILURE(MissAndCommit(cache, Query(0), /*salt=*/1.0));
-  ASSERT_NO_FATAL_FAILURE(MissAndCommit(cache, Query(1), /*salt=*/2.0));
-
-  // All uses equal: the tie-break is interning order, exactly FIFO.
-  std::vector<double> out(pool(), 0.0);
-  std::vector<uint8_t> hit(pool(), 0);
-  EXPECT_EQ(cache->Gather(Query(0), out, hit), 0);
-  std::fill(hit.begin(), hit.end(), 0);
-  EXPECT_EQ(cache->Gather(Query(1), out, hit), pool());
-}
-
 TEST_F(SvStoreTest, PublishesMetricsWhenGivenARegistry) {
   obs::MetricsRegistry metrics;
   SvStoreOptions options;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -177,6 +179,120 @@ TEST(ReplicaRouterTest, ShutdownDrainsAndIsIdempotent) {
   // A post-shutdown submit is rejected, not queued forever.
   const CsrMatrix& m = fx.test.features();
   EXPECT_FALSE(fx.router->Submit(m.RowIndices(0), m.RowValues(0)).ok());
+}
+
+TEST(ReplicaRouterTest, AddedReplicaServesWithTheNextLaneBandAndDevice) {
+  RouterOptions options = TwoReplicas();
+  options.serve.lane_base = 100;
+  RouterFixture fx(options);
+  fx.router->Pause();
+  // Added while paused: the replica inherits the gate.
+  const ExecutorModel device = ExecutorModel::XeonCpu(2);
+  GMP_CHECK_OK(fx.router->AddReplica(device));
+  ASSERT_EQ(fx.router->num_replicas(), 3);
+  EXPECT_EQ(fx.router->replica(2)->options().executor_model.name, device.name);
+  EXPECT_EQ(fx.router->replica(2)->options().lane_base,
+            100 + 2 * ServeOptions::kLanesPerWorker);
+  EXPECT_EQ(fx.router->queue_capacity(), 3 * options.serve.queue_capacity);
+
+  // Least-loaded over a frozen backlog spreads 9 requests 3/3/3, and none
+  // drains while paused — an ungated replica would answer its first request
+  // within one 500 us batching window.
+  std::vector<std::future<Result<PredictResponse>>> futures;
+  for (int64_t i = 0; i < 9; ++i) futures.push_back(fx.SubmitRow(i));
+  EXPECT_EQ(fx.router->routed(2), 3);
+  EXPECT_EQ(futures[2].wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  EXPECT_EQ(fx.router->queue_depth(), 9u);
+  fx.router->Resume();
+  for (auto& f : futures) GMP_CHECK_OK(f.get().status());
+  EXPECT_EQ(fx.router->replica_registries().size(), 3u);
+}
+
+TEST(ReplicaRouterTest, RetireNewestDrainsItsRequestsAndRoutesToSurvivors) {
+  RouterOptions options = TwoReplicas();
+  RouterFixture fx(options);
+  GMP_CHECK_OK(fx.router->AddReplica(options.serve.executor_model));
+  fx.router->Pause();
+  std::vector<std::future<Result<PredictResponse>>> futures;
+  for (int64_t i = 0; i < 9; ++i) futures.push_back(fx.SubmitRow(i));
+  ASSERT_EQ(fx.router->routed(2), 3);
+
+  // The retiree answers all 3 requests it accepted, paused or not.
+  GMP_CHECK_OK(fx.router->RetireNewest());
+  EXPECT_EQ(fx.router->num_replicas(), 2);
+  for (size_t i : {2u, 5u, 8u}) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    GMP_CHECK_OK(futures[i].get().status());
+  }
+  // Its registry outlives it.
+  const std::vector<obs::MetricsRegistry*> registries =
+      fx.router->replica_registries();
+  ASSERT_EQ(registries.size(), 3u);
+  EXPECT_EQ(registries[2]
+                ->GetCounter("gmpsvm_serve_admitted_total",
+                             "Requests accepted at admission.")
+                ->Value(),
+            3.0);
+
+  // New submissions reach only the survivors.
+  for (int64_t i = 9; i < 13; ++i) futures.push_back(fx.SubmitRow(i));
+  EXPECT_EQ(fx.router->routed(0) + fx.router->routed(1), 10);
+  fx.router->Resume();
+  for (size_t i = 0; i < futures.size(); ++i) {
+    if (futures[i].valid()) GMP_CHECK_OK(futures[i].get().status());
+  }
+
+  GMP_CHECK_OK(fx.router->RetireNewest());
+  EXPECT_TRUE(fx.router->RetireNewest().IsFailedPrecondition());
+  EXPECT_EQ(fx.router->num_replicas(), 1);
+}
+
+TEST(ReplicaRouterTest, NamedSubmitRunsTheCallbackOncePerRequest) {
+  RouterOptions options = TwoReplicas();
+  options.serve.queue_capacity = 2;
+  RouterFixture fx(options);
+  const MpSvmModel other = TrainSmallModel(7);
+  ValueOrDie(fx.registry.Register("other", MpSvmModel(other)));
+  SimExecutor exec(ExecutorModel::TeslaP100());
+  const PredictResult reference = ValueOrDie(
+      MpSvmPredictor(&other).Predict(fx.test.features(), &exec,
+                                     options.serve.predict));
+
+  std::atomic<int> callbacks{0};
+  std::atomic<int> ok_callbacks{0};
+  auto on_complete = [&](const Result<PredictResponse>& response) {
+    callbacks.fetch_add(1);
+    if (response.ok()) ok_callbacks.fetch_add(1);
+  };
+  const CsrMatrix& m = fx.test.features();
+  fx.router->Pause();
+  std::vector<std::future<Result<PredictResponse>>> futures;
+  for (int64_t i = 0; i < 4; ++i) {
+    futures.push_back(ValueOrDie(fx.router->Submit(
+        m.RowIndices(i), m.RowValues(i), Deadline::Infinite(), "other",
+        on_complete)));
+  }
+  // Both queues full: the rejected request never runs its callback, even
+  // though it was offered to every replica.
+  EXPECT_TRUE(fx.router
+                  ->Submit(m.RowIndices(4), m.RowValues(4),
+                           Deadline::Infinite(), "other", on_complete)
+                  .status()
+                  .IsResourceExhausted());
+  fx.router->Resume();
+  for (int64_t i = 0; i < 4; ++i) {
+    const PredictResponse response =
+        ValueOrDie(futures[static_cast<size_t>(i)].get());
+    for (int c = 0; c < 3; ++c) {
+      EXPECT_EQ(response.probabilities[static_cast<size_t>(c)],
+                reference.Probability(i, c))
+          << "row " << i << " class " << c;
+    }
+  }
+  EXPECT_EQ(callbacks.load(), 4);
+  EXPECT_EQ(ok_callbacks.load(), 4);
 }
 
 }  // namespace
