@@ -1,6 +1,12 @@
-#include "fleet/tenant_registry.h"
+// The fleet's tenant table: spec checks, versioned per-tenant model chains in
+// the fleet's ModelRegistry, and the validator/fault rollback gate, all
+// reached through FleetServer::AddTenant / SwapTenantModel.
+
+#include "fleet/fleet_server.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "../test_util.h"
 #include "core/mp_trainer.h"
@@ -28,79 +34,71 @@ TenantSpec Spec(const std::string& name, int priority = 0) {
   return spec;
 }
 
-TEST(TenantRegistryTest, AddAndGet) {
-  TenantRegistry registry;
-  EXPECT_EQ(ValueOrDie(registry.AddTenant(Spec("acme", 2), TrainSmallModel(1))),
-            1);
-  auto spec = ValueOrDie(registry.GetSpec("acme"));
-  EXPECT_EQ(spec.name, "acme");
-  EXPECT_EQ(spec.priority, 2);
-  auto handle = ValueOrDie(registry.GetModel("acme"));
-  EXPECT_EQ(handle.version, 1);
-  EXPECT_EQ(handle.name, TenantRegistry::ModelKey("acme"));
-  EXPECT_EQ(handle.model->num_classes, 3);
-}
-
-TEST(TenantRegistryTest, RejectsMalformedSpecs) {
-  TenantRegistry registry;
-  EXPECT_TRUE(registry.AddTenant(Spec(""), TrainSmallModel(1))
+TEST(TenantRegistryTest, RejectsMalformedSpecsWithoutCreatingTenants) {
+  FleetServer fleet(FleetOptions{});
+  EXPECT_TRUE(fleet.AddTenant(Spec(""), TrainSmallModel(1))
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(registry.AddTenant(Spec("a:b"), TrainSmallModel(1))
+  EXPECT_TRUE(fleet.AddTenant(Spec("a:b"), TrainSmallModel(1))
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(registry.AddTenant(Spec("a b"), TrainSmallModel(1))
+  EXPECT_TRUE(fleet.AddTenant(Spec("a b"), TrainSmallModel(1))
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(registry.AddTenant(Spec("ok", -1), TrainSmallModel(1))
+  EXPECT_TRUE(fleet.AddTenant(Spec("ok", -1), TrainSmallModel(1))
                   .status()
                   .IsInvalidArgument());
   TenantSpec negative_weight = Spec("w");
   negative_weight.weight = -1.0;
-  EXPECT_TRUE(registry.AddTenant(negative_weight, TrainSmallModel(1))
+  EXPECT_TRUE(fleet.AddTenant(negative_weight, TrainSmallModel(1))
                   .status()
                   .IsInvalidArgument());
-  EXPECT_EQ(registry.size(), 0u);
+  EXPECT_TRUE(fleet.Snapshot().tenants.empty());
+  EXPECT_EQ(fleet.models().size(), 0u);
 }
 
 TEST(TenantRegistryTest, DuplicateTenantFails) {
-  TenantRegistry registry;
-  ValueOrDie(registry.AddTenant(Spec("acme"), TrainSmallModel(1)));
-  auto dup = registry.AddTenant(Spec("acme"), TrainSmallModel(2));
+  FleetServer fleet(FleetOptions{});
+  EXPECT_EQ(ValueOrDie(fleet.AddTenant(Spec("acme"), TrainSmallModel(1))), 1);
+  auto dup = fleet.AddTenant(Spec("acme"), TrainSmallModel(2));
   EXPECT_TRUE(dup.status().IsFailedPrecondition());
+  EXPECT_EQ(fleet.Snapshot().tenants.size(), 1u);
 }
 
 TEST(TenantRegistryTest, SwapBumpsVersionPerTenant) {
-  TenantRegistry registry;
-  ValueOrDie(registry.AddTenant(Spec("a"), TrainSmallModel(1)));
-  ValueOrDie(registry.AddTenant(Spec("b"), TrainSmallModel(2)));
-  EXPECT_EQ(ValueOrDie(registry.SwapModel("a", TrainSmallModel(3))), 2);
-  EXPECT_EQ(ValueOrDie(registry.SwapModel("a", TrainSmallModel(4))), 3);
+  FleetServer fleet(FleetOptions{});
+  ValueOrDie(fleet.AddTenant(Spec("a"), TrainSmallModel(1)));
+  ValueOrDie(fleet.AddTenant(Spec("b"), TrainSmallModel(2)));
+  EXPECT_EQ(ValueOrDie(fleet.SwapTenantModel("a", TrainSmallModel(3))), 2);
+  EXPECT_EQ(ValueOrDie(fleet.SwapTenantModel("a", TrainSmallModel(4))), 3);
   // Tenant b's chain is independent.
-  EXPECT_EQ(ValueOrDie(registry.GetModel("b")).version, 1);
+  EXPECT_EQ(ValueOrDie(fleet.models().Get(TenantModelKey("b"))).version, 1);
   // Swapping a tenant that does not exist is an error, not a create.
-  EXPECT_TRUE(registry.SwapModel("ghost", TrainSmallModel(5))
+  EXPECT_TRUE(fleet.SwapTenantModel("ghost", TrainSmallModel(5))
                   .status()
                   .IsFailedPrecondition());
+  EXPECT_FALSE(fleet.models().Get(TenantModelKey("ghost")).ok());
 }
 
 TEST(TenantRegistryTest, ValidatorRejectionLeavesOldVersionServing) {
-  TenantRegistry registry;
-  registry.SetValidator([](const MpSvmModel& model) {
+  FleetServer fleet(FleetOptions{});
+  fleet.models().SetValidator([](const MpSvmModel& model) {
     return model.num_classes >= 3
                ? Status::OK()
                : Status::InvalidArgument("needs >= 3 classes");
   });
-  ValueOrDie(registry.AddTenant(Spec("acme"), TrainSmallModel(1, /*k=*/3)));
-  auto rejected = registry.SwapModel("acme", TrainSmallModel(2, /*k=*/2));
+  ValueOrDie(fleet.AddTenant(Spec("acme"), TrainSmallModel(1, /*k=*/3)));
+  auto rejected = fleet.SwapTenantModel("acme", TrainSmallModel(2, /*k=*/2));
   EXPECT_TRUE(rejected.status().IsInvalidArgument());
-  auto handle = ValueOrDie(registry.GetModel("acme"));
+  auto handle = ValueOrDie(fleet.models().Get(TenantModelKey("acme")));
   EXPECT_EQ(handle.version, 1);
   EXPECT_EQ(handle.model->num_classes, 3);
   // A rejected initial registration must not create the tenant at all.
-  EXPECT_FALSE(
-      registry.AddTenant(Spec("bad"), TrainSmallModel(3, /*k=*/2)).ok());
-  EXPECT_FALSE(registry.GetSpec("bad").ok());
+  EXPECT_FALSE(fleet.AddTenant(Spec("bad"), TrainSmallModel(3, /*k=*/2)).ok());
+  EXPECT_TRUE(fleet.SwapTenantModel("bad", TrainSmallModel(4))
+                  .status()
+                  .IsFailedPrecondition());
+  EXPECT_EQ(fleet.Snapshot().tenants.size(), 1u);
 }
 
 TEST(TenantRegistryTest, InjectedSwapFaultRollsBack) {
@@ -109,36 +107,26 @@ TEST(TenantRegistryTest, InjectedSwapFaultRollsBack) {
   plan.max_consecutive_per_site = 0;
   fault::FaultInjector injector(plan);
 
-  TenantRegistry registry;
-  ValueOrDie(registry.AddTenant(Spec("acme"), TrainSmallModel(1)));
-  registry.SetFaultInjector(&injector);
-  auto failed = registry.SwapModel("acme", TrainSmallModel(2));
+  // The serve template's injector reaches the tenant swap gate.
+  FleetOptions options;
+  options.serve.fault = &injector;
+  FleetServer fleet(options);
+  ValueOrDie(fleet.AddTenant(Spec("acme"), TrainSmallModel(1)));
+  auto failed = fleet.SwapTenantModel("acme", TrainSmallModel(2));
   EXPECT_TRUE(failed.status().IsUnavailable()) << failed.status().ToString();
-  EXPECT_EQ(ValueOrDie(registry.GetModel("acme")).version, 1);
-  registry.SetFaultInjector(nullptr);
-  EXPECT_EQ(ValueOrDie(registry.SwapModel("acme", TrainSmallModel(2))), 2);
+  EXPECT_EQ(ValueOrDie(fleet.models().Get(TenantModelKey("acme"))).version, 1);
+  fleet.models().SetFaultInjector(nullptr);
+  EXPECT_EQ(ValueOrDie(fleet.SwapTenantModel("acme", TrainSmallModel(2))), 2);
 }
 
-TEST(TenantRegistryTest, NamespacesCannotCollideWithDirectModels) {
-  TenantRegistry registry;
-  ValueOrDie(registry.AddTenant(Spec("acme"), TrainSmallModel(1)));
+TEST(TenantRegistryTest, TenantKeysCannotCollideWithDirectModels) {
+  FleetServer fleet(FleetOptions{});
+  ValueOrDie(fleet.AddTenant(Spec("acme"), TrainSmallModel(1)));
   // A model registered directly under a plain name is a different key space.
-  ValueOrDie(registry.models()->Register("acme", TrainSmallModel(2)));
-  EXPECT_EQ(registry.models()->size(), 2u);
-  EXPECT_EQ(TenantRegistry::ModelKey("acme"), "tenant:acme");
-}
-
-TEST(TenantRegistryTest, RemoveAndEnumerate) {
-  TenantRegistry registry;
-  ValueOrDie(registry.AddTenant(Spec("b", 1), TrainSmallModel(1)));
-  ValueOrDie(registry.AddTenant(Spec("a", 4), TrainSmallModel(2)));
-  EXPECT_EQ(registry.Tenants(), (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(registry.max_priority(), 4);
-  EXPECT_TRUE(registry.RemoveTenant("a"));
-  EXPECT_FALSE(registry.RemoveTenant("a"));
-  EXPECT_EQ(registry.max_priority(), 1);
-  EXPECT_FALSE(registry.GetModel("a").ok());
-  EXPECT_EQ(registry.size(), 1u);
+  ValueOrDie(fleet.models().Register("acme", TrainSmallModel(2)));
+  EXPECT_EQ(fleet.models().size(), 2u);
+  EXPECT_EQ(TenantModelKey("acme"), "tenant:acme");
+  EXPECT_EQ(ValueOrDie(fleet.models().Get("tenant:acme")).name, "tenant:acme");
 }
 
 }  // namespace
