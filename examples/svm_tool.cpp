@@ -39,7 +39,7 @@
 // --nodes N (train only) groups the devices into N simulated nodes
 // (contiguous groups; 1 <= N <= devices). --max-shards M lets the scheduler
 // split an oversized pair's instances across up to M devices
-// (dist/dist_solver.h); --link-gbps / --link-latency-us configure the
+// (solver/batch_smo_solver.h); --link-gbps / --link-latency-us configure the
 // inter-node link the allreduce cost model prices (docs/cost_model.md).
 // Models and probabilities stay byte-identical for every topology; only the
 // simulated makespan moves. Out-of-range values are usage errors (exit 2).

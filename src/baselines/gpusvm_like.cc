@@ -12,16 +12,7 @@
 namespace gmpsvm {
 namespace {
 
-constexpr double kTau = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-TaskCost VectorPassCost(int64_t n, double flops_per_item, double bytes_per_item) {
-  TaskCost cost;
-  cost.parallel_items = n;
-  cost.flops = flops_per_item * static_cast<double>(n);
-  cost.bytes_read = bytes_per_item * static_cast<double>(n);
-  return cost;
-}
 
 }  // namespace
 
@@ -114,60 +105,15 @@ Result<BinarySolution> GpuSvmLikeTrainer::Train(const Dataset& dataset,
     const double* row_u = get_row(u);
     const double* row_l = get_row(l);
 
-    // Alpha update (same box/equality algebra as SMO; first-order pairs are
-    // always feasible ascent directions).
-    const double old_au = alpha[static_cast<size_t>(u)];
-    const double old_al = alpha[static_cast<size_t>(l)];
-    double quad = diag[static_cast<size_t>(u)] + diag[static_cast<size_t>(l)] -
-                  2.0 * row_u[l];
-    if (quad <= 0) quad = kTau;
-    const double g_u = y[u] * f_u;
-    const double g_l = y[l] * f[static_cast<size_t>(l)];
-    double& a_u = alpha[static_cast<size_t>(u)];
-    double& a_l = alpha[static_cast<size_t>(l)];
-    if (y[u] != y[l]) {
-      const double delta = (-g_u - g_l) / quad;
-      const double diff = a_u - a_l;
-      a_u += delta;
-      a_l += delta;
-      if (diff > 0 && a_l < 0) {
-        a_l = 0;
-        a_u = diff;
-      } else if (diff <= 0 && a_u < 0) {
-        a_u = 0;
-        a_l = -diff;
-      }
-      if (diff > 0 && a_u > c) {
-        a_u = c;
-        a_l = c - diff;
-      } else if (diff <= 0 && a_l > c) {
-        a_l = c;
-        a_u = c + diff;
-      }
-    } else {
-      const double delta = (g_u - g_l) / quad;
-      const double sum = a_u + a_l;
-      a_u -= delta;
-      a_l += delta;
-      if (sum > c && a_u > c) {
-        a_u = c;
-        a_l = sum - c;
-      } else if (sum <= c && a_l < 0) {
-        a_l = 0;
-        a_u = sum;
-      }
-      if (sum > c && a_l > c) {
-        a_l = c;
-        a_u = sum - c;
-      } else if (sum <= c && a_u < 0) {
-        a_u = 0;
-        a_l = sum;
-      }
-    }
+    // Alpha update: the shared SMO step with C for both bounds (first-order
+    // pairs are always feasible ascent directions).
+    const SmoPairDelta step =
+        SmoUpdatePair(u, l, y, c, c, diag[static_cast<size_t>(u)],
+                      diag[static_cast<size_t>(l)], row_u[l], f, alpha);
     executor->Charge(kDefaultStream, VectorPassCost(1, 20.0, 0.0));
 
-    const double yu_dau = y[u] * (a_u - old_au);
-    const double yl_dal = y[l] * (a_l - old_al);
+    const double yu_dau = y[u] * step.d_alpha_u;
+    const double yl_dal = y[l] * step.d_alpha_l;
     for (int64_t i = 0; i < n; ++i) {
       f[static_cast<size_t>(i)] += yu_dau * row_u[i] + yl_dal * row_l[i];
     }
@@ -179,34 +125,8 @@ Result<BinarySolution> GpuSvmLikeTrainer::Train(const Dataset& dataset,
     stats->outer_rounds += iterations;
   }
 
-  // Bias and objective as in the main solvers.
-  double sum_free = 0.0;
-  int64_t num_free = 0;
-  double f_up_min = kInf, f_low_max = -kInf;
-  for (int64_t i = 0; i < n; ++i) {
-    const double a = alpha[static_cast<size_t>(i)];
-    const double fi = f[static_cast<size_t>(i)];
-    if (a > 0 && a < c) {
-      sum_free += fi;
-      ++num_free;
-    }
-    if (InUpSet(y[i], a, c)) f_up_min = std::min(f_up_min, fi);
-    if (InLowSet(y[i], a, c)) f_low_max = std::max(f_low_max, fi);
-  }
-  const double rho = num_free > 0 ? sum_free / static_cast<double>(num_free)
-                                  : (f_up_min + f_low_max) / 2.0;
-  double objective = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    objective += alpha[static_cast<size_t>(i)] *
-                 (y[i] * f[static_cast<size_t>(i)] - 1.0);
-  }
-
-  BinarySolution solution;
-  solution.alpha = std::move(alpha);
-  solution.bias = -rho;
-  solution.objective = -0.5 * objective;
-  solution.f = std::move(f);
-  return solution;
+  return FinishSolution(std::move(alpha), std::move(f), y,
+                        std::vector<double>(static_cast<size_t>(n), c));
 }
 
 }  // namespace gmpsvm

@@ -33,7 +33,7 @@ Result<MpSvmModel> GtsvmLikeTrainer::Train(const Dataset& dataset,
     SolverStats stats;
     GMP_ASSIGN_OR_RETURN(
         BinarySolution solution,
-        solver.Solve(problem, computer, executor, kDefaultStream, &stats));
+        solver.Solve(problem, computer, {executor, kDefaultStream}, &stats));
     if (report != nullptr) {
       report->solver.Merge(stats);
       report->phases.Merge(stats.phases);

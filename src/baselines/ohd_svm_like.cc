@@ -20,7 +20,7 @@ Result<BinarySolution> OhdSvmLikeTrainer::Train(const Dataset& dataset,
   solver_options.eps = options_.eps;
   solver_options.inner_policy = BatchSmoOptions::InnerPolicy::kFixed;
   BatchSmoSolver solver(solver_options);
-  return solver.Solve(problem, computer, executor, kDefaultStream, stats);
+  return solver.Solve(problem, computer, {executor, kDefaultStream}, stats);
 }
 
 }  // namespace gmpsvm

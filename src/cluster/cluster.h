@@ -8,8 +8,8 @@
 // trains entirely on one device, and every device pays for its own
 // host->device copy of the data it touches over its own PCIe link. The
 // topology's per-link bandwidth/latency model only enters when the trainer
-// shards a pair's instances across devices: the distributed solver's merges
-// are priced over intra-node and inter-node links (docs/cost_model.md).
+// shards a pair's instances across devices: the sharded solve's merges are
+// priced over intra-node and inter-node links (docs/cost_model.md).
 // The default topology is a single node holding every device.
 //
 // Tracing: one recorder can observe all devices. Lanes are banded per device

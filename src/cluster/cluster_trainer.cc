@@ -9,6 +9,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/pair_engine.h"
+#include "solver/batch_smo_solver.h"
 
 namespace gmpsvm::cluster {
 namespace {
@@ -44,11 +45,11 @@ std::vector<bool> DrawLosses(const ClusterTrainOptions& options,
   return lost;
 }
 
-// Trains one sharded pair across its shard group: DistSmoSolver solves it,
-// and the pair engine's fit, sigmoid and retry run on the coordinator — the
-// same body and retry loop as a whole pair, so the outcome (checkpoint,
-// stats, retry and degrade behaviour) is byte-identical to training the pair
-// whole on one device.
+// Trains one sharded pair across its shard group: BatchSmoSolver solves it
+// on the group, and the pair engine's fit, sigmoid and retry run on the
+// coordinator — the same body and retry loop as a whole pair, so the outcome
+// (checkpoint, stats, retry and degrade behaviour) is byte-identical to
+// training the pair whole on one device.
 Result<PairTrainOutcome> TrainShardedPair(
     const Dataset& dataset, const MpTrainOptions& options, SimCluster* cluster,
     const ShardedPair& sharded, const PairFaultInjectorFactory& injectors,
@@ -89,18 +90,19 @@ Result<PairTrainOutcome> TrainShardedPair(
                    static_cast<double>(dataset.features().ByteSize()) * fraction);
   }
 
-  const dist::DistSmoSolver dist_solver(options.batch, &cluster->topology());
+  const BatchSmoSolver solver(options.batch);
   engine.solve = [&](const BinaryProblem& problem, int, int,
-                     std::span<const double>, SimExecutor*, StreamId,
+                     std::span<const double> warm_alpha, SimExecutor*, StreamId,
                      SolverStats* stats) {
     dist::DistStats attempt_dist;
-    Result<BinarySolution> solved =
-        dist_solver.Solve(problem, computer, shards, stats, &attempt_dist);
+    Result<BinarySolution> solved = solver.Solve(
+        problem, computer, {shards, &cluster->topology(), &attempt_dist}, stats,
+        warm_alpha);
     dist_stats->Merge(attempt_dist);
     return solved;
   };
   // The pair's injector lives on the coordinator only — exactly the
-  // single-device consult sequence (dist_solver.h).
+  // single-device consult sequence (solver/batch_smo_solver.h).
   PairTrainOutcome outcome;
   const Status status = RunPairWithRetry(engine, job, shards[0].executor,
                                          shards[0].stream, &outcome);

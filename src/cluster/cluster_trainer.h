@@ -3,9 +3,9 @@
 //
 // The trainer schedules pairs with the cost-model-aware pair scheduler and
 // trains the assignment with TrainAssignment. Pairs the scheduler marked for
-// intra-pair sharding train first (Phase A): each runs once through
-// dist::DistSmoSolver across its shard group, merges priced by the cluster's
-// node topology, with the pair engine's fit and retry on the coordinator.
+// intra-pair sharding train first (Phase A): BatchSmoSolver solves each on
+// its shard group, merges priced by the cluster's node topology, with the
+// pair engine's fit and retry on the coordinator.
 // The remaining whole pairs then train through the pair engine
 // (core/pair_engine.h), one std::thread per device — devices are independent
 // simulators, so this is pure wall-clock parallelism (Phase B). Results are
@@ -21,7 +21,8 @@
 //     mp_trainer.h), so the assignment never changes the numbers;
 //   * a sharded pair's solve is byte-identical to the single-device solve —
 //     solution AND counters — for any shard count or placement
-//     (dist/dist_solver.h), so sharding never changes the numbers either;
+//     (solver/batch_smo_solver.h), so sharding never changes the numbers
+//     either;
 //   * chaos runs use one fault injector PER PAIR, seeded from the plan seed
 //     and the pair index, so a pair sees the same fault sequence whatever
 //     device (or shard group, via the coordinator) trains it. (Per-pair
@@ -63,7 +64,7 @@
 #include "cluster/cluster.h"
 #include "cluster/pair_scheduler.h"
 #include "core/mp_trainer.h"
-#include "dist/dist_solver.h"
+#include "dist/topology.h"
 #include "fault/fault_injector.h"
 
 namespace gmpsvm::cluster {
@@ -73,7 +74,8 @@ struct ClusterTrainOptions {
 
   // schedule.topology is ignored — the trainer always prices merges with the
   // cluster's own topology. Intra-pair sharding (max_shards_per_pair > 1)
-  // requires the working set's kOldest drop policy (see dist_solver.h).
+  // requires the working set's kOldest drop policy (see
+  // solver/batch_smo_solver.h).
   ScheduleOptions schedule;
 
   // Optional chaos plan; see the header comment for how it is split into

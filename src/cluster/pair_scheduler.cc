@@ -10,11 +10,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Crude merge-volume model for the shard decision: the distributed solver
-// performs a handful of small allreduces per outer round, and outer rounds
-// scale with the pair's row count over the working-set drain rate. The
-// constants only steer the whole-vs-sharded choice; actual merge time is
-// charged exactly by dist::DistSmoSolver.
+// Crude merge-volume model for the shard decision: a sharded solve performs
+// a handful of small allreduces per outer round, and outer rounds scale with
+// the pair's row count over the working-set drain rate. The constants only
+// steer the whole-vs-sharded choice; actual merge time is charged exactly by
+// the sharded solve's merges (dist::AllreduceBarrier).
 constexpr double kRowsPerMergeRound = 256.0;
 constexpr double kMergePayloadBytes = 32.0 * 1024.0;
 

@@ -13,7 +13,8 @@
 // it does not hurt balance.
 //
 // Oversized pairs can instead be SHARDED across several devices: their
-// instances split into contiguous ranges solved by dist::DistSmoSolver. The
+// instances split into contiguous ranges, one shard group that
+// BatchSmoSolver solves as one pair (solver/batch_smo_solver.h). The
 // scheduler decides between whole-pair placement and intra-pair sharding by
 // comparing the LPT placement's load against the sharded group's per-member
 // load plus an allreduce merge estimate priced under the node topology's
@@ -23,8 +24,9 @@
 //
 // The schedule affects only WHERE a pair trains, never its solution: pair
 // solutions are schedule-invariant whole or sharded (see mp_trainer.h and
-// dist/dist_solver.h), so any assignment yields the same model. Everything
-// here is deterministic — ties break on the lowest pair index / device index.
+// solver/batch_smo_solver.h), so any assignment yields the same model.
+// Everything here is deterministic — ties break on the lowest pair index /
+// device index.
 
 #ifndef GMPSVM_CLUSTER_PAIR_SCHEDULER_H_
 #define GMPSVM_CLUSTER_PAIR_SCHEDULER_H_

@@ -234,6 +234,7 @@ Status MpTrainOptions::Validate(int num_classes) const {
     return Status::InvalidArgument(StrPrintf("c must be positive, got %g", c));
   }
   GMP_RETURN_NOT_OK(batch.Validate());
+  GMP_RETURN_NOT_OK(smo.Validate());
   if (!class_weights.empty()) {
     if (num_classes > 0 &&
         class_weights.size() != static_cast<size_t>(num_classes)) {

@@ -132,11 +132,11 @@ struct MpTrainOptions {
   // data-parallel kernel ops still use the threads otherwise.
   int host_threads = 0;
 
-  // Checks the whole configuration, including the nested batch-solver
-  // options, and returns InvalidArgument naming the offending field. Pass
-  // the dataset's class count to also check class_weights (0 skips that
-  // check when no dataset is at hand). Both trainers call this before
-  // touching the data.
+  // Checks the whole configuration, including the nested batch- and
+  // classic-solver options, and returns InvalidArgument naming the
+  // offending field. Pass the dataset's class count to also check
+  // class_weights (0 skips that check when no dataset is at hand). Both
+  // trainers call this before touching the data.
   Status Validate(int num_classes = 0) const;
 };
 
@@ -224,7 +224,7 @@ using PairFaultInjectorFactory =
 // (one per problem row, mapped onto the new problem's row order), or an empty
 // vector to solve cold. The online pipeline derives the seeds from the
 // previous model's PairCheckpoint; the seeds are clamped into the box and
-// constraint-repaired by BatchSmoSolver::SolveWarm, so any previous solution
+// constraint-repaired by BatchSmoSolver::Solve, so any previous solution
 // of overlapping data is a legal seed. Called once per pair before its first
 // attempt; cluster devices call it concurrently.
 using PairWarmStartProvider =

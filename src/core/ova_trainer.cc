@@ -56,7 +56,7 @@ Result<OvaModel> OvaTrainer::Train(const Dataset& dataset, SimExecutor* executor
   const auto solve_class = [&](ClassTask* task, SimExecutor* exec,
                                StreamId stream) -> Status {
     GMP_ASSIGN_OR_RETURN(task->solution,
-                         solver.Solve(task->problem, computer, exec, stream,
+                         solver.Solve(task->problem, computer, {exec, stream},
                                       &task->stats));
     GMP_ASSIGN_OR_RETURN(
         task->sigmoid,

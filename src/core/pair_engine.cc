@@ -159,16 +159,15 @@ PairEngine GmpPairEngine(const Dataset& dataset, const MpTrainOptions& options,
                      std::span<const double> warm_alpha, SimExecutor* exec,
                      StreamId stream, SolverStats* stats) {
     if (shared == nullptr) {
-      return solver.SolveWarm(problem, computer, warm_alpha, exec, stream,
-                              stats);
+      return solver.Solve(problem, computer, {exec, stream}, stats, warm_alpha);
     }
     SharedRowSource source(&problem, s, t, shared, &computer);
-    return solver.SolveWarm(problem, computer, &source, warm_alpha, exec,
-                            stream, stats);
+    return solver.Solve(problem, computer, {exec, stream}, stats, warm_alpha,
+                        &source);
   };
   engine.solve_fold = [solver, &computer](const BinaryProblem& sub,
                                           SimExecutor* exec, StreamId stream) {
-    return solver.Solve(sub, computer, exec, stream, nullptr);
+    return solver.Solve(sub, computer, {exec, stream}, nullptr);
   };
   return engine;
 }

@@ -7,10 +7,11 @@
 // own solver: SequentialMpTrainer with SmoSolver on the default stream;
 // GmpSvmTrainer and each cluster device with BatchSmoSolver, cold or
 // warm-seeded, with or without the shared block cache (GmpPairEngine); a
-// sharded cluster pair with DistSmoSolver, through RunPairWithRetry on its
-// coordinator. Pairs run serially, or by ordered fork/join on satellite
-// executors (device/fork_join.h) when ForkJoinPool allows it; either way
-// every model, simulated second, counter and span matches the serial run.
+// sharded cluster pair with BatchSmoSolver on its shard group, through
+// RunPairWithRetry on its coordinator. Pairs run serially, or by ordered
+// fork/join on satellite executors (device/fork_join.h) when ForkJoinPool
+// allows it; either way every model, simulated second, counter and span
+// matches the serial run.
 
 #ifndef GMPSVM_CORE_PAIR_ENGINE_H_
 #define GMPSVM_CORE_PAIR_ENGINE_H_

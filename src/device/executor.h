@@ -61,6 +61,17 @@ struct TaskCost {
   int64_t parallel_items = 1;
 };
 
+// Cost of one parallel reduction or elementwise pass over `n` values, each
+// item doing `flops_per_item` flops and reading `bytes_per_item` bytes.
+inline TaskCost VectorPassCost(int64_t n, double flops_per_item,
+                               double bytes_per_item) {
+  TaskCost cost;
+  cost.parallel_items = n;
+  cost.flops = flops_per_item * static_cast<double>(n);
+  cost.bytes_read = bytes_per_item * static_cast<double>(n);
+  return cost;
+}
+
 enum class TransferDirection { kHostToDevice, kDeviceToHost };
 
 class SimExecutor;

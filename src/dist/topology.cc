@@ -121,4 +121,47 @@ AllreduceCost EstimateAllreduce(const ClusterTopology& topology,
   return cost;
 }
 
+void DistStats::Merge(const DistStats& other) {
+  allreduces += other.allreduces;
+  allreduce_rounds += other.allreduce_rounds;
+  merge_seconds += other.merge_seconds;
+  intra_node_bytes += other.intra_node_bytes;
+  inter_node_bytes += other.inter_node_bytes;
+}
+
+std::vector<std::pair<int64_t, int64_t>> ContiguousShardRanges(int64_t n,
+                                                               int num_shards) {
+  std::vector<std::pair<int64_t, int64_t>> ranges;
+  if (num_shards < 1) return ranges;
+  ranges.reserve(static_cast<size_t>(num_shards));
+  const int64_t s = num_shards;
+  for (int64_t j = 0; j < s; ++j) {
+    ranges.emplace_back(j * n / s, (j + 1) * n / s);
+  }
+  return ranges;
+}
+
+void AllreduceBarrier(std::span<const Shard> shards,
+                      std::span<const int> devices,
+                      const ClusterTopology& topology, double payload_bytes,
+                      const char* label, DistStats* dist_stats) {
+  double t = 0.0;
+  for (const Shard& shard : shards) {
+    t = std::max(t, shard.executor->StreamTime(shard.stream));
+  }
+  const AllreduceCost cost = EstimateAllreduce(topology, devices, payload_bytes);
+  for (const Shard& shard : shards) {
+    const double dt =
+        t + cost.seconds - shard.executor->StreamTime(shard.stream);
+    if (dt > 0.0) shard.executor->AdvanceStream(shard.stream, dt, label);
+  }
+  if (dist_stats != nullptr) {
+    ++dist_stats->allreduces;
+    dist_stats->allreduce_rounds += cost.rounds;
+    dist_stats->merge_seconds += cost.seconds;
+    dist_stats->intra_node_bytes += cost.intra_node_bytes;
+    dist_stats->inter_node_bytes += cost.inter_node_bytes;
+  }
+}
+
 }  // namespace gmpsvm::dist

@@ -3,10 +3,12 @@
 // A ClusterTopology groups the cluster's flat device list into SimNodes and
 // prices the links between devices: peers on one node talk over the
 // intra-node link (NVLink/PCIe-peer class), devices on different nodes over
-// the inter-node link (datacenter network class). The distributed solver
-// (dist_solver.h) charges its merge steps through EstimateAllreduce, and the
-// pair scheduler uses the same estimate to decide whether sharding a pair's
-// instances across devices beats pair-level placement (docs/cost_model.md).
+// the inter-node link (datacenter network class). A binary solve sharded
+// across a group of devices (BatchSmoSolver on a shard group,
+// solver/batch_smo_solver.h) joins its shards' streams at each merge through
+// AllreduceBarrier, priced by EstimateAllreduce; the pair scheduler uses the
+// same estimate to decide whether sharding a pair's instances across devices
+// beats pair-level placement (docs/cost_model.md).
 //
 // Like the rest of the substrate this is a COST model only: merge arithmetic
 // runs exactly on the host; the topology decides how much simulated time and
@@ -17,9 +19,11 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "device/executor.h"
 
 namespace gmpsvm::dist {
 
@@ -97,6 +101,42 @@ struct AllreduceCost {
 AllreduceCost EstimateAllreduce(const ClusterTopology& topology,
                                 std::span<const int> devices,
                                 double payload_bytes);
+
+// One instance shard of a sharded solve. `device` is the global device index
+// in the ClusterTopology; `executor`/`stream` is where the shard's work is
+// charged. In a shard group, shards[0] is the coordinator.
+struct Shard {
+  SimExecutor* executor = nullptr;
+  StreamId stream = kDefaultStream;
+  int device = 0;
+  int64_t begin = 0;
+  int64_t end = 0;
+};
+
+// Communication accounting of one (or several merged) sharded solves.
+struct DistStats {
+  int64_t allreduces = 0;        // collective merges performed
+  int64_t allreduce_rounds = 0;  // sum of per-merge round counts
+  double merge_seconds = 0.0;    // simulated seconds spent in merges
+  double intra_node_bytes = 0.0;
+  double inter_node_bytes = 0.0;
+
+  void Merge(const DistStats& other);
+};
+
+// Deterministic contiguous ranges: shard j gets [j*n/S, (j+1)*n/S).
+std::vector<std::pair<int64_t, int64_t>> ContiguousShardRanges(int64_t n,
+                                                               int num_shards);
+
+// One merge of a shard group: joins every shard's stream at (latest stream
+// time) + the allreduce of `payload_bytes` across `devices` (the shards'
+// devices, in shard order), advancing each stream under `label`, and
+// accounts the merge into `dist_stats` (may be null). A zero payload is a
+// pure barrier; it still pays each round's link latency.
+void AllreduceBarrier(std::span<const Shard> shards,
+                      std::span<const int> devices,
+                      const ClusterTopology& topology, double payload_bytes,
+                      const char* label, DistStats* dist_stats);
 
 }  // namespace gmpsvm::dist
 

@@ -12,8 +12,8 @@ namespace gmpsvm::online {
 Status WarmRetrainOptions::Validate(int num_classes) const {
   GMP_RETURN_NOT_OK(
       cluster::ValidateClusterRun("warm retraining", train, fault, num_classes));
-  // Warm seeds need BatchSmoSolver::SolveWarm; DistSmoSolver has no warm
-  // path, so retrained pairs always train whole.
+  // BatchSmoSolver takes a warm seed on one shard only, so retrained pairs
+  // always train whole.
   if (schedule.max_shards_per_pair != 1) {
     return Status::InvalidArgument(StrPrintf(
         "warm retraining does not support intra-pair sharding: "
@@ -83,7 +83,7 @@ Result<MpSvmModel> WarmRetrain(const Dataset& dataset,
   // Warm seeds: the previous pair's alphas keyed by global row. sv_coef
   // stores alpha * y with alpha >= 0, so |sv_coef| recovers alpha regardless
   // of which side the row sat on — which also makes relabeled rows legal
-  // seeds (SolveWarm clamps into the box and repairs the equality
+  // seeds (the solver clamps a seed into the box and repairs the equality
   // constraint). Devices seed their pairs concurrently.
   std::atomic<int64_t> warm_seeded_rows{0};
   const PairWarmStartProvider warm_start =

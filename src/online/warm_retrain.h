@@ -5,7 +5,7 @@
 // rows or labels (deltas are append-only and row ids never move), so their
 // previous solutions are still optimal. WarmRetrain therefore retrains only
 // the affected pairs — seeded from the previous model's per-pair alphas
-// through BatchSmoSolver::SolveWarm, the classic SMO incremental-restart
+// through BatchSmoSolver's warm seed, the classic SMO incremental-restart
 // pattern — and carries every untouched PairCheckpoint into the assembled
 // model byte for byte.
 //
@@ -33,8 +33,7 @@ struct WarmRetrainOptions {
   MpTrainOptions train;
 
   // Pair-to-device scheduling of the retrained pairs. max_shards_per_pair
-  // must stay 1: warm seeds need BatchSmoSolver::SolveWarm, and the sharded
-  // solver (dist::DistSmoSolver) has no warm path.
+  // must stay 1: BatchSmoSolver takes a warm seed on one shard only.
   cluster::ScheduleOptions schedule;
 
   // Optional chaos plan for the retrained pairs: each pair gets an injector

@@ -13,94 +13,105 @@
 namespace gmpsvm {
 namespace {
 
-constexpr double kTau = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-TaskCost VectorPassCost(int64_t n, double flops_per_item, double bytes_per_item) {
-  TaskCost cost;
-  cost.parallel_items = n;
-  cost.flops = flops_per_item * static_cast<double>(n);
-  cost.bytes_read = bytes_per_item * static_cast<double>(n);
-  return cost;
-}
+// Serialized size of one working-set candidate: (int32 index, double f).
+constexpr double kCandidateBytes = 12.0;
 
-// Alpha deltas of one two-variable SMO update.
-struct SmoPairDelta {
-  double d_alpha_u = 0.0;
-  double d_alpha_l = 0.0;
-};
-
-// One LibSVM-style two-variable update for the working-set pair (u, l):
-// steps alpha[u]/alpha[l] along the constrained Newton direction and clips to
-// the box.
-SmoPairDelta SmoUpdatePair(int32_t u, int32_t l, std::span<const int8_t> y,
-                           double c_u_bound, double c_l_bound, double k_uu,
-                           double k_ll, double k_ul, std::span<const double> f,
-                           std::span<double> alpha) {
-  const double old_au = alpha[u];
-  const double old_al = alpha[l];
-  const double g_u = y[u] * f[u];
-  const double g_l = y[l] * f[l];
-  double& a_u = alpha[u];
-  double& a_l = alpha[l];
-  double quad = k_uu + k_ll - 2.0 * k_ul;
-  if (quad <= 0) quad = kTau;
-  if (y[u] != y[l]) {
-    const double delta = (-g_u - g_l) / quad;
-    const double diff = a_u - a_l;
-    a_u += delta;
-    a_l += delta;
-    if (diff > 0) {
-      if (a_l < 0) {
-        a_l = 0;
-        a_u = diff;
-      }
-    } else {
-      if (a_u < 0) {
-        a_u = 0;
-        a_l = -diff;
-      }
+// The shard-group rules of BatchSmoSolver::Solve (batch_smo_solver.h).
+Status CheckShardGroup(const BatchSmoOptions& options, const Placement& placement,
+                       int64_t n, bool warm, bool has_source) {
+  if (placement.topology == nullptr) {
+    return Status::InvalidArgument("a shard group requires a topology");
+  }
+  if (options.working_set.drop_policy != WorkingSetConfig::DropPolicy::kOldest) {
+    return Status::InvalidArgument("a shard group requires DropPolicy::kOldest");
+  }
+  const std::span<const dist::Shard> shards = placement.shards;
+  if (shards.size() > 1 && warm) {
+    return Status::InvalidArgument(
+        "a warm seed cannot be sharded; solve warm pairs on one shard");
+  }
+  if (shards.size() > 1 && has_source) {
+    return Status::InvalidArgument(
+        "a shard group computes its own kernel rows; pass no row source");
+  }
+  int64_t cursor = 0;
+  for (size_t si = 0; si < shards.size(); ++si) {
+    const dist::Shard& shard = shards[si];
+    if (shard.executor == nullptr) {
+      return Status::InvalidArgument("shard executor is null");
     }
-    if (diff > c_u_bound - c_l_bound) {
-      if (a_u > c_u_bound) {
-        a_u = c_u_bound;
-        a_l = c_u_bound - diff;
-      }
-    } else {
-      if (a_l > c_l_bound) {
-        a_l = c_l_bound;
-        a_u = c_l_bound + diff;
-      }
+    if (shard.begin != cursor || shard.end <= shard.begin) {
+      return Status::InvalidArgument(
+          "shards must be non-empty contiguous ranges covering [0, n)");
     }
-  } else {
-    const double delta = (g_u - g_l) / quad;
-    const double sum = a_u + a_l;
-    a_u -= delta;
-    a_l += delta;
-    if (sum > c_u_bound) {
-      if (a_u > c_u_bound) {
-        a_u = c_u_bound;
-        a_l = sum - c_u_bound;
-      }
-    } else {
-      if (a_l < 0) {
-        a_l = 0;
-        a_u = sum;
-      }
+    cursor = shard.end;
+    if (shard.device < 0 || shard.device >= placement.topology->num_devices()) {
+      return Status::InvalidArgument("shard device outside the topology");
     }
-    if (sum > c_l_bound) {
-      if (a_l > c_l_bound) {
-        a_l = c_l_bound;
-        a_u = sum - c_l_bound;
-      }
-    } else {
-      if (a_u < 0) {
-        a_u = 0;
-        a_l = sum;
-      }
+    // Fault parity with one shard needs a single injector consult sequence;
+    // only the coordinator may carry one.
+    if (si > 0 && shard.executor->fault_injector() != nullptr) {
+      return Status::InvalidArgument(
+          "only the coordinator shard may have a fault injector");
     }
   }
-  return SmoPairDelta{a_u - old_au, a_l - old_al};
+  if (cursor != n) {
+    return Status::InvalidArgument("shards do not cover the problem");
+  }
+  return Status::OK();
+}
+
+// Alpha seeding: clamps `warm_alpha` into the box, repairs the equality
+// constraint (clamping can break it), then rebuilds f from the seed with one
+// batched product over the seeds.
+void SeedAlpha(const BinaryProblem& problem, const KernelComputer& computer,
+               std::span<const double> warm_alpha, std::span<const double> cvec,
+               SimExecutor* executor, StreamId stream, std::vector<double>* alpha,
+               std::vector<double>* f) {
+  const int64_t n = problem.n();
+  const auto& y = problem.y;
+  double drift = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const double a = std::clamp(warm_alpha[static_cast<size_t>(i)], 0.0,
+                                cvec[static_cast<size_t>(i)]);
+    (*alpha)[static_cast<size_t>(i)] = a;
+    drift += a * static_cast<double>(y[i]);
+  }
+  for (int64_t i = 0; i < n && std::abs(drift) > 1e-12; ++i) {
+    double& a = (*alpha)[static_cast<size_t>(i)];
+    if (a <= 0.0) continue;
+    if ((drift > 0) == (y[i] > 0)) {
+      const double reduce = std::min(a, std::abs(drift));
+      a -= reduce;
+      drift -= static_cast<double>(y[i]) * reduce;
+    }
+  }
+  // f_i = sum_j alpha_j y_j K_ij - y_i via one batched product over seeds.
+  std::vector<int32_t> seed_locals;
+  for (int64_t j = 0; j < n; ++j) {
+    if ((*alpha)[static_cast<size_t>(j)] > 0.0) {
+      seed_locals.push_back(static_cast<int32_t>(j));
+    }
+  }
+  if (seed_locals.empty()) return;
+  std::vector<int32_t> seed_globals(seed_locals.size());
+  for (size_t m = 0; m < seed_locals.size(); ++m) {
+    seed_globals[m] = problem.rows[static_cast<size_t>(seed_locals[m])];
+  }
+  std::vector<double> block(seed_locals.size() * static_cast<size_t>(n));
+  computer.ComputeBlock(seed_globals, problem.rows, executor, stream,
+                        block.data());
+  for (size_t m = 0; m < seed_locals.size(); ++m) {
+    const double coef = (*alpha)[static_cast<size_t>(seed_locals[m])] *
+                        static_cast<double>(y[seed_locals[m]]);
+    const double* row = block.data() + m * static_cast<size_t>(n);
+    for (int64_t i = 0; i < n; ++i) (*f)[static_cast<size_t>(i)] += coef * row[i];
+  }
+  executor->Charge(
+      stream, VectorPassCost(n, 2.0 * static_cast<double>(seed_locals.size()),
+                             2 * sizeof(double)));
 }
 
 }  // namespace
@@ -155,7 +166,7 @@ SubproblemBatch::Counts SubproblemBatch::Run(
       const double grad_diff = f_w - f_u;
       if (grad_diff > 0) {
         double eta = diag_[static_cast<size_t>(u)] + diag_[p] - 2.0 * k_u_[p];
-        if (eta <= 0) eta = kTau;
+        if (eta <= 0) eta = kSmoTau;
         const double gain = grad_diff * grad_diff / eta;
         if (gain > best_gain) {
           best_gain = gain;
@@ -255,49 +266,10 @@ int BatchSmoOptions::InnerBudget(int ws_size, double delta, double delta0) const
 
 Result<BinarySolution> BatchSmoSolver::Solve(const BinaryProblem& problem,
                                              const KernelComputer& computer,
-                                             SimExecutor* executor, StreamId stream,
-                                             SolverStats* stats) const {
-  DirectRowSource source(&problem, &computer);
-  return SolveImpl(problem, computer, &source, {}, executor, stream, stats);
-}
-
-Result<BinarySolution> BatchSmoSolver::Solve(const BinaryProblem& problem,
-                                             const KernelComputer& computer,
-                                             KernelRowSource* source,
-                                             SimExecutor* executor, StreamId stream,
-                                             SolverStats* stats) const {
-  return SolveImpl(problem, computer, source, {}, executor, stream, stats);
-}
-
-Result<BinarySolution> BatchSmoSolver::SolveWarm(const BinaryProblem& problem,
-                                                 const KernelComputer& computer,
-                                                 std::span<const double> initial_alpha,
-                                                 SimExecutor* executor,
-                                                 StreamId stream,
-                                                 SolverStats* stats) const {
-  DirectRowSource source(&problem, &computer);
-  return SolveImpl(problem, computer, &source, initial_alpha, executor, stream,
-                   stats);
-}
-
-Result<BinarySolution> BatchSmoSolver::SolveWarm(const BinaryProblem& problem,
-                                                 const KernelComputer& computer,
-                                                 KernelRowSource* source,
-                                                 std::span<const double> initial_alpha,
-                                                 SimExecutor* executor,
-                                                 StreamId stream,
-                                                 SolverStats* stats) const {
-  return SolveImpl(problem, computer, source, initial_alpha, executor, stream,
-                   stats);
-}
-
-Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
-                                                 const KernelComputer& computer,
-                                                 KernelRowSource* source,
-                                                 std::span<const double> initial_alpha,
-                                                 SimExecutor* executor,
-                                                 StreamId stream,
-                                                 SolverStats* stats) const {
+                                             const Placement& placement,
+                                             SolverStats* stats,
+                                             std::span<const double> warm_alpha,
+                                             KernelRowSource* source) const {
   GMP_RETURN_NOT_OK(options_.Validate());
   const int64_t n = problem.n();
   if (n < 2) {
@@ -306,6 +278,25 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
   if (problem.C <= 0) {
     return Status::InvalidArgument("C must be positive");
   }
+  if (!warm_alpha.empty() && static_cast<int64_t>(warm_alpha.size()) != n) {
+    return Status::InvalidArgument("warm_alpha size mismatch");
+  }
+  if (!placement.shards.empty()) {
+    GMP_RETURN_NOT_OK(CheckShardGroup(options_, placement, n, !warm_alpha.empty(),
+                                      source != nullptr));
+  }
+  // Declared before the solver state so its row scratch is freed last: the
+  // order of a solve's frees decides where later allocations (a model's
+  // per-pair arrays) land on the heap, which moves prediction wall time.
+  DirectRowSource direct(&problem, &computer);
+  const dist::Shard whole{placement.executor, placement.stream, 0, 0, n};
+  const std::span<const dist::Shard> shards =
+      placement.shards.empty() ? std::span<const dist::Shard>(&whole, 1)
+                               : placement.shards;
+  const bool group = shards.size() > 1;
+  SimExecutor* coord = shards[0].executor;
+  const StreamId coord_stream = shards[0].stream;
+
   const auto& y = problem.y;
   // Per-instance box constraints (class-weighted C).
   std::vector<double> cvec(static_cast<size_t>(n));
@@ -319,14 +310,20 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
       std::max<int64_t>(options_.buffer_rows > 0 ? options_.buffer_rows : ws_size,
                         ws_size);
 
-  // Reserve the GPU buffer against the device budget. A transient (injected)
-  // allocation failure is retried in place; genuine OOM propagates.
+  // Reserve the GPU buffer against the device budget, each shard the slice
+  // of every buffered row covering its own range (one shard: the whole
+  // buffer). The coordinator reserves first and retries a transient
+  // (injected) failure in place; genuine OOM propagates. Other shards carry
+  // no injector, so theirs fail only on genuine OOM.
+  const auto slice_bytes = [&](const dist::Shard& shard) {
+    return static_cast<size_t>(buffer_rows * (shard.end - shard.begin)) *
+           sizeof(double);
+  };
   DeviceAllocation buffer_reservation;
+  std::vector<DeviceAllocation> peer_reservations;
   if (options_.buffer_on_device) {
-    const size_t buffer_bytes =
-        static_cast<size_t>(buffer_rows * n) * sizeof(double);
     for (int attempt = 1;; ++attempt) {
-      auto reservation = executor->Allocate(buffer_bytes);
+      auto reservation = coord->Allocate(slice_bytes(shards[0]));
       if (reservation.ok()) {
         buffer_reservation = std::move(*reservation);
         break;
@@ -337,63 +334,41 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
       }
       if (stats != nullptr) ++stats->alloc_retries;
     }
+    for (const dist::Shard& shard : shards.subspan(1)) {
+      GMP_ASSIGN_OR_RETURN(DeviceAllocation reservation,
+                           shard.executor->Allocate(slice_bytes(shard)));
+      peer_reservations.push_back(std::move(reservation));
+    }
   }
   KernelBuffer buffer(n, buffer_rows, options_.buffer_policy);
-  buffer.SetFaultInjector(executor->fault_injector());
+  buffer.SetFaultInjector(coord->fault_injector());
 
-  // Solver state.
+  // One n-length pass, each shard charging its own range.
+  const auto charge_pass = [&](double flops_per_item, double bytes_per_item) {
+    for (const dist::Shard& shard : shards) {
+      shard.executor->Charge(shard.stream,
+                             VectorPassCost(shard.end - shard.begin,
+                                            flops_per_item, bytes_per_item));
+    }
+  };
+  // A shard group joins its streams at each merge; one shard has none.
+  std::vector<int> devices;
+  if (group) {
+    for (const dist::Shard& shard : shards) devices.push_back(shard.device);
+  }
+  const auto merge = [&](double payload_bytes, const char* label) {
+    if (!group) return;
+    dist::AllreduceBarrier(shards, devices, *placement.topology, payload_bytes,
+                           label, placement.dist_stats);
+  };
+
+  // Solver state (host-resident).
   std::vector<double> alpha(static_cast<size_t>(n), 0.0);
   std::vector<double> f(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) f[static_cast<size_t>(i)] = -static_cast<double>(y[i]);
-  executor->Charge(stream, VectorPassCost(n, 1.0, sizeof(double)));
-
-  if (!initial_alpha.empty()) {
-    if (static_cast<int64_t>(initial_alpha.size()) != n) {
-      return Status::InvalidArgument("initial_alpha size mismatch");
-    }
-    // Alpha seeding: clamp into this problem's box, repair the equality
-    // constraint (clamping can break it), then rebuild f from the seed.
-    double drift = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const double a = std::clamp(initial_alpha[static_cast<size_t>(i)], 0.0,
-                                  cvec[static_cast<size_t>(i)]);
-      alpha[static_cast<size_t>(i)] = a;
-      drift += a * static_cast<double>(y[i]);
-    }
-    for (int64_t i = 0; i < n && std::abs(drift) > 1e-12; ++i) {
-      double& a = alpha[static_cast<size_t>(i)];
-      if (a <= 0.0) continue;
-      if ((drift > 0) == (y[i] > 0)) {
-        const double reduce = std::min(a, std::abs(drift));
-        a -= reduce;
-        drift -= static_cast<double>(y[i]) * reduce;
-      }
-    }
-    // f_i = sum_j alpha_j y_j K_ij - y_i via one batched product over seeds.
-    std::vector<int32_t> seed_locals;
-    for (int64_t j = 0; j < n; ++j) {
-      if (alpha[static_cast<size_t>(j)] > 0.0) {
-        seed_locals.push_back(static_cast<int32_t>(j));
-      }
-    }
-    if (!seed_locals.empty()) {
-      std::vector<int32_t> seed_globals(seed_locals.size());
-      for (size_t m = 0; m < seed_locals.size(); ++m) {
-        seed_globals[m] = problem.rows[static_cast<size_t>(seed_locals[m])];
-      }
-      std::vector<double> block(seed_locals.size() * static_cast<size_t>(n));
-      computer.ComputeBlock(seed_globals, problem.rows, executor, stream,
-                            block.data());
-      for (size_t m = 0; m < seed_locals.size(); ++m) {
-        const double coef = alpha[static_cast<size_t>(seed_locals[m])] *
-                            static_cast<double>(y[seed_locals[m]]);
-        const double* row = block.data() + m * static_cast<size_t>(n);
-        for (int64_t i = 0; i < n; ++i) f[static_cast<size_t>(i)] += coef * row[i];
-      }
-      executor->Charge(
-          stream, VectorPassCost(n, 2.0 * static_cast<double>(seed_locals.size()),
-                                 2 * sizeof(double)));
-    }
+  charge_pass(1.0, sizeof(double));
+  if (!warm_alpha.empty()) {
+    SeedAlpha(problem, computer, warm_alpha, cvec, coord, coord_stream, &alpha, &f);
   }
 
   std::vector<double> diag(static_cast<size_t>(n));
@@ -401,9 +376,22 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
     diag[static_cast<size_t>(i)] =
         computer.SelfKernelA(problem.rows[static_cast<size_t>(i)]);
   }
-  executor->Charge(stream, VectorPassCost(n, 2.0, sizeof(double)));
+  charge_pass(2.0, sizeof(double));
 
-  const double time_base = executor->StreamTime(stream);
+  // Kernel rows: the caller's source (or direct rows) on one shard; on a
+  // group, each shard's column slice.
+  if (source == nullptr) source = &direct;
+  std::vector<DirectRowSource> slices;
+  std::vector<WorkingSetSelector::ShardCandidates> candidates;
+  if (group) {
+    slices.reserve(shards.size());
+    for (const dist::Shard& shard : shards) {
+      slices.emplace_back(&problem, &computer, shard.begin, shard.end);
+    }
+    candidates.resize(shards.size());
+  }
+
+  const double time_base = coord->StreamTime(coord_stream);
   double kernel_time = 0.0;
   double subproblem_time = 0.0;
 
@@ -420,54 +408,81 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
       break;
     }
 
-    // Global convergence check (one parallel reduction over n).
+    // Global convergence check: one parallel reduction over n (per-shard
+    // partial reductions merged by one tiny allreduce; min/max merge
+    // bit-identically in any order).
     const ViolationExtremes ext = FindViolationExtremes(f, alpha, y, cvec);
-    executor->Charge(stream, VectorPassCost(n, 2.0, 2 * sizeof(double)));
+    charge_pass(2.0, 2 * sizeof(double));
+    merge(2 * sizeof(double), "allreduce_delta");
     const double delta = ext.f_low_max - ext.f_up_min;
     if (delta < options_.eps) break;
     if (delta0 < 0) delta0 = delta;
 
     // Refresh the working set. The charge prices the paper's device sort of
-    // f (n log n); the host reaches the same set by partial selection.
-    const std::vector<int32_t>& ws =
-        selector.Update(f, alpha, std::span<const int8_t>(y), cvec);
-    executor->Charge(stream,
-                     VectorPassCost(n, 2.0 * std::log2(static_cast<double>(n) + 2.0),
-                                    2 * sizeof(double)));
+    // f (n log n per shard); the host reaches the same set by partial
+    // selection. A group merges per-shard candidates, admitting exactly what
+    // the single-shard Update() would (working_set.h).
+    for (const dist::Shard& shard : shards) {
+      const int64_t len = shard.end - shard.begin;
+      shard.executor->Charge(
+          shard.stream,
+          VectorPassCost(len, 2.0 * std::log2(static_cast<double>(len) + 2.0),
+                         2 * sizeof(double)));
+    }
+    const std::vector<int32_t>& ws = [&]() -> const std::vector<int32_t>& {
+      if (!group) return selector.Update(f, alpha, y, cvec);
+      const int needed = selector.BeginDistributedRefresh();
+      for (size_t si = 0; si < shards.size(); ++si) {
+        candidates[si] = selector.CollectShardCandidates(
+            shards[si].begin, shards[si].end, needed, f, alpha, y, cvec);
+      }
+      merge(2.0 * static_cast<double>(needed) * kCandidateBytes, "allreduce_ws");
+      return selector.FinishDistributedRefresh(candidates, f);
+    }();
 
     // Ensure all working-set rows are buffered; batch-compute the missing
     // ones (this is THE kernel-value computation of Figure 11).
     buffer.Pin(ws);
     buffer.Partition(ws, &present, &missing);
     if (!missing.empty()) {
-      const double t0 = executor->StreamTime(stream);
+      const double t0 = coord->StreamTime(coord_stream);
       GMP_ASSIGN_OR_RETURN(std::vector<double*> slots, buffer.InsertBatch(missing));
       // Recovery: under an attached fault injector the batched row launch can
       // fail transiently. Each failed attempt burns a launch slot on the
-      // stream; bounded retries either get through (the injector's
-      // consecutive cap guarantees progress for well-formed plans) or give up
-      // with kUnavailable for the trainer's pair-level retry to handle.
-      fault::FaultInjector* injector = executor->fault_injector();
+      // coordinator's stream; bounded retries either get through (the
+      // injector's consecutive cap guarantees progress for well-formed plans)
+      // or give up with kUnavailable for the trainer's pair-level retry.
+      fault::FaultInjector* injector = coord->fault_injector();
       int failed_attempts = 0;
       while (injector != nullptr &&
              injector->ShouldInject(fault::Site::kKernelRowBatch)) {
-        executor->Charge(stream, TaskCost{});  // failed launch overhead
+        coord->Charge(coord_stream, TaskCost{});  // failed launch overhead
         if (stats != nullptr) ++stats->kernel_row_retries;
         if (++failed_attempts >= options_.max_row_batch_retries) {
           return Status::Unavailable(
               StrPrintf("kernel row batch failed %d times on stream %d",
-                        failed_attempts, stream));
+                        failed_attempts, coord_stream));
         }
       }
-      source->ComputeRows(missing, slots, executor, stream);
-      kernel_time += executor->StreamTime(stream) - t0;
+      for (size_t si = 0; si < shards.size(); ++si) {
+        KernelRowSource* rows = group ? &slices[si] : source;
+        rows->ComputeRows(missing, slots, shards[si].executor, shards[si].stream);
+      }
+      // The inner loop (coordinator) reads fresh rows only at working-set
+      // columns: gather those entries of every computed row.
+      merge(static_cast<double>(missing.size()) * static_cast<double>(ws_size) *
+                sizeof(double),
+            "ws_gather");
+      kernel_time += coord->StreamTime(coord_stream) - t0;
       if (stats != nullptr) {
         stats->kernel_rows_computed += static_cast<int64_t>(missing.size());
       }
     }
     if (!present.empty()) {
-      executor->counters().kernel_values_reused +=
-          static_cast<int64_t>(present.size()) * n;
+      for (const dist::Shard& shard : shards) {
+        shard.executor->counters().kernel_values_reused +=
+            static_cast<int64_t>(present.size()) * (shard.end - shard.begin);
+      }
       if (stats != nullptr) {
         stats->kernel_rows_reused += static_cast<int64_t>(present.size());
       }
@@ -478,9 +493,9 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
       GMP_DCHECK(ws_rows.back() != nullptr);
     }
 
-    // Inner loop: solve SMO subproblems restricted to the working set using
-    // only buffered kernel values.
-    const double inner_t0 = executor->StreamTime(stream);
+    // Inner loop on the coordinator: solve SMO subproblems restricted to the
+    // working set using only buffered kernel values.
+    const double inner_t0 = coord->StreamTime(coord_stream);
     const SubproblemBatch::Counts done =
         batch.Run(ws, ws_rows, options_.InnerBudget(ws_size, delta, delta0),
                   options_.eps, y, cvec, diag, f, alpha);
@@ -490,21 +505,23 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
     // launch rather than one launch per subproblem — this is precisely the
     // "solving q/2 subproblems in a batch is cheaper" effect.
     if (inner_done > 0) {
-      TaskCost inner_cost = VectorPassCost(
-          ws_size, 12.0 * static_cast<double>(inner_done),
-          4.0 * static_cast<double>(inner_done) * sizeof(double));
-      executor->Charge(stream, inner_cost);
+      coord->Charge(coord_stream,
+                    VectorPassCost(ws_size, 12.0 * static_cast<double>(inner_done),
+                                   4.0 * static_cast<double>(inner_done) *
+                                       sizeof(double)));
     }
     iterations += inner_done;
-    subproblem_time += executor->StreamTime(stream) - inner_t0;
+    subproblem_time += coord->StreamTime(coord_stream) - inner_t0;
+
+    // Broadcast the batch's net alpha deltas so every shard can update its
+    // slice of f.
+    merge(static_cast<double>(ws_size) * sizeof(double), "allreduce_alpha");
 
     // The batch's net alpha change reached all n optimality indicators
     // (Equation (8) with the batch's aggregate delta; Line 11 of Alg. 2).
     const int changed = done.changed;
     if (changed > 0) {
-      TaskCost cost = VectorPassCost(n, 2.0 * changed,
-                                     static_cast<double>(changed) * sizeof(double));
-      executor->Charge(stream, cost);
+      charge_pass(2.0 * changed, static_cast<double>(changed) * sizeof(double));
     } else if (inner_done == 0) {
       // The working set admitted no violating pair although the global check
       // saw one; numerically stuck — bail out rather than loop forever.
@@ -513,13 +530,16 @@ Result<BinarySolution> BatchSmoSolver::SolveImpl(const BinaryProblem& problem,
     }
   }
 
+  // Final sync: the solve finishes when every shard's stream has drained.
+  merge(0.0, "dist_sync");
+
   if (stats != nullptr) {
     stats->iterations += iterations;
     stats->outer_rounds += rounds;
     stats->rows_poisoned += buffer.rows_poisoned();
     stats->phases.Add("kernel_values", kernel_time);
     stats->phases.Add("subproblem", subproblem_time);
-    stats->phases.Add("other", executor->StreamTime(stream) - time_base -
+    stats->phases.Add("other", coord->StreamTime(coord_stream) - time_base -
                                    kernel_time - subproblem_time);
   }
 

@@ -16,6 +16,36 @@
 //
 // The solver produces the same classifier as SmoSolver/LibSVM up to the
 // shared optimality tolerance (verified in tests and Table 4's bench).
+//
+// One outer loop runs every solve on a Placement: one shard covering [0, n)
+// on the caller's (executor, stream), or a contiguous shard group, the
+// pair's instances split across devices (intra-pair data parallelism). On a
+// group, each shard charges its slice of every n-length pass and computes
+// its column slice of the missing working-set rows; each shard selects its
+// own top-q violator candidates, and the working set is merged in the same
+// total order (f, index) the single-shard refresh uses; the inner
+// subproblems run on the coordinator (shards[0]). Merges join the shard
+// streams, priced as recursive-doubling allreduces on the cluster topology
+// (dist/topology.h): allreduce_delta, allreduce_ws, ws_gather (when rows
+// were missing) and allreduce_alpha each round, and dist_sync at the end.
+// One shard pays no merges.
+//
+// Determinism contract: the solution, SolverStats counters and every kernel
+// value are byte-identical whatever the placement, for any shard count and
+// any assignment of the shards to nodes; only simulated time (and hence
+// phase attribution) depends on the topology. Three facts carry the proof:
+//   * kernel slices: KernelComputer::ComputeBlock values are per-element
+//     independent of the target subset, so per-shard slices concatenate to
+//     the exact full-row bits;
+//   * selection: WorkingSetSelector's distributed refresh admits exactly the
+//     members its single-shard Update() would (working_set.h);
+//   * updates: the inner loop and the aggregate f update are one
+//     SubproblemBatch on the coordinator, and the convergence reduction
+//     merges min/max, which are order-free.
+// Fault parity: only the coordinator's executor may carry a FaultInjector
+// (the trainer attaches the per-pair injector there); the solver consults
+// kDeviceAlloc / kKernelRowBatch / kBufferEvict in the single-shard
+// sequence, so chaos runs recover the clean model too.
 
 #ifndef GMPSVM_SOLVER_BATCH_SMO_SOLVER_H_
 #define GMPSVM_SOLVER_BATCH_SMO_SOLVER_H_
@@ -25,6 +55,7 @@
 #include <vector>
 
 #include "device/executor.h"
+#include "dist/topology.h"
 #include "kernel/kernel_computer.h"
 #include "solver/kernel_buffer.h"
 #include "solver/kernel_row_source.h"
@@ -88,10 +119,8 @@ struct BatchSmoOptions {
 // lines 5-11): up to `budget` two-variable subproblems restricted to `ws`,
 // reading kernel values only from the members' buffered rows, then one push
 // of the batch's net alpha changes into the optimality indicators of every
-// non-member (Equation (8) with the batch's aggregate delta). Shared by
-// BatchSmoSolver and the distributed solver (src/dist), which must replicate
-// its arithmetic bit for bit. Members' state is gathered into position-
-// indexed arrays that persist across rounds.
+// non-member (Equation (8) with the batch's aggregate delta). Members' state
+// is gathered into position-indexed arrays that persist across rounds.
 class SubproblemBatch {
  public:
   struct Counts {
@@ -113,52 +142,51 @@ class SubproblemBatch {
   std::vector<double> k_u_;  // K(u, member) of the current subproblem
 };
 
+// Where a solve's rounds run (see the header comment).
+struct Placement {
+  // One shard covering [0, n) on (executor, stream).
+  Placement(SimExecutor* executor, StreamId stream)
+      : executor(executor), stream(stream) {}
+
+  // A shard group: non-empty contiguous shards covering [0, n) on devices
+  // of `topology`, shards[0] the coordinator. Merges are accounted into
+  // `dist_stats` when it is non-null. All three must outlive the solve.
+  Placement(std::span<const dist::Shard> shards,
+            const dist::ClusterTopology* topology, dist::DistStats* dist_stats)
+      : shards(shards), topology(topology), dist_stats(dist_stats) {}
+
+  SimExecutor* executor = nullptr;
+  StreamId stream = kDefaultStream;
+  std::span<const dist::Shard> shards;
+  const dist::ClusterTopology* topology = nullptr;
+  dist::DistStats* dist_stats = nullptr;
+};
+
 class BatchSmoSolver {
  public:
   explicit BatchSmoSolver(const BatchSmoOptions& options) : options_(options) {}
 
-  // Trains one binary SVM; kernel rows come from `source` (direct or shared).
+  // Trains one binary SVM on `placement`; `stats` may be null.
+  //
+  // A non-empty `warm_alpha` seeds the solve ("alpha seeding", DeCoste &
+  // Wagstaff): it is clamped into the problem's box and the equality
+  // constraint is repaired, which cuts iterations along hyper-parameter
+  // paths and lets the online pipeline restart a pair from its previous
+  // solution. Kernel rows come from `source` (the shared kernel-block path)
+  // or, when it is null, directly from the feature matrix.
+  //
+  // A shard group requires a topology and DropPolicy::kOldest (the
+  // distributed refresh cannot reproduce kLeastViolating's ties), allows a
+  // fault injector on the coordinator only, and on more than one shard
+  // takes neither a warm seed nor a row source: each shard computes its own
+  // column slice of the rows.
   Result<BinarySolution> Solve(const BinaryProblem& problem,
                                const KernelComputer& computer,
-                               KernelRowSource* source, SimExecutor* executor,
-                               StreamId stream, SolverStats* stats) const;
-
-  // Convenience overload using a DirectRowSource.
-  Result<BinarySolution> Solve(const BinaryProblem& problem,
-                               const KernelComputer& computer,
-                               SimExecutor* executor, StreamId stream,
-                               SolverStats* stats) const;
-
-  // Warm-started solve ("alpha seeding", DeCoste & Wagstaff): starts from
-  // `initial_alpha` (clamped into the problem's box; the equality constraint
-  // must already hold, as it does for any previous solution of the same
-  // data). Cuts iterations dramatically along hyper-parameter paths where
-  // consecutive problems share most of their solution.
-  Result<BinarySolution> SolveWarm(const BinaryProblem& problem,
-                                   const KernelComputer& computer,
-                                   std::span<const double> initial_alpha,
-                                   SimExecutor* executor, StreamId stream,
-                                   SolverStats* stats) const;
-
-  // Warm-started solve against an explicit kernel-row source (the shared
-  // kernel-block path); otherwise identical to SolveWarm above. This is the
-  // online pipeline's retraining entry point: initial_alpha comes from the
-  // previous model's per-pair checkpoint, mapped onto the new problem's rows.
-  Result<BinarySolution> SolveWarm(const BinaryProblem& problem,
-                                   const KernelComputer& computer,
-                                   KernelRowSource* source,
-                                   std::span<const double> initial_alpha,
-                                   SimExecutor* executor, StreamId stream,
-                                   SolverStats* stats) const;
+                               const Placement& placement, SolverStats* stats,
+                               std::span<const double> warm_alpha = {},
+                               KernelRowSource* source = nullptr) const;
 
  private:
-  Result<BinarySolution> SolveImpl(const BinaryProblem& problem,
-                                   const KernelComputer& computer,
-                                   KernelRowSource* source,
-                                   std::span<const double> initial_alpha,
-                                   SimExecutor* executor, StreamId stream,
-                                   SolverStats* stats) const;
-
   BatchSmoOptions options_;
 };
 

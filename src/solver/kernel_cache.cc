@@ -9,8 +9,11 @@ namespace gmpsvm {
 KernelCache::KernelCache(int64_t row_length, size_t capacity_bytes,
                          int64_t max_rows)
     : row_length_(std::max<int64_t>(1, row_length)) {
+  // An SMO step reads the rows of u and l together, so at least two rows fit
+  // whatever the budget (LibSVM's Cache does the same): with one, fetching l
+  // would evict u and hand back the same slot.
   capacity_rows_ = std::max<int64_t>(
-      1, static_cast<int64_t>(capacity_bytes / (sizeof(double) * row_length_)));
+      2, static_cast<int64_t>(capacity_bytes / (sizeof(double) * row_length_)));
   if (max_rows > 0) capacity_rows_ = std::min(capacity_rows_, max_rows);
   storage_.resize(static_cast<size_t>(capacity_rows_ * row_length_));
   free_slots_.reserve(static_cast<size_t>(capacity_rows_));

@@ -16,7 +16,7 @@ namespace gmpsvm {
 class KernelCache {
  public:
   // `row_length` values per row; capacity derived from `capacity_bytes`
-  // (at least one row is always cacheable). `max_rows`, when positive, caps
+  // (at least two rows are always cacheable). `max_rows`, when positive, caps
   // the capacity — a kernel matrix only has n distinct rows, so callers pass
   // the problem size to avoid reserving storage that can never fill.
   KernelCache(int64_t row_length, size_t capacity_bytes, int64_t max_rows = 0);

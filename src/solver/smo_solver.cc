@@ -7,30 +7,35 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "solver/kernel_cache.h"
 #include "solver/working_set.h"
 
 namespace gmpsvm {
 namespace {
 
-constexpr double kTau = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Cost of a parallel reduction / elementwise pass over n values.
-TaskCost VectorPassCost(int64_t n, double flops_per_item, double bytes_per_item) {
-  TaskCost cost;
-  cost.parallel_items = n;
-  cost.flops = flops_per_item * static_cast<double>(n);
-  cost.bytes_read = bytes_per_item * static_cast<double>(n);
-  return cost;
-}
-
 }  // namespace
+
+Status SmoOptions::Validate() const {
+  if (!(eps > 0.0)) {
+    return Status::InvalidArgument(
+        StrPrintf("smo.eps must be positive, got %g", eps));
+  }
+  if (max_iterations < 1) {
+    return Status::InvalidArgument(
+        StrPrintf("smo.max_iterations must be >= 1, got %lld",
+                  static_cast<long long>(max_iterations)));
+  }
+  return Status::OK();
+}
 
 Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
                                         const KernelComputer& computer,
                                         SimExecutor* executor, StreamId stream,
                                         SolverStats* stats) const {
+  GMP_RETURN_NOT_OK(options_.Validate());
   const int64_t n = problem.n();
   if (n < 2) {
     return Status::InvalidArgument("binary problem needs at least 2 instances");
@@ -181,7 +186,7 @@ Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
         double gain;
         if (second_order) {
           double eta = k_uu + diag[static_cast<size_t>(t)] - 2.0 * row_u[t];
-          if (eta <= 0) eta = kTau;
+          if (eta <= 0) eta = kSmoTau;
           gain = grad_diff * grad_diff / eta;
         } else {
           gain = grad_diff;  // maximal violating pair
@@ -211,84 +216,18 @@ Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
     const double* row_l = get_row(l);
     kernel_time += executor->StreamTime(stream) - t0;
 
-    // Step 2: update alpha_u and alpha_l with LibSVM's clipping.
-    const double old_au = alpha[static_cast<size_t>(u)];
-    const double old_al = alpha[static_cast<size_t>(l)];
-    const double g_u = y[u] * f_u;  // LibSVM gradient G_i = y_i f_i
-    const double g_l = y[l] * f[static_cast<size_t>(l)];
-    double& a_u = alpha[static_cast<size_t>(u)];
-    double& a_l = alpha[static_cast<size_t>(l)];
-    const double c_u = cvec[static_cast<size_t>(u)];
-    const double c_l = cvec[static_cast<size_t>(l)];
-    if (y[u] != y[l]) {
-      // LibSVM's QD[i]+QD[j]+2*Q_i[j] with Q_i[j] = y_i y_j K_ij = -K_ul here,
-      // i.e. eta = K_uu + K_ll - 2 K_ul in both branches. Clipping follows
-      // LibSVM's unequal-C form (C_u and C_l may differ under -wi weights).
-      double quad = k_uu + diag[static_cast<size_t>(l)] - 2.0 * row_u[l];
-      if (quad <= 0) quad = kTau;
-      const double delta = (-g_u - g_l) / quad;
-      const double diff = a_u - a_l;
-      a_u += delta;
-      a_l += delta;
-      if (diff > 0) {
-        if (a_l < 0) {
-          a_l = 0;
-          a_u = diff;
-        }
-      } else {
-        if (a_u < 0) {
-          a_u = 0;
-          a_l = -diff;
-        }
-      }
-      if (diff > c_u - c_l) {
-        if (a_u > c_u) {
-          a_u = c_u;
-          a_l = c_u - diff;
-        }
-      } else {
-        if (a_l > c_l) {
-          a_l = c_l;
-          a_u = c_l + diff;
-        }
-      }
-    } else {
-      double quad = k_uu + diag[static_cast<size_t>(l)] - 2.0 * row_u[l];
-      if (quad <= 0) quad = kTau;
-      const double delta = (g_u - g_l) / quad;
-      const double sum = a_u + a_l;
-      a_u -= delta;
-      a_l += delta;
-      if (sum > c_u) {
-        if (a_u > c_u) {
-          a_u = c_u;
-          a_l = sum - c_u;
-        }
-      } else {
-        if (a_l < 0) {
-          a_l = 0;
-          a_u = sum;
-        }
-      }
-      if (sum > c_l) {
-        if (a_l > c_l) {
-          a_l = c_l;
-          a_u = sum - c_l;
-        }
-      } else {
-        if (a_u < 0) {
-          a_u = 0;
-          a_l = sum;
-        }
-      }
-    }
+    // Step 2: update alpha_u and alpha_l with LibSVM's clipping. LibSVM's
+    // QD[i]+QD[j]+2*Q_i[j] with Q_i[j] = y_i y_j K_ij is K_uu + K_ll - 2 K_ul
+    // in both label cases; C_u and C_l may differ under -wi weights.
+    const SmoPairDelta step =
+        SmoUpdatePair(u, l, y, cvec[static_cast<size_t>(u)],
+                      cvec[static_cast<size_t>(l)], k_uu,
+                      diag[static_cast<size_t>(l)], row_u[l], f, alpha);
     executor->Charge(stream, VectorPassCost(1, 20.0, 0.0));
 
     // Step 3: update all optimality indicators (Equation (8)).
-    const double d_au = a_u - old_au;
-    const double d_al = a_l - old_al;
-    const double yu_dau = y[u] * d_au;
-    const double yl_dal = y[l] * d_al;
+    const double yu_dau = y[u] * step.d_alpha_u;
+    const double yl_dal = y[l] * step.d_alpha_l;
     for (int32_t i : active) {
       f[static_cast<size_t>(i)] += yu_dau * row_u[i] + yl_dal * row_l[i];
     }

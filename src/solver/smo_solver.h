@@ -50,6 +50,12 @@ struct SmoOptions {
   // GPUSVM) — typically more, cheaper iterations.
   enum class Selection { kSecondOrder, kFirstOrder };
   Selection selection = Selection::kSecondOrder;
+
+  // Checks eps > 0 (which also rejects NaN: the stop test would never hold)
+  // and max_iterations >= 1, returning InvalidArgument that names the field
+  // as MpTrainOptions spells it (smo.eps, smo.max_iterations). Called by
+  // SmoSolver::Solve and MpTrainOptions::Validate.
+  Status Validate() const;
 };
 
 class SmoSolver {

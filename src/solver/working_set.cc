@@ -58,6 +58,76 @@ ViolationExtremes FindViolationExtremes(std::span<const double> f,
   return ext;
 }
 
+SmoPairDelta SmoUpdatePair(int32_t u, int32_t l, std::span<const int8_t> y,
+                           double c_u, double c_l, double k_uu, double k_ll,
+                           double k_ul, std::span<const double> f,
+                           std::span<double> alpha) {
+  const double old_au = alpha[u];
+  const double old_al = alpha[l];
+  const double g_u = y[u] * f[u];
+  const double g_l = y[l] * f[l];
+  double& a_u = alpha[u];
+  double& a_l = alpha[l];
+  double quad = k_uu + k_ll - 2.0 * k_ul;
+  if (quad <= 0) quad = kSmoTau;
+  if (y[u] != y[l]) {
+    const double delta = (-g_u - g_l) / quad;
+    const double diff = a_u - a_l;
+    a_u += delta;
+    a_l += delta;
+    if (diff > 0) {
+      if (a_l < 0) {
+        a_l = 0;
+        a_u = diff;
+      }
+    } else {
+      if (a_u < 0) {
+        a_u = 0;
+        a_l = -diff;
+      }
+    }
+    if (diff > c_u - c_l) {
+      if (a_u > c_u) {
+        a_u = c_u;
+        a_l = c_u - diff;
+      }
+    } else {
+      if (a_l > c_l) {
+        a_l = c_l;
+        a_u = c_l + diff;
+      }
+    }
+  } else {
+    const double delta = (g_u - g_l) / quad;
+    const double sum = a_u + a_l;
+    a_u -= delta;
+    a_l += delta;
+    if (sum > c_u) {
+      if (a_u > c_u) {
+        a_u = c_u;
+        a_l = sum - c_u;
+      }
+    } else {
+      if (a_l < 0) {
+        a_l = 0;
+        a_u = sum;
+      }
+    }
+    if (sum > c_l) {
+      if (a_l > c_l) {
+        a_l = c_l;
+        a_u = sum - c_l;
+      }
+    } else {
+      if (a_u < 0) {
+        a_u = 0;
+        a_l = sum;
+      }
+    }
+  }
+  return SmoPairDelta{a_u - old_au, a_l - old_al};
+}
+
 BinarySolution FinishSolution(std::vector<double> alpha, std::vector<double> f,
                               std::span<const int8_t> y,
                               std::span<const double> c) {

@@ -1,5 +1,6 @@
 // Working-set selection for the batched SMO solver (Section 3.3.1), and the
-// optimality-check helpers every SMO solver shares.
+// pieces every SMO solver shares: the optimality check, the two-variable
+// step and the solution finish.
 //
 // Each refresh keeps ws_size - q members of the previous working set and adds
 // the q most-violating eligible instances: the top q/2 by ascending
@@ -42,6 +43,25 @@ ViolationExtremes FindViolationExtremes(std::span<const double> f,
                                         std::span<const int8_t> y,
                                         std::span<const double> c);
 
+// Curvature floor of a two-variable step (LibSVM's TAU): a non-positive
+// K_uu + K_ll - 2 K_ul is replaced by it.
+inline constexpr double kSmoTau = 1e-12;
+
+// Alpha deltas of one two-variable SMO step.
+struct SmoPairDelta {
+  double d_alpha_u = 0.0;
+  double d_alpha_l = 0.0;
+};
+
+// One LibSVM-style two-variable step for the pair (u, l): moves alpha[u] and
+// alpha[l] along the constrained Newton direction and clips them to their
+// boxes [0, c_u] and [0, c_l] (LibSVM's unequal-C form). Reads the gradients
+// y_i f_i; leaves f for the caller to update.
+SmoPairDelta SmoUpdatePair(int32_t u, int32_t l, std::span<const int8_t> y,
+                           double c_u, double c_l, double k_uu, double k_ll,
+                           double k_ul, std::span<const double> f,
+                           std::span<double> alpha);
+
 // Packages a solver's final state: the bias of Equation (11), b = -rho,
 // where rho is the mean f over free support vectors or, when none is free,
 // the midpoint of the violation interval; and the dual objective of the
@@ -82,11 +102,11 @@ class WorkingSetSelector {
 
   const std::vector<int32_t>& working_set() const { return members_; }
 
-  // --- Distributed refresh (src/dist) ---------------------------------------
+  // --- Distributed refresh ---------------------------------------------------
   //
-  // Update() is this protocol over one shard covering [0, n). The distributed
-  // solver runs it without any shard looking at instances outside its
-  // contiguous range:
+  // Update() is this protocol over one shard covering [0, n). A solve on a
+  // shard group (batch_smo_solver.h) runs it without any shard looking at
+  // instances outside its contiguous range:
   //   1. BeginDistributedRefresh() drops the stale members (bookkeeping only
   //      under kOldest) and returns how many new violators the merge needs;
   //   2. each shard calls CollectShardCandidates() over its own range and

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "../test_util.h"
 #include "baselines/gpusvm_like.h"
@@ -128,6 +130,21 @@ TEST(OhdSvmLikeTest, SolvesBinaryProblemCorrectly) {
               1e-2 * (1.0 + std::abs(ref.objective)));
 }
 
+TEST(LibsvmRefTest, RejectsInvalidEpsAtOnce) {
+  // The stop test never holds for eps <= 0 or NaN, so each pair would run
+  // to max_iterations; the options check refuses such an eps up front.
+  auto data = ValueOrDie(MakeMulticlassBlobs(3, 20, 4, 1.5, 19, 1.5));
+  for (double eps : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SimExecutor cpu = MakeLibsvmExecutor(1);
+    auto result = LibsvmRefTrainer(1.0, Gaussian(0.5), eps)
+                      .Train(data, &cpu, nullptr);
+    ASSERT_FALSE(result.ok()) << eps;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << eps;
+    EXPECT_NE(result.status().message().find("smo.eps"), std::string::npos)
+        << result.status().message();
+  }
+}
+
 TEST(GpuSvmLikeTest, BinaryOnly) {
   auto multi = ValueOrDie(MakeMulticlassBlobs(3, 10, 4, 2.0, 23));
   GpuSvmLikeOptions options;
@@ -152,6 +169,37 @@ TEST(GpuSvmLikeTest, MatchesReferenceObjective) {
   EXPECT_NEAR(solution.objective, ref.objective,
               2e-2 * (1.0 + std::abs(ref.objective)));
   EXPECT_NEAR(solution.bias, ref.bias, 0.1);
+}
+
+TEST(GpuSvmLikeTest, OneRowCacheBudgetMatchesLargeCache) {
+  // The step reads the rows of u and l together; a cache budget under two
+  // rows still holds two, so the solution is the large-cache one bit for bit.
+  auto data = ValueOrDie(MakeMulticlassBlobs(2, 50, 4, 1.5, 19, 1.5));
+  GpuSvmLikeOptions options;
+  options.c = 1.0;
+  options.kernel = Gaussian(0.5);
+  options.cache_bytes = 64ull << 20;
+  GpuSvmLikeOptions one_row = options;
+  one_row.cache_bytes = 8;
+
+  SimExecutor exec_large = Gpu();
+  SolverStats stats_large;
+  const BinarySolution want = ValueOrDie(
+      GpuSvmLikeTrainer(options).Train(data, &exec_large, &stats_large));
+  SimExecutor exec_one = Gpu();
+  SolverStats stats_one;
+  const BinarySolution got =
+      ValueOrDie(GpuSvmLikeTrainer(one_row).Train(data, &exec_one, &stats_one));
+
+  EXPECT_EQ(stats_one.iterations, stats_large.iterations);
+  ASSERT_EQ(got.alpha.size(), want.alpha.size());
+  EXPECT_EQ(0, std::memcmp(got.alpha.data(), want.alpha.data(),
+                           want.alpha.size() * sizeof(double)));
+  ASSERT_EQ(got.f.size(), want.f.size());
+  EXPECT_EQ(0, std::memcmp(got.f.data(), want.f.data(),
+                           want.f.size() * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(&got.bias, &want.bias, sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(&got.objective, &want.objective, sizeof(double)));
 }
 
 TEST(GpuSvmLikeTest, DensePathCostsMoreOnSparseData) {

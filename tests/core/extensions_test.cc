@@ -250,7 +250,7 @@ TEST(LruBufferPolicyTest, SolverConvergesWithLru) {
   options.buffer_policy = KernelBuffer::Policy::kLru;
   SimExecutor exec = Gpu();
   auto sol = ValueOrDie(
-      BatchSmoSolver(options).Solve(p, kc, &exec, kDefaultStream, nullptr));
+      BatchSmoSolver(options).Solve(p, kc, {&exec, kDefaultStream}, nullptr));
   EXPECT_LT(::gmpsvm::testing::MaxKktViolation(p, kc, sol.alpha), 2e-3);
 }
 
@@ -334,7 +334,7 @@ TEST(ClassWeightsTest, BatchAndClassicSolversAgreeUnderWeights) {
   bopts.working_set.ws_size = 16;
   bopts.working_set.q = 8;
   auto batch = ValueOrDie(
-      BatchSmoSolver(bopts).Solve(p, kc, &e2, kDefaultStream, nullptr));
+      BatchSmoSolver(bopts).Solve(p, kc, {&e2, kDefaultStream}, nullptr));
   EXPECT_NEAR(batch.objective, ref.objective,
               1e-2 * (1.0 + std::abs(ref.objective)));
   EXPECT_NEAR(batch.bias, ref.bias, 5e-2);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <unordered_set>
 
 #include "../test_util.h"
@@ -245,6 +246,14 @@ TEST(MpTrainOptionsValidateTest, RejectsBadFieldsByName) {
   s = bad_ws.Validate(3);
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_NE(s.message().find("ws_size"), std::string::npos);
+
+  for (double eps : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    MpTrainOptions bad_smo_eps = options;
+    bad_smo_eps.smo.eps = eps;
+    s = bad_smo_eps.Validate(3);
+    EXPECT_TRUE(s.IsInvalidArgument()) << eps;
+    EXPECT_NE(s.message().find("smo.eps"), std::string::npos) << s.message();
+  }
 
   MpTrainOptions bad_weights = options;
   bad_weights.class_weights = {1.0, 2.0};  // 3 classes

@@ -1,11 +1,9 @@
-// Distributed (intra-pair sharded) SMO: the solver's byte-identity contract
-// against the single-device BatchSmoSolver — solution, f indicators, and
-// SolverStats counters — for any shard count and placement, clean and under
-// a chaos fault plan on the coordinator. Plus unit coverage for the network
-// cost model (topology.h): link pricing, recursive-doubling allreduce
-// rounds, and intra/inter byte classification.
-
-#include "dist/dist_solver.h"
+// Distributed (intra-pair sharded) SMO: BatchSmoSolver's byte-identity
+// contract between a shard group and one device — solution, f indicators,
+// and SolverStats counters — for any shard count and placement, clean and
+// under a chaos fault plan on the coordinator. Plus unit coverage for the
+// network cost model (topology.h): link pricing, recursive-doubling
+// allreduce rounds, and intra/inter byte classification.
 
 #include <gtest/gtest.h>
 
@@ -119,9 +117,8 @@ Solved SolveReference(const BinaryProblem& p, const BatchSmoOptions& opts,
   SimExecutor exec(ExecutorModel::TeslaP100());
   exec.SetFaultInjector(injector);
   Solved out;
-  out.solution = ValueOrDie(BatchSmoSolver(opts).Solve(p, kc, &exec,
-                                                       kDefaultStream,
-                                                       &out.stats));
+  out.solution = ValueOrDie(
+      BatchSmoSolver(opts).Solve(p, kc, {&exec, kDefaultStream}, &out.stats));
   return out;
 }
 
@@ -144,8 +141,8 @@ Solved SolveSharded(const BinaryProblem& p, const BatchSmoOptions& opts,
   }
   shards[0].executor->SetFaultInjector(injector);
   Solved out;
-  out.solution = ValueOrDie(DistSmoSolver(opts, &topo).Solve(
-      p, kc, shards, &out.stats, &out.dist));
+  out.solution = ValueOrDie(BatchSmoSolver(opts).Solve(
+      p, kc, {shards, &topo, &out.dist}, &out.stats));
   return out;
 }
 
@@ -250,8 +247,8 @@ TEST(DistSmoSolverTest, RejectsInjectorOnSecondaryShard) {
             ranges[0].second},
       Shard{devices.device(1), kDefaultStream, 1, ranges[1].first,
             ranges[1].second}};
-  auto result = DistSmoSolver(SmallOptions(), &topo)
-                    .Solve(p, kc, shards, nullptr, nullptr);
+  auto result = BatchSmoSolver(SmallOptions())
+                    .Solve(p, kc, {shards, &topo, nullptr}, nullptr);
   EXPECT_FALSE(result.ok());
 }
 
@@ -264,9 +261,38 @@ TEST(DistSmoSolverTest, RejectsNonCoveringShards) {
       cluster::SimCluster::Homogeneous(2, ExecutorModel::TeslaP100());
   std::vector<Shard> shards = {
       Shard{devices.device(0), kDefaultStream, 0, 0, p.n() - 1}};  // gap
-  auto result = DistSmoSolver(SmallOptions(), &topo)
-                    .Solve(p, kc, shards, nullptr, nullptr);
+  auto result = BatchSmoSolver(SmallOptions())
+                    .Solve(p, kc, {shards, &topo, nullptr}, nullptr);
   EXPECT_FALSE(result.ok());
+}
+
+TEST(DistSmoSolverTest, OneShardPaysNoMerges) {
+  BinaryBlobs blobs = MakeBinaryBlobs(20, 3, 2.0, 5);
+  BinaryProblem p = MakeProblem(blobs, 1.0, Gaussian(0.5));
+  const ClusterTopology topo = ClusterTopology::SingleNode(2);
+  const Solved one = SolveSharded(p, SmallOptions(), topo, 1, nullptr);
+  EXPECT_EQ(one.dist.allreduces, 0);
+  EXPECT_EQ(one.dist.merge_seconds, 0.0);
+}
+
+TEST(DistSmoSolverTest, RejectsWarmSeedOnSeveralShards) {
+  BinaryBlobs blobs = MakeBinaryBlobs(20, 3, 2.0, 5);
+  BinaryProblem p = MakeProblem(blobs, 1.0, Gaussian(0.5));
+  KernelComputer kc(p.data, p.kernel);
+  const ClusterTopology topo = ClusterTopology::SingleNode(2);
+  cluster::SimCluster devices =
+      cluster::SimCluster::Homogeneous(2, ExecutorModel::TeslaP100());
+  const auto ranges = ContiguousShardRanges(p.n(), 2);
+  std::vector<Shard> shards = {
+      Shard{devices.device(0), kDefaultStream, 0, ranges[0].first,
+            ranges[0].second},
+      Shard{devices.device(1), kDefaultStream, 1, ranges[1].first,
+            ranges[1].second}};
+  const std::vector<double> seed(static_cast<size_t>(p.n()), 0.0);
+  auto result = BatchSmoSolver(SmallOptions())
+                    .Solve(p, kc, {shards, &topo, nullptr}, nullptr, seed);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -215,9 +215,9 @@ TEST(WarmRetrainTest, RejectsInvalidOptionsAndMismatchedCheckpoints) {
   ASSERT_FALSE(r4.ok());
   EXPECT_TRUE(r4.status().IsInvalidArgument());
 
-  // Warm seeds need BatchSmoSolver::SolveWarm and the sharded solver has no
-  // warm path, so a schedule that would shard a retrained pair is rejected
-  // up front rather than dropping the pair.
+  // BatchSmoSolver takes a warm seed on one shard only, so a schedule that
+  // would shard a retrained pair is rejected up front rather than dropping
+  // the pair.
   cluster::SimCluster two =
       cluster::SimCluster::Homogeneous(2, ExecutorModel::TeslaP100());
   WarmRetrainOptions sharding;

@@ -37,7 +37,7 @@ TEST(BatchSmoSolverTest, SeparatesEasyBlobs) {
   SimExecutor exec(ExecutorModel::TeslaP100());
   BatchSmoSolver solver(SmallOptions());
   SolverStats stats;
-  auto sol = ValueOrDie(solver.Solve(p, kc, &exec, kDefaultStream, &stats));
+  auto sol = ValueOrDie(solver.Solve(p, kc, {&exec, kDefaultStream}, &stats));
   for (int64_t i = 0; i < p.n(); ++i) {
     const double v =
         DecisionValue(p, kc, sol.alpha, sol.bias, static_cast<int32_t>(i));
@@ -55,7 +55,7 @@ TEST(BatchSmoSolverTest, SatisfiesKktAtTolerance) {
   BatchSmoOptions opts = SmallOptions();
   opts.eps = 1e-3;
   BatchSmoSolver solver(opts);
-  auto sol = ValueOrDie(solver.Solve(p, kc, &exec, kDefaultStream, nullptr));
+  auto sol = ValueOrDie(solver.Solve(p, kc, {&exec, kDefaultStream}, nullptr));
   EXPECT_LT(MaxKktViolation(p, kc, sol.alpha), opts.eps + 1e-9);
 }
 
@@ -71,7 +71,7 @@ TEST(BatchSmoSolverTest, MatchesClassicSmoSolution) {
       SmoSolver(SmoOptions{}).Solve(p, kc, &exec1, kDefaultStream, nullptr));
   SimExecutor exec2(ExecutorModel::TeslaP100());
   auto batch = ValueOrDie(
-      BatchSmoSolver(SmallOptions()).Solve(p, kc, &exec2, kDefaultStream, nullptr));
+      BatchSmoSolver(SmallOptions()).Solve(p, kc, {&exec2, kDefaultStream}, nullptr));
 
   EXPECT_NEAR(batch.objective, ref.objective,
               1e-2 * (1.0 + std::abs(ref.objective)));
@@ -93,7 +93,7 @@ TEST(BatchSmoSolverTest, RespectsConstraints) {
   KernelComputer kc(p.data, p.kernel);
   SimExecutor exec(ExecutorModel::TeslaP100());
   auto sol = ValueOrDie(
-      BatchSmoSolver(SmallOptions()).Solve(p, kc, &exec, kDefaultStream, nullptr));
+      BatchSmoSolver(SmallOptions()).Solve(p, kc, {&exec, kDefaultStream}, nullptr));
   double sum_ya = 0.0;
   for (int64_t i = 0; i < p.n(); ++i) {
     EXPECT_GE(sol.alpha[static_cast<size_t>(i)], -1e-12);
@@ -110,7 +110,7 @@ TEST(BatchSmoSolverTest, BuffersReduceKernelRowRecomputation) {
   SimExecutor exec(ExecutorModel::TeslaP100());
   SolverStats stats;
   ValueOrDie(
-      BatchSmoSolver(SmallOptions()).Solve(p, kc, &exec, kDefaultStream, &stats));
+      BatchSmoSolver(SmallOptions()).Solve(p, kc, {&exec, kDefaultStream}, &stats));
   // Keep-half refreshes mean roughly half of each round's rows are reused.
   EXPECT_GT(stats.kernel_rows_reused, 0);
   EXPECT_GT(exec.counters().kernel_values_reused, 0);
@@ -134,7 +134,7 @@ TEST(BatchSmoSolverTest, FarFewerKernelRowsThanClassicSmo) {
   SimExecutor exec2(ExecutorModel::TeslaP100());
   SolverStats batch_stats;
   ValueOrDie(
-      BatchSmoSolver(SmallOptions()).Solve(p, kc, &exec2, kDefaultStream,
+      BatchSmoSolver(SmallOptions()).Solve(p, kc, {&exec2, kDefaultStream},
                                            &batch_stats));
 
   EXPECT_LT(batch_stats.kernel_rows_computed, classic_stats.kernel_rows_computed);
@@ -148,9 +148,9 @@ TEST(BatchSmoSolverTest, DeterministicAcrossRuns) {
   KernelComputer kc(p.data, p.kernel);
   BatchSmoSolver solver(SmallOptions());
   SimExecutor e1(ExecutorModel::TeslaP100());
-  auto s1 = ValueOrDie(solver.Solve(p, kc, &e1, kDefaultStream, nullptr));
+  auto s1 = ValueOrDie(solver.Solve(p, kc, {&e1, kDefaultStream}, nullptr));
   SimExecutor e2(ExecutorModel::TeslaP100());
-  auto s2 = ValueOrDie(solver.Solve(p, kc, &e2, kDefaultStream, nullptr));
+  auto s2 = ValueOrDie(solver.Solve(p, kc, {&e2, kDefaultStream}, nullptr));
   EXPECT_EQ(s1.alpha, s2.alpha);
   EXPECT_DOUBLE_EQ(s1.bias, s2.bias);
   EXPECT_DOUBLE_EQ(e1.NowSeconds(), e2.NowSeconds());
@@ -163,7 +163,7 @@ TEST(BatchSmoSolverTest, DeviceBufferCountsAgainstBudget) {
   SimExecutor exec(ExecutorModel::TeslaP100());
   BatchSmoOptions opts = SmallOptions(16, 8);
   opts.buffer_on_device = true;
-  ValueOrDie(BatchSmoSolver(opts).Solve(p, kc, &exec, kDefaultStream, nullptr));
+  ValueOrDie(BatchSmoSolver(opts).Solve(p, kc, {&exec, kDefaultStream}, nullptr));
   EXPECT_GE(exec.counters().peak_bytes_in_use,
             16u * static_cast<size_t>(p.n()) * sizeof(double));
   EXPECT_EQ(exec.bytes_in_use(), 0u);
@@ -177,7 +177,7 @@ TEST(BatchSmoSolverTest, FixedInnerPolicyAlsoConverges) {
   opts.inner_policy = BatchSmoOptions::InnerPolicy::kFixed;
   SimExecutor exec(ExecutorModel::TeslaP100());
   auto sol =
-      ValueOrDie(BatchSmoSolver(opts).Solve(p, kc, &exec, kDefaultStream, nullptr));
+      ValueOrDie(BatchSmoSolver(opts).Solve(p, kc, {&exec, kDefaultStream}, nullptr));
   EXPECT_LT(MaxKktViolation(p, kc, sol.alpha), opts.eps + 1e-9);
 }
 
@@ -200,7 +200,7 @@ TEST_P(BatchSmoSweepTest, ConvergesToReferenceObjective) {
   BatchSmoOptions opts = SmallOptions(ws, q);
   SimExecutor exec(ExecutorModel::TeslaP100());
   auto sol =
-      ValueOrDie(BatchSmoSolver(opts).Solve(p, kc, &exec, kDefaultStream, nullptr));
+      ValueOrDie(BatchSmoSolver(opts).Solve(p, kc, {&exec, kDefaultStream}, nullptr));
   EXPECT_LT(MaxKktViolation(p, kc, sol.alpha), 2e-3);
   EXPECT_NEAR(sol.objective, ref.objective, 1e-2 * (1.0 + std::abs(ref.objective)));
 }
@@ -220,16 +220,16 @@ TEST(BatchSmoSolverTest, AlphaSeedingCutsIterationsOnCPath) {
 
   BinaryProblem p1 = MakeProblem(blobs, 1.0, kernel);
   SimExecutor e0(ExecutorModel::TeslaP100());
-  auto base = ValueOrDie(solver.Solve(p1, kc, &e0, kDefaultStream, nullptr));
+  auto base = ValueOrDie(solver.Solve(p1, kc, {&e0, kDefaultStream}, nullptr));
 
   BinaryProblem p2 = MakeProblem(blobs, 1.3, kernel);  // nearby C
   SimExecutor e_cold(ExecutorModel::TeslaP100());
   SolverStats cold;
-  auto cold_sol = ValueOrDie(solver.Solve(p2, kc, &e_cold, kDefaultStream, &cold));
+  auto cold_sol = ValueOrDie(solver.Solve(p2, kc, {&e_cold, kDefaultStream}, &cold));
   SimExecutor e_warm(ExecutorModel::TeslaP100());
   SolverStats warm;
   auto warm_sol = ValueOrDie(
-      solver.SolveWarm(p2, kc, base.alpha, &e_warm, kDefaultStream, &warm));
+      solver.Solve(p2, kc, {&e_warm, kDefaultStream}, &warm, base.alpha));
 
   EXPECT_LT(warm.iterations, cold.iterations);
   EXPECT_NEAR(warm_sol.objective, cold_sol.objective,
@@ -246,8 +246,8 @@ TEST(BatchSmoSolverTest, AlphaSeedingRepairsBrokenConstraints) {
   std::vector<double> bad_seed(static_cast<size_t>(p.n()), 5.0);  // way out of box
   SimExecutor exec(ExecutorModel::TeslaP100());
   auto sol = ValueOrDie(BatchSmoSolver(SmallOptions())
-                            .SolveWarm(p, kc, bad_seed, &exec, kDefaultStream,
-                                       nullptr));
+                            .Solve(p, kc, {&exec, kDefaultStream}, nullptr,
+                                   bad_seed));
   double sum_ya = 0.0;
   for (int64_t i = 0; i < p.n(); ++i) {
     EXPECT_GE(sol.alpha[static_cast<size_t>(i)], -1e-12);
@@ -265,7 +265,7 @@ TEST(BatchSmoSolverTest, AlphaSeedingRejectsWrongSize) {
   std::vector<double> seed(3, 0.0);
   SimExecutor exec(ExecutorModel::TeslaP100());
   EXPECT_FALSE(BatchSmoSolver(SmallOptions())
-                   .SolveWarm(p, kc, seed, &exec, kDefaultStream, nullptr)
+                   .Solve(p, kc, {&exec, kDefaultStream}, nullptr, seed)
                    .ok());
 }
 
@@ -300,7 +300,7 @@ TEST(BatchSmoOptionsValidateTest, NamesTheOffendingField) {
   BinaryProblem p = MakeProblem(blobs, 1.0, Gaussian(0.3));
   KernelComputer kc(p.data, p.kernel);
   SimExecutor exec(ExecutorModel::TeslaP100());
-  auto sol = BatchSmoSolver(bad_eps).Solve(p, kc, &exec, kDefaultStream,
+  auto sol = BatchSmoSolver(bad_eps).Solve(p, kc, {&exec, kDefaultStream},
                                            nullptr);
   ASSERT_FALSE(sol.ok());
   EXPECT_TRUE(sol.status().IsInvalidArgument());

@@ -30,13 +30,21 @@ TEST(KernelCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_NE(cache.Lookup(30), nullptr);
 }
 
-TEST(KernelCacheTest, AtLeastOneRowEvenWithTinyBudget) {
+TEST(KernelCacheTest, AtLeastTwoRowsEvenWithTinyBudget) {
+  // An SMO step reads two rows at once, so the floor is two rows (LibSVM's
+  // Cache does the same), still capped by max_rows.
   KernelCache cache(1000, /*capacity_bytes=*/1);
-  EXPECT_EQ(cache.capacity_rows(), 1);
+  EXPECT_EQ(cache.capacity_rows(), 2);
   cache.Insert(5)[999] = 7.0;
-  EXPECT_DOUBLE_EQ(cache.Lookup(5)[999], 7.0);
   cache.Insert(6)[0] = 1.0;
+  EXPECT_DOUBLE_EQ(cache.Lookup(5)[999], 7.0);
+  EXPECT_DOUBLE_EQ(cache.Lookup(6)[0], 1.0);
+  // The third insert evicts the least recent row (5 was looked up before 6).
+  cache.Insert(7);
   EXPECT_EQ(cache.Lookup(5), nullptr);
+  EXPECT_NE(cache.Lookup(6), nullptr);
+  EXPECT_NE(cache.Lookup(7), nullptr);
+  EXPECT_EQ(KernelCache(1000, 1, /*max_rows=*/1).capacity_rows(), 1);
 }
 
 TEST(KernelCacheTest, RowsCachedTracksOccupancy) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "../test_util.h"
 #include "device/executor.h"
 
@@ -156,6 +161,66 @@ TEST(SmoSolverTest, CacheReducesKernelRowComputation) {
   EXPECT_GT(stats_big.kernel_rows_reused, 0);
   // Same classifier regardless of cache size.
   EXPECT_EQ(stats_big.iterations, stats_tiny.iterations);
+}
+
+TEST(SmoSolverTest, OneRowCacheBudgetMatchesLargeCache) {
+  // A step reads the rows of u and l together, so the cache keeps at least
+  // two rows whatever its budget: with a one-row budget the second fetch
+  // would evict the first and both would read K(l, .).
+  BinaryBlobs blobs = MakeBinaryBlobs(50, 4, 1.0, 19, /*noise=*/1.5);
+  BinaryProblem p = MakeProblem(blobs, 1.0, Gaussian(0.5));
+  KernelComputer kc(p.data, p.kernel);
+
+  SmoOptions large_cache;
+  large_cache.cache_bytes = 64ull << 20;
+  SmoOptions one_row;
+  one_row.cache_bytes = static_cast<size_t>(p.n()) * sizeof(double);
+
+  SimExecutor exec_large(ExecutorModel::TeslaP100());
+  SolverStats stats_large;
+  const BinarySolution want = ValueOrDie(SmoSolver(large_cache).Solve(
+      p, kc, &exec_large, kDefaultStream, &stats_large));
+  SimExecutor exec_one(ExecutorModel::TeslaP100());
+  SolverStats stats_one;
+  const BinarySolution got = ValueOrDie(
+      SmoSolver(one_row).Solve(p, kc, &exec_one, kDefaultStream, &stats_one));
+
+  EXPECT_EQ(stats_one.iterations, stats_large.iterations);
+  ASSERT_EQ(got.alpha.size(), want.alpha.size());
+  EXPECT_EQ(0, std::memcmp(got.alpha.data(), want.alpha.data(),
+                           want.alpha.size() * sizeof(double)));
+  ASSERT_EQ(got.f.size(), want.f.size());
+  EXPECT_EQ(0, std::memcmp(got.f.data(), want.f.data(),
+                           want.f.size() * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(&got.bias, &want.bias, sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(&got.objective, &want.objective, sizeof(double)));
+}
+
+TEST(SmoSolverTest, RejectsInvalidOptionsByName) {
+  // A non-positive or NaN eps never satisfies the stop test, and zero
+  // iterations would return the all-zero alpha as a solution.
+  BinaryBlobs blobs = MakeBinaryBlobs(20, 3, 2.0, 5);
+  BinaryProblem p = MakeProblem(blobs, 1.0, Gaussian(0.5));
+  KernelComputer kc(p.data, p.kernel);
+  SimExecutor exec(ExecutorModel::TeslaP100());
+  const auto expect_rejected = [&](const SmoOptions& options,
+                                   const std::string& field) {
+    const auto result = SmoSolver(options).Solve(p, kc, &exec, kDefaultStream,
+                                                 nullptr);
+    ASSERT_FALSE(result.ok()) << field;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << field;
+    EXPECT_NE(result.status().message().find(field), std::string::npos)
+        << result.status().message();
+  };
+  SmoOptions negative_eps;
+  negative_eps.eps = -1.0;
+  expect_rejected(negative_eps, "smo.eps");
+  SmoOptions nan_eps;
+  nan_eps.eps = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(nan_eps, "smo.eps");
+  SmoOptions no_iterations;
+  no_iterations.max_iterations = 0;
+  expect_rejected(no_iterations, "smo.max_iterations");
 }
 
 TEST(SmoSolverTest, GpuBaselineCacheComesFromDeviceBudget) {

@@ -75,7 +75,7 @@ class SolverPropertyTest : public ::testing::TestWithParam<Case> {
       options.working_set.ws_size = 24;
       options.working_set.q = 12;
       return ValueOrDie(
-          BatchSmoSolver(options).Solve(p, kc, &exec, kDefaultStream, nullptr));
+          BatchSmoSolver(options).Solve(p, kc, {&exec, kDefaultStream}, nullptr));
     }
     return ValueOrDie(
         SmoSolver(SmoOptions{}).Solve(p, kc, &exec, kDefaultStream, nullptr));
@@ -169,7 +169,7 @@ TEST(SolverAgreementTest, BatchAndClassicAgreeAcrossSeeds) {
     options.working_set.ws_size = 16;
     options.working_set.q = 8;
     auto b = ValueOrDie(
-        BatchSmoSolver(options).Solve(p, kc, &e2, kDefaultStream, nullptr));
+        BatchSmoSolver(options).Solve(p, kc, {&e2, kDefaultStream}, nullptr));
     EXPECT_NEAR(a.objective, b.objective, 1e-2 * (1.0 + std::abs(a.objective)))
         << "seed " << seed;
     EXPECT_NEAR(a.bias, b.bias, 5e-2) << "seed " << seed;

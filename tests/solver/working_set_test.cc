@@ -428,8 +428,8 @@ TEST(WorkingSetReferenceTest, UpdateMatchesFullSortForBothDropPolicies) {
 
 // The merged shard selection must equal the full-sort selection exactly —
 // same members, same order — for any shard partition, across consecutive
-// refreshes of an evolving state. This is the property the distributed
-// solver's byte-identity proof leans on (dist/dist_solver.h).
+// refreshes of an evolving state. This is the property the sharded solve's
+// byte-identity proof leans on (solver/batch_smo_solver.h).
 TEST(WorkingSetDistributedRefreshTest, MatchesFullSortForAnyShardCount) {
   for (const RefCase& tc : kRefCases) {
     WorkingSetConfig cfg;
