@@ -65,6 +65,7 @@
 #include "online/delta.h"
 #include "online/retrain_daemon.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/cross_validation.h"
 #include "core/grid_search.h"
 #include "core/model_io.h"
@@ -179,22 +180,22 @@ int ParseCascadeArg(int argc, char** argv, int* arg, CascadeOptions* cascade) {
     if (*arg + 1 >= argc) return -1;
     return set_mode(argv[++*arg]) ? 1 : -1;
   }
-  if (std::strcmp(token, "--cascade-budget") == 0) {
-    if (*arg + 1 >= argc) return -1;
-    cascade->budget = std::atoi(argv[++*arg]);
-    return 1;
+  const bool budget = std::strcmp(token, "--cascade-budget") == 0;
+  const bool threshold = std::strcmp(token, "--cascade-threshold") == 0;
+  if (!budget && !threshold && std::strcmp(token, "--cascade-band") != 0) {
+    return 0;
   }
-  if (std::strcmp(token, "--cascade-threshold") == 0) {
-    if (*arg + 1 >= argc) return -1;
-    cascade->elimination_threshold = std::atof(argv[++*arg]);
-    return 1;
+  if (*arg + 1 >= argc) return -1;
+  const char* value = argv[++*arg];
+  const bool parsed =
+      budget ? ParseInt32(value, &cascade->budget)
+             : ParseDouble(value, threshold ? &cascade->elimination_threshold
+                                            : &cascade->ambiguity_band);
+  if (!parsed) {
+    std::fprintf(stderr, "error: %s needs a number, got '%s'\n", token, value);
+    return -1;
   }
-  if (std::strcmp(token, "--cascade-band") == 0) {
-    if (*arg + 1 >= argc) return -1;
-    cascade->ambiguity_band = std::atof(argv[++*arg]);
-    return 1;
-  }
-  return 0;
+  return 1;
 }
 
 // Writes `content` to `path`; returns false (with a message) on failure.

@@ -119,6 +119,23 @@ Status PredictOptions::Validate() const {
   return Status::OK();
 }
 
+MpSvmPredictor::MpSvmPredictor(const MpSvmModel* model) : model_(model) {
+  std::vector<int32_t> order(model->svms.size());
+  std::iota(order.begin(), order.end(), 0);
+  if (model->has_cascade_stats()) {
+    std::stable_sort(order.begin(), order.end(),
+                     [model](int32_t a, int32_t b) {
+                       return model->cascade[static_cast<size_t>(a)].score >
+                              model->cascade[static_cast<size_t>(b)].score;
+                     });
+  }
+  scan_.reserve(order.size());
+  for (const int32_t pi : order) {
+    const BinarySvmEntry& svm = model->svms[static_cast<size_t>(pi)];
+    scan_.push_back(ScanEntry{svm.class_s, svm.class_t, pi});
+  }
+}
+
 Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
                                               SimExecutor* executor,
                                               const PredictOptions& options) const {
@@ -328,30 +345,68 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
     // Coupling (or vote counting) waits for all SVM streams.
     for (StreamId s : streams) executor->StreamWait(kDefaultStream, s);
 
-    // Row-fused host pass: each row's decision values (gathered from the
-    // shared block through the tier's canonical gather-dot, the same tree the
-    // cascade's lazy path uses), sigmoids and coupling, with one k x k r
-    // scratch per chunk. Rows write disjoint outputs and status slots.
+    // Row-fused host pass over the tile's panels of kPanelRows rows: each
+    // row's decision values, sigmoids and coupling, with one k x k r scratch
+    // per chunk. On the shared path a panel's kernel-block rows are
+    // interleaved into one aligned panel (unused lanes of a partial panel
+    // read zeros), and each pair's coefficients stream once through
+    // gather_dot_panel for all of its rows. Each lane is bitwise the row's
+    // gather_dot, the tier's canonical tree that the cascade's lazy path
+    // uses too. A lone row keeps the plain gather_dot: a 1-row panel
+    // measured slower (as in BatchRowDots). Panels write disjoint outputs
+    // and status slots.
+    const int64_t num_panels =
+        (tile + simd::kPanelRows - 1) / simd::kPanelRows;
     row_status.assign(static_cast<size_t>(tile), Status::OK());
     executor->HostParallelFor(
-        tile, /*min_chunk=*/1, [&](int64_t begin, int64_t end) {
+        num_panels, /*min_chunk=*/1, [&](int64_t begin, int64_t end) {
           std::vector<double> r(static_cast<size_t>(k) * k, 0.0);
+          std::vector<double> panel_storage;
+          std::vector<double> panel_dv;  // pairs x kPanelRows, pair-major
           int64_t coupling_nanos = 0;
-          for (int64_t i = begin; i < end; ++i) {
-            const double* krow = share ? kblock.data() + i * pool : nullptr;
-            const auto decision_value = [&](size_t pi) {
-              const BinarySvmEntry& svm = model.svms[pi];
-              return share ? svm.bias + ops.gather_dot(svm.sv_coef.data(),
-                                                       svm.sv_pool_index.data(),
-                                                       svm.num_svs(), krow)
-                           : dv[pi * static_cast<size_t>(tile) + i];
-            };
-            double* out_row = result.probabilities.data() + (tile_begin + i) * k;
-            row_status[static_cast<size_t>(i)] =
-                FinishRow(model, voting, coupling, tile_begin + i,
-                          decision_value, r, out_row, &coupling_nanos);
-            result.labels[static_cast<size_t>(tile_begin + i)] =
-                ArgMax(out_row, k);
+          for (int64_t p = begin; p < end; ++p) {
+            const int64_t first = p * simd::kPanelRows;
+            const int rows = static_cast<int>(
+                std::min<int64_t>(simd::kPanelRows, tile - first));
+            const bool panel = share && rows > 1;
+            if (panel) {
+              double* block = simd::AlignedPanel(panel_storage, pool);
+              for (int64_t col = 0; col < pool; ++col) {
+                for (int lane = 0; lane < simd::kPanelRows; ++lane) {
+                  block[col * simd::kPanelRows + lane] =
+                      lane < rows ? kblock[(first + lane) * pool + col] : 0.0;
+                }
+              }
+              panel_dv.resize(model.svms.size() * simd::kPanelRows);
+              for (size_t pi = 0; pi < model.svms.size(); ++pi) {
+                const BinarySvmEntry& svm = model.svms[pi];
+                ops.gather_dot_panel(svm.sv_coef.data(),
+                                     svm.sv_pool_index.data(), svm.num_svs(),
+                                     block,
+                                     panel_dv.data() + pi * simd::kPanelRows);
+              }
+            }
+            for (int lane = 0; lane < rows; ++lane) {
+              const int64_t i = first + lane;
+              const double* krow = share ? kblock.data() + i * pool : nullptr;
+              const auto decision_value = [&](size_t pi) {
+                const BinarySvmEntry& svm = model.svms[pi];
+                if (panel) {
+                  return svm.bias + panel_dv[pi * simd::kPanelRows + lane];
+                }
+                if (!share) return dv[pi * static_cast<size_t>(tile) + i];
+                return svm.bias + ops.gather_dot(svm.sv_coef.data(),
+                                                 svm.sv_pool_index.data(),
+                                                 svm.num_svs(), krow);
+              };
+              double* out_row =
+                  result.probabilities.data() + (tile_begin + i) * k;
+              row_status[static_cast<size_t>(i)] =
+                  FinishRow(model, voting, coupling, tile_begin + i,
+                            decision_value, r, out_row, &coupling_nanos);
+              result.labels[static_cast<size_t>(tile_begin + i)] =
+                  ArgMax(out_row, k);
+            }
           }
           simd::RecordPathNanos(simd::SimdPath::kCoupling, coupling_nanos);
         });
@@ -445,19 +500,6 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
   const simd::SimdOps& ops = simd::OpsFor(options.simd);
   const CouplingOptions coupling = ResolveCoupling(options);
 
-  // Elimination scan order: most discriminative pairs first; models without
-  // cascade stats (v1 files) degrade to pair-index order. Stable sort breaks
-  // score ties by pair index.
-  std::vector<int32_t> order(static_cast<size_t>(num_pairs));
-  std::iota(order.begin(), order.end(), 0);
-  if (model.has_cascade_stats()) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&model](int32_t a, int32_t b) {
-                       return model.cascade[static_cast<size_t>(a)].score >
-                              model.cascade[static_cast<size_t>(b)].score;
-                     });
-  }
-
   const int budget = options.cascade.budget > 0
                          ? std::min(options.cascade.budget, num_pairs)
                          : std::min(num_pairs, 4 * k);
@@ -482,10 +524,11 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
 
   // Per-row accounting, aggregated serially after the parallel loop so that
   // charges and executor counters never depend on the thread partition.
-  // Kernel-row work is carried as OpStats straight from
-  // ComputeRowTargetsHost, so lazy rows charge flops/bytes exactly like the
-  // batched paths do (satellite of the SIMD-tier change).
+  // Kernel-row work is carried as OpStats straight from the row's LazyRow,
+  // so lazy rows charge flops/bytes exactly like the batched paths do, and
+  // its SIMD path counts are recorded once per tile.
   struct RowCounters {
+    KernelComputer::LazyCounts lazy;  // SIMD path counts of lazy values
     OpStats elim_stats;      // elimination-stage kernel-row work
     int64_t elim_fresh = 0;  // kernel values computed in the elimination stage
     int64_t elim_refs = 0;   // SV references gathered in the elimination stage
@@ -560,12 +603,14 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
             RowCounters& c = rc[static_cast<size_t>(i)];
             double* krow = share ? kblock.data() + i * pool : nullptr;
             uint8_t* cmask = share ? computed.data() + i * pool : nullptr;
+            // The test row, scattered once for all of its lazy values.
+            const KernelComputer::LazyRow lazy_row(computer, row_id);
 
             // One binary SVM's decision value, computing missing kernel
             // values lazily (shared) or per evaluation (ablation). The
             // coefficient gather runs through the tier's canonical
             // gather-dot — the same tree as the exact path — and kernel-row
-            // work is accumulated as OpStats from ComputeRowTargetsHost.
+            // work is accumulated as OpStats from lazy_row.
             const auto eval = [&](const BinarySvmEntry& svm, OpStats* stats,
                                   int64_t* fresh, int64_t* refs) -> double {
               const int64_t nsv = svm.num_svs();
@@ -581,8 +626,8 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
                 }
                 if (!pending.empty()) {
                   fresh_vals.resize(pending.size());
-                  *stats += computer.ComputeRowTargetsHost(row_id, pending,
-                                                           fresh_vals.data());
+                  *stats +=
+                      lazy_row.Compute(pending, fresh_vals.data(), &c.lazy);
                   for (size_t j = 0; j < pending.size(); ++j) {
                     krow[pending[j]] = fresh_vals[j];
                   }
@@ -593,8 +638,8 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
               } else {
                 if (nsv > 0) {
                   ktmp.resize(static_cast<size_t>(nsv));
-                  *stats += computer.ComputeRowTargetsHost(
-                      row_id, svm.sv_pool_index, ktmp.data());
+                  *stats += lazy_row.Compute(svm.sv_pool_index, ktmp.data(),
+                                             &c.lazy);
                   *fresh += nsv;
                 }
                 acc = ops.dot(svm.sv_coef.data(), ktmp.data(), nsv);
@@ -623,12 +668,13 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
             for (int oi = 0;
                  oi < num_pairs && c.elim_evals < budget && alive_count > 1;
                  ++oi) {
-              const int32_t pi = order[static_cast<size_t>(oi)];
-              const BinarySvmEntry& svm = model.svms[static_cast<size_t>(pi)];
-              if (alive[static_cast<size_t>(svm.class_s)] == 0 ||
-                  alive[static_cast<size_t>(svm.class_t)] == 0) {
+              const ScanEntry& scan = scan_[static_cast<size_t>(oi)];
+              if (alive[static_cast<size_t>(scan.class_s)] == 0 ||
+                  alive[static_cast<size_t>(scan.class_t)] == 0) {
                 continue;
               }
+              const int32_t pi = scan.pair;
+              const BinarySvmEntry& svm = model.svms[static_cast<size_t>(pi)];
               const double v =
                   eval(svm, &c.elim_stats, &c.elim_fresh, &c.elim_refs);
               const double r = svm.sigmoid.Probability(v);
@@ -726,8 +772,8 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
                 }
                 if (!pending.empty()) {
                   fresh_vals.resize(pending.size());
-                  c.fb_stats += computer.ComputeRowTargetsHost(
-                      row_id, pending, fresh_vals.data());
+                  c.fb_stats +=
+                      lazy_row.Compute(pending, fresh_vals.data(), &c.lazy);
                   for (size_t j = 0; j < pending.size(); ++j) {
                     krow[pending[j]] = fresh_vals[j];
                   }
@@ -760,18 +806,17 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
           simd::RecordPathNanos(simd::SimdPath::kCoupling, coupling_nanos);
         });
 
-    for (const Status& status : row_status) {
-      GMP_RETURN_NOT_OK(status);
-    }
-
     // Aggregate counters in row order and charge the stages. The OpStats
     // sums replay the serial row order, so charges are invariant to the
-    // thread partition.
+    // thread partition. The tile's SIMD path counts are recorded here, once,
+    // also when a row failed.
+    KernelComputer::LazyCounts lazy;
     OpStats elim_stats, fb_stats;
     int64_t elim_fresh = 0, elim_refs = 0, elim_evals = 0;
     int64_t fb_fresh = 0, fb_refs = 0, fb_rows = 0;
     int64_t coup = 0, eliminated = 0;
     for (const RowCounters& c : rc) {
+      lazy += c.lazy;
       elim_stats += c.elim_stats;
       elim_fresh += c.elim_fresh;
       elim_refs += c.elim_refs;
@@ -782,6 +827,10 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
       fb_rows += c.fallback;
       coup += c.coup_cube;
       eliminated += c.eliminated;
+    }
+    lazy.Record();
+    for (const Status& status : row_status) {
+      GMP_RETURN_NOT_OK(status);
     }
     result.cascade_rows += tile;
     result.cascade_pairs_evaluated += elim_evals;

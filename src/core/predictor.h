@@ -181,8 +181,11 @@ struct PredictResult {
 
 class MpSvmPredictor {
  public:
-  // The model must outlive the predictor.
-  explicit MpSvmPredictor(const MpSvmModel* model) : model_(model) {}
+  // The model must outlive the predictor and must not change while the
+  // predictor is in use: the cascade's scan table is built from it here,
+  // once, so a predictor kept per model (as the serving registry keeps one
+  // per version) pays for it once.
+  explicit MpSvmPredictor(const MpSvmModel* model);
 
   // Predicts coupled probabilities for every row of `test`.
   Result<PredictResult> Predict(const CsrMatrix& test, SimExecutor* executor,
@@ -215,7 +218,18 @@ class MpSvmPredictor {
                                        SimExecutor* executor,
                                        const PredictOptions& options) const;
 
+  // One pair of the cascade's elimination scan: the class pair it decides,
+  // so the scan skips dead pairs without touching their BinarySvmEntry.
+  struct ScanEntry {
+    int32_t class_s;
+    int32_t class_t;
+    int32_t pair;
+  };
+
   const MpSvmModel* model_;
+  // Every pair, most discriminative first (the model's PairCascadeStats
+  // score, ties by pair index); pair-index order for models without stats.
+  std::vector<ScanEntry> scan_;
 };
 
 }  // namespace gmpsvm

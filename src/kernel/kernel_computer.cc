@@ -95,19 +95,18 @@ void KernelComputer::ComputeBlock(std::span<const int32_t> batch,
       static_cast<int64_t>(batch.size() * targets.size());
 }
 
-OpStats KernelComputer::ComputeRowTargetsHost(int64_t row,
-                                              std::span<const int32_t> targets,
-                                              double* out) const {
+OpStats KernelComputer::LazyRow::Compute(std::span<const int32_t> targets,
+                                        double* out,
+                                        LazyCounts* counts) const {
   if (targets.empty()) return OpStats{};
-  OpStats stats = ScatterRowDots(*a_, row, *b_, targets, out, ops_);
-  const double norm_row = norms_a_[static_cast<size_t>(row)];
-  TransformRow(function_, *ops_, norm_row, norms_b_, targets, out);
-  // Counters only for the transform: this runs inside parallel per-row
-  // cascade loops, so no wall time is recorded (see RecordPath's contract).
+  const KernelComputer& c = computer_;
+  OpStats stats = scattered_.Dots(*c.b_, targets, out, &counts->dots);
+  TransformRow(c.function_, *c.ops_, c.norms_a_[static_cast<size_t>(row_)],
+               c.norms_b_, targets, out);
   const double transform_flops =
-      function_.FlopsPerValue() * static_cast<double>(targets.size());
-  simd::RecordPath(simd::SimdPath::kKernelTransform,
-                   static_cast<int64_t>(targets.size()), transform_flops);
+      c.function_.FlopsPerValue() * static_cast<double>(targets.size());
+  counts->transforms.Add(static_cast<int64_t>(targets.size()),
+                         transform_flops);
   stats.flops += transform_flops;
   return stats;
 }

@@ -46,16 +46,51 @@ class KernelComputer {
   // Single kernel value (host-side, uncharged). For tests and reference code.
   double Compute(int64_t row_a, int64_t row_b) const;
 
-  // Kernel values K(a.row(row), b.row(targets[j])) for an arbitrary target
-  // subset, computed on the host without charging the executor. Each value is
-  // bit-identical to the corresponding entry of a ComputeBlock block (same
-  // scatter-gather accumulation order and transform arithmetic), which is
-  // what lets lazy per-row consumers — the prediction cascade — stay
-  // byte-compatible with the batched path. Returns the OpStats for the row
-  // (the ScatterRowDots charge plus FlopsPerValue() per transformed target),
-  // so callers account lazy rows exactly like one batch row of ComputeBlock.
-  OpStats ComputeRowTargetsHost(int64_t row, std::span<const int32_t> targets,
-                                double* out) const;
+  // SIMD path counts of lazily computed kernel values. A caller sums them
+  // (per row, then per tile) and records them once, instead of touching the
+  // process-wide counters on every Compute.
+  struct LazyCounts {
+    simd::PathCounts dots;        // SimdPath::kScatterRowDots
+    simd::PathCounts transforms;  // SimdPath::kKernelTransform
+
+    LazyCounts& operator+=(const LazyCounts& o) {
+      dots += o.dots;
+      transforms += o.transforms;
+      return *this;
+    }
+    void Record() const {
+      dots.Record(simd::SimdPath::kScatterRowDots);
+      transforms.Record(simd::SimdPath::kKernelTransform);
+    }
+  };
+
+  // Kernel values of one row of `a` against arbitrary target subsets of `b`,
+  // computed lazily on the host without charging the executor. The row is
+  // scattered once, when the LazyRow is made (see ScatteredRow: one per
+  // thread at a time), and every Compute gathers against it.
+  class LazyRow {
+   public:
+    LazyRow(const KernelComputer& computer, int64_t row)
+        : computer_(computer),
+          row_(row),
+          scattered_(*computer.a_, row, computer.ops_) {}
+
+    // out[j] = K(a.row(row), b.row(targets[j])), bit-identical to the
+    // corresponding entry of a ComputeBlock block (same scatter-gather
+    // accumulation order and transform arithmetic), which is what lets lazy
+    // per-row consumers — the prediction cascade — stay byte-compatible with
+    // the batched path. Returns the OpStats of one batch row of ComputeBlock
+    // over `targets` (the row's nonzeros included), so callers account lazy
+    // rows exactly like batched ones, and adds the call to `*counts`. An
+    // empty `targets` does nothing.
+    OpStats Compute(std::span<const int32_t> targets, double* out,
+                    LazyCounts* counts) const;
+
+   private:
+    const KernelComputer& computer_;
+    int64_t row_;
+    ScatteredRow scattered_;
+  };
 
   // K(x_i, x_i) for a row of `a`.
   double SelfKernelA(int64_t row) const {

@@ -58,7 +58,7 @@ Result<DatasetDelta> RetrainDaemon::LoadDeltaWithRetry(
 }
 
 Result<RetrainDaemon::ServedRound> RetrainDaemon::ServeRound(
-    const Dataset& dataset, const MpSvmModel& model, uint64_t round,
+    const Dataset& dataset, const MpSvmPredictor& predictor, uint64_t round,
     RetrainDaemonReport* report) {
   ServedRound served;
   Rng rng = Rng(options_.traffic_seed).Fork(SplitMix64(0x5E54Eull + round));
@@ -74,7 +74,6 @@ Result<RetrainDaemon::ServedRound> RetrainDaemon::ServeRound(
     views.push_back(SparseRowView{dataset.features().RowIndices(row),
                                   dataset.features().RowValues(row)});
   }
-  MpSvmPredictor predictor(&model);
   GMP_ASSIGN_OR_RETURN(
       served.result,
       predictor.PredictRows(views, cluster_->device(0), options_.predict));
@@ -186,7 +185,7 @@ Result<RetrainDaemonReport> RetrainDaemon::Run(const Dataset& base,
     GMP_ASSIGN_OR_RETURN(handle, registry_->Get(options_.model_name));
     GMP_ASSIGN_OR_RETURN(
         ServedRound served,
-        ServeRound(current, *handle.model, round++, &report));
+        ServeRound(current, *handle.predictor, round++, &report));
     if (requests_counter != nullptr) {
       requests_counter->Add(static_cast<double>(options_.requests_per_round));
     }
@@ -228,7 +227,7 @@ Result<RetrainDaemonReport> RetrainDaemon::Run(const Dataset& base,
     GMP_ASSIGN_OR_RETURN(handle, registry_->Get(options_.model_name));
     GMP_ASSIGN_OR_RETURN(
         ServedRound canary_round,
-        ServeRound(current, *handle.model, round++, &report));
+        ServeRound(current, *handle.predictor, round++, &report));
     if (requests_counter != nullptr) {
       requests_counter->Add(static_cast<double>(options_.requests_per_round));
     }

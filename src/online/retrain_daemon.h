@@ -138,8 +138,8 @@ class RetrainDaemon {
   Result<DatasetDelta> LoadDeltaWithRetry(const std::string& path,
                                           RetrainDaemonReport* report);
   Result<ServedRound> ServeRound(const Dataset& dataset,
-                                 const MpSvmModel& model, uint64_t round,
-                                 RetrainDaemonReport* report);
+                                 const MpSvmPredictor& predictor,
+                                 uint64_t round, RetrainDaemonReport* report);
 
   RetrainDaemonOptions options_;
   ModelRegistry* registry_;

@@ -12,7 +12,7 @@ Result<int64_t> ModelRegistry::Register(const std::string& name,
   if (model.num_classes < 2 || model.svms.empty()) {
     return Status::InvalidArgument("cannot register an empty model: " + name);
   }
-  auto shared = std::make_shared<const MpSvmModel>(std::move(model));
+  auto shared = std::make_shared<const ModelVersion>(std::move(model));
   // Validation, the injected-failure gate and the commit share one critical
   // section: concurrent swaps of the same name fully serialize, so the
   // version a Register returns always describes the model it carried — a
@@ -22,7 +22,7 @@ Result<int64_t> ModelRegistry::Register(const std::string& name,
   // keeps serving.
   std::lock_guard<std::mutex> lock(mu_);
   if (validator_ != nullptr) {
-    Status validated = validator_(*shared);
+    Status validated = validator_(shared->model);
     if (!validated.ok()) {
       return Status::InvalidArgument("model validation failed for " + name +
                                      ": " + validated.message());
@@ -59,7 +59,11 @@ Result<ModelHandle> ModelRegistry::Get(const std::string& name) const {
   if (it == models_.end()) {
     return Status::FailedPrecondition("no model registered as: " + name);
   }
-  return ModelHandle{it->second.model, it->second.version, name};
+  const std::shared_ptr<const ModelVersion>& current = it->second.current;
+  return ModelHandle{{current, &current->model},
+                     it->second.version,
+                     name,
+                     {current, &current->predictor}};
 }
 
 bool ModelRegistry::Remove(const std::string& name) {

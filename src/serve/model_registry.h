@@ -1,11 +1,12 @@
 // ModelRegistry: named, versioned MpSvmModels with atomic hot-swap.
 //
 // Workers resolve a model by name into a ModelHandle — a shared_ptr snapshot
-// plus the version it carries. Registering a new model under an existing
-// name swaps the pointer under the registry lock; in-flight batches keep
-// predicting against the snapshot they already hold, so a swap never tears a
-// batch and never blocks on prediction work. Old versions are freed when the
-// last in-flight batch drops its handle.
+// plus the version it carries and the predictor built for that version.
+// Registering a new model under an existing name swaps the pointer under the
+// registry lock; in-flight batches keep predicting against the snapshot they
+// already hold, so a swap never tears a batch and never blocks on prediction
+// work. Old versions are freed when the last in-flight batch drops its
+// handle.
 
 #ifndef GMPSVM_SERVE_MODEL_REGISTRY_H_
 #define GMPSVM_SERVE_MODEL_REGISTRY_H_
@@ -16,10 +17,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/model.h"
+#include "core/predictor.h"
 
 namespace gmpsvm {
 
@@ -32,6 +35,10 @@ struct ModelHandle {
   std::shared_ptr<const MpSvmModel> model;
   int64_t version = 0;
   std::string name;
+  // The version's predictor, built once when it was registered (so its
+  // cascade tables are not rebuilt per batch). It shares the model's
+  // lifetime, so it never outlives the model it reads.
+  std::shared_ptr<const MpSvmPredictor> predictor;
 
   bool valid() const { return model != nullptr; }
 };
@@ -81,8 +88,20 @@ class ModelRegistry {
   size_t size() const;
 
  private:
+  // One registered model and the predictor over it, in one allocation that
+  // every handle to the version shares.
+  struct ModelVersion {
+    explicit ModelVersion(MpSvmModel m)
+        : model(std::move(m)), predictor(&model) {}
+    ModelVersion(const ModelVersion&) = delete;
+    ModelVersion& operator=(const ModelVersion&) = delete;
+
+    const MpSvmModel model;
+    const MpSvmPredictor predictor;
+  };
+
   struct Entry {
-    std::shared_ptr<const MpSvmModel> model;
+    std::shared_ptr<const ModelVersion> current;
     int64_t version = 0;
   };
 

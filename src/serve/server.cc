@@ -217,7 +217,7 @@ void InferenceServer::WorkerLoop(int worker_index) {
       rows.push_back(SparseRowView{item.request.indices, item.request.values});
     }
 
-    MpSvmPredictor predictor(handle->model.get());
+    const MpSvmPredictor& predictor = *handle->predictor;
     const PredictOptions predict =
         options_.predict_options_resolver
             ? options_.predict_options_resolver(*handle)

@@ -6,8 +6,9 @@
 //                                    │        wait ≤ max_queue_delay)
 //                              worker pool (common/ThreadPool; one simulated
 //                                    │      executor per worker)
-//                              MpSvmPredictor::PredictRows on a ModelRegistry
-//                                    │      snapshot (hot-swappable)
+//                              MpSvmPredictor::PredictRows through a
+//                                    │      ModelRegistry snapshot's own
+//                                    │      predictor (hot-swappable)
 //                               std::future<Result<PredictResponse>> per
 //                                          request
 //

@@ -67,6 +67,15 @@ void AtomicAddDouble(std::atomic<double>* target, double delta) {
 
 }  // namespace
 
+double* AlignedPanel(std::vector<double>& storage, int64_t cols) {
+  constexpr size_t kAlignDoubles = 32 / sizeof(double);
+  const size_t need = static_cast<size_t>(cols) * kPanelRows + kAlignDoubles;
+  if (storage.size() < need) storage.resize(need, 0.0);
+  const size_t misalign =
+      reinterpret_cast<uintptr_t>(storage.data()) % 32 / sizeof(double);
+  return storage.data() + (kAlignDoubles - misalign) % kAlignDoubles;
+}
+
 bool TierSupported(SimdTier tier) {
   switch (tier) {
     case SimdTier::kAuto:
@@ -173,9 +182,10 @@ int64_t NowNanos() {
       .count();
 }
 
-void RecordPath(SimdPath path, int64_t elements, double flops, int64_t nanos) {
+void RecordPath(SimdPath path, int64_t elements, double flops, int64_t nanos,
+                int64_t calls) {
   PathCounters& c = g_paths[static_cast<int>(path)];
-  c.calls.fetch_add(1, std::memory_order_relaxed);
+  c.calls.fetch_add(calls, std::memory_order_relaxed);
   c.elements.fetch_add(elements, std::memory_order_relaxed);
   AtomicAddDouble(&c.flops, flops);
   if (nanos > 0) c.nanos.fetch_add(nanos, std::memory_order_relaxed);

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
@@ -49,6 +50,12 @@ enum class SimdTier {
 // Rows per register-blocked panel of gather_dot_panel: one AVX2 vector, two
 // NEON vectors. A constant of the contract, not a tuning knob.
 inline constexpr int kPanelRows = 4;
+
+// A 32-byte-aligned interleaved panel of `cols` columns (kPanelRows doubles
+// each) inside `storage`, which grows as needed; new entries are zero and
+// existing entries are kept, though a growth may move them to a different
+// panel offset.
+double* AlignedPanel(std::vector<double>& storage, int64_t cols);
 
 // Function table for one tier. All routines are pure host computation; the
 // caller owns cost accounting. Pointers are always non-null within a
@@ -151,13 +158,37 @@ const char* SimdPathName(SimdPath path);
 // RecordPath.
 int64_t NowNanos();
 
-// Records one dispatched op: element count, flop estimate, and (optionally)
-// wall nanoseconds. Wall time is only recorded at coarse call granularity
-// (whole batched ops); fine-grained paths pass 0 and publish counters only.
-// Thread-safe (relaxed atomics); counter values are deterministic, the
-// nanosecond totals are wall-clock diagnostics.
+// Records `calls` dispatched ops: their element count, flop estimate, and
+// (optionally) wall nanoseconds. Wall time is only recorded at coarse call
+// granularity (whole batched ops); fine-grained paths pass 0 and publish
+// counters only. Thread-safe (relaxed atomics on process-wide counters);
+// counter values are deterministic, the nanosecond totals are wall-clock
+// diagnostics. Per-element callers sum their ops into PathCounts and record
+// them once, which keeps the shared counters uncontended.
 void RecordPath(SimdPath path, int64_t elements, double flops,
-                int64_t nanos = 0);
+                int64_t nanos = 0, int64_t calls = 1);
+
+// One path's ops, summed by a caller that records them in one RecordPath.
+struct PathCounts {
+  int64_t calls = 0;
+  int64_t elements = 0;
+  double flops = 0.0;
+
+  void Add(int64_t op_elements, double op_flops) {
+    ++calls;
+    elements += op_elements;
+    flops += op_flops;
+  }
+  PathCounts& operator+=(const PathCounts& o) {
+    calls += o.calls;
+    elements += o.elements;
+    flops += o.flops;
+    return *this;
+  }
+  void Record(SimdPath path) const {
+    RecordPath(path, elements, flops, /*nanos=*/0, calls);
+  }
+};
 
 // Adds wall time to a path without counting a call — for wrappers (e.g. the
 // batched coupling entry point) timing work whose per-item counters were

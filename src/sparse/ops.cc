@@ -27,14 +27,8 @@ std::vector<double>& ScatterWorkspace(int64_t cols) {
 // ScatterWorkspace. The returned base is 32-byte aligned, so each column's
 // kPanelRows doubles are one aligned vector load.
 double* PanelWorkspace(int64_t cols) {
-  constexpr size_t kAlignDoubles = 32 / sizeof(double);
   static thread_local std::vector<double> workspace;
-  const size_t need =
-      static_cast<size_t>(cols) * simd::kPanelRows + kAlignDoubles;
-  if (workspace.size() < need) workspace.resize(need, 0.0);
-  const size_t misalign =
-      reinterpret_cast<uintptr_t>(workspace.data()) % 32 / sizeof(double);
-  return workspace.data() + (kAlignDoubles - misalign) % kAlignDoubles;
+  return simd::AlignedPanel(workspace, cols);
 }
 
 // Writes (or, with `values` false, re-zeroes) rows batch[first..first+rows)
@@ -50,28 +44,6 @@ void ScatterPanel(const CsrMatrix& a, std::span<const int32_t> batch,
           values ? val[p] : 0.0;
     }
   }
-}
-
-// out[j] = a.row(row) . b.row(targets[j]) by one gather_dot per target
-// through the plain scatter workspace; returns the target nonzeros streamed.
-int64_t SingleRowDots(const CsrMatrix& a, int64_t row, const CsrMatrix& b,
-                      std::span<const int32_t> targets, double* out,
-                      const simd::SimdOps& ops) {
-  std::vector<double>& workspace = ScatterWorkspace(a.cols());
-  const auto idx = a.RowIndices(row);
-  const auto val = a.RowValues(row);
-  for (size_t p = 0; p < idx.size(); ++p) workspace[idx[p]] = val[p];
-  int64_t nnz_targets = 0;
-  for (size_t tj = 0; tj < targets.size(); ++tj) {
-    const auto tidx = b.RowIndices(targets[tj]);
-    const auto tval = b.RowValues(targets[tj]);
-    out[tj] = ops.gather_dot(tval.data(), tidx.data(),
-                             static_cast<int64_t>(tidx.size()),
-                             workspace.data());
-    nnz_targets += static_cast<int64_t>(tidx.size());
-  }
-  for (size_t p = 0; p < idx.size(); ++p) workspace[idx[p]] = 0.0;
-  return nnz_targets;
 }
 
 void RunRows(ThreadPool* pool, int64_t n, int64_t min_chunk,
@@ -115,8 +87,8 @@ OpStats BatchRowDotsImpl(const CsrMatrix& a, std::span<const int32_t> batch,
       const int rows = static_cast<int>(
           std::min<int64_t>(simd::kPanelRows, num_rows - first));
       if (rows == 1) {
-        SingleRowDots(a, batch[static_cast<size_t>(first)], b, targets,
-                      out + first * num_targets, simd_ops);
+        ScatteredRow(a, batch[static_cast<size_t>(first)], &simd_ops)
+            .Dots(b, targets, out + first * num_targets);
         continue;
       }
       ScatterPanel(a, batch, first, rows, /*values=*/true, panel);
@@ -181,25 +153,53 @@ OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
   return BatchRowDotsImpl(a, batch, b, targets, out, pool, ops);
 }
 
-OpStats ScatterRowDots(const CsrMatrix& a, int64_t row, const CsrMatrix& b,
-                       std::span<const int32_t> targets, double* out,
-                       const simd::SimdOps* ops) {
-  const simd::SimdOps& simd_ops =
-      ops != nullptr ? *ops : simd::OpsFor(simd::SimdTier::kAuto);
-  const int64_t nnz_targets = SingleRowDots(a, row, b, targets, out, simd_ops);
+ScatteredRow::ScatteredRow(const CsrMatrix& a, int64_t row,
+                           const simd::SimdOps* ops)
+    : a_(a),
+      row_(row),
+      ops_(ops != nullptr ? *ops : simd::OpsFor(simd::SimdTier::kAuto)),
+      dense_(ScatterWorkspace(a.cols()).data()) {
+  const auto idx = a_.RowIndices(row_);
+  const auto val = a_.RowValues(row_);
+  for (size_t p = 0; p < idx.size(); ++p) dense_[idx[p]] = val[p];
+}
 
+ScatteredRow::~ScatteredRow() {
+  for (const int32_t col : a_.RowIndices(row_)) dense_[col] = 0.0;
+}
+
+OpStats ScatteredRow::Dots(const CsrMatrix& b,
+                           std::span<const int32_t> targets, double* out,
+                           simd::PathCounts* counts) const {
+  int64_t nnz_targets = 0;
+  for (size_t tj = 0; tj < targets.size(); ++tj) {
+    const auto tidx = b.RowIndices(targets[tj]);
+    const auto tval = b.RowValues(targets[tj]);
+    out[tj] = ops_.gather_dot(tval.data(), tidx.data(),
+                              static_cast<int64_t>(tidx.size()), dense_);
+    nnz_targets += static_cast<int64_t>(tidx.size());
+  }
   // Charged like one batch row of BatchRowDots2: the scattered row and the
-  // streamed target nonzeros read once, one output double per target. Called
-  // from inside parallel per-row loops, so no wall time is recorded here
-  // (counters only — see docs/performance.md).
+  // streamed target nonzeros read once, one output double per target.
   OpStats stats;
   stats.flops = 2.0 * static_cast<double>(nnz_targets);
   stats.bytes_read =
-      (static_cast<double>(a.RowIndices(row).size()) +
+      (static_cast<double>(a_.RowIndices(row_).size()) +
        static_cast<double>(nnz_targets)) *
       (sizeof(double) + sizeof(int32_t));
   stats.bytes_written = static_cast<double>(targets.size()) * sizeof(double);
-  simd::RecordPath(simd::SimdPath::kScatterRowDots, nnz_targets, stats.flops);
+  if (counts != nullptr) counts->Add(nnz_targets, stats.flops);
+  return stats;
+}
+
+OpStats ScatterRowDots(const CsrMatrix& a, int64_t row, const CsrMatrix& b,
+                       std::span<const int32_t> targets, double* out,
+                       const simd::SimdOps* ops) {
+  // Counters only: a per-row op is too fine-grained to time (see
+  // docs/performance.md).
+  simd::PathCounts counts;
+  const OpStats stats = ScatteredRow(a, row, ops).Dots(b, targets, out, &counts);
+  counts.Record(simd::SimdPath::kScatterRowDots);
   return stats;
 }
 

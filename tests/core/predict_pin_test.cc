@@ -1,0 +1,638 @@
+// Pins MpSvmPredictor's output and accounting to exact recorded values, so a
+// change to the prediction loops cannot move a byte unnoticed:
+//   * exact prediction at tiles of 0 (sized from the memory budget), 1, 3, 5
+//     and 8 rows, with shared and with per-SVM kernel values, plus voting;
+//   * the elimination cascade at tiles of 0 and 8 rows, at the default
+//     ambiguity band and at band 1.0 (every row falls back to the exact
+//     pipeline).
+// Every run is made at host_threads 1 and 4 against the same pins.
+//
+// The 26 test rows split into full 4-row panels, 2- and 3-row partial
+// panels and lone rows across the tile sizes. k = 8 on 6 feature dimensions:
+// classes 6 and 7 share their centre dimension with classes 0 and 1, so the
+// cascade eliminates classes on some rows (its scan then skips dead pairs)
+// and falls back on others.
+//
+// Each run reduces to named values: hashes of the probabilities and labels,
+// simulated seconds and phases, executor counters, the cascade counts, and
+// the SIMD path calls and elements of the paths prediction dispatches. A
+// mismatch prints every value with %a, ready to paste if a change is meant
+// to move it.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "../pins.h"
+#include "../test_util.h"
+#include "common/string_util.h"
+#include "core/mp_trainer.h"
+#include "core/predictor.h"
+#include "simd/simd.h"
+
+namespace gmpsvm {
+namespace {
+
+using ::gmpsvm::testing::ExpectPins;
+using ::gmpsvm::testing::MakeMulticlassBlobs;
+using ::gmpsvm::testing::Pins;
+
+constexpr int kClasses = 8;
+constexpr int64_t kTestRows = 26;
+
+struct Fixture {
+  MpSvmModel model;
+  CsrMatrix test;
+};
+
+const Fixture& SharedFixture() {
+  static const Fixture* fixture = [] {
+    const Dataset train =
+        ValueOrDie(MakeMulticlassBlobs(kClasses, 20, 6, 2.5, 17));
+    const Dataset pool =
+        ValueOrDie(MakeMulticlassBlobs(kClasses, 4, 6, 2.5, 1017));
+    MpTrainOptions options;
+    options.c = 1.0;
+    options.kernel.gamma = 0.3;
+    options.batch.working_set.ws_size = 32;
+    options.batch.working_set.q = 16;
+    options.shared_cache_bytes = 64ull << 20;
+    SimExecutor exec(ExecutorModel::TeslaP100());
+    auto* fx = new Fixture{
+        ValueOrDie(GmpSvmTrainer(options).Train(train, &exec, nullptr)), {}};
+    CsrBuilder builder(pool.features().cols());
+    for (int64_t row = 0; row < kTestRows; ++row) {
+      builder.AddRow(pool.features().RowIndices(row),
+                     pool.features().RowValues(row));
+    }
+    fx->test = ValueOrDie(builder.Finish());
+    return fx;
+  }();
+  return *fixture;
+}
+
+Pins PredictPins(const PredictOptions& options, int host_threads) {
+  const Fixture& fx = SharedFixture();
+  ExecutorModel device = ExecutorModel::TeslaP100();
+  device.host_threads = host_threads;
+  SimExecutor exec(device);
+  simd::ResetPathStats();
+  const PredictResult result =
+      ValueOrDie(MpSvmPredictor(&fx.model).Predict(fx.test, &exec, options));
+
+  Pins pins;
+  pins.Doubles("probabilities", result.probabilities);
+  std::string labels(result.labels.size() * sizeof(int32_t), '\0');
+  std::memcpy(labels.data(), result.labels.data(), labels.size());
+  pins.Bytes("labels", labels);
+  pins.Real("sim_seconds", result.sim_seconds);
+  pins.Phases("phase.", result.phases);
+
+  const ExecutorCounters& c = exec.counters();
+  pins.Count("exec.launches", c.launches);
+  pins.Real("exec.flops", c.flops);
+  pins.Real("exec.bytes_read", c.bytes_read);
+  pins.Real("exec.bytes_written", c.bytes_written);
+  pins.Count("exec.kernel_values_computed", c.kernel_values_computed);
+  pins.Count("exec.kernel_values_reused", c.kernel_values_reused);
+
+  pins.Count("cascade.rows", result.cascade_rows);
+  pins.Count("cascade.fallback_rows", result.cascade_fallback_rows);
+  pins.Count("cascade.pairs_evaluated", result.cascade_pairs_evaluated);
+  pins.Count("cascade.classes_eliminated", result.cascade_classes_eliminated);
+
+  for (simd::SimdPath path :
+       {simd::SimdPath::kBatchRowDots, simd::SimdPath::kScatterRowDots,
+        simd::SimdPath::kKernelTransform, simd::SimdPath::kCoupling}) {
+    const simd::PathStatsSnapshot stats = simd::PathStats(path);
+    const std::string name = simd::SimdPathName(path);
+    pins.Count("simd." + name + ".calls", stats.calls);
+    pins.Count("simd." + name + ".elements", stats.elements);
+  }
+  return pins;
+}
+
+void ExpectRun(const PredictOptions& options, const char* expected) {
+  for (int host_threads : {1, 4}) {
+    SCOPED_TRACE(StrPrintf("host_threads=%d", host_threads));
+    ExpectPins(expected, PredictPins(options, host_threads));
+  }
+}
+
+PredictOptions Exact(int64_t tile_rows, bool share) {
+  PredictOptions options;
+  options.tile_rows = tile_rows;
+  options.share_kernel_values = share;
+  return options;
+}
+
+PredictOptions Voting(int64_t tile_rows) {
+  PredictOptions options = Exact(tile_rows, /*share=*/true);
+  options.decision = PredictOptions::Decision::kVoting;
+  return options;
+}
+
+PredictOptions Cascade(int64_t tile_rows, double band) {
+  PredictOptions options = Exact(tile_rows, /*share=*/true);
+  options.cascade.mode = CascadeOptions::Mode::kEliminate;
+  options.cascade.ambiguity_band = band;
+  return options;
+}
+
+const char kExactSharedTile0[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.4426p+18 "
+    "exec.bytes_written=0x1.074p+15 "
+    "exec.flops=0x1.1d8f555555555p+17 "
+    "exec.kernel_values_computed=4004 "
+    "exec.kernel_values_reused=20982 "
+    "exec.launches=58 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.1a4dfba81e334p-17 "
+    "phase.decision_values=0x1.5c6e6aecb2f11p-13 "
+    "phase.sigmoid=0x1.2b792a8e4903cp-13 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.fc85e3f1179bcp-15 "
+    "simd.batch_row_dots.calls=1 "
+    "simd.batch_row_dots.elements=24024 "
+    "simd.coupling.calls=26 "
+    "simd.coupling.elements=1664 "
+    "simd.kernel_transform.calls=1 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kExactPerSvmTile0[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.4ca6p+18 "
+    "exec.bytes_written=0x1.89a8p+17 "
+    "exec.flops=0x1.144ad55555555p+19 "
+    "exec.kernel_values_computed=24986 "
+    "exec.kernel_values_reused=0 "
+    "exec.launches=85 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.1a4dfba81e338p-17 "
+    "phase.decision_values=0x1.6bb834e53a01p-12 "
+    "phase.sigmoid=0x1.2b792a8e4903cp-13 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.519f905f13c24p-14 "
+    "simd.batch_row_dots.calls=28 "
+    "simd.batch_row_dots.elements=149916 "
+    "simd.coupling.calls=26 "
+    "simd.coupling.elements=1664 "
+    "simd.kernel_transform.calls=28 "
+    "simd.kernel_transform.elements=24986 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kExactSharedTile1[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.296dp+19 "
+    "exec.bytes_written=0x1.074p+15 "
+    "exec.flops=0x1.1d8f555555555p+17 "
+    "exec.kernel_values_computed=4004 "
+    "exec.kernel_values_reused=20982 "
+    "exec.launches=1508 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.17c9bce99c842p-13 "
+    "phase.decision_values=0x1.f4b299f0ac79cp-9 "
+    "phase.sigmoid=0x1.dd7815bb53288p-9 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.5f2408536c1ap-10 "
+    "simd.batch_row_dots.calls=26 "
+    "simd.batch_row_dots.elements=24024 "
+    "simd.coupling.calls=26 "
+    "simd.coupling.elements=1664 "
+    "simd.kernel_transform.calls=26 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kExactPerSvmTile1[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.f97ap+20 "
+    "exec.bytes_written=0x1.89a8p+17 "
+    "exec.flops=0x1.144ad55555554p+19 "
+    "exec.kernel_values_computed=24986 "
+    "exec.kernel_values_reused=0 "
+    "exec.launches=2210 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.17c9bce99c845p-13 "
+    "phase.decision_values=0x1.eaf52be68dbd8p-8 "
+    "phase.sigmoid=0x1.dd7815bb53288p-9 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.c46ee5c75017fp-10 "
+    "simd.batch_row_dots.calls=728 "
+    "simd.batch_row_dots.elements=149916 "
+    "simd.coupling.calls=26 "
+    "simd.coupling.elements=1664 "
+    "simd.kernel_transform.calls=728 "
+    "simd.kernel_transform.elements=24986 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kExactSharedTile3[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.9ac6p+18 "
+    "exec.bytes_written=0x1.074p+15 "
+    "exec.flops=0x1.1d8f555555555p+17 "
+    "exec.kernel_values_computed=4004 "
+    "exec.kernel_values_reused=20982 "
+    "exec.launches=522 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.961ed7783e1c9p-15 "
+    "phase.decision_values=0x1.5f2c605b34844p-10 "
+    "phase.sigmoid=0x1.4b0912ce38dd4p-10 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.f1201622d9f78p-12 "
+    "simd.batch_row_dots.calls=9 "
+    "simd.batch_row_dots.elements=24024 "
+    "simd.coupling.calls=26 "
+    "simd.coupling.elements=1664 "
+    "simd.kernel_transform.calls=9 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kExactPerSvmTile3[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.b49bp+19 "
+    "exec.bytes_written=0x1.89a8p+17 "
+    "exec.flops=0x1.144ad55555555p+19 "
+    "exec.kernel_values_computed=24986 "
+    "exec.kernel_values_reused=0 "
+    "exec.launches=765 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.961ed7783e1bcp-15 "
+    "phase.decision_values=0x1.66033f24ae09fp-9 "
+    "phase.sigmoid=0x1.4b0912ce38dd4p-10 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.458734a915fa5p-11 "
+    "simd.batch_row_dots.calls=252 "
+    "simd.batch_row_dots.elements=149916 "
+    "simd.coupling.calls=26 "
+    "simd.coupling.elements=1664 "
+    "simd.kernel_transform.calls=252 "
+    "simd.kernel_transform.elements=24986 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kExactSharedTile5[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.7a4ap+18 "
+    "exec.bytes_written=0x1.074p+15 "
+    "exec.flops=0x1.1d8f555555556p+17 "
+    "exec.kernel_values_computed=4004 "
+    "exec.kernel_values_reused=20982 "
+    "exec.launches=348 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.184a9642e9a65p-15 "
+    "phase.decision_values=0x1.d6b5cfd7d159cp-11 "
+    "phase.sigmoid=0x1.b9deb37f1dec6p-11 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.4cb24f4453305p-12 "
+    "simd.batch_row_dots.calls=6 "
+    "simd.batch_row_dots.elements=24024 "
+    "simd.coupling.calls=26 "
+    "simd.coupling.elements=1664 "
+    "simd.kernel_transform.calls=6 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kExactPerSvmTile5[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.4f4p+19 "
+    "exec.bytes_written=0x1.89a8p+17 "
+    "exec.flops=0x1.144ad55555556p+19 "
+    "exec.kernel_values_computed=24986 "
+    "exec.kernel_values_reused=0 "
+    "exec.launches=510 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.184a9642e9a66p-15 "
+    "phase.decision_values=0x1.efd30c2c08465p-10 "
+    "phase.sigmoid=0x1.b9deb37f1dec6p-11 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.be957f5b82b5cp-12 "
+    "simd.batch_row_dots.calls=168 "
+    "simd.batch_row_dots.elements=149916 "
+    "simd.coupling.calls=26 "
+    "simd.coupling.elements=1664 "
+    "simd.kernel_transform.calls=168 "
+    "simd.kernel_transform.elements=24986 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kExactSharedTile8[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.64a2p+18 "
+    "exec.bytes_written=0x1.074p+15 "
+    "exec.flops=0x1.1d8f555555554p+17 "
+    "exec.kernel_values_computed=4004 "
+    "exec.kernel_values_reused=20982 "
+    "exec.launches=232 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.88cf803eb804ep-16 "
+    "phase.decision_values=0x1.3dc420420e31ap-11 "
+    "phase.sigmoid=0x1.2711bcc0e60e7p-11 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.c413595a7a8e7p-13 "
+    "simd.batch_row_dots.calls=4 "
+    "simd.batch_row_dots.elements=24024 "
+    "simd.coupling.calls=26 "
+    "simd.coupling.elements=1664 "
+    "simd.kernel_transform.calls=4 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kExactPerSvmTile8[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.0baep+19 "
+    "exec.bytes_written=0x1.89a8p+17 "
+    "exec.flops=0x1.144ad55555555p+19 "
+    "exec.kernel_values_computed=24986 "
+    "exec.kernel_values_reused=0 "
+    "exec.launches=340 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.88cf803eb804cp-16 "
+    "phase.decision_values=0x1.499192d46fa7ap-10 "
+    "phase.sigmoid=0x1.2711bcc0e60e4p-11 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.2ebd1bd109368p-12 "
+    "simd.batch_row_dots.calls=112 "
+    "simd.batch_row_dots.elements=149916 "
+    "simd.coupling.calls=26 "
+    "simd.coupling.elements=1664 "
+    "simd.kernel_transform.calls=112 "
+    "simd.kernel_transform.elements=24986 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kVotingTile0[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.3176p+18 "
+    "exec.bytes_written=0x1.f48p+14 "
+    "exec.flops=0x1.00dap+17 "
+    "exec.kernel_values_computed=4004 "
+    "exec.kernel_values_reused=20982 "
+    "exec.launches=57 "
+    "labels=d7b6e361ade408e5 "
+    "phase.decision_values=0x1.5c6e6aecb2f11p-13 "
+    "probabilities=8b72a07ce7a57e16 "
+    "sim_seconds=0x1.b343332ac9fd7p-15 "
+    "simd.batch_row_dots.calls=1 "
+    "simd.batch_row_dots.elements=24024 "
+    "simd.coupling.calls=0 "
+    "simd.coupling.elements=0 "
+    "simd.kernel_transform.calls=1 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kVotingTile5[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=0 "
+    "cascade.pairs_evaluated=0 "
+    "cascade.rows=0 "
+    "exec.bytes_read=0x1.679ap+18 "
+    "exec.bytes_written=0x1.f48p+14 "
+    "exec.flops=0x1.00dap+17 "
+    "exec.kernel_values_computed=4004 "
+    "exec.kernel_values_reused=20982 "
+    "exec.launches=342 "
+    "labels=d7b6e361ade408e5 "
+    "phase.decision_values=0x1.d6b5cfd7d1598p-11 "
+    "probabilities=8b72a07ce7a57e16 "
+    "sim_seconds=0x1.295316406d393p-12 "
+    "simd.batch_row_dots.calls=6 "
+    "simd.batch_row_dots.elements=24024 "
+    "simd.coupling.calls=0 "
+    "simd.coupling.elements=0 "
+    "simd.kernel_transform.calls=6 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
+
+const char kCascadeDefaultBandTile0[] =
+    "cascade.classes_eliminated=145 "
+    "cascade.fallback_rows=2 "
+    "cascade.pairs_evaluated=282 "
+    "cascade.rows=26 "
+    "exec.bytes_read=0x1.b196p+18 "
+    "exec.bytes_written=0x1.042p+15 "
+    "exec.flops=0x1.a208aaaaaaaabp+16 "
+    "exec.kernel_values_computed=3954 "
+    "exec.kernel_values_reused=7904 "
+    "exec.launches=4 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.653e2b98179c8p-18 "
+    "phase.decision_values=0x1.b4d3bbacb1ae8p-18 "
+    "phase.elimination=0x1.720a759e2c3c9p-15 "
+    "phase.sigmoid=0x1.5dffa01c9c288p-18 "
+    "probabilities=33e5e06829f42849 "
+    "sim_seconds=0x1.09981cee55765p-14 "
+    "simd.batch_row_dots.calls=0 "
+    "simd.batch_row_dots.elements=0 "
+    "simd.coupling.calls=24 "
+    "simd.coupling.elements=231 "
+    "simd.kernel_transform.calls=230 "
+    "simd.kernel_transform.elements=3954 "
+    "simd.scatter_row_dots.calls=230 "
+    "simd.scatter_row_dots.elements=23724 ";
+
+const char kCascadeBand1Tile0[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=26 "
+    "cascade.pairs_evaluated=282 "
+    "cascade.rows=26 "
+    "exec.bytes_read=0x1.6529p+19 "
+    "exec.bytes_written=0x1.074p+15 "
+    "exec.flops=0x1.4a30555555555p+17 "
+    "exec.kernel_values_computed=4004 "
+    "exec.kernel_values_reused=30918 "
+    "exec.launches=4 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.1c57fc9bbfbcp-17 "
+    "phase.decision_values=0x1.9d502bd6df99ap-16 "
+    "phase.elimination=0x1.720a759e2c3c9p-15 "
+    "phase.sigmoid=0x1.05b97d64afadp-17 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.6dad3eae04f2ap-14 "
+    "simd.batch_row_dots.calls=0 "
+    "simd.batch_row_dots.elements=0 "
+    "simd.coupling.calls=48 "
+    "simd.coupling.elements=1767 "
+    "simd.kernel_transform.calls=254 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=254 "
+    "simd.scatter_row_dots.elements=24024 ";
+
+const char kCascadeDefaultBandTile8[] =
+    "cascade.classes_eliminated=145 "
+    "cascade.fallback_rows=2 "
+    "cascade.pairs_evaluated=282 "
+    "cascade.rows=26 "
+    "exec.bytes_read=0x1.b196p+18 "
+    "exec.bytes_written=0x1.042p+15 "
+    "exec.flops=0x1.a208aaaaaaaaap+16 "
+    "exec.kernel_values_computed=3954 "
+    "exec.kernel_values_reused=7904 "
+    "exec.launches=12 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.5504217aecd31p-16 "
+    "phase.decision_values=0x1.822f8a1d741eap-17 "
+    "phase.elimination=0x1.efdeb6d380b24p-15 "
+    "phase.sigmoid=0x1.56c57c55695bap-17 "
+    "probabilities=33e5e06829f42849 "
+    "sim_seconds=0x1.b160ce40003ep-14 "
+    "simd.batch_row_dots.calls=0 "
+    "simd.batch_row_dots.elements=0 "
+    "simd.coupling.calls=24 "
+    "simd.coupling.elements=231 "
+    "simd.kernel_transform.calls=230 "
+    "simd.kernel_transform.elements=3954 "
+    "simd.scatter_row_dots.calls=230 "
+    "simd.scatter_row_dots.elements=23724 ";
+
+const char kCascadeBand1Tile8[] =
+    "cascade.classes_eliminated=0 "
+    "cascade.fallback_rows=26 "
+    "cascade.pairs_evaluated=282 "
+    "cascade.rows=26 "
+    "exec.bytes_read=0x1.6529p+19 "
+    "exec.bytes_written=0x1.074p+15 "
+    "exec.flops=0x1.4a30555555555p+17 "
+    "exec.kernel_values_computed=4004 "
+    "exec.kernel_values_reused=30918 "
+    "exec.launches=16 "
+    "labels=f183cefb39fc1230 "
+    "phase.coupling=0x1.89d480b888c96p-16 "
+    "phase.decision_values=0x1.4c7c5720c4428p-15 "
+    "phase.elimination=0x1.efdeb6d380b24p-15 "
+    "phase.sigmoid=0x1.7e85411d00c1cp-16 "
+    "probabilities=45cd3c4b34e3ed5d "
+    "sim_seconds=0x1.34aae08c56efp-13 "
+    "simd.batch_row_dots.calls=0 "
+    "simd.batch_row_dots.elements=0 "
+    "simd.coupling.calls=48 "
+    "simd.coupling.elements=1767 "
+    "simd.kernel_transform.calls=254 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=254 "
+    "simd.scatter_row_dots.elements=24024 ";
+
+TEST(PredictPinTest, ExactSharedTile0) {
+  ExpectRun(Exact(0, /*share=*/true), kExactSharedTile0);
+}
+
+TEST(PredictPinTest, ExactPerSvmTile0) {
+  ExpectRun(Exact(0, /*share=*/false), kExactPerSvmTile0);
+}
+
+TEST(PredictPinTest, ExactSharedTile1) {
+  ExpectRun(Exact(1, /*share=*/true), kExactSharedTile1);
+}
+
+TEST(PredictPinTest, ExactPerSvmTile1) {
+  ExpectRun(Exact(1, /*share=*/false), kExactPerSvmTile1);
+}
+
+TEST(PredictPinTest, ExactSharedTile3) {
+  ExpectRun(Exact(3, /*share=*/true), kExactSharedTile3);
+}
+
+TEST(PredictPinTest, ExactPerSvmTile3) {
+  ExpectRun(Exact(3, /*share=*/false), kExactPerSvmTile3);
+}
+
+TEST(PredictPinTest, ExactSharedTile5) {
+  ExpectRun(Exact(5, /*share=*/true), kExactSharedTile5);
+}
+
+TEST(PredictPinTest, ExactPerSvmTile5) {
+  ExpectRun(Exact(5, /*share=*/false), kExactPerSvmTile5);
+}
+
+TEST(PredictPinTest, ExactSharedTile8) {
+  ExpectRun(Exact(8, /*share=*/true), kExactSharedTile8);
+}
+
+TEST(PredictPinTest, ExactPerSvmTile8) {
+  ExpectRun(Exact(8, /*share=*/false), kExactPerSvmTile8);
+}
+
+TEST(PredictPinTest, VotingTile0) {
+  ExpectRun(Voting(0), kVotingTile0);
+}
+
+TEST(PredictPinTest, VotingTile5) {
+  ExpectRun(Voting(5), kVotingTile5);
+}
+
+TEST(PredictPinTest, CascadeDefaultBandTile0) {
+  ExpectRun(Cascade(0, 0.05), kCascadeDefaultBandTile0);
+}
+
+TEST(PredictPinTest, CascadeBand1Tile0) {
+  ExpectRun(Cascade(0, 1.0), kCascadeBand1Tile0);
+}
+
+TEST(PredictPinTest, CascadeDefaultBandTile8) {
+  ExpectRun(Cascade(8, 0.05), kCascadeDefaultBandTile8);
+}
+
+TEST(PredictPinTest, CascadeBand1Tile8) {
+  ExpectRun(Cascade(8, 1.0), kCascadeBand1Tile8);
+}
+
+TEST(PredictPinTest, FixtureExercisesTheCascade) {
+  const Fixture& fx = SharedFixture();
+  ASSERT_TRUE(fx.model.has_cascade_stats());
+  SimExecutor exec(ExecutorModel::TeslaP100());
+  const PredictResult result = ValueOrDie(MpSvmPredictor(&fx.model).Predict(
+      fx.test, &exec, Cascade(0, CascadeOptions{}.ambiguity_band)));
+  // Some rows eliminate classes and some fall back.
+  EXPECT_GT(result.cascade_classes_eliminated, 0);
+  EXPECT_GT(result.cascade_fallback_rows, 0);
+  EXPECT_LT(result.cascade_fallback_rows, result.cascade_rows);
+}
+
+}  // namespace
+}  // namespace gmpsvm

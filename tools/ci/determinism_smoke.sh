@@ -7,7 +7,10 @@
 #   * nodes 1 vs 2 with forced intra-pair sharding (--max-shards 4), clean
 #     and under a chaos plan whose node-loss stream fells node 1, plus the
 #     --nodes > --devices usage error;
-#   * SIMD tier scalar vs auto, for both train and predict.
+#   * SIMD tier scalar vs auto, for both train and predict;
+#   * the prediction cascade at host threads 1 vs 8 and SIMD tier scalar vs
+#     auto, --cascade exact against the default predictor, and malformed
+#     cascade values as usage errors.
 # Every model and prediction file must be cmp-equal to its reference.
 #
 # Usage: tools/ci/determinism_smoke.sh BUILD_DIR WORK_DIR
@@ -109,5 +112,34 @@ cmp "$work/s.model" "$work/v.model"
   "$work/smoke.libsvm" "$work/v.model" "$work/v.pred"
 cmp "$work/s.pred" "$work/v.pred"
 "$svm_tool" bench-env
+
+# Cascade determinism cross-check.
+# The elimination cascade is invariant to host threads and the SIMD
+# tier too, and --cascade exact is the default predictor byte for byte
+# (docs/cascade.md).
+"$svm_tool" predict --cascade eliminate --host-threads 1 \
+  "$work/smoke.libsvm" "$work/s.model" "$work/e1.pred"
+"$svm_tool" predict --cascade eliminate --host-threads 8 \
+  "$work/smoke.libsvm" "$work/s.model" "$work/e8.pred"
+cmp "$work/e1.pred" "$work/e8.pred"
+"$svm_tool" predict --simd=scalar --cascade eliminate \
+  "$work/smoke.libsvm" "$work/s.model" "$work/es.pred"
+"$svm_tool" predict --simd=auto --cascade eliminate \
+  "$work/smoke.libsvm" "$work/s.model" "$work/ev.pred"
+cmp "$work/es.pred" "$work/ev.pred"
+"$svm_tool" predict --cascade exact \
+  "$work/smoke.libsvm" "$work/s.model" "$work/x.pred"
+cmp "$work/s.pred" "$work/x.pred"
+# Strict flag validation: a malformed cascade value is a usage error.
+for flag in "--cascade-budget 2x" "--cascade-threshold xyz" \
+  "--cascade-band abc"; do
+  # shellcheck disable=SC2086  # $flag is a flag and its value
+  if "$svm_tool" predict --cascade eliminate $flag \
+    "$work/smoke.libsvm" "$work/s.model" "$work/bad.pred"; then
+    echo "expected usage error for $flag" && exit 1
+  else
+    test $? -eq 2
+  fi
+done
 
 echo "determinism smoke OK"
