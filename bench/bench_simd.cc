@@ -211,10 +211,9 @@ int main(int argc, char** argv) {
           // throughput (Q·p matvec + elementwise update) instead of how
           // fast this particular fixture happens to converge (~3 sweeps,
           // which would mostly time the O(k^2) BuildQ setup). The
-          // Gaussian-elimination solver also runs on the tier but is
-          // axpy-streaming-bound and gains only ~1.2-1.4x over the
-          // auto-vectorized scalar build; bench_retrain and the serve
-          // benches cover it end to end.
+          // Gaussian-elimination solver's four-row panel solve
+          // (couple_panel) is held bitwise by simd_test and timed end to
+          // end by bench/e2e's predict-largek.
           CouplingOptions opts;
           opts.simd = &ops == &simd::OpsFor(simd::SimdTier::kScalar)
                           ? simd::SimdTier::kScalar

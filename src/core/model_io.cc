@@ -196,6 +196,24 @@ Result<MpSvmModel> DeserializeModel(const std::string& text) {
     builder.AddRowUnsorted(std::move(entries));
   }
   GMP_ASSIGN_OR_RETURN(model.support_vectors, builder.Finish());
+
+  // Prediction finds pair (s, t) at svms[PairIndex(s, t)] (the cascade, and
+  // the exact path's coupling panels), so the entries must be the k(k-1)/2
+  // pairs in that order.
+  const int k = model.num_classes;
+  if (model.svms.size() != static_cast<size_t>(k) * (k - 1) / 2) {
+    return fail(StrPrintf("%zu svms for %d classes, need %zu",
+                          model.svms.size(), k,
+                          static_cast<size_t>(k) * (k - 1) / 2));
+  }
+  for (size_t pi = 0; pi < model.svms.size(); ++pi) {
+    const BinarySvmEntry& svm = model.svms[pi];
+    if (svm.class_s < 0 || svm.class_s >= svm.class_t || svm.class_t >= k ||
+        static_cast<size_t>(model.PairIndex(svm.class_s, svm.class_t)) != pi) {
+      return fail(StrPrintf("svm %zu is pair (%d, %d), out of pair order", pi,
+                            svm.class_s, svm.class_t));
+    }
+  }
   return model;
 }
 

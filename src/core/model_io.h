@@ -18,7 +18,8 @@ namespace gmpsvm {
 // Serializes the model to its text format.
 std::string SerializeModel(const MpSvmModel& model);
 
-// Parses a model from text; validates structure and index ranges.
+// Parses a model from text; validates structure and index ranges, and that
+// the svm entries are the k(k-1)/2 pairs in pair order (PairIndex).
 Result<MpSvmModel> DeserializeModel(const std::string& text);
 
 // File wrappers.

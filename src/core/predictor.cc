@@ -1,6 +1,8 @@
 #include "core/predictor.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <numeric>
@@ -90,10 +92,6 @@ Status PredictOptions::Validate() const {
   if (tile_rows < 0) {
     return Status::InvalidArgument(
         StrPrintf("tile_rows must be >= 0, got %" PRId64, tile_rows));
-  }
-  if (coupling.max_iterations < 1) {
-    return Status::InvalidArgument(StrPrintf(
-        "coupling.max_iterations must be >= 1, got %d", coupling.max_iterations));
   }
   if (!(coupling.eps > 0.0)) {
     return Status::InvalidArgument(
@@ -191,6 +189,8 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
   std::iota(pool_rows.begin(), pool_rows.end(), 0);
 
   const bool voting = options.decision == PredictOptions::Decision::kVoting;
+  const bool couple_panels =
+      !voting && coupling.method == CouplingMethod::kGaussianElimination;
 
   // Streams for concurrent binary-SVM evaluation, created once and reused
   // across tiles (SynchronizeAll at each tile boundary keeps them ordered).
@@ -353,8 +353,10 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
     // gather_dot_panel for all of its rows. Each lane is bitwise the row's
     // gather_dot, the tier's canonical tree that the cascade's lazy path
     // uses too. A lone row keeps the plain gather_dot: a 1-row panel
-    // measured slower (as in BatchRowDots). Panels write disjoint outputs
-    // and status slots.
+    // measured slower (as in BatchRowDots). A full panel coupled by
+    // Gaussian elimination is solved in one CouplePanel call, one row per
+    // SIMD lane, bitwise each row's CoupleProbabilities; every other row
+    // couples alone. Panels write disjoint outputs and status slots.
     const int64_t num_panels =
         (tile + simd::kPanelRows - 1) / simd::kPanelRows;
     row_status.assign(static_cast<size_t>(tile), Status::OK());
@@ -363,6 +365,7 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
           std::vector<double> r(static_cast<size_t>(k) * k, 0.0);
           std::vector<double> panel_storage;
           std::vector<double> panel_dv;  // pairs x kPanelRows, pair-major
+          std::vector<double> coupling_scratch;
           int64_t coupling_nanos = 0;
           for (int64_t p = begin; p < end; ++p) {
             const int64_t first = p * simd::kPanelRows;
@@ -385,6 +388,34 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
                                      block,
                                      panel_dv.data() + pi * simd::kPanelRows);
               }
+            }
+            if (panel && couple_panels && rows == simd::kPanelRows) {
+              // The decision values become pair probabilities in place,
+              // still pair-major in model (PairIndex) order.
+              for (size_t pi = 0; pi < model.svms.size(); ++pi) {
+                const BinarySvmEntry& svm = model.svms[pi];
+                double* v = panel_dv.data() + pi * simd::kPanelRows;
+                for (int lane = 0; lane < simd::kPanelRows; ++lane) {
+                  v[lane] = svm.sigmoid.Probability(svm.bias + v[lane]);
+                }
+              }
+              double* out =
+                  result.probabilities.data() + (tile_begin + first) * k;
+              const int64_t t0 = simd::NowNanos();
+              const std::array<Status, simd::kPanelRows> status =
+                  CouplePanel(panel_dv, k, coupling, &coupling_scratch, out);
+              coupling_nanos += simd::NowNanos() - t0;
+              for (int lane = 0; lane < simd::kPanelRows; ++lane) {
+                const int64_t i = first + lane;
+                if (!status[static_cast<size_t>(lane)].ok()) {
+                  row_status[static_cast<size_t>(i)] =
+                      status[static_cast<size_t>(lane)].WithContext(
+                          StrPrintf("row %" PRId64, tile_begin + i));
+                }
+                result.labels[static_cast<size_t>(tile_begin + i)] =
+                    ArgMax(out + lane * k, k);
+              }
+              continue;
             }
             for (int lane = 0; lane < rows; ++lane) {
               const int64_t i = first + lane;
@@ -592,7 +623,15 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
           std::vector<uint8_t> rdone(static_cast<size_t>(num_pairs), 0);
           std::vector<double> loss(static_cast<size_t>(k), 0.0);
           std::vector<int32_t> cevals(static_cast<size_t>(k), 0);
-          std::vector<uint8_t> alive(static_cast<size_t>(k), 1);
+          // Alive classes as a bitset (one bit per class).
+          std::vector<uint64_t> alive(static_cast<size_t>(k + 63) / 64);
+          const auto alive_bit = [&alive](int cls) -> uint64_t {
+            return (alive[static_cast<size_t>(cls) >> 6] >> (cls & 63)) & 1;
+          };
+          const auto kill = [&alive](int cls) {
+            alive[static_cast<size_t>(cls) >> 6] &=
+                ~(uint64_t{1} << (cls & 63));
+          };
           std::vector<int32_t> survivors;
           std::vector<double> rsub, psub;
           std::vector<double> rfull(static_cast<size_t>(k) * k, 0.0);
@@ -651,7 +690,7 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
             // --- Elimination scan ---------------------------------------
             std::fill(loss.begin(), loss.end(), 0.0);
             std::fill(cevals.begin(), cevals.end(), 0);
-            std::fill(alive.begin(), alive.end(), 1);
+            std::fill(alive.begin(), alive.end(), ~uint64_t{0});
             std::fill(rdone.begin(), rdone.end(), 0);
             int alive_count = k;
             // A class dies only once its accumulated loss crosses the
@@ -665,42 +704,54 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
                      2.0 * loss[static_cast<size_t>(cls)] >
                          static_cast<double>(cevals[static_cast<size_t>(cls)]);
             };
-            for (int oi = 0;
-                 oi < num_pairs && c.elim_evals < budget && alive_count > 1;
-                 ++oi) {
-              const ScanEntry& scan = scan_[static_cast<size_t>(oi)];
-              if (alive[static_cast<size_t>(scan.class_s)] == 0 ||
-                  alive[static_cast<size_t>(scan.class_t)] == 0) {
-                continue;
+            // The scan table is tested 64 entries at a time with no branch
+            // per entry; the live ones are visited in scan order, each
+            // tested again because an evaluation may have killed a class.
+            const auto live = [&](const ScanEntry& e) {
+              return alive_bit(e.class_s) & alive_bit(e.class_t);
+            };
+            for (int base = 0;
+                 base < num_pairs && c.elim_evals < budget && alive_count > 1;
+                 base += 64) {
+              const int n = std::min(64, num_pairs - base);
+              uint64_t todo = 0;
+              for (int j = 0; j < n; ++j) {
+                todo |= live(scan_[static_cast<size_t>(base + j)]) << j;
               }
-              const int32_t pi = scan.pair;
-              const BinarySvmEntry& svm = model.svms[static_cast<size_t>(pi)];
-              const double v =
-                  eval(svm, &c.elim_stats, &c.elim_fresh, &c.elim_refs);
-              const double r = svm.sigmoid.Probability(v);
-              rpair[static_cast<size_t>(pi)] = r;
-              rdone[static_cast<size_t>(pi)] = 1;
-              ++c.elim_evals;
-              loss[static_cast<size_t>(svm.class_s)] += 1.0 - r;
-              loss[static_cast<size_t>(svm.class_t)] += r;
-              ++cevals[static_cast<size_t>(svm.class_s)];
-              ++cevals[static_cast<size_t>(svm.class_t)];
-              if (alive_count > 1 && eliminated(svm.class_s)) {
-                alive[static_cast<size_t>(svm.class_s)] = 0;
-                --alive_count;
-              }
-              if (alive_count > 1 &&
-                  alive[static_cast<size_t>(svm.class_t)] != 0 &&
-                  eliminated(svm.class_t)) {
-                alive[static_cast<size_t>(svm.class_t)] = 0;
-                --alive_count;
+              for (; todo != 0 && c.elim_evals < budget && alive_count > 1;
+                   todo &= todo - 1) {
+                const ScanEntry& scan =
+                    scan_[static_cast<size_t>(base + std::countr_zero(todo))];
+                if (live(scan) == 0) continue;
+                const int32_t pi = scan.pair;
+                const BinarySvmEntry& svm =
+                    model.svms[static_cast<size_t>(pi)];
+                const double v =
+                    eval(svm, &c.elim_stats, &c.elim_fresh, &c.elim_refs);
+                const double r = svm.sigmoid.Probability(v);
+                rpair[static_cast<size_t>(pi)] = r;
+                rdone[static_cast<size_t>(pi)] = 1;
+                ++c.elim_evals;
+                loss[static_cast<size_t>(svm.class_s)] += 1.0 - r;
+                loss[static_cast<size_t>(svm.class_t)] += r;
+                ++cevals[static_cast<size_t>(svm.class_s)];
+                ++cevals[static_cast<size_t>(svm.class_t)];
+                if (alive_count > 1 && eliminated(svm.class_s)) {
+                  kill(svm.class_s);
+                  --alive_count;
+                }
+                if (alive_count > 1 && alive_bit(svm.class_t) != 0 &&
+                    eliminated(svm.class_t)) {
+                  kill(svm.class_t);
+                  --alive_count;
+                }
               }
             }
 
             // --- Survivor-clique coupling -------------------------------
             survivors.clear();
             for (int cls = 0; cls < k; ++cls) {
-              if (alive[static_cast<size_t>(cls)] != 0) survivors.push_back(cls);
+              if (alive_bit(cls) != 0) survivors.push_back(cls);
             }
             const int ks = static_cast<int>(survivors.size());
             double margin = 1.0;

@@ -153,8 +153,10 @@ Result<std::vector<double>> SolveIterative(std::span<const double> r, int k,
     inv_diag[static_cast<size_t>(t)] = 1.0 / q[static_cast<size_t>(t) * k + t];
   }
 
+  // LibSVM's multiclass_probability limit.
+  const int max_iterations = std::max(100, k);
   int iter = 0;
-  for (; iter < std::max(100, options.max_iterations); ++iter) {
+  for (; iter < max_iterations; ++iter) {
     double pqp = 0.0;
     for (int t = 0; t < k; ++t) {
       const double v = ops.dot(q.data() + static_cast<size_t>(t) * k,
@@ -180,7 +182,7 @@ Result<std::vector<double>> SolveIterative(std::span<const double> r, int k,
                           q.data() + static_cast<size_t>(t) * k, k, diff);
     }
   }
-  if (iter >= std::max(100, options.max_iterations)) {
+  if (iter >= max_iterations) {
     GMP_LOG(Warning) << "pairwise coupling iteration limit reached";
   }
   return p;
@@ -204,6 +206,53 @@ Result<std::vector<double>> CoupleProbabilities(std::span<const double> r, int k
     return SolveDirect(r, k, ops);
   }
   return SolveIterative(r, k, options, ops);
+}
+
+std::array<Status, simd::kPanelRows> CouplePanel(
+    std::span<const double> pairs, int k, const CouplingOptions& options,
+    std::vector<double>* scratch, double* out) {
+  GMP_DCHECK(options.method == CouplingMethod::kGaussianElimination);
+  constexpr int kLanes = simd::kPanelRows;
+  std::array<Status, kLanes> status;
+  const size_t num_pairs = static_cast<size_t>(k) * (k - 1) / 2;
+  if (k < 2 || pairs.size() != num_pairs * kLanes) {
+    status.fill(Status::InvalidArgument(StrPrintf(
+        "coupling panel needs k >= 2 and %zu pair probabilities per lane, "
+        "got k = %d and %zu in all",
+        num_pairs, k, pairs.size())));
+    return status;
+  }
+  const simd::SimdOps& ops = simd::OpsFor(options.simd);
+  const int redo = ops.couple_panel(
+      pairs.data(), k, simd::AlignedPanel(*scratch, simd::CouplePanelCells(k)),
+      out);
+  // The lanes solved here count as CoupleProbabilities would count them; a
+  // lane solved again counts inside CoupleProbabilities.
+  simd::PathCounts counts;
+  std::vector<double> r;
+  for (int lane = 0; lane < kLanes; ++lane) {
+    if ((redo >> lane & 1) == 0) {
+      counts.Add(static_cast<int64_t>(k) * k,
+                 (2.0 / 3.0) * static_cast<double>(k) * k * k);
+      continue;
+    }
+    r.assign(static_cast<size_t>(k) * k, 0.0);
+    const double* p = pairs.data() + lane;
+    for (int s = 0; s < k; ++s) {
+      for (int t = s + 1; t < k; ++t, p += kLanes) {
+        r[static_cast<size_t>(s) * k + t] = *p;
+        r[static_cast<size_t>(t) * k + s] = 1.0 - *p;
+      }
+    }
+    Result<std::vector<double>> row = CoupleProbabilities(r, k, options);
+    if (!row.ok()) {
+      status[static_cast<size_t>(lane)] = row.status();
+      continue;
+    }
+    std::copy(row.value().begin(), row.value().end(), out + lane * k);
+  }
+  counts.Record(simd::SimdPath::kCoupling);
+  return status;
 }
 
 }  // namespace gmpsvm

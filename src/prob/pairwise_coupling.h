@@ -15,6 +15,7 @@
 #ifndef GMPSVM_PROB_PAIRWISE_COUPLING_H_
 #define GMPSVM_PROB_PAIRWISE_COUPLING_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -28,8 +29,8 @@ enum class CouplingMethod { kGaussianElimination, kIterative };
 
 struct CouplingOptions {
   CouplingMethod method = CouplingMethod::kGaussianElimination;
-  // Iterative method controls (LibSVM defaults).
-  int max_iterations = 100;
+  // Iterative method's stopping tolerance (LibSVM's default). It runs at
+  // most max(100, k) sweeps, LibSVM's own limit.
   double eps = 0.005;  // scaled by 1/k internally, as in LibSVM
   // SIMD tier for the solve's inner loops (kAuto = process-wide active
   // tier). Every tier is byte-identical — a speed knob only.
@@ -44,6 +45,23 @@ struct CouplingOptions {
 // GMP-SVM).
 Result<std::vector<double>> CoupleProbabilities(std::span<const double> r, int k,
                                                 const CouplingOptions& options);
+
+// Couples simd::kPanelRows instances by Gaussian elimination, one per SIMD
+// lane of the tier's couple_panel. `pairs` holds each instance's k(k-1)/2
+// pair probabilities, pair-major in the model's pair order (0,1), (0,2),
+// ..., (1,2), ...: pairs[pi * kPanelRows + lane] = P(s | {s,t}, x_lane).
+// Lane L's probabilities go to out[L*k, (L+1)*k) and its status to entry L
+// of the result. Each lane is bitwise CoupleProbabilities of the r its
+// pairs define (r_st = P, r_ts = 1 - P), errors included: a lane that needs
+// the ridge retry, does not sum to a positive value or holds a NaN estimate
+// is solved again through CoupleProbabilities, as is every lane on a tier
+// without a panel solve (scalar, NEON). `scratch` is reused across calls.
+// options.method must be kGaussianElimination. Host-only
+// (uncharged) like CoupleProbabilities, and records one coupling call per
+// lane.
+std::array<Status, simd::kPanelRows> CouplePanel(
+    std::span<const double> pairs, int k, const CouplingOptions& options,
+    std::vector<double>* scratch, double* out);
 
 }  // namespace gmpsvm
 

@@ -111,7 +111,32 @@ struct SimdOps {
   // out[j] = -(a[j] * b[j]) (coupling Q-matrix off-diagonal row fill).
   void (*mul_neg)(double* out, const double* a, const double* b,
                   int64_t n) = nullptr;
+
+  // Pairwise coupling by Gaussian elimination (Equation 15) for kPanelRows
+  // instances at once, one per lane. `pairs` holds k(k-1)/2 pair
+  // probabilities per lane, pair-major in the model's pair order (0,1),
+  // (0,2), ..., (1,2), ...: pairs[pi * kPanelRows + lane] = P(s | {s,t})
+  // for pair pi = (s,t). Each lane runs the per-row solve of
+  // CoupleProbabilities operation for operation: Q_st = Q_ts = -(p(1-p)),
+  // Q_ss summed in ascending u, its own first-strict-maximum pivot with a
+  // physical row swap, the factor == 0 skip, the canonical block-8 dot in
+  // back substitution, then clamp and normalise. Writes lane L's
+  // probabilities to out[L * k + c] and returns a bit mask of the lanes
+  // whose rows must be solved again per row: a NaN estimate, a pivot below
+  // 1e-12 (the ridge retry) or a sum that is not positive. Their out rows
+  // are unspecified. `work` holds CouplePanelCells(k) cells of kPanelRows
+  // doubles each, 32-byte aligned (see AlignedPanel). A tier without a
+  // panel solve returns every lane (scalar, and NEON until one is measured
+  // on aarch64), so its rows run the per-row solve.
+  int (*couple_panel)(const double* pairs, int k, double* work,
+                      double* out) = nullptr;
 };
+
+// Cells of couple_panel's work area: the k x (k+1) augmented matrix [Q | e]
+// at leading dimension k+1, then the k-cell solution.
+inline int64_t CouplePanelCells(int k) {
+  return static_cast<int64_t>(k) * (k + 2);
+}
 
 // True if `tier` can execute on this CPU (kAuto and kScalar always can).
 bool TierSupported(SimdTier tier);

@@ -17,7 +17,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "simd/simd_math.h"
 
@@ -280,6 +282,188 @@ void AxpyNegAvx2(double* y, const double* x, int64_t n, double factor) {
   for (; j < n; ++j) y[j] = y[j] - factor * x[j];
 }
 
+inline __m256d AbsVec(__m256d v) {
+  return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
+}
+
+// couple_panel with one vector per cell of the augmented matrix [Q | e]
+// (leading dimension k+1, rhs in column k); lane L follows the per-row
+// SolveDirect (prob/pairwise_coupling.cc) operation for operation. A pivot
+// swap exchanges the lane's two rows physically, so position i holds the
+// row SolveDirect reaches through perm[i]. The first attempt's ridge of 0.0
+// changes no bit of a diagonal (a sum of squares, never -0), so it is not
+// added. The elimination runs in blocks of four columns. A block's steps
+// first update only the block's own columns, and each row keeps its factor
+// in the column it eliminates, so a pivot swap, which exchanges whole rows
+// of one lane, moves a row's pending factors with it. Then every element
+// right of the block, the rhs included, takes its up-to-four updates from
+// registers in step order. Rows finish in ascending order, so the pivot-row
+// values an element subtracts already carry the block's earlier steps: each
+// element sees the unblocked loop's roundings in the unblocked loop's order.
+int CouplePanelAvx2(const double* pairs, int k, double* work, double* out) {
+  constexpr int kBlock = 4;
+  const int64_t ld = k + 1;
+  const auto cell = [work, ld](int64_t i, int64_t j) {
+    return work + (i * ld + j) * kPanelRows;
+  };
+  double* sol = cell(k, 0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+
+  // Q from the pair probabilities; each diagonal cell sums in ascending u.
+  for (int s = 0; s < k; ++s) {
+    _mm256_store_pd(cell(s, s), zero);
+    _mm256_store_pd(cell(s, k), one);
+  }
+  const double* p = pairs;
+  for (int s = 0; s < k; ++s) {
+    __m256d diag = _mm256_load_pd(cell(s, s));
+    for (int t = s + 1; t < k; ++t, p += kPanelRows) {
+      const __m256d r_st = _mm256_loadu_pd(p);
+      const __m256d r_ts = _mm256_sub_pd(one, r_st);
+      const __m256d v = _mm256_xor_pd(_mm256_mul_pd(r_st, r_ts), sign);
+      _mm256_store_pd(cell(s, t), v);
+      _mm256_store_pd(cell(t, s), v);
+      _mm256_store_pd(cell(t, t), _mm256_add_pd(_mm256_load_pd(cell(t, t)),
+                                                _mm256_mul_pd(r_st, r_st)));
+      diag = _mm256_add_pd(diag, _mm256_mul_pd(r_ts, r_ts));
+    }
+    _mm256_store_pd(cell(s, s), diag);
+  }
+  __m256d nan = zero;
+  for (int s = 0; s < k; ++s) {
+    const __m256d d = _mm256_load_pd(cell(s, s));
+    nan = _mm256_or_pd(nan, _mm256_cmp_pd(d, d, _CMP_UNORD_Q));
+  }
+  int redo = _mm256_movemask_pd(nan);
+
+  for (int col0 = 0; col0 < k; col0 += kBlock) {
+    const int end = std::min(col0 + kBlock, k);
+    for (int c = col0; c < end; ++c) {
+      __m256d best = AbsVec(_mm256_load_pd(cell(c, c)));
+      __m256d pivot = _mm256_set1_pd(c);
+      for (int row = c + 1; row < k; ++row) {
+        const __m256d v = AbsVec(_mm256_load_pd(cell(row, c)));
+        const __m256d gt = _mm256_cmp_pd(v, best, _CMP_GT_OQ);
+        best = _mm256_blendv_pd(best, v, gt);
+        pivot = _mm256_blendv_pd(pivot, _mm256_set1_pd(row), gt);
+      }
+      redo |= _mm256_movemask_pd(
+          _mm256_cmp_pd(best, _mm256_set1_pd(1e-12), _CMP_LT_OQ));
+      alignas(32) double pivot_row[kPanelRows];
+      _mm256_store_pd(pivot_row, pivot);
+      for (int lane = 0; lane < kPanelRows; ++lane) {
+        const int pr = static_cast<int>(pivot_row[lane]);
+        if (pr == c) continue;
+        for (int j = col0; j <= k; ++j) {
+          std::swap(cell(c, j)[lane], cell(pr, j)[lane]);
+        }
+      }
+      const __m256d inv_pivot =
+          _mm256_div_pd(one, _mm256_load_pd(cell(c, c)));
+      for (int row = c + 1; row < k; ++row) {
+        const __m256d factor =
+            _mm256_mul_pd(_mm256_load_pd(cell(row, c)), inv_pivot);
+        _mm256_store_pd(cell(row, c), factor);
+        const __m256d skip = _mm256_cmp_pd(factor, zero, _CMP_EQ_OQ);
+        for (int j = c + 1; j < end; ++j) {
+          const __m256d old = _mm256_load_pd(cell(row, j));
+          const __m256d upd = _mm256_sub_pd(
+              old, _mm256_mul_pd(factor, _mm256_load_pd(cell(c, j))));
+          _mm256_store_pd(cell(row, j), _mm256_blendv_pd(upd, old, skip));
+        }
+      }
+    }
+
+    // The trailing update: row `row` takes steps 0..steps-1 of the block.
+    const int64_t width = k + 1 - end;  // cells right of the block
+    const double* piv[kBlock] = {};     // the block's pivot rows
+    for (int s = 0; s < end - col0; ++s) piv[s] = cell(col0 + s, end);
+    for (int row = col0 + 1; row < k; ++row) {
+      const int steps = std::min(end, row) - col0;
+      __m256d f[kBlock];
+      __m256d skip[kBlock];
+      int any_skip = 0;
+      for (int s = 0; s < steps; ++s) {
+        f[s] = _mm256_load_pd(cell(row, col0 + s));
+        skip[s] = _mm256_cmp_pd(f[s], zero, _CMP_EQ_OQ);
+        any_skip |= _mm256_movemask_pd(skip[s]);
+      }
+      double* dst = cell(row, end);
+      if (steps == kBlock && any_skip == 0) {
+        // Spelled out: -O2 keeps a loop over f[] and piv[] in memory.
+        const __m256d f0 = f[0], f1 = f[1], f2 = f[2], f3 = f[3];
+        const double* p0 = piv[0];
+        const double* p1 = piv[1];
+        const double* p2 = piv[2];
+        const double* p3 = piv[3];
+        for (int64_t j = 0; j < width * kPanelRows; j += kPanelRows) {
+          __m256d v = _mm256_load_pd(dst + j);
+          v = _mm256_sub_pd(v, _mm256_mul_pd(f0, _mm256_load_pd(p0 + j)));
+          v = _mm256_sub_pd(v, _mm256_mul_pd(f1, _mm256_load_pd(p1 + j)));
+          v = _mm256_sub_pd(v, _mm256_mul_pd(f2, _mm256_load_pd(p2 + j)));
+          v = _mm256_sub_pd(v, _mm256_mul_pd(f3, _mm256_load_pd(p3 + j)));
+          _mm256_store_pd(dst + j, v);
+        }
+        continue;
+      }
+      for (int64_t j = 0; j < width * kPanelRows; j += kPanelRows) {
+        __m256d v = _mm256_load_pd(dst + j);
+        for (int s = 0; s < steps; ++s) {
+          const __m256d upd = _mm256_sub_pd(
+              v, _mm256_mul_pd(f[s], _mm256_load_pd(piv[s] + j)));
+          v = _mm256_blendv_pd(upd, v, skip[s]);
+        }
+        _mm256_store_pd(dst + j, v);
+      }
+    }
+  }
+
+  // Back substitution: the canonical block-8 tree, one row per lane.
+  for (int col = k - 1; col >= 0; --col) {
+    const int64_t n = k - col - 1;
+    const double* a = cell(col, col + 1);
+    const double* b = sol + (col + 1) * kPanelRows;
+    const auto prod = [a, b](int64_t i) {
+      return _mm256_mul_pd(_mm256_load_pd(a + i * kPanelRows),
+                           _mm256_load_pd(b + i * kPanelRows));
+    };
+    __m256d acc = zero;
+    int64_t q = 0;
+    for (; q + 8 <= n; q += 8) {
+      const __m256d s0 = _mm256_add_pd(prod(q), prod(q + 4));
+      const __m256d s1 = _mm256_add_pd(prod(q + 1), prod(q + 5));
+      const __m256d s2 = _mm256_add_pd(prod(q + 2), prod(q + 6));
+      const __m256d s3 = _mm256_add_pd(prod(q + 3), prod(q + 7));
+      acc = _mm256_add_pd(
+          acc, _mm256_add_pd(_mm256_add_pd(s0, s2), _mm256_add_pd(s1, s3)));
+    }
+    for (; q < n; ++q) acc = _mm256_add_pd(acc, prod(q));
+    _mm256_store_pd(sol + col * kPanelRows,
+                    _mm256_div_pd(_mm256_sub_pd(_mm256_load_pd(cell(col, k)),
+                                                acc),
+                                  _mm256_load_pd(cell(col, col))));
+  }
+
+  // Clamp and normalise. max(0, v) is std::max(v, 0.0): v unless 0 > v.
+  __m256d sum = zero;
+  for (int s = 0; s < k; ++s) {
+    const __m256d v =
+        _mm256_max_pd(zero, _mm256_load_pd(sol + s * kPanelRows));
+    _mm256_store_pd(sol + s * kPanelRows, v);
+    sum = _mm256_add_pd(sum, v);
+  }
+  redo |= _mm256_movemask_pd(_mm256_cmp_pd(sum, zero, _CMP_NGT_UQ));
+  for (int s = 0; s < k; ++s) {
+    alignas(32) double v[kPanelRows];
+    _mm256_store_pd(v,
+                    _mm256_div_pd(_mm256_load_pd(sol + s * kPanelRows), sum));
+    for (int lane = 0; lane < kPanelRows; ++lane) out[lane * k + s] = v[lane];
+  }
+  return redo;
+}
+
 }  // namespace
 
 const SimdOps* Avx2OpsTable() {
@@ -295,6 +479,7 @@ const SimdOps* Avx2OpsTable() {
       CouplingUpdateAvx2,
       AxpyNegAvx2,
       MulNegAvx2,
+      CouplePanelAvx2,
   };
   return &table;
 }

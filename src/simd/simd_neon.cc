@@ -281,6 +281,9 @@ const SimdOps* NeonOpsTable() {
       CouplingUpdateNeon,
       AxpyNegNeon,
       MulNegNeon,
+      // Every lane per row, as on the scalar tier, until a NEON panel solve
+      // can be compiled, tested and timed on aarch64.
+      ScalarOpsTable()->couple_panel,
   };
   return &table;
 }

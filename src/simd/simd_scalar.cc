@@ -101,6 +101,12 @@ void MulNegScalar(double* out, const double* a, const double* b, int64_t n) {
   for (int64_t j = 0; j < n; ++j) out[j] = -(a[j] * b[j]);
 }
 
+// Hands every lane back to the per-row solve (SolveDirect in
+// prob/pairwise_coupling.cc), which is the scalar tier's coupling.
+int CouplePanelScalar(const double*, int, double*, double*) {
+  return (1 << kPanelRows) - 1;
+}
+
 }  // namespace
 
 const SimdOps* ScalarOpsTable() {
@@ -116,6 +122,7 @@ const SimdOps* ScalarOpsTable() {
       CouplingUpdateScalar,
       AxpyNegScalar,
       MulNegScalar,
+      CouplePanelScalar,
   };
   return &table;
 }

@@ -4,6 +4,8 @@
 //   * kEliminate's top-1 labels agree with exact coupling on separable data;
 //   * ambiguity_band = 1.0 forces the exact fallback for every row and the
 //     output is byte-identical to kExact;
+//   * the elimination scan keeps working past 64 classes (two words of
+//     its alive bitset);
 //   * PredictOptions::Validate names the offending field;
 //   * cascade stats survive a model v2 round-trip, and v1 files still load
 //     (with no stats).
@@ -159,6 +161,44 @@ TEST(CascadeTest, SharedAndPerSvmCascadePathsAgreeExactly) {
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_EQ(a.cascade_fallback_rows, b.cascade_fallback_rows);
   EXPECT_EQ(a.cascade_pairs_evaluated, b.cascade_pairs_evaluated);
+}
+
+TEST(CascadeTest, MoreThanSixtyFourClassesSpanTwoAliveWords) {
+  // k = 70: the scan's alive bitset takes two 64-bit words, and classes
+  // 64..69 live in the second. Each class has a feature dimension of its
+  // own and little noise, so the blobs are separable; a class of the second
+  // word that died with its first-word namesake (class - 64) would mislabel
+  // its rows.
+  constexpr int kClasses = 70;
+  TrainedFixture fx{
+      ValueOrDie(MakeMulticlassBlobs(kClasses, 6, kClasses, 4.0, 53, 0.3)),
+      ValueOrDie(MakeMulticlassBlobs(kClasses, 2, kClasses, 4.0, 1053, 0.3)),
+      MpSvmModel{},
+  };
+  MpTrainOptions options = SmallGmpOptions();
+  options.kernel = Gaussian(0.05);
+  SimExecutor train_exec = Gpu();
+  fx.model = ValueOrDie(
+      GmpSvmTrainer(options).Train(fx.train, &train_exec, nullptr));
+  SimExecutor e1 = Gpu(), e2 = Gpu(), e3 = Gpu();
+  const MpSvmPredictor predictor(&fx.model);
+  auto exact = ValueOrDie(
+      predictor.Predict(fx.test.features(), &e1, PredictOptions{}));
+  auto cascade = ValueOrDie(
+      predictor.Predict(fx.test.features(), &e2, EliminateOptions(0.05)));
+  EXPECT_GT(cascade.cascade_classes_eliminated, 0);
+  EXPECT_LT(cascade.cascade_fallback_rows, cascade.num_instances / 4);
+  int64_t high_rows = 0;
+  for (int64_t i = 0; i < exact.num_instances; ++i) {
+    const int32_t truth = fx.test.labels()[static_cast<size_t>(i)];
+    EXPECT_EQ(exact.labels[static_cast<size_t>(i)], truth) << "row " << i;
+    EXPECT_EQ(cascade.labels[static_cast<size_t>(i)], truth) << "row " << i;
+    high_rows += truth >= 64 ? 1 : 0;
+  }
+  EXPECT_EQ(high_rows, 2 * (kClasses - 64));
+  auto full_band = ValueOrDie(
+      predictor.Predict(fx.test.features(), &e3, EliminateOptions(1.0)));
+  EXPECT_TRUE(SameBytes(exact.probabilities, full_band.probabilities));
 }
 
 TEST(CascadeTest, EliminationComputesFewerKernelValuesThanExact) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <utility>
 
 #include "../test_util.h"
 #include "core/mp_trainer.h"
@@ -101,6 +102,47 @@ TEST(ModelIoTest, RejectsOutOfRangeSvIndex) {
   const size_t line_end = text.find('\n', pos + 1);
   text.insert(line_end + 1, "999999:1.0 ");
   EXPECT_FALSE(DeserializeModel(text).ok());
+}
+
+TEST(ModelIoTest, RejectsPairsOutOfPairOrder) {
+  // Prediction finds pair (s, t) at svms[PairIndex(s, t)], so a model must
+  // hold the k(k-1)/2 pairs (0,1), (0,2), ..., (1,2), ... in that order.
+  const MpSvmModel model = TrainSmallModel(23);
+  ASSERT_EQ(model.svms.size(), 3u);
+  ASSERT_TRUE(model.has_cascade_stats());
+  const auto edited = [&](auto edit) {
+    MpSvmModel copy = model;
+    edit(copy);
+    return DeserializeModel(SerializeModel(copy));
+  };
+  const struct {
+    const char* name;
+    Result<MpSvmModel> result;
+  } kCases[] = {
+      {"swapped entries", edited([](MpSvmModel& m) {
+         std::swap(m.svms[0], m.svms[2]);
+         std::swap(m.cascade[0], m.cascade[2]);
+       })},
+      {"missing pair", edited([](MpSvmModel& m) {
+         m.svms.pop_back();
+         m.cascade.pop_back();
+       })},
+      {"extra pair", edited([](MpSvmModel& m) {
+         m.svms.push_back(m.svms.back());
+         m.cascade.push_back(m.cascade.back());
+       })},
+      {"classes reversed", edited([](MpSvmModel& m) {
+         std::swap(m.svms[0].class_s, m.svms[0].class_t);
+       })},
+      {"class out of range", edited([](MpSvmModel& m) {
+         m.svms[2].class_t = m.num_classes;
+       })},
+  };
+  for (const auto& test_case : kCases) {
+    ASSERT_FALSE(test_case.result.ok()) << "accepted: " << test_case.name;
+    EXPECT_TRUE(test_case.result.status().IsIoError()) << test_case.name;
+  }
+  EXPECT_TRUE(edited([](MpSvmModel&) {}).ok());
 }
 
 // Fuzz-ish robustness table: every malformed input must come back as an

@@ -202,7 +202,9 @@ TEST(MpSvmPredictorTest, RowFusedMatchesNaiveReference) {
        {simd::SimdTier::kScalar, simd::SimdTier::kAvx2, simd::SimdTier::kNeon}) {
     if (!simd::TierSupported(tier)) continue;
     for (bool share : {true, false}) {
-      for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}, n}) {
+      // Tile 6 holds a full panel, coupled four rows per solve, and a
+      // partial one, coupled row by row.
+      for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{6}, n}) {
         // Simulated time, phases and counters depend only on sizes: they
         // must not move with the host thread count.
         std::optional<PredictResult> serial;
@@ -253,7 +255,8 @@ TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
   // A NaN feature makes every pairwise estimate of its row NaN, under the
   // linear and the Gaussian kernel and on every SIMD tier, and the coupling
   // solve rejects it. Rows 2 and 5 fail; whatever the kernel, tier, tiling,
-  // thread count or path, Predict returns row 2's status.
+  // thread count or path, Predict returns row 2's status. At tiles 0 and 6
+  // row 2 is a lane of a full panel's coupling solve.
   TrainedFixture fx = MakeFixture(3, 89);
   const CsrMatrix& clean = fx.test.features();
   CsrBuilder builder(clean.cols());
@@ -269,7 +272,7 @@ TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
          {simd::SimdTier::kScalar, simd::SimdTier::kAvx2, simd::SimdTier::kNeon}) {
       if (!simd::TierSupported(tier)) continue;
       for (int threads : {1, 4}) {
-        for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}}) {
+        for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{6}}) {
           for (bool cascade : {false, true}) {
             const std::string what = StrPrintf(
                 "kernel=%d tier=%s threads=%d tile=%lld cascade=%d",

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -29,6 +31,17 @@ TEST(CouplingTest, RejectsBadInput) {
   EXPECT_FALSE(CoupleProbabilities(std::vector<double>{1.0}, 1, opts).ok());
   EXPECT_FALSE(CoupleProbabilities(std::vector<double>{1, 2, 3}, 2, opts).ok());
   EXPECT_FALSE(CoupleProbabilities(std::vector<double>(9, 0.5), 2, opts).ok());
+  // A panel needs k >= 2 and k(k-1)/2 pair probabilities per lane.
+  std::vector<double> scratch;
+  std::vector<double> out(4 * simd::kPanelRows);
+  for (const auto& [pairs, k] :
+       {std::pair{std::vector<double>(simd::kPanelRows), 1},
+        std::pair{std::vector<double>(2 * simd::kPanelRows, 0.5), 3}}) {
+    for (const Status& status :
+         CouplePanel(pairs, k, opts, &scratch, out.data())) {
+      EXPECT_TRUE(status.IsInvalidArgument()) << "k=" << k;
+    }
+  }
 }
 
 class CouplingMethodTest : public ::testing::TestWithParam<CouplingMethod> {};

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "kernel/kernel_function.h"
 #include "prob/pairwise_coupling.h"
 #include "simd/simd_math.h"
@@ -423,6 +426,158 @@ TEST(SimdTierIdentityTest, CouplingSolvesBitwiseAcrossTiers) {
       }
     }
   }
+}
+
+// One coupling panel: each lane's k x k r (r_st = P, r_ts = 1 - P) and the
+// same probabilities pair-major in pair order, as CouplePanel takes them.
+struct CouplingPanel {
+  int k = 0;
+  std::vector<std::vector<double>> r;
+  std::vector<double> pairs;
+
+  explicit CouplingPanel(int classes)
+      : k(classes),
+        r(simd::kPanelRows,
+          std::vector<double>(static_cast<size_t>(classes) * classes, 0.0)),
+        pairs(static_cast<size_t>(classes) * (classes - 1) / 2 *
+              simd::kPanelRows) {}
+
+  void Set(int lane, int s, int t, double p) {
+    const int pi = s * k - s * (s + 3) / 2 + t - 1;
+    pairs[static_cast<size_t>(pi) * simd::kPanelRows + lane] = p;
+    r[lane][static_cast<size_t>(s) * k + t] = p;
+    r[lane][static_cast<size_t>(t) * k + s] = 1.0 - p;
+  }
+  template <typename Fn>
+  void Fill(int lane, Fn p_of) {
+    for (int s = 0; s < k; ++s) {
+      for (int t = s + 1; t < k; ++t) Set(lane, s, t, p_of(s, t));
+    }
+  }
+};
+
+// Coupling's Q_st for lane r (Equation 15), to check what a fixture makes
+// the elimination do.
+double QOf(const std::vector<double>& r, int k, int s, int t) {
+  const auto at = [&](int i, int j) {
+    return r[static_cast<size_t>(i) * k + j];
+  };
+  if (s != t) return -(at(s, t) * at(t, s));
+  double q = 0.0;
+  for (int u = 0; u < k; ++u) {
+    q += at(u, s) * at(u, s);
+  }
+  return q;
+}
+
+TEST(SimdTierIdentityTest, CouplePanelIsPerRowCouplingOnEveryTier) {
+  // Every lane of a panel solve must be bitwise the per-row Gaussian
+  // elimination of its r, errors included, on every tier: lanes that pivot
+  // differently, a lane whose Q is singular until the ridge retry (r = 0.5
+  // everywhere), a NaN estimate, and saturated 0/1 estimates whose exact
+  // zero factors take the factor == 0 skip.
+  Rng rng(41);
+  for (int k : {2, 3, 5, 9, 64}) {
+    const auto uniform = [&](int, int) { return rng.Uniform(0.02, 0.98); };
+    CouplingPanel mixed(k);
+    mixed.Fill(0, uniform);
+    // Class 0 wins every pair almost surely: Q_00 ~ (k-1)e-6 against
+    // |Q_t0| ~ 1e-3, so this lane's first pivot moves (asserted below).
+    mixed.Fill(1, [&](int s, int t) { return s == 0 ? 0.999 : uniform(s, t); });
+    // Class 0's pairs saturate to 1, 0, 1, 0, ...: exact zeros in Q.
+    mixed.Fill(2, [&](int s, int t) {
+      return s == 0 ? static_cast<double>(t % 2) : uniform(s, t);
+    });
+    // Class 2 wins every pair: its tiny diagonal makes a pivot move inside
+    // the first block of four columns, where a swap carries the rows'
+    // pending factors of the block's earlier steps.
+    const int winner = std::min(2, k - 1);
+    mixed.Fill(3, [&](int s, int t) {
+      return s == winner ? 0.999 : t == winner ? 0.001 : uniform(s, t);
+    });
+    double max_off = 0.0;
+    for (int t = 1; t < k; ++t) {
+      max_off = std::max(max_off, std::abs(QOf(mixed.r[1], k, t, 0)));
+    }
+    ASSERT_GT(max_off, QOf(mixed.r[1], k, 0, 0)) << "k=" << k;
+
+    CouplingPanel failing(k);
+    failing.Fill(0, uniform);
+    failing.Fill(1, [](int, int) { return 0.5; });
+    failing.Fill(2, uniform);
+    failing.Fill(3, uniform);
+    failing.Set(3, 0, k - 1, std::numeric_limits<double>::quiet_NaN());
+
+    for (const CouplingPanel* panel : {&mixed, &failing}) {
+      CouplingOptions ref_opts;
+      ref_opts.simd = SimdTier::kScalar;
+      for (SimdTier tier : SupportedTiers()) {
+        CouplingOptions opts = ref_opts;
+        opts.simd = tier;
+        std::vector<double> scratch;
+        std::vector<double> out(static_cast<size_t>(simd::kPanelRows) * k);
+        const std::array<Status, simd::kPanelRows> got =
+            CouplePanel(panel->pairs, k, opts, &scratch, out.data());
+        for (int lane = 0; lane < simd::kPanelRows; ++lane) {
+          const std::string what =
+              StrPrintf("%s k=%d lane=%d", simd::TierName(tier), k, lane);
+          Result<std::vector<double>> want =
+              CoupleProbabilities(panel->r[lane], k, ref_opts);
+          ASSERT_EQ(got[lane].ok(), want.ok()) << what;
+          if (!want.ok()) {
+            EXPECT_EQ(got[lane].ToString(), want.status().ToString()) << what;
+            continue;
+          }
+          const std::vector<double> row(out.begin() + lane * k,
+                                        out.begin() + (lane + 1) * k);
+          EXPECT_TRUE(SameBits(row, want.value())) << what;
+        }
+      }
+    }
+
+    // AVX2's entry hands back exactly the ridge and NaN lanes. At k = 2,
+    // Q = [(1-p)^2, -p(1-p); -p(1-p), p^2] is singular for every p, so
+    // every lane needs the ridge. The scalar and NEON entries hand back
+    // every lane: their rows run the per-row solve.
+    for (SimdTier tier : SupportedTiers()) {
+      const int want_redo =
+          tier == SimdTier::kAvx2 && k > 2 ? 0b1010 : 0b1111;
+      const SimdOps& ops = simd::OpsFor(tier);
+      std::vector<double> storage;
+      std::vector<double> out(static_cast<size_t>(simd::kPanelRows) * k);
+      const int redo = ops.couple_panel(
+          failing.pairs.data(), k,
+          simd::AlignedPanel(storage, simd::CouplePanelCells(k)), out.data());
+      EXPECT_EQ(redo, want_redo) << ops.name << " k=" << k;
+    }
+  }
+}
+
+TEST(SimdTierIdentityTest, CouplePanelCountsOneCallPerRow) {
+  // Solved lanes and lanes solved again per row each count once.
+  const int k = 5;
+  CouplingPanel panel(k);
+  for (int lane = 0; lane < simd::kPanelRows; ++lane) {
+    panel.Fill(lane, [lane](int s, int t) {
+      return lane == 2 ? 0.5 : 0.1 + 0.1 * s + 0.02 * t;  // lane 2: ridge
+    });
+  }
+  for (SimdTier tier : SupportedTiers()) {
+    CouplingOptions opts;
+    opts.simd = tier;
+    std::vector<double> scratch;
+    std::vector<double> out(static_cast<size_t>(simd::kPanelRows) * k);
+    simd::ResetPathStats();
+    for (const Status& status :
+         CouplePanel(panel.pairs, k, opts, &scratch, out.data())) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    const simd::PathStatsSnapshot stats =
+        simd::PathStats(simd::SimdPath::kCoupling);
+    EXPECT_EQ(stats.calls, simd::kPanelRows) << simd::TierName(tier);
+    EXPECT_EQ(stats.elements, simd::kPanelRows * k * k) << simd::TierName(tier);
+  }
+  simd::ResetPathStats();
 }
 
 TEST(SimdPathStatsTest, RecordsCallsElementsAndFlops) {
