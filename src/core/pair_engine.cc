@@ -272,12 +272,14 @@ Result<std::vector<PairTrainOutcome>> RunPairs(
   std::vector<PairTrainOutcome> outcomes;
   for (const std::vector<size_t>& group : groups) {
     // One stream per pair in the group, each owning an equal share of SMs
-    // (the paper caps SMs per binary SVM to enable concurrency).
-    std::vector<StreamId> streams(group.size(), kDefaultStream);
-    if (!engine.sequential) {
-      const double share = 1.0 / static_cast<double>(group.size());
-      for (StreamId& stream : streams) stream = executor->CreateStream(share);
-    }
+    // (the paper caps SMs per binary SVM to enable concurrency), retired
+    // when the group ends.
+    const ScopedStreams group_streams(
+        executor, engine.sequential ? 0 : static_cast<int>(group.size()),
+        1.0 / static_cast<double>(group.size()));
+    const std::vector<StreamId> streams =
+        engine.sequential ? std::vector<StreamId>(group.size(), kDefaultStream)
+                          : group_streams.ids();
     std::vector<PairJob> jobs;
     for (size_t p : group) {
       jobs.push_back(MakePairJob(engine, p, pairs[p].first, pairs[p].second));

@@ -117,7 +117,8 @@ Status PredictOptions::Validate() const {
   return Status::OK();
 }
 
-MpSvmPredictor::MpSvmPredictor(const MpSvmModel* model) : model_(model) {
+MpSvmPredictor::MpSvmPredictor(const MpSvmModel* model)
+    : model_(model), sv_norms_(model->support_vectors.AllRowSquaredNorms()) {
   std::vector<int32_t> order(model->svms.size());
   std::iota(order.begin(), order.end(), 0);
   if (model->has_cascade_stats()) {
@@ -169,7 +170,7 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
                      TransferDirection::kHostToDevice);
 
   KernelComputer computer(&test, &model.support_vectors, model.kernel,
-                          options.simd);
+                          options.simd, sv_norms_);
   const simd::SimdOps& ops = simd::OpsFor(options.simd);
   const CouplingOptions coupling = ResolveCoupling(options);
 
@@ -192,16 +193,14 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
   const bool couple_panels =
       !voting && coupling.method == CouplingMethod::kGaussianElimination;
 
-  // Streams for concurrent binary-SVM evaluation, created once and reused
-  // across tiles (SynchronizeAll at each tile boundary keeps them ordered).
+  // Streams for concurrent binary-SVM evaluation, created once per call,
+  // reused across tiles (SynchronizeAll at each tile boundary keeps them
+  // ordered) and retired when the call returns.
   const int group = options.concurrent_svms
                         ? std::clamp(options.max_concurrent_svms, 1, model.num_pairs())
                         : 1;
-  std::vector<StreamId> streams;
-  streams.reserve(static_cast<size_t>(group));
-  for (int gi = 0; gi < group; ++gi) {
-    streams.push_back(executor->CreateStream(1.0 / group));
-  }
+  const ScopedStreams scoped_streams(executor, group, 1.0 / group);
+  const std::vector<StreamId>& streams = scoped_streams.ids();
 
   const bool share = options.share_kernel_values;
   std::vector<double> kblock;    // tile x pool (shared path)
@@ -527,7 +526,7 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
                      TransferDirection::kHostToDevice);
 
   KernelComputer computer(&test, &model.support_vectors, model.kernel,
-                          options.simd);
+                          options.simd, sv_norms_);
   const simd::SimdOps& ops = simd::OpsFor(options.simd);
   const CouplingOptions coupling = ResolveCoupling(options);
 

@@ -182,9 +182,10 @@ struct PredictResult {
 class MpSvmPredictor {
  public:
   // The model must outlive the predictor and must not change while the
-  // predictor is in use: the cascade's scan table is built from it here,
-  // once, so a predictor kept per model (as the serving registry keeps one
-  // per version) pays for it once.
+  // predictor is in use: the cascade's scan table and the squared norms of
+  // the SV pool are computed from it here, once, so a predictor kept per
+  // model (as the serving registry keeps one per version) pays for them
+  // once.
   explicit MpSvmPredictor(const MpSvmModel* model);
 
   // Predicts coupled probabilities for every row of `test`.
@@ -230,6 +231,9 @@ class MpSvmPredictor {
   // Every pair, most discriminative first (the model's PairCascadeStats
   // score, ties by pair index); pair-index order for models without stats.
   std::vector<ScanEntry> scan_;
+  // AllRowSquaredNorms() of the model's SV pool, for every KernelComputer
+  // a call builds.
+  std::vector<double> sv_norms_;
 };
 
 }  // namespace gmpsvm

@@ -87,6 +87,12 @@ StreamId SimExecutor::CreateStream(double unit_share) {
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
+void SimExecutor::RetireStream([[maybe_unused]] StreamId stream) {
+  GMP_DCHECK(stream != kDefaultStream && stream == num_streams() - 1);
+  retired_makespan_ = std::max(retired_makespan_, streams_.back().ready_at);
+  streams_.pop_back();
+}
+
 double SimExecutor::TaskDuration(const TaskCost& cost, double unit_share) const {
   const double allocated_units = std::max(1.0, model_.compute_units * unit_share);
   // A task with few independent items cannot occupy all allocated units.
@@ -258,7 +264,7 @@ void SimExecutor::SynchronizeAll() {
 }
 
 double SimExecutor::NowSeconds() const {
-  double makespan = 0.0;
+  double makespan = retired_makespan_;
   for (const Stream& s : streams_) makespan = std::max(makespan, s.ready_at);
   return makespan;
 }
@@ -287,6 +293,21 @@ Result<DeviceAllocation> SimExecutor::Allocate(size_t bytes) {
 void SimExecutor::ReleaseBytes(size_t bytes) {
   GMP_DCHECK(counters_.bytes_in_use >= bytes);
   counters_.bytes_in_use -= bytes;
+}
+
+ScopedStreams::ScopedStreams(SimExecutor* executor, int count,
+                             double unit_share)
+    : executor_(executor) {
+  ids_.reserve(static_cast<size_t>(std::max(0, count)));
+  for (int i = 0; i < count; ++i) {
+    ids_.push_back(executor_->CreateStream(unit_share));
+  }
+}
+
+ScopedStreams::~ScopedStreams() {
+  for (auto it = ids_.rbegin(); it != ids_.rend(); ++it) {
+    executor_->RetireStream(*it);
+  }
 }
 
 void SubmitParallelFor(SimExecutor* executor, StreamId stream, int64_t n,

@@ -6,7 +6,9 @@
 //   * CreateStream(sm_share) creates a logical stream that owns a static
 //     fraction of the device's compute units (the paper's MP-SVM level caps
 //     the SMs each concurrently-trained binary SVM may use; this models that
-//     directly).
+//     directly). ScopedStreams creates a call's or a pair group's streams
+//     and retires them when that scope ends, so a long-lived executor (a
+//     serve worker's) holds only the streams in use.
 //   * Submit(stream, cost, fn) runs `fn` on the host immediately (results are
 //     real), and advances the stream's simulated timeline by a duration
 //     derived from `cost` under the executor's ExecutorModel. Tasks on
@@ -118,10 +120,11 @@ class SimExecutor {
   const ExecutorModel& model() const { return model_; }
 
   // Creates a stream owning `unit_share` of the compute units (clamped to
-  // (0, 1]). Streams are never destroyed; executors are per-experiment.
+  // (0, 1]). A stream made this way lives as long as the executor; streams
+  // made for one call or one group come from ScopedStreams instead.
   StreamId CreateStream(double unit_share);
 
-  // Number of streams including the default stream.
+  // Number of live streams including the default stream.
   int num_streams() const { return static_cast<int>(streams_.size()); }
 
   // Runs `fn` now and charges `cost` to `stream`'s simulated timeline.
@@ -158,7 +161,7 @@ class SimExecutor {
   // Joins all streams: after this, NowSeconds() is the makespan.
   void SynchronizeAll();
 
-  // Simulated time: max over stream timelines.
+  // Simulated time: max over stream timelines, retired streams included.
   double NowSeconds() const;
 
   // Simulated time at which `stream` drains. Deltas of this around a section
@@ -182,10 +185,9 @@ class SimExecutor {
   // every emitted span so that several executors (e.g. per-serve-worker
   // devices) can share one recorder without their stream rows colliding. A
   // positive `lane_width` additionally wraps stream ids into
-  // [lane_base, lane_base + lane_width): long-lived executors keep creating
-  // streams (each PredictRows call adds some), and the wrap keeps their rows
-  // inside the assigned band instead of creeping into a neighbor's. The
-  // recorder must outlive its attachment.
+  // [lane_base, lane_base + lane_width), which keeps a pair group wider than
+  // the band inside it instead of creeping into a neighbor's. The recorder
+  // must outlive its attachment.
   void SetSpanRecorder(obs::SpanRecorder* recorder, int lane_base = 0,
                        int lane_width = 0) {
     recorder_ = recorder;
@@ -239,9 +241,15 @@ class SimExecutor {
 
  private:
   friend class DeviceAllocation;
+  friend class ScopedStreams;
   friend SimExecutor ForkSatellite(SimExecutor* main, StreamId main_stream,
                                    ExecEventLog* log, ThreadPool* host_pool);
   void ReleaseBytes(size_t bytes);
+
+  // Retires the newest stream, folding its timeline into retired_makespan_
+  // so NowSeconds() reads what it read while the stream was live. Its id is
+  // handed out again by the next CreateStream.
+  void RetireStream(StreamId stream);
 
   struct Stream {
     double unit_share = 1.0;
@@ -250,6 +258,8 @@ class SimExecutor {
 
   ExecutorModel model_;
   std::vector<Stream> streams_;
+  // Latest drain time of any retired stream: a floor under NowSeconds().
+  double retired_makespan_ = 0.0;
   ExecutorCounters counters_;
   obs::SpanRecorder* recorder_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
@@ -261,6 +271,28 @@ class SimExecutor {
   // threads per binary problem).
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* external_pool_ = nullptr;
+};
+
+// The streams of one call or one pair group: `count` streams of `unit_share`
+// each, created on construction and retired, newest first, when the scope
+// ends on any return path. Scopes on one executor must nest (a DCHECK holds
+// the LIFO order), and the executor must outlive the scope. Retired ids are
+// reused, so a trace shows one lane per concurrently live stream, not one
+// per stream ever made; every simulated time reads as if the streams lived
+// on.
+class ScopedStreams {
+ public:
+  ScopedStreams(SimExecutor* executor, int count, double unit_share);
+  ~ScopedStreams();
+
+  ScopedStreams(const ScopedStreams&) = delete;
+  ScopedStreams& operator=(const ScopedStreams&) = delete;
+
+  const std::vector<StreamId>& ids() const { return ids_; }
+
+ private:
+  SimExecutor* executor_;
+  std::vector<StreamId> ids_;
 };
 
 // Convenience: submits a task that processes `n` items with `flops_per_item`

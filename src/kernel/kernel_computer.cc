@@ -1,5 +1,6 @@
 #include "kernel/kernel_computer.h"
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace gmpsvm {
@@ -65,14 +66,23 @@ double TransformBlock(const KernelFunction& fn, const simd::SimdOps& ops,
 }  // namespace
 
 KernelComputer::KernelComputer(const CsrMatrix* a, const CsrMatrix* b,
-                               KernelParams params, simd::SimdTier simd_tier)
+                               KernelParams params, simd::SimdTier simd_tier,
+                               std::span<const double> b_norms)
     : a_(a),
       b_(b),
       function_(params),
       ops_(&simd::OpsFor(simd_tier)),
       symmetric_(a == b) {
   norms_a_ = a_->AllRowSquaredNorms();
-  norms_b_ = symmetric_ ? norms_a_ : b_->AllRowSquaredNorms();
+  if (symmetric_) {
+    norms_b_ = norms_a_;
+  } else if (!b_norms.empty()) {
+    GMP_DCHECK(static_cast<int64_t>(b_norms.size()) == b_->rows());
+    norms_b_ = b_norms;
+  } else {
+    owned_norms_b_ = b_->AllRowSquaredNorms();
+    norms_b_ = owned_norms_b_;
+  }
 }
 
 void KernelComputer::ComputeBlock(std::span<const int32_t> batch,

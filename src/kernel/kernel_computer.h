@@ -28,13 +28,21 @@ class KernelComputer {
   // `simd_tier` selects the SIMD kernel tier for dots and transforms
   // (kAuto = the process-wide active tier, resolved at construction); every
   // tier produces byte-identical values, so this is a speed knob only.
+  // `b_norms`, when non-empty, is b's AllRowSquaredNorms() computed once by
+  // the caller (the predictor keeps its SV pool's) and must outlive the
+  // computer; when empty the computer computes them.
   KernelComputer(const CsrMatrix* a, const CsrMatrix* b, KernelParams params,
-                 simd::SimdTier simd_tier = simd::SimdTier::kAuto);
+                 simd::SimdTier simd_tier = simd::SimdTier::kAuto,
+                 std::span<const double> b_norms = {});
 
   // Convenience for the symmetric (training) case.
   KernelComputer(const CsrMatrix* x, KernelParams params,
                  simd::SimdTier simd_tier = simd::SimdTier::kAuto)
       : KernelComputer(x, x, params, simd_tier) {}
+
+  // norms_b_ may point into norms_a_ or owned_norms_b_.
+  KernelComputer(const KernelComputer&) = delete;
+  KernelComputer& operator=(const KernelComputer&) = delete;
 
   const KernelFunction& function() const { return function_; }
 
@@ -107,7 +115,8 @@ class KernelComputer {
   KernelFunction function_;
   const simd::SimdOps* ops_;  // resolved tier table; static storage duration
   std::vector<double> norms_a_;
-  std::vector<double> norms_b_;
+  std::vector<double> owned_norms_b_;  // empty when symmetric or given
+  std::span<const double> norms_b_;
   bool symmetric_;
 };
 

@@ -1,9 +1,11 @@
 // MicroBatcher: turns the request queue's stream of single-instance requests
 // into prediction tiles. This is where the paper's prediction-phase
-// economics (Section 3.3.3) meet the serving path: the shared-SV kernel
-// block costs one tile x pool computation regardless of how many requests
-// share the tile, so coalescing B requests divides the per-request kernel
-// and fixed dispatch cost by B at the price of at most `max_queue_delay`
+// economics (Section 3.3.3) meet the serving path: requests that queue up
+// behind a busy worker share one tile, its device transfers and its
+// per-call streams. A tile's kernel block still costs one row of pool
+// kernel values per request, so a batch costs about its rows; by default a
+// free worker takes whatever is queued, and a positive `max_queue_delay`
+// holds a batch open for batch-mates at the price of at most that much
 // extra latency for the earliest request.
 //
 // The batcher also retires requests whose deadline passed while queued —
@@ -26,9 +28,10 @@ struct BatchingOptions {
   int max_batch_size = 32;
 
   // How long a batch may stay open waiting to fill, measured from the
-  // admission of its oldest request. Zero means "take whatever is queued
-  // right now" (no added latency, batches form only under backlog).
-  std::chrono::microseconds max_queue_delay{500};
+  // admission of its oldest request. Zero (the default) means "take whatever
+  // is queued right now": no added latency, and batches form from the
+  // backlog that builds while every worker is busy.
+  std::chrono::microseconds max_queue_delay{0};
 };
 
 class MicroBatcher {

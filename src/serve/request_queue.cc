@@ -17,8 +17,10 @@ Status RequestQueue::Push(PendingRequest item) {
           "request queue full (" + std::to_string(capacity_) + " pending)");
     }
     items_.push_back(std::move(item));
+    ++changes_;
   }
   cv_.notify_one();
+  window_cv_.notify_all();
   return Status::OK();
 }
 
@@ -70,8 +72,10 @@ size_t RequestQueue::PopBatch(size_t max_batch,
     // time_point to wait_until (whose clock conversions can overflow).
     const MonotonicTime slice = std::min(
         batch_deadline, SafeTimeAdd(MonotonicNow(), std::chrono::seconds(1)));
-    cv_.wait_until(lock, slice,
-                   [this] { return closed_ || !items_.empty(); });
+    // Wake on a change only: queued requests for other models, or a pause,
+    // leave the queue as this batch last saw it.
+    const uint64_t seen = changes_;
+    window_cv_.wait_until(lock, slice, [&] { return changes_ != seen; });
     if (!paused_) take_available();
   }
   return popped;
@@ -81,8 +85,10 @@ void RequestQueue::Close() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
+    ++changes_;
   }
   cv_.notify_all();
+  window_cv_.notify_all();
 }
 
 void RequestQueue::Pause() {
@@ -94,8 +100,10 @@ void RequestQueue::Resume() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     paused_ = false;
+    ++changes_;
   }
   cv_.notify_all();
+  window_cv_.notify_all();
 }
 
 bool RequestQueue::closed() const {

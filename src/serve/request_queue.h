@@ -11,6 +11,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <vector>
@@ -38,7 +39,9 @@ class RequestQueue {
   // item like Pop(); then keeps the batch open until it is full or
   // `max_delay` has elapsed since the *oldest* item in it was enqueued (so
   // batching adds at most `max_delay` of queueing latency to any request).
-  // Returns the number of items appended to `out`; 0 means closed-and-empty.
+  // An open batch sleeps between changes to the queue (a push, Resume or
+  // Close), however many other models' requests are queued. Returns the
+  // number of items appended to `out`; 0 means closed-and-empty.
   size_t PopBatch(size_t max_batch, MonotonicClock::duration max_delay,
                   std::vector<PendingRequest>* out);
 
@@ -59,6 +62,11 @@ class RequestQueue {
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable cv_;  // wakes consumers: item pushed / closed / resumed
+  // Wakes consumers holding a batch open, on every change.
+  std::condition_variable window_cv_;
+  // Counts pushes, Resumes and Closes: an open batch rescans only after it
+  // moves.
+  uint64_t changes_ = 0;
   std::deque<PendingRequest> items_;
   bool closed_ = false;
   bool paused_ = false;

@@ -4,7 +4,9 @@
 //     and 8 rows, with shared and with per-SVM kernel values, plus voting;
 //   * the elimination cascade at tiles of 0 and 8 rows, at the default
 //     ambiguity band and at band 1.0 (every row falls back to the exact
-//     pipeline).
+//     pipeline);
+//   * one executor kept across a sequence of PredictRows and Train calls,
+//     which must leave its stream count as they found it.
 // Every run is made at host_threads 1 and 4 against the same pins.
 //
 // The 26 test rows split into full 4-row panels, 2- and 3-row partial
@@ -620,6 +622,143 @@ TEST(PredictPinTest, CascadeDefaultBandTile8) {
 
 TEST(PredictPinTest, CascadeBand1Tile8) {
   ExpectRun(Cascade(8, 1.0), kCascadeBand1Tile8);
+}
+
+// One executor kept across calls, as a serve worker keeps its own: PredictRows
+// at 1- and 5-row tiles, exact and cascade, shared and per-SVM kernel values,
+// then two Train calls (with and without the shared block cache, so the
+// second forks pairs at 4 host threads). Every call must leave the stream
+// count where it found it. Each call's simulated seconds and phases, and the
+// executor's counters, are pinned to values recorded on the same sequence
+// before streams were retired: sim times are differences of absolute
+// makespans, so a used executor may differ from a fresh one in the last bits
+// and only a recorded value can say the retired streams changed nothing.
+Pins LongLivedExecutorPins(int host_threads) {
+  const Fixture& fx = SharedFixture();
+  ExecutorModel device = ExecutorModel::TeslaP100();
+  device.host_threads = host_threads;
+  SimExecutor exec(device);
+  const int streams = exec.num_streams();
+  const MpSvmPredictor predictor(&fx.model);
+
+  Pins pins;
+  int call = 0;
+  int64_t next_row = 0;
+  for (const int64_t rows : {1, 5}) {
+    for (const bool cascade : {false, true}) {
+      for (const bool share : {true, false}) {
+        PredictOptions options =
+            cascade ? Cascade(0, CascadeOptions{}.ambiguity_band) : Exact(0, share);
+        options.share_kernel_values = share;
+        std::vector<SparseRowView> views;
+        for (int64_t i = 0; i < rows; ++i, ++next_row) {
+          const int64_t row = next_row % kTestRows;
+          views.push_back({fx.test.RowIndices(row), fx.test.RowValues(row)});
+        }
+        const PredictResult result =
+            ValueOrDie(predictor.PredictRows(views, &exec, options));
+        const std::string key = StrPrintf("predict%d.", call++);
+        EXPECT_EQ(exec.num_streams(), streams) << key;
+        pins.Doubles(key + "probabilities", result.probabilities);
+        pins.Real(key + "sim_seconds", result.sim_seconds);
+        pins.Phases(key + "phase.", result.phases);
+      }
+    }
+  }
+
+  const Dataset train = ValueOrDie(MakeMulticlassBlobs(kClasses, 20, 6, 2.5, 17));
+  for (const bool share_blocks : {true, false}) {
+    MpTrainOptions options;
+    options.c = 1.0;
+    options.kernel.gamma = 0.3;
+    options.batch.working_set.ws_size = 32;
+    options.batch.working_set.q = 16;
+    options.share_kernel_blocks = share_blocks;
+    MpTrainReport report;
+    ValueOrDie(GmpSvmTrainer(options).Train(train, &exec, &report));
+    const std::string key = StrPrintf("train%d.", call++);
+    EXPECT_EQ(exec.num_streams(), streams) << key;
+    pins.Real(key + "sim_seconds", report.sim_seconds);
+    pins.Phases(key + "phase.", report.phases);
+  }
+
+  const ExecutorCounters& c = exec.counters();
+  pins.Count("exec.launches", c.launches);
+  pins.Real("exec.flops", c.flops);
+  pins.Real("exec.bytes_read", c.bytes_read);
+  pins.Real("exec.bytes_written", c.bytes_written);
+  pins.Real("exec.bytes_h2d", c.bytes_h2d);
+  pins.Count("exec.kernel_values_computed", c.kernel_values_computed);
+  pins.Count("exec.kernel_values_reused", c.kernel_values_reused);
+  pins.Count("exec.peak_bytes_in_use", static_cast<int64_t>(c.peak_bytes_in_use));
+  pins.Real("exec.now_seconds", exec.NowSeconds());
+  return pins;
+}
+
+const char kLongLivedExecutor[] =
+    "exec.bytes_h2d=0x1.aab8p+17 "
+    "exec.bytes_read=0x1.0bc96p+23 "
+    "exec.bytes_written=0x1.6f998p+20 "
+    "exec.flops=0x1.11a6c3e489acp+22 "
+    "exec.kernel_values_computed=86019 "
+    "exec.kernel_values_reused=266467 "
+    "exec.launches=2713 "
+    "exec.now_seconds=0x1.4d124f9aa282fp-9 "
+    "exec.peak_bytes_in_use=2147493888 "
+    "predict0.phase.coupling=0x1.585ac11f858d8p-18 "
+    "predict0.phase.decision_values=0x1.341f23a7cc9a8p-13 "
+    "predict0.phase.sigmoid=0x1.25d3be9aa953dp-13 "
+    "predict0.probabilities=6f86c02f2a035ba1 "
+    "predict0.sim_seconds=0x1.c0376902b10b4p-15 "
+    "predict1.phase.coupling=0x1.585ac11f858ep-18 "
+    "predict1.phase.decision_values=0x1.2e20b88de1128p-12 "
+    "predict1.phase.sigmoid=0x1.25d3be9aa953ap-13 "
+    "predict1.probabilities=d357a63437778efb "
+    "predict1.sim_seconds=0x1.1e7129176eab8p-14 "
+    "predict2.phase.coupling=0x1.4fb7538df982p-18 "
+    "predict2.phase.elimination=0x1.b48470ff95e8p-18 "
+    "predict2.probabilities=00854bc79ff807cf "
+    "predict2.sim_seconds=0x1.c51487afd317p-17 "
+    "predict3.phase.coupling=0x1.4fb7538df982p-18 "
+    "predict3.phase.elimination=0x1.1711d342c332p-17 "
+    "predict3.probabilities=3b42410620172d67 "
+    "predict3.sim_seconds=0x1.00f2113965aa8p-16 "
+    "predict4.phase.coupling=0x1.7b986364c188p-18 "
+    "predict4.phase.decision_values=0x1.3af19f24b1c1ep-13 "
+    "predict4.phase.sigmoid=0x1.26bb03138fadcp-13 "
+    "predict4.probabilities=553a469bf5684cb2 "
+    "predict4.sim_seconds=0x1.cb5b2889eb9dp-15 "
+    "predict5.phase.coupling=0x1.7b986364c188p-18 "
+    "predict5.phase.decision_values=0x1.503be4d3a6682p-12 "
+    "predict5.phase.sigmoid=0x1.26bb03138fadp-13 "
+    "predict5.probabilities=bba004fa3d029372 "
+    "predict5.sim_seconds=0x1.34523d064a97ep-14 "
+    "predict6.phase.coupling=0x1.595ea7ac4428p-18 "
+    "predict6.phase.decision_values=0x1.822f8a1d742p-18 "
+    "predict6.phase.elimination=0x1.a339523e5c58p-17 "
+    "predict6.phase.sigmoid=0x1.56c57c55695cp-18 "
+    "predict6.probabilities=a527106f98699a9d "
+    "predict6.sim_seconds=0x1.000fb7d56ea48p-15 "
+    "predict7.phase.coupling=0x1.5070692cf894p-18 "
+    "predict7.phase.elimination=0x1.71c8620dea6cp-16 "
+    "predict7.probabilities=eda770c28f1a4005 "
+    "predict7.sim_seconds=0x1.e7d2575d0f45p-16 "
+    "train8.phase.kernel_values=0x1.6af6d9312a5a2p-10 "
+    "train8.phase.other=0x1.238f66af72b76p-9 "
+    "train8.phase.sigmoid=0x1.ec8c64ab18295p-10 "
+    "train8.phase.subproblem=0x1.f130f15deb2d3p-11 "
+    "train8.sim_seconds=0x1.1c46555da398p-10 "
+    "train9.phase.kernel_values=0x1.6b4a21d9a7f8ap-10 "
+    "train9.phase.other=0x1.238f66af72b9dp-9 "
+    "train9.phase.sigmoid=0x1.ec8c64ab18274p-10 "
+    "train9.phase.subproblem=0x1.f130f15deb32ap-11 "
+    "train9.sim_seconds=0x1.2527c678fc055p-10 ";
+
+TEST(PredictPinTest, LongLivedExecutorStaysBoundedAndKeepsTime) {
+  for (int host_threads : {1, 4}) {
+    SCOPED_TRACE(StrPrintf("host_threads=%d", host_threads));
+    ExpectPins(kLongLivedExecutor, LongLivedExecutorPins(host_threads));
+  }
 }
 
 TEST(PredictPinTest, FixtureExercisesTheCascade) {

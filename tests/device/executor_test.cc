@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "device/sim_model.h"
 #include "fault/fault_injector.h"
 
@@ -118,6 +120,36 @@ TEST(SimExecutorTest, NewStreamStartsAtCurrentMakespan) {
   StreamId s = exec.CreateStream(1.0);
   exec.Charge(s, cost);
   EXPECT_DOUBLE_EQ(exec.NowSeconds(), 4.0);  // not 2.0
+}
+
+TEST(SimExecutorTest, ScopedStreamsRetireWithoutMovingTheClock) {
+  SimExecutor exec(SimpleModel());
+  TaskCost cost;
+  cost.flops = 200.0;
+  cost.parallel_items = 100;
+  {
+    const ScopedStreams outer(&exec, 2, 0.5);
+    ASSERT_EQ(outer.ids(), (std::vector<StreamId>{1, 2}));
+    exec.Charge(outer.ids()[1], cost);  // 2 units: busy until 2.0
+    {
+      const ScopedStreams inner(&exec, 1, 1.0);
+      EXPECT_EQ(inner.ids()[0], 3);
+      EXPECT_DOUBLE_EQ(exec.StreamTime(inner.ids()[0]), 2.0);
+      exec.Charge(inner.ids()[0], cost);  // 4 units: busy until 3.5
+    }
+    EXPECT_EQ(exec.num_streams(), 3);
+    EXPECT_DOUBLE_EQ(exec.NowSeconds(), 3.5);
+  }
+  EXPECT_EQ(exec.num_streams(), 1);
+  // The retired streams still bound the makespan, and their ids are reused
+  // by streams that start there.
+  EXPECT_DOUBLE_EQ(exec.NowSeconds(), 3.5);
+  EXPECT_DOUBLE_EQ(exec.StreamTime(kDefaultStream), 0.0);
+  const StreamId reused = exec.CreateStream(1.0);
+  EXPECT_EQ(reused, 1);
+  EXPECT_DOUBLE_EQ(exec.StreamTime(reused), 3.5);
+  exec.SynchronizeAll();
+  EXPECT_DOUBLE_EQ(exec.StreamTime(kDefaultStream), 3.5);
 }
 
 TEST(SimExecutorTest, StreamWaitCreatesDependency) {

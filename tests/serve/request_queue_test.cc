@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,12 +17,20 @@ namespace {
 
 using std::chrono::milliseconds;
 
-PendingRequest MakeItem(int32_t tag = 0) {
+PendingRequest MakeItem(int32_t tag = 0, std::string model = "") {
   PendingRequest item;
   item.request.indices = {tag};
   item.request.values = {1.0};
+  item.request.model_name = std::move(model);
   item.enqueue_time = MonotonicNow();
   return item;
+}
+
+// CPU seconds the calling thread has used.
+double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 TEST(RequestQueueTest, PushPopFifo) {
@@ -147,6 +158,59 @@ TEST(RequestQueueTest, PopBatchWithInfiniteDelayReturnsFullBatchPromptly) {
   std::vector<PendingRequest> out;
   // A full batch never waits, however large the window is.
   EXPECT_EQ(queue.PopBatch(4, MonotonicClock::duration::max(), &out), 4u);
+}
+
+TEST(RequestQueueTest, PopBatchWindowSleepsPastOtherModelsRequests) {
+  // Regression: a queued request for another model kept the window's wake
+  // condition true, so PopBatch rescanned the queue in a loop, holding the
+  // lock, until the batch deadline; a Push from another thread waited for it.
+  RequestQueue queue(16);
+  GMP_CHECK_OK(queue.Push(MakeItem(0, "a")));
+  GMP_CHECK_OK(queue.Push(MakeItem(1, "b")));
+  double push_seconds = -1.0;
+  std::thread producer([&] {
+    std::this_thread::sleep_for(milliseconds(10));
+    const MonotonicTime t0 = MonotonicNow();
+    (void)queue.Push(MakeItem(2, "c"));
+    push_seconds = SecondsBetween(t0, MonotonicNow());
+  });
+  std::vector<PendingRequest> out;
+  const double cpu0 = ThreadCpuSeconds();
+  EXPECT_EQ(queue.PopBatch(8, milliseconds(50), &out), 1u);
+  const double cpu = ThreadCpuSeconds() - cpu0;
+  producer.join();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].request.model_name, "a");
+  // Held open to its deadline, asleep.
+  EXPECT_GE(SecondsBetween(out[0].enqueue_time, MonotonicNow()), 0.050);
+  EXPECT_LT(cpu, 0.010);
+  EXPECT_GE(push_seconds, 0.0);
+  EXPECT_LT(push_seconds, 0.010);
+  EXPECT_EQ(queue.size(), 2u);
+}
+
+TEST(RequestQueueTest, ResumeIsPromptWhileABatchWindowIsOpen) {
+  // Regression: a paused queue holding a request kept the window's wake
+  // condition true; the looping PopBatch held the lock, so Resume waited for
+  // the batch deadline.
+  RequestQueue queue(16);
+  GMP_CHECK_OK(queue.Push(MakeItem(0)));
+  std::vector<PendingRequest> out;
+  size_t popped = 0;
+  std::thread consumer(
+      [&] { popped = queue.PopBatch(8, milliseconds(50), &out); });
+  // The consumer has taken item 0 and holds its batch open.
+  while (queue.size() != 0) std::this_thread::sleep_for(milliseconds(1));
+  queue.Pause();
+  GMP_CHECK_OK(queue.Push(MakeItem(1)));
+  std::this_thread::sleep_for(milliseconds(5));
+  const MonotonicTime t0 = MonotonicNow();
+  queue.Resume();
+  const double resume_seconds = SecondsBetween(t0, MonotonicNow());
+  consumer.join();
+  EXPECT_LT(resume_seconds, 0.010);
+  // Item 1 joins the open batch once the queue resumes.
+  EXPECT_EQ(popped, 2u);
 }
 
 TEST(RequestQueueTest, PopBatchReturnsZeroWhenClosedEmpty) {
