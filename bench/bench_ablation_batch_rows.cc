@@ -3,7 +3,7 @@
 // Measures simulated cost per kernel-matrix row as a function of batch size,
 // and beside it the host wall time per row of the same ComputeBlock calls
 // (best of kWallReps, one host thread). On the host, batching pays through
-// the register-blocked panels of BatchRowDots: each target nonzero is loaded
+// the register-blocked panels of BatchRowDots2: each target nonzero is loaded
 // once per simd::kPanelRows batch rows, so wall per row levels off from
 // b = kPanelRows on rather than tracking the simulated cost.
 

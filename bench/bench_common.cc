@@ -245,7 +245,7 @@ ImplSetup MakeSetup(Impl impl, const SyntheticSpec& spec) {
     case Impl::kGpuBaseline: {
       PredictOptions predict;
       predict.share_kernel_values = false;  // one SVM at a time
-      predict.concurrent_svms = false;
+      predict.max_concurrent_svms = 1;
       return ImplSetup{MakeGpuExecutor(spec), false, predict};
     }
     case Impl::kCmpSvm: {

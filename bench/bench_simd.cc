@@ -202,10 +202,11 @@ int main(int argc, char** argv) {
         r[static_cast<size_t>(t) * k + s] = 1.0 - p;
       }
     }
+    const simd::SimdTier vector_tier = simd::ActiveTier();
     results.push_back(RunPath(
         "coupling", reps, static_cast<size_t>(k),
         [&](const simd::SimdOps& ops, double* out) {
-          // The ISSUE's fifth path is the coupling fixed-point iteration
+          // The fifth path is the coupling fixed-point iteration
           // (LibSVM's multiclass_probability). eps = 0 pins every solve at
           // the 100-sweep floor so the row measures sustained sweep
           // throughput (Q·p matvec + elementwise update) instead of how
@@ -213,11 +214,14 @@ int main(int argc, char** argv) {
           // which would mostly time the O(k^2) BuildQ setup). The
           // Gaussian-elimination solver's four-row panel solve
           // (couple_panel) is held bitwise by simd_test and timed end to
-          // end by bench/e2e's predict-largek.
+          // end by bench/e2e's predict-largek. Coupling runs on the
+          // process-wide tier, so the body switches it to the one under
+          // test.
+          GMP_CHECK_OK(simd::SetActiveTier(
+              &ops == &simd::OpsFor(simd::SimdTier::kScalar)
+                  ? simd::SimdTier::kScalar
+                  : vector_tier));
           CouplingOptions opts;
-          opts.simd = &ops == &simd::OpsFor(simd::SimdTier::kScalar)
-                          ? simd::SimdTier::kScalar
-                          : simd::SimdTier::kAuto;
           opts.method = CouplingMethod::kIterative;
           opts.eps = 0.0;
           for (int pass = 0; pass < 4; ++pass) {
@@ -225,6 +229,7 @@ int main(int argc, char** argv) {
             std::memcpy(out, p.data(), p.size() * sizeof(double));
           }
         }));
+    GMP_CHECK_OK(simd::SetActiveTier(vector_tier));
   }
 
   bool identity_ok = true;

@@ -120,11 +120,11 @@ int Usage() {
                "      [--metrics-out m.prom] [--model-out model.out]\n"
                "      <data> <model>\n"
                "  svm_tool bench-env      (print detected ISA / SIMD tier)\n"
-               "--simd auto|scalar|avx2|neon selects the host SIMD tier for\n"
-               "every command (global flag, any position; default auto =\n"
-               "best supported). All tiers are byte-identical — docs/\n"
-               "performance.md — so the flag is a speed knob only; asking\n"
-               "for an unsupported tier is a usage error.\n"
+               "--simd auto|scalar|avx2 selects the host SIMD tier for every\n"
+               "command (global flag, any position; default auto = avx2 if\n"
+               "the CPU has it, else scalar). All tiers are byte-identical —\n"
+               "docs/performance.md — so the flag is a speed knob only; an\n"
+               "unknown tier or one the CPU cannot run is a usage error.\n"
                "--host-threads sets real worker threads for the hot paths;\n"
                "outputs are byte-identical for every value (wall clock only)\n"
                "--devices shards train/predict/serve across a simulated\n"

@@ -24,7 +24,7 @@ PredictOptions LibsvmPredictOptions() {
   // LibSVM computes each test instance's kernel values against the SV pool
   // once (k_function per SV), shared across the k(k-1)/2 decision values.
   options.share_kernel_values = true;
-  options.concurrent_svms = false;
+  options.max_concurrent_svms = 1;
   options.coupling.method = CouplingMethod::kIterative;
   return options;
 }

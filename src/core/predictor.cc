@@ -14,14 +14,6 @@
 namespace gmpsvm {
 namespace {
 
-// The coupling stage inherits the predict-level SIMD tier unless it was
-// overridden explicitly.
-CouplingOptions ResolveCoupling(const PredictOptions& options) {
-  CouplingOptions coupling = options.coupling;
-  if (coupling.simd == simd::SimdTier::kAuto) coupling.simd = options.simd;
-  return coupling;
-}
-
 int32_t ArgMax(const double* p, int k) {
   return static_cast<int32_t>(std::max_element(p, p + k) - p);
 }
@@ -97,16 +89,6 @@ Status PredictOptions::Validate() const {
     return Status::InvalidArgument(
         StrPrintf("coupling.eps must be positive, got %g", coupling.eps));
   }
-  if (!simd::TierSupported(simd)) {
-    return Status::InvalidArgument(
-        StrPrintf("simd tier '%s' is not supported on this CPU",
-                  simd::TierName(simd)));
-  }
-  if (!simd::TierSupported(coupling.simd)) {
-    return Status::InvalidArgument(
-        StrPrintf("coupling.simd tier '%s' is not supported on this CPU",
-                  simd::TierName(coupling.simd)));
-  }
   GMP_RETURN_NOT_OK(cascade.Validate());
   if (cascade.mode == CascadeOptions::Mode::kEliminate &&
       decision == Decision::kVoting) {
@@ -139,9 +121,6 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
                                               SimExecutor* executor,
                                               const PredictOptions& options) const {
   GMP_RETURN_NOT_OK(options.Validate());
-  if (options.cascade.mode == CascadeOptions::Mode::kEliminate) {
-    return PredictCascade(test, executor, options);
-  }
   const MpSvmModel& model = *model_;
   const int k = model.num_classes;
   const int64_t n = test.rows();
@@ -169,13 +148,12 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
                      static_cast<double>(test.ByteSize() + model.ByteSize()),
                      TransferDirection::kHostToDevice);
 
-  KernelComputer computer(&test, &model.support_vectors, model.kernel,
-                          options.simd, sv_norms_);
-  const simd::SimdOps& ops = simd::OpsFor(options.simd);
-  const CouplingOptions coupling = ResolveCoupling(options);
+  const KernelComputer computer(&test, &model.support_vectors, model.kernel,
+                                sv_norms_);
 
-  // Tile size: the shared kernel block (tile x pool doubles) should use at
-  // most ~1/4 of the remaining device memory.
+  // Tile size: the tile x pool kernel block, computed at once on the exact
+  // path and lazily by the cascade, should use at most ~1/4 of the
+  // remaining device memory.
   int64_t tile_rows = options.tile_rows;
   if (tile_rows <= 0) {
     const size_t free_bytes = executor->memory_budget() > executor->bytes_in_use()
@@ -185,6 +163,28 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
         free_bytes / 4 / (sizeof(double) * std::max<int64_t>(1, pool)));
     tile_rows = std::clamp<int64_t>(tile_rows, 1, n);
   }
+
+  GMP_RETURN_NOT_OK(
+      options.cascade.mode == CascadeOptions::Mode::kEliminate
+          ? PredictCascade(test, executor, options, computer, tile_rows, result)
+          : PredictExact(test, executor, options, computer, tile_rows, result));
+  result.sim_seconds = executor->NowSeconds() - sim_base;
+  result.wall_seconds = wall.ElapsedSeconds();
+  return result;
+}
+
+Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
+                                    SimExecutor* executor,
+                                    const PredictOptions& options,
+                                    const KernelComputer& computer,
+                                    int64_t tile_rows,
+                                    PredictResult& result) const {
+  const MpSvmModel& model = *model_;
+  const int k = model.num_classes;
+  const int64_t n = test.rows();
+  const int64_t pool = model.pool_size();
+  const simd::SimdOps& ops = simd::OpsFor(simd::SimdTier::kAuto);
+  const CouplingOptions& coupling = options.coupling;
 
   std::vector<int32_t> pool_rows(static_cast<size_t>(pool));
   std::iota(pool_rows.begin(), pool_rows.end(), 0);
@@ -196,9 +196,7 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
   // Streams for concurrent binary-SVM evaluation, created once per call,
   // reused across tiles (SynchronizeAll at each tile boundary keeps them
   // ordered) and retired when the call returns.
-  const int group = options.concurrent_svms
-                        ? std::clamp(options.max_concurrent_svms, 1, model.num_pairs())
-                        : 1;
+  const int group = std::clamp(options.max_concurrent_svms, 1, model.num_pairs());
   const ScopedStreams scoped_streams(executor, group, 1.0 / group);
   const std::vector<StreamId>& streams = scoped_streams.ids();
 
@@ -352,7 +350,7 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
     // gather_dot_panel for all of its rows. Each lane is bitwise the row's
     // gather_dot, the tier's canonical tree that the cascade's lazy path
     // uses too. A lone row keeps the plain gather_dot: a 1-row panel
-    // measured slower (as in BatchRowDots). A full panel coupled by
+    // measured slower (as in BatchRowDots2). A full panel coupled by
     // Gaussian elimination is solved in one CouplePanel call, one row per
     // SIMD lane, bitwise each row's CoupleProbabilities; every other row
     // couples alone. Panels write disjoint outputs and status slots.
@@ -456,12 +454,8 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
     }
     executor->SynchronizeAll();
   }
-
-  result.sim_seconds = executor->NowSeconds() - sim_base;
-  result.wall_seconds = wall.ElapsedSeconds();
-  return result;
+  return Status::OK();
 }
-
 
 Result<PredictResult> MpSvmPredictor::PredictRows(
     std::span<const SparseRowView> rows, SimExecutor* executor,
@@ -495,40 +489,19 @@ Result<PredictResult> MpSvmPredictor::PredictRows(
 // all charges/counters are aggregated from per-row integer counts in row
 // order — so results AND accounting are byte-identical at any host-thread or
 // device count, and fallback rows are byte-identical to kExact output.
-Result<PredictResult> MpSvmPredictor::PredictCascade(
-    const CsrMatrix& test, SimExecutor* executor,
-    const PredictOptions& options) const {
+Status MpSvmPredictor::PredictCascade(const CsrMatrix& test,
+                                      SimExecutor* executor,
+                                      const PredictOptions& options,
+                                      const KernelComputer& computer,
+                                      int64_t tile_rows,
+                                      PredictResult& result) const {
   const MpSvmModel& model = *model_;
   const int k = model.num_classes;
   const int64_t n = test.rows();
   const int64_t pool = model.pool_size();
   const int num_pairs = model.num_pairs();
-  if (k < 2 || model.svms.empty()) {
-    return Status::FailedPrecondition("model is empty");
-  }
-  if (test.cols() != model.support_vectors.cols()) {
-    return Status::InvalidArgument("test dimensionality mismatch with model");
-  }
-
-  Stopwatch wall;
-  executor->SynchronizeAll();
-  const double sim_base = executor->NowSeconds();
-
-  PredictResult result;
-  result.num_instances = n;
-  result.num_classes = k;
-  result.probabilities.assign(static_cast<size_t>(n) * k, 0.0);
-  result.labels.assign(static_cast<size_t>(n), 0);
-  if (n == 0) return result;
-
-  executor->Transfer(kDefaultStream,
-                     static_cast<double>(test.ByteSize() + model.ByteSize()),
-                     TransferDirection::kHostToDevice);
-
-  KernelComputer computer(&test, &model.support_vectors, model.kernel,
-                          options.simd, sv_norms_);
-  const simd::SimdOps& ops = simd::OpsFor(options.simd);
-  const CouplingOptions coupling = ResolveCoupling(options);
+  const simd::SimdOps& ops = simd::OpsFor(simd::SimdTier::kAuto);
+  const CouplingOptions& coupling = options.coupling;
 
   const int budget = options.cascade.budget > 0
                          ? std::min(options.cascade.budget, num_pairs)
@@ -536,18 +509,6 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
   const double threshold = options.cascade.elimination_threshold;
   const double band = options.cascade.ambiguity_band;
   const bool force_exact_rows = band >= 1.0;
-
-  // Tile size: same policy as the exact path (the kernel-row buffer is
-  // tile x pool whether values arrive lazily or as one block).
-  int64_t tile_rows = options.tile_rows;
-  if (tile_rows <= 0) {
-    const size_t free_bytes = executor->memory_budget() > executor->bytes_in_use()
-                                  ? executor->memory_budget() - executor->bytes_in_use()
-                                  : 0;
-    tile_rows = static_cast<int64_t>(
-        free_bytes / 4 / (sizeof(double) * std::max<int64_t>(1, pool)));
-    tile_rows = std::clamp<int64_t>(tile_rows, 1, n);
-  }
 
   const bool share = options.share_kernel_values;
   const bool use_cache = share && options.kernel_cache != nullptr && pool > 0;
@@ -957,21 +918,7 @@ Result<PredictResult> MpSvmPredictor::PredictCascade(
     }
     executor->SynchronizeAll();
   }
-
-  result.sim_seconds = executor->NowSeconds() - sim_base;
-  result.wall_seconds = wall.ElapsedSeconds();
-  return result;
-}
-
-Result<std::vector<double>> MpSvmPredictor::PredictOne(
-    std::span<const int32_t> indices, std::span<const double> values,
-    SimExecutor* executor, const PredictOptions& options) const {
-  const SparseRowView row{indices, values};
-  GMP_ASSIGN_OR_RETURN(PredictResult result,
-                       PredictRows({&row, 1}, executor, options));
-  std::vector<double> p(result.probabilities.begin(),
-                        result.probabilities.begin() + model_->num_classes);
-  return p;
+  return Status::OK();
 }
 
 }  // namespace gmpsvm

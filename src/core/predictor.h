@@ -30,6 +30,8 @@
 
 namespace gmpsvm {
 
+class KernelComputer;
+
 // One sparse instance given as parallel index/value arrays (0-based, strictly
 // increasing indices). The backing storage must outlive the call it is
 // passed to.
@@ -114,9 +116,9 @@ struct PredictOptions {
   // (GPU baseline / ablation).
   bool share_kernel_values = true;
 
-  // Evaluate the binary SVMs' decision values concurrently on SM-capped
-  // streams (GMP) or sequentially (baseline).
-  bool concurrent_svms = true;
+  // Binary SVMs whose decision values are evaluated concurrently, on that
+  // many SM-capped streams (GMP); 1 evaluates them one at a time (the
+  // baseline).
   int max_concurrent_svms = 8;
 
   // Test instances per tile; 0 sizes tiles from the memory budget.
@@ -130,12 +132,6 @@ struct PredictOptions {
   PredictionKernelCache* kernel_cache = nullptr;
 
   CouplingOptions coupling;
-
-  // SIMD tier for the host hot paths (kernel dots/transforms, decision-value
-  // gathers; kAuto = the process-wide active tier, i.e. the `--simd=` flag
-  // or hardware detection). Every tier is byte-identical — a speed knob
-  // only. Also seeds coupling.simd when that is left at kAuto.
-  simd::SimdTier simd = simd::SimdTier::kAuto;
 
   // Class-elimination cascade; the default (kExact) reproduces the full
   // pipeline bit for bit.
@@ -188,7 +184,9 @@ class MpSvmPredictor {
   // once.
   explicit MpSvmPredictor(const MpSvmModel* model);
 
-  // Predicts coupled probabilities for every row of `test`.
+  // Predicts coupled probabilities for every row of `test`. The host hot
+  // paths run on the process-wide SIMD tier (simd::SetActiveTier); every
+  // tier gives the same bytes.
   Result<PredictResult> Predict(const CsrMatrix& test, SimExecutor* executor,
                                 const PredictOptions& options) const;
 
@@ -202,22 +200,19 @@ class MpSvmPredictor {
                                     SimExecutor* executor,
                                     const PredictOptions& options) const;
 
-  // Convenience single-instance path: `indices`/`values` are the sparse
-  // features (0-based, strictly increasing). Returns the k probabilities
-  // under the same options surface as Predict/PredictRows — decision mode,
-  // cascade, coupling, and kernel cache all apply (concurrent_svms buys
-  // nothing for a single row but does not change results). Batch
-  // Predict()/PredictRows() amortizes far better; use this for
-  // interactive/online settings.
-  Result<std::vector<double>> PredictOne(std::span<const int32_t> indices,
-                                         std::span<const double> values,
-                                         SimExecutor* executor,
-                                         const PredictOptions& options) const;
-
  private:
-  Result<PredictResult> PredictCascade(const CsrMatrix& test,
-                                       SimExecutor* executor,
-                                       const PredictOptions& options) const;
+  // The two paths behind Predict, which has validated `options`, checked
+  // the model against `test`, shipped both to the device, set up `result`
+  // and sized the tiles. Each fills `result`'s probabilities, labels,
+  // phases and cascade counts.
+  Status PredictExact(const CsrMatrix& test, SimExecutor* executor,
+                      const PredictOptions& options,
+                      const KernelComputer& computer, int64_t tile_rows,
+                      PredictResult& result) const;
+  Status PredictCascade(const CsrMatrix& test, SimExecutor* executor,
+                        const PredictOptions& options,
+                        const KernelComputer& computer, int64_t tile_rows,
+                        PredictResult& result) const;
 
   // One pair of the cascade's elimination scan: the class pair it decides,
   // so the scan skips dead pairs without touching their BinarySvmEntry.

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/string_util.h"
-#include "simd/simd.h"
 
 namespace gmpsvm::fleet {
 namespace {
@@ -117,13 +116,6 @@ Result<FleetConfigTenant> ParseTenantLine(
     } else if (key == "cascade_band") {
       GMP_ASSIGN_OR_RETURN(TenantPredict(tenant).cascade.ambiguity_band,
                            ParseDoubleField(line, key, value));
-    } else if (key == "simd") {
-      // Per-tenant host SIMD tier (byte-identical across tiers; a speed
-      // knob). Unsupported-on-this-CPU tiers are rejected by the Validate
-      // call below, keeping the line number in the diagnostic.
-      Result<simd::SimdTier> tier = simd::TierFromString(std::string(value));
-      if (!tier.ok()) return LineError(line, tier.status().message());
-      TenantPredict(tenant).simd = *tier;
     } else {
       return LineError(line, StrPrintf("unknown tenant key '%.*s'",
                                        static_cast<int>(key.size()),

@@ -19,13 +19,8 @@
 //   # tenant <name> model=<path> [priority=N] [rate=R] [burst=B] [weight=W]
 //   #   [decision=probability|voting] [cascade=exact|eliminate]
 //   #   [cascade_budget=N] [cascade_threshold=T] [cascade_band=B]
-//   #   [simd=auto|scalar|avx2|neon]
 //   tenant acme  model=acme.model  priority=2 weight=8
 //   tenant small model=small.model priority=0 rate=50 burst=4 weight=1
-//
-// `simd=` pins the tenant's host SIMD tier (src/simd/simd.h). Every tier
-// produces byte-identical probabilities — it is a speed knob only — and a
-// tier the CPU cannot run fails parsing with the line number.
 //
 // Unknown keys and malformed values fail parsing with the line number, so a
 // config typo cannot silently serve with defaults.

@@ -66,12 +66,12 @@ double TransformBlock(const KernelFunction& fn, const simd::SimdOps& ops,
 }  // namespace
 
 KernelComputer::KernelComputer(const CsrMatrix* a, const CsrMatrix* b,
-                               KernelParams params, simd::SimdTier simd_tier,
+                               KernelParams params,
                                std::span<const double> b_norms)
     : a_(a),
       b_(b),
       function_(params),
-      ops_(&simd::OpsFor(simd_tier)),
+      ops_(&simd::OpsFor(simd::SimdTier::kAuto)),
       symmetric_(a == b) {
   norms_a_ = a_->AllRowSquaredNorms();
   if (symmetric_) {

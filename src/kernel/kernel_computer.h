@@ -25,20 +25,17 @@ class KernelComputer {
  public:
   // Kernel values between rows of `a` and rows of `b`. The matrices must
   // outlive the computer. `a` and `b` may be the same object (training).
-  // `simd_tier` selects the SIMD kernel tier for dots and transforms
-  // (kAuto = the process-wide active tier, resolved at construction); every
-  // tier produces byte-identical values, so this is a speed knob only.
-  // `b_norms`, when non-empty, is b's AllRowSquaredNorms() computed once by
-  // the caller (the predictor keeps its SV pool's) and must outlive the
-  // computer; when empty the computer computes them.
+  // Dots and transforms run on the process-wide SIMD tier, resolved at
+  // construction; every tier produces byte-identical values. `b_norms`,
+  // when non-empty, is b's AllRowSquaredNorms() computed once by the caller
+  // (the predictor keeps its SV pool's) and must outlive the computer; when
+  // empty the computer computes them.
   KernelComputer(const CsrMatrix* a, const CsrMatrix* b, KernelParams params,
-                 simd::SimdTier simd_tier = simd::SimdTier::kAuto,
                  std::span<const double> b_norms = {});
 
   // Convenience for the symmetric (training) case.
-  KernelComputer(const CsrMatrix* x, KernelParams params,
-                 simd::SimdTier simd_tier = simd::SimdTier::kAuto)
-      : KernelComputer(x, x, params, simd_tier) {}
+  KernelComputer(const CsrMatrix* x, KernelParams params)
+      : KernelComputer(x, x, params) {}
 
   // norms_b_ may point into norms_a_ or owned_norms_b_.
   KernelComputer(const KernelComputer&) = delete;

@@ -197,7 +197,7 @@ Result<std::vector<double>> CoupleProbabilities(std::span<const double> r, int k
     return Status::InvalidArgument(
         StrPrintf("r has %zu entries; expected %d", r.size(), k * k));
   }
-  const simd::SimdOps& ops = simd::OpsFor(options.simd);
+  const simd::SimdOps& ops = simd::OpsFor(simd::SimdTier::kAuto);
   // Counters only: callers time the solve and add it via RecordPathNanos.
   simd::RecordPath(simd::SimdPath::kCoupling,
                    static_cast<int64_t>(k) * k,
@@ -222,7 +222,7 @@ std::array<Status, simd::kPanelRows> CouplePanel(
         num_pairs, k, pairs.size())));
     return status;
   }
-  const simd::SimdOps& ops = simd::OpsFor(options.simd);
+  const simd::SimdOps& ops = simd::OpsFor(simd::SimdTier::kAuto);
   const int redo = ops.couple_panel(
       pairs.data(), k, simd::AlignedPanel(*scratch, simd::CouplePanelCells(k)),
       out);

@@ -32,14 +32,13 @@ struct CouplingOptions {
   // Iterative method's stopping tolerance (LibSVM's default). It runs at
   // most max(100, k) sweeps, LibSVM's own limit.
   double eps = 0.005;  // scaled by 1/k internally, as in LibSVM
-  // SIMD tier for the solve's inner loops (kAuto = process-wide active
-  // tier). Every tier is byte-identical — a speed knob only.
-  simd::SimdTier simd = simd::SimdTier::kAuto;
 };
 
 // Couples one instance. `r` is k*k row-major; r[s*k + t] = P(s | {s,t}, x)
 // for s != t (the diagonal is ignored). Returns p of length k, nonnegative,
-// summing to 1; kInvalidArgument if r holds a NaN estimate.
+// summing to 1; kInvalidArgument if r holds a NaN estimate. The solve's
+// inner loops run on the process-wide SIMD tier; every tier gives the same
+// bits.
 // Host-only (uncharged): the predictor calls it once per row and charges the
 // tile's coupling as one batch task (Phase (iii)-(3) of the GPU baseline and
 // GMP-SVM).
@@ -54,8 +53,8 @@ Result<std::vector<double>> CoupleProbabilities(std::span<const double> r, int k
 // of the result. Each lane is bitwise CoupleProbabilities of the r its
 // pairs define (r_st = P, r_ts = 1 - P), errors included: a lane that needs
 // the ridge retry, does not sum to a positive value or holds a NaN estimate
-// is solved again through CoupleProbabilities, as is every lane on a tier
-// without a panel solve (scalar, NEON). `scratch` is reused across calls.
+// is solved again through CoupleProbabilities, as is every lane on the
+// scalar tier, which has no panel solve. `scratch` is reused across calls.
 // options.method must be kGaussianElimination. Host-only
 // (uncharged) like CoupleProbabilities, and records one coupling call per
 // lane.

@@ -32,9 +32,9 @@ Result<int64_t> ModelRegistry::Register(const std::string& name,
       fault_->ShouldInject(fault::Site::kModelSwap)) {
     return Status::Unavailable("injected hot-swap failure for " + name);
   }
-  const int64_t version = ++next_version_[name];
-  models_[name] = Entry{std::move(shared), version};
-  return version;
+  Entry& entry = models_[name];
+  entry.current = std::move(shared);
+  return ++entry.version;
 }
 
 void ModelRegistry::SetValidator(ModelValidator validator) {
@@ -64,19 +64,6 @@ Result<ModelHandle> ModelRegistry::Get(const std::string& name) const {
                      it->second.version,
                      name,
                      {current, &current->predictor}};
-}
-
-bool ModelRegistry::Remove(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return models_.erase(name) > 0;
-}
-
-std::vector<std::string> ModelRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(models_.size());
-  for (const auto& [name, entry] : models_) names.push_back(name);
-  return names;
 }
 
 size_t ModelRegistry::size() const {

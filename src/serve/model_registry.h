@@ -18,7 +18,6 @@
 #include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/status.h"
 #include "core/model.h"
@@ -79,12 +78,6 @@ class ModelRegistry {
   // name is unknown.
   Result<ModelHandle> Get(const std::string& name) const;
 
-  // Removes `name`; returns whether it existed. In-flight handles stay valid.
-  bool Remove(const std::string& name);
-
-  // Registered names, sorted.
-  std::vector<std::string> Names() const;
-
   size_t size() const;
 
  private:
@@ -100,6 +93,8 @@ class ModelRegistry {
     const MpSvmPredictor predictor;
   };
 
+  // A name's current version. Entries are never removed, so `version`
+  // counts every commit under the name.
   struct Entry {
     std::shared_ptr<const ModelVersion> current;
     int64_t version = 0;
@@ -109,9 +104,6 @@ class ModelRegistry {
   ModelValidator validator_;
   fault::FaultInjector* fault_ = nullptr;
   std::map<std::string, Entry> models_;
-  // Version counters survive Remove() so a re-registered name keeps
-  // monotonically increasing versions.
-  std::map<std::string, int64_t> next_version_;
 };
 
 }  // namespace gmpsvm

@@ -22,22 +22,12 @@ bool CpuHasAvx2() {
 #endif
 }
 
-bool CpuHasNeon() {
-#if defined(__aarch64__)
-  return true;  // NEON is baseline on aarch64
-#else
-  return false;
-#endif
-}
-
 const SimdOps* TableFor(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar:
       return ScalarOpsTable();
     case SimdTier::kAvx2:
       return Avx2OpsTable();
-    case SimdTier::kNeon:
-      return NeonOpsTable();
     case SimdTier::kAuto:
       break;
   }
@@ -83,18 +73,14 @@ bool TierSupported(SimdTier tier) {
       return true;
     case SimdTier::kAvx2:
       return CpuHasAvx2() && Avx2OpsTable() != nullptr;
-    case SimdTier::kNeon:
-      return CpuHasNeon() && NeonOpsTable() != nullptr;
   }
   return false;
 }
 
 SimdTier DetectBestTier() {
-  static const SimdTier best = [] {
-    if (TierSupported(SimdTier::kAvx2)) return SimdTier::kAvx2;
-    if (TierSupported(SimdTier::kNeon)) return SimdTier::kNeon;
-    return SimdTier::kScalar;
-  }();
+  static const SimdTier best = TierSupported(SimdTier::kAvx2)
+                                   ? SimdTier::kAvx2
+                                   : SimdTier::kScalar;
   return best;
 }
 
@@ -123,9 +109,8 @@ Result<SimdTier> TierFromString(const std::string& name) {
   if (name == "auto") return SimdTier::kAuto;
   if (name == "scalar") return SimdTier::kScalar;
   if (name == "avx2") return SimdTier::kAvx2;
-  if (name == "neon") return SimdTier::kNeon;
   return Status::InvalidArgument(StrPrintf(
-      "unknown simd tier '%s' (expected auto|scalar|avx2|neon)", name.c_str()));
+      "unknown simd tier '%s' (expected auto|scalar|avx2)", name.c_str()));
 }
 
 const char* TierName(SimdTier tier) {
@@ -136,8 +121,6 @@ const char* TierName(SimdTier tier) {
       return "scalar";
     case SimdTier::kAvx2:
       return "avx2";
-    case SimdTier::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -152,7 +135,6 @@ std::string DescribeEnvironment() {
 #endif
   std::string tiers = "scalar";
   if (TierSupported(SimdTier::kAvx2)) tiers += ",avx2";
-  if (TierSupported(SimdTier::kNeon)) tiers += ",neon";
   const SimdOps& ops = OpsFor(SimdTier::kAuto);
   return StrPrintf("isa=%s supported=%s active=%s lanes=%d", isa,
                    tiers.c_str(), ops.name, ops.lane_width);

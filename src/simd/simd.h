@@ -10,20 +10,21 @@
 //         block = (s0 + s2) + (s1 + s3)
 //     and block sums are accumulated left to right into a scalar; the
 //     trailing <8 elements are added sequentially. The scalar tier computes
-//     this exact tree with explicit temporaries; AVX2 (4-lane) and NEON
-//     (2-lane) reach the same tree with vector adds + a fixed horizontal
-//     schedule. No fused multiply-add anywhere, in any tier.
+//     this exact tree with explicit temporaries; AVX2 (4-lane) reaches the
+//     same tree with vector adds + a fixed horizontal schedule. No fused
+//     multiply-add anywhere, in any tier.
 //   * Elementwise transforms use the deterministic math in simd_math.h —
 //     identical per-lane IEEE op sequences in every tier.
 // Consequence: models, executor counters, charges and traces are
 // byte-identical across tiers, on top of the existing identity at any
 // --host-threads x --devices topology.
 //
-// Selection: DetectBestTier() probes the CPU once (AVX2 on x86-64, NEON on
-// aarch64, scalar otherwise); the process-wide active tier defaults to it
-// and can be overridden with SetActiveTier (the `--simd=` tool flag).
-// Per-request overrides (PredictOptions::simd, fleet tenant config) resolve
-// through OpsFor(tier) without touching the global.
+// Selection: DetectBestTier() probes the CPU once (AVX2 on x86-64, scalar
+// otherwise, aarch64 included); the process-wide active tier defaults to it
+// and can be overridden with SetActiveTier (the `svm_tool --simd=` flag).
+// That tier is the only selector: every hot path runs OpsFor(kAuto).
+// Explicit tables (OpsFor(kScalar)) are for benches and tests that run one
+// kernel on two tiers.
 
 #ifndef GMPSVM_SIMD_SIMD_H_
 #define GMPSVM_SIMD_SIMD_H_
@@ -44,11 +45,10 @@ enum class SimdTier {
   kAuto = 0,    // resolve to the process-wide active tier
   kScalar = 1,  // portable reference (the canonical arithmetic definition)
   kAvx2 = 2,    // x86-64 AVX2, 4 doubles per vector
-  kNeon = 3,    // aarch64 NEON, 2 doubles per vector
 };
 
-// Rows per register-blocked panel of gather_dot_panel: one AVX2 vector, two
-// NEON vectors. A constant of the contract, not a tuning knob.
+// Rows per register-blocked panel of gather_dot_panel: one AVX2 vector. A
+// constant of the contract, not a tuning knob.
 inline constexpr int kPanelRows = 4;
 
 // A 32-byte-aligned interleaved panel of `cols` columns (kPanelRows doubles
@@ -125,9 +125,9 @@ struct SimdOps {
   // whose rows must be solved again per row: a NaN estimate, a pivot below
   // 1e-12 (the ridge retry) or a sum that is not positive. Their out rows
   // are unspecified. `work` holds CouplePanelCells(k) cells of kPanelRows
-  // doubles each, 32-byte aligned (see AlignedPanel). A tier without a
-  // panel solve returns every lane (scalar, and NEON until one is measured
-  // on aarch64), so its rows run the per-row solve.
+  // doubles each, 32-byte aligned (see AlignedPanel). The scalar tier has
+  // no panel solve and returns every lane, so its rows run the per-row
+  // solve.
   int (*couple_panel)(const double* pairs, int k, double* work,
                       double* out) = nullptr;
 };
@@ -158,7 +158,7 @@ Status SetActiveTier(SimdTier tier);
 // TierSupported / SetActiveTier, which validate).
 const SimdOps& OpsFor(SimdTier tier);
 
-// Flag-value parsing: "auto", "scalar", "avx2", "neon".
+// Flag-value parsing: "auto", "scalar", "avx2".
 Result<SimdTier> TierFromString(const std::string& name);
 const char* TierName(SimdTier tier);
 

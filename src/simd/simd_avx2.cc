@@ -41,7 +41,7 @@ inline __m256d ExpVec(__m256d x) {
   const __m256d lo = _mm256_set1_pd(kExpLo);
   const __m256d hi = _mm256_set1_pd(kExpHi);
   // max/min return their second operand when either is NaN, so x goes
-  // second: a NaN input stays NaN, as in the scalar and NEON tiers.
+  // second: a NaN input stays NaN, as in the scalar tier.
   const __m256d xc = _mm256_min_pd(hi, _mm256_max_pd(lo, x));
 
   const __m256d nf = _mm256_floor_pd(_mm256_add_pd(

@@ -8,9 +8,9 @@
 // (+, -, *, /, floor, abs, exponent-bit scaling). Elementwise IEEE ops are
 // exact per lane, so a vector tier that applies the *same op sequence* to
 // each lane reproduces these scalar results bit for bit automatically —
-// the vector implementations in simd_avx2.cc / simd_neon.cc mirror each
-// function below operation by operation, and tests/simd/simd_test.cc holds
-// them to memcmp equality.
+// the vector implementation in simd_avx2.cc mirrors each function below
+// operation by operation, and tests/simd/simd_test.cc holds it to memcmp
+// equality.
 //
 // Accuracy: the exp core is the Cephes rational approximation (~1-2 ulp over
 // the full range); tanh is derived from it (a few ulp). That is far inside

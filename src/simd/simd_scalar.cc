@@ -13,7 +13,7 @@ namespace {
 
 // One canonical 8-product block: s_j = c_j + c_{j+4}, then
 // (s0 + s2) + (s1 + s3). Matches one AVX2 lo+hi vector add followed by the
-// fixed horizontal schedule, and the NEON pairwise equivalent.
+// fixed horizontal schedule.
 inline double BlockTree(const double c[8]) {
   const double s0 = c[0] + c[4];
   const double s1 = c[1] + c[5];

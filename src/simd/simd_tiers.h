@@ -10,7 +10,6 @@ namespace gmpsvm::simd {
 
 const SimdOps* ScalarOpsTable();  // always available
 const SimdOps* Avx2OpsTable();    // nullptr unless built for x86-64
-const SimdOps* NeonOpsTable();    // nullptr unless built for aarch64
 
 }  // namespace gmpsvm::simd
 

@@ -55,23 +55,23 @@ void RunRows(ThreadPool* pool, int64_t n, int64_t min_chunk,
   }
 }
 
-// Scatter/gather core shared by the two CSR batch-dot variants, register
-// blocked: batch rows are scattered kPanelRows at a time into an interleaved
-// panel, and each target row's nonzeros stream through gather_dot_panel
-// once per panel instead of once per batch row. The last panel may be
-// partial; its unused rows stay zero and their dots are dropped. A lone
-// last row skips the panel: a 1-row panel pays for kPanelRows lanes and a
-// kPanelRows-wide workspace stride, and measured slower than the plain
-// gather_dot it would replace. Panels write disjoint `out` rows, so they
-// are partitioned across the pool; the stats below replay the serial
-// accumulation order so the returned doubles are bit-identical for any pool
-// size. Every panel row runs the SIMD tier's canonical blocked-tree
-// reduction, so each dot is bitwise the gather_dot of ScatterRowDots, on
-// every tier.
-OpStats BatchRowDotsImpl(const CsrMatrix& a, std::span<const int32_t> batch,
-                         const CsrMatrix& b, std::span<const int32_t> targets,
-                         double* out, ThreadPool* pool,
-                         const simd::SimdOps* ops) {
+}  // namespace
+
+// Register blocked: batch rows are scattered kPanelRows at a time into an
+// interleaved panel, and each target row's nonzeros stream through
+// gather_dot_panel once per panel instead of once per batch row. The last
+// panel may be partial; its unused rows stay zero and their dots are
+// dropped. A lone last row skips the panel: a 1-row panel pays for
+// kPanelRows lanes and a kPanelRows-wide workspace stride, and measured
+// slower than the plain gather_dot it would replace. Panels write disjoint
+// `out` rows, so they are partitioned across the pool; the stats below
+// replay the serial accumulation order so the returned doubles are
+// bit-identical for any pool size. Every panel row runs the SIMD tier's
+// canonical blocked-tree reduction, so each dot is bitwise the gather_dot
+// of ScatterRowDots, on every tier.
+OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
+                      const CsrMatrix& b, std::span<const int32_t> targets,
+                      double* out, ThreadPool* pool, const simd::SimdOps* ops) {
   const simd::SimdOps& simd_ops =
       ops != nullptr ? *ops : simd::OpsFor(simd::SimdTier::kAuto);
   const int64_t num_rows = static_cast<int64_t>(batch.size());
@@ -137,20 +137,6 @@ OpStats BatchRowDotsImpl(const CsrMatrix& a, std::span<const int32_t> batch,
                    2.0 * static_cast<double>(batch.size()) * nnz_targets,
                    t_nanos);
   return stats;
-}
-
-}  // namespace
-
-OpStats BatchRowDots(const CsrMatrix& x, std::span<const int32_t> batch,
-                     std::span<const int32_t> targets, double* out,
-                     ThreadPool* pool, const simd::SimdOps* ops) {
-  return BatchRowDotsImpl(x, batch, x, targets, out, pool, ops);
-}
-
-OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
-                      const CsrMatrix& b, std::span<const int32_t> targets,
-                      double* out, ThreadPool* pool, const simd::SimdOps* ops) {
-  return BatchRowDotsImpl(a, batch, b, targets, out, pool, ops);
 }
 
 ScatteredRow::ScatteredRow(const CsrMatrix& a, int64_t row,

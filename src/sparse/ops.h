@@ -45,24 +45,19 @@ struct OpStats {
   }
 };
 
-// Batched sparse row-dot products (the SpMM X_B · X_Tᵀ used to compute kernel
+// Batched sparse row-dot products (the SpMM A_B · B_Tᵀ used to compute kernel
 // rows in one shot, Section 3.3.1):
-//   out[b * targets.size() + j] = X.row(batch[b]) · X.row(targets[j])
-// Implemented as the row-wise SpGEMM schedule, register blocked: batch rows
-// are scattered simd::kPanelRows at a time into an interleaved dense panel,
-// and each target nonzero is loaded once per panel and multiplied into all
-// of its rows (SimdOps::gather_dot_panel). O(|batch| * nnz(targets)) flops,
-// with the target nonzeros streamed |batch| / kPanelRows times. Each entry
-// is bitwise the single-row gather_dot (ScatterRowDots) of its pair.
+//   out[b * targets.size() + j] = a.row(batch[b]) · b.row(targets[j])
+// `a` and `b` may be the same matrix (training); test instances x support
+// vectors use two. Implemented as the row-wise SpGEMM schedule, register
+// blocked: batch rows are scattered simd::kPanelRows at a time into an
+// interleaved dense panel, and each target nonzero is loaded once per panel
+// and multiplied into all of its rows (SimdOps::gather_dot_panel).
+// O(|batch| * nnz(targets)) flops, with the target nonzeros streamed
+// |batch| / kPanelRows times. Each entry is bitwise the single-row
+// gather_dot (ScatterRowDots) of its pair.
 //
 // `out` must have batch.size() * targets.size() entries.
-OpStats BatchRowDots(const CsrMatrix& x, std::span<const int32_t> batch,
-                     std::span<const int32_t> targets, double* out,
-                     ThreadPool* pool = nullptr,
-                     const simd::SimdOps* ops = nullptr);
-
-// As above but dotting rows of `a` (by index `batch`) against rows of `b`
-// (by index `targets`); used for test-instances x support-vectors products.
 OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
                       const CsrMatrix& b, std::span<const int32_t> targets,
                       double* out, ThreadPool* pool = nullptr,

@@ -417,7 +417,7 @@ TEST(GridSearchTest, RejectsEmptyGrid) {
   EXPECT_FALSE(GridSearch(data, options, &exec).ok());
 }
 
-TEST(PredictOneTest, MatchesBatchPrediction) {
+TEST(OneRowPredictTest, MatchesBatchPrediction) {
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 25, 5, 2.5, 89));
   SimExecutor exec = Gpu();
   auto model = ValueOrDie(GmpSvmTrainer(SmallOptions()).Train(data, &exec, nullptr));
@@ -426,9 +426,10 @@ TEST(PredictOneTest, MatchesBatchPrediction) {
       predictor.Predict(data.features(), &exec, PredictOptions{}));
 
   for (int64_t row : {int64_t{0}, data.size() / 2, data.size() - 1}) {
-    auto idx = data.features().RowIndices(row);
-    auto val = data.features().RowValues(row);
-    auto p = ValueOrDie(predictor.PredictOne(idx, val, &exec, PredictOptions{}));
+    const SparseRowView view{data.features().RowIndices(row),
+                             data.features().RowValues(row)};
+    auto p = ValueOrDie(predictor.PredictRows({&view, 1}, &exec, PredictOptions{}))
+                 .probabilities;
     ASSERT_EQ(p.size(), 3u);
     for (int c = 0; c < 3; ++c) {
       EXPECT_NEAR(p[static_cast<size_t>(c)], batch.Probability(row, c), 1e-9);
@@ -436,14 +437,15 @@ TEST(PredictOneTest, MatchesBatchPrediction) {
   }
 }
 
-TEST(PredictOneTest, RejectsMismatchedSpans) {
+TEST(OneRowPredictTest, RejectsMismatchedSpans) {
   auto data = ValueOrDie(MakeMulticlassBlobs(2, 10, 4, 2.0, 97));
   SimExecutor exec = Gpu();
   auto model = ValueOrDie(GmpSvmTrainer(SmallOptions()).Train(data, &exec, nullptr));
   std::vector<int32_t> idx = {0, 1};
   std::vector<double> val = {1.0};
+  const SparseRowView view{idx, val};
   EXPECT_FALSE(
-      MpSvmPredictor(&model).PredictOne(idx, val, &exec, PredictOptions{}).ok());
+      MpSvmPredictor(&model).PredictRows({&view, 1}, &exec, PredictOptions{}).ok());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <optional>
 
+#include "../simd_tier_guard.h"
 #include "../test_util.h"
 #include "common/string_util.h"
 #include "core/mp_trainer.h"
@@ -104,7 +105,7 @@ TEST(MpSvmPredictorTest, SharedAndPerSvmPathsAgree) {
   shared.share_kernel_values = true;
   PredictOptions per_svm;
   per_svm.share_kernel_values = false;
-  per_svm.concurrent_svms = false;
+  per_svm.max_concurrent_svms = 1;
   auto rs = ValueOrDie(
       MpSvmPredictor(&fx.model).Predict(fx.test.features(), &e1, shared));
   auto rp = ValueOrDie(
@@ -122,7 +123,7 @@ TEST(MpSvmPredictorTest, SharingComputesFewerKernelValues) {
   PredictOptions shared;
   PredictOptions per_svm;
   per_svm.share_kernel_values = false;
-  per_svm.concurrent_svms = false;
+  per_svm.max_concurrent_svms = 1;
   ValueOrDie(MpSvmPredictor(&fx.model).Predict(fx.test.features(), &e1, shared));
   ValueOrDie(MpSvmPredictor(&fx.model).Predict(fx.test.features(), &e2, per_svm));
   EXPECT_LT(e1.counters().kernel_values_computed,
@@ -158,11 +159,11 @@ struct NaiveReference {
 };
 
 NaiveReference NaivePredict(const MpSvmModel& model, const CsrMatrix& test) {
+  const testing::ScopedSimdTier scalar(simd::SimdTier::kScalar);
   const int k = model.num_classes;
   const int64_t n = test.rows();
   const int64_t pool = model.pool_size();
-  KernelComputer computer(&test, &model.support_vectors, model.kernel,
-                          simd::SimdTier::kScalar);
+  KernelComputer computer(&test, &model.support_vectors, model.kernel);
   const simd::SimdOps& ops = simd::OpsFor(simd::SimdTier::kScalar);
   std::vector<int32_t> rows(static_cast<size_t>(n)), cols(static_cast<size_t>(pool));
   std::iota(rows.begin(), rows.end(), 0);
@@ -171,8 +172,7 @@ NaiveReference NaivePredict(const MpSvmModel& model, const CsrMatrix& test) {
   SimExecutor scratch = Gpu();
   computer.ComputeBlock(rows, cols, &scratch, kDefaultStream, block.data());
 
-  CouplingOptions coupling;
-  coupling.simd = simd::SimdTier::kScalar;
+  const CouplingOptions coupling;
   NaiveReference ref;
   for (int64_t i = 0; i < n; ++i) {
     std::vector<double> r(static_cast<size_t>(k) * k, 0.0);
@@ -198,9 +198,8 @@ TEST(MpSvmPredictorTest, RowFusedMatchesNaiveReference) {
   TrainedFixture fx = MakeFixture(5, 83);
   const int64_t n = fx.test.size();
   const NaiveReference ref = NaivePredict(fx.model, fx.test.features());
-  for (simd::SimdTier tier :
-       {simd::SimdTier::kScalar, simd::SimdTier::kAvx2, simd::SimdTier::kNeon}) {
-    if (!simd::TierSupported(tier)) continue;
+  for (simd::SimdTier tier : testing::SupportedTiers()) {
+    const testing::ScopedSimdTier scope(tier);
     for (bool share : {true, false}) {
       // Tile 6 holds a full panel, coupled four rows per solve, and a
       // partial one, coupled row by row.
@@ -218,7 +217,6 @@ TEST(MpSvmPredictorTest, RowFusedMatchesNaiveReference) {
           device.host_threads = threads;
           SimExecutor exec(device);
           PredictOptions options;
-          options.simd = tier;
           options.share_kernel_values = share;
           options.tile_rows = tile;
           PredictResult result = ValueOrDie(
@@ -268,9 +266,8 @@ TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
   const CsrMatrix poisoned = ValueOrDie(builder.Finish());
   for (KernelType type : {KernelType::kLinear, KernelType::kGaussian}) {
     fx.model.kernel.type = type;
-    for (simd::SimdTier tier :
-         {simd::SimdTier::kScalar, simd::SimdTier::kAvx2, simd::SimdTier::kNeon}) {
-      if (!simd::TierSupported(tier)) continue;
+    for (simd::SimdTier tier : testing::SupportedTiers()) {
+      const testing::ScopedSimdTier scope(tier);
       for (int threads : {1, 4}) {
         for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{6}}) {
           for (bool cascade : {false, true}) {
@@ -282,7 +279,6 @@ TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
             device.host_threads = threads;
             SimExecutor exec(device);
             PredictOptions options;
-            options.simd = tier;
             options.tile_rows = tile;
             if (cascade) options.cascade.mode = CascadeOptions::Mode::kEliminate;
             auto result = MpSvmPredictor(&fx.model).Predict(poisoned, &exec, options);
@@ -443,23 +439,31 @@ TEST(MpSvmPredictorTest, PredictRowsRejectsNonFiniteFeatureNamingTheRow) {
   }
 }
 
-TEST(MpSvmPredictorTest, PredictOneMatchesBatchRow) {
+// One row through PredictRows: the k probabilities of `test`'s row `row`.
+std::vector<double> PredictOneRow(const MpSvmModel& model, const CsrMatrix& test,
+                                  int64_t row, SimExecutor* executor,
+                                  const PredictOptions& options) {
+  const SparseRowView view{test.RowIndices(row), test.RowValues(row)};
+  const PredictResult result =
+      ValueOrDie(MpSvmPredictor(&model).PredictRows({&view, 1}, executor, options));
+  return result.probabilities;
+}
+
+TEST(MpSvmPredictorTest, OneRowMatchesBatchRow) {
   TrainedFixture fx = MakeFixture(3, 67);
   SimExecutor e1 = Gpu(), e2 = Gpu();
   PredictOptions sequential;
-  sequential.concurrent_svms = false;
+  sequential.max_concurrent_svms = 1;
   auto batch = ValueOrDie(
       MpSvmPredictor(&fx.model).Predict(fx.test.features(), &e1, sequential));
-  auto one = ValueOrDie(MpSvmPredictor(&fx.model).PredictOne(
-      fx.test.features().RowIndices(0), fx.test.features().RowValues(0), &e2,
-      sequential));
+  auto one = PredictOneRow(fx.model, fx.test.features(), 0, &e2, sequential);
   ASSERT_EQ(one.size(), 3u);
   for (int c = 0; c < 3; ++c) EXPECT_EQ(one[static_cast<size_t>(c)], batch.Probability(0, c));
 }
 
-TEST(MpSvmPredictorTest, PredictOneCarriesCascadeOptions) {
-  // The unified entry point exposes the whole options surface: a cascade
-  // PredictOne call must reproduce the cascade batch path's row exactly.
+TEST(MpSvmPredictorTest, OneRowCarriesCascadeOptions) {
+  // A one-row call takes the whole options surface: a cascade call must
+  // reproduce the cascade batch path's row exactly.
   TrainedFixture fx = MakeFixture(4, 71);
   SimExecutor e1 = Gpu(), e2 = Gpu();
   PredictOptions cascade;
@@ -467,9 +471,7 @@ TEST(MpSvmPredictorTest, PredictOneCarriesCascadeOptions) {
   cascade.cascade.ambiguity_band = 0.0;
   auto batch = ValueOrDie(
       MpSvmPredictor(&fx.model).Predict(fx.test.features(), &e1, cascade));
-  auto one = ValueOrDie(MpSvmPredictor(&fx.model).PredictOne(
-      fx.test.features().RowIndices(0), fx.test.features().RowValues(0), &e2,
-      cascade));
+  auto one = PredictOneRow(fx.model, fx.test.features(), 0, &e2, cascade);
   ASSERT_EQ(one.size(), 4u);
   for (int c = 0; c < 4; ++c) {
     EXPECT_EQ(one[static_cast<size_t>(c)], batch.Probability(0, c));

@@ -407,31 +407,16 @@ TEST(FleetConfigTest, ParsesPerTenantPredictKeys) {
   EXPECT_DOUBLE_EQ(pruner.cascade.ambiguity_band, 0.1);
 }
 
-TEST(FleetConfigTest, ParsesAndValidatesSimdKey) {
-  // scalar is supported on every CPU, so this parses everywhere.
-  auto config = ValueOrDie(ParseFleetConfig(
-      "replicas 1\n"
-      "tenant slow model=a.model simd=scalar\n"
-      "tenant fast model=b.model simd=auto\n"));
-  ASSERT_EQ(config.tenants.size(), 2u);
-  ASSERT_TRUE(config.tenants[0].spec.predict.has_value());
-  EXPECT_EQ(config.tenants[0].spec.predict->simd, simd::SimdTier::kScalar);
-  ASSERT_TRUE(config.tenants[1].spec.predict.has_value());
-  EXPECT_EQ(config.tenants[1].spec.predict->simd, simd::SimdTier::kAuto);
-
-  auto bad_name = ParseFleetConfig("tenant t model=a.model simd=sse9\n");
-  ASSERT_FALSE(bad_name.ok());
-  EXPECT_NE(bad_name.status().message().find("line 1"), std::string::npos);
-
-  // A real tier the CPU cannot run fails Validate() with the line number.
-  const simd::SimdTier foreign = simd::TierSupported(simd::SimdTier::kAvx2)
-                                     ? simd::SimdTier::kNeon
-                                     : simd::SimdTier::kAvx2;
-  auto unsupported = ParseFleetConfig(
-      std::string("tenant t model=a.model simd=") + simd::TierName(foreign) +
-      "\n");
-  ASSERT_FALSE(unsupported.ok());
-  EXPECT_NE(unsupported.status().message().find("line 1"), std::string::npos);
+TEST(FleetConfigTest, RejectsSimdKeyWithLineNumber) {
+  // The SIMD tier is process-wide (svm_tool --simd), not a tenant key.
+  auto config = ParseFleetConfig("tenant t model=a.model simd=scalar\n");
+  ASSERT_FALSE(config.ok());
+  EXPECT_TRUE(config.status().IsInvalidArgument());
+  EXPECT_NE(config.status().message().find("line 1"), std::string::npos)
+      << config.status().ToString();
+  EXPECT_NE(config.status().message().find("unknown tenant key 'simd'"),
+            std::string::npos)
+      << config.status().ToString();
 }
 
 TEST(FleetConfigTest, RejectsBadPredictKeysWithLineNumber) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../simd_tier_guard.h"
 #include "../test_util.h"
 #include "common/string_util.h"
 #include "core/model_io.h"
@@ -250,13 +251,12 @@ TEST(HostDeterminismTest, SimdTierInvariantEndToEnd) {
   // CPU both runs resolve to the same tier and this degenerates to a
   // self-comparison.
   const Proxy& proxy = kProxies[0];
-  ASSERT_TRUE(simd::SetActiveTier(simd::SimdTier::kScalar).ok());
-  RunOutput scalar_run =
-      TrainPredict(proxy, Trainer::kGmp, 2, /*via_options=*/true, nullptr);
-  ASSERT_TRUE(simd::SetActiveTier(simd::DetectBestTier()).ok());
-  RunOutput vector_run =
-      TrainPredict(proxy, Trainer::kGmp, 2, /*via_options=*/true, nullptr);
-  ASSERT_TRUE(simd::SetActiveTier(simd::SimdTier::kAuto).ok());
+  const auto run_on = [&](simd::SimdTier tier) {
+    const testing::ScopedSimdTier scope(tier);
+    return TrainPredict(proxy, Trainer::kGmp, 2, /*via_options=*/true, nullptr);
+  };
+  RunOutput scalar_run = run_on(simd::SimdTier::kScalar);
+  RunOutput vector_run = run_on(simd::DetectBestTier());
   ExpectSameRun(scalar_run, vector_run,
                 std::string("simd scalar-vs-") +
                     simd::TierName(simd::DetectBestTier()));

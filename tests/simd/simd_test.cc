@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "../simd_tier_guard.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -25,15 +26,8 @@ namespace {
 
 using simd::SimdOps;
 using simd::SimdTier;
-
-// Every tier this CPU can execute; the scalar reference is always first so
-// the loop body can diff each vector tier against it.
-std::vector<SimdTier> SupportedTiers() {
-  std::vector<SimdTier> tiers = {SimdTier::kScalar};
-  if (simd::TierSupported(SimdTier::kAvx2)) tiers.push_back(SimdTier::kAvx2);
-  if (simd::TierSupported(SimdTier::kNeon)) tiers.push_back(SimdTier::kNeon);
-  return tiers;
-}
+using testing::ScopedSimdTier;
+using testing::SupportedTiers;
 
 bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
@@ -46,13 +40,19 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 const int64_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 63};
 
 TEST(SimdDispatchTest, TierFromStringRoundTrips) {
-  for (const char* name : {"auto", "scalar", "avx2", "neon"}) {
+  for (const char* name : {"auto", "scalar", "avx2"}) {
     Result<SimdTier> tier = simd::TierFromString(name);
     ASSERT_TRUE(tier.ok()) << name;
     EXPECT_STREQ(simd::TierName(tier.value()), name);
   }
   EXPECT_FALSE(simd::TierFromString("sse2").ok());
   EXPECT_FALSE(simd::TierFromString("").ok());
+  // A tier this library does not have is an unknown name.
+  Result<SimdTier> unknown = simd::TierFromString("neon");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_TRUE(unknown.status().IsInvalidArgument());
+  EXPECT_EQ(unknown.status().message(),
+            "unknown simd tier 'neon' (expected auto|scalar|avx2)");
 }
 
 TEST(SimdDispatchTest, ScalarAlwaysSupportedAndDetectedTierRuns) {
@@ -73,14 +73,15 @@ TEST(SimdDispatchTest, SetActiveTierValidatesAndOverrides) {
   EXPECT_STREQ(simd::OpsFor(SimdTier::kAuto).name, "scalar");
   ASSERT_TRUE(simd::SetActiveTier(SimdTier::kAuto).ok());
   EXPECT_EQ(simd::ActiveTier(), simd::DetectBestTier());
-  // At least one of the vector tiers is impossible on any one CPU.
-  const SimdTier impossible = simd::TierSupported(SimdTier::kAvx2)
-                                  ? SimdTier::kNeon
-                                  : SimdTier::kAvx2;
-  if (!simd::TierSupported(impossible)) {
-    EXPECT_FALSE(simd::SetActiveTier(impossible).ok());
+  // A tier the CPU cannot run is rejected and the active tier stays: AVX2
+  // on a CPU without it, and on every CPU a value no tier has.
+  if (!simd::TierSupported(SimdTier::kAvx2)) {
+    EXPECT_FALSE(simd::SetActiveTier(SimdTier::kAvx2).ok());
     EXPECT_EQ(simd::ActiveTier(), simd::DetectBestTier());
   }
+  const Status unknown = simd::SetActiveTier(static_cast<SimdTier>(7));
+  EXPECT_TRUE(unknown.IsInvalidArgument()) << unknown.ToString();
+  EXPECT_EQ(simd::ActiveTier(), simd::DetectBestTier());
 }
 
 TEST(SimdDispatchTest, DescribeEnvironmentNamesActiveTier) {
@@ -411,14 +412,15 @@ TEST(SimdTierIdentityTest, CouplingSolvesBitwiseAcrossTiers) {
     }
     for (CouplingMethod method :
          {CouplingMethod::kGaussianElimination, CouplingMethod::kIterative}) {
-      CouplingOptions ref_opts;
-      ref_opts.method = method;
-      ref_opts.simd = SimdTier::kScalar;
-      Result<std::vector<double>> want = CoupleProbabilities(r, k, ref_opts);
+      CouplingOptions opts;
+      opts.method = method;
+      Result<std::vector<double>> want = [&] {
+        const ScopedSimdTier scalar(SimdTier::kScalar);
+        return CoupleProbabilities(r, k, opts);
+      }();
       ASSERT_TRUE(want.ok());
       for (SimdTier tier : SupportedTiers()) {
-        CouplingOptions opts = ref_opts;
-        opts.simd = tier;
+        const ScopedSimdTier scope(tier);
         Result<std::vector<double>> got = CoupleProbabilities(r, k, opts);
         ASSERT_TRUE(got.ok());
         EXPECT_TRUE(SameBits(got.value(), want.value()))
@@ -509,11 +511,16 @@ TEST(SimdTierIdentityTest, CouplePanelIsPerRowCouplingOnEveryTier) {
     failing.Set(3, 0, k - 1, std::numeric_limits<double>::quiet_NaN());
 
     for (const CouplingPanel* panel : {&mixed, &failing}) {
-      CouplingOptions ref_opts;
-      ref_opts.simd = SimdTier::kScalar;
+      const CouplingOptions opts;
+      std::vector<Result<std::vector<double>>> wants;
+      {
+        const ScopedSimdTier scalar(SimdTier::kScalar);
+        for (int lane = 0; lane < simd::kPanelRows; ++lane) {
+          wants.push_back(CoupleProbabilities(panel->r[lane], k, opts));
+        }
+      }
       for (SimdTier tier : SupportedTiers()) {
-        CouplingOptions opts = ref_opts;
-        opts.simd = tier;
+        const ScopedSimdTier scope(tier);
         std::vector<double> scratch;
         std::vector<double> out(static_cast<size_t>(simd::kPanelRows) * k);
         const std::array<Status, simd::kPanelRows> got =
@@ -521,8 +528,7 @@ TEST(SimdTierIdentityTest, CouplePanelIsPerRowCouplingOnEveryTier) {
         for (int lane = 0; lane < simd::kPanelRows; ++lane) {
           const std::string what =
               StrPrintf("%s k=%d lane=%d", simd::TierName(tier), k, lane);
-          Result<std::vector<double>> want =
-              CoupleProbabilities(panel->r[lane], k, ref_opts);
+          const Result<std::vector<double>>& want = wants[lane];
           ASSERT_EQ(got[lane].ok(), want.ok()) << what;
           if (!want.ok()) {
             EXPECT_EQ(got[lane].ToString(), want.status().ToString()) << what;
@@ -537,8 +543,8 @@ TEST(SimdTierIdentityTest, CouplePanelIsPerRowCouplingOnEveryTier) {
 
     // AVX2's entry hands back exactly the ridge and NaN lanes. At k = 2,
     // Q = [(1-p)^2, -p(1-p); -p(1-p), p^2] is singular for every p, so
-    // every lane needs the ridge. The scalar and NEON entries hand back
-    // every lane: their rows run the per-row solve.
+    // every lane needs the ridge. The scalar entry hands back every lane:
+    // its rows run the per-row solve.
     for (SimdTier tier : SupportedTiers()) {
       const int want_redo =
           tier == SimdTier::kAvx2 && k > 2 ? 0b1010 : 0b1111;
@@ -563,8 +569,8 @@ TEST(SimdTierIdentityTest, CouplePanelCountsOneCallPerRow) {
     });
   }
   for (SimdTier tier : SupportedTiers()) {
-    CouplingOptions opts;
-    opts.simd = tier;
+    const ScopedSimdTier scope(tier);
+    const CouplingOptions opts;
     std::vector<double> scratch;
     std::vector<double> out(static_cast<size_t>(simd::kPanelRows) * k);
     simd::ResetPathStats();
@@ -585,7 +591,7 @@ TEST(SimdPathStatsTest, RecordsCallsElementsAndFlops) {
   CsrMatrix a = RandomCsr(12, 31, 3);
   std::vector<int32_t> batch = {1, 2}, targets = {3, 4, 6};
   std::vector<double> out(batch.size() * targets.size());
-  const OpStats stats = BatchRowDots(a, batch, targets, out.data());
+  const OpStats stats = BatchRowDots2(a, batch, a, targets, out.data());
   const simd::PathStatsSnapshot snap =
       simd::PathStats(simd::SimdPath::kBatchRowDots);
   EXPECT_EQ(snap.calls, 1);

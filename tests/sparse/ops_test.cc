@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "../simd_tier_guard.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -43,7 +44,7 @@ TEST(BatchRowDotsTest, MatchesNaiveDense) {
   std::vector<int32_t> batch = {0, 5, 19};
   std::vector<int32_t> targets = {1, 2, 3, 10, 19};
   std::vector<double> out(batch.size() * targets.size());
-  BatchRowDots(x, batch, targets, out.data());
+  BatchRowDots2(x, batch, x, targets, out.data());
   for (size_t bi = 0; bi < batch.size(); ++bi) {
     for (size_t tj = 0; tj < targets.size(); ++tj) {
       EXPECT_NEAR(out[bi * targets.size() + tj],
@@ -58,7 +59,7 @@ TEST(BatchRowDotsTest, StatsReflectWork) {
   std::vector<int32_t> batch = {0, 1};
   std::vector<int32_t> targets = {2, 3, 4};
   std::vector<double> out(6);
-  OpStats stats = BatchRowDots(x, batch, targets, out.data());
+  OpStats stats = BatchRowDots2(x, batch, x, targets, out.data());
   // 2 flops per streamed nonzero of each target row, per batch row.
   double nnz_targets = 0;
   for (int32_t t : targets) nnz_targets += static_cast<double>(x.RowNnz(t));
@@ -70,7 +71,7 @@ TEST(BatchRowDotsTest, StatsReflectWork) {
 TEST(BatchRowDotsTest, EmptyBatch) {
   CsrMatrix x = RandomSparse(5, 5, 0.5, 3);
   std::vector<double> out;
-  OpStats stats = BatchRowDots(x, {}, {}, out.data());
+  OpStats stats = BatchRowDots2(x, {}, x, {}, out.data());
   EXPECT_DOUBLE_EQ(stats.flops, 0.0);
 }
 
@@ -95,7 +96,7 @@ TEST(DenseBatchRowDotsTest, MatchesSparsePath) {
   std::vector<int32_t> batch = {0, 3, 11};
   std::vector<int32_t> targets = {1, 2, 3, 4};
   std::vector<double> sparse_out(12), dense_out(12);
-  BatchRowDots(x, batch, targets, sparse_out.data());
+  BatchRowDots2(x, batch, x, targets, sparse_out.data());
   DenseBatchRowDots(d, batch, targets, dense_out.data());
   for (size_t i = 0; i < sparse_out.size(); ++i) {
     EXPECT_NEAR(sparse_out[i], dense_out[i], 1e-12);
@@ -111,7 +112,7 @@ TEST(DenseBatchRowDotsTest, DenseCostsMoreFlopsOnSparseData) {
   std::vector<int32_t> targets;
   for (int32_t t = 3; t < 30; ++t) targets.push_back(t);
   std::vector<double> out(batch.size() * targets.size());
-  OpStats sparse_stats = BatchRowDots(x, batch, targets, out.data());
+  OpStats sparse_stats = BatchRowDots2(x, batch, x, targets, out.data());
   OpStats dense_stats = DenseBatchRowDots(d, batch, targets, out.data());
   EXPECT_GT(dense_stats.flops, 5.0 * sparse_stats.flops);
 }
@@ -147,8 +148,8 @@ TEST(ParallelOpsTest, PoolDoesNotChangeResultsOrStats) {
   {
     std::vector<double> serial(batch.size() * targets.size());
     std::vector<double> parallel(serial.size(), -1.0);
-    OpStats s = BatchRowDots(x, batch, targets, serial.data());
-    OpStats p = BatchRowDots(x, batch, targets, parallel.data(), &pool);
+    OpStats s = BatchRowDots2(x, batch, x, targets, serial.data());
+    OpStats p = BatchRowDots2(x, batch, x, targets, parallel.data(), &pool);
     EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(),
                              serial.size() * sizeof(double)));
     EXPECT_EQ(s.flops, p.flops);
@@ -212,8 +213,8 @@ TEST(ParallelOpsTest, OpStatsBitwiseIdenticalAcrossPoolSizes) {
   std::vector<OpStats> spmv_stats;
   for (ThreadPool* pool : pools) {
     dots_out.emplace_back(batch.size() * targets.size(), -7.0);
-    dots_stats.push_back(BatchRowDots(x, batch, targets,
-                                      dots_out.back().data(), pool));
+    dots_stats.push_back(BatchRowDots2(x, batch, x, targets,
+                                       dots_out.back().data(), pool));
     spmv_out.emplace_back(batch.size(), -7.0);
     spmv_stats.push_back(SpMV(x, batch, vec, spmv_out.back().data(), pool));
   }
@@ -274,18 +275,11 @@ TEST(BatchRowDotsTest, PanelsMatchSingleRowDotsAtEveryBatchSize) {
   std::vector<int32_t> targets;
   for (int32_t i = 0; i < 25; ++i) targets.push_back(i);
 
-  std::vector<simd::SimdTier> tiers = {simd::SimdTier::kScalar};
-  if (simd::TierSupported(simd::SimdTier::kAvx2)) {
-    tiers.push_back(simd::SimdTier::kAvx2);
-  }
-  if (simd::TierSupported(simd::SimdTier::kNeon)) {
-    tiers.push_back(simd::SimdTier::kNeon);
-  }
   ThreadPool pool(4);
   for (size_t size = 0; size <= pick.size(); ++size) {
     const std::vector<int32_t> batch(pick.begin(),
                                      pick.begin() + static_cast<int64_t>(size));
-    for (simd::SimdTier tier : tiers) {
+    for (simd::SimdTier tier : testing::SupportedTiers()) {
       const simd::SimdOps& ops = simd::OpsFor(tier);
       std::vector<double> want(batch.size() * targets.size());
       for (size_t bi = 0; bi < batch.size(); ++bi) {

@@ -7,7 +7,8 @@
 #   * nodes 1 vs 2 with forced intra-pair sharding (--max-shards 4), clean
 #     and under a chaos plan whose node-loss stream fells node 1, plus the
 #     --nodes > --devices usage error;
-#   * SIMD tier scalar vs auto, for both train and predict;
+#   * SIMD tier scalar vs auto, for both train and predict, and a tier the
+#     tool does not have as a usage error;
 #   * the prediction cascade at host threads 1 vs 8 and SIMD tier scalar vs
 #     auto, --cascade exact against the default predictor, and malformed
 #     cascade values as usage errors.
@@ -112,6 +113,14 @@ cmp "$work/s.model" "$work/v.model"
   "$work/smoke.libsvm" "$work/v.model" "$work/v.pred"
 cmp "$work/s.pred" "$work/v.pred"
 "$svm_tool" bench-env
+# aarch64 runs the scalar tier, so the tool has no tier named after its
+# vector unit: asking for one is a usage error that names it.
+if "$svm_tool" --simd=neon bench-env 2> "$work/simd.err"; then
+  echo "expected usage error for --simd=neon" && exit 1
+else
+  test $? -eq 2
+fi
+grep -q "unknown simd tier 'neon'" "$work/simd.err"
 
 # Cascade determinism cross-check.
 # The elimination cascade is invariant to host threads and the SIMD
