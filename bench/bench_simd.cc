@@ -1,5 +1,5 @@
 // SIMD-tier microbenchmark: scalar reference vs the detected vector tier on
-// the five instrumented host hot paths (src/simd/simd.h). For every path the
+// the six instrumented host hot paths (src/simd/simd.h). For every path the
 // two tiers must produce byte-identical outputs — any divergence is a hard
 // failure (exit 1), because it breaks the repo-wide reproducibility
 // contract. Speedups are wall-clock, best-of-N reps.
@@ -230,6 +230,30 @@ int main(int argc, char** argv) {
           }
         }));
     GMP_CHECK_OK(simd::SetActiveTier(vector_tier));
+  }
+
+  {
+    // The sixth path: Platt's sigmoid over one 4-row panel of a k = 64
+    // model's 2016 pairs, as exact prediction runs it before couple_panel.
+    const int64_t pairs = 64 * 63 / 2;
+    Rng prng(6);
+    std::vector<double> table, dv;
+    for (int64_t pi = 0; pi < pairs; ++pi) {
+      table.insert(table.end(), {prng.Uniform(-1.0, 1.0),
+                                 prng.Uniform(-4.0, -0.5),
+                                 prng.Uniform(-0.5, 0.5)});
+    }
+    for (int64_t i = 0; i < pairs * simd::kPanelRows; ++i) {
+      dv.push_back(prng.Uniform(-6.0, 6.0));
+    }
+    results.push_back(RunPath(
+        "platt", reps, dv.size(),
+        [&](const simd::SimdOps& ops, double* out) {
+          for (int pass = 0; pass < 20; ++pass) {
+            std::memcpy(out, dv.data(), dv.size() * sizeof(double));
+            ops.platt_panel(out, table.data(), pairs);
+          }
+        }));
   }
 
   bool identity_ok = true;

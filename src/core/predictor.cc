@@ -115,6 +115,10 @@ MpSvmPredictor::MpSvmPredictor(const MpSvmModel* model)
     const BinarySvmEntry& svm = model->svms[static_cast<size_t>(pi)];
     scan_.push_back(ScanEntry{svm.class_s, svm.class_t, pi});
   }
+  platt_.reserve(3 * model->svms.size());
+  for (const BinarySvmEntry& svm : model->svms) {
+    platt_.insert(platt_.end(), {svm.bias, svm.sigmoid.a, svm.sigmoid.b});
+  }
 }
 
 Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
@@ -151,9 +155,9 @@ Result<PredictResult> MpSvmPredictor::Predict(const CsrMatrix& test,
   const KernelComputer computer(&test, &model.support_vectors, model.kernel,
                                 sv_norms_);
 
-  // Tile size: the tile x pool kernel block, computed at once on the exact
-  // path and lazily by the cascade, should use at most ~1/4 of the
-  // remaining device memory.
+  // Tile size: the tile x pool kernel block (the cascade charges only the
+  // values it touches) should use at most ~1/4 of the remaining device
+  // memory.
   int64_t tile_rows = options.tile_rows;
   if (tile_rows <= 0) {
     const size_t free_bytes = executor->memory_budget() > executor->bytes_in_use()
@@ -183,6 +187,7 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
   const int k = model.num_classes;
   const int64_t n = test.rows();
   const int64_t pool = model.pool_size();
+  const int64_t num_pairs = model.num_pairs();
   const simd::SimdOps& ops = simd::OpsFor(simd::SimdTier::kAuto);
   const CouplingOptions& coupling = options.coupling;
 
@@ -348,12 +353,13 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
     // interleaved into one aligned panel (unused lanes of a partial panel
     // read zeros), and each pair's coefficients stream once through
     // gather_dot_panel for all of its rows. Each lane is bitwise the row's
-    // gather_dot, the tier's canonical tree that the cascade's lazy path
-    // uses too. A lone row keeps the plain gather_dot: a 1-row panel
+    // gather_dot, the tier's canonical tree that the cascade's evaluations
+    // use too. A lone row keeps the plain gather_dot: a 1-row panel
     // measured slower (as in BatchRowDots2). A full panel coupled by
-    // Gaussian elimination is solved in one CouplePanel call, one row per
-    // SIMD lane, bitwise each row's CoupleProbabilities; every other row
-    // couples alone. Panels write disjoint outputs and status slots.
+    // Gaussian elimination takes its sigmoids in one platt_panel call and is
+    // solved in one CouplePanel call, one row per SIMD lane, bitwise each
+    // row's Probability and CoupleProbabilities; every other row couples
+    // alone. Panels write disjoint outputs and status slots.
     const int64_t num_panels =
         (tile + simd::kPanelRows - 1) / simd::kPanelRows;
     row_status.assign(static_cast<size_t>(tile), Status::OK());
@@ -364,6 +370,8 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
           std::vector<double> panel_dv;  // pairs x kPanelRows, pair-major
           std::vector<double> coupling_scratch;
           int64_t coupling_nanos = 0;
+          int64_t platt_panels = 0;
+          int64_t platt_nanos = 0;
           for (int64_t p = begin; p < end; ++p) {
             const int64_t first = p * simd::kPanelRows;
             const int rows = static_cast<int>(
@@ -389,13 +397,10 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
             if (panel && couple_panels && rows == simd::kPanelRows) {
               // The decision values become pair probabilities in place,
               // still pair-major in model (PairIndex) order.
-              for (size_t pi = 0; pi < model.svms.size(); ++pi) {
-                const BinarySvmEntry& svm = model.svms[pi];
-                double* v = panel_dv.data() + pi * simd::kPanelRows;
-                for (int lane = 0; lane < simd::kPanelRows; ++lane) {
-                  v[lane] = svm.sigmoid.Probability(svm.bias + v[lane]);
-                }
-              }
+              const int64_t t_platt = simd::NowNanos();
+              ops.platt_panel(panel_dv.data(), platt_.data(), num_pairs);
+              platt_nanos += simd::NowNanos() - t_platt;
+              ++platt_panels;
               double* out =
                   result.probabilities.data() + (tile_begin + first) * k;
               const int64_t t0 = simd::NowNanos();
@@ -437,6 +442,13 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
             }
           }
           simd::RecordPathNanos(simd::SimdPath::kCoupling, coupling_nanos);
+          if (platt_panels > 0) {
+            // Charged like the sigmoid phase: 10 flops per value.
+            const int64_t values = platt_panels * num_pairs * simd::kPanelRows;
+            simd::RecordPath(simd::SimdPath::kPlatt, values,
+                             10.0 * static_cast<double>(values), platt_nanos,
+                             platt_panels);
+          }
         });
     for (const Status& status : row_status) GMP_RETURN_NOT_OK(status);
 
@@ -480,12 +492,13 @@ Result<PredictResult> MpSvmPredictor::PredictRows(
 }
 
 // DCSVM-style class-elimination cascade (docs/cascade.md). Per row: scan
-// pairs most-discriminative-first, evaluating at most `budget` binary SVMs
-// with lazily computed kernel values; eliminate classes whose accumulated
-// pairwise loss crosses the threshold; complete the surviving clique and
-// couple it exactly; rerun ambiguous rows through the full exact pipeline.
-// Every per-row computation is a pure function of that row, kernel values are
-// computed through the same scatter-gather arithmetic as the exact block, and
+// pairs most-discriminative-first, evaluating at most `budget` binary SVMs;
+// eliminate classes whose accumulated pairwise loss crosses the threshold;
+// complete the surviving clique and couple it exactly; rerun ambiguous rows
+// through the full exact pipeline. The host computes each tile's kernel
+// block up front with the exact path's batched product, but the device is
+// charged only for the kernel values the scan touches, as if it computed
+// them lazily. Every per-row computation is a pure function of that row, and
 // all charges/counters are aggregated from per-row integer counts in row
 // order — so results AND accounting are byte-identical at any host-thread or
 // device count, and fallback rows are byte-identical to kExact output.
@@ -512,28 +525,59 @@ Status MpSvmPredictor::PredictCascade(const CsrMatrix& test,
 
   const bool share = options.share_kernel_values;
   const bool use_cache = share && options.kernel_cache != nullptr && pool > 0;
+  const double value_flops = computer.function().FlopsPerValue();
+  const CsrMatrix& svs = model.support_vectors;
+  std::vector<int32_t> pool_rows(static_cast<size_t>(pool));
+  std::iota(pool_rows.begin(), pool_rows.end(), 0);
+
+  // The kernel values one stage of a row touched, charged as if computed
+  // lazily: each touch of `values` columns is one batch row of ComputeBlock
+  // over them, the row's own nonzeros read again. All terms are
+  // integer-valued doubles, so charging the sums of these tallies equals
+  // summing one OpStats per touch, in any order.
+  struct KernelTally {
+    int64_t values = 0;    // kernel values touched
+    int64_t dot_nnz = 0;   // target nonzeros streamed (2 flops each)
+    int64_t read_nnz = 0;  // nonzeros read: dot_nnz plus the row's per touch
+
+    void Touch(int64_t cols, int64_t target_nnz, int64_t row_nnz) {
+      if (cols == 0) return;
+      values += cols;
+      dot_nnz += target_nnz;
+      read_nnz += target_nnz + row_nnz;
+    }
+    KernelTally& operator+=(const KernelTally& o) {
+      values += o.values;
+      dot_nnz += o.dot_nnz;
+      read_nnz += o.read_nnz;
+      return *this;
+    }
+    OpStats Stats(double flops_per_value) const {
+      OpStats stats;
+      stats.flops = 2.0 * static_cast<double>(dot_nnz) +
+                    flops_per_value * static_cast<double>(values);
+      stats.bytes_read = static_cast<double>(read_nnz) *
+                         (sizeof(double) + sizeof(int32_t));
+      stats.bytes_written = static_cast<double>(values) * sizeof(double);
+      return stats;
+    }
+  };
 
   // Per-row accounting, aggregated serially after the parallel loop so that
   // charges and executor counters never depend on the thread partition.
-  // Kernel-row work is carried as OpStats straight from the row's LazyRow,
-  // so lazy rows charge flops/bytes exactly like the batched paths do, and
-  // its SIMD path counts are recorded once per tile.
   struct RowCounters {
-    KernelComputer::LazyCounts lazy;  // SIMD path counts of lazy values
-    OpStats elim_stats;      // elimination-stage kernel-row work
-    int64_t elim_fresh = 0;  // kernel values computed in the elimination stage
+    KernelTally elim;        // kernel values touched in the elimination stage
     int64_t elim_refs = 0;   // SV references gathered in the elimination stage
     int64_t elim_evals = 0;  // binary evals (incl. survivor-clique completion)
-    OpStats fb_stats;        // fallback: kernel-row completion work
-    int64_t fb_fresh = 0;    // fallback: kernel values computed
+    KernelTally fb;          // fallback: kernel values touched
     int64_t fb_refs = 0;     // fallback: SV references gathered
     int64_t coup_cube = 0;   // coupled subset size cubed (coupling flops)
     int64_t eliminated = 0;  // classes eliminated (non-fallback rows)
     uint8_t fallback = 0;
   };
 
-  std::vector<double> kblock;     // tile x pool lazy kernel-row buffer
-  std::vector<uint8_t> computed;  // which entries of kblock hold valid values
+  std::vector<double> kblock;     // tile x pool kernel block
+  std::vector<uint8_t> computed;  // entries already touched or cached
   std::vector<uint8_t> gmask;     // cache Gather hit mask (Commit contract)
   std::vector<int32_t> tile_ids;
   std::vector<RowCounters> rc;
@@ -554,31 +598,34 @@ Status MpSvmPredictor::PredictCascade(const CsrMatrix& test,
       GMP_ASSIGN_OR_RETURN(
           block_reservation,
           executor->Allocate(static_cast<size_t>(tile * pool) * sizeof(double)));
-      kblock.assign(static_cast<size_t>(tile * pool), 0.0);
       computed.assign(static_cast<size_t>(tile * pool), 0);
-      if (use_cache) {
-        // Serial Gather in row order, commits deferred to after the parallel
-        // loop — cache traffic stays deterministic at any thread count.
-        gmask.assign(static_cast<size_t>(tile * pool), 0);
-        for (int64_t i = 0; i < tile; ++i) {
-          const int32_t row_id = tile_ids[static_cast<size_t>(i)];
-          const SparseRowView row{test.RowIndices(row_id),
-                                  test.RowValues(row_id)};
-          gathered += options.kernel_cache->Gather(
-              row, {kblock.data() + i * pool, static_cast<size_t>(pool)},
-              {gmask.data() + i * pool, static_cast<size_t>(pool)});
-        }
-        std::copy(gmask.begin(), gmask.end(), computed.begin());
+    }
+    // The whole block on the host, uncharged; its values are bitwise the
+    // exact path's.
+    kblock.resize(static_cast<size_t>(tile * pool));
+    computer.ComputeBlockValues(tile_ids, pool_rows, executor->host_pool(),
+                                kblock.data());
+    if (use_cache) {
+      // Serial Gather in row order, commits deferred to after the parallel
+      // loop — cache traffic stays deterministic at any thread count. A hit
+      // overwrites its block value with the same bits and is not charged as
+      // a kernel value.
+      gmask.assign(static_cast<size_t>(tile * pool), 0);
+      for (int64_t i = 0; i < tile; ++i) {
+        const int32_t row_id = tile_ids[static_cast<size_t>(i)];
+        const SparseRowView row{test.RowIndices(row_id),
+                                test.RowValues(row_id)};
+        gathered += options.kernel_cache->Gather(
+            row, {kblock.data() + i * pool, static_cast<size_t>(pool)},
+            {gmask.data() + i * pool, static_cast<size_t>(pool)});
       }
+      std::copy(gmask.begin(), gmask.end(), computed.begin());
     }
 
     // Elimination + survivor coupling + per-row exact fallback. Rows write
     // disjoint slices of kblock/computed/result and their own counters slot.
     executor->HostParallelFor(
         tile, /*min_chunk=*/1, [&](int64_t begin, int64_t end) {
-          std::vector<int32_t> pending;
-          std::vector<double> fresh_vals;
-          std::vector<double> ktmp;
           std::vector<double> rpair(static_cast<size_t>(num_pairs), 0.0);
           std::vector<uint8_t> rdone(static_cast<size_t>(num_pairs), 0);
           std::vector<double> loss(static_cast<size_t>(k), 0.0);
@@ -600,51 +647,34 @@ Status MpSvmPredictor::PredictCascade(const CsrMatrix& test,
           for (int64_t i = begin; i < end; ++i) {
             const int32_t row_id = tile_ids[static_cast<size_t>(i)];
             RowCounters& c = rc[static_cast<size_t>(i)];
-            double* krow = share ? kblock.data() + i * pool : nullptr;
+            const double* krow = kblock.data() + i * pool;
             uint8_t* cmask = share ? computed.data() + i * pool : nullptr;
-            // The test row, scattered once for all of its lazy values.
-            const KernelComputer::LazyRow lazy_row(computer, row_id);
+            const int64_t row_nnz = test.RowNnz(row_id);
 
-            // One binary SVM's decision value, computing missing kernel
-            // values lazily (shared) or per evaluation (ablation). The
-            // coefficient gather runs through the tier's canonical
-            // gather-dot — the same tree as the exact path — and kernel-row
-            // work is accumulated as OpStats from lazy_row.
-            const auto eval = [&](const BinarySvmEntry& svm, OpStats* stats,
-                                  int64_t* fresh, int64_t* refs) -> double {
+            // One binary SVM's decision value through the tier's canonical
+            // gather-dot — the same tree as the exact path. The kernel values
+            // it touches are tallied: on the shared path those no earlier
+            // pair of the row touched, in the ablation all of them, each
+            // evaluation anew.
+            const auto eval = [&](const BinarySvmEntry& svm, KernelTally* tally,
+                                  int64_t* refs) -> double {
               const int64_t nsv = svm.num_svs();
-              double acc = 0.0;
-              if (share) {
-                pending.clear();
-                for (int64_t m = 0; m < nsv; ++m) {
-                  const int32_t col = svm.sv_pool_index[static_cast<size_t>(m)];
-                  if (cmask[col] == 0) {
-                    pending.push_back(col);
-                    cmask[col] = 1;
-                  }
+              int64_t cols = 0;
+              int64_t target_nnz = 0;
+              for (int64_t m = 0; m < nsv; ++m) {
+                const int32_t col = svm.sv_pool_index[static_cast<size_t>(m)];
+                if (share) {
+                  if (cmask[col] != 0) continue;
+                  cmask[col] = 1;
                 }
-                if (!pending.empty()) {
-                  fresh_vals.resize(pending.size());
-                  *stats +=
-                      lazy_row.Compute(pending, fresh_vals.data(), &c.lazy);
-                  for (size_t j = 0; j < pending.size(); ++j) {
-                    krow[pending[j]] = fresh_vals[j];
-                  }
-                  *fresh += static_cast<int64_t>(pending.size());
-                }
-                acc = ops.gather_dot(svm.sv_coef.data(),
-                                     svm.sv_pool_index.data(), nsv, krow);
-              } else {
-                if (nsv > 0) {
-                  ktmp.resize(static_cast<size_t>(nsv));
-                  *stats += lazy_row.Compute(svm.sv_pool_index, ktmp.data(),
-                                             &c.lazy);
-                  *fresh += nsv;
-                }
-                acc = ops.dot(svm.sv_coef.data(), ktmp.data(), nsv);
+                ++cols;
+                target_nnz += svs.RowNnz(col);
               }
+              tally->Touch(cols, target_nnz, row_nnz);
               *refs += nsv;
-              return svm.bias + acc;
+              return svm.bias + ops.gather_dot(svm.sv_coef.data(),
+                                               svm.sv_pool_index.data(), nsv,
+                                               krow);
             };
 
             // --- Elimination scan ---------------------------------------
@@ -686,8 +716,7 @@ Status MpSvmPredictor::PredictCascade(const CsrMatrix& test,
                 const int32_t pi = scan.pair;
                 const BinarySvmEntry& svm =
                     model.svms[static_cast<size_t>(pi)];
-                const double v =
-                    eval(svm, &c.elim_stats, &c.elim_fresh, &c.elim_refs);
+                const double v = eval(svm, &c.elim, &c.elim_refs);
                 const double r = svm.sigmoid.Probability(v);
                 rpair[static_cast<size_t>(pi)] = r;
                 rdone[static_cast<size_t>(pi)] = 1;
@@ -725,8 +754,7 @@ Status MpSvmPredictor::PredictCascade(const CsrMatrix& test,
                                                  survivors[static_cast<size_t>(b)]);
                   if (rdone[static_cast<size_t>(pi)] != 0) continue;
                   const BinarySvmEntry& svm = model.svms[static_cast<size_t>(pi)];
-                  const double v =
-                      eval(svm, &c.elim_stats, &c.elim_fresh, &c.elim_refs);
+                  const double v = eval(svm, &c.elim, &c.elim_refs);
                   rpair[static_cast<size_t>(pi)] = svm.sigmoid.Probability(v);
                   rdone[static_cast<size_t>(pi)] = 1;
                   ++c.elim_evals;
@@ -774,29 +802,21 @@ Status MpSvmPredictor::PredictCascade(const CsrMatrix& test,
               // so these rows are byte-for-byte what kExact returns.
               c.fallback = 1;
               if (share) {
-                pending.clear();
+                int64_t cols = 0;
+                int64_t target_nnz = 0;
                 for (int64_t col = 0; col < pool; ++col) {
-                  if (cmask[col] == 0) {
-                    pending.push_back(static_cast<int32_t>(col));
-                    cmask[col] = 1;
-                  }
+                  if (cmask[col] != 0) continue;
+                  cmask[col] = 1;
+                  ++cols;
+                  target_nnz += svs.RowNnz(col);
                 }
-                if (!pending.empty()) {
-                  fresh_vals.resize(pending.size());
-                  c.fb_stats +=
-                      lazy_row.Compute(pending, fresh_vals.data(), &c.lazy);
-                  for (size_t j = 0; j < pending.size(); ++j) {
-                    krow[pending[j]] = fresh_vals[j];
-                  }
-                  c.fb_fresh += static_cast<int64_t>(pending.size());
-                }
+                c.fb.Touch(cols, target_nnz, row_nnz);
               }
               // The kernel row is complete, so eval only gathers here.
               const Status tail = FinishRow(
                   model, /*voting=*/false, coupling, tile_begin + i,
                   [&](size_t pi) {
-                    return eval(model.svms[pi], &c.fb_stats, &c.fb_fresh,
-                                &c.fb_refs);
+                    return eval(model.svms[pi], &c.fb, &c.fb_refs);
                   },
                   rfull, out_row, &coupling_nanos);
               if (!tail.ok()) {
@@ -817,48 +837,42 @@ Status MpSvmPredictor::PredictCascade(const CsrMatrix& test,
           simd::RecordPathNanos(simd::SimdPath::kCoupling, coupling_nanos);
         });
 
-    // Aggregate counters in row order and charge the stages. The OpStats
-    // sums replay the serial row order, so charges are invariant to the
-    // thread partition. The tile's SIMD path counts are recorded here, once,
-    // also when a row failed.
-    KernelComputer::LazyCounts lazy;
-    OpStats elim_stats, fb_stats;
-    int64_t elim_fresh = 0, elim_refs = 0, elim_evals = 0;
-    int64_t fb_fresh = 0, fb_refs = 0, fb_rows = 0;
+    // Aggregate counters and charge the stages. Every sum is of integers,
+    // so charges are invariant to the thread partition.
+    KernelTally elim, fb;
+    int64_t elim_refs = 0, elim_evals = 0;
+    int64_t fb_refs = 0, fb_rows = 0;
     int64_t coup = 0, eliminated = 0;
     for (const RowCounters& c : rc) {
-      lazy += c.lazy;
-      elim_stats += c.elim_stats;
-      elim_fresh += c.elim_fresh;
+      elim += c.elim;
       elim_refs += c.elim_refs;
       elim_evals += c.elim_evals;
-      fb_stats += c.fb_stats;
-      fb_fresh += c.fb_fresh;
+      fb += c.fb;
       fb_refs += c.fb_refs;
       fb_rows += c.fallback;
       coup += c.coup_cube;
       eliminated += c.eliminated;
     }
-    lazy.Record();
     for (const Status& status : row_status) {
       GMP_RETURN_NOT_OK(status);
     }
+    const OpStats elim_stats = elim.Stats(value_flops);
+    const OpStats fb_stats = fb.Stats(value_flops);
     result.cascade_rows += tile;
     result.cascade_pairs_evaluated += elim_evals;
     result.cascade_fallback_rows += fb_rows;
     result.cascade_classes_eliminated += eliminated;
 
-    executor->counters().kernel_values_computed += elim_fresh + fb_fresh;
+    executor->counters().kernel_values_computed += elim.values + fb.values;
     // References served without a kernel evaluation — from this row's earlier
-    // pairs or from the cross-model cache (cache hits reduce `fresh`, so
-    // their references land here automatically).
+    // pairs or from the cross-model cache (cache hits are never tallied as
+    // touched values, so their references land here automatically).
     executor->counters().kernel_values_reused +=
-        (elim_refs + fb_refs) - (elim_fresh + fb_fresh);
+        (elim_refs + fb_refs) - (elim.values + fb.values);
 
     {
-      // Kernel-row work (dots + transforms) comes straight from the OpStats
-      // the lazy rows accumulated — the same accounting the batched paths
-      // use; the gather/sigmoid terms are charged on top.
+      // Kernel-row work (dots + transforms) is charged as ComputeBlock
+      // charges a block row; the gather/sigmoid terms are charged on top.
       TaskCost cost;
       cost.parallel_items = tile;
       cost.flops = elim_stats.flops + 2.0 * static_cast<double>(elim_refs) +

@@ -178,10 +178,10 @@ struct PredictResult {
 class MpSvmPredictor {
  public:
   // The model must outlive the predictor and must not change while the
-  // predictor is in use: the cascade's scan table and the squared norms of
-  // the SV pool are computed from it here, once, so a predictor kept per
-  // model (as the serving registry keeps one per version) pays for them
-  // once.
+  // predictor is in use: the cascade's scan table, the squared norms of the
+  // SV pool and the pairs' sigmoid table are computed from it here, once, so
+  // a predictor kept per model (as the serving registry keeps one per
+  // version) pays for them once.
   explicit MpSvmPredictor(const MpSvmModel* model);
 
   // Predicts coupled probabilities for every row of `test`. The host hot
@@ -229,6 +229,9 @@ class MpSvmPredictor {
   // AllRowSquaredNorms() of the model's SV pool, for every KernelComputer
   // a call builds.
   std::vector<double> sv_norms_;
+  // Each pair's (bias, A, B) in pair order, the table of
+  // SimdOps::platt_panel.
+  std::vector<double> platt_;
 };
 
 }  // namespace gmpsvm

@@ -90,35 +90,31 @@ void KernelComputer::ComputeBlock(std::span<const int32_t> batch,
                                   SimExecutor* executor, StreamId stream,
                                   double* out) const {
   if (batch.empty() || targets.empty()) return;
-  ThreadPool* pool = executor->host_pool();
+  ChargeBlock(ComputeBlockValues(batch, targets, executor->host_pool(), out),
+              static_cast<int64_t>(batch.size() * targets.size()), executor,
+              stream);
+}
+
+OpStats KernelComputer::ComputeBlockValues(std::span<const int32_t> batch,
+                                           std::span<const int32_t> targets,
+                                           ThreadPool* pool,
+                                           double* out) const {
+  if (batch.empty() || targets.empty()) return OpStats{};
   OpStats stats = BatchRowDots2(*a_, batch, *b_, targets, out, pool, ops_);
   stats.flops += TransformBlock(function_, *ops_, norms_a_, batch, norms_b_,
                                 targets, out, pool);
+  return stats;
+}
 
+void KernelComputer::ChargeBlock(const OpStats& stats, int64_t values,
+                                 SimExecutor* executor, StreamId stream) {
   TaskCost cost;
   cost.flops = stats.flops;
   cost.bytes_read = stats.bytes_read;
   cost.bytes_written = stats.bytes_written;
-  cost.parallel_items = static_cast<int64_t>(batch.size() * targets.size());
+  cost.parallel_items = values;
   executor->Charge(stream, cost);
-  executor->counters().kernel_values_computed +=
-      static_cast<int64_t>(batch.size() * targets.size());
-}
-
-OpStats KernelComputer::LazyRow::Compute(std::span<const int32_t> targets,
-                                        double* out,
-                                        LazyCounts* counts) const {
-  if (targets.empty()) return OpStats{};
-  const KernelComputer& c = computer_;
-  OpStats stats = scattered_.Dots(*c.b_, targets, out, &counts->dots);
-  TransformRow(c.function_, *c.ops_, c.norms_a_[static_cast<size_t>(row_)],
-               c.norms_b_, targets, out);
-  const double transform_flops =
-      c.function_.FlopsPerValue() * static_cast<double>(targets.size());
-  counts->transforms.Add(static_cast<int64_t>(targets.size()),
-                         transform_flops);
-  stats.flops += transform_flops;
-  return stats;
+  executor->counters().kernel_values_computed += values;
 }
 
 double KernelComputer::Compute(int64_t row_a, int64_t row_b) const {
@@ -166,15 +162,9 @@ void DenseKernelComputer::ComputeBlock(std::span<const int32_t> batch,
   // transform shares the vector path — it is bit-identical to FromDot.
   stats.flops += TransformBlock(function_, simd::OpsFor(simd::SimdTier::kAuto),
                                 norms_, batch, norms_, targets, out, pool);
-
-  TaskCost cost;
-  cost.flops = stats.flops;
-  cost.bytes_read = stats.bytes_read;
-  cost.bytes_written = stats.bytes_written;
-  cost.parallel_items = static_cast<int64_t>(batch.size() * targets.size());
-  executor->Charge(stream, cost);
-  executor->counters().kernel_values_computed +=
-      static_cast<int64_t>(batch.size() * targets.size());
+  KernelComputer::ChargeBlock(
+      stats, static_cast<int64_t>(batch.size() * targets.size()), executor,
+      stream);
 }
 
 double DenseKernelComputer::Compute(int64_t row_a, int64_t row_b) const {

@@ -44,58 +44,25 @@ class KernelComputer {
   const KernelFunction& function() const { return function_; }
 
   // Computes out[i * targets.size() + j] = K(a.row(batch[i]), b.row(targets[j]))
-  // as one batched product, charging `executor` on `stream`.
+  // as one batched product, charging `executor` on `stream`: ChargeBlock of
+  // what ComputeBlockValues returns.
   void ComputeBlock(std::span<const int32_t> batch, std::span<const int32_t> targets,
                     SimExecutor* executor, StreamId stream, double* out) const;
 
+  // ComputeBlock's computation alone, on `pool` (nullptr runs serially):
+  // fills `out` and returns the work ComputeBlock charges for it. For a
+  // caller that charges only part of a block (the prediction cascade).
+  OpStats ComputeBlockValues(std::span<const int32_t> batch,
+                             std::span<const int32_t> targets,
+                             ThreadPool* pool, double* out) const;
+
+  // ComputeBlock's charge: `stats` as one task over `values` kernel values,
+  // which are added to the executor's kernel_values_computed.
+  static void ChargeBlock(const OpStats& stats, int64_t values,
+                          SimExecutor* executor, StreamId stream);
+
   // Single kernel value (host-side, uncharged). For tests and reference code.
   double Compute(int64_t row_a, int64_t row_b) const;
-
-  // SIMD path counts of lazily computed kernel values. A caller sums them
-  // (per row, then per tile) and records them once, instead of touching the
-  // process-wide counters on every Compute.
-  struct LazyCounts {
-    simd::PathCounts dots;        // SimdPath::kScatterRowDots
-    simd::PathCounts transforms;  // SimdPath::kKernelTransform
-
-    LazyCounts& operator+=(const LazyCounts& o) {
-      dots += o.dots;
-      transforms += o.transforms;
-      return *this;
-    }
-    void Record() const {
-      dots.Record(simd::SimdPath::kScatterRowDots);
-      transforms.Record(simd::SimdPath::kKernelTransform);
-    }
-  };
-
-  // Kernel values of one row of `a` against arbitrary target subsets of `b`,
-  // computed lazily on the host without charging the executor. The row is
-  // scattered once, when the LazyRow is made (see ScatteredRow: one per
-  // thread at a time), and every Compute gathers against it.
-  class LazyRow {
-   public:
-    LazyRow(const KernelComputer& computer, int64_t row)
-        : computer_(computer),
-          row_(row),
-          scattered_(*computer.a_, row, computer.ops_) {}
-
-    // out[j] = K(a.row(row), b.row(targets[j])), bit-identical to the
-    // corresponding entry of a ComputeBlock block (same scatter-gather
-    // accumulation order and transform arithmetic), which is what lets lazy
-    // per-row consumers — the prediction cascade — stay byte-compatible with
-    // the batched path. Returns the OpStats of one batch row of ComputeBlock
-    // over `targets` (the row's nonzeros included), so callers account lazy
-    // rows exactly like batched ones, and adds the call to `*counts`. An
-    // empty `targets` does nothing.
-    OpStats Compute(std::span<const int32_t> targets, double* out,
-                    LazyCounts* counts) const;
-
-   private:
-    const KernelComputer& computer_;
-    int64_t row_;
-    ScatteredRow scattered_;
-  };
 
   // K(x_i, x_i) for a row of `a`.
   double SelfKernelA(int64_t row) const {

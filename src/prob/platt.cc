@@ -34,15 +34,6 @@ TaskCost PassCost(int64_t n, double flops_per_item, int64_t concurrent_copies = 
 
 }  // namespace
 
-double SigmoidParams::Probability(double v) const {
-  const double f_apb = v * a + b;
-  if (f_apb >= 0) {
-    const double e = std::exp(-f_apb);
-    return e / (1.0 + e);
-  }
-  return 1.0 / (1.0 + std::exp(f_apb));
-}
-
 Result<SigmoidParams> FitSigmoid(std::span<const double> decision_values,
                                  std::span<const int8_t> labels,
                                  const PlattOptions& options, SimExecutor* executor,

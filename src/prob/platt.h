@@ -8,6 +8,10 @@
 // On the GMP-SVM side, the candidate step evaluations of the backtracking
 // search are charged as parallel work (the paper evaluates multiple
 // candidate values for A and B concurrently).
+//
+// The fit still calls libm's exp, log1p and log, so A and B can differ in
+// their last digits between libm builds (docs/performance.md); Probability
+// does not depend on libm.
 
 #ifndef GMPSVM_PROB_PLATT_H_
 #define GMPSVM_PROB_PLATT_H_
@@ -17,6 +21,7 @@
 
 #include "common/status.h"
 #include "device/executor.h"
+#include "simd/simd_math.h"
 
 namespace gmpsvm {
 
@@ -24,9 +29,10 @@ struct SigmoidParams {
   double a = 0.0;
   double b = 0.0;
 
-  // P(y=1 | decision value v) under this sigmoid, computed in the
-  // numerically stable split form.
-  double Probability(double v) const;
+  // P(y=1 | decision value v) under this sigmoid: simd::PlattFromArg, the
+  // stable split form on the deterministic exp, so it has the same bits on
+  // every SIMD tier and libm (SimdOps::platt_panel matches it lane by lane).
+  double Probability(double v) const { return simd::PlattFromArg(v * a + b); }
 };
 
 struct PlattOptions {

@@ -152,6 +152,8 @@ const char* SimdPathName(SimdPath path) {
       return "kernel_transform";
     case SimdPath::kCoupling:
       return "coupling";
+    case SimdPath::kPlatt:
+      return "platt";
     case SimdPath::kNumPaths:
       break;
   }

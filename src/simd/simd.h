@@ -1,6 +1,6 @@
 // SIMD kernel tier: runtime-dispatched vector implementations of the host
-// hot paths (sparse scatter/gather dots, SpMV, kernel-value transforms, the
-// coupling fixed-point update) with a bitwise-reproducibility contract.
+// hot paths (sparse scatter/gather dots, SpMV, kernel-value transforms,
+// pairwise coupling, Platt sigmoids) with a bitwise-reproducibility contract.
 //
 // Determinism contract (docs/performance.md, "SIMD tier"):
 //   * Every reduction uses one canonical blocked-tree order with block size
@@ -130,6 +130,14 @@ struct SimdOps {
   // solve.
   int (*couple_panel)(const double* pairs, int k, double* work,
                       double* out) = nullptr;
+
+  // Platt's sigmoid (Equation 12) over a full panel, in place: `pairs` holds
+  // num_pairs x kPanelRows decision values without their bias, pair-major as
+  // couple_panel reads them, and `table` holds each pair's (bias, A, B).
+  // pairs[pi * kPanelRows + lane] becomes PlattFromArg((bias + v) * A + B),
+  // bitwise SigmoidParams::Probability(bias + v) on every tier.
+  void (*platt_panel)(double* pairs, const double* table,
+                      int64_t num_pairs) = nullptr;
 };
 
 // Cells of couple_panel's work area: the k x (k+1) augmented matrix [Q | e]
@@ -167,13 +175,14 @@ const char* TierName(SimdTier tier);
 std::string DescribeEnvironment();
 
 // ---------------------------------------------------------------------------
-// Per-path dispatch accounting. The five instrumented paths:
+// Per-path dispatch accounting. The six instrumented paths:
 enum class SimdPath {
   kBatchRowDots = 0,   // batched scatter-dot kernel rows (SpMM)
-  kScatterRowDots,     // lazy cascade kernel rows
+  kScatterRowDots,     // single-row scatter dots
   kSpMV,               // selected-row sparse matrix-vector product
   kKernelTransform,    // RBF/poly/sigmoid elementwise transforms
   kCoupling,           // pairwise-coupling solves
+  kPlatt,              // Platt sigmoids of full prediction panels
   kNumPaths,
 };
 
@@ -203,12 +212,6 @@ struct PathCounts {
     ++calls;
     elements += op_elements;
     flops += op_flops;
-  }
-  PathCounts& operator+=(const PathCounts& o) {
-    calls += o.calls;
-    elements += o.elements;
-    flops += o.flops;
-    return *this;
   }
   void Record(SimdPath path) const {
     RecordPath(path, elements, flops, /*nanos=*/0, calls);

@@ -464,6 +464,27 @@ int CouplePanelAvx2(const double* pairs, int k, double* work, double* out) {
   return redo;
 }
 
+// Vector twin of simd::PlattFromArg on f = (bias + v) * A + B, one pair's
+// four lanes per step. -|f| is f with its sign bit set, as -std::fabs(f);
+// f >= 0 is ordered, so a NaN f takes 1.0 / (1 + NaN) as in the scalar form.
+void PlattPanelAvx2(double* pairs, const double* table, int64_t num_pairs) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  for (int64_t pi = 0; pi < num_pairs; ++pi) {
+    const double* t = table + pi * 3;
+    double* v = pairs + pi * kPanelRows;
+    const __m256d f = _mm256_add_pd(
+        _mm256_mul_pd(_mm256_add_pd(_mm256_set1_pd(t[0]), _mm256_loadu_pd(v)),
+                      _mm256_set1_pd(t[1])),
+        _mm256_set1_pd(t[2]));
+    const __m256d e = ExpVec(_mm256_or_pd(f, sign));
+    const __m256d num =
+        _mm256_blendv_pd(one, e, _mm256_cmp_pd(f, zero, _CMP_GE_OQ));
+    _mm256_storeu_pd(v, _mm256_div_pd(num, _mm256_add_pd(one, e)));
+  }
+}
+
 }  // namespace
 
 const SimdOps* Avx2OpsTable() {
@@ -480,6 +501,7 @@ const SimdOps* Avx2OpsTable() {
       AxpyNegAvx2,
       MulNegAvx2,
       CouplePanelAvx2,
+      PlattPanelAvx2,
   };
   return &table;
 }

@@ -3,7 +3,8 @@
 // The vectorized hot paths (docs/performance.md, "SIMD tier") must produce
 // results byte-identical to the scalar fallback, which rules out libm:
 // std::exp / std::tanh / std::pow have no vector-lane twins with the same
-// rounding. Instead every transcendental the kernel transforms need is
+// rounding (and std::exp differs between libm variants). Instead every
+// transcendental the kernel transforms and Platt's sigmoid need is
 // implemented here as a fixed sequence of IEEE-754 double operations
 // (+, -, *, /, floor, abs, exponent-bit scaling). Elementwise IEEE ops are
 // exact per lane, so a vector tier that applies the *same op sequence* to
@@ -13,15 +14,16 @@
 // equality.
 //
 // Accuracy: the exp core is the Cephes rational approximation (~1-2 ulp over
-// the full range); tanh is derived from it (a few ulp). That is far inside
-// every tolerance the calibration and solver tests use. A NaN input (a NaN
-// feature reaching a kernel transform) yields NaN in every tier, so
-// downstream checks reject it the same way whichever tier ran.
+// the full range); tanh and Platt's sigmoid are derived from it (a few ulp;
+// simd_test bounds the sigmoid against a long double reference). That is
+// far inside every tolerance the calibration and solver tests use. A NaN
+// input (a NaN feature reaching a kernel transform) yields NaN in every tier,
+// so downstream checks reject it the same way whichever tier ran.
 //
 // These functions are also the *scalar* kernel-transform implementation:
 // KernelFunction::FromDot routes through the FromDot helpers at the bottom,
-// so single-value kernel evaluations, lazily computed cascade rows and
-// batched vector transforms all share one arithmetic definition.
+// so single-value kernel evaluations and batched vector transforms share one
+// arithmetic definition.
 //
 // NOTE: translation units using vector twins of these functions must be
 // compiled with -ffp-contract=off (see src/CMakeLists.txt); a contracted
@@ -92,6 +94,16 @@ inline double Exp(double x) {
   return scaled;
 }
 
+// Platt's sigmoid 1 / (1 + e^f) at f = A*v + B (Equation 12), in LibSVM's
+// stable two-branch form with one deterministic exp: e = Exp(-|f|), then
+// e / (1 + e) for f >= 0 and 1 / (1 + e) otherwise, so e never overflows.
+// The vector panel (SimdOps::platt_panel) replays it per lane; a NaN f gives
+// NaN.
+inline double PlattFromArg(double f) {
+  const double e = Exp(-std::fabs(f));
+  return (f >= 0 ? e : 1.0) / (1.0 + e);
+}
+
 // Deterministic tanh, defined through Exp:
 //   tanh(x) = sign(x) * (1 - 2 / (e^{2|x|} + 1)).
 // For 2|x| past the exp overflow threshold the arithmetic saturates to
@@ -123,8 +135,8 @@ inline double PowInt(double base, int degree) {
 }
 
 // Canonical dot -> kernel-value transforms. All call sites — scalar
-// single-value evaluation, lazy cascade rows, batched vector transforms —
-// must use exactly these operation orders.
+// single-value evaluation and batched vector transforms — must use exactly
+// these operation orders.
 inline double GaussianFromDot(double dot, double norm_i, double norm_j,
                               double gamma) {
   const double arg = (norm_i + norm_j) - (2.0 * dot);

@@ -107,6 +107,16 @@ int CouplePanelScalar(const double*, int, double*, double*) {
   return (1 << kPanelRows) - 1;
 }
 
+void PlattPanelScalar(double* pairs, const double* table, int64_t num_pairs) {
+  for (int64_t pi = 0; pi < num_pairs; ++pi) {
+    const double* t = table + pi * 3;
+    double* v = pairs + pi * kPanelRows;
+    for (int lane = 0; lane < kPanelRows; ++lane) {
+      v[lane] = PlattFromArg((t[0] + v[lane]) * t[1] + t[2]);
+    }
+  }
+}
+
 }  // namespace
 
 const SimdOps* ScalarOpsTable() {
@@ -123,6 +133,7 @@ const SimdOps* ScalarOpsTable() {
       AxpyNegScalar,
       MulNegScalar,
       CouplePanelScalar,
+      PlattPanelScalar,
   };
   return &table;
 }

@@ -46,6 +46,27 @@ void ScatterPanel(const CsrMatrix& a, std::span<const int32_t> batch,
   }
 }
 
+// out[j] = a.row(row) · b.row(targets[j]) through the calling thread's
+// scatter workspace, left zero again. Returns the target nonzeros streamed.
+int64_t ScatterDots(const CsrMatrix& a, int64_t row, const CsrMatrix& b,
+                    std::span<const int32_t> targets, double* out,
+                    const simd::SimdOps& ops) {
+  double* dense = ScatterWorkspace(a.cols()).data();
+  const auto idx = a.RowIndices(row);
+  const auto val = a.RowValues(row);
+  for (size_t p = 0; p < idx.size(); ++p) dense[idx[p]] = val[p];
+  int64_t nnz_targets = 0;
+  for (size_t tj = 0; tj < targets.size(); ++tj) {
+    const auto tidx = b.RowIndices(targets[tj]);
+    const auto tval = b.RowValues(targets[tj]);
+    out[tj] = ops.gather_dot(tval.data(), tidx.data(),
+                             static_cast<int64_t>(tidx.size()), dense);
+    nnz_targets += static_cast<int64_t>(tidx.size());
+  }
+  for (const int32_t col : idx) dense[col] = 0.0;
+  return nnz_targets;
+}
+
 void RunRows(ThreadPool* pool, int64_t n, int64_t min_chunk,
              const std::function<void(int64_t, int64_t)>& body) {
   if (pool != nullptr && pool->num_threads() > 1) {
@@ -87,8 +108,8 @@ OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
       const int rows = static_cast<int>(
           std::min<int64_t>(simd::kPanelRows, num_rows - first));
       if (rows == 1) {
-        ScatteredRow(a, batch[static_cast<size_t>(first)], &simd_ops)
-            .Dots(b, targets, out + first * num_targets);
+        ScatterDots(a, batch[static_cast<size_t>(first)], b, targets,
+                    out + first * num_targets, simd_ops);
         continue;
       }
       ScatterPanel(a, batch, first, rows, /*values=*/true, panel);
@@ -139,53 +160,24 @@ OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
   return stats;
 }
 
-ScatteredRow::ScatteredRow(const CsrMatrix& a, int64_t row,
-                           const simd::SimdOps* ops)
-    : a_(a),
-      row_(row),
-      ops_(ops != nullptr ? *ops : simd::OpsFor(simd::SimdTier::kAuto)),
-      dense_(ScatterWorkspace(a.cols()).data()) {
-  const auto idx = a_.RowIndices(row_);
-  const auto val = a_.RowValues(row_);
-  for (size_t p = 0; p < idx.size(); ++p) dense_[idx[p]] = val[p];
-}
-
-ScatteredRow::~ScatteredRow() {
-  for (const int32_t col : a_.RowIndices(row_)) dense_[col] = 0.0;
-}
-
-OpStats ScatteredRow::Dots(const CsrMatrix& b,
-                           std::span<const int32_t> targets, double* out,
-                           simd::PathCounts* counts) const {
-  int64_t nnz_targets = 0;
-  for (size_t tj = 0; tj < targets.size(); ++tj) {
-    const auto tidx = b.RowIndices(targets[tj]);
-    const auto tval = b.RowValues(targets[tj]);
-    out[tj] = ops_.gather_dot(tval.data(), tidx.data(),
-                              static_cast<int64_t>(tidx.size()), dense_);
-    nnz_targets += static_cast<int64_t>(tidx.size());
-  }
+OpStats ScatterRowDots(const CsrMatrix& a, int64_t row, const CsrMatrix& b,
+                       std::span<const int32_t> targets, double* out,
+                       const simd::SimdOps* ops) {
+  const int64_t nnz_targets = ScatterDots(
+      a, row, b, targets, out,
+      ops != nullptr ? *ops : simd::OpsFor(simd::SimdTier::kAuto));
   // Charged like one batch row of BatchRowDots2: the scattered row and the
   // streamed target nonzeros read once, one output double per target.
   OpStats stats;
   stats.flops = 2.0 * static_cast<double>(nnz_targets);
   stats.bytes_read =
-      (static_cast<double>(a_.RowIndices(row_).size()) +
+      (static_cast<double>(a.RowIndices(row).size()) +
        static_cast<double>(nnz_targets)) *
       (sizeof(double) + sizeof(int32_t));
   stats.bytes_written = static_cast<double>(targets.size()) * sizeof(double);
-  if (counts != nullptr) counts->Add(nnz_targets, stats.flops);
-  return stats;
-}
-
-OpStats ScatterRowDots(const CsrMatrix& a, int64_t row, const CsrMatrix& b,
-                       std::span<const int32_t> targets, double* out,
-                       const simd::SimdOps* ops) {
   // Counters only: a per-row op is too fine-grained to time (see
   // docs/performance.md).
-  simd::PathCounts counts;
-  const OpStats stats = ScatteredRow(a, row, ops).Dots(b, targets, out, &counts);
-  counts.Record(simd::SimdPath::kScatterRowDots);
+  simd::RecordPath(simd::SimdPath::kScatterRowDots, nnz_targets, stats.flops);
   return stats;
 }
 

@@ -69,38 +69,10 @@ OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
 // regardless of which other targets are requested alongside it. Pure host
 // computation; the returned OpStats charges the row exactly like one batch
 // row of BatchRowDots2 (2 flops per streamed target nonzero; the row and the
-// target nonzeros read once), so lazy per-row consumers — the prediction
-// cascade — account costs like the batched paths do.
+// target nonzeros read once). Records one call on the kScatterRowDots path.
 OpStats ScatterRowDots(const CsrMatrix& a, int64_t row, const CsrMatrix& b,
                        std::span<const int32_t> targets, double* out,
                        const simd::SimdOps* ops = nullptr);
-
-// ScatterRowDots split at the row, for a consumer that dots one row against
-// many target subsets (the prediction cascade's lazy kernel rows): the row
-// is scattered into the calling thread's workspace once, at construction,
-// and cleared again at destruction. So at most one ScatteredRow may be alive
-// per thread, and the thread runs no other sparse op meanwhile.
-class ScatteredRow {
- public:
-  ScatteredRow(const CsrMatrix& a, int64_t row,
-               const simd::SimdOps* ops = nullptr);
-  ~ScatteredRow();
-  ScatteredRow(const ScatteredRow&) = delete;
-  ScatteredRow& operator=(const ScatteredRow&) = delete;
-
-  // out[j] = a.row(row) · b.row(targets[j]), bitwise ScatterRowDots on the
-  // same targets, with the same returned OpStats (the row's nonzeros
-  // included). Records no SIMD path counters: adds this call to `*counts`
-  // (the kScatterRowDots path) when given.
-  OpStats Dots(const CsrMatrix& b, std::span<const int32_t> targets,
-               double* out, simd::PathCounts* counts = nullptr) const;
-
- private:
-  const CsrMatrix& a_;
-  int64_t row_;
-  const simd::SimdOps& ops_;
-  double* dense_;
-};
 
 // Dense counterpart over DenseMatrix rows; O(|batch| * |targets| * dim).
 OpStats DenseBatchRowDots(const DenseMatrix& x, std::span<const int32_t> batch,

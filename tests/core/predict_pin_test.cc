@@ -19,7 +19,13 @@
 // simulated seconds and phases, executor counters, the cascade counts, and
 // the SIMD path calls and elements of the paths prediction dispatches. A
 // mismatch prints every value with %a, ready to paste if a change is meant
-// to move it.
+// to move it. The probability hashes moved once, when Platt's sigmoid moved
+// from libm's exp onto simd::Exp, and the cascade's SIMD counts when it
+// began computing each tile's kernel block at once; nothing else did.
+//
+// ctest also runs this binary as predict_pin_test_nofma_libm, under a glibc
+// tunable that selects glibc's exp built without FMA: no prediction path may
+// depend on which libm variant the process loaded.
 
 #include <gtest/gtest.h>
 
@@ -159,7 +165,7 @@ const char kExactSharedTile0[] =
     "phase.coupling=0x1.1a4dfba81e334p-17 "
     "phase.decision_values=0x1.5c6e6aecb2f11p-13 "
     "phase.sigmoid=0x1.2b792a8e4903cp-13 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.fc85e3f1179bcp-15 "
     "simd.batch_row_dots.calls=1 "
     "simd.batch_row_dots.elements=24024 "
@@ -185,7 +191,7 @@ const char kExactPerSvmTile0[] =
     "phase.coupling=0x1.1a4dfba81e338p-17 "
     "phase.decision_values=0x1.6bb834e53a01p-12 "
     "phase.sigmoid=0x1.2b792a8e4903cp-13 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.519f905f13c24p-14 "
     "simd.batch_row_dots.calls=28 "
     "simd.batch_row_dots.elements=149916 "
@@ -211,7 +217,7 @@ const char kExactSharedTile1[] =
     "phase.coupling=0x1.17c9bce99c842p-13 "
     "phase.decision_values=0x1.f4b299f0ac79cp-9 "
     "phase.sigmoid=0x1.dd7815bb53288p-9 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.5f2408536c1ap-10 "
     "simd.batch_row_dots.calls=26 "
     "simd.batch_row_dots.elements=24024 "
@@ -237,7 +243,7 @@ const char kExactPerSvmTile1[] =
     "phase.coupling=0x1.17c9bce99c845p-13 "
     "phase.decision_values=0x1.eaf52be68dbd8p-8 "
     "phase.sigmoid=0x1.dd7815bb53288p-9 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.c46ee5c75017fp-10 "
     "simd.batch_row_dots.calls=728 "
     "simd.batch_row_dots.elements=149916 "
@@ -263,7 +269,7 @@ const char kExactSharedTile3[] =
     "phase.coupling=0x1.961ed7783e1c9p-15 "
     "phase.decision_values=0x1.5f2c605b34844p-10 "
     "phase.sigmoid=0x1.4b0912ce38dd4p-10 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.f1201622d9f78p-12 "
     "simd.batch_row_dots.calls=9 "
     "simd.batch_row_dots.elements=24024 "
@@ -289,7 +295,7 @@ const char kExactPerSvmTile3[] =
     "phase.coupling=0x1.961ed7783e1bcp-15 "
     "phase.decision_values=0x1.66033f24ae09fp-9 "
     "phase.sigmoid=0x1.4b0912ce38dd4p-10 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.458734a915fa5p-11 "
     "simd.batch_row_dots.calls=252 "
     "simd.batch_row_dots.elements=149916 "
@@ -315,7 +321,7 @@ const char kExactSharedTile5[] =
     "phase.coupling=0x1.184a9642e9a65p-15 "
     "phase.decision_values=0x1.d6b5cfd7d159cp-11 "
     "phase.sigmoid=0x1.b9deb37f1dec6p-11 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.4cb24f4453305p-12 "
     "simd.batch_row_dots.calls=6 "
     "simd.batch_row_dots.elements=24024 "
@@ -341,7 +347,7 @@ const char kExactPerSvmTile5[] =
     "phase.coupling=0x1.184a9642e9a66p-15 "
     "phase.decision_values=0x1.efd30c2c08465p-10 "
     "phase.sigmoid=0x1.b9deb37f1dec6p-11 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.be957f5b82b5cp-12 "
     "simd.batch_row_dots.calls=168 "
     "simd.batch_row_dots.elements=149916 "
@@ -367,7 +373,7 @@ const char kExactSharedTile8[] =
     "phase.coupling=0x1.88cf803eb804ep-16 "
     "phase.decision_values=0x1.3dc420420e31ap-11 "
     "phase.sigmoid=0x1.2711bcc0e60e7p-11 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.c413595a7a8e7p-13 "
     "simd.batch_row_dots.calls=4 "
     "simd.batch_row_dots.elements=24024 "
@@ -393,7 +399,7 @@ const char kExactPerSvmTile8[] =
     "phase.coupling=0x1.88cf803eb804cp-16 "
     "phase.decision_values=0x1.499192d46fa7ap-10 "
     "phase.sigmoid=0x1.2711bcc0e60e4p-11 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.2ebd1bd109368p-12 "
     "simd.batch_row_dots.calls=112 "
     "simd.batch_row_dots.elements=149916 "
@@ -468,16 +474,16 @@ const char kCascadeDefaultBandTile0[] =
     "phase.decision_values=0x1.b4d3bbacb1ae8p-18 "
     "phase.elimination=0x1.720a759e2c3c9p-15 "
     "phase.sigmoid=0x1.5dffa01c9c288p-18 "
-    "probabilities=33e5e06829f42849 "
+    "probabilities=4f6072e769e8ab28 "
     "sim_seconds=0x1.09981cee55765p-14 "
-    "simd.batch_row_dots.calls=0 "
-    "simd.batch_row_dots.elements=0 "
+    "simd.batch_row_dots.calls=1 "
+    "simd.batch_row_dots.elements=24024 "
     "simd.coupling.calls=24 "
     "simd.coupling.elements=231 "
-    "simd.kernel_transform.calls=230 "
-    "simd.kernel_transform.elements=3954 "
-    "simd.scatter_row_dots.calls=230 "
-    "simd.scatter_row_dots.elements=23724 ";
+    "simd.kernel_transform.calls=1 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
 
 const char kCascadeBand1Tile0[] =
     "cascade.classes_eliminated=0 "
@@ -495,16 +501,16 @@ const char kCascadeBand1Tile0[] =
     "phase.decision_values=0x1.9d502bd6df99ap-16 "
     "phase.elimination=0x1.720a759e2c3c9p-15 "
     "phase.sigmoid=0x1.05b97d64afadp-17 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.6dad3eae04f2ap-14 "
-    "simd.batch_row_dots.calls=0 "
-    "simd.batch_row_dots.elements=0 "
+    "simd.batch_row_dots.calls=1 "
+    "simd.batch_row_dots.elements=24024 "
     "simd.coupling.calls=48 "
     "simd.coupling.elements=1767 "
-    "simd.kernel_transform.calls=254 "
+    "simd.kernel_transform.calls=1 "
     "simd.kernel_transform.elements=4004 "
-    "simd.scatter_row_dots.calls=254 "
-    "simd.scatter_row_dots.elements=24024 ";
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
 
 const char kCascadeDefaultBandTile8[] =
     "cascade.classes_eliminated=145 "
@@ -522,16 +528,16 @@ const char kCascadeDefaultBandTile8[] =
     "phase.decision_values=0x1.822f8a1d741eap-17 "
     "phase.elimination=0x1.efdeb6d380b24p-15 "
     "phase.sigmoid=0x1.56c57c55695bap-17 "
-    "probabilities=33e5e06829f42849 "
+    "probabilities=4f6072e769e8ab28 "
     "sim_seconds=0x1.b160ce40003ep-14 "
-    "simd.batch_row_dots.calls=0 "
-    "simd.batch_row_dots.elements=0 "
+    "simd.batch_row_dots.calls=4 "
+    "simd.batch_row_dots.elements=24024 "
     "simd.coupling.calls=24 "
     "simd.coupling.elements=231 "
-    "simd.kernel_transform.calls=230 "
-    "simd.kernel_transform.elements=3954 "
-    "simd.scatter_row_dots.calls=230 "
-    "simd.scatter_row_dots.elements=23724 ";
+    "simd.kernel_transform.calls=4 "
+    "simd.kernel_transform.elements=4004 "
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
 
 const char kCascadeBand1Tile8[] =
     "cascade.classes_eliminated=0 "
@@ -549,16 +555,16 @@ const char kCascadeBand1Tile8[] =
     "phase.decision_values=0x1.4c7c5720c4428p-15 "
     "phase.elimination=0x1.efdeb6d380b24p-15 "
     "phase.sigmoid=0x1.7e85411d00c1cp-16 "
-    "probabilities=45cd3c4b34e3ed5d "
+    "probabilities=97351b4f2f560939 "
     "sim_seconds=0x1.34aae08c56efp-13 "
-    "simd.batch_row_dots.calls=0 "
-    "simd.batch_row_dots.elements=0 "
+    "simd.batch_row_dots.calls=4 "
+    "simd.batch_row_dots.elements=24024 "
     "simd.coupling.calls=48 "
     "simd.coupling.elements=1767 "
-    "simd.kernel_transform.calls=254 "
+    "simd.kernel_transform.calls=4 "
     "simd.kernel_transform.elements=4004 "
-    "simd.scatter_row_dots.calls=254 "
-    "simd.scatter_row_dots.elements=24024 ";
+    "simd.scatter_row_dots.calls=0 "
+    "simd.scatter_row_dots.elements=0 ";
 
 TEST(PredictPinTest, ExactSharedTile0) {
   ExpectRun(Exact(0, /*share=*/true), kExactSharedTile0);
@@ -708,12 +714,12 @@ const char kLongLivedExecutor[] =
     "predict0.phase.coupling=0x1.585ac11f858d8p-18 "
     "predict0.phase.decision_values=0x1.341f23a7cc9a8p-13 "
     "predict0.phase.sigmoid=0x1.25d3be9aa953dp-13 "
-    "predict0.probabilities=6f86c02f2a035ba1 "
+    "predict0.probabilities=478397e6b887bcc2 "
     "predict0.sim_seconds=0x1.c0376902b10b4p-15 "
     "predict1.phase.coupling=0x1.585ac11f858ep-18 "
     "predict1.phase.decision_values=0x1.2e20b88de1128p-12 "
     "predict1.phase.sigmoid=0x1.25d3be9aa953ap-13 "
-    "predict1.probabilities=d357a63437778efb "
+    "predict1.probabilities=a531ba056fb76076 "
     "predict1.sim_seconds=0x1.1e7129176eab8p-14 "
     "predict2.phase.coupling=0x1.4fb7538df982p-18 "
     "predict2.phase.elimination=0x1.b48470ff95e8p-18 "
@@ -726,18 +732,18 @@ const char kLongLivedExecutor[] =
     "predict4.phase.coupling=0x1.7b986364c188p-18 "
     "predict4.phase.decision_values=0x1.3af19f24b1c1ep-13 "
     "predict4.phase.sigmoid=0x1.26bb03138fadcp-13 "
-    "predict4.probabilities=553a469bf5684cb2 "
+    "predict4.probabilities=3e1099adbd96fd31 "
     "predict4.sim_seconds=0x1.cb5b2889eb9dp-15 "
     "predict5.phase.coupling=0x1.7b986364c188p-18 "
     "predict5.phase.decision_values=0x1.503be4d3a6682p-12 "
     "predict5.phase.sigmoid=0x1.26bb03138fadp-13 "
-    "predict5.probabilities=bba004fa3d029372 "
+    "predict5.probabilities=b69605cfff2e79b7 "
     "predict5.sim_seconds=0x1.34523d064a97ep-14 "
     "predict6.phase.coupling=0x1.595ea7ac4428p-18 "
     "predict6.phase.decision_values=0x1.822f8a1d742p-18 "
     "predict6.phase.elimination=0x1.a339523e5c58p-17 "
     "predict6.phase.sigmoid=0x1.56c57c55695cp-18 "
-    "predict6.probabilities=a527106f98699a9d "
+    "predict6.probabilities=e4d67365fdd7682d "
     "predict6.sim_seconds=0x1.000fb7d56ea48p-15 "
     "predict7.phase.coupling=0x1.5070692cf894p-18 "
     "predict7.phase.elimination=0x1.71c8620dea6cp-16 "

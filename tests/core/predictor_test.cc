@@ -249,6 +249,48 @@ TEST(MpSvmPredictorTest, RowFusedMatchesNaiveReference) {
   }
 }
 
+// Each full panel coupled by Gaussian elimination takes its sigmoids in one
+// platt_panel call over every pair; lone rows, partial panels, the per-SVM
+// ablation and the iterative method take them one value at a time and
+// record nothing on the path.
+TEST(MpSvmPredictorTest, PlattPathCountsOneCallPerFullPanel) {
+  TrainedFixture fx = MakeFixture(5, 83);
+  const int64_t n = fx.test.size();
+  const int64_t pairs = fx.model.num_pairs();
+  for (simd::SimdTier tier : testing::SupportedTiers()) {
+    const testing::ScopedSimdTier scope(tier);
+    for (bool share : {true, false}) {
+      for (bool iterative : {false, true}) {
+        for (int64_t tile : {n, int64_t{6}}) {
+          simd::ResetPathStats();
+          SimExecutor exec = Gpu();
+          PredictOptions options;
+          options.share_kernel_values = share;
+          options.tile_rows = tile;
+          if (iterative) options.coupling.method = CouplingMethod::kIterative;
+          ValueOrDie(MpSvmPredictor(&fx.model).Predict(fx.test.features(),
+                                                       &exec, options));
+          const int64_t panels =
+              share && !iterative ? (n / tile) * (tile / simd::kPanelRows) +
+                                        (n % tile) / simd::kPanelRows
+                                  : 0;
+          const simd::PathStatsSnapshot stats =
+              simd::PathStats(simd::SimdPath::kPlatt);
+          const std::string what =
+              StrPrintf("tier=%s share=%d iterative=%d tile=%lld",
+                        simd::TierName(tier), share, iterative,
+                        static_cast<long long>(tile));
+          EXPECT_EQ(stats.calls, panels) << what;
+          EXPECT_EQ(stats.elements, panels * pairs * simd::kPanelRows) << what;
+          EXPECT_EQ(stats.flops, 10.0 * static_cast<double>(stats.elements))
+              << what;
+        }
+      }
+    }
+  }
+  simd::ResetPathStats();
+}
+
 TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
   // A NaN feature makes every pairwise estimate of its row NaN, under the
   // linear and the Gaussian kernel and on every SIMD tier, and the coupling

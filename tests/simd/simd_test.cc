@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "common/string_util.h"
 #include "kernel/kernel_function.h"
 #include "prob/pairwise_coupling.h"
+#include "prob/platt.h"
 #include "simd/simd_math.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/ops.h"
@@ -584,6 +586,104 @@ TEST(SimdTierIdentityTest, CouplePanelCountsOneCallPerRow) {
     EXPECT_EQ(stats.elements, simd::kPanelRows * k * k) << simd::TierName(tier);
   }
   simd::ResetPathStats();
+}
+
+// Platt's sigmoid over full panels: every lane is bitwise PlattFromArg of
+// its argument (and so SigmoidParams::Probability), on every tier, for 0, 1
+// and an odd number of pairs. Even pairs pass their decision values through
+// unchanged as f (bias -0, A 1, B -0), so their lanes hit the edges of Exp's
+// clamp, signed zeros, huge and infinite arguments and NaN; odd pairs draw
+// (bias, A, B) as fitted sigmoids look.
+TEST(SimdTierIdentityTest, PlattPanelIsPlattFromArgOnEveryTier) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double edges[] = {
+      0.0, -0.0,
+      simd::kExpLo, std::nextafter(simd::kExpLo, 0.0),
+      std::nextafter(simd::kExpLo, -kInf), -simd::kExpLo,
+      std::nextafter(-simd::kExpLo, 0.0), std::nextafter(-simd::kExpLo, kInf),
+      simd::kExpHi, std::nextafter(simd::kExpHi, 0.0),
+      std::nextafter(simd::kExpHi, kInf), -simd::kExpHi,
+      std::nextafter(-simd::kExpHi, 0.0), std::nextafter(-simd::kExpHi, -kInf),
+      1e300, -1e300, kInf, -kInf,
+      std::numeric_limits<double>::quiet_NaN(), 40.0, -40.0, 1e-300, -1e-300,
+      37.5};
+  const int64_t num_edges = static_cast<int64_t>(std::size(edges));
+  for (const int64_t num_pairs : {int64_t{0}, int64_t{1}, int64_t{7},
+                                  int64_t{13}}) {
+    Rng rng(static_cast<uint64_t>(300 + num_pairs));
+    std::vector<double> table;
+    std::vector<double> dv;
+    for (int64_t pi = 0; pi < num_pairs; ++pi) {
+      if (pi % 2 == 0) {
+        table.insert(table.end(), {-0.0, 1.0, -0.0});
+      } else {
+        table.insert(table.end(), {rng.Uniform(-2.0, 2.0),
+                                   rng.Uniform(-6.0, -0.05),
+                                   rng.Uniform(-1.5, 1.5)});
+      }
+      for (int lane = 0; lane < simd::kPanelRows; ++lane) {
+        dv.push_back(pi % 2 == 0
+                         ? edges[(pi / 2 * simd::kPanelRows + lane) % num_edges]
+                         : rng.Uniform(-12.0, 12.0));
+      }
+    }
+    // With 13 pairs the 7 pass-through pairs hold 28 lanes, every edge.
+    std::vector<double> want(dv.size());
+    for (int64_t pi = 0; pi < num_pairs; ++pi) {
+      const double* t = table.data() + pi * 3;
+      const SigmoidParams sigmoid{t[1], t[2]};
+      for (int lane = 0; lane < simd::kPanelRows; ++lane) {
+        const size_t at = static_cast<size_t>(pi * simd::kPanelRows + lane);
+        want[at] = simd::PlattFromArg((t[0] + dv[at]) * t[1] + t[2]);
+        const double probability = sigmoid.Probability(t[0] + dv[at]);
+        EXPECT_EQ(std::memcmp(&want[at], &probability, sizeof(double)), 0)
+            << "pair " << pi << " lane " << lane;
+      }
+    }
+    for (SimdTier tier : SupportedTiers()) {
+      std::vector<double> got = dv;
+      simd::OpsFor(tier).platt_panel(got.data(), table.data(), num_pairs);
+      for (size_t at = 0; at < got.size(); ++at) {
+        SCOPED_TRACE(StrPrintf("%s pairs=%lld slot=%zu f=%a",
+                               simd::TierName(tier),
+                               static_cast<long long>(num_pairs), at, dv[at]));
+        if (std::isnan(want[at])) {
+          EXPECT_TRUE(std::isnan(got[at]));
+        } else {
+          EXPECT_EQ(std::memcmp(&got[at], &want[at], sizeof(double)), 0)
+              << got[at] << " vs " << want[at];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(simd::PlattFromArg(0.0), 0.5);
+  EXPECT_EQ(simd::PlattFromArg(kInf), 0.0);
+  EXPECT_EQ(simd::PlattFromArg(-kInf), 1.0);
+  EXPECT_TRUE(std::isnan(
+      simd::PlattFromArg(std::numeric_limits<double>::quiet_NaN())));
+}
+
+// PlattFromArg against 1 / (1 + e^f) in long double over the range fitted
+// sigmoids reach, so a change to Exp cannot quietly degrade probabilities.
+// The bound is in ulps of the double result.
+TEST(SimdMathTest, PlattFromArgWithinUlpsOfLongDoubleReference) {
+  constexpr int64_t kMaxUlps = 4;
+  Rng rng(24);
+  int64_t max_ulps = 0;
+  double worst = 0.0;
+  for (int i = 0; i < 200000; ++i) {
+    const double f = rng.Uniform(-40.0, 40.0);
+    const double want = static_cast<double>(
+        1.0L / (1.0L + std::exp(static_cast<long double>(f))));
+    const double got = simd::PlattFromArg(f);
+    const int64_t ulps = std::abs(std::bit_cast<int64_t>(got) -
+                                  std::bit_cast<int64_t>(want));
+    if (ulps > max_ulps) {
+      max_ulps = ulps;
+      worst = f;
+    }
+  }
+  EXPECT_LE(max_ulps, kMaxUlps) << "at f = " << worst;
 }
 
 TEST(SimdPathStatsTest, RecordsCallsElementsAndFlops) {
