@@ -1,5 +1,5 @@
 // SIMD-tier microbenchmark: scalar reference vs the detected vector tier on
-// the six instrumented host hot paths (src/simd/simd.h). For every path the
+// the five instrumented host hot paths (src/simd/simd.h). For every path the
 // two tiers must produce byte-identical outputs — any divergence is a hard
 // failure (exit 1), because it breaks the repo-wide reproducibility
 // contract. Speedups are wall-clock, best-of-N reps.
@@ -137,13 +137,9 @@ int main(int argc, char** argv) {
   // not DRAM bandwidth, which no instruction set can increase.
   const CsrMatrix a = RandomCsr(128, 1024, 0.20, 1);
   const CsrMatrix b = RandomCsr(256, 1024, 0.15, 2);
-  std::vector<int32_t> batch, targets, rows;
+  std::vector<int32_t> batch, targets;
   for (int32_t i = 0; i < 128; ++i) batch.push_back(i);
   for (int32_t i = 0; i < 256; ++i) targets.push_back(i);
-  for (int32_t i = 0; i < 256; ++i) rows.push_back(i);
-  Rng rng(3);
-  std::vector<double> dense(1024);
-  for (auto& v : dense) v = rng.Normal();
 
   std::vector<PathResult> results;
 
@@ -159,14 +155,6 @@ int main(int argc, char** argv) {
         for (size_t i = 0; i < batch.size(); ++i) {
           ScatterRowDots(a, batch[i], b, targets,
                          out + i * targets.size(), &ops);
-        }
-      }));
-
-  results.push_back(RunPath(  // 150 passes so one rep is measurable
-      "spmv", reps, rows.size(),
-      [&](const simd::SimdOps& ops, double* out) {
-        for (int pass = 0; pass < 150; ++pass) {
-          SpMV(b, rows, dense, out, nullptr, &ops);
         }
       }));
 
@@ -233,7 +221,7 @@ int main(int argc, char** argv) {
   }
 
   {
-    // The sixth path: Platt's sigmoid over one 4-row panel of a k = 64
+    // The fifth path: Platt's sigmoid over one 4-row panel of a k = 64
     // model's 2016 pairs, as exact prediction runs it before couple_panel.
     const int64_t pairs = 64 * 63 / 2;
     Rng prng(6);

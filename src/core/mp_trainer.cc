@@ -66,7 +66,7 @@ uint64_t TrainFingerprint(const Dataset& dataset, const MpTrainOptions& options)
 
 // Manages the checkpoint directory for one training run: loads completed
 // pairs on resume, persists each newly completed pair, and flushes the
-// manifest per the every_n_pairs cadence.
+// manifest after each one.
 class CheckpointSession {
  public:
   Status Init(const TrainCheckpointOptions& options, uint64_t fingerprint,
@@ -129,15 +129,11 @@ class CheckpointSession {
         pair, options_.dir + "/" +
                   PairCheckpointFileName(pair.class_s, pair.class_t)));
     manifest_.completed.emplace_back(pair.class_s, pair.class_t);
-    if (++unflushed_ >= std::max(1, options_.every_n_pairs)) {
-      return Flush();
-    }
-    return Status::OK();
+    return Flush();
   }
 
   Status Flush() {
     if (!enabled()) return Status::OK();
-    unflushed_ = 0;
     return SaveCheckpointManifest(manifest_, ManifestPath());
   }
 
@@ -149,7 +145,6 @@ class CheckpointSession {
   TrainCheckpointOptions options_;
   CheckpointManifest manifest_;
   std::map<std::pair<int, int>, PairCheckpoint> loaded_;
-  int unflushed_ = 0;
 };
 
 // Both single-device trainers: every pair the checkpoint does not resume
@@ -267,11 +262,6 @@ Status MpTrainOptions::Validate(int num_classes) const {
   if (host_threads < 0) {
     return Status::InvalidArgument(
         StrPrintf("host_threads must be >= 0, got %d", host_threads));
-  }
-  if (checkpoint.every_n_pairs < 1) {
-    return Status::InvalidArgument(
-        StrPrintf("checkpoint.every_n_pairs must be >= 1, got %d",
-                  checkpoint.every_n_pairs));
   }
   if (checkpoint.resume && checkpoint.dir.empty()) {
     return Status::InvalidArgument(

@@ -53,13 +53,10 @@ enum class PairFailurePolicy {
 // Periodic checkpointing of completed binary pairs through model_io.
 struct TrainCheckpointOptions {
   // Directory for the manifest + per-pair files; empty disables
-  // checkpointing. Created if missing.
+  // checkpointing. Created if missing. Each completed pair's file is written
+  // and the manifest flushed as the pair completes; the manifest is also
+  // flushed at the end of the run and on a fault-plan interrupt.
   std::string dir;
-
-  // Flush the manifest after every N completed pairs (pair files are always
-  // written immediately). The manifest is also flushed at the end of the run
-  // and on a fault-plan interrupt.
-  int every_n_pairs = 1;
 
   // Load the manifest in `dir` and skip its completed (non-degraded) pairs.
   // Rejected with InvalidArgument if the manifest's fingerprint does not

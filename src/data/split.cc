@@ -22,37 +22,6 @@ Result<Dataset> SubsetDataset(const Dataset& dataset,
                          dataset.num_classes(), dataset.name());
 }
 
-Result<TrainTestSplit> StratifiedSplit(const Dataset& dataset, double test_fraction,
-                                       uint64_t seed) {
-  if (test_fraction <= 0.0 || test_fraction >= 1.0) {
-    return Status::InvalidArgument("test_fraction must be in (0, 1)");
-  }
-  Rng rng(seed);
-  std::vector<int32_t> train_rows, test_rows;
-  for (int c = 0; c < dataset.num_classes(); ++c) {
-    std::vector<int32_t> rows = dataset.ClassRows(c);
-    rng.Shuffle(&rows);
-    // At least one row of each class on each side when possible.
-    int64_t test_count = static_cast<int64_t>(
-        static_cast<double>(rows.size()) * test_fraction + 0.5);
-    test_count = std::clamp<int64_t>(test_count, rows.size() > 1 ? 1 : 0,
-                                     static_cast<int64_t>(rows.size()) - 1);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      (static_cast<int64_t>(i) < test_count ? test_rows : train_rows)
-          .push_back(rows[i]);
-    }
-  }
-  std::sort(train_rows.begin(), train_rows.end());
-  std::sort(test_rows.begin(), test_rows.end());
-
-  TrainTestSplit split;
-  GMP_ASSIGN_OR_RETURN(split.train, SubsetDataset(dataset, train_rows));
-  GMP_ASSIGN_OR_RETURN(split.test, SubsetDataset(dataset, test_rows));
-  split.train_rows = std::move(train_rows);
-  split.test_rows = std::move(test_rows);
-  return split;
-}
-
 Result<std::vector<std::vector<int32_t>>> StratifiedFolds(const Dataset& dataset,
                                                           int folds, uint64_t seed) {
   if (folds < 2) return Status::InvalidArgument("need at least 2 folds");

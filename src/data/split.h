@@ -1,6 +1,5 @@
-// Dataset splitting utilities: stratified train/test splits and k-fold
-// partitions. Used by the cross-validation driver and by downstream users
-// who bring a single LibSVM file.
+// Dataset splitting utilities: stratified k-fold partitions and row
+// subsets, used by the cross-validation driver.
 
 #ifndef GMPSVM_DATA_SPLIT_H_
 #define GMPSVM_DATA_SPLIT_H_
@@ -12,19 +11,6 @@
 #include "core/dataset.h"
 
 namespace gmpsvm {
-
-struct TrainTestSplit {
-  Dataset train;
-  Dataset test;
-  // Original row ids of each part (for tracing predictions back).
-  std::vector<int32_t> train_rows;
-  std::vector<int32_t> test_rows;
-};
-
-// Stratified split: each class contributes ~test_fraction of its rows to the
-// test part, preserving class balance. Deterministic given `seed`.
-Result<TrainTestSplit> StratifiedSplit(const Dataset& dataset, double test_fraction,
-                                       uint64_t seed);
 
 // Stratified k-fold partition: returns `folds` row-id lists whose union is
 // all rows, each with ~1/folds of every class.

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "obs/metrics.h"
 
@@ -43,9 +42,6 @@ struct ExecutorCounters {
   int64_t allocation_failures = 0;
 
   void Reset() { *this = ExecutorCounters(); }
-
-  // Multi-line human-readable dump.
-  std::string ToString() const;
 
   // Publishes a snapshot of these counters into `registry` under the
   // gmpsvm_device_* metric names, optionally labeled (e.g. per serve worker).

@@ -11,25 +11,6 @@
 
 namespace gmpsvm {
 
-std::string ExecutorCounters::ToString() const {
-  std::string out;
-  out += StrPrintf("launches:               %lld\n", static_cast<long long>(launches));
-  out += StrPrintf("flops:                  %.3e\n", flops);
-  out += StrPrintf("bytes read/written:     %s / %s\n", HumanBytes(bytes_read).c_str(),
-                   HumanBytes(bytes_written).c_str());
-  out += StrPrintf("bytes h2d/d2h:          %s / %s\n", HumanBytes(bytes_h2d).c_str(),
-                   HumanBytes(bytes_d2h).c_str());
-  out += StrPrintf("kernel values computed: %lld\n",
-                   static_cast<long long>(kernel_values_computed));
-  out += StrPrintf("kernel values reused:   %lld\n",
-                   static_cast<long long>(kernel_values_reused));
-  out += StrPrintf("peak device memory:     %s\n",
-                   HumanBytes(static_cast<double>(peak_bytes_in_use)).c_str());
-  out += StrPrintf("allocation failures:    %lld\n",
-                   static_cast<long long>(allocation_failures));
-  return out;
-}
-
 DeviceAllocation& DeviceAllocation::operator=(DeviceAllocation&& other) noexcept {
   if (this != &other) {
     Release();
@@ -109,24 +90,6 @@ double SimExecutor::TaskDuration(const TaskCost& cost, double unit_share) const 
       (cost.bytes_read + cost.bytes_written) / (model_.mem_bandwidth * bw_share);
   // Roofline: the task is bound by the slower of compute and memory.
   return model_.launch_overhead_sec + std::max(compute_time, mem_time);
-}
-
-void SimExecutor::Submit(StreamId stream, const TaskCost& cost,
-                         const std::function<void()>& fn) {
-  if (fn) fn();
-  Charge(stream, cost);
-}
-
-Status SimExecutor::TrySubmit(StreamId stream, const TaskCost& cost,
-                              const std::function<void()>& fn) {
-  if (fault_ != nullptr && fault_->ShouldInject(fault::Site::kDeviceSubmit)) {
-    // A failed launch still occupies the stream for the task's duration.
-    Charge(stream, cost);
-    return Status::Unavailable(
-        StrPrintf("injected launch failure on stream %d", stream));
-  }
-  Submit(stream, cost, fn);
-  return Status::OK();
 }
 
 void SimExecutor::Charge(StreamId stream, const TaskCost& cost) {
@@ -210,18 +173,6 @@ void SimExecutor::Transfer(StreamId stream, double bytes, TransferDirection dir)
     span.is_transfer = true;
     recorder_->RecordSpan(span);
   }
-}
-
-Status SimExecutor::TryTransfer(StreamId stream, double bytes,
-                                TransferDirection dir) {
-  if (fault_ != nullptr && fault_->ShouldInject(fault::Site::kDeviceTransfer)) {
-    // The wire was busy for the full duration even though the copy failed.
-    Transfer(stream, bytes, dir);
-    return Status::Unavailable(
-        StrPrintf("injected transfer failure on stream %d", stream));
-  }
-  Transfer(stream, bytes, dir);
-  return Status::OK();
 }
 
 void SimExecutor::AdvanceStream(StreamId stream, double seconds,
@@ -308,20 +259,6 @@ ScopedStreams::~ScopedStreams() {
   for (auto it = ids_.rbegin(); it != ids_.rend(); ++it) {
     executor_->RetireStream(*it);
   }
-}
-
-void SubmitParallelFor(SimExecutor* executor, StreamId stream, int64_t n,
-                       double flops_per_item, double bytes_per_item,
-                       const std::function<void(int64_t, int64_t)>& body,
-                       int64_t min_chunk) {
-  if (n <= 0) return;
-  TaskCost cost;
-  cost.parallel_items = n;
-  cost.flops = flops_per_item * static_cast<double>(n);
-  cost.bytes_read = bytes_per_item * static_cast<double>(n);
-  executor->Submit(stream, cost, [executor, &body, n, min_chunk] {
-    executor->HostParallelFor(n, min_chunk, body);
-  });
 }
 
 }  // namespace gmpsvm

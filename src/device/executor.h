@@ -9,9 +9,9 @@
 //     directly). ScopedStreams creates a call's or a pair group's streams
 //     and retires them when that scope ends, so a long-lived executor (a
 //     serve worker's) holds only the streams in use.
-//   * Submit(stream, cost, fn) runs `fn` on the host immediately (results are
-//     real), and advances the stream's simulated timeline by a duration
-//     derived from `cost` under the executor's ExecutorModel. Tasks on
+//   * Charge(stream, cost) advances the stream's simulated timeline by a
+//     duration derived from `cost` under the executor's ExecutorModel, for
+//     work the caller has just run on the host (results are real). Tasks on
 //     different streams overlap in simulated time; tasks on one stream are
 //     ordered.
 //   * Transfer(stream, bytes, dir) charges PCIe time (free on CPU models).
@@ -25,7 +25,7 @@
 // Determinism: no wall clocks feed the accounting. Simulated time is charged
 // in submission order regardless of how task bodies execute on the host.
 // When ExecutorModel::host_threads > 1 the executor owns a ThreadPool and
-// HostParallelFor()/SubmitParallelFor() run bodies across real threads — but
+// HostParallelFor() runs bodies across real threads — but
 // only over statically-chunked, disjoint-write index ranges, so every numeric
 // output, counter, and simulated timestamp is byte-identical for any thread
 // count (see docs/performance.md for the full determinism rules).
@@ -127,26 +127,12 @@ class SimExecutor {
   // Number of live streams including the default stream.
   int num_streams() const { return static_cast<int>(streams_.size()); }
 
-  // Runs `fn` now and charges `cost` to `stream`'s simulated timeline.
-  void Submit(StreamId stream, const TaskCost& cost, const std::function<void()>& fn);
-
-  // Fallible Submit for fault-aware callers: with an attached FaultInjector
-  // the launch may fail transiently (kUnavailable) — the body is NOT run,
-  // but the stream is still charged `cost` (a failed launch burns its slot).
-  // Without an injector this is Submit() returning OK.
-  Status TrySubmit(StreamId stream, const TaskCost& cost,
-                   const std::function<void()>& fn);
-
-  // Charges `cost` without a body (for work already performed by the caller).
+  // Charges `cost` to `stream`'s simulated timeline for work the caller has
+  // performed.
   void Charge(StreamId stream, const TaskCost& cost);
 
   // Charges a host<->device transfer on `stream`.
   void Transfer(StreamId stream, double bytes, TransferDirection dir);
-
-  // Fallible Transfer: may fail transiently under an attached FaultInjector
-  // (the transfer time is still charged — the wire was busy). Without an
-  // injector this is Transfer() returning OK.
-  Status TryTransfer(StreamId stream, double bytes, TransferDirection dir);
 
   // Advances `stream`'s timeline by `seconds` without doing work — used for
   // simulated retry backoff. Records a phase span named `label` when a span
@@ -198,10 +184,9 @@ class SimExecutor {
   int lane_base() const { return lane_base_; }
 
   // Attaches (or detaches, with nullptr) a fault injector. While attached,
-  // TrySubmit/TryTransfer may fail transiently, Allocate may fail with
-  // kUnavailable, and every Charge may suffer a latency spike. The injector
-  // must outlive its attachment. Training determinism is preserved because
-  // the injector itself is deterministic.
+  // Allocate may fail with kUnavailable and every Charge may suffer a
+  // latency spike. The injector must outlive its attachment. Training
+  // determinism is preserved because the injector itself is deterministic.
   void SetFaultInjector(fault::FaultInjector* injector) { fault_ = injector; }
   fault::FaultInjector* fault_injector() const { return fault_; }
 
@@ -294,16 +279,6 @@ class ScopedStreams {
   SimExecutor* executor_;
   std::vector<StreamId> ids_;
 };
-
-// Convenience: submits a task that processes `n` items with `flops_per_item`
-// and `bytes_per_item` average cost. The simulated cost is charged once for
-// the whole range; the body runs via HostParallelFor — across real host
-// threads when the executor has a pool, inline otherwise — so it must only
-// write disjoint, index-derived locations.
-void SubmitParallelFor(SimExecutor* executor, StreamId stream, int64_t n,
-                       double flops_per_item, double bytes_per_item,
-                       const std::function<void(int64_t, int64_t)>& body,
-                       int64_t min_chunk = 1);
 
 }  // namespace gmpsvm
 

@@ -6,10 +6,16 @@ namespace gmpsvm::fault {
 namespace {
 
 constexpr const char* kSiteNames[kNumFaultSites] = {
-    "device_submit",  "device_transfer", "device_alloc",  "kernel_row_batch",
-    "buffer_evict",   "model_swap",      "latency_spike", "train_interrupt",
-    "device_loss",    "delta_parse",     "canary",        "node_loss",
+    "device_alloc", "kernel_row_batch", "buffer_evict", "model_swap",
+    "latency_spike", "train_interrupt", "device_loss", "delta_parse",
+    "canary", "node_loss",
 };
+
+// Site s draws from fork s + kFirstSiteStream of the plan seed's Rng. Forks
+// 1 and 2 are drawn and discarded: they fed two retired device sites, and
+// keeping every site's fork keeps each seed's faults (fault_injector_test
+// pins them).
+constexpr int kFirstSiteStream = 3;
 
 Status CheckProb(const char* field, double p) {
   if (!(p >= 0.0 && p <= 1.0)) {
@@ -29,10 +35,6 @@ const char* SiteName(Site site) {
 
 double FaultPlan::ProbFor(Site site) const {
   switch (site) {
-    case Site::kDeviceSubmit:
-      return submit_fail_prob;
-    case Site::kDeviceTransfer:
-      return transfer_fail_prob;
     case Site::kDeviceAlloc:
       return alloc_fail_prob;
     case Site::kKernelRowBatch:
@@ -58,8 +60,6 @@ double FaultPlan::ProbFor(Site site) const {
 }
 
 Status FaultPlan::Validate() const {
-  GMP_RETURN_NOT_OK(CheckProb("submit_fail_prob", submit_fail_prob));
-  GMP_RETURN_NOT_OK(CheckProb("transfer_fail_prob", transfer_fail_prob));
   GMP_RETURN_NOT_OK(CheckProb("alloc_fail_prob", alloc_fail_prob));
   GMP_RETURN_NOT_OK(CheckProb("kernel_row_fail_prob", kernel_row_fail_prob));
   GMP_RETURN_NOT_OK(CheckProb("evict_poison_prob", evict_poison_prob));
@@ -85,8 +85,6 @@ Status FaultPlan::Validate() const {
 FaultPlan FaultPlan::Chaos(uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;
-  plan.submit_fail_prob = 0.05;
-  plan.transfer_fail_prob = 0.05;
   plan.alloc_fail_prob = 0.15;
   plan.kernel_row_fail_prob = 0.2;
   plan.evict_poison_prob = 0.25;
@@ -107,9 +105,12 @@ FaultInjector::FaultInjector(const FaultPlan& plan,
                              obs::MetricsRegistry* metrics)
     : plan_(plan) {
   Rng root(plan_.seed);
+  for (int s = 1; s < kFirstSiteStream; ++s) {
+    root.Fork(static_cast<uint64_t>(s));
+  }
   rngs_.reserve(kNumFaultSites);
   for (int s = 0; s < kNumFaultSites; ++s) {
-    rngs_.push_back(root.Fork(static_cast<uint64_t>(s) + 1));
+    rngs_.push_back(root.Fork(static_cast<uint64_t>(s + kFirstSiteStream)));
   }
   if (metrics != nullptr) {
     for (int s = 0; s < kNumFaultSites; ++s) {

@@ -15,7 +15,7 @@
 //     "fail the first N allocations, then heal" serve scenarios).
 //
 // Sites are consulted by the components they belong to: SimExecutor
-// (submit/transfer/alloc/latency), KernelBuffer (eviction poisoning),
+// (alloc/latency), KernelBuffer (eviction poisoning),
 // BatchSmoSolver (kernel-row batches), ModelRegistry (swap failures), and
 // the trainers (mid-run interrupt for checkpoint/resume testing).
 
@@ -35,9 +35,7 @@ namespace gmpsvm::fault {
 
 // Where a fault can be injected.
 enum class Site : int {
-  kDeviceSubmit = 0,   // SimExecutor::TrySubmit fails transiently
-  kDeviceTransfer,     // SimExecutor::TryTransfer fails transiently
-  kDeviceAlloc,        // SimExecutor::Allocate fails transiently
+  kDeviceAlloc = 0,    // SimExecutor::Allocate fails transiently
   kKernelRowBatch,     // BatchSmoSolver's batched row computation fails
   kBufferEvict,        // KernelBuffer poisons a resident row on eviction
   kModelSwap,          // ModelRegistry::Register of an existing name fails
@@ -50,7 +48,7 @@ enum class Site : int {
   kNodeLoss,           // a whole simulated node dies; every device on it is
                        // lost and its pairs/shards are rescheduled
 };
-inline constexpr int kNumFaultSites = 12;
+inline constexpr int kNumFaultSites = 10;
 
 // Stable lowercase name for `site`, used as the {site=...} metric label.
 const char* SiteName(Site site);
@@ -59,8 +57,6 @@ struct FaultPlan {
   uint64_t seed = 1;
 
   // Per-site injection probability in [0, 1]. 0 disables the site.
-  double submit_fail_prob = 0.0;
-  double transfer_fail_prob = 0.0;
   double alloc_fail_prob = 0.0;
   double kernel_row_fail_prob = 0.0;
   double evict_poison_prob = 0.0;
@@ -99,8 +95,8 @@ struct FaultPlan {
   // Rejects probabilities outside [0, 1] and negative spike durations.
   Status Validate() const;
 
-  // A ready-made plan exercising every transient site at moderate rates,
-  // bounded so retrying components always converge.
+  // A ready-made plan exercising every transient site a program consults at
+  // moderate rates, bounded so retrying components always converge.
   static FaultPlan Chaos(uint64_t seed);
 };
 

@@ -57,21 +57,6 @@ std::string RenderBucketLabels(const Labels& labels, const std::string& le) {
   return out;
 }
 
-std::string EscapeJson(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string EscapeLabelValue(std::string_view value) {
@@ -144,14 +129,6 @@ HistogramSnapshot Histogram::Snapshot() const {
   return snap;
 }
 
-void Histogram::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fill(bucket_counts_.begin(), bucket_counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  samples_.clear();
-}
-
 std::vector<double> Histogram::LatencyBuckets() {
   return {1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2,
           1e-1, 2e-1, 5e-1, 1.0,  2.0,  5.0,  10.0, 30.0, 100.0};
@@ -220,13 +197,6 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
   return it->second.histogram.get();
 }
 
-size_t MetricsRegistry::NumSeries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& [name, family] : families_) n += family.children.size();
-  return n;
-}
-
 std::string MetricsRegistry::ToPrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
@@ -267,64 +237,6 @@ std::string MetricsRegistry::ToPrometheusText() const {
       }
     }
   }
-  return out;
-}
-
-std::string MetricsRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"metrics\":[";
-  bool first_family = true;
-  for (const auto& [name, family] : families_) {
-    if (!first_family) out += ",";
-    first_family = false;
-    const char* type_name = family.type == Type::kCounter   ? "counter"
-                            : family.type == Type::kGauge   ? "gauge"
-                                                            : "histogram";
-    out += "{\"name\":\"" + EscapeJson(name) + "\",\"type\":\"" + type_name +
-           "\",\"help\":\"" + EscapeJson(family.help) + "\",\"series\":[";
-    bool first_series = true;
-    for (const auto& [key, series] : family.children) {
-      if (!first_series) out += ",";
-      first_series = false;
-      out += "{\"labels\":{";
-      for (size_t i = 0; i < series.labels.size(); ++i) {
-        if (i > 0) out += ",";
-        out += "\"" + EscapeJson(series.labels[i].first) + "\":\"" +
-               EscapeJson(series.labels[i].second) + "\"";
-      }
-      out += "}";
-      switch (family.type) {
-        case Type::kCounter:
-          out += StrPrintf(",\"value\":%.17g", series.counter->Value());
-          break;
-        case Type::kGauge:
-          out += StrPrintf(",\"value\":%.17g", series.gauge->Value());
-          break;
-        case Type::kHistogram: {
-          const HistogramSnapshot snap = series.histogram->Snapshot();
-          out += StrPrintf(",\"count\":%llu,\"sum\":%.17g",
-                           static_cast<unsigned long long>(snap.count), snap.sum);
-          out += StrPrintf(",\"p50\":%.17g,\"p95\":%.17g,\"p99\":%.17g",
-                           snap.Percentile(50.0), snap.Percentile(95.0),
-                           snap.Percentile(99.0));
-          out += ",\"buckets\":[";
-          for (size_t b = 0; b < snap.bucket_counts.size(); ++b) {
-            if (b > 0) out += ",";
-            const std::string le = b < snap.bounds.size()
-                                       ? StrPrintf("%.17g", snap.bounds[b])
-                                       : "\"+Inf\"";
-            out += StrPrintf("{\"le\":%s,\"count\":%llu}", le.c_str(),
-                             static_cast<unsigned long long>(snap.bucket_counts[b]));
-          }
-          out += "]";
-          break;
-        }
-      }
-      out += "}";
-    }
-    out += "]}";
-  }
-  out += "]}";
   return out;
 }
 

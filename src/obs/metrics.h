@@ -5,8 +5,8 @@
 // each producer (ExecutorCounters, MpTrainReport, SolverStats, ServeStats)
 // kept its own ad-hoc struct and printer. Now they all publish into one
 // thread-safe registry of counters, gauges and histograms, exportable as
-// Prometheus text (scrapeable) or JSON, while the legacy structs remain as
-// thin views over registry state with byte-identical printed output.
+// Prometheus text (scrapeable), while the legacy structs remain as thin
+// views over registry state with byte-identical printed output.
 //
 // Model (a deliberately small subset of the Prometheus data model):
 //   * Counter   — monotonically increasing double (Add >= 0).
@@ -54,8 +54,6 @@ class Counter {
 
   double Value() const { return value_.load(std::memory_order_relaxed); }
 
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
-
  private:
   std::atomic<double> value_{0.0};
 };
@@ -75,8 +73,6 @@ class Gauge {
   }
 
   double Value() const { return value_.load(std::memory_order_relaxed); }
-
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -112,8 +108,6 @@ class Histogram {
   void Observe(double value);
 
   HistogramSnapshot Snapshot() const;
-
-  void Reset();
 
   // Default latency bucket bounds: 100us .. ~100s, roughly 1-2-5 per decade.
   static std::vector<double> LatencyBuckets();
@@ -152,13 +146,6 @@ class MetricsRegistry {
   // # HELP / # TYPE headers and escaped label values. Histograms export
   // cumulative `_bucket{le=...}`, `_sum` and `_count` series.
   std::string ToPrometheusText() const;
-
-  // JSON export: {"metrics":[{name, type, help, series:[{labels, value |
-  // histogram fields incl. exact p50/p95/p99}]}]}.
-  std::string ToJson() const;
-
-  // Number of registered series across all families (for tests).
-  size_t NumSeries() const;
 
  private:
   enum class Type { kCounter, kGauge, kHistogram };

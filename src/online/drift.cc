@@ -22,10 +22,6 @@ Status DriftOptions::Validate() const {
     return Status::InvalidArgument(StrPrintf(
         "brier_threshold must be >= 0, got %g", brier_threshold));
   }
-  if (!(log_loss_threshold >= 0.0)) {
-    return Status::InvalidArgument(StrPrintf(
-        "log_loss_threshold must be >= 0, got %g", log_loss_threshold));
-  }
   return Status::OK();
 }
 
@@ -78,15 +74,11 @@ void DriftDetector::Observe(std::span<const double> probabilities,
   }
 
   if (!armed_ &&
-      static_cast<int64_t>(window_.size()) >= options_.min_observations) {
-    const bool brier_hit = WindowBrier() >= options_.brier_threshold;
-    const bool log_loss_hit = options_.log_loss_threshold > 0.0 &&
-                              WindowLogLoss() >= options_.log_loss_threshold;
-    if (brier_hit || log_loss_hit) {
-      armed_ = true;
-      ++times_armed_;
-      if (armed_counter_ != nullptr) armed_counter_->Increment();
-    }
+      static_cast<int64_t>(window_.size()) >= options_.min_observations &&
+      WindowBrier() >= options_.brier_threshold) {
+    armed_ = true;
+    ++times_armed_;
+    if (armed_counter_ != nullptr) armed_counter_->Increment();
   }
   PublishLocked();
 }

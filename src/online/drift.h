@@ -5,8 +5,8 @@
 // Zhang — monitor class-probability estimates, not raw labels). The detector
 // keeps a rolling window of (served probabilities, delayed true label) pairs,
 // maintains the windowed Brier score and log loss incrementally, publishes
-// them as gmpsvm_drift_* gauges, and arms a retrain when a configured
-// threshold is crossed.
+// them as gmpsvm_drift_* gauges, and arms a retrain when the windowed Brier
+// score crosses its threshold.
 //
 // Everything is a pure function of the observation sequence: the same served
 // responses in the same order produce the same windowed metrics, armed
@@ -36,10 +36,6 @@ struct DriftOptions {
   // Arm when the windowed Brier score reaches this value. Brier ranges
   // [0, 2]; a k-class uniform predictor scores (k-1)/k.
   double brier_threshold = 0.5;
-
-  // Arm when the windowed log loss reaches this value; 0 disables the
-  // log-loss trigger.
-  double log_loss_threshold = 0.0;
 
   // Optional registry for the gmpsvm_drift_* series; nullptr disables.
   obs::MetricsRegistry* metrics = nullptr;

@@ -8,6 +8,15 @@
 #include "common/string_util.h"
 
 namespace gmpsvm::online {
+namespace {
+
+// Deterministic traffic: requests are drawn from Rng(kTrafficSeed) forks
+// keyed by serve-round index; backoff jitter and canary sampling are seeded
+// from it too.
+constexpr uint64_t kTrafficSeed = 1;
+
+}  // namespace
+
 Status RetrainDaemonOptions::Validate(int num_classes) const {
   if (delta_dir.empty()) {
     return Status::InvalidArgument("delta_dir must be set");
@@ -50,7 +59,7 @@ Result<DatasetDelta> RetrainDaemon::LoadDeltaWithRetry(
     if (injected.ok()) return LoadDelta(path);
     if (att >= options_.retry.max_attempts) return injected;
     ++report->delta_parse_retries;
-    const uint64_t seed = SplitMix64(0xDE17Aull ^ options_.traffic_seed);
+    const uint64_t seed = SplitMix64(0xDE17Aull ^ kTrafficSeed);
     dev->AdvanceStream(kDefaultStream,
                        fault::BackoffSeconds(options_.retry, att, seed),
                        "delta_parse_backoff");
@@ -61,7 +70,7 @@ Result<RetrainDaemon::ServedRound> RetrainDaemon::ServeRound(
     const Dataset& dataset, const MpSvmPredictor& predictor, uint64_t round,
     RetrainDaemonReport* report) {
   ServedRound served;
-  Rng rng = Rng(options_.traffic_seed).Fork(SplitMix64(0x5E54Eull + round));
+  Rng rng = Rng(kTrafficSeed).Fork(SplitMix64(0x5E54Eull + round));
   served.rows.reserve(static_cast<size_t>(options_.requests_per_round));
   served.truth.reserve(static_cast<size_t>(options_.requests_per_round));
   std::vector<SparseRowView> views;
@@ -249,7 +258,7 @@ Result<RetrainDaemonReport> RetrainDaemon::Run(const Dataset& base,
             injector_->ShouldInject(fault::Site::kCanary)) {
           if (att >= options_.retry.max_attempts) break;
           ++report.canary_retries;
-          const uint64_t seed = SplitMix64(0xCA9A1ull ^ options_.traffic_seed);
+          const uint64_t seed = SplitMix64(0xCA9A1ull ^ kTrafficSeed);
           dev->AdvanceStream(kDefaultStream,
                              fault::BackoffSeconds(options_.retry, att, seed),
                              "canary_backoff");
@@ -257,7 +266,7 @@ Result<RetrainDaemonReport> RetrainDaemon::Run(const Dataset& base,
         }
         CanaryComparator comparator(
             num_classes, options_.canary,
-            SplitMix64(options_.traffic_seed ^ (0xCAFEull + round)));
+            SplitMix64(kTrafficSeed ^ (0xCAFEull + round)));
         std::vector<size_t> sampled;
         for (size_t i = 0; i < canary_round.rows.size(); ++i) {
           if (comparator.ShouldSample()) sampled.push_back(i);
@@ -329,7 +338,7 @@ Result<RetrainDaemonReport> RetrainDaemon::Run(const Dataset& base,
           break;
         }
         ++report.swap_retries;
-        const uint64_t seed = SplitMix64(0x54A9ull ^ options_.traffic_seed);
+        const uint64_t seed = SplitMix64(0x54A9ull ^ kTrafficSeed);
         dev->AdvanceStream(kDefaultStream,
                            fault::BackoffSeconds(options_.retry, att, seed),
                            "swap_backoff");

@@ -65,10 +65,6 @@ struct RetrainDaemonOptions {
   // Prediction options for served and canaried traffic.
   PredictOptions predict;
 
-  // Deterministic traffic: requests are drawn from Rng(traffic_seed) forks
-  // keyed by serve-round index.
-  uint64_t traffic_seed = 1;
-
   // Labeled requests served (and drift-observed) per round. One round runs
   // after every applied delta; canary phases serve one further round.
   int64_t requests_per_round = 96;

@@ -9,6 +9,10 @@
 namespace gmpsvm {
 namespace {
 
+// Lin et al.'s backtracking floor and Hessian ridge (LibSVM's constants).
+constexpr double kMinStep = 1e-10;
+constexpr double kSigma = 1e-12;
+
 // Stable negative log-likelihood of the sigmoid fit (Lin et al. 2007 form).
 double Objective(std::span<const double> dec, std::span<const double> t, double a,
                  double b) {
@@ -61,7 +65,7 @@ Result<SigmoidParams> FitSigmoid(std::span<const double> decision_values,
   int iter = 0;
   for (; iter < options.max_iterations; ++iter) {
     // Gradient and Hessian of F(A, B): three parallel reductions over n.
-    double h11 = options.sigma, h22 = options.sigma, h21 = 0.0;
+    double h11 = kSigma, h22 = kSigma, h21 = 0.0;
     double g1 = 0.0, g2 = 0.0;
     for (size_t i = 0; i < n; ++i) {
       const double f_apb = decision_values[i] * params.a + params.b;
@@ -99,7 +103,7 @@ Result<SigmoidParams> FitSigmoid(std::span<const double> decision_values,
     double stepsize = 1.0;
     int evals_pending = 0;
     bool accepted = false;
-    while (stepsize >= options.min_step) {
+    while (stepsize >= kMinStep) {
       const double new_a = params.a + stepsize * d_a;
       const double new_b = params.b + stepsize * d_b;
       const double new_f = Objective(decision_values, t, new_a, new_b);

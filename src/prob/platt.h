@@ -37,9 +37,7 @@ struct SigmoidParams {
 
 struct PlattOptions {
   int max_iterations = 100;
-  double min_step = 1e-10;   // backtracking floor
-  double sigma = 1e-12;      // Hessian ridge
-  double eps = 1e-5;         // gradient stopping tolerance
+  double eps = 1e-5;  // gradient stopping tolerance
 };
 
 // Fits A and B from decision values and ±1 labels. Work is charged to

@@ -147,23 +147,6 @@ ServeStatsSnapshot ServeStats::Snapshot() const {
   return snap;
 }
 
-void ServeStats::Reset() {
-  admitted_->Reset();
-  rejected_->Reset();
-  expired_->Reset();
-  failed_->Reset();
-  batches_->Reset();
-  faults_->Reset();
-  retries_->Reset();
-  degraded_entries_->Reset();
-  effective_max_batch_->Reset();
-  max_queue_depth_->Reset();
-  batch_size_->Reset();
-  latency_->Reset();
-  queue_wait_->Reset();
-  elapsed_.Reset();
-}
-
 std::string ServeStatsSnapshot::ToTable() const {
   TablePrinter table({"metric", "value"});
   table.AddRow({"submitted", std::to_string(submitted)});

@@ -96,11 +96,6 @@ class ServeStats {
 
   ServeStatsSnapshot Snapshot() const;
 
-  // Clears counters and distributions and restarts the elapsed clock. Only
-  // the gmpsvm_serve_* series this object writes are reset, not the whole
-  // registry.
-  void Reset();
-
   // The registry this object publishes into (for exporters).
   obs::MetricsRegistry* registry() const { return registry_; }
 

@@ -146,8 +146,6 @@ const char* SimdPathName(SimdPath path) {
       return "batch_row_dots";
     case SimdPath::kScatterRowDots:
       return "scatter_row_dots";
-    case SimdPath::kSpMV:
-      return "spmv";
     case SimdPath::kKernelTransform:
       return "kernel_transform";
     case SimdPath::kCoupling:

@@ -1,5 +1,5 @@
 // SIMD kernel tier: runtime-dispatched vector implementations of the host
-// hot paths (sparse scatter/gather dots, SpMV, kernel-value transforms,
+// hot paths (sparse scatter/gather dots, kernel-value transforms,
 // pairwise coupling, Platt sigmoids) with a bitwise-reproducibility contract.
 //
 // Determinism contract (docs/performance.md, "SIMD tier"):
@@ -175,11 +175,10 @@ const char* TierName(SimdTier tier);
 std::string DescribeEnvironment();
 
 // ---------------------------------------------------------------------------
-// Per-path dispatch accounting. The six instrumented paths:
+// Per-path dispatch accounting. The five instrumented paths:
 enum class SimdPath {
   kBatchRowDots = 0,   // batched scatter-dot kernel rows (SpMM)
   kScatterRowDots,     // single-row scatter dots
-  kSpMV,               // selected-row sparse matrix-vector product
   kKernelTransform,    // RBF/poly/sigmoid elementwise transforms
   kCoupling,           // pairwise-coupling solves
   kPlatt,              // Platt sigmoids of full prediction panels

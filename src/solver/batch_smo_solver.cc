@@ -18,6 +18,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Serialized size of one working-set candidate: (int32 index, double f).
 constexpr double kCandidateBytes = 12.0;
 
+// Attempts at reserving the kernel buffer under transient (injected)
+// allocation failures.
+constexpr int kMaxAllocAttempts = 4;
+
 // The shard-group rules of BatchSmoSolver::Solve (batch_smo_solver.h).
 Status CheckShardGroup(const BatchSmoOptions& options, const Placement& placement,
                        int64_t n, bool warm, bool has_source) {
@@ -231,32 +235,20 @@ Status BatchSmoOptions::Validate() const {
   if (!(eps > 0.0)) {
     return Status::InvalidArgument(StrPrintf("eps must be positive, got %g", eps));
   }
-  if (buffer_rows < 0) {
-    return Status::InvalidArgument(
-        StrPrintf("buffer_rows must be >= 0, got %d", buffer_rows));
-  }
   if (max_outer_rounds <= 0) {
     return Status::InvalidArgument(
         StrPrintf("max_outer_rounds must be positive, got %lld",
                   static_cast<long long>(max_outer_rounds)));
   }
-  if (max_inner < 0) {
-    return Status::InvalidArgument(
-        StrPrintf("max_inner must be >= 0, got %d", max_inner));
-  }
   if (max_row_batch_retries < 1) {
     return Status::InvalidArgument(StrPrintf(
         "max_row_batch_retries must be >= 1, got %d", max_row_batch_retries));
-  }
-  if (max_alloc_retries < 1) {
-    return Status::InvalidArgument(
-        StrPrintf("max_alloc_retries must be >= 1, got %d", max_alloc_retries));
   }
   return Status::OK();
 }
 
 int BatchSmoOptions::InnerBudget(int ws_size, double delta, double delta0) const {
-  const int cap = max_inner > 0 ? max_inner : std::max(2, ws_size / 2);
+  const int cap = std::max(2, ws_size / 2);
   if (inner_policy != InnerPolicy::kDeltaAdaptive) return cap;
   // Large delta (far from optimal) => fewer iterations per working set;
   // near convergence => optimize the set thoroughly.
@@ -306,9 +298,6 @@ Result<BinarySolution> BatchSmoSolver::Solve(const BinaryProblem& problem,
 
   WorkingSetSelector selector(options_.working_set, n);
   const int ws_size = selector.ws_size();
-  const int64_t buffer_rows =
-      std::max<int64_t>(options_.buffer_rows > 0 ? options_.buffer_rows : ws_size,
-                        ws_size);
 
   // Reserve the GPU buffer against the device budget, each shard the slice
   // of every buffered row covering its own range (one shard: the whole
@@ -316,31 +305,28 @@ Result<BinarySolution> BatchSmoSolver::Solve(const BinaryProblem& problem,
   // (injected) failure in place; genuine OOM propagates. Other shards carry
   // no injector, so theirs fail only on genuine OOM.
   const auto slice_bytes = [&](const dist::Shard& shard) {
-    return static_cast<size_t>(buffer_rows * (shard.end - shard.begin)) *
+    return static_cast<size_t>(ws_size * (shard.end - shard.begin)) *
            sizeof(double);
   };
   DeviceAllocation buffer_reservation;
   std::vector<DeviceAllocation> peer_reservations;
-  if (options_.buffer_on_device) {
-    for (int attempt = 1;; ++attempt) {
-      auto reservation = coord->Allocate(slice_bytes(shards[0]));
-      if (reservation.ok()) {
-        buffer_reservation = std::move(*reservation);
-        break;
-      }
-      if (!reservation.status().IsUnavailable() ||
-          attempt >= options_.max_alloc_retries) {
-        return reservation.status();
-      }
-      if (stats != nullptr) ++stats->alloc_retries;
+  for (int attempt = 1;; ++attempt) {
+    auto reservation = coord->Allocate(slice_bytes(shards[0]));
+    if (reservation.ok()) {
+      buffer_reservation = std::move(*reservation);
+      break;
     }
-    for (const dist::Shard& shard : shards.subspan(1)) {
-      GMP_ASSIGN_OR_RETURN(DeviceAllocation reservation,
-                           shard.executor->Allocate(slice_bytes(shard)));
-      peer_reservations.push_back(std::move(reservation));
+    if (!reservation.status().IsUnavailable() || attempt >= kMaxAllocAttempts) {
+      return reservation.status();
     }
+    if (stats != nullptr) ++stats->alloc_retries;
   }
-  KernelBuffer buffer(n, buffer_rows, options_.buffer_policy);
+  for (const dist::Shard& shard : shards.subspan(1)) {
+    GMP_ASSIGN_OR_RETURN(DeviceAllocation reservation,
+                         shard.executor->Allocate(slice_bytes(shard)));
+    peer_reservations.push_back(std::move(reservation));
+  }
+  KernelBuffer buffer(n, ws_size, options_.buffer_policy);
   buffer.SetFaultInjector(coord->fault_injector());
 
   // One n-length pass, each shard charging its own range.

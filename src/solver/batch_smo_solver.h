@@ -68,13 +68,10 @@ namespace gmpsvm {
 struct BatchSmoOptions {
   WorkingSetConfig working_set;
 
-  // Buffer capacity in rows; 0 means "same as the working set size" (the
-  // paper equates buffer size and working-set size in Section 4.2). Values
-  // larger than ws_size let rows of instances that left the working set be
-  // reused if they re-enter.
-  int buffer_rows = 0;
-
-  // Buffer replacement policy (paper default: FIFO; kLru for the ablation).
+  // The kernel buffer holds the working set's rows (the paper equates buffer
+  // size and working-set size in Section 4.2) and is counted against the
+  // executor's device-memory budget. Replacement policy (paper default:
+  // FIFO; kLru for the ablation).
   KernelBuffer::Policy buffer_policy = KernelBuffer::Policy::kFifo;
 
   // Optimality tolerance (Constraint (9)).
@@ -85,28 +82,23 @@ struct BatchSmoOptions {
 
   // Inner-iteration budget policy. kDeltaAdaptive spends few iterations per
   // working set while the global violation delta is large and more as the
-  // solver approaches optimality; kFixed always runs max_inner (ablation).
+  // solver approaches optimality; kFixed always runs the cap of
+  // max(2, ws_size / 2) subproblems per refresh (ablation).
   enum class InnerPolicy { kFixed, kDeltaAdaptive };
   InnerPolicy inner_policy = InnerPolicy::kDeltaAdaptive;
-
-  // Max SMO subproblems per refresh; 0 means ws_size / 2.
-  int max_inner = 0;
-
-  // Count the kernel buffer against the executor's device-memory budget.
-  bool buffer_on_device = true;
 
   // --- Fault recovery ------------------------------------------------------
   // With a FaultInjector attached to the executor, the batched row
   // computation and the buffer allocation can fail transiently; the solver
-  // retries them in place up to these attempt counts before giving up with
-  // kUnavailable (which the trainers' pair-level retry then handles).
+  // retries them in place (row batches up to this many attempts, the buffer
+  // allocation up to 4) before giving up with kUnavailable (which the
+  // trainers' pair-level retry then handles).
   int max_row_batch_retries = 4;
-  int max_alloc_retries = 4;
 
   // Checks the configuration and returns InvalidArgument naming the offending
-  // field (ws_size < 2, q < 1, non-positive eps, negative
-  // buffer_rows/max_inner, non-positive max_outer_rounds). Called by the
-  // solver and by MpTrainOptions::Validate. Oversized ws_size/q remain legal:
+  // field (ws_size < 2, q < 1, non-positive eps, non-positive
+  // max_outer_rounds, max_row_batch_retries < 1). Called by the solver and
+  // by MpTrainOptions::Validate. Oversized ws_size/q remain legal:
   // WorkingSetSelector clamps them to the problem size.
   Status Validate() const;
 

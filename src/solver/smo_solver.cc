@@ -100,69 +100,24 @@ Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
   const double time_base = executor->StreamTime(stream);
   double kernel_time = 0.0;
 
-  // Active set for the shrinking heuristic; initially every instance.
-  std::vector<int32_t> active(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) active[static_cast<size_t>(i)] = static_cast<int32_t>(i);
-  const int64_t shrink_interval =
-      std::max<int64_t>(1, std::min<int64_t>(options_.shrink_interval, n));
-  int64_t next_shrink_check = shrink_interval;
-
-  // Reconstructs exact optimality indicators for every instance from alpha
-  // (used before unshrinking; one batched kernel product against the SVs).
-  const auto reconstruct_f = [&]() {
-    std::vector<int32_t> sv_locals;
-    for (int64_t j = 0; j < n; ++j) {
-      if (alpha[static_cast<size_t>(j)] > 0.0) sv_locals.push_back(static_cast<int32_t>(j));
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      f[static_cast<size_t>(i)] = -static_cast<double>(y[i]);
-    }
-    if (sv_locals.empty()) return;
-    std::vector<int32_t> sv_globals(sv_locals.size());
-    for (size_t m = 0; m < sv_locals.size(); ++m) {
-      sv_globals[m] = problem.rows[static_cast<size_t>(sv_locals[m])];
-    }
-    std::vector<double> block(sv_locals.size() * static_cast<size_t>(n));
-    computer.ComputeBlock(sv_globals, problem.rows, executor, stream, block.data());
-    for (size_t m = 0; m < sv_locals.size(); ++m) {
-      const double coef = alpha[static_cast<size_t>(sv_locals[m])] *
-                          static_cast<double>(y[sv_locals[m]]);
-      const double* row = block.data() + m * static_cast<size_t>(n);
-      for (int64_t i = 0; i < n; ++i) f[static_cast<size_t>(i)] += coef * row[i];
-    }
-    executor->Charge(stream,
-                     VectorPassCost(n, 2.0 * static_cast<double>(sv_locals.size()),
-                                    2 * sizeof(double)));
-  };
-
   int64_t iterations = 0;
   for (;; ++iterations) {
     if (iterations >= options_.max_iterations) {
       GMP_LOG(Warning) << "SMO hit max_iterations=" << options_.max_iterations;
       break;
     }
-    const int64_t n_active = static_cast<int64_t>(active.size());
 
-    // Step 1a: u = argmin f over I_up (parallel reduction over active set).
+    // Step 1a: u = argmin f over I_up (parallel reduction).
     int32_t u = -1;
     double f_u = kInf;
-    for (int32_t i : active) {
+    for (int32_t i = 0; i < n; ++i) {
       if (InUpSet(y[i], alpha[i], cvec[static_cast<size_t>(i)]) && f[static_cast<size_t>(i)] < f_u) {
         f_u = f[static_cast<size_t>(i)];
         u = i;
       }
     }
-    executor->Charge(stream, VectorPassCost(n_active, 1.0, 2 * sizeof(double)));
-    if (u < 0) {
-      // I_up empty on the active set: optimal there; unshrink if needed.
-      if (options_.shrinking && n_active < n) {
-        reconstruct_f();
-        active.resize(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) active[static_cast<size_t>(i)] = static_cast<int32_t>(i);
-        continue;
-      }
-      break;
-    }
+    executor->Charge(stream, VectorPassCost(n, 1.0, 2 * sizeof(double)));
+    if (u < 0) break;  // I_up empty: optimal.
 
     // Kernel row of u.
     double t0 = executor->StreamTime(stream);
@@ -177,7 +132,7 @@ Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
     const double k_uu = diag[static_cast<size_t>(u)];
     const bool second_order =
         options_.selection == SmoOptions::Selection::kSecondOrder;
-    for (int32_t t : active) {
+    for (int32_t t = 0; t < n; ++t) {
       if (!InLowSet(y[t], alpha[t], cvec[static_cast<size_t>(t)])) continue;
       const double f_t = f[static_cast<size_t>(t)];
       f_low_max = std::max(f_low_max, f_t);
@@ -197,20 +152,10 @@ Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
         }
       }
     }
-    executor->Charge(stream, VectorPassCost(n_active, 6.0, 3 * sizeof(double)));
+    executor->Charge(stream, VectorPassCost(n, 6.0, 3 * sizeof(double)));
 
-    // Optimality (Constraint (9)) on the active set; with shrinking on,
-    // reconstruct and unshrink once before declaring global convergence.
-    if (l < 0 || f_low_max - f_u < options_.eps) {
-      if (options_.shrinking && n_active < n) {
-        reconstruct_f();
-        active.resize(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) active[static_cast<size_t>(i)] = static_cast<int32_t>(i);
-        next_shrink_check = iterations + shrink_interval;
-        continue;
-      }
-      break;
-    }
+    // Optimality (Constraint (9)).
+    if (l < 0 || f_low_max - f_u < options_.eps) break;
 
     t0 = executor->StreamTime(stream);
     const double* row_l = get_row(l);
@@ -228,29 +173,10 @@ Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
     // Step 3: update all optimality indicators (Equation (8)).
     const double yu_dau = y[u] * step.d_alpha_u;
     const double yl_dal = y[l] * step.d_alpha_l;
-    for (int32_t i : active) {
+    for (int64_t i = 0; i < n; ++i) {
       f[static_cast<size_t>(i)] += yu_dau * row_u[i] + yl_dal * row_l[i];
     }
-    executor->Charge(stream, VectorPassCost(n_active, 4.0, 3 * sizeof(double)));
-
-    // Shrinking: drop active instances pinned at a bound that cannot be
-    // selected (only-up with f above the low extreme, only-low with f below
-    // the up extreme).
-    if (options_.shrinking && iterations >= next_shrink_check) {
-      next_shrink_check = iterations + shrink_interval;
-      std::vector<int32_t> kept;
-      kept.reserve(active.size());
-      for (int32_t i : active) {
-        const bool in_up = InUpSet(y[i], alpha[i], cvec[static_cast<size_t>(i)]);
-        const bool in_low = InLowSet(y[i], alpha[i], cvec[static_cast<size_t>(i)]);
-        const double f_i = f[static_cast<size_t>(i)];
-        const bool shrink = (in_up && !in_low && f_i > f_low_max) ||
-                            (in_low && !in_up && f_i < f_u);
-        if (!shrink) kept.push_back(i);
-      }
-      if (kept.size() >= 2 && kept.size() < active.size()) active = std::move(kept);
-      executor->Charge(stream, VectorPassCost(n_active, 2.0, 2 * sizeof(double)));
-    }
+    executor->Charge(stream, VectorPassCost(n, 4.0, 3 * sizeof(double)));
   }
 
   if (stats != nullptr) {

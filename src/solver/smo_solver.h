@@ -32,18 +32,6 @@ struct SmoOptions {
   // budget (the GPU baseline's configuration).
   bool cache_on_device = false;
 
-  // LibSVM's shrinking heuristic (svm-train -h): periodically remove
-  // instances that are pinned at a bound and cannot re-enter the working
-  // set from the active scans, reconstructing their optimality indicators
-  // before final convergence. Off by default; the produced classifier is
-  // identical either way (tests assert this). Note: kernel rows are cached
-  // full-length here, so shrinking accelerates the per-iteration scans and
-  // updates, not the row computation itself.
-  bool shrinking = false;
-
-  // Shrink check cadence in iterations (LibSVM: min(n, 1000)).
-  int64_t shrink_interval = 1000;
-
   // Working-set selection heuristic for the second element. kSecondOrder is
   // LibSVM's WSS2 (Fan et al. 2005, the paper's Equation (5)); kFirstOrder
   // is the plain maximal-violating-pair rule of early GPU SVMs (Catanzaro's

@@ -208,35 +208,4 @@ OpStats DenseBatchRowDots(const DenseMatrix& x, std::span<const int32_t> batch,
   return stats;
 }
 
-OpStats SpMV(const CsrMatrix& x, std::span<const int32_t> rows,
-             std::span<const double> v, double* out, ThreadPool* pool,
-             const simd::SimdOps* ops) {
-  const simd::SimdOps& simd_ops =
-      ops != nullptr ? *ops : simd::OpsFor(simd::SimdTier::kAuto);
-  const int64_t t_start = simd::NowNanos();
-  RunRows(pool, static_cast<int64_t>(rows.size()), /*min_chunk=*/256,
-          [&](int64_t begin, int64_t end) {
-            for (int64_t j = begin; j < end; ++j) {
-              const int64_t row = rows[static_cast<size_t>(j)];
-              const auto idx = x.RowIndices(row);
-              const auto val = x.RowValues(row);
-              out[j] = simd_ops.gather_dot(val.data(), idx.data(),
-                                           static_cast<int64_t>(idx.size()),
-                                           v.data());
-            }
-          });
-  const int64_t t_nanos = simd::NowNanos() - t_start;
-  OpStats stats;
-  double nnz_streamed = 0.0;
-  for (size_t j = 0; j < rows.size(); ++j) {
-    nnz_streamed += static_cast<double>(x.RowIndices(rows[j]).size());
-  }
-  stats.flops = 2.0 * nnz_streamed;
-  stats.bytes_read = nnz_streamed * (sizeof(double) + sizeof(int32_t));
-  stats.bytes_written = static_cast<double>(rows.size()) * sizeof(double);
-  simd::RecordPath(simd::SimdPath::kSpMV,
-                   static_cast<int64_t>(nnz_streamed), stats.flops, t_nanos);
-  return stats;
-}
-
 }  // namespace gmpsvm

@@ -79,12 +79,6 @@ OpStats DenseBatchRowDots(const DenseMatrix& x, std::span<const int32_t> batch,
                           std::span<const int32_t> targets, double* out,
                           ThreadPool* pool = nullptr);
 
-// y = alpha * A.row-dots(v): sparse matrix (selected rows) times dense
-// vector; out[j] = X.row(rows[j]) · v. Used by decision-value computation.
-OpStats SpMV(const CsrMatrix& x, std::span<const int32_t> rows,
-             std::span<const double> v, double* out,
-             ThreadPool* pool = nullptr, const simd::SimdOps* ops = nullptr);
-
 }  // namespace gmpsvm
 
 #endif  // GMPSVM_SPARSE_OPS_H_

@@ -1,6 +1,5 @@
 // Tests for the extension features: voting prediction, cross-validation,
-// the one-vs-all trainer, execution tracing, LRU buffer policy plumbing,
-// and the classic solver's shrinking heuristic.
+// the one-vs-all trainer, execution tracing and LRU buffer policy plumbing.
 
 #include <gtest/gtest.h>
 
@@ -202,42 +201,6 @@ TEST(DeviceTraceTest, TrainerProducesOverlappingStreams) {
   int max_lane = 0;
   for (const auto& e : trace.events()) max_lane = std::max(max_lane, e.lane);
   EXPECT_GT(max_lane, 0);
-}
-
-TEST(ShrinkingTest, SameClassifierWithAndWithout) {
-  auto blobs = MakeBinaryBlobs(60, 4, 1.0, 37, /*noise=*/1.4);
-  BinaryProblem p = MakeProblem(blobs, 1.5, Gaussian(0.4));
-  KernelComputer kc(p.data, p.kernel);
-
-  SmoOptions plain;
-  SmoOptions shrink;
-  shrink.shrinking = true;
-  shrink.shrink_interval = 50;
-
-  SimExecutor e1 = Gpu(), e2 = Gpu();
-  auto a = ValueOrDie(SmoSolver(plain).Solve(p, kc, &e1, kDefaultStream, nullptr));
-  auto b = ValueOrDie(SmoSolver(shrink).Solve(p, kc, &e2, kDefaultStream, nullptr));
-  EXPECT_NEAR(a.objective, b.objective, 1e-3 * (1.0 + std::abs(a.objective)));
-  EXPECT_NEAR(a.bias, b.bias, 5e-2);
-  EXPECT_LT(::gmpsvm::testing::MaxKktViolation(p, kc, b.alpha), 2e-3);
-}
-
-TEST(ShrinkingTest, ShrinkingReducesScanWork) {
-  auto blobs = MakeBinaryBlobs(80, 4, 2.0, 41);  // separable: many non-SVs
-  BinaryProblem p = MakeProblem(blobs, 1.0, Gaussian(0.3));
-  KernelComputer kc(p.data, p.kernel);
-  SmoOptions plain;
-  SmoOptions shrink;
-  shrink.shrinking = true;
-  shrink.shrink_interval = 20;
-
-  SimExecutor e1 = Gpu(), e2 = Gpu();
-  SolverStats s1, s2;
-  ValueOrDie(SmoSolver(plain).Solve(p, kc, &e1, kDefaultStream, &s1));
-  ValueOrDie(SmoSolver(shrink).Solve(p, kc, &e2, kDefaultStream, &s2));
-  // Scan flops drop when most instances are shrunk away (total flops falls
-  // even with the reconstruction pass added).
-  EXPECT_LT(e2.counters().flops, e1.counters().flops * 1.05);
 }
 
 TEST(LruBufferPolicyTest, SolverConvergesWithLru) {

@@ -32,41 +32,6 @@ TEST(SubsetDatasetTest, RejectsBadRows) {
   EXPECT_FALSE(SubsetDataset(data, {-1}).ok());
 }
 
-TEST(StratifiedSplitTest, PartitionIsCompleteAndDisjoint) {
-  auto data = ValueOrDie(MakeMulticlassBlobs(4, 25, 4, 2.0, 7));
-  auto split = ValueOrDie(StratifiedSplit(data, 0.2, 11));
-  EXPECT_EQ(split.train.size() + split.test.size(), data.size());
-  std::set<int32_t> seen(split.train_rows.begin(), split.train_rows.end());
-  for (int32_t r : split.test_rows) {
-    EXPECT_TRUE(seen.insert(r).second) << "row " << r << " in both parts";
-  }
-  EXPECT_EQ(static_cast<int64_t>(seen.size()), data.size());
-}
-
-TEST(StratifiedSplitTest, PreservesClassBalance) {
-  auto data = ValueOrDie(MakeMulticlassBlobs(5, 40, 4, 2.0, 13));
-  auto split = ValueOrDie(StratifiedSplit(data, 0.25, 3));
-  for (int c = 0; c < 5; ++c) {
-    EXPECT_EQ(split.test.ClassRows(c).size(), 10u) << "class " << c;
-    EXPECT_EQ(split.train.ClassRows(c).size(), 30u) << "class " << c;
-  }
-}
-
-TEST(StratifiedSplitTest, DeterministicPerSeed) {
-  auto data = ValueOrDie(MakeMulticlassBlobs(3, 20, 4, 2.0, 17));
-  auto a = ValueOrDie(StratifiedSplit(data, 0.3, 5));
-  auto b = ValueOrDie(StratifiedSplit(data, 0.3, 5));
-  EXPECT_EQ(a.test_rows, b.test_rows);
-  auto c = ValueOrDie(StratifiedSplit(data, 0.3, 6));
-  EXPECT_NE(a.test_rows, c.test_rows);
-}
-
-TEST(StratifiedSplitTest, RejectsBadFraction) {
-  auto data = ValueOrDie(MakeMulticlassBlobs(2, 10, 3, 2.0, 19));
-  EXPECT_FALSE(StratifiedSplit(data, 0.0, 1).ok());
-  EXPECT_FALSE(StratifiedSplit(data, 1.0, 1).ok());
-}
-
 TEST(StratifiedFoldsTest, FoldsPartitionAllRows) {
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 21, 4, 2.0, 23));
   auto folds = ValueOrDie(StratifiedFolds(data, 5, 29));

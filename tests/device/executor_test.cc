@@ -30,14 +30,12 @@ TEST(SimExecutorTest, StartsAtTimeZero) {
   EXPECT_DOUBLE_EQ(exec.NowSeconds(), 0.0);
 }
 
-TEST(SimExecutorTest, SubmitRunsBodyAndAdvancesClock) {
+TEST(SimExecutorTest, ChargeAdvancesClock) {
   SimExecutor exec(SimpleModel());
-  bool ran = false;
   TaskCost cost;
   cost.flops = 400.0;  // 400 flops / (100 f/s * 4 units) = 1s compute
   cost.parallel_items = 100;
-  exec.Submit(kDefaultStream, cost, [&ran] { ran = true; });
-  EXPECT_TRUE(ran);
+  exec.Charge(kDefaultStream, cost);
   // 1s launch overhead + 1s compute.
   EXPECT_DOUBLE_EQ(exec.NowSeconds(), 2.0);
   EXPECT_EQ(exec.counters().launches, 1);
@@ -276,52 +274,6 @@ TEST(SimExecutorTest, PresetsAreSane) {
             3.0 * cpu40.compute_units * cpu40.flops_per_unit);
 }
 
-TEST(SimExecutorFaultTest, TrySubmitWithoutInjectorRunsNormally) {
-  SimExecutor exec(SimpleModel());
-  bool ran = false;
-  TaskCost cost;
-  cost.flops = 400.0;
-  cost.parallel_items = 100;
-  GMP_CHECK_OK(exec.TrySubmit(kDefaultStream, cost, [&ran] { ran = true; }));
-  EXPECT_TRUE(ran);
-  EXPECT_DOUBLE_EQ(exec.NowSeconds(), 2.0);
-}
-
-TEST(SimExecutorFaultTest, InjectedSubmitFailureSkipsBodyButChargesStream) {
-  SimExecutor exec(SimpleModel());
-  fault::FaultPlan plan;
-  plan.submit_fail_prob = 1.0;
-  plan.max_consecutive_per_site = 0;
-  fault::FaultInjector injector(plan);
-  exec.SetFaultInjector(&injector);
-
-  bool ran = false;
-  TaskCost cost;
-  cost.flops = 400.0;
-  cost.parallel_items = 100;
-  const Status status =
-      exec.TrySubmit(kDefaultStream, cost, [&ran] { ran = true; });
-  EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
-  EXPECT_FALSE(ran);  // the body never observes a failed launch
-  // A failed launch still burns its slot on the simulated timeline.
-  EXPECT_DOUBLE_EQ(exec.NowSeconds(), 2.0);
-  EXPECT_EQ(injector.injected(fault::Site::kDeviceSubmit), 1);
-}
-
-TEST(SimExecutorFaultTest, InjectedTransferFailureStillChargesWire) {
-  SimExecutor exec(SimpleModel());
-  fault::FaultPlan plan;
-  plan.transfer_fail_prob = 1.0;
-  plan.max_consecutive_per_site = 0;
-  fault::FaultInjector injector(plan);
-  exec.SetFaultInjector(&injector);
-
-  const Status status =
-      exec.TryTransfer(kDefaultStream, 100.0, TransferDirection::kHostToDevice);
-  EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
-  EXPECT_DOUBLE_EQ(exec.NowSeconds(), 10.0);  // the wire was busy anyway
-}
-
 TEST(SimExecutorFaultTest, InjectedAllocFailureHealsAtConsecutiveCap) {
   SimExecutor exec(SimpleModel());
   fault::FaultPlan plan;
@@ -371,24 +323,6 @@ TEST(SimExecutorFaultTest, DetachingInjectorRestoresCleanBehaviour) {
   EXPECT_TRUE(exec.Allocate(100).status().IsUnavailable());
   exec.SetFaultInjector(nullptr);
   GMP_CHECK_OK(exec.Allocate(100).status());
-}
-
-TEST(SubmitParallelForTest, ExecutesBodyOnceOverRange) {
-  SimExecutor exec(SimpleModel());
-  std::vector<int> hits(50, 0);
-  SubmitParallelFor(&exec, kDefaultStream, 50, /*flops_per_item=*/2.0,
-                    /*bytes_per_item=*/0.0, [&hits](int64_t b, int64_t e) {
-                      for (int64_t i = b; i < e; ++i) hits[static_cast<size_t>(i)]++;
-                    });
-  for (int h : hits) EXPECT_EQ(h, 1);
-  EXPECT_DOUBLE_EQ(exec.counters().flops, 100.0);
-}
-
-TEST(SubmitParallelForTest, EmptyRangeIsNoop) {
-  SimExecutor exec(SimpleModel());
-  SubmitParallelFor(&exec, kDefaultStream, 0, 1.0, 1.0,
-                    [](int64_t, int64_t) { FAIL() << "body should not run"; });
-  EXPECT_EQ(exec.counters().launches, 0);
 }
 
 }  // namespace

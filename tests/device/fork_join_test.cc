@@ -159,23 +159,22 @@ TEST(ForkJoinTest, SatelliteSeesMainMemoryLedger) {
   EXPECT_EQ(satellite.bytes_in_use(), main.bytes_in_use());
 }
 
-TEST(SubmitParallelForTest, ThreadCountDoesNotChangeOutputOrSimTime) {
+TEST(HostParallelForTest, ThreadCountDoesNotChangeOutputOrSimTime) {
   constexpr int64_t kN = 10000;
   auto run = [&](int host_threads, std::vector<double>* out) -> double {
     ExecutorModel model = ExecutorModel::TeslaP100();
     model.host_threads = host_threads;
     SimExecutor exec(std::move(model));
     out->assign(static_cast<size_t>(kN), 0.0);
-    SubmitParallelFor(
-        &exec, kDefaultStream, kN, /*flops_per_item=*/10.0,
-        /*bytes_per_item=*/16.0,
-        [out](int64_t begin, int64_t end) {
+    exec.HostParallelFor(
+        kN, /*min_chunk=*/64, [out](int64_t begin, int64_t end) {
           for (int64_t i = begin; i < end; ++i) {
             (*out)[static_cast<size_t>(i)] =
                 static_cast<double>(i) * 1.000000001 + 0.5;
           }
-        },
-        /*min_chunk=*/64);
+        });
+    exec.Charge(kDefaultStream, VectorPassCost(kN, /*flops_per_item=*/10.0,
+                                               /*bytes_per_item=*/16.0));
     exec.SynchronizeAll();
     return exec.NowSeconds();
   };
@@ -188,7 +187,7 @@ TEST(SubmitParallelForTest, ThreadCountDoesNotChangeOutputOrSimTime) {
                            serial_out.size() * sizeof(double)));
 }
 
-TEST(SubmitParallelForTest, BorrowedPoolRunsBodies) {
+TEST(HostParallelForTest, BorrowedPoolRunsBodies) {
   // Satellites borrow the caller's pool rather than spawning threads; the
   // fork wiring must hand the pool through to HostParallelFor.
   ThreadPool pool(3);
@@ -197,15 +196,15 @@ TEST(SubmitParallelForTest, BorrowedPoolRunsBodies) {
   SimExecutor satellite = ForkSatellite(&main, kDefaultStream, &log, &pool);
   EXPECT_EQ(satellite.host_pool(), &pool);
   std::vector<double> out(5000, 0.0);
-  SubmitParallelFor(
-      &satellite, kDefaultStream, static_cast<int64_t>(out.size()),
-      /*flops_per_item=*/1.0, /*bytes_per_item=*/8.0,
-      [&out](int64_t begin, int64_t end) {
+  const auto n = static_cast<int64_t>(out.size());
+  satellite.HostParallelFor(
+      n, /*min_chunk=*/16, [&out](int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
           out[static_cast<size_t>(i)] = static_cast<double>(i);
         }
-      },
-      /*min_chunk=*/16);
+      });
+  satellite.Charge(kDefaultStream, VectorPassCost(n, /*flops_per_item=*/1.0,
+                                                  /*bytes_per_item=*/8.0));
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], static_cast<double>(i));
   }

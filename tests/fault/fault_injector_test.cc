@@ -1,12 +1,17 @@
 // FaultPlan / FaultInjector / retry policy unit tests: determinism, the two
 // chaos bounds (consecutive cap, per-site total cap), per-site stream
-// independence, metrics wiring, and validation.
+// independence, the chaos streams' recorded decisions, metrics wiring, and
+// validation.
 
 #include "fault/fault_injector.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <vector>
+
+#include "common/string_util.h"
 
 #include "fault/retry.h"
 #include "obs/metrics.h"
@@ -35,7 +40,7 @@ TEST(FaultPlanTest, ValidateRejectsBadFields) {
   plan.alloc_fail_prob = 1.5;
   EXPECT_TRUE(plan.Validate().IsInvalidArgument());
   plan = FaultPlan();
-  plan.transfer_fail_prob = -0.1;
+  plan.evict_poison_prob = -0.1;
   EXPECT_TRUE(plan.Validate().IsInvalidArgument());
   plan = FaultPlan();
   plan.latency_spike_seconds = -1.0;
@@ -72,12 +77,62 @@ TEST(FaultInjectorTest, SitesDrawFromIndependentStreams) {
   std::vector<bool> expected = Draw(pure, Site::kDeviceAlloc, 100);
   std::vector<bool> got;
   for (int i = 0; i < 100; ++i) {
-    interleaved.ShouldInject(Site::kDeviceSubmit);
+    interleaved.ShouldInject(Site::kLatencySpike);
     interleaved.ShouldInject(Site::kBufferEvict);
     got.push_back(interleaved.ShouldInject(Site::kDeviceAlloc));
     interleaved.ShouldInject(Site::kKernelRowBatch);
   }
   EXPECT_EQ(got, expected);
+}
+
+// The first 64 decisions of every site under FaultPlan::Chaos at the drills'
+// two chaos seeds, decision i in bit i. They were recorded when two more
+// device sites (launch and transfer failures) held the first two forks of
+// the plan seed; each site keeps its fork, so a seed injects the faults it
+// always did.
+struct ChaosStreamPin {
+  uint64_t seed;
+  Site site;
+  uint64_t bits;
+};
+
+constexpr ChaosStreamPin kChaosStreamPins[] = {
+    {7, Site::kDeviceAlloc, 0x8035120180401082ull},
+    {7, Site::kKernelRowBatch, 0x010000c601002040ull},
+    {7, Site::kBufferEvict, 0xd82448458c082808ull},
+    {7, Site::kModelSwap, 0x0000000000000000ull},
+    {7, Site::kLatencySpike, 0x0210100000000000ull},
+    {7, Site::kTrainInterrupt, 0x0000000000000000ull},
+    {7, Site::kDeviceLoss, 0x019b0a55b0d60c2aull},
+    {7, Site::kDeltaParse, 0x46800401440a6c0dull},
+    {7, Site::kCanary, 0x0000100002c198c4ull},
+    {7, Site::kNodeLoss, 0x4ad1000a6488b622ull},
+    {11, Site::kDeviceAlloc, 0x0010503240800100ull},
+    {11, Site::kKernelRowBatch, 0x8068100c81005026ull},
+    {11, Site::kBufferEvict, 0x11846d8092201810ull},
+    {11, Site::kModelSwap, 0x0000000000000000ull},
+    {11, Site::kLatencySpike, 0x0000000000080024ull},
+    {11, Site::kTrainInterrupt, 0x0000000000000000ull},
+    {11, Site::kDeviceLoss, 0x88c651890ac8358bull},
+    {11, Site::kDeltaParse, 0x80009890c9102b30ull},
+    {11, Site::kCanary, 0x2344010020190088ull},
+    {11, Site::kNodeLoss, 0x130625aa6b010825ull},
+};
+static_assert(std::size(kChaosStreamPins) == 2 * kNumFaultSites,
+              "every site is pinned at both seeds");
+
+TEST(FaultInjectorTest, ChaosStreamsKeepTheirRecordedDecisions) {
+  for (const ChaosStreamPin& pin : kChaosStreamPins) {
+    FaultInjector injector(FaultPlan::Chaos(pin.seed));
+    uint64_t bits = 0;
+    for (int i = 0; i < 64; ++i) {
+      if (injector.ShouldInject(pin.site)) bits |= uint64_t{1} << i;
+    }
+    EXPECT_EQ(bits, pin.bits) << StrPrintf(
+        "seed %llu, site %s: got 0x%016llx",
+        static_cast<unsigned long long>(pin.seed), SiteName(pin.site),
+        static_cast<unsigned long long>(bits));
+  }
 }
 
 TEST(FaultInjectorTest, ConsecutiveCapForcesASuccess) {

@@ -1,6 +1,6 @@
 // Tests for the observability metrics substrate: registry identity,
 // concurrent counter updates, exact nearest-rank percentiles, and the
-// Prometheus / JSON exporters (label escaping included).
+// Prometheus exporter (label escaping included).
 
 #include "obs/metrics.h"
 
@@ -20,8 +20,6 @@ TEST(CounterTest, AddIgnoresNonPositiveDeltas) {
   c.Add(-7.0);
   c.Increment();
   EXPECT_DOUBLE_EQ(c.Value(), 3.5);
-  c.Reset();
-  EXPECT_DOUBLE_EQ(c.Value(), 0.0);
 }
 
 TEST(CounterTest, ConcurrentIncrementsAllLand) {
@@ -56,7 +54,6 @@ TEST(RegistryTest, SameNameAndLabelsReturnSameSeries) {
   Counter* other = registry.GetCounter("gmpsvm_x_total", "x", {{"k", "w"}});
   EXPECT_EQ(a, b);
   EXPECT_NE(a, other);
-  EXPECT_EQ(registry.NumSeries(), 2u);
 }
 
 TEST(HistogramTest, PercentileEdges) {
@@ -136,28 +133,6 @@ TEST(PrometheusTextTest, EscapesLabelValues) {
       text.find("gmpsvm_labeled_total{impl=\"LibSVM w/ \\\"OpenMP\\\"\\n\"} 1"),
       std::string::npos)
       << text;
-}
-
-TEST(JsonExportTest, ContainsExactPercentilesAndBalancedBraces) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("gmpsvm_latency_seconds", "latency",
-                                       Histogram::LatencyBuckets());
-  for (int i = 1; i <= 100; ++i) h->Observe(i * 1e-3);
-  registry.GetCounter("gmpsvm_requests_total", "requests")->Add(5);
-
-  const std::string json = registry.ToJson();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"p50\":0.05"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p99\":"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"value\":5"), std::string::npos);
-  long depth = 0;
-  for (char c : json) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
 }
 
 }  // namespace

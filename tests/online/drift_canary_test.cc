@@ -82,17 +82,6 @@ TEST(DriftDetectorTest, PublishesGaugesAndCounter) {
   EXPECT_NE(text.find("gmpsvm_drift_armed_total"), std::string::npos);
 }
 
-TEST(DriftDetectorTest, LogLossTriggerIsOptional) {
-  DriftOptions options;
-  options.window = 8;
-  options.min_observations = 2;
-  options.brier_threshold = 2.0;   // unreachable
-  options.log_loss_threshold = 1.0;
-  DriftDetector drift(2, options);
-  for (int i = 0; i < 4; ++i) drift.Observe(Response(0.1), 0);
-  EXPECT_TRUE(drift.armed()) << "log-loss trigger must arm independently";
-}
-
 TEST(DriftOptionsTest, ValidateRejectsBadFields) {
   DriftOptions options;
   options.window = 0;

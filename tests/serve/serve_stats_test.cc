@@ -71,20 +71,6 @@ TEST(ServeStatsTest, PercentilesFromManySamples) {
   EXPECT_NEAR(snap.latency_max, 0.100, 1e-12);
 }
 
-TEST(ServeStatsTest, ResetClearsEverything) {
-  ServeStats stats;
-  stats.RecordAdmitted(5);
-  stats.RecordBatch(3);
-  stats.RecordCompleted(0.1, 0.2);
-  stats.Reset();
-  const ServeStatsSnapshot snap = stats.Snapshot();
-  EXPECT_EQ(snap.admitted, 0u);
-  EXPECT_EQ(snap.batches, 0u);
-  EXPECT_EQ(snap.completed, 0u);
-  EXPECT_TRUE(snap.batch_histogram.empty());
-  EXPECT_DOUBLE_EQ(snap.latency_p99, 0.0);
-}
-
 TEST(ServeStatsTest, TableRendersAllMetrics) {
   ServeStats stats;
   stats.RecordAdmitted(1);

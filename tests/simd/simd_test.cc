@@ -357,47 +357,37 @@ CsrMatrix RandomCsr(int64_t rows, int64_t cols, uint64_t seed) {
 }
 
 TEST(SimdTierIdentityTest, SparseOpsBitwiseAcrossTiersEndToEnd) {
-  // The five instrumented paths' sparse entry points, scalar vs each vector
+  // The instrumented paths' sparse entry points, scalar vs each vector
   // tier, on fixtures with empty rows and ragged tails. Outputs AND OpStats
   // must agree bitwise.
   CsrMatrix a = RandomCsr(40, 97, 5);
   CsrMatrix b = RandomCsr(33, 97, 6);
-  std::vector<int32_t> batch, targets, rows;
+  std::vector<int32_t> batch, targets;
   for (int32_t i = 0; i < 40; i += 3) batch.push_back(i);
   for (int32_t i = 0; i < 33; ++i) targets.push_back(i);
-  for (int32_t i = 0; i < 33; i += 2) rows.push_back(i);
-  std::vector<double> v(static_cast<size_t>(b.cols()));
-  Rng rng(8);
-  for (auto& e : v) e = rng.Normal();
 
   const SimdOps& ref = simd::OpsFor(SimdTier::kScalar);
   std::vector<double> want_batch(batch.size() * targets.size());
   std::vector<double> want_scatter(targets.size());
-  std::vector<double> want_spmv(rows.size());
   const OpStats sb = BatchRowDots2(a, batch, b, targets, want_batch.data(),
                                    nullptr, &ref);
   const OpStats ss = ScatterRowDots(a, 7, b, targets, want_scatter.data(),
                                     &ref);
-  const OpStats sv = SpMV(b, rows, v, want_spmv.data(), nullptr, &ref);
 
   for (SimdTier tier : SupportedTiers()) {
     const SimdOps& ops = simd::OpsFor(tier);
     std::vector<double> got_batch(want_batch.size(), -1.0);
     std::vector<double> got_scatter(want_scatter.size(), -1.0);
-    std::vector<double> got_spmv(want_spmv.size(), -1.0);
     const OpStats gb = BatchRowDots2(a, batch, b, targets, got_batch.data(),
                                      nullptr, &ops);
     const OpStats gs = ScatterRowDots(a, 7, b, targets, got_scatter.data(),
                                       &ops);
-    const OpStats gv = SpMV(b, rows, v, got_spmv.data(), nullptr, &ops);
     EXPECT_TRUE(SameBits(got_batch, want_batch)) << ops.name;
     EXPECT_TRUE(SameBits(got_scatter, want_scatter)) << ops.name;
-    EXPECT_TRUE(SameBits(got_spmv, want_spmv)) << ops.name;
     EXPECT_EQ(gb.flops, sb.flops);
     EXPECT_EQ(gs.flops, ss.flops);
     EXPECT_EQ(gs.bytes_read, ss.bytes_read);
     EXPECT_EQ(gs.bytes_written, ss.bytes_written);
-    EXPECT_EQ(gv.flops, sv.flops);
   }
 }
 

@@ -162,7 +162,6 @@ TEST(BatchSmoSolverTest, DeviceBufferCountsAgainstBudget) {
   KernelComputer kc(p.data, p.kernel);
   SimExecutor exec(ExecutorModel::TeslaP100());
   BatchSmoOptions opts = SmallOptions(16, 8);
-  opts.buffer_on_device = true;
   ValueOrDie(BatchSmoSolver(opts).Solve(p, kc, {&exec, kDefaultStream}, nullptr));
   EXPECT_GE(exec.counters().peak_bytes_in_use,
             16u * static_cast<size_t>(p.n()) * sizeof(double));
@@ -290,10 +289,6 @@ TEST(BatchSmoOptionsValidateTest, NamesTheOffendingField) {
   s = bad_eps.Validate();
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_NE(s.message().find("eps"), std::string::npos);
-
-  BatchSmoOptions bad_buffer = options;
-  bad_buffer.buffer_rows = -1;
-  EXPECT_TRUE(bad_buffer.Validate().IsInvalidArgument());
 
   // The solver itself rejects invalid options before doing any work.
   BinaryBlobs blobs = MakeBinaryBlobs(10, 3, 2.0, 178);

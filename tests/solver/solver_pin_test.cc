@@ -1,7 +1,7 @@
 // Pins the two-variable SMO solvers off the trainers' default paths to exact
 // recorded values: SmoSolver with second-order selection on a class-weighted
-// problem (unequal C bounds), SmoSolver with first-order selection and
-// shrinking, and the GPUSVM stand-in. Each run reduces to hashes of alpha
+// problem (unequal C bounds), SmoSolver with first-order selection, and the
+// GPUSVM stand-in. Each run reduces to hashes of alpha
 // and f, the bias and objective, the solver counters and phases, and the
 // executor's simulated clock; a mismatch prints every value with %a.
 
@@ -74,20 +74,20 @@ solver.phase.other=0x1.1204dc8933e33p-8
 solver.rows_poisoned=0
 )";
 
-constexpr const char* kSmoFirstOrderShrinking = R"(
+constexpr const char* kSmoFirstOrder = R"(
 alpha=bf84c4cb326d9894
-bias=-0x1.f7823d65a9bbep-5
-f=ba1abd7a8a78fc38
-now_seconds=0x1.1b493d797e57p-7
+bias=-0x1.f7823d65a9bbcp-5
+f=25d7dddbd9bae863
+now_seconds=0x1.1942305b9c40dp-7
 objective=0x1.52d5cbda59828p+5
 solver.alloc_retries=0
-solver.iterations=278
+solver.iterations=277
 solver.kernel_row_retries=0
 solver.kernel_rows_computed=95
-solver.kernel_rows_reused=461
-solver.outer_rounds=278
-solver.phase.kernel_values=0x1.790b88b14467ap-9
-solver.phase.other=0x1.79629e3e010e9p-8
+solver.kernel_rows_reused=460
+solver.outer_rounds=277
+solver.phase.kernel_values=0x1.7862792a7f15ep-9
+solver.phase.other=0x1.75a90bc59f8b1p-8
 solver.rows_poisoned=0
 )";
 
@@ -110,12 +110,10 @@ TEST(SolverPinTest, SmoSecondOrderClassWeighted) {
   ExpectPins(kSmoSecondOrderWeighted, RunSmo(SmoOptions{}, 3.0, 0.5));
 }
 
-TEST(SolverPinTest, SmoFirstOrderWithShrinking) {
+TEST(SolverPinTest, SmoFirstOrder) {
   SmoOptions options;
   options.selection = SmoOptions::Selection::kFirstOrder;
-  options.shrinking = true;
-  options.shrink_interval = 25;
-  ExpectPins(kSmoFirstOrderShrinking, RunSmo(options, 1.0, 1.0));
+  ExpectPins(kSmoFirstOrder, RunSmo(options, 1.0, 1.0));
 }
 
 TEST(SolverPinTest, GpuSvmLike) {

@@ -117,22 +117,6 @@ TEST(DenseBatchRowDotsTest, DenseCostsMoreFlopsOnSparseData) {
   EXPECT_GT(dense_stats.flops, 5.0 * sparse_stats.flops);
 }
 
-TEST(SpMVTest, MatchesNaive) {
-  CsrMatrix x = RandomSparse(10, 6, 0.5, 9);
-  std::vector<double> v = {1, -1, 2, 0.5, 0, 3};
-  std::vector<int32_t> rows = {0, 4, 9};
-  std::vector<double> out(3);
-  SpMV(x, rows, v, out.data());
-  auto dense = x.ToDense();
-  for (size_t j = 0; j < rows.size(); ++j) {
-    double expect = 0.0;
-    for (int64_t c = 0; c < x.cols(); ++c) {
-      expect += dense[rows[j] * x.cols() + c] * v[static_cast<size_t>(c)];
-    }
-    EXPECT_NEAR(out[j], expect, 1e-12);
-  }
-}
-
 TEST(ParallelOpsTest, PoolDoesNotChangeResultsOrStats) {
   // Every op routed through a ThreadPool must return bitwise-identical
   // outputs AND bitwise-identical OpStats: per-row flop accounting is summed
@@ -168,17 +152,6 @@ TEST(ParallelOpsTest, PoolDoesNotChangeResultsOrStats) {
     EXPECT_EQ(s.bytes_written, p.bytes_written);
   }
   {
-    std::vector<double> v(static_cast<size_t>(x.cols()));
-    for (size_t i = 0; i < v.size(); ++i) v[i] = 0.25 * static_cast<double>(i) - 3.0;
-    std::vector<double> serial(batch.size());
-    std::vector<double> parallel(serial.size(), -1.0);
-    OpStats s = SpMV(x, batch, v, serial.data());
-    OpStats p = SpMV(x, batch, v, parallel.data(), &pool);
-    EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(),
-                             serial.size() * sizeof(double)));
-    EXPECT_EQ(s.flops, p.flops);
-  }
-  {
     DenseMatrix dense(x.rows(), x.cols(), x.ToDense());
     std::vector<double> serial(batch.size() * targets.size());
     std::vector<double> parallel(serial.size(), -1.0);
@@ -193,15 +166,11 @@ TEST(ParallelOpsTest, PoolDoesNotChangeResultsOrStats) {
 TEST(ParallelOpsTest, OpStatsBitwiseIdenticalAcrossPoolSizes) {
   // Satellite check for the SIMD tier: aggregated OpStats (and outputs) must
   // be byte-identical for pool sizes {0, 1, 4} — no pool, a degenerate pool
-  // that runs serial, and a real 4-thread pool — on BatchRowDots and SpMV.
+  // that runs serial, and a real 4-thread pool — on BatchRowDots.
   CsrMatrix x = RandomSparse(90, 48, 0.25, 33);
   std::vector<int32_t> batch, targets;
   for (int32_t i = 0; i < 90; i += 2) batch.push_back(i);
   for (int32_t i = 0; i < 90; i += 3) targets.push_back(i);
-  std::vector<double> vec(static_cast<size_t>(x.cols()));
-  for (size_t i = 0; i < vec.size(); ++i) {
-    vec[i] = 0.5 * static_cast<double>(i % 7) - 1.5;
-  }
 
   ThreadPool pool1(1);
   ThreadPool pool4(4);
@@ -209,14 +178,10 @@ TEST(ParallelOpsTest, OpStatsBitwiseIdenticalAcrossPoolSizes) {
 
   std::vector<std::vector<double>> dots_out;
   std::vector<OpStats> dots_stats;
-  std::vector<std::vector<double>> spmv_out;
-  std::vector<OpStats> spmv_stats;
   for (ThreadPool* pool : pools) {
     dots_out.emplace_back(batch.size() * targets.size(), -7.0);
     dots_stats.push_back(BatchRowDots2(x, batch, x, targets,
                                        dots_out.back().data(), pool));
-    spmv_out.emplace_back(batch.size(), -7.0);
-    spmv_stats.push_back(SpMV(x, batch, vec, spmv_out.back().data(), pool));
   }
   for (size_t i = 1; i < 3; ++i) {
     EXPECT_EQ(0, std::memcmp(dots_out[0].data(), dots_out[i].data(),
@@ -225,12 +190,6 @@ TEST(ParallelOpsTest, OpStatsBitwiseIdenticalAcrossPoolSizes) {
     EXPECT_EQ(dots_stats[0].flops, dots_stats[i].flops);
     EXPECT_EQ(dots_stats[0].bytes_read, dots_stats[i].bytes_read);
     EXPECT_EQ(dots_stats[0].bytes_written, dots_stats[i].bytes_written);
-    EXPECT_EQ(0, std::memcmp(spmv_out[0].data(), spmv_out[i].data(),
-                             spmv_out[0].size() * sizeof(double)))
-        << "SpMV output, pool variant " << i;
-    EXPECT_EQ(spmv_stats[0].flops, spmv_stats[i].flops);
-    EXPECT_EQ(spmv_stats[0].bytes_read, spmv_stats[i].bytes_read);
-    EXPECT_EQ(spmv_stats[0].bytes_written, spmv_stats[i].bytes_written);
   }
 }
 

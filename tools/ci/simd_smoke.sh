@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# SIMD micro-bench: per-path scalar-vs-vector timing of the six host hot
+# SIMD micro-bench: per-path scalar-vs-vector timing of the five host hot
 # paths. bench_simd itself exits nonzero if any path's outputs diverge
 # bitwise, or if the geomean speedup of the detected tier drops below
 # scalar (gate 1.0 — on a scalar-only runner both tiers are scalar and the
@@ -26,7 +26,7 @@ import sys
 
 with open(sys.argv[1]) as f:
     report = json.load(f)
-assert len(report['rows']) == 6, report
+assert len(report['rows']) == 5, report
 for row in report['rows']:
     assert row['bitwise_identical'] is True, row
 print('simd geomean speedup:', report['geomean_speedup'])
