@@ -426,8 +426,6 @@ int TrainCommand(int argc, char** argv) {
     options.pair_failure_policy = PairFailurePolicy::kSkipDegraded;
   }
 
-  options.host_threads = host_threads;
-
   obs::MetricsRegistry metrics;
   ExecutorModel device_model = ExecutorModel::TeslaP100();
   device_model.host_threads = host_threads;
@@ -1271,7 +1269,6 @@ int RetrainDaemonCommand(int argc, char** argv) {
   // every run, which is all byte-identity needs.
   options.retrain.train.c = model->c;
   options.retrain.train.kernel = model->kernel;
-  options.retrain.train.host_threads = host_threads;
   if (chaos) {
     options.fault = fault::FaultPlan::Chaos(chaos_seed);
     options.retrain.fault = fault::FaultPlan::Chaos(chaos_seed);

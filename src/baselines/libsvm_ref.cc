@@ -2,10 +2,6 @@
 
 namespace gmpsvm {
 
-SimExecutor MakeLibsvmExecutor(int num_threads) {
-  return SimExecutor(ExecutorModel::XeonCpu(num_threads));
-}
-
 MpTrainOptions LibsvmTrainOptions(double c, const KernelParams& kernel,
                                   double eps) {
   MpTrainOptions options;

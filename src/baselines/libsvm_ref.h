@@ -23,10 +23,6 @@
 
 namespace gmpsvm {
 
-// CPU executor model for LibSVM with `num_threads` OpenMP threads (1 =
-// the single-threaded build).
-SimExecutor MakeLibsvmExecutor(int num_threads);
-
 // Training options replicating LibSVM's defaults for C-SVC.
 MpTrainOptions LibsvmTrainOptions(double c, const KernelParams& kernel,
                                   double eps = 1e-3);

@@ -57,16 +57,4 @@ void SimCluster::SetSpanRecorder(obs::SpanRecorder* recorder, int lane_band) {
   }
 }
 
-void SimCluster::SynchronizeAll() {
-  for (std::unique_ptr<SimExecutor>& dev : devices_) dev->SynchronizeAll();
-}
-
-double SimCluster::MaxNowSeconds() const {
-  double now = 0.0;
-  for (const std::unique_ptr<SimExecutor>& dev : devices_) {
-    now = std::max(now, dev->NowSeconds());
-  }
-  return now;
-}
-
 }  // namespace gmpsvm::cluster

@@ -82,14 +82,6 @@ class SimCluster {
   void SetSpanRecorder(obs::SpanRecorder* recorder,
                        int lane_band = kClusterLaneBand);
 
-  // Joins every stream on every device.
-  void SynchronizeAll();
-
-  // Max simulated time across devices. Devices tick independent clocks, so
-  // this is only meaningful as a makespan when all started from a common
-  // baseline (the cluster trainer snapshots per-device baselines itself).
-  double MaxNowSeconds() const;
-
  private:
   std::vector<std::unique_ptr<SimExecutor>> devices_;
   dist::ClusterTopology topology_;

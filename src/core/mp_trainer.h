@@ -117,18 +117,6 @@ struct MpTrainOptions {
   // Checkpoint/resume configuration (disabled unless checkpoint.dir is set).
   TrainCheckpointOptions checkpoint;
 
-  // --- Host parallelism -----------------------------------------------------
-  // Real worker threads for pair-level training (wall-clock only; models,
-  // reports, counters, and traces are byte-identical for every value — see
-  // docs/performance.md). 0 inherits the executor model's host_threads; 1
-  // forces serial orchestration. Pairs fork/join across the threads under
-  // one rule, on a single device and on each cluster device alike: no fault
-  // injector, attached or per pair (fault draws are consumed in pair order),
-  // and no shared block cache (its hit/miss accounting depends on the order
-  // pairs touch it), so GMP needs share_kernel_blocks off. The
-  // data-parallel kernel ops still use the threads otherwise.
-  int host_threads = 0;
-
   // Checks the whole configuration, including the nested batch- and
   // classic-solver options, and returns InvalidArgument naming the
   // offending field. Pass the dataset's class count to also check

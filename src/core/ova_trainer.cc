@@ -1,7 +1,6 @@
 #include "core/ova_trainer.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <unordered_map>
 
@@ -69,9 +68,7 @@ Result<OvaModel> OvaTrainer::Train(const Dataset& dataset, SimExecutor* executor
   // Classes fork/join under the pair engine's rule (no fault injector, more
   // than one host thread). Pool indices depend on insertion order, so
   // entries are added in class order, on the calling thread.
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool =
-      ForkJoinPool(options_, executor, /*serial_only=*/false, &owned_pool);
+  ThreadPool* pool = ForkJoinPool(executor, /*serial_only=*/false);
   GMP_RETURN_NOT_OK(RunJobsInOrder(
       executor, pool, std::vector<StreamId>(tasks.size(), kDefaultStream),
       [&](size_t cls, SimExecutor* exec, StreamId stream) {

@@ -255,12 +255,9 @@ Result<std::vector<PairTrainOutcome>> RunPairs(
   ChargeDataLoad(executor, kDefaultStream,
                  static_cast<double>(dataset.features().ByteSize()));
 
-  std::unique_ptr<ThreadPool> owned_pool;
   ThreadPool* pool = ForkJoinPool(
-      *engine.options, executor,
-      engine.injectors != nullptr ||
-          (!engine.sequential && engine.options->share_kernel_blocks),
-      &owned_pool);
+      executor, engine.injectors != nullptr ||
+                    (!engine.sequential && engine.options->share_kernel_blocks));
   // The serial path merges attempts into the report as they end.
   MpTrainReport* attempt_report = pool == nullptr ? report : nullptr;
 
@@ -323,17 +320,10 @@ void ChargeDataLoad(SimExecutor* executor, StreamId stream, double bytes) {
   RecordPhaseSpan(executor, stream, "data_load", t0, executor->StreamTime(stream));
 }
 
-ThreadPool* ForkJoinPool(const MpTrainOptions& options, SimExecutor* executor,
-                         bool serial_only, std::unique_ptr<ThreadPool>* owned) {
-  const int threads = options.host_threads > 0 ? options.host_threads
-                                               : executor->model().host_threads;
-  if (threads <= 1 || serial_only || executor->fault_injector() != nullptr) {
-    return nullptr;
-  }
+ThreadPool* ForkJoinPool(SimExecutor* executor, bool serial_only) {
+  if (serial_only || executor->fault_injector() != nullptr) return nullptr;
   ThreadPool* pool = executor->host_pool();
-  if (pool != nullptr && pool->num_threads() == threads) return pool;
-  *owned = std::make_unique<ThreadPool>(threads);
-  return owned->get();
+  return pool != nullptr && pool->num_threads() > 1 ? pool : nullptr;
 }
 
 Status RunJobsInOrder(

@@ -120,14 +120,13 @@ std::vector<double> TrainingDecisionValues(const BinaryProblem& problem,
 // "data_load" phase span.
 void ChargeDataLoad(SimExecutor* executor, StreamId stream, double bytes);
 
-// The pool independent binary problems fork/join on, or nullptr when they
-// run serially. Fork/join needs more than one host thread
-// (options.host_threads, else the executor model's), no fault injector on
-// the executor and no `serial_only` state (per-pair injectors or a shared
-// block cache, whose draws and hits depend on the run order). The pool is
-// the executor's when its size matches, else created in *owned.
-ThreadPool* ForkJoinPool(const MpTrainOptions& options, SimExecutor* executor,
-                         bool serial_only, std::unique_ptr<ThreadPool>* owned);
+// The pool independent binary problems fork/join on: the executor's own
+// host_pool(), or nullptr when they run serially. Fork/join needs more than
+// one host thread (the executor model's host_threads; models, reports,
+// counters and traces are byte-identical for every value), no fault
+// injector on the executor and no `serial_only` state (per-pair injectors or
+// a shared block cache, whose draws and hits depend on the run order).
+ThreadPool* ForkJoinPool(SimExecutor* executor, bool serial_only);
 
 // Runs jobs 0..streams.size()-1 in order: run(i, exec, stream) against
 // streams[i] of `executor`, then finish(i) on the calling thread; the first

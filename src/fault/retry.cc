@@ -1,9 +1,9 @@
 #include "fault/retry.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/string_util.h"
+#include "simd/simd_math.h"
 
 namespace gmpsvm::fault {
 namespace {
@@ -52,7 +52,7 @@ double BackoffSeconds(const RetryPolicy& policy, int attempt, uint64_t seed) {
   const double base =
       std::min(policy.max_backoff_seconds,
                policy.initial_backoff_seconds *
-                   std::pow(policy.backoff_multiplier, attempt - 1));
+                   simd::PowInt(policy.backoff_multiplier, attempt - 1));
   const uint64_t bits =
       Mix64(seed ^ (static_cast<uint64_t>(attempt) * 0x9E3779B97F4A7C15ull));
   const double unit =

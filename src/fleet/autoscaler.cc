@@ -19,18 +19,6 @@ Status AutoscalePolicy::Validate() const {
   return Status::OK();
 }
 
-const char* ScaleDecisionName(ScaleDecision decision) {
-  switch (decision) {
-    case ScaleDecision::kHold:
-      return "hold";
-    case ScaleDecision::kScaleUp:
-      return "scale-up";
-    case ScaleDecision::kScaleDown:
-      return "scale-down";
-  }
-  return "unknown";
-}
-
 ScaleDecision Autoscaler::Tick(double mean_queue_depth, int current_replicas) {
   if (mean_queue_depth >= policy_.scale_up_depth) {
     idle_streak_ = 0;

@@ -36,8 +36,6 @@ struct AutoscalePolicy {
 
 enum class ScaleDecision { kHold, kScaleUp, kScaleDown };
 
-const char* ScaleDecisionName(ScaleDecision decision);
-
 class Autoscaler {
  public:
   explicit Autoscaler(const AutoscalePolicy& policy) : policy_(policy) {}

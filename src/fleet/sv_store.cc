@@ -22,12 +22,7 @@ inline uint64_t HashBytes(const void* data, size_t len, uint64_t seed) {
 constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
 
 uint64_t HashParams(const KernelParams& params, uint64_t h) {
-  const int32_t type = static_cast<int32_t>(params.type);
-  h = HashBytes(&type, sizeof(type), h);
-  h = HashBytes(&params.gamma, sizeof(params.gamma), h);
-  h = HashBytes(&params.coef0, sizeof(params.coef0), h);
-  h = HashBytes(&params.degree, sizeof(params.degree), h);
-  return h;
+  return HashBytes(&params.gamma, sizeof(params.gamma), h);
 }
 
 uint64_t HashRow(std::span<const int32_t> indices,
@@ -45,8 +40,7 @@ bool RowsEqual(std::span<const int32_t> ia, std::span<const double> va,
 }
 
 bool ParamsEqual(const KernelParams& a, const KernelParams& b) {
-  return a.type == b.type && a.gamma == b.gamma && a.coef0 == b.coef0 &&
-         a.degree == b.degree;
+  return a.gamma == b.gamma;
 }
 
 }  // namespace

@@ -6,34 +6,12 @@
 namespace gmpsvm {
 namespace {
 
-// Applies the dot->kernel transform of one row in place through the SIMD
-// tier. The vector transforms replay FromDot's exact per-lane op sequence
-// (simd/simd_math.h), so every tier — and the scalar FromDot itself — agrees
-// bitwise.
-void TransformRow(const KernelFunction& fn, const simd::SimdOps& ops,
-                  double norm_row, std::span<const double> norms_b,
-                  std::span<const int32_t> targets, double* row) {
-  const KernelParams& p = fn.params();
-  const int64_t n = static_cast<int64_t>(targets.size());
-  switch (p.type) {
-    case KernelType::kGaussian:
-      ops.gaussian_transform(row, norms_b.data(), targets.data(), n, norm_row,
-                             p.gamma);
-      break;
-    case KernelType::kLinear:
-      break;  // K = dot; nothing to transform
-    case KernelType::kPolynomial:
-      ops.poly_transform(row, n, p.gamma, p.coef0, p.degree);
-      break;
-    case KernelType::kSigmoid:
-      ops.sigmoid_transform(row, n, p.gamma, p.coef0);
-      break;
-  }
-}
-
-// Applies the dot->kernel transform in place and returns the flops charged
-// (a closed form, so the host-parallel row partition cannot perturb it).
-// Records the batched transform on the kernel_transform dispatch path.
+// Applies the Gaussian transform in place, row by row through the SIMD tier,
+// and returns the flops charged (a closed form, so the host-parallel row
+// partition cannot perturb it). The vector transform replays FromDot's exact
+// per-lane op sequence (simd/simd_math.h), so every tier — and the scalar
+// FromDot itself — agrees bitwise. Records the batched transform on the
+// kernel_transform dispatch path.
 double TransformBlock(const KernelFunction& fn, const simd::SimdOps& ops,
                       std::span<const double> norms_a,
                       std::span<const int32_t> batch,
@@ -45,8 +23,10 @@ double TransformBlock(const KernelFunction& fn, const simd::SimdOps& ops,
   const auto rows_body = [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       const double norm_i = norms_a[static_cast<size_t>(batch[static_cast<size_t>(i)])];
-      TransformRow(fn, ops, norm_i, norms_b, targets,
-                   out + i * static_cast<int64_t>(num_targets));
+      ops.gaussian_transform(out + i * static_cast<int64_t>(num_targets),
+                             norms_b.data(), targets.data(),
+                             static_cast<int64_t>(num_targets), norm_i,
+                             fn.params().gamma);
     }
   };
   if (pool != nullptr && pool->num_threads() > 1) {

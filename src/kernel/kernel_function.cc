@@ -1,43 +1,12 @@
 #include "kernel/kernel_function.h"
 
-#include "common/string_util.h"
-
 namespace gmpsvm {
 
-const char* KernelTypeToString(KernelType type) {
-  switch (type) {
-    case KernelType::kGaussian:
-      return "gaussian";
-    case KernelType::kLinear:
-      return "linear";
-    case KernelType::kPolynomial:
-      return "polynomial";
-    case KernelType::kSigmoid:
-      return "sigmoid";
-  }
-  return "unknown";
-}
+const char* KernelTypeToString(KernelType) { return "gaussian"; }
 
 Result<KernelType> KernelTypeFromString(const std::string& name) {
   if (name == "gaussian" || name == "rbf") return KernelType::kGaussian;
-  if (name == "linear") return KernelType::kLinear;
-  if (name == "polynomial" || name == "poly") return KernelType::kPolynomial;
-  if (name == "sigmoid") return KernelType::kSigmoid;
   return Status::InvalidArgument("unknown kernel type: " + name);
-}
-
-std::string KernelParams::ToString() const {
-  switch (type) {
-    case KernelType::kGaussian:
-      return StrPrintf("gaussian(gamma=%g)", gamma);
-    case KernelType::kLinear:
-      return "linear";
-    case KernelType::kPolynomial:
-      return StrPrintf("polynomial(a=%g, r=%g, d=%d)", gamma, coef0, degree);
-    case KernelType::kSigmoid:
-      return StrPrintf("sigmoid(a=%g, r=%g)", gamma, coef0);
-  }
-  return "unknown";
 }
 
 }  // namespace gmpsvm

@@ -1,13 +1,13 @@
-// Kernel functions (Section 2.1 of the paper): Gaussian, Linear, Polynomial,
-// Sigmoid. Each is expressed as a transform of the dot product x_i·x_j (plus
-// the squared row norms for the Gaussian), which is what lets batched kernel
-// rows be computed as one sparse matrix product followed by an elementwise
-// map — the schedule GMP-SVM uses on the GPU.
+// The Gaussian kernel K(x_i, x_j) = exp(-γ ||x_i - x_j||²), the one kernel
+// of Section 2.1 that every experiment in the paper trains with (Table 2
+// gives each dataset's C and γ). It is expressed as a transform of the dot
+// product x_i·x_j and the two squared row norms, which is what lets batched
+// kernel rows be computed as one sparse matrix product followed by an
+// elementwise map — the schedule GMP-SVM uses on the GPU.
 
 #ifndef GMPSVM_KERNEL_KERNEL_FUNCTION_H_
 #define GMPSVM_KERNEL_KERNEL_FUNCTION_H_
 
-#include <cmath>
 #include <string>
 
 #include "common/status.h"
@@ -15,18 +15,16 @@
 
 namespace gmpsvm {
 
-enum class KernelType { kGaussian, kLinear, kPolynomial, kSigmoid };
+enum class KernelType { kGaussian };
 
+// "gaussian"; the reverse accepts "gaussian" and "rbf" and rejects every
+// other name with InvalidArgument.
 const char* KernelTypeToString(KernelType type);
 Result<KernelType> KernelTypeFromString(const std::string& name);
 
 struct KernelParams {
   KernelType type = KernelType::kGaussian;
-  double gamma = 1.0;   // γ for Gaussian; `a` for polynomial/sigmoid
-  double coef0 = 0.0;   // `r` for polynomial/sigmoid
-  int degree = 3;       // `d` for polynomial
-
-  std::string ToString() const;
+  double gamma = 1.0;  // γ
 };
 
 // Stateless evaluator mapping (dot, ||x_i||², ||x_j||²) -> K(x_i, x_j).
@@ -36,41 +34,18 @@ class KernelFunction {
 
   const KernelParams& params() const { return params_; }
 
-  // Uses the deterministic transforms from simd/simd_math.h, so a scalar
-  // FromDot is bit-identical to the vectorized row transforms in every tier.
+  // Uses the deterministic transform from simd/simd_math.h, so a scalar
+  // FromDot is bit-identical to the vectorized row transform in every tier.
   double FromDot(double dot, double norm_i, double norm_j) const {
-    switch (params_.type) {
-      case KernelType::kGaussian:
-        return simd::GaussianFromDot(dot, norm_i, norm_j, params_.gamma);
-      case KernelType::kLinear:
-        return dot;
-      case KernelType::kPolynomial:
-        return simd::PolynomialFromDot(dot, params_.gamma, params_.coef0,
-                                       params_.degree);
-      case KernelType::kSigmoid:
-        return simd::SigmoidFromDot(dot, params_.gamma, params_.coef0);
-    }
-    return 0.0;
+    return simd::GaussianFromDot(dot, norm_i, norm_j, params_.gamma);
   }
 
   // K(x, x) given ||x||².
   double SelfKernel(double norm) const { return FromDot(norm, norm, norm); }
 
-  // Arithmetic ops per transformed value, for cost accounting (exp/tanh count
+  // Arithmetic ops per transformed value, for cost accounting (exp counts
   // as several flops on both substrates).
-  double FlopsPerValue() const {
-    switch (params_.type) {
-      case KernelType::kGaussian:
-        return 8.0;
-      case KernelType::kLinear:
-        return 0.0;
-      case KernelType::kPolynomial:
-        return 2.0 + static_cast<double>(params_.degree);
-      case KernelType::kSigmoid:
-        return 10.0;
-    }
-    return 0.0;
-  }
+  double FlopsPerValue() const { return 8.0; }
 
  private:
   KernelParams params_;

@@ -38,11 +38,6 @@ size_t TraceRecorder::size() const {
   return events_.size();
 }
 
-void TraceRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-}
-
 std::vector<double> TraceRecorder::BusyTimePerStream() const {
   std::lock_guard<std::mutex> lock(mu_);
   int max_lane = -1;

@@ -80,7 +80,6 @@ class TraceRecorder : public SpanRecorder {
 
   std::vector<SpanEvent> events() const;
   size_t size() const;
-  void Clear();
 
   // Total busy simulated time per device stream lane, leaf spans only
   // (phase envelopes and host spans are excluded).

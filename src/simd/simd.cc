@@ -190,15 +190,6 @@ PathStatsSnapshot PathStats(SimdPath path) {
   return snap;
 }
 
-void ResetPathStats() {
-  for (PathCounters& c : g_paths) {
-    c.calls.store(0, std::memory_order_relaxed);
-    c.elements.store(0, std::memory_order_relaxed);
-    c.flops.store(0.0, std::memory_order_relaxed);
-    c.nanos.store(0, std::memory_order_relaxed);
-  }
-}
-
 void PublishMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
   for (int i = 0; i < static_cast<int>(SimdPath::kNumPaths); ++i) {

@@ -1,5 +1,5 @@
 // SIMD kernel tier: runtime-dispatched vector implementations of the host
-// hot paths (sparse scatter/gather dots, kernel-value transforms,
+// hot paths (sparse scatter/gather dots, the Gaussian kernel transform,
 // pairwise coupling, Platt sigmoids) with a bitwise-reproducibility contract.
 //
 // Determinism contract (docs/performance.md, "SIMD tier"):
@@ -87,14 +87,6 @@ struct SimdOps {
                              const int32_t* targets, int64_t n,
                              double norm_row, double gamma) = nullptr;
 
-  // out[j] = PowInt(gamma*out[j] + coef0, degree)
-  void (*poly_transform)(double* out, int64_t n, double gamma, double coef0,
-                         int degree) = nullptr;
-
-  // out[j] = Tanh(gamma*out[j] + coef0)
-  void (*sigmoid_transform)(double* out, int64_t n, double gamma,
-                            double coef0) = nullptr;
-
   // Coupling fixed-point elementwise update (LibSVM iteration). The divide
   // by (1 + diff) is computed as one scalar reciprocal followed by per-lane
   // multiplies — divider throughput does not scale with vector width, so a
@@ -179,7 +171,7 @@ std::string DescribeEnvironment();
 enum class SimdPath {
   kBatchRowDots = 0,   // batched scatter-dot kernel rows (SpMM)
   kScatterRowDots,     // single-row scatter dots
-  kKernelTransform,    // RBF/poly/sigmoid elementwise transforms
+  kKernelTransform,    // Gaussian elementwise transforms
   kCoupling,           // pairwise-coupling solves
   kPlatt,              // Platt sigmoids of full prediction panels
   kNumPaths,
@@ -229,9 +221,6 @@ struct PathStatsSnapshot {
   int64_t nanos = 0;
 };
 PathStatsSnapshot PathStats(SimdPath path);
-
-// Resets all path counters (tests and benches).
-void ResetPathStats();
 
 // Publishes the per-path counters and effective-GFLOP/s gauges into
 // `registry` under gmpsvm_simd_*, plus a gmpsvm_simd_active_tier info

@@ -89,19 +89,6 @@ inline __m256d ExpVec(__m256d x) {
   return scaled;
 }
 
-// Vector twin of simd::Tanh. t = 1 - 2/(e^{2|x|}+1) is always >= +0, so
-// copysign reduces to OR-ing x's sign bit back in.
-inline __m256d TanhVec(__m256d x) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d ax = _mm256_andnot_pd(sign_mask, x);
-  const __m256d e = ExpVec(_mm256_mul_pd(_mm256_set1_pd(2.0), ax));
-  const __m256d t = _mm256_sub_pd(
-      _mm256_set1_pd(1.0),
-      _mm256_div_pd(_mm256_set1_pd(2.0),
-                    _mm256_add_pd(e, _mm256_set1_pd(1.0))));
-  return _mm256_or_pd(t, _mm256_and_pd(sign_mask, x));
-}
-
 // [dense[idx[0]], ..., dense[idx[3]]] via four scalar loads. Measured faster
 // than _mm256_i32gather_pd on every tested part — hardware gathers are
 // microcoded on many server cores (and penalized further by the Downfall
@@ -200,44 +187,6 @@ void GaussianTransformAvx2(double* out, const double* norms,
   for (; j < n; ++j) {
     out[j] = GaussianFromDot(out[j], norm_row, norms[targets[j]], gamma);
   }
-}
-
-void PolyTransformAvx2(double* out, int64_t n, double gamma, double coef0,
-                       int degree) {
-  const __m256d vg = _mm256_set1_pd(gamma);
-  const __m256d vc0 = _mm256_set1_pd(coef0);
-  int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d base = _mm256_add_pd(
-        _mm256_mul_pd(vg, _mm256_loadu_pd(out + j)), vc0);
-    // Repeated squaring, same multiply sequence as simd::PowInt (degree is
-    // uniform across the row).
-    __m256d result = _mm256_set1_pd(1.0);
-    if (degree > 0) {
-      __m256d b = base;
-      int e = degree;
-      while (true) {
-        if ((e & 1) != 0) result = _mm256_mul_pd(result, b);
-        e >>= 1;
-        if (e == 0) break;
-        b = _mm256_mul_pd(b, b);
-      }
-    }
-    _mm256_storeu_pd(out + j, result);
-  }
-  for (; j < n; ++j) out[j] = PolynomialFromDot(out[j], gamma, coef0, degree);
-}
-
-void SigmoidTransformAvx2(double* out, int64_t n, double gamma, double coef0) {
-  const __m256d vg = _mm256_set1_pd(gamma);
-  const __m256d vc0 = _mm256_set1_pd(coef0);
-  int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d t =
-        _mm256_add_pd(_mm256_mul_pd(vg, _mm256_loadu_pd(out + j)), vc0);
-    _mm256_storeu_pd(out + j, TanhVec(t));
-  }
-  for (; j < n; ++j) out[j] = SigmoidFromDot(out[j], gamma, coef0);
 }
 
 void CouplingUpdateAvx2(double* qp, double* p, const double* qrow, int64_t n,
@@ -495,8 +444,6 @@ const SimdOps* Avx2OpsTable() {
       GatherDotPanelAvx2,
       DotAvx2,
       GaussianTransformAvx2,
-      PolyTransformAvx2,
-      SigmoidTransformAvx2,
       CouplingUpdateAvx2,
       AxpyNegAvx2,
       MulNegAvx2,

@@ -2,27 +2,27 @@
 //
 // The vectorized hot paths (docs/performance.md, "SIMD tier") must produce
 // results byte-identical to the scalar fallback, which rules out libm:
-// std::exp / std::tanh / std::pow have no vector-lane twins with the same
-// rounding (and std::exp differs between libm variants). Instead every
-// transcendental the kernel transforms and Platt's sigmoid need is
-// implemented here as a fixed sequence of IEEE-754 double operations
-// (+, -, *, /, floor, abs, exponent-bit scaling). Elementwise IEEE ops are
-// exact per lane, so a vector tier that applies the *same op sequence* to
-// each lane reproduces these scalar results bit for bit automatically —
+// std::exp has no vector-lane twin with the same rounding (and differs
+// between libm variants). Instead the exp that the Gaussian kernel transform
+// and Platt's sigmoid need is implemented here as a fixed sequence of
+// IEEE-754 double operations (+, -, *, /, floor, abs, exponent-bit scaling).
+// Elementwise IEEE ops are exact per lane, so a vector tier that applies the
+// *same op sequence* to each lane reproduces these scalar results bit for
+// bit automatically —
 // the vector implementation in simd_avx2.cc mirrors each function below
 // operation by operation, and tests/simd/simd_test.cc holds it to memcmp
 // equality.
 //
 // Accuracy: the exp core is the Cephes rational approximation (~1-2 ulp over
-// the full range); tanh and Platt's sigmoid are derived from it (a few ulp;
-// simd_test bounds the sigmoid against a long double reference). That is
-// far inside every tolerance the calibration and solver tests use. A NaN
+// the full range); Platt's sigmoid is derived from it (a few ulp; simd_test
+// bounds it against a long double reference). That is far inside every
+// tolerance the calibration and solver tests use. A NaN
 // input (a NaN feature reaching a kernel transform) yields NaN in every tier,
 // so downstream checks reject it the same way whichever tier ran.
 //
 // These functions are also the *scalar* kernel-transform implementation:
-// KernelFunction::FromDot routes through the FromDot helpers at the bottom,
-// so single-value kernel evaluations and batched vector transforms share one
+// KernelFunction::FromDot routes through GaussianFromDot at the bottom, so
+// single-value kernel evaluations and batched vector transforms share one
 // arithmetic definition.
 //
 // NOTE: translation units using vector twins of these functions must be
@@ -104,27 +104,14 @@ inline double PlattFromArg(double f) {
   return (f >= 0 ? e : 1.0) / (1.0 + e);
 }
 
-// Deterministic tanh, defined through Exp:
-//   tanh(x) = sign(x) * (1 - 2 / (e^{2|x|} + 1)).
-// For 2|x| past the exp overflow threshold the arithmetic saturates to
-// exactly +/-1 on its own (2/inf == 0), so no extra branch is needed and
-// the vector tiers run branch-free.
-inline double Tanh(double x) {
-  const double ax = std::fabs(x);
-  const double e = Exp(2.0 * ax);
-  const double t = 1.0 - 2.0 / (e + 1.0);
-  return std::copysign(t, x);
-}
-
-// base^degree for small non-negative integer degrees (the polynomial
-// kernel's d) by left-to-right repeated squaring. The multiply sequence
-// depends only on `degree`, which is uniform across a transform, so the
-// vector tiers execute the identical sequence per lane.
-inline double PowInt(double base, int degree) {
-  if (degree <= 0) return 1.0;
+// base^exponent for small non-negative integer exponents (the backoff
+// multiplier's power in fault::BackoffSeconds) by left-to-right repeated
+// squaring: a fixed multiply sequence, with no libm call.
+inline double PowInt(double base, int exponent) {
+  if (exponent <= 0) return 1.0;
   double result = 1.0;
   double b = base;
-  int e = degree;
+  int e = exponent;
   while (true) {
     if ((e & 1) != 0) result *= b;
     e >>= 1;
@@ -134,22 +121,13 @@ inline double PowInt(double base, int degree) {
   return result;
 }
 
-// Canonical dot -> kernel-value transforms. All call sites — scalar
+// Canonical dot -> kernel-value transform. All call sites — scalar
 // single-value evaluation and batched vector transforms — must use exactly
-// these operation orders.
+// this operation order.
 inline double GaussianFromDot(double dot, double norm_i, double norm_j,
                               double gamma) {
   const double arg = (norm_i + norm_j) - (2.0 * dot);
   return Exp((-gamma) * arg);
-}
-
-inline double PolynomialFromDot(double dot, double gamma, double coef0,
-                                int degree) {
-  return PowInt((gamma * dot) + coef0, degree);
-}
-
-inline double SigmoidFromDot(double dot, double gamma, double coef0) {
-  return Tanh((gamma * dot) + coef0);
 }
 
 }  // namespace gmpsvm::simd

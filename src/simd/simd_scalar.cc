@@ -70,20 +70,6 @@ void GaussianTransformScalar(double* out, const double* norms,
   }
 }
 
-void PolyTransformScalar(double* out, int64_t n, double gamma, double coef0,
-                         int degree) {
-  for (int64_t j = 0; j < n; ++j) {
-    out[j] = PolynomialFromDot(out[j], gamma, coef0, degree);
-  }
-}
-
-void SigmoidTransformScalar(double* out, int64_t n, double gamma,
-                            double coef0) {
-  for (int64_t j = 0; j < n; ++j) {
-    out[j] = SigmoidFromDot(out[j], gamma, coef0);
-  }
-}
-
 void CouplingUpdateScalar(double* qp, double* p, const double* qrow, int64_t n,
                           double diff) {
   const double inv = 1.0 / (1.0 + diff);
@@ -127,8 +113,6 @@ const SimdOps* ScalarOpsTable() {
       GatherDotPanelScalar,
       DotScalar,
       GaussianTransformScalar,
-      PolyTransformScalar,
-      SigmoidTransformScalar,
       CouplingUpdateScalar,
       AxpyNegScalar,
       MulNegScalar,

@@ -28,8 +28,8 @@ KernelParams Gaussian(double gamma) {
 SimExecutor Gpu() { return SimExecutor(ExecutorModel::TeslaP100()); }
 
 TEST(LibsvmRefTest, ExecutorModels) {
-  SimExecutor single = MakeLibsvmExecutor(1);
-  SimExecutor omp = MakeLibsvmExecutor(40);
+  SimExecutor single(ExecutorModel::XeonCpu(1));
+  SimExecutor omp(ExecutorModel::XeonCpu(40));
   EXPECT_DOUBLE_EQ(single.model().compute_units, 1.0);
   EXPECT_GT(omp.model().compute_units, single.model().compute_units);
   EXPECT_TRUE(single.model().transfers_are_free);
@@ -37,7 +37,7 @@ TEST(LibsvmRefTest, ExecutorModels) {
 
 TEST(LibsvmRefTest, TrainsAndPredicts) {
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 25, 5, 2.5, 42));
-  SimExecutor cpu = MakeLibsvmExecutor(1);
+  SimExecutor cpu(ExecutorModel::XeonCpu(1));
   LibsvmRefTrainer trainer(1.0, Gaussian(0.3));
   MpTrainReport report;
   auto model = ValueOrDie(trainer.Train(data, &cpu, &report));
@@ -53,8 +53,8 @@ TEST(LibsvmRefTest, TrainsAndPredicts) {
 TEST(LibsvmRefTest, OpenMpModelIsFasterThanSingleThread) {
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 30, 6, 2.0, 7));
   LibsvmRefTrainer trainer(1.0, Gaussian(0.3));
-  SimExecutor single = MakeLibsvmExecutor(1);
-  SimExecutor omp = MakeLibsvmExecutor(40);
+  SimExecutor single(ExecutorModel::XeonCpu(1));
+  SimExecutor omp(ExecutorModel::XeonCpu(40));
   MpTrainReport r1, r40;
   ValueOrDie(trainer.Train(data, &single, &r1));
   ValueOrDie(trainer.Train(data, &omp, &r40));
@@ -135,7 +135,7 @@ TEST(LibsvmRefTest, RejectsInvalidEpsAtOnce) {
   // to max_iterations; the options check refuses such an eps up front.
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 20, 4, 1.5, 19, 1.5));
   for (double eps : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
-    SimExecutor cpu = MakeLibsvmExecutor(1);
+    SimExecutor cpu(ExecutorModel::XeonCpu(1));
     auto result = LibsvmRefTrainer(1.0, Gaussian(0.5), eps)
                       .Train(data, &cpu, nullptr);
     ASSERT_FALSE(result.ok()) << eps;

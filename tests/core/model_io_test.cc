@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "../test_util.h"
+#include "common/string_util.h"
 #include "core/mp_trainer.h"
 #include "core/predictor.h"
 
@@ -242,6 +246,69 @@ TEST(ModelIoTest, MalformedInputsReturnErrorsNeverCrash) {
   for (size_t cut = 0; cut < valid.size(); cut += 16) {
     (void)DeserializeModel(valid.substr(0, cut));
   }
+}
+
+// A model file's text is a format contract. Its kernel line keeps the two
+// numbers `0 3` that files carried when the format named four kernels, so a
+// file written then loads and re-saves byte for byte. The Gaussian is the
+// only kernel now: a file naming another is rejected, with the kernel's name.
+TEST(ModelIoTest, KernelLineFormatContract) {
+  const std::string kernel_line = "kernel gaussian 0.29999999999999999 0 3\n";
+  const std::string text = "gmpsvm_model_v2\n"
+                           "num_classes 3\n"
+                           "c 10\n" +
+                           kernel_line +
+                           "pool 2 4\n"
+                           "svms 3\n"
+                           "svm 0 1 0.125 -2.5 0.0625 2\n"
+                           "0:1 1:-1\n"
+                           "svm 0 2 -0.75 -1.25 0 1\n"
+                           "0:0.5\n"
+                           "svm 1 2 0.5 -3 0.25 1\n"
+                           "1:-0.5\n"
+                           "cascade 3\n"
+                           "0.5 0.25 0.75\n"
+                           "1 0.5 0.5\n"
+                           "0.25 0.125 0.875\n"
+                           "pool_rows 4 17\n"
+                           "0:0.5 2:-1.5\n"
+                           "1:2 3:0.33333333333333331\n";
+  const std::string path = ::testing::TempDir() + "/gmpsvm_format_contract.txt";
+  const auto write = [&path](const std::string& contents) {
+    std::ofstream out(path);
+    out << contents;
+  };
+  const auto read = [](const std::string& file) {
+    std::ifstream in(file);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+
+  write(text);
+  const MpSvmModel model = ValueOrDie(LoadModel(path));
+  EXPECT_EQ(model.kernel.type, KernelType::kGaussian);
+  EXPECT_EQ(model.kernel.gamma, 0.3);
+  const std::string resaved = ::testing::TempDir() + "/gmpsvm_resaved.txt";
+  GMP_CHECK_OK(SaveModel(model, resaved));
+  EXPECT_EQ(read(resaved), text);
+  std::remove(resaved.c_str());
+
+  // Kernel lines as files named the other kernels of Section 2.1.
+  for (const char* line : {"kernel linear 0.29999999999999999 0 3\n",
+                           "kernel polynomial 0.5 1 2\n",
+                           "kernel sigmoid 0.5 -1 3\n"}) {
+    std::string other = text;
+    other.replace(other.find(kernel_line), kernel_line.size(), line);
+    write(other);
+    const Result<MpSvmModel> result = LoadModel(path);
+    ASSERT_FALSE(result.ok()) << line;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << line;
+    const std::string name(SplitTokens(line, " ")[1]);
+    EXPECT_NE(result.status().message().find(name), std::string::npos)
+        << result.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ModelIoTest, LoadMissingFileFails) {

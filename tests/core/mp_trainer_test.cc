@@ -94,7 +94,7 @@ TEST(GmpSvmTrainerTest, MatchesLibsvmReferenceClassifier) {
   SimExecutor gpu = Gpu();
   auto gmp = ValueOrDie(GmpSvmTrainer(SmallGmpOptions()).Train(data, &gpu, nullptr));
 
-  SimExecutor cpu = MakeLibsvmExecutor(1);
+  SimExecutor cpu(ExecutorModel::XeonCpu(1));
   LibsvmRefTrainer libsvm(1.0, Gaussian(0.3));
   auto ref = ValueOrDie(libsvm.Train(data, &cpu, nullptr));
 

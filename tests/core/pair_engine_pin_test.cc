@@ -66,11 +66,18 @@ MpTrainOptions RetryOptions() {
   return options;
 }
 
+ExecutorModel DeviceModel(int host_threads) {
+  ExecutorModel model = ExecutorModel::TeslaP100();
+  model.host_threads = host_threads;
+  return model;
+}
+
 template <typename Trainer>
 Pins TrainSingleDevice(const MpTrainOptions& options,
-                       fault::FaultInjector* injector = nullptr) {
+                       fault::FaultInjector* injector = nullptr,
+                       int host_threads = 1) {
   const Dataset data = Blobs();
-  SimExecutor gpu(ExecutorModel::TeslaP100());
+  SimExecutor gpu(DeviceModel(host_threads));
   gpu.SetFaultInjector(injector);
   MpTrainReport report;
   const MpSvmModel model =
@@ -83,9 +90,8 @@ Pins TrainSingleDevice(const MpTrainOptions& options,
 
 Pins TrainOva(int host_threads) {
   const Dataset data = Blobs();
-  MpTrainOptions options = SmallOptions();
-  options.host_threads = host_threads;
-  SimExecutor gpu(ExecutorModel::TeslaP100());
+  const MpTrainOptions options = SmallOptions();
+  SimExecutor gpu(DeviceModel(host_threads));
   MpTrainReport report;
   const OvaModel model =
       ValueOrDie(OvaTrainer(options).Train(data, &gpu, &report));
@@ -631,22 +637,20 @@ const char kWarmRetrainChaos[] =
     "warm_seeded_rows=138 ";
 
 TEST(PairEnginePinTest, SequentialSerialAndForkJoin) {
-  MpTrainOptions options = SmallOptions();
-  options.host_threads = 1;
+  const MpTrainOptions options = SmallOptions();
   ExpectPins(kSequentialThreads1,
-             TrainSingleDevice<SequentialMpTrainer>(options));
-  options.host_threads = 4;
+             TrainSingleDevice<SequentialMpTrainer>(options, nullptr, 1));
   ExpectPins(kSequentialThreads4,
-             TrainSingleDevice<SequentialMpTrainer>(options));
+             TrainSingleDevice<SequentialMpTrainer>(options, nullptr, 4));
 }
 
 TEST(PairEnginePinTest, GmpSerialAndForkJoin) {
   MpTrainOptions options = SmallOptions();
   options.share_kernel_blocks = false;
-  options.host_threads = 1;
-  ExpectPins(kGmpThreads1, TrainSingleDevice<GmpSvmTrainer>(options));
-  options.host_threads = 4;
-  ExpectPins(kGmpThreads4, TrainSingleDevice<GmpSvmTrainer>(options));
+  ExpectPins(kGmpThreads1,
+             TrainSingleDevice<GmpSvmTrainer>(options, nullptr, 1));
+  ExpectPins(kGmpThreads4,
+             TrainSingleDevice<GmpSvmTrainer>(options, nullptr, 4));
 }
 
 TEST(PairEnginePinTest, OvaSerialAndForkJoin) {
@@ -724,11 +728,10 @@ TEST(PairEnginePinTest, ClusterShardedPairsUnderChaos) {
 TEST(PairEnginePinTest, ClusterDevicesForkJoin) {
   const Dataset data = Blobs();
   cluster::SimCluster cluster =
-      cluster::SimCluster::Homogeneous(2, ExecutorModel::TeslaP100());
+      cluster::SimCluster::Homogeneous(2, DeviceModel(4));
   cluster::ClusterTrainOptions options;
   options.train = SmallOptions();
   options.train.share_kernel_blocks = false;
-  options.train.host_threads = 4;
   cluster::ClusterTrainReport report;
   const MpSvmModel model = ValueOrDie(
       cluster::ClusterTrainer(options).Train(data, &cluster, &report));

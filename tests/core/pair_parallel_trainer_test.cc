@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "../test_util.h"
 #include "core/model_io.h"
@@ -20,36 +21,38 @@ namespace {
 
 using ::gmpsvm::testing::MakeMulticlassBlobs;
 
-MpTrainOptions Options(int host_threads) {
+MpTrainOptions Options() {
   MpTrainOptions options;
   options.kernel.gamma = 0.3;
   options.batch.working_set.ws_size = 32;
   options.batch.working_set.q = 16;
   options.max_concurrent_svms = 4;
   options.shared_cache_bytes = 64ull << 20;
-  options.host_threads = host_threads;
   return options;
+}
+
+SimExecutor Gpu(int host_threads) {
+  ExecutorModel model = ExecutorModel::TeslaP100();
+  model.host_threads = host_threads;
+  return SimExecutor(std::move(model));
 }
 
 TEST(PairParallelTrainerTest, GmpMatchesSerial) {
   // share_kernel_blocks off puts every pair on its own satellite executor;
   // four worker threads solve the six pairs of group 0 concurrently.
   auto data = ValueOrDie(MakeMulticlassBlobs(4, 20, 5, 2.0, 42));
-  MpTrainOptions serial_options = Options(1);
-  serial_options.share_kernel_blocks = false;
-  MpTrainOptions parallel_options = Options(4);
-  parallel_options.share_kernel_blocks = false;
+  MpTrainOptions options = Options();
+  options.share_kernel_blocks = false;
 
-  SimExecutor serial_exec(ExecutorModel::TeslaP100());
+  SimExecutor serial_exec = Gpu(1);
   MpTrainReport serial_report;
   auto serial_model = ValueOrDie(
-      GmpSvmTrainer(serial_options).Train(data, &serial_exec, &serial_report));
+      GmpSvmTrainer(options).Train(data, &serial_exec, &serial_report));
 
-  SimExecutor parallel_exec(ExecutorModel::TeslaP100());
+  SimExecutor parallel_exec = Gpu(4);
   MpTrainReport parallel_report;
-  auto parallel_model = ValueOrDie(GmpSvmTrainer(parallel_options)
-                                       .Train(data, &parallel_exec,
-                                              &parallel_report));
+  auto parallel_model = ValueOrDie(
+      GmpSvmTrainer(options).Train(data, &parallel_exec, &parallel_report));
 
   EXPECT_EQ(SerializeModel(parallel_model), SerializeModel(serial_model));
   EXPECT_EQ(parallel_report.sim_seconds, serial_report.sim_seconds);
@@ -65,28 +68,28 @@ TEST(PairParallelTrainerTest, GmpWithSharedCacheStaysCorrect) {
   // hit/miss accounting is schedule-dependent) but op-level threading stays
   // active; results must still match the serial run.
   auto data = ValueOrDie(MakeMulticlassBlobs(4, 20, 5, 2.0, 42));
-  SimExecutor serial_exec(ExecutorModel::TeslaP100());
+  SimExecutor serial_exec = Gpu(1);
   MpTrainReport serial_report;
   auto serial_model = ValueOrDie(
-      GmpSvmTrainer(Options(1)).Train(data, &serial_exec, &serial_report));
-  SimExecutor parallel_exec(ExecutorModel::TeslaP100());
+      GmpSvmTrainer(Options()).Train(data, &serial_exec, &serial_report));
+  SimExecutor parallel_exec = Gpu(4);
   MpTrainReport parallel_report;
   auto parallel_model = ValueOrDie(
-      GmpSvmTrainer(Options(4)).Train(data, &parallel_exec, &parallel_report));
+      GmpSvmTrainer(Options()).Train(data, &parallel_exec, &parallel_report));
   EXPECT_EQ(SerializeModel(parallel_model), SerializeModel(serial_model));
   EXPECT_EQ(parallel_report.sim_seconds, serial_report.sim_seconds);
 }
 
 TEST(PairParallelTrainerTest, SequentialMatchesSerial) {
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 24, 5, 2.0, 17));
-  SimExecutor serial_exec(ExecutorModel::TeslaP100());
+  SimExecutor serial_exec = Gpu(1);
   MpTrainReport serial_report;
-  auto serial_model = ValueOrDie(SequentialMpTrainer(Options(1))
+  auto serial_model = ValueOrDie(SequentialMpTrainer(Options())
                                      .Train(data, &serial_exec, &serial_report));
-  SimExecutor parallel_exec(ExecutorModel::TeslaP100());
+  SimExecutor parallel_exec = Gpu(4);
   MpTrainReport parallel_report;
   auto parallel_model =
-      ValueOrDie(SequentialMpTrainer(Options(4))
+      ValueOrDie(SequentialMpTrainer(Options())
                      .Train(data, &parallel_exec, &parallel_report));
   EXPECT_EQ(SerializeModel(parallel_model), SerializeModel(serial_model));
   EXPECT_EQ(parallel_report.sim_seconds, serial_report.sim_seconds);
@@ -96,8 +99,8 @@ TEST(PairParallelTrainerTest, SequentialMatchesSerial) {
 TEST(PairParallelTrainerTest, OvaMatchesSerial) {
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 20, 5, 2.0, 23));
   auto train = [&data](int threads, MpTrainReport* report) {
-    SimExecutor exec(ExecutorModel::TeslaP100());
-    return ValueOrDie(OvaTrainer(Options(threads)).Train(data, &exec, report));
+    SimExecutor exec = Gpu(threads);
+    return ValueOrDie(OvaTrainer(Options()).Train(data, &exec, report));
   };
   MpTrainReport serial_report, parallel_report;
   OvaModel serial_model = train(1, &serial_report);
@@ -114,16 +117,17 @@ TEST(PairParallelTrainerTest, OvaMatchesSerial) {
 }
 
 TEST(PairParallelTrainerTest, ChaosFallsBackToSerialAndStaysDeterministic) {
-  // A fault injector forces the serial pair path even when host_threads > 1;
+  // A fault injector forces the serial pair path even with more than one
+  // host thread;
   // the chaotic model must match the chaotic serial model byte for byte.
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 20, 5, 2.0, 31));
   fault::FaultPlan plan = fault::FaultPlan::Chaos(5);
   plan.kernel_row_fail_prob = 0.3;
 
   auto run = [&](int threads) {
-    MpTrainOptions options = Options(threads);
+    MpTrainOptions options = Options();
     options.share_kernel_blocks = false;
-    SimExecutor exec(ExecutorModel::TeslaP100());
+    SimExecutor exec = Gpu(threads);
     fault::FaultInjector injector(plan);
     exec.SetFaultInjector(&injector);
     return SerializeModel(

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,13 @@ Pins PredictPins(const PredictOptions& options, int host_threads) {
   ExecutorModel device = ExecutorModel::TeslaP100();
   device.host_threads = host_threads;
   SimExecutor exec(device);
-  simd::ResetPathStats();
+  constexpr simd::SimdPath kPaths[] = {
+      simd::SimdPath::kBatchRowDots, simd::SimdPath::kScatterRowDots,
+      simd::SimdPath::kKernelTransform, simd::SimdPath::kCoupling};
+  simd::PathStatsSnapshot before[std::size(kPaths)];
+  for (size_t i = 0; i < std::size(kPaths); ++i) {
+    before[i] = simd::PathStats(kPaths[i]);
+  }
   const PredictResult result =
       ValueOrDie(MpSvmPredictor(&fx.model).Predict(fx.test, &exec, options));
 
@@ -112,13 +119,12 @@ Pins PredictPins(const PredictOptions& options, int host_threads) {
   pins.Count("cascade.pairs_evaluated", result.cascade_pairs_evaluated);
   pins.Count("cascade.classes_eliminated", result.cascade_classes_eliminated);
 
-  for (simd::SimdPath path :
-       {simd::SimdPath::kBatchRowDots, simd::SimdPath::kScatterRowDots,
-        simd::SimdPath::kKernelTransform, simd::SimdPath::kCoupling}) {
-    const simd::PathStatsSnapshot stats = simd::PathStats(path);
-    const std::string name = simd::SimdPathName(path);
-    pins.Count("simd." + name + ".calls", stats.calls);
-    pins.Count("simd." + name + ".elements", stats.elements);
+  for (size_t i = 0; i < std::size(kPaths); ++i) {
+    const simd::PathStatsSnapshot stats = simd::PathStats(kPaths[i]);
+    const std::string name = simd::SimdPathName(kPaths[i]);
+    pins.Count("simd." + name + ".calls", stats.calls - before[i].calls);
+    pins.Count("simd." + name + ".elements",
+               stats.elements - before[i].elements);
   }
   return pins;
 }

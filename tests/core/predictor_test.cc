@@ -262,7 +262,8 @@ TEST(MpSvmPredictorTest, PlattPathCountsOneCallPerFullPanel) {
     for (bool share : {true, false}) {
       for (bool iterative : {false, true}) {
         for (int64_t tile : {n, int64_t{6}}) {
-          simd::ResetPathStats();
+          const simd::PathStatsSnapshot before =
+              simd::PathStats(simd::SimdPath::kPlatt);
           SimExecutor exec = Gpu();
           PredictOptions options;
           options.share_kernel_values = share;
@@ -274,29 +275,29 @@ TEST(MpSvmPredictorTest, PlattPathCountsOneCallPerFullPanel) {
               share && !iterative ? (n / tile) * (tile / simd::kPanelRows) +
                                         (n % tile) / simd::kPanelRows
                                   : 0;
-          const simd::PathStatsSnapshot stats =
+          const simd::PathStatsSnapshot after =
               simd::PathStats(simd::SimdPath::kPlatt);
+          const int64_t elements = after.elements - before.elements;
           const std::string what =
               StrPrintf("tier=%s share=%d iterative=%d tile=%lld",
                         simd::TierName(tier), share, iterative,
                         static_cast<long long>(tile));
-          EXPECT_EQ(stats.calls, panels) << what;
-          EXPECT_EQ(stats.elements, panels * pairs * simd::kPanelRows) << what;
-          EXPECT_EQ(stats.flops, 10.0 * static_cast<double>(stats.elements))
+          EXPECT_EQ(after.calls - before.calls, panels) << what;
+          EXPECT_EQ(elements, panels * pairs * simd::kPanelRows) << what;
+          EXPECT_EQ(after.flops - before.flops,
+                    10.0 * static_cast<double>(elements))
               << what;
         }
       }
     }
   }
-  simd::ResetPathStats();
 }
 
 TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
-  // A NaN feature makes every pairwise estimate of its row NaN, under the
-  // linear and the Gaussian kernel and on every SIMD tier, and the coupling
-  // solve rejects it. Rows 2 and 5 fail; whatever the kernel, tier, tiling,
-  // thread count or path, Predict returns row 2's status. At tiles 0 and 6
-  // row 2 is a lane of a full panel's coupling solve.
+  // A NaN feature makes every pairwise estimate of its row NaN on every SIMD
+  // tier, and the coupling solve rejects it. Rows 2 and 5 fail; whatever the
+  // tier, tiling, thread count or path, Predict returns row 2's status. At
+  // tiles 0 and 6 row 2 is a lane of a full panel's coupling solve.
   TrainedFixture fx = MakeFixture(3, 89);
   const CsrMatrix& clean = fx.test.features();
   CsrBuilder builder(clean.cols());
@@ -306,29 +307,26 @@ TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
     builder.AddRow(clean.RowIndices(i), values);
   }
   const CsrMatrix poisoned = ValueOrDie(builder.Finish());
-  for (KernelType type : {KernelType::kLinear, KernelType::kGaussian}) {
-    fx.model.kernel.type = type;
-    for (simd::SimdTier tier : testing::SupportedTiers()) {
-      const testing::ScopedSimdTier scope(tier);
-      for (int threads : {1, 4}) {
-        for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{6}}) {
-          for (bool cascade : {false, true}) {
-            const std::string what = StrPrintf(
-                "kernel=%d tier=%s threads=%d tile=%lld cascade=%d",
-                static_cast<int>(type), simd::TierName(tier), threads,
-                static_cast<long long>(tile), cascade);
-            ExecutorModel device = ExecutorModel::TeslaP100();
-            device.host_threads = threads;
-            SimExecutor exec(device);
-            PredictOptions options;
-            options.tile_rows = tile;
-            if (cascade) options.cascade.mode = CascadeOptions::Mode::kEliminate;
-            auto result = MpSvmPredictor(&fx.model).Predict(poisoned, &exec, options);
-            ASSERT_FALSE(result.ok()) << what;
-            EXPECT_TRUE(result.status().IsInvalidArgument()) << what;
-            EXPECT_EQ(result.status().message().rfind("row 2: ", 0), 0u)
-                << what << ": " << result.status().ToString();
-          }
+  for (simd::SimdTier tier : testing::SupportedTiers()) {
+    const testing::ScopedSimdTier scope(tier);
+    for (int threads : {1, 4}) {
+      for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{6}}) {
+        for (bool cascade : {false, true}) {
+          const std::string what =
+              StrPrintf("tier=%s threads=%d tile=%lld cascade=%d",
+                        simd::TierName(tier), threads,
+                        static_cast<long long>(tile), cascade);
+          ExecutorModel device = ExecutorModel::TeslaP100();
+          device.host_threads = threads;
+          SimExecutor exec(device);
+          PredictOptions options;
+          options.tile_rows = tile;
+          if (cascade) options.cascade.mode = CascadeOptions::Mode::kEliminate;
+          auto result = MpSvmPredictor(&fx.model).Predict(poisoned, &exec, options);
+          ASSERT_FALSE(result.ok()) << what;
+          EXPECT_TRUE(result.status().IsInvalidArgument()) << what;
+          EXPECT_EQ(result.status().message().rfind("row 2: ", 0), 0u)
+              << what << ": " << result.status().ToString();
         }
       }
     }

@@ -240,9 +240,10 @@ void ExpectForkJoinResumeIsByteIdentical(const std::string& dir_name) {
       << interrupted.status().ToString();
 
   options.checkpoint.resume = true;
-  options.host_threads = 4;
   options.share_kernel_blocks = false;
-  SimExecutor resume_gpu(ExecutorModel::TeslaP100());
+  ExecutorModel four_threads = ExecutorModel::TeslaP100();
+  four_threads.host_threads = 4;
+  SimExecutor resume_gpu(four_threads);
   MpTrainReport report;
   auto resumed =
       ValueOrDie(Trainer(options).Train(data, &resume_gpu, &report));

@@ -107,11 +107,5 @@ TEST(AutoscalerTest, DeterministicForTheSameObservationSequence) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(AutoscalerTest, DecisionNames) {
-  EXPECT_STREQ(ScaleDecisionName(ScaleDecision::kHold), "hold");
-  EXPECT_STREQ(ScaleDecisionName(ScaleDecision::kScaleUp), "scale-up");
-  EXPECT_STREQ(ScaleDecisionName(ScaleDecision::kScaleDown), "scale-down");
-}
-
 }  // namespace
 }  // namespace gmpsvm::fleet

@@ -81,22 +81,17 @@ std::string PhasesText(const PhaseTimer& phases) {
 
 enum class Trainer { kGmp, kGmpUnsharedCache, kSequential };
 
-// Trains + predicts one proxy at a given thread count. `via_options` routes
-// the knob through MpTrainOptions::host_threads, otherwise through
-// ExecutorModel::host_threads — both spellings must behave identically.
+// Trains + predicts one proxy at a given thread count
+// (ExecutorModel::host_threads).
 RunOutput TrainPredict(const Proxy& proxy, Trainer trainer, int host_threads,
-              bool via_options, fault::FaultPlan* plan) {
+                       fault::FaultPlan* plan) {
   auto data = ValueOrDie(MakeMulticlassBlobs(proxy.k, proxy.n_per_class,
                                              proxy.dim, proxy.separation,
                                              proxy.seed));
   MpTrainOptions options = BaseOptions();
   if (trainer == Trainer::kGmpUnsharedCache) options.share_kernel_blocks = false;
   ExecutorModel model = ExecutorModel::TeslaP100();
-  if (via_options) {
-    options.host_threads = host_threads;
-  } else {
-    model.host_threads = host_threads;
-  }
+  model.host_threads = host_threads;
   SimExecutor exec(std::move(model));
   obs::TraceRecorder trace;
   exec.SetSpanRecorder(&trace);
@@ -174,11 +169,10 @@ void ExpectSameRun(const RunOutput& base, const RunOutput& other,
 
 TEST(HostDeterminismTest, GmpTrainerInvariantAcrossThreadCounts) {
   for (const Proxy& proxy : kProxies) {
-    RunOutput base = TrainPredict(proxy, Trainer::kGmp, 1, /*via_options=*/true, nullptr);
+    RunOutput base = TrainPredict(proxy, Trainer::kGmp, 1, nullptr);
     for (int threads : {2, 8}) {
       ExpectSameRun(base,
-                    TrainPredict(proxy, Trainer::kGmp, threads, /*via_options=*/true,
-                        nullptr),
+                    TrainPredict(proxy, Trainer::kGmp, threads, nullptr),
                     std::string(proxy.name) + " gmp threads=" +
                         std::to_string(threads));
     }
@@ -190,11 +184,10 @@ TEST(HostDeterminismTest, GmpPairParallelInvariantAcrossThreadCounts) {
   // parallelism (satellite executors + event replay), the strongest case.
   for (const Proxy& proxy : kProxies) {
     RunOutput base =
-        TrainPredict(proxy, Trainer::kGmpUnsharedCache, 1, /*via_options=*/true, nullptr);
+        TrainPredict(proxy, Trainer::kGmpUnsharedCache, 1, nullptr);
     for (int threads : {2, 8}) {
       ExpectSameRun(base,
-                    TrainPredict(proxy, Trainer::kGmpUnsharedCache, threads,
-                        /*via_options=*/true, nullptr),
+                    TrainPredict(proxy, Trainer::kGmpUnsharedCache, threads, nullptr),
                     std::string(proxy.name) + " gmp-nocache threads=" +
                         std::to_string(threads));
     }
@@ -204,25 +197,15 @@ TEST(HostDeterminismTest, GmpPairParallelInvariantAcrossThreadCounts) {
 TEST(HostDeterminismTest, SequentialTrainerInvariantAcrossThreadCounts) {
   for (const Proxy& proxy : kProxies) {
     RunOutput base =
-        TrainPredict(proxy, Trainer::kSequential, 1, /*via_options=*/true, nullptr);
+        TrainPredict(proxy, Trainer::kSequential, 1, nullptr);
     for (int threads : {2, 8}) {
       ExpectSameRun(base,
-                    TrainPredict(proxy, Trainer::kSequential, threads,
-                        /*via_options=*/true, nullptr),
+                    TrainPredict(proxy, Trainer::kSequential, threads, nullptr),
                     std::string(proxy.name) + " seq threads=" +
                         std::to_string(threads),
                     /*exact_phases=*/false);
     }
   }
-}
-
-TEST(HostDeterminismTest, ExecutorModelKnobMatchesOptionsKnob) {
-  const Proxy& proxy = kProxies[0];
-  RunOutput via_options =
-      TrainPredict(proxy, Trainer::kGmpUnsharedCache, 8, /*via_options=*/true, nullptr);
-  RunOutput via_model =
-      TrainPredict(proxy, Trainer::kGmpUnsharedCache, 8, /*via_options=*/false, nullptr);
-  ExpectSameRun(via_options, via_model, "options-vs-model knob");
 }
 
 TEST(HostDeterminismTest, ChaosRunsInvariantAcrossThreadCounts) {
@@ -235,10 +218,10 @@ TEST(HostDeterminismTest, ChaosRunsInvariantAcrossThreadCounts) {
   plan.latency_spike_prob = 0.25;
   const Proxy& proxy = kProxies[0];
   fault::FaultPlan p1 = plan, p2 = plan, p3 = plan;
-  RunOutput base = TrainPredict(proxy, Trainer::kGmp, 1, /*via_options=*/true, &p1);
-  ExpectSameRun(base, TrainPredict(proxy, Trainer::kGmp, 2, /*via_options=*/true, &p2),
+  RunOutput base = TrainPredict(proxy, Trainer::kGmp, 1, &p1);
+  ExpectSameRun(base, TrainPredict(proxy, Trainer::kGmp, 2, &p2),
                 "chaos threads=2");
-  ExpectSameRun(base, TrainPredict(proxy, Trainer::kGmp, 8, /*via_options=*/true, &p3),
+  ExpectSameRun(base, TrainPredict(proxy, Trainer::kGmp, 8, &p3),
                 "chaos threads=8");
 }
 
@@ -253,7 +236,7 @@ TEST(HostDeterminismTest, SimdTierInvariantEndToEnd) {
   const Proxy& proxy = kProxies[0];
   const auto run_on = [&](simd::SimdTier tier) {
     const testing::ScopedSimdTier scope(tier);
-    return TrainPredict(proxy, Trainer::kGmp, 2, /*via_options=*/true, nullptr);
+    return TrainPredict(proxy, Trainer::kGmp, 2, nullptr);
   };
   RunOutput scalar_run = run_on(simd::SimdTier::kScalar);
   RunOutput vector_run = run_on(simd::DetectBestTier());
@@ -266,8 +249,9 @@ TEST(HostDeterminismTest, OvaTrainerInvariantAcrossThreadCounts) {
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 24, 5, 2.0, 29));
   auto run = [&](int threads) {
     MpTrainOptions options = BaseOptions();
-    options.host_threads = threads;
-    SimExecutor exec(ExecutorModel::TeslaP100());
+    ExecutorModel device = ExecutorModel::TeslaP100();
+    device.host_threads = threads;
+    SimExecutor exec(std::move(device));
     MpTrainReport report;
     auto model = ValueOrDie(OvaTrainer(options).Train(data, &exec, &report));
     auto pred = ValueOrDie(OvaPredict(model, data.features(), &exec));

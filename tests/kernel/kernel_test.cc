@@ -56,42 +56,19 @@ TEST(KernelFunctionTest, GaussianSymmetricAndBounded) {
   }
 }
 
-TEST(KernelFunctionTest, Linear) {
-  KernelParams p;
-  p.type = KernelType::kLinear;
-  KernelFunction fn(p);
-  EXPECT_DOUBLE_EQ(fn.FromDot(2.5, 1, 1), 2.5);
-  EXPECT_DOUBLE_EQ(fn.SelfKernel(4.0), 4.0);
-}
-
-TEST(KernelFunctionTest, Polynomial) {
-  KernelParams p;
-  p.type = KernelType::kPolynomial;
-  p.gamma = 2.0;
-  p.coef0 = 1.0;
-  p.degree = 3;
-  KernelFunction fn(p);
-  EXPECT_DOUBLE_EQ(fn.FromDot(0.5, 1, 1), std::pow(2.0 * 0.5 + 1.0, 3));
-}
-
-TEST(KernelFunctionTest, Sigmoid) {
-  KernelParams p;
-  p.type = KernelType::kSigmoid;
-  p.gamma = 0.5;
-  p.coef0 = -1.0;
-  KernelFunction fn(p);
-  EXPECT_DOUBLE_EQ(fn.FromDot(2.0, 1, 1), std::tanh(0.0));
-}
-
 TEST(KernelTypeStringTest, RoundTrip) {
-  for (KernelType t : {KernelType::kGaussian, KernelType::kLinear,
-                       KernelType::kPolynomial, KernelType::kSigmoid}) {
-    auto back = KernelTypeFromString(KernelTypeToString(t));
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(*back, t);
-  }
+  auto back = KernelTypeFromString(KernelTypeToString(KernelType::kGaussian));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, KernelType::kGaussian);
   EXPECT_TRUE(KernelTypeFromString("rbf").ok());
   EXPECT_FALSE(KernelTypeFromString("bogus").ok());
+  // The Gaussian is the only kernel: the other names of Section 2.1 are
+  // unknown.
+  for (const char* name : {"linear", "polynomial", "poly", "sigmoid"}) {
+    auto other = KernelTypeFromString(name);
+    ASSERT_FALSE(other.ok()) << name;
+    EXPECT_TRUE(other.status().IsInvalidArgument()) << name;
+  }
 }
 
 TEST(KernelComputerTest, BlockMatchesPointwise) {
@@ -160,17 +137,12 @@ TEST(KernelComputerTest, GaussianDiagonalIsOne) {
 
 TEST(KernelComputerTest, MercerSymmetry) {
   CsrMatrix x = RandomSparse(12, 6, 0.5, 17);
-  for (KernelType t : {KernelType::kGaussian, KernelType::kLinear,
-                       KernelType::kPolynomial, KernelType::kSigmoid}) {
-    KernelParams p;
-    p.type = t;
-    p.gamma = 0.4;
-    p.coef0 = 0.5;
-    KernelComputer kc(&x, p);
-    for (int64_t i = 0; i < 12; ++i) {
-      for (int64_t j = i + 1; j < 12; ++j) {
-        EXPECT_NEAR(kc.Compute(i, j), kc.Compute(j, i), 1e-12);
-      }
+  KernelParams p;
+  p.gamma = 0.4;
+  KernelComputer kc(&x, p);
+  for (int64_t i = 0; i < 12; ++i) {
+    for (int64_t j = i + 1; j < 12; ++j) {
+      EXPECT_NEAR(kc.Compute(i, j), kc.Compute(j, i), 1e-12);
     }
   }
 }
@@ -212,19 +184,14 @@ TEST(DenseKernelComputerTest, ChargesMoreThanSparseOnSparseData) {
   EXPECT_GT(dense_exec.counters().flops, 3.0 * sparse_exec.counters().flops);
 }
 
-// Property sweep: batched block equals pointwise evaluation for every kernel
-// type at several hyper-parameter settings.
-class KernelBlockParamTest
-    : public ::testing::TestWithParam<std::tuple<KernelType, double>> {};
+// Property sweep: batched block equals pointwise evaluation at several
+// kernel widths.
+class KernelBlockParamTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(KernelBlockParamTest, BlockEqualsPointwise) {
-  auto [type, gamma] = GetParam();
   CsrMatrix x = RandomSparse(18, 7, 0.5, 77);
   KernelParams p;
-  p.type = type;
-  p.gamma = gamma;
-  p.coef0 = 0.25;
-  p.degree = 2;
+  p.gamma = GetParam();
   KernelComputer kc(&x, p);
   SimExecutor exec = MakeExecutor();
 
@@ -240,12 +207,8 @@ TEST_P(KernelBlockParamTest, BlockEqualsPointwise) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllKernels, KernelBlockParamTest,
-    ::testing::Combine(::testing::Values(KernelType::kGaussian, KernelType::kLinear,
-                                         KernelType::kPolynomial,
-                                         KernelType::kSigmoid),
-                       ::testing::Values(0.03, 0.5, 2.0)));
+INSTANTIATE_TEST_SUITE_P(Gammas, KernelBlockParamTest,
+                         ::testing::Values(0.03, 0.5, 2.0));
 
 }  // namespace
 }  // namespace gmpsvm

@@ -73,8 +73,7 @@ void WriteDriftDelta(const Dataset& base, const std::string& dir) {
   GMP_CHECK_OK(SaveDelta(delta, dir + "/000_drift.delta"));
 }
 
-RetrainDaemonOptions BaseOptions(const std::string& delta_dir,
-                                 int host_threads) {
+RetrainDaemonOptions BaseOptions(const std::string& delta_dir) {
   RetrainDaemonOptions options;
   options.delta_dir = delta_dir;
   options.drift.window = 128;
@@ -84,7 +83,6 @@ RetrainDaemonOptions BaseOptions(const std::string& delta_dir,
   // relabeled rows; the candidate-vs-incumbent Brier gate is the guard.
   options.canary.tolerance = 1.0;
   options.retrain.train = SmallOptions();
-  options.retrain.train.host_threads = host_threads;
   options.requests_per_round = 64;
   return options;
 }
@@ -97,13 +95,15 @@ struct RunOutcome {
 RunOutcome RunDaemon(const Dataset& base, const std::string& delta_dir,
                      int devices, int host_threads,
                      std::optional<uint64_t> chaos_seed) {
-  RetrainDaemonOptions options = BaseOptions(delta_dir, host_threads);
+  RetrainDaemonOptions options = BaseOptions(delta_dir);
   if (chaos_seed.has_value()) {
     options.fault = fault::FaultPlan::Chaos(*chaos_seed);
     options.retrain.fault = fault::FaultPlan::Chaos(*chaos_seed);
   }
+  ExecutorModel device = ExecutorModel::TeslaP100();
+  device.host_threads = host_threads;
   cluster::SimCluster cluster =
-      cluster::SimCluster::Homogeneous(devices, ExecutorModel::TeslaP100());
+      cluster::SimCluster::Homogeneous(devices, device);
   ModelRegistry registry;
   RetrainDaemon daemon(options, &registry, &cluster);
   RunOutcome outcome;
@@ -193,7 +193,7 @@ TEST(RetrainDaemonTest, CanaryRejectionRollsBackWithZeroDroppedRequests) {
   const std::string dir = FreshDir("daemon_canary_rollback");
   WriteDriftDelta(base, dir);
 
-  RetrainDaemonOptions options = BaseOptions(dir, 1);
+  RetrainDaemonOptions options = BaseOptions(dir);
   options.canary.tolerance = 0.0;  // any probability movement fails the gate
   cluster::SimCluster cluster =
       cluster::SimCluster::Homogeneous(1, ExecutorModel::TeslaP100());
@@ -224,7 +224,7 @@ TEST(RetrainDaemonTest, ValidatorRejectionRollsBackWithZeroDroppedRequests) {
   const std::string dir = FreshDir("daemon_validator_rollback");
   WriteDriftDelta(base, dir);
 
-  RetrainDaemonOptions options = BaseOptions(dir, 1);
+  RetrainDaemonOptions options = BaseOptions(dir);
   cluster::SimCluster cluster =
       cluster::SimCluster::Homogeneous(1, ExecutorModel::TeslaP100());
   ModelRegistry registry;
@@ -251,7 +251,7 @@ TEST(RetrainDaemonTest, UnreadableDeltaIsSkippedAndServingContinues) {
   const std::string dir = FreshDir("daemon_delta_fault");
   WriteDriftDelta(base, dir);
 
-  RetrainDaemonOptions options = BaseOptions(dir, 1);
+  RetrainDaemonOptions options = BaseOptions(dir);
   options.fault = fault::FaultPlan{};
   options.fault->delta_parse_fail_prob = 1.0;
   options.fault->max_consecutive_per_site = 0;  // never force a success
@@ -279,7 +279,7 @@ TEST(RetrainDaemonTest, PublishesDriftAndOnlineSeries) {
   WriteDriftDelta(base, dir);
 
   obs::MetricsRegistry metrics;
-  RetrainDaemonOptions options = BaseOptions(dir, 1);
+  RetrainDaemonOptions options = BaseOptions(dir);
   options.metrics = &metrics;
   options.drift.metrics = &metrics;
   cluster::SimCluster cluster =
@@ -314,7 +314,7 @@ TEST(RetrainDaemonOptionsTest, ValidateRejectsBadFields) {
 
 TEST(RetrainDaemonTest, MissingDeltaDirIsIoError) {
   Dataset base = SmallBase();
-  RetrainDaemonOptions options = BaseOptions("/nonexistent/deltas", 1);
+  RetrainDaemonOptions options = BaseOptions("/nonexistent/deltas");
   cluster::SimCluster cluster =
       cluster::SimCluster::Homogeneous(1, ExecutorModel::TeslaP100());
   ModelRegistry registry;

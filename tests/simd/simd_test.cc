@@ -108,9 +108,6 @@ TEST(SimdMathTest, ExpMatchesStdExpClosely) {
   EXPECT_EQ(simd::Exp(0.0), 1.0);
   EXPECT_EQ(simd::Exp(800.0), std::numeric_limits<double>::infinity());
   EXPECT_EQ(simd::Exp(-800.0), 0.0);
-  EXPECT_EQ(simd::Tanh(0.0), 0.0);
-  EXPECT_EQ(simd::Tanh(100.0), 1.0);
-  EXPECT_EQ(simd::Tanh(-100.0), -1.0);
   EXPECT_EQ(simd::PowInt(2.0, 10), 1024.0);
   EXPECT_EQ(simd::PowInt(5.0, 0), 1.0);
 }
@@ -206,13 +203,12 @@ TEST(SimdTierIdentityTest, GatherDotPanelIsPerRowGatherDotOnEveryTier) {
 }
 
 TEST(SimdTierIdentityTest, NanPropagatesThroughTransformsOnEveryTier) {
-  // A NaN feature reaches the kernel transforms as a NaN dot product or
+  // A NaN feature reaches the kernel transform as a NaN dot product or
   // norm. Every tier must return NaN for it, so coupling rejects the row
   // whichever tier ran; the AVX2 exp clamp once turned NaN into a finite
   // value.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(std::isnan(simd::Exp(nan)));
-  EXPECT_TRUE(std::isnan(simd::Tanh(nan)));
   for (SimdTier tier : SupportedTiers()) {
     const SimdOps& ops = simd::OpsFor(tier);
     // Nine values: a full vector pass plus a scalar tail on every tier.
@@ -220,15 +216,12 @@ TEST(SimdTierIdentityTest, NanPropagatesThroughTransformsOnEveryTier) {
     std::vector<int32_t> targets(9);
     for (int32_t j = 0; j < 9; ++j) targets[static_cast<size_t>(j)] = j;
     for (size_t at : {size_t{0}, size_t{3}, size_t{8}}) {
-      std::vector<double> g(9, 0.5), s(9, 0.5);
+      std::vector<double> g(9, 0.5);
       g[at] = nan;
-      s[at] = nan;
       ops.gaussian_transform(g.data(), norms.data(), targets.data(), 9, 1.0,
                              0.5);
-      ops.sigmoid_transform(s.data(), 9, 0.5, 0.1);
       for (size_t j = 0; j < 9; ++j) {
         EXPECT_EQ(std::isnan(g[j]), j == at) << ops.name << " gaussian " << j;
-        EXPECT_EQ(std::isnan(s[j]), j == at) << ops.name << " sigmoid " << j;
       }
       // A NaN norm (the row's own or a target's) poisons the same way.
       std::vector<double> bad_norms = norms;
@@ -258,42 +251,24 @@ TEST(SimdTierIdentityTest, TransformsBitwiseAcrossTiersAndMatchFromDot) {
     for (auto& v : targets) {
       v = static_cast<int32_t>(rng.Uniform(0.0, 64.0)) % 64;
     }
-    const double norm_row = 1.7, gamma = 0.35, coef0 = 0.25;
-    const int degree = 3;
+    const double norm_row = 1.7, gamma = 0.35;
 
-    // Scalar references straight from FromDot (the arithmetic definition).
+    // Scalar reference straight from FromDot (the arithmetic definition).
     KernelParams gp;
-    gp.type = KernelType::kGaussian;
     gp.gamma = gamma;
-    KernelParams pp;
-    pp.type = KernelType::kPolynomial;
-    pp.gamma = gamma;
-    pp.coef0 = coef0;
-    pp.degree = degree;
-    KernelParams sp;
-    sp.type = KernelType::kSigmoid;
-    sp.gamma = gamma;
-    sp.coef0 = coef0;
-    std::vector<double> want_g(static_cast<size_t>(n)),
-        want_p(static_cast<size_t>(n)), want_s(static_cast<size_t>(n));
+    std::vector<double> want_g(static_cast<size_t>(n));
     for (int64_t j = 0; j < n; ++j) {
       const size_t sj = static_cast<size_t>(j);
       want_g[sj] = KernelFunction(gp).FromDot(
           dots[sj], norm_row, norms[static_cast<size_t>(targets[sj])]);
-      want_p[sj] = KernelFunction(pp).FromDot(dots[sj], 0, 0);
-      want_s[sj] = KernelFunction(sp).FromDot(dots[sj], 0, 0);
     }
 
     for (SimdTier tier : tiers) {
       const SimdOps& ops = simd::OpsFor(tier);
-      std::vector<double> g = dots, p = dots, s = dots;
+      std::vector<double> g = dots;
       ops.gaussian_transform(g.data(), norms.data(), targets.data(), n,
                              norm_row, gamma);
-      ops.poly_transform(p.data(), n, gamma, coef0, degree);
-      ops.sigmoid_transform(s.data(), n, gamma, coef0);
       EXPECT_TRUE(SameBits(g, want_g)) << ops.name << " gaussian n=" << n;
-      EXPECT_TRUE(SameBits(p, want_p)) << ops.name << " poly n=" << n;
-      EXPECT_TRUE(SameBits(s, want_s)) << ops.name << " sigmoid n=" << n;
     }
   }
 }
@@ -565,17 +540,19 @@ TEST(SimdTierIdentityTest, CouplePanelCountsOneCallPerRow) {
     const CouplingOptions opts;
     std::vector<double> scratch;
     std::vector<double> out(static_cast<size_t>(simd::kPanelRows) * k);
-    simd::ResetPathStats();
+    const simd::PathStatsSnapshot before =
+        simd::PathStats(simd::SimdPath::kCoupling);
     for (const Status& status :
          CouplePanel(panel.pairs, k, opts, &scratch, out.data())) {
       EXPECT_TRUE(status.ok()) << status.ToString();
     }
-    const simd::PathStatsSnapshot stats =
+    const simd::PathStatsSnapshot after =
         simd::PathStats(simd::SimdPath::kCoupling);
-    EXPECT_EQ(stats.calls, simd::kPanelRows) << simd::TierName(tier);
-    EXPECT_EQ(stats.elements, simd::kPanelRows * k * k) << simd::TierName(tier);
+    EXPECT_EQ(after.calls - before.calls, simd::kPanelRows)
+        << simd::TierName(tier);
+    EXPECT_EQ(after.elements - before.elements, simd::kPanelRows * k * k)
+        << simd::TierName(tier);
   }
-  simd::ResetPathStats();
 }
 
 // Platt's sigmoid over full panels: every lane is bitwise PlattFromArg of
@@ -677,18 +654,17 @@ TEST(SimdMathTest, PlattFromArgWithinUlpsOfLongDoubleReference) {
 }
 
 TEST(SimdPathStatsTest, RecordsCallsElementsAndFlops) {
-  simd::ResetPathStats();
   CsrMatrix a = RandomCsr(12, 31, 3);
   std::vector<int32_t> batch = {1, 2}, targets = {3, 4, 6};
   std::vector<double> out(batch.size() * targets.size());
-  const OpStats stats = BatchRowDots2(a, batch, a, targets, out.data());
-  const simd::PathStatsSnapshot snap =
+  const simd::PathStatsSnapshot before =
       simd::PathStats(simd::SimdPath::kBatchRowDots);
-  EXPECT_EQ(snap.calls, 1);
-  EXPECT_EQ(snap.flops, stats.flops);
-  EXPECT_GT(snap.elements, 0);
-  simd::ResetPathStats();
-  EXPECT_EQ(simd::PathStats(simd::SimdPath::kBatchRowDots).calls, 0);
+  const OpStats stats = BatchRowDots2(a, batch, a, targets, out.data());
+  const simd::PathStatsSnapshot after =
+      simd::PathStats(simd::SimdPath::kBatchRowDots);
+  EXPECT_EQ(after.calls - before.calls, 1);
+  EXPECT_EQ(after.flops - before.flops, stats.flops);
+  EXPECT_GT(after.elements - before.elements, 0);
 }
 
 }  // namespace
