@@ -120,8 +120,8 @@ struct MpTrainOptions {
   // Checks the whole configuration, including the nested batch- and
   // classic-solver options, and returns InvalidArgument naming the
   // offending field. Pass the dataset's class count to also check
-  // class_weights (0 skips that check when no dataset is at hand). Both
-  // trainers call this before touching the data.
+  // class_weights (0 skips that check when no dataset is at hand). Every
+  // trainer, OvaTrainer included, calls this before touching the data.
   Status Validate(int num_classes = 0) const;
 };
 

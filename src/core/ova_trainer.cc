@@ -11,6 +11,7 @@ namespace gmpsvm {
 
 Result<OvaModel> OvaTrainer::Train(const Dataset& dataset, SimExecutor* executor,
                                    MpTrainReport* report) const {
+  GMP_RETURN_NOT_OK(options_.Validate(dataset.num_classes()));
   const TrainRunStart start(executor);
   executor->Transfer(kDefaultStream,
                      static_cast<double>(dataset.features().ByteSize()),
@@ -25,8 +26,10 @@ Result<OvaModel> OvaTrainer::Train(const Dataset& dataset, SimExecutor* executor
   model.kernel = options_.kernel;
   std::unordered_map<int32_t, int32_t> pool_map;
 
-  // Binary problem: class `cls` (+1) vs everything else (-1), over ALL rows.
-  auto make_problem = [&](int cls) {
+  // Classes train in order on the default stream. Pool indices depend on
+  // insertion order, so entries are added in class order.
+  for (int cls = 0; cls < dataset.num_classes(); ++cls) {
+    // Binary problem: class `cls` (+1) vs everything else (-1), over ALL rows.
     BinaryProblem problem;
     problem.data = &dataset.features();
     problem.rows.resize(static_cast<size_t>(dataset.size()));
@@ -38,66 +41,37 @@ Result<OvaModel> OvaTrainer::Train(const Dataset& dataset, SimExecutor* executor
     }
     problem.C = options_.c;
     problem.kernel = options_.kernel;
-    return problem;
-  };
 
-  struct ClassTask {
-    BinaryProblem problem;
-    Status status;
     SolverStats stats;
-    BinarySolution solution;
-    SigmoidParams sigmoid;
-  };
-  std::vector<ClassTask> tasks(static_cast<size_t>(dataset.num_classes()));
-  for (int cls = 0; cls < dataset.num_classes(); ++cls) {
-    tasks[static_cast<size_t>(cls)].problem = make_problem(cls);
-  }
-  const auto solve_class = [&](ClassTask* task, SimExecutor* exec,
-                               StreamId stream) -> Status {
-    GMP_ASSIGN_OR_RETURN(task->solution,
-                         solver.Solve(task->problem, computer, {exec, stream},
-                                      &task->stats));
     GMP_ASSIGN_OR_RETURN(
-        task->sigmoid,
-        FitSigmoid(TrainingDecisionValues(task->problem, task->solution),
-                   task->problem.y, options_.platt, exec, stream,
+        BinarySolution solution,
+        solver.Solve(problem, computer, {executor, kDefaultStream}, &stats));
+    GMP_ASSIGN_OR_RETURN(
+        SigmoidParams sigmoid,
+        FitSigmoid(TrainingDecisionValues(problem, solution), problem.y,
+                   options_.platt, executor, kDefaultStream,
                    options_.platt_parallel_candidates));
-    return Status::OK();
-  };
 
-  // Classes fork/join under the pair engine's rule (no fault injector, more
-  // than one host thread). Pool indices depend on insertion order, so
-  // entries are added in class order, on the calling thread.
-  ThreadPool* pool = ForkJoinPool(executor, /*serial_only=*/false);
-  GMP_RETURN_NOT_OK(RunJobsInOrder(
-      executor, pool, std::vector<StreamId>(tasks.size(), kDefaultStream),
-      [&](size_t cls, SimExecutor* exec, StreamId stream) {
-        tasks[cls].status = solve_class(&tasks[cls], exec, stream);
-      },
-      [&](size_t cls) -> Status {
-        const ClassTask& task = tasks[cls];
-        GMP_RETURN_NOT_OK(task.status);
-        OvaClassEntry entry;
-        entry.cls = static_cast<int>(cls);
-        entry.bias = task.solution.bias;
-        entry.sigmoid = task.sigmoid;
-        for (int64_t i = 0; i < task.problem.n(); ++i) {
-          const double a = task.solution.alpha[static_cast<size_t>(i)];
-          if (a <= 0.0) continue;
-          const int32_t global_row = task.problem.rows[static_cast<size_t>(i)];
-          auto [it, inserted] = pool_map.try_emplace(
-              global_row, static_cast<int32_t>(model.pool_source_rows.size()));
-          if (inserted) model.pool_source_rows.push_back(global_row);
-          entry.sv_pool_index.push_back(it->second);
-          entry.sv_coef.push_back(a * task.problem.y[static_cast<size_t>(i)]);
-        }
-        model.classes.push_back(std::move(entry));
-        if (report != nullptr) {
-          report->solver.Merge(task.stats);
-          report->phases.Merge(task.stats.phases);
-        }
-        return Status::OK();
-      }));
+    OvaClassEntry entry;
+    entry.cls = cls;
+    entry.bias = solution.bias;
+    entry.sigmoid = sigmoid;
+    for (int64_t i = 0; i < problem.n(); ++i) {
+      const double a = solution.alpha[static_cast<size_t>(i)];
+      if (a <= 0.0) continue;
+      const int32_t global_row = problem.rows[static_cast<size_t>(i)];
+      auto [it, inserted] = pool_map.try_emplace(
+          global_row, static_cast<int32_t>(model.pool_source_rows.size()));
+      if (inserted) model.pool_source_rows.push_back(global_row);
+      entry.sv_pool_index.push_back(it->second);
+      entry.sv_coef.push_back(a * problem.y[static_cast<size_t>(i)]);
+    }
+    model.classes.push_back(std::move(entry));
+    if (report != nullptr) {
+      report->solver.Merge(stats);
+      report->phases.Merge(stats.phases);
+    }
+  }
   model.support_vectors = dataset.features().SelectRows(model.pool_source_rows);
 
   FinishTrainReport(start, executor, report);

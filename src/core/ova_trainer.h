@@ -41,7 +41,8 @@ class OvaTrainer {
  public:
   // Reuses MpTrainOptions; the pairwise-specific fields (kernel-block
   // sharing) are ignored — OVA problems span all classes, so class-block
-  // sharing does not apply.
+  // sharing does not apply. Train validates them (MpTrainOptions::Validate)
+  // before touching the data.
   explicit OvaTrainer(const MpTrainOptions& options) : options_(options) {}
 
   Result<OvaModel> Train(const Dataset& dataset, SimExecutor* executor,

@@ -1,12 +1,10 @@
 #include "core/pair_engine.h"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "device/fork_join.h"
 #include "fault/fault_injector.h"
 #include "fault/retry.h"
 #include "prob/platt.h"
@@ -255,12 +253,6 @@ Result<std::vector<PairTrainOutcome>> RunPairs(
   ChargeDataLoad(executor, kDefaultStream,
                  static_cast<double>(dataset.features().ByteSize()));
 
-  ThreadPool* pool = ForkJoinPool(
-      executor, engine.injectors != nullptr ||
-                    (!engine.sequential && engine.options->share_kernel_blocks));
-  // The serial path merges attempts into the report as they end.
-  MpTrainReport* attempt_report = pool == nullptr ? report : nullptr;
-
   const std::vector<std::vector<size_t>> groups =
       engine.sequential
           ? std::vector<std::vector<size_t>>{pair_indices}
@@ -270,34 +262,25 @@ Result<std::vector<PairTrainOutcome>> RunPairs(
   for (const std::vector<size_t>& group : groups) {
     // One stream per pair in the group, each owning an equal share of SMs
     // (the paper caps SMs per binary SVM to enable concurrency), retired
-    // when the group ends.
+    // when the group ends. The pairs overlap in simulated time; the host
+    // trains them one after another.
     const ScopedStreams group_streams(
         executor, engine.sequential ? 0 : static_cast<int>(group.size()),
         1.0 / static_cast<double>(group.size()));
-    const std::vector<StreamId> streams =
-        engine.sequential ? std::vector<StreamId>(group.size(), kDefaultStream)
-                          : group_streams.ids();
-    std::vector<PairJob> jobs;
-    for (size_t p : group) {
-      jobs.push_back(MakePairJob(engine, p, pairs[p].first, pairs[p].second));
+    for (size_t i = 0; i < group.size(); ++i) {
+      const size_t p = group[i];
+      const StreamId stream =
+          engine.sequential ? kDefaultStream : group_streams.ids()[i];
+      const PairJob job =
+          MakePairJob(engine, p, pairs[p].first, pairs[p].second);
+      PairTrainOutcome outcome;
+      GMP_RETURN_NOT_OK(
+          RunPairWithRetry(engine, job, executor, stream, &outcome, report));
+      if (engine.on_complete != nullptr) {
+        GMP_RETURN_NOT_OK(engine.on_complete(outcome));
+      }
+      outcomes.push_back(std::move(outcome));
     }
-    std::vector<PairTrainOutcome> trained(group.size());
-    std::vector<Status> status(group.size());
-    GMP_RETURN_NOT_OK(RunJobsInOrder(
-        executor, pool, streams,
-        [&](size_t i, SimExecutor* exec, StreamId stream) {
-          status[i] = RunPairWithRetry(engine, jobs[i], exec, stream,
-                                       &trained[i], attempt_report);
-        },
-        [&](size_t i) -> Status {
-          if (attempt_report == nullptr) MergePairOutcome(trained[i], report);
-          GMP_RETURN_NOT_OK(status[i]);
-          if (engine.on_complete != nullptr) {
-            GMP_RETURN_NOT_OK(engine.on_complete(trained[i]));
-          }
-          outcomes.push_back(std::move(trained[i]));
-          return Status::OK();
-        }));
     // Barrier between groups: buffers are reclaimed before the next group.
     executor->SynchronizeAll();
   }
@@ -318,51 +301,6 @@ void ChargeDataLoad(SimExecutor* executor, StreamId stream, double bytes) {
   const double t0 = executor->StreamTime(stream);
   executor->Transfer(stream, bytes, TransferDirection::kHostToDevice);
   RecordPhaseSpan(executor, stream, "data_load", t0, executor->StreamTime(stream));
-}
-
-ThreadPool* ForkJoinPool(SimExecutor* executor, bool serial_only) {
-  if (serial_only || executor->fault_injector() != nullptr) return nullptr;
-  ThreadPool* pool = executor->host_pool();
-  return pool != nullptr && pool->num_threads() > 1 ? pool : nullptr;
-}
-
-Status RunJobsInOrder(
-    SimExecutor* executor, ThreadPool* pool,
-    const std::vector<StreamId>& streams,
-    const std::function<void(size_t job, SimExecutor* exec, StreamId stream)>&
-        run,
-    const std::function<Status(size_t job)>& finish) {
-  const size_t n = streams.size();
-  if (pool == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      run(i, executor, streams[i]);
-      GMP_RETURN_NOT_OK(finish(i));
-    }
-    return Status::OK();
-  }
-  // Fork every satellite before any join: each mirrors its stream's state
-  // at this point, and nothing else touches that stream before its join.
-  std::vector<ExecEventLog> logs(n);
-  std::vector<std::optional<SimExecutor>> satellites(n);
-  std::vector<double> bases(n);
-  for (size_t i = 0; i < n; ++i) {
-    satellites[i].emplace(ForkSatellite(executor, streams[i], &logs[i], pool));
-    bases[i] = satellites[i]->StreamTime(kDefaultStream);
-  }
-  pool->ParallelFor(
-      static_cast<int64_t>(n),
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          const auto job = static_cast<size_t>(i);
-          run(job, &*satellites[job], kDefaultStream);
-        }
-      },
-      /*min_chunk=*/1);
-  for (size_t i = 0; i < n; ++i) {
-    JoinSatellite(logs[i], *satellites[i], bases[i], executor, streams[i]);
-    GMP_RETURN_NOT_OK(finish(i));
-  }
-  return Status::OK();
 }
 
 }  // namespace gmpsvm

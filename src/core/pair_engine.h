@@ -8,10 +8,11 @@
 // GmpSvmTrainer and each cluster device with BatchSmoSolver, cold or
 // warm-seeded, with or without the shared block cache (GmpPairEngine); a
 // sharded cluster pair with BatchSmoSolver on its shard group, through
-// RunPairWithRetry on its coordinator. Pairs run serially, or by ordered
-// fork/join on satellite executors (device/fork_join.h) when ForkJoinPool
-// allows it; either way every model, simulated second, counter and span
-// matches the serial run.
+// RunPairWithRetry on its coordinator. The concurrency is simulated: the
+// host trains the pairs in order on the calling thread, each on its group's
+// stream, and ExecutorModel::host_threads parallelizes the work inside each
+// op. So every model, simulated second, report, counter and span is the
+// same at any host thread count.
 
 #ifndef GMPSVM_CORE_PAIR_ENGINE_H_
 #define GMPSVM_CORE_PAIR_ENGINE_H_
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/dataset.h"
 #include "core/mp_trainer.h"
 #include "core/shared_blocks.h"
@@ -95,11 +95,9 @@ Status RunPairWithRetry(const PairEngine& engine, const PairJob& job,
                         MpTrainReport* report = nullptr);
 
 // Trains `pair_indices` (ascending ClassPairs() indices) on `executor`: the
-// data load, stream packing, the pairs and their completion hook. Returns
-// one outcome per pair, in the order given. `report`, if non-null, gets the
-// pairs' work as the single-device trainers merge it: each attempt as it
-// ends when serial, each pair at its join under fork/join (one attempt, as
-// no injector is attached).
+// data load, stream packing, then each pair in order with its completion
+// hook. Returns one outcome per pair, in the order given. `report`, if
+// non-null, gets each attempt's work as the attempt ends.
 Result<std::vector<PairTrainOutcome>> RunPairs(
     const PairEngine& engine, SimExecutor* executor,
     const std::vector<size_t>& pair_indices, MpTrainReport* report = nullptr);
@@ -119,28 +117,6 @@ std::vector<double> TrainingDecisionValues(const BinaryProblem& problem,
 // Charges the transfer of `bytes` of training data to (executor, stream) in a
 // "data_load" phase span.
 void ChargeDataLoad(SimExecutor* executor, StreamId stream, double bytes);
-
-// The pool independent binary problems fork/join on: the executor's own
-// host_pool(), or nullptr when they run serially. Fork/join needs more than
-// one host thread (the executor model's host_threads; models, reports,
-// counters and traces are byte-identical for every value), no fault
-// injector on the executor and no `serial_only` state (per-pair injectors or
-// a shared block cache, whose draws and hits depend on the run order).
-ThreadPool* ForkJoinPool(SimExecutor* executor, bool serial_only);
-
-// Runs jobs 0..streams.size()-1 in order: run(i, exec, stream) against
-// streams[i] of `executor`, then finish(i) on the calling thread; the first
-// error finish returns stops the run. Without a pool the jobs run serially
-// on `executor`. With one they run concurrently on satellites mirroring
-// their streams, each satellite's charges replaying onto `executor` just
-// before its finish — so a failed finish drops later jobs' charges exactly
-// where the serial run would have stopped.
-Status RunJobsInOrder(
-    SimExecutor* executor, ThreadPool* pool,
-    const std::vector<StreamId>& streams,
-    const std::function<void(size_t job, SimExecutor* exec, StreamId stream)>&
-        run,
-    const std::function<Status(size_t job)>& finish);
 
 }  // namespace gmpsvm
 

@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "device/fork_join.h"
 #include "fault/fault_injector.h"
 
 namespace gmpsvm {
@@ -37,15 +36,13 @@ SimExecutor::SimExecutor(ExecutorModel model) : model_(std::move(model)) {
 }
 
 SimExecutor::SimExecutor(SimExecutor&& other) noexcept = default;
-SimExecutor& SimExecutor::operator=(SimExecutor&& other) noexcept = default;
 SimExecutor::~SimExecutor() = default;
 
 ThreadPool* SimExecutor::host_pool() {
-  if (external_pool_ != nullptr) return external_pool_;
-  if (owned_pool_ == nullptr && model_.host_threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(model_.host_threads);
+  if (pool_ == nullptr && model_.host_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(model_.host_threads);
   }
-  return owned_pool_.get();
+  return pool_.get();
 }
 
 void SimExecutor::HostParallelFor(
@@ -118,14 +115,7 @@ void SimExecutor::Charge(StreamId stream, const TaskCost& cost) {
   counters_.flops += cost.flops;
   counters_.bytes_read += cost.bytes_read;
   counters_.bytes_written += cost.bytes_written;
-  if (event_log_ != nullptr) {
-    // Satellite mode: the charge is captured for ordered replay on the main
-    // executor, which re-emits the leaf span there.
-    ExecEvent e;
-    e.kind = ExecEvent::Kind::kCharge;
-    e.cost = cost;
-    event_log_->Append(std::move(e));
-  } else if (recorder_ != nullptr) {
+  if (recorder_ != nullptr) {
     obs::SpanEvent span;
     span.origin = obs::SpanEvent::Origin::kDevice;
     span.lane = SpanLane(stream);
@@ -144,26 +134,11 @@ void SimExecutor::Transfer(StreamId stream, double bytes, TransferDirection dir)
   } else {
     counters_.bytes_d2h += bytes;
   }
-  if (model_.transfers_are_free) {
-    if (event_log_ != nullptr) {
-      ExecEvent e;
-      e.kind = ExecEvent::Kind::kTransfer;
-      e.bytes = bytes;
-      e.dir = dir;
-      event_log_->Append(std::move(e));
-    }
-    return;
-  }
+  if (model_.transfers_are_free) return;
   Stream& s = streams_[static_cast<size_t>(stream)];
   const double start = s.ready_at;
   s.ready_at += bytes / model_.transfer_bandwidth;
-  if (event_log_ != nullptr) {
-    ExecEvent e;
-    e.kind = ExecEvent::Kind::kTransfer;
-    e.bytes = bytes;
-    e.dir = dir;
-    event_log_->Append(std::move(e));
-  } else if (recorder_ != nullptr) {
+  if (recorder_ != nullptr) {
     obs::SpanEvent span;
     span.origin = obs::SpanEvent::Origin::kDevice;
     span.lane = SpanLane(stream);
@@ -182,14 +157,6 @@ void SimExecutor::AdvanceStream(StreamId stream, double seconds,
   Stream& s = streams_[static_cast<size_t>(stream)];
   const double start = s.ready_at;
   s.ready_at += seconds;
-  if (event_log_ != nullptr) {
-    ExecEvent e;
-    e.kind = ExecEvent::Kind::kAdvance;
-    e.seconds = seconds;
-    if (label != nullptr) e.label = label;
-    event_log_->Append(std::move(e));
-    return;
-  }
   if (recorder_ != nullptr && label != nullptr) {
     obs::SpanEvent span;
     span.name = label;

@@ -23,12 +23,14 @@
 //     report as "sim-sec".
 //
 // Determinism: no wall clocks feed the accounting. Simulated time is charged
-// in submission order regardless of how task bodies execute on the host.
-// When ExecutorModel::host_threads > 1 the executor owns a ThreadPool and
-// HostParallelFor() runs bodies across real threads — but
-// only over statically-chunked, disjoint-write index ranges, so every numeric
-// output, counter, and simulated timestamp is byte-identical for any thread
-// count (see docs/performance.md for the full determinism rules).
+// in submission order, on the thread that owns the executor, regardless of
+// how task bodies execute on the host. When ExecutorModel::host_threads > 1
+// the executor owns a ThreadPool and HostParallelFor() runs bodies across
+// real threads — but only over statically-chunked, disjoint-write index
+// ranges, so every numeric output, counter, and simulated timestamp is
+// byte-identical for any thread count (see docs/performance.md for the full
+// determinism rules). Streams overlap in simulated time only: the trainers
+// submit their pairs' work one pair after another.
 
 #ifndef GMPSVM_DEVICE_EXECUTOR_H_
 #define GMPSVM_DEVICE_EXECUTOR_H_
@@ -45,7 +47,6 @@
 
 namespace gmpsvm {
 
-class ExecEventLog;
 class ThreadPool;
 
 namespace fault {
@@ -114,7 +115,6 @@ class SimExecutor {
  public:
   explicit SimExecutor(ExecutorModel model);
   SimExecutor(SimExecutor&& other) noexcept;
-  SimExecutor& operator=(SimExecutor&& other) noexcept;
   ~SimExecutor();
 
   const ExecutorModel& model() const { return model_; }
@@ -203,9 +203,9 @@ class SimExecutor {
   // --- Host parallelism ----------------------------------------------------
 
   // The pool running task bodies across real threads, or nullptr when the
-  // executor is single-threaded (model().host_threads <= 1 and no shared
-  // pool). Created lazily; the first call must come from the thread that owns
-  // the executor.
+  // executor is single-threaded (model().host_threads <= 1). The executor
+  // owns it; it is created lazily, and the first call must come from the
+  // thread that owns the executor.
   ThreadPool* host_pool();
 
   // Runs `body` over [0, n): inline when no host pool is configured,
@@ -215,20 +215,9 @@ class SimExecutor {
   void HostParallelFor(int64_t n, int64_t min_chunk,
                        const std::function<void(int64_t, int64_t)>& body);
 
-  // --- Fork-join accounting (see device/fork_join.h) -----------------------
-
-  // While a log is attached, every Charge/Transfer/AdvanceStream appends a
-  // replayable event to it instead of emitting spans itself (direct client
-  // RecordSpan calls still reach span_recorder()). Used by satellite
-  // executors in pair-parallel training; incompatible with a fault injector.
-  void SetEventLog(ExecEventLog* log) { event_log_ = log; }
-  ExecEventLog* event_log() const { return event_log_; }
-
  private:
   friend class DeviceAllocation;
   friend class ScopedStreams;
-  friend SimExecutor ForkSatellite(SimExecutor* main, StreamId main_stream,
-                                   ExecEventLog* log, ThreadPool* host_pool);
   void ReleaseBytes(size_t bytes);
 
   // Retires the newest stream, folding its timeline into retired_makespan_
@@ -248,14 +237,10 @@ class SimExecutor {
   ExecutorCounters counters_;
   obs::SpanRecorder* recorder_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
-  ExecEventLog* event_log_ = nullptr;
   int lane_base_ = 0;
   int lane_width_ = 0;
-  // Owned pool (lazily created from model_.host_threads) or a borrowed one
-  // (satellite executors share their parent's pool instead of spawning
-  // threads per binary problem).
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* external_pool_ = nullptr;
+  // Lazily created from model_.host_threads.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 // The streams of one call or one pair group: `count` streams of `unit_share`

@@ -106,11 +106,6 @@ void RequestQueue::Resume() {
   window_cv_.notify_all();
 }
 
-bool RequestQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
 size_t RequestQueue::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return items_.size();

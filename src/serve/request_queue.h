@@ -54,7 +54,6 @@ class RequestQueue {
   void Pause();
   void Resume();
 
-  bool closed() const;
   size_t size() const;
   size_t capacity() const { return capacity_; }
 

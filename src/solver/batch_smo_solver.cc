@@ -267,7 +267,7 @@ Result<BinarySolution> BatchSmoSolver::Solve(const BinaryProblem& problem,
   if (n < 2) {
     return Status::InvalidArgument("binary problem needs at least 2 instances");
   }
-  if (problem.C <= 0) {
+  if (!(problem.C > 0)) {
     return Status::InvalidArgument("C must be positive");
   }
   if (!warm_alpha.empty() && static_cast<int64_t>(warm_alpha.size()) != n) {

@@ -40,7 +40,7 @@ Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
   if (n < 2) {
     return Status::InvalidArgument("binary problem needs at least 2 instances");
   }
-  if (problem.C <= 0) {
+  if (!(problem.C > 0)) {
     return Status::InvalidArgument("C must be positive");
   }
   const auto& y = problem.y;

@@ -99,10 +99,10 @@ TEST(ThreadPoolTest, ParallelForFewerItemsThanThreads) {
 }
 
 TEST(ThreadPoolTest, NestedParallelFor) {
-  // Pair-parallel training nests: the outer loop is pairs, the inner loop is
-  // a satellite's data-parallel op body on the same pool. Callers participate
-  // in their own range, so nesting must not deadlock even when every worker
-  // is inside an outer chunk.
+  // A ParallelFor body may itself call ParallelFor on the same pool (an op
+  // body that fans out again). Callers participate in their own range, so
+  // nesting must not deadlock even when every worker is inside an outer
+  // chunk.
   ThreadPool pool(4);
   constexpr int64_t kOuter = 8;
   constexpr int64_t kInner = 1000;

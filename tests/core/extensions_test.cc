@@ -140,6 +140,21 @@ TEST(OvaTrainerTest, PredictsAccuratelyOnSeparableData) {
   }
 }
 
+TEST(OvaTrainerTest, ValidatesOptionsBeforeTouchingTheData) {
+  auto data = ValueOrDie(MakeMulticlassBlobs(3, 10, 4, 2.5, 31));
+  for (const double c : {-1.0, 0.0, std::nan("")}) {
+    MpTrainOptions options = SmallOptions();
+    options.c = c;
+    SimExecutor exec = Gpu();
+    auto model = OvaTrainer(options).Train(data, &exec, nullptr);
+    ASSERT_FALSE(model.ok()) << c;
+    EXPECT_TRUE(model.status().IsInvalidArgument())
+        << c << ": " << model.status().ToString();
+    EXPECT_EQ(exec.counters().bytes_h2d, 0.0) << c;
+    EXPECT_EQ(exec.NowSeconds(), 0.0) << c;
+  }
+}
+
 TEST(OvaTrainerTest, OvaProblemsAreLargerThanPairwise) {
   // The structural cost difference: each OVA SVM sees all n instances.
   auto data = ValueOrDie(MakeMulticlassBlobs(5, 20, 5, 2.0, 29));

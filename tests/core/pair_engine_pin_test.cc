@@ -1,8 +1,9 @@
 // Pins every pair-training path the CLI and the committed bench snapshots do
 // not reach to exact recorded values: single-device Sequential, GMP and OVA
-// runs on the serial and the fork/join path, whole-pair retries and degraded
-// pairs under fault plans, a sharded cluster run under chaos, clean
-// fork/join on cluster devices, and a warm retrain under chaos.
+// runs at 1 and 4 host threads (one pin each: the thread count must not
+// move a value), whole-pair retries and degraded pairs under fault plans, a
+// sharded cluster run under chaos, clean cluster devices at 4 host threads,
+// and a warm retrain under chaos.
 //
 // Each run reduces to named values: a hash of the model bytes, simulated
 // seconds or makespan, every phase entry, the solver counters, retries,
@@ -156,51 +157,7 @@ const char kSequentialThreads1[] =
     "solver.phase.kernel_values=0x1.c2df664c9afbep-9 "
     "solver.phase.other=0x1.c019fa0b1146p-8 "
     "solver.rows_poisoned=0 ";
-const char kSequentialThreads4[] =
-    "kernel_values_computed=6372 "
-    "kernel_values_reused=18036 "
-    "model=a277579906c4c5f9 "
-    "pair_retries=0 "
-    "pairs_degraded=0 "
-    "pairs_resumed=0 "
-    "peak_device_bytes=0 "
-    "phase.kernel_values=0x1.c2df664c9af32p-9 "
-    "phase.other=0x1.c019fa0b114aep-8 "
-    "phase.sigmoid=0x1.8e64f444d055cp-12 "
-    "sim_seconds=0x1.5f34d4129befcp-7 "
-    "solver.alloc_retries=0 "
-    "solver.iterations=336 "
-    "solver.kernel_row_retries=0 "
-    "solver.kernel_rows_computed=177 "
-    "solver.kernel_rows_reused=501 "
-    "solver.outer_rounds=336 "
-    "solver.phase.kernel_values=0x1.c2df664c9af32p-9 "
-    "solver.phase.other=0x1.c019fa0b114aep-8 "
-    "solver.rows_poisoned=0 ";
 const char kGmpThreads1[] =
-    "kernel_values_computed=8064 "
-    "kernel_values_reused=19584 "
-    "model=f59e79b9492ff8fb "
-    "pair_retries=0 "
-    "pairs_degraded=0 "
-    "pairs_resumed=0 "
-    "peak_device_bytes=9216 "
-    "phase.kernel_values=0x1.e3f08a15f26d5p-13 "
-    "phase.other=0x1.ac6d66df56acap-12 "
-    "phase.sigmoid=0x1.8e64f444d056p-12 "
-    "phase.subproblem=0x1.6ada3b2c9ce8fp-13 "
-    "sim_seconds=0x1.c234502d53c6bp-12 "
-    "solver.alloc_retries=0 "
-    "solver.iterations=359 "
-    "solver.kernel_row_retries=0 "
-    "solver.kernel_rows_computed=224 "
-    "solver.kernel_rows_reused=544 "
-    "solver.outer_rounds=24 "
-    "solver.phase.kernel_values=0x1.e3f08a15f26d5p-13 "
-    "solver.phase.other=0x1.ac6d66df56acap-12 "
-    "solver.phase.subproblem=0x1.6ada3b2c9ce8fp-13 "
-    "solver.rows_poisoned=0 ";
-const char kGmpThreads4[] =
     "kernel_values_computed=8064 "
     "kernel_values_reused=19584 "
     "model=f59e79b9492ff8fb "
@@ -244,28 +201,6 @@ const char kOvaThreads1[] =
     "solver.phase.kernel_values=0x1.b57369fe97f4ep-12 "
     "solver.phase.other=0x1.3cbac501a461ap-11 "
     "solver.phase.subproblem=0x1.08ce46eec1547p-12 "
-    "solver.rows_poisoned=0 ";
-const char kOvaThreads4[] =
-    "kernel_values_computed=30528 "
-    "kernel_values_reused=50112 "
-    "model=4636896a53627ed8 "
-    "pair_retries=0 "
-    "pairs_degraded=0 "
-    "pairs_resumed=0 "
-    "peak_device_bytes=18432 "
-    "phase.kernel_values=0x1.b57369fe97f55p-12 "
-    "phase.other=0x1.3cbac501a4622p-11 "
-    "phase.subproblem=0x1.08ce46eec155bp-12 "
-    "sim_seconds=0x1.a73a5a441a937p-10 "
-    "solver.alloc_retries=0 "
-    "solver.iterations=525 "
-    "solver.kernel_row_retries=0 "
-    "solver.kernel_rows_computed=424 "
-    "solver.kernel_rows_reused=696 "
-    "solver.outer_rounds=35 "
-    "solver.phase.kernel_values=0x1.b57369fe97f55p-12 "
-    "solver.phase.other=0x1.3cbac501a4622p-11 "
-    "solver.phase.subproblem=0x1.08ce46eec155bp-12 "
     "solver.rows_poisoned=0 ";
 const char kGmpRetry[] =
     "kernel_values_computed=5184 "
@@ -446,7 +381,7 @@ const char kClusterShardedChaos[] =
     "solver.phase.other=0x1.01b2e3756e1fep-10 "
     "solver.phase.subproblem=0x1.6ada3b2c9cebap-13 "
     "solver.rows_poisoned=0 ";
-const char kClusterForkJoin[] =
+const char kClusterThreads4[] =
     "device0.sim_seconds=0x1.ac11b9bb418f1p-13 "
     "device1.sim_seconds=0x1.c384ba86c82ap-13 "
     "dist.allreduce_rounds=0 "
@@ -636,26 +571,26 @@ const char kWarmRetrainChaos[] =
     "retrained4.sigmoid_seconds=0x1.0beb52eadb28p-14 "
     "warm_seeded_rows=138 ";
 
-TEST(PairEnginePinTest, SequentialSerialAndForkJoin) {
+TEST(PairEnginePinTest, SequentialAtOneAndFourHostThreads) {
   const MpTrainOptions options = SmallOptions();
   ExpectPins(kSequentialThreads1,
              TrainSingleDevice<SequentialMpTrainer>(options, nullptr, 1));
-  ExpectPins(kSequentialThreads4,
+  ExpectPins(kSequentialThreads1,
              TrainSingleDevice<SequentialMpTrainer>(options, nullptr, 4));
 }
 
-TEST(PairEnginePinTest, GmpSerialAndForkJoin) {
+TEST(PairEnginePinTest, GmpAtOneAndFourHostThreads) {
   MpTrainOptions options = SmallOptions();
   options.share_kernel_blocks = false;
   ExpectPins(kGmpThreads1,
              TrainSingleDevice<GmpSvmTrainer>(options, nullptr, 1));
-  ExpectPins(kGmpThreads4,
+  ExpectPins(kGmpThreads1,
              TrainSingleDevice<GmpSvmTrainer>(options, nullptr, 4));
 }
 
-TEST(PairEnginePinTest, OvaSerialAndForkJoin) {
+TEST(PairEnginePinTest, OvaAtOneAndFourHostThreads) {
   ExpectPins(kOvaThreads1, TrainOva(1));
-  ExpectPins(kOvaThreads4, TrainOva(4));
+  ExpectPins(kOvaThreads1, TrainOva(4));
 }
 
 TEST(PairEnginePinTest, GmpWholePairRetries) {
@@ -725,7 +660,7 @@ TEST(PairEnginePinTest, ClusterShardedPairsUnderChaos) {
   ExpectPins(kClusterShardedChaos, pins);
 }
 
-TEST(PairEnginePinTest, ClusterDevicesForkJoin) {
+TEST(PairEnginePinTest, ClusterDevicesAtFourHostThreads) {
   const Dataset data = Blobs();
   cluster::SimCluster cluster =
       cluster::SimCluster::Homogeneous(2, DeviceModel(4));
@@ -738,7 +673,7 @@ TEST(PairEnginePinTest, ClusterDevicesForkJoin) {
   Pins pins;
   pins.Bytes("model", SerializeModel(model));
   AddCluster(report, &pins);
-  ExpectPins(kClusterForkJoin, pins);
+  ExpectPins(kClusterThreads4, pins);
 }
 
 TEST(PairEnginePinTest, WarmRetrainUnderChaos) {

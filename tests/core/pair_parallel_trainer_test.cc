@@ -1,7 +1,8 @@
-// Pair-parallel trainer orchestration under a real thread pool. Kept small
-// and fast: this binary is the TSan target for the fork-join training path,
-// so it exercises concurrent pair solves (satellite executors sharing the
-// kernel computer, solver, and host pool) rather than statistical coverage —
+// Op-level threading in training: trainers at 4 host threads, whose pairs
+// run in order while each batch of kernel rows fans out across the
+// executor's pool. Kept small and fast: this binary is the TSan target for
+// threaded op bodies inside training (the kernel computer and the shared
+// block cache under a real pool) rather than statistical coverage —
 // host_determinism_test covers the {1,2,8} sweep.
 
 #include "core/mp_trainer.h"
@@ -38,8 +39,8 @@ SimExecutor Gpu(int host_threads) {
 }
 
 TEST(PairParallelTrainerTest, GmpMatchesSerial) {
-  // share_kernel_blocks off puts every pair on its own satellite executor;
-  // four worker threads solve the six pairs of group 0 concurrently.
+  // share_kernel_blocks off: every pair computes its own kernel rows, which
+  // four worker threads split between them.
   auto data = ValueOrDie(MakeMulticlassBlobs(4, 20, 5, 2.0, 42));
   MpTrainOptions options = Options();
   options.share_kernel_blocks = false;
@@ -64,9 +65,8 @@ TEST(PairParallelTrainerTest, GmpMatchesSerial) {
 }
 
 TEST(PairParallelTrainerTest, GmpWithSharedCacheStaysCorrect) {
-  // With the shared block cache on, pair-level parallelism is disabled (the
-  // hit/miss accounting is schedule-dependent) but op-level threading stays
-  // active; results must still match the serial run.
+  // With the shared block cache on, threaded kernel-row bodies fill the
+  // blocks the pairs share; results must still match the serial run.
   auto data = ValueOrDie(MakeMulticlassBlobs(4, 20, 5, 2.0, 42));
   SimExecutor serial_exec = Gpu(1);
   MpTrainReport serial_report;
@@ -116,10 +116,10 @@ TEST(PairParallelTrainerTest, OvaMatchesSerial) {
   }
 }
 
-TEST(PairParallelTrainerTest, ChaosFallsBackToSerialAndStaysDeterministic) {
-  // A fault injector forces the serial pair path even with more than one
-  // host thread;
-  // the chaotic model must match the chaotic serial model byte for byte.
+TEST(PairParallelTrainerTest, ChaosStaysDeterministicAcrossThreadCounts) {
+  // Fault draws follow the order of the charges, which the thread count must
+  // not change: the chaotic model at 4 host threads must match the chaotic
+  // model at 1 byte for byte.
   auto data = ValueOrDie(MakeMulticlassBlobs(3, 20, 5, 2.0, 31));
   fault::FaultPlan plan = fault::FaultPlan::Chaos(5);
   plan.kernel_row_fail_prob = 0.3;

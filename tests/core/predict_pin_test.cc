@@ -638,13 +638,13 @@ TEST(PredictPinTest, CascadeBand1Tile8) {
 
 // One executor kept across calls, as a serve worker keeps its own: PredictRows
 // at 1- and 5-row tiles, exact and cascade, shared and per-SVM kernel values,
-// then two Train calls (with and without the shared block cache, so the
-// second forks pairs at 4 host threads). Every call must leave the stream
-// count where it found it. Each call's simulated seconds and phases, and the
-// executor's counters, are pinned to values recorded on the same sequence
-// before streams were retired: sim times are differences of absolute
-// makespans, so a used executor may differ from a fresh one in the last bits
-// and only a recorded value can say the retired streams changed nothing.
+// then two Train calls (with and without the shared block cache). Every
+// call must leave the stream count where it found it. Each call's simulated
+// seconds and phases, and the executor's counters, are pinned to values
+// recorded on the same sequence before streams were retired: sim times are
+// differences of absolute makespans, so a used executor may differ from a
+// fresh one in the last bits and only a recorded value can say the retired
+// streams changed nothing.
 Pins LongLivedExecutorPins(int host_threads) {
   const Fixture& fx = SharedFixture();
   ExecutorModel device = ExecutorModel::TeslaP100();

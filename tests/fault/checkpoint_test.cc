@@ -215,12 +215,11 @@ TEST(CheckpointResumeTest, InterruptThenResumeIsByteIdentical) {
   EXPECT_EQ(SerializeModel(resumed), SerializeModel(clean));
 }
 
-// A serial chaos run is interrupted after 2 pairs; the resume runs without
-// an injector at 4 host threads and with the shared block cache off, so the
-// remaining pairs take the fork/join path. The resumed model must still equal
-// the uninterrupted one byte for byte.
+// A chaos run at 1 host thread is interrupted after 2 pairs; the resume runs
+// without an injector at 4 host threads and with the shared block cache off.
+// The resumed model must still equal the uninterrupted one byte for byte.
 template <typename Trainer>
-void ExpectForkJoinResumeIsByteIdentical(const std::string& dir_name) {
+void ExpectFourThreadResumeIsByteIdentical(const std::string& dir_name) {
   auto data = ValueOrDie(MakeMulticlassBlobs(4, 18, 5, 2.5, 42));
   MpTrainOptions options = SmallOptions();
 
@@ -251,13 +250,13 @@ void ExpectForkJoinResumeIsByteIdentical(const std::string& dir_name) {
   EXPECT_EQ(SerializeModel(resumed), clean);
 }
 
-TEST(CheckpointResumeTest, GmpResumeThroughForkJoinIsByteIdentical) {
-  ExpectForkJoinResumeIsByteIdentical<GmpSvmTrainer>("ckpt_fork_join_gmp");
+TEST(CheckpointResumeTest, GmpResumeAtFourHostThreadsIsByteIdentical) {
+  ExpectFourThreadResumeIsByteIdentical<GmpSvmTrainer>("ckpt_threads4_gmp");
 }
 
-TEST(CheckpointResumeTest, SequentialResumeThroughForkJoinIsByteIdentical) {
-  ExpectForkJoinResumeIsByteIdentical<SequentialMpTrainer>(
-      "ckpt_fork_join_sequential");
+TEST(CheckpointResumeTest, SequentialResumeAtFourHostThreadsIsByteIdentical) {
+  ExpectFourThreadResumeIsByteIdentical<SequentialMpTrainer>(
+      "ckpt_threads4_sequential");
 }
 
 TEST(CheckpointResumeTest, ResumeRetrainsDegradedPairs) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "../test_util.h"
 #include "device/executor.h"
 #include "solver/smo_solver.h"
@@ -266,6 +268,22 @@ TEST(BatchSmoSolverTest, AlphaSeedingRejectsWrongSize) {
   EXPECT_FALSE(BatchSmoSolver(SmallOptions())
                    .Solve(p, kc, {&exec, kDefaultStream}, nullptr, seed)
                    .ok());
+}
+
+TEST(BatchSmoSolverTest, RejectsNonPositiveOrNanC) {
+  BinaryBlobs blobs = MakeBinaryBlobs(10, 3, 2.0, 5);
+  for (const double c :
+       {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    BinaryProblem p = MakeProblem(blobs, 1.0, Gaussian(0.3));
+    p.C = c;
+    KernelComputer kc(p.data, p.kernel);
+    SimExecutor exec(ExecutorModel::TeslaP100());
+    const auto result = BatchSmoSolver(SmallOptions())
+                            .Solve(p, kc, {&exec, kDefaultStream}, nullptr);
+    ASSERT_FALSE(result.ok()) << c;
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << c << ": " << result.status().ToString();
+  }
 }
 
 TEST(BatchSmoOptionsValidateTest, NamesTheOffendingField) {

@@ -44,6 +44,19 @@ TEST(SmoSolverTest, RejectsDegenerateProblems) {
   EXPECT_FALSE(solver.Solve(bad_c, kc, &exec, kDefaultStream, nullptr).ok());
 }
 
+TEST(SmoSolverTest, RejectsNanC) {
+  // NaN compares false with everything, so a "C <= 0" check lets it through.
+  BinaryBlobs blobs = MakeBinaryBlobs(10, 3, 2.0, 5);
+  BinaryProblem p = MakeProblem(blobs, 1.0, Gaussian(0.5));
+  p.C = std::numeric_limits<double>::quiet_NaN();
+  KernelComputer kc(p.data, p.kernel);
+  SimExecutor exec(ExecutorModel::TeslaP100());
+  const auto result =
+      SmoSolver(SmoOptions{}).Solve(p, kc, &exec, kDefaultStream, nullptr);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status().ToString();
+}
+
 TEST(SmoSolverTest, SeparatesEasyBlobs) {
   BinaryBlobs blobs = MakeBinaryBlobs(40, 4, 3.0, 7);
   BinaryProblem p = MakeProblem(blobs, 10.0, Gaussian(0.25));
