@@ -17,7 +17,6 @@
 #include "prob/pairwise_coupling.h"
 #include "prob/platt.h"
 #include "solver/kernel_buffer.h"
-#include "solver/kernel_cache.h"
 
 namespace gmpsvm {
 namespace {
@@ -123,20 +122,47 @@ void BM_KernelBufferChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelBufferChurn);
 
-void BM_KernelCacheLru(benchmark::State& state) {
-  KernelCache cache(1024, 256 * 1024 * sizeof(double), 1024);
+// LibSVM's cache under uniform lookups: 1,024 rows, 256 cached, so three
+// lookups in four miss and evict the least recently used row.
+void BM_KernelBufferLru(benchmark::State& state) {
+  KernelBuffer cache(/*row_length=*/1024, /*capacity_rows=*/256,
+                     KernelBuffer::Policy::kLru);
   Rng rng(3);
   for (auto _ : state) {
     const int32_t row = static_cast<int32_t>(rng.UniformInt(1024));
     const double* hit = cache.Lookup(row);
     if (hit == nullptr) {
-      double* slot = cache.Insert(row);
-      benchmark::DoNotOptimize(slot);
+      auto slots = cache.InsertBatch({&row, 1});
+      benchmark::DoNotOptimize(slots.ok());
     }
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_KernelCacheLru);
+BENCHMARK(BM_KernelBufferLru);
+
+// LibSVM-shaped lookups: all 3,000 rows of the problem fit, and 90% of
+// lookups come from a 64-row hot set that drifts one row every 64 lookups,
+// so after the first touch of each row every lookup hits and refreshes.
+void BM_KernelBufferLruHotSet(benchmark::State& state) {
+  constexpr int32_t kRows = 3000;
+  KernelBuffer cache(kRows, kRows, KernelBuffer::Policy::kLru);
+  Rng rng(3);
+  int64_t lookups = 0;
+  for (auto _ : state) {
+    const auto hot_base = static_cast<int32_t>((lookups++ / 64) % kRows);
+    const int32_t row =
+        rng.Uniform() < 0.9
+            ? static_cast<int32_t>((hot_base + rng.UniformInt(64)) % kRows)
+            : static_cast<int32_t>(rng.UniformInt(kRows));
+    const double* hit = cache.Lookup(row);
+    if (hit == nullptr) {
+      auto slots = cache.InsertBatch({&row, 1});
+      benchmark::DoNotOptimize(slots.ok());
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KernelBufferLruHotSet);
 
 void BM_FitSigmoid(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -150,7 +176,7 @@ void BM_FitSigmoid(benchmark::State& state) {
   }
   SimExecutor gpu(ExecutorModel::TeslaP100());
   for (auto _ : state) {
-    auto params = FitSigmoid(dec, labels, PlattOptions{}, &gpu, kDefaultStream, 8);
+    auto params = FitSigmoid(dec, labels, &gpu, kDefaultStream, 8);
     benchmark::DoNotOptimize(params.ok());
   }
   state.SetItemsProcessed(state.iterations() * n);

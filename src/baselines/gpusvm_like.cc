@@ -6,7 +6,7 @@
 
 #include "common/logging.h"
 #include "kernel/kernel_computer.h"
-#include "solver/kernel_cache.h"
+#include "solver/kernel_buffer.h"
 #include "solver/working_set.h"
 
 namespace gmpsvm {
@@ -43,16 +43,9 @@ Result<BinarySolution> GpuSvmLikeTrainer::Train(const Dataset& dataset,
   }
 
   size_t cache_bytes = options_.cache_bytes;
-  DeviceAllocation cache_reservation;
-  while (cache_bytes > (1u << 20)) {
-    auto reservation = executor->Allocate(cache_bytes);
-    if (reservation.ok()) {
-      cache_reservation = std::move(reservation).value();
-      break;
-    }
-    cache_bytes /= 2;
-  }
-  KernelCache cache(n, cache_bytes, /*max_rows=*/n);
+  DeviceAllocation cache_reservation = executor->AllocateHalving(&cache_bytes);
+  KernelBuffer cache(n, KernelBuffer::CacheRows(n, cache_bytes),
+                     KernelBuffer::Policy::kLru);
   std::vector<int32_t> batch_one(1);
   std::vector<int32_t> all_rows(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) all_rows[static_cast<size_t>(i)] = static_cast<int32_t>(i);
@@ -64,8 +57,9 @@ Result<BinarySolution> GpuSvmLikeTrainer::Train(const Dataset& dataset,
       if (stats != nullptr) ++stats->kernel_rows_reused;
       return row;
     }
-    double* slot = cache.Insert(i);
     batch_one[0] = i;
+    // Nothing is pinned, so the insert always finds a victim.
+    double* slot = ValueOrDie(cache.InsertBatch(batch_one))[0];
     computer.ComputeBlock(batch_one, all_rows, executor, kDefaultStream, slot);
     if (stats != nullptr) ++stats->kernel_rows_computed;
     return slot;

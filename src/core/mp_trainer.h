@@ -94,7 +94,6 @@ struct MpTrainOptions {
   SmoOptions smo;
 
   // --- Sigmoid fitting ------------------------------------------------------
-  PlattOptions platt;
   // Backtracking candidates evaluated concurrently (1 = baseline behaviour).
   int platt_parallel_candidates = 8;
 

@@ -49,7 +49,7 @@ Result<OvaModel> OvaTrainer::Train(const Dataset& dataset, SimExecutor* executor
     GMP_ASSIGN_OR_RETURN(
         SigmoidParams sigmoid,
         FitSigmoid(TrainingDecisionValues(problem, solution), problem.y,
-                   options_.platt, executor, kDefaultStream,
+                   executor, kDefaultStream,
                    options_.platt_parallel_candidates));
 
     OvaClassEntry entry;

@@ -22,7 +22,7 @@ void RecordPhaseSpan(SimExecutor* executor, StreamId stream, std::string name,
   obs::SpanEvent span;
   span.name = std::move(name);
   span.origin = obs::SpanEvent::Origin::kDevice;
-  span.lane = executor->lane_base() + stream;
+  span.lane = executor->SpanLane(stream);
   span.start_seconds = start;
   span.end_seconds = end;
   span.is_phase = true;
@@ -77,7 +77,7 @@ Result<PairCheckpoint> FitPair(const PairEngine& engine, const PairJob& job,
   const double sigmoid_t0 = exec->StreamTime(stream);
   GMP_ASSIGN_OR_RETURN(
       SigmoidParams sigmoid,
-      FitSigmoid(v, job.problem.y, options.platt, exec, stream,
+      FitSigmoid(v, job.problem.y, exec, stream,
                  engine.sequential ? 1 : options.platt_parallel_candidates));
   RecordPhaseSpan(exec, stream, StrPrintf("sigmoid %dv%d", job.s, job.t),
                   sigmoid_t0, exec->StreamTime(stream));
@@ -235,7 +235,7 @@ Status RunPairWithRetry(const PairEngine& engine, const PairJob& job,
     if (!retry) break;
     const uint64_t seed =
         (static_cast<uint64_t>(job.s) << 32) | static_cast<uint64_t>(job.t);
-    executor->AdvanceStream(stream, fault::BackoffSeconds(policy, att, seed),
+    executor->AdvanceStream(stream, fault::BackoffSeconds(att, seed),
                             "retry_backoff");
   }
   if (engine.injectors != nullptr) executor->SetFaultInjector(base_injector);

@@ -17,14 +17,7 @@ SharedBlockCache::SharedBlockCache(const Dataset* dataset,
       pin_stamp_(slot_.size(), 0) {
   // Reserve the cache region on the device up front, like the baseline's
   // fixed cache slice; halve until it fits alongside other reservations.
-  while (budget_bytes_ > (1u << 20)) {
-    auto reservation = executor_->Allocate(budget_bytes_);
-    if (reservation.ok()) {
-      reservation_ = std::move(reservation).value();
-      return;
-    }
-    budget_bytes_ /= 2;
-  }
+  reservation_ = executor_->AllocateHalving(&budget_bytes_);
 }
 
 size_t SharedBlockCache::FlatKey(int32_t global_row, int cls) const {

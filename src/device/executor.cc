@@ -208,6 +208,14 @@ Result<DeviceAllocation> SimExecutor::Allocate(size_t bytes) {
   return DeviceAllocation(this, bytes);
 }
 
+DeviceAllocation SimExecutor::AllocateHalving(size_t* bytes) {
+  for (; *bytes > (1u << 20); *bytes /= 2) {
+    auto reservation = Allocate(*bytes);
+    if (reservation.ok()) return std::move(reservation).value();
+  }
+  return DeviceAllocation();
+}
+
 void SimExecutor::ReleaseBytes(size_t bytes) {
   GMP_DCHECK(counters_.bytes_in_use >= bytes);
   counters_.bytes_in_use -= bytes;

@@ -159,6 +159,12 @@ class SimExecutor {
   // Reserves simulated device memory. Fails with kOutOfMemory past budget.
   Result<DeviceAllocation> Allocate(size_t bytes);
 
+  // Reserves as much of `*bytes` as fits, for a cache region that sizes
+  // itself by what it got: the request halves after each failed Allocate
+  // until one succeeds, or until it is 1 MiB or less, when nothing is
+  // reserved. `*bytes` is left at the size of the last request.
+  DeviceAllocation AllocateHalving(size_t* bytes);
+
   // Bytes currently reserved / high-water mark.
   size_t bytes_in_use() const { return counters_.bytes_in_use; }
   size_t memory_budget() const { return model_.memory_budget_bytes; }
@@ -181,7 +187,6 @@ class SimExecutor {
     lane_width_ = lane_width;
   }
   obs::SpanRecorder* span_recorder() const { return recorder_; }
-  int lane_base() const { return lane_base_; }
 
   // Attaches (or detaches, with nullptr) a fault injector. While attached,
   // Allocate may fail with kUnavailable and every Charge may suffer a

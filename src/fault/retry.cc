@@ -1,9 +1,9 @@
 #include "fault/retry.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/string_util.h"
-#include "simd/simd_math.h"
 
 namespace gmpsvm::fault {
 namespace {
@@ -25,40 +25,23 @@ Status RetryPolicy::Validate() const {
     return Status::InvalidArgument(
         StrPrintf("max_attempts must be >= 1, got %d", max_attempts));
   }
-  if (!(initial_backoff_seconds >= 0.0)) {
-    return Status::InvalidArgument(
-        StrPrintf("initial_backoff_seconds must be >= 0, got %g",
-                  initial_backoff_seconds));
-  }
-  if (!(backoff_multiplier >= 1.0)) {
-    return Status::InvalidArgument(StrPrintf(
-        "backoff_multiplier must be >= 1, got %g", backoff_multiplier));
-  }
-  if (!(max_backoff_seconds >= initial_backoff_seconds)) {
-    return Status::InvalidArgument(
-        StrPrintf("max_backoff_seconds (%g) must be >= "
-                  "initial_backoff_seconds (%g)",
-                  max_backoff_seconds, initial_backoff_seconds));
-  }
-  if (!(jitter_fraction >= 0.0 && jitter_fraction < 1.0)) {
-    return Status::InvalidArgument(StrPrintf(
-        "jitter_fraction must be in [0, 1), got %g", jitter_fraction));
-  }
   return Status::OK();
 }
 
-double BackoffSeconds(const RetryPolicy& policy, int attempt, uint64_t seed) {
+double BackoffSeconds(int attempt, uint64_t seed) {
+  constexpr double kInitialSeconds = 1e-3;
+  constexpr double kMaxSeconds = 0.25;
+  constexpr double kJitterFraction = 0.2;
   if (attempt < 1) attempt = 1;
+  // ldexp scales by a power of two exactly; a very late attempt overflows to
+  // infinity, which the cap clamps.
   const double base =
-      std::min(policy.max_backoff_seconds,
-               policy.initial_backoff_seconds *
-                   simd::PowInt(policy.backoff_multiplier, attempt - 1));
+      std::min(kMaxSeconds, std::ldexp(kInitialSeconds, attempt - 1));
   const uint64_t bits =
       Mix64(seed ^ (static_cast<uint64_t>(attempt) * 0x9E3779B97F4A7C15ull));
   const double unit =
       static_cast<double>(bits >> 11) * (1.0 / 9007199254740992.0);  // [0, 1)
-  const double factor =
-      1.0 + policy.jitter_fraction * (2.0 * unit - 1.0);
+  const double factor = 1.0 + kJitterFraction * (2.0 * unit - 1.0);
   return base * factor;
 }
 

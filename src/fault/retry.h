@@ -17,22 +17,14 @@ struct RetryPolicy {
   // Total attempts including the first; 1 disables retrying.
   int max_attempts = 5;
 
-  // Backoff before retry k (k = 1, 2, ...) is
-  //   initial_backoff_seconds * backoff_multiplier^(k-1)
-  // clamped to max_backoff_seconds, then scaled by a deterministic jitter
-  // factor uniform in [1 - jitter_fraction, 1 + jitter_fraction].
-  double initial_backoff_seconds = 1e-3;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 0.25;
-  double jitter_fraction = 0.2;
-
   Status Validate() const;
 };
 
-// Backoff (simulated seconds) before retry `attempt` (1-based). The jitter is
-// a pure function of (seed, attempt), so two runs with the same seed wait the
-// same simulated time.
-double BackoffSeconds(const RetryPolicy& policy, int attempt, uint64_t seed);
+// Backoff (simulated seconds) before retry `attempt` (1-based): 1 ms *
+// 2^(attempt-1), capped at 0.25 s, then scaled by a jitter factor uniform in
+// [0.8, 1.2]. The jitter is a pure function of (seed, attempt), so two runs
+// with the same seed wait the same simulated time.
+double BackoffSeconds(int attempt, uint64_t seed);
 
 // Whether `status` is a transient fault worth retrying (kUnavailable — the
 // code every injected transient fault carries).

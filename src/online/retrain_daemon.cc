@@ -60,8 +60,7 @@ Result<DatasetDelta> RetrainDaemon::LoadDeltaWithRetry(
     if (att >= options_.retry.max_attempts) return injected;
     ++report->delta_parse_retries;
     const uint64_t seed = SplitMix64(0xDE17Aull ^ kTrafficSeed);
-    dev->AdvanceStream(kDefaultStream,
-                       fault::BackoffSeconds(options_.retry, att, seed),
+    dev->AdvanceStream(kDefaultStream, fault::BackoffSeconds(att, seed),
                        "delta_parse_backoff");
   }
 }
@@ -259,8 +258,7 @@ Result<RetrainDaemonReport> RetrainDaemon::Run(const Dataset& base,
           if (att >= options_.retry.max_attempts) break;
           ++report.canary_retries;
           const uint64_t seed = SplitMix64(0xCA9A1ull ^ kTrafficSeed);
-          dev->AdvanceStream(kDefaultStream,
-                             fault::BackoffSeconds(options_.retry, att, seed),
+          dev->AdvanceStream(kDefaultStream, fault::BackoffSeconds(att, seed),
                              "canary_backoff");
           continue;
         }
@@ -339,8 +337,7 @@ Result<RetrainDaemonReport> RetrainDaemon::Run(const Dataset& base,
         }
         ++report.swap_retries;
         const uint64_t seed = SplitMix64(0x54A9ull ^ kTrafficSeed);
-        dev->AdvanceStream(kDefaultStream,
-                           fault::BackoffSeconds(options_.retry, att, seed),
+        dev->AdvanceStream(kDefaultStream, fault::BackoffSeconds(att, seed),
                            "swap_backoff");
       }
     }

@@ -9,7 +9,10 @@
 namespace gmpsvm {
 namespace {
 
-// Lin et al.'s backtracking floor and Hessian ridge (LibSVM's constants).
+// LibSVM's sigmoid_train constants: the Newton iteration cap, the gradient
+// stopping tolerance, and Lin et al.'s backtracking floor and Hessian ridge.
+constexpr int kMaxIterations = 100;
+constexpr double kEps = 1e-5;
 constexpr double kMinStep = 1e-10;
 constexpr double kSigma = 1e-12;
 
@@ -40,8 +43,8 @@ TaskCost PassCost(int64_t n, double flops_per_item, int64_t concurrent_copies = 
 
 Result<SigmoidParams> FitSigmoid(std::span<const double> decision_values,
                                  std::span<const int8_t> labels,
-                                 const PlattOptions& options, SimExecutor* executor,
-                                 StreamId stream, int parallel_candidates) {
+                                 SimExecutor* executor, StreamId stream,
+                                 int parallel_candidates) {
   const size_t n = decision_values.size();
   if (n == 0 || labels.size() != n) {
     return Status::InvalidArgument("empty or mismatched decision values / labels");
@@ -63,7 +66,7 @@ Result<SigmoidParams> FitSigmoid(std::span<const double> decision_values,
   executor->Charge(stream, PassCost(static_cast<int64_t>(n), 15.0));
 
   int iter = 0;
-  for (; iter < options.max_iterations; ++iter) {
+  for (; iter < kMaxIterations; ++iter) {
     // Gradient and Hessian of F(A, B): three parallel reductions over n.
     double h11 = kSigma, h22 = kSigma, h21 = 0.0;
     double g1 = 0.0, g2 = 0.0;
@@ -89,7 +92,7 @@ Result<SigmoidParams> FitSigmoid(std::span<const double> decision_values,
     }
     executor->Charge(stream, PassCost(static_cast<int64_t>(n), 25.0));
 
-    if (std::abs(g1) < options.eps && std::abs(g2) < options.eps) break;
+    if (std::abs(g1) < kEps && std::abs(g2) < kEps) break;
 
     // Newton direction.
     const double det = h11 * h22 - h21 * h21;
@@ -131,7 +134,7 @@ Result<SigmoidParams> FitSigmoid(std::span<const double> decision_values,
       break;
     }
   }
-  if (iter >= options.max_iterations) {
+  if (iter >= kMaxIterations) {
     GMP_LOG(Warning) << "sigmoid fit reached max iterations";
   }
   return params;

@@ -35,18 +35,15 @@ struct SigmoidParams {
   double Probability(double v) const { return simd::PlattFromArg(v * a + b); }
 };
 
-struct PlattOptions {
-  int max_iterations = 100;
-  double eps = 1e-5;  // gradient stopping tolerance
-};
-
-// Fits A and B from decision values and ±1 labels. Work is charged to
-// `stream`; pass the number of concurrently evaluated backtracking
-// candidates in `parallel_candidates` (1 = GPU baseline, >1 = GMP-SVM).
+// Fits A and B from decision values and ±1 labels, with LibSVM's stopping
+// rule: at most 100 Newton iterations, stopping once both gradient entries
+// are below 1e-5. Work is charged to `stream`; pass the number of
+// concurrently evaluated backtracking candidates in `parallel_candidates`
+// (1 = GPU baseline, >1 = GMP-SVM).
 Result<SigmoidParams> FitSigmoid(std::span<const double> decision_values,
                                  std::span<const int8_t> labels,
-                                 const PlattOptions& options, SimExecutor* executor,
-                                 StreamId stream, int parallel_candidates = 1);
+                                 SimExecutor* executor, StreamId stream,
+                                 int parallel_candidates = 1);
 
 }  // namespace gmpsvm
 

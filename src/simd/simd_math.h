@@ -104,23 +104,6 @@ inline double PlattFromArg(double f) {
   return (f >= 0 ? e : 1.0) / (1.0 + e);
 }
 
-// base^exponent for small non-negative integer exponents (the backoff
-// multiplier's power in fault::BackoffSeconds) by left-to-right repeated
-// squaring: a fixed multiply sequence, with no libm call.
-inline double PowInt(double base, int exponent) {
-  if (exponent <= 0) return 1.0;
-  double result = 1.0;
-  double b = base;
-  int e = exponent;
-  while (true) {
-    if ((e & 1) != 0) result *= b;
-    e >>= 1;
-    if (e == 0) break;
-    b *= b;
-  }
-  return result;
-}
-
 // Canonical dot -> kernel-value transform. All call sites — scalar
 // single-value evaluation and batched vector transforms — must use exactly
 // this operation order.

@@ -15,6 +15,8 @@ KernelBuffer::KernelBuffer(int64_t row_length, int64_t capacity_rows,
       capacity_rows_(std::max<int64_t>(1, capacity_rows)),
       policy_(policy),
       slot_(static_cast<size_t>(row_length_), -1),
+      prev_(slot_.size(), -1),
+      next_(slot_.size(), -1),
       pin_stamp_(slot_.size(), 0),
       poisoned_(slot_.size(), 0) {
   storage_.resize(static_cast<size_t>(row_length_ * capacity_rows_));
@@ -22,9 +24,50 @@ KernelBuffer::KernelBuffer(int64_t row_length, int64_t capacity_rows,
   for (int64_t s = capacity_rows_ - 1; s >= 0; --s) free_slots_.push_back(s);
 }
 
+int64_t KernelBuffer::CacheRows(int64_t row_length, size_t bytes) {
+  const int64_t n = std::max<int64_t>(1, row_length);
+  return std::min(n, std::max<int64_t>(2, static_cast<int64_t>(
+                                              bytes / (sizeof(double) * n))));
+}
+
 size_t KernelBuffer::Key(int32_t row) const {
   GMP_DCHECK(row >= 0 && row < row_length_);
   return static_cast<size_t>(row);
+}
+
+void KernelBuffer::LinkNewest(int32_t row) {
+  if (oldest_ < 0) {
+    prev_[row] = next_[row] = oldest_ = row;
+    return;
+  }
+  const int32_t newest = prev_[oldest_];
+  prev_[row] = newest;
+  next_[row] = oldest_;
+  next_[newest] = row;
+  prev_[oldest_] = row;
+}
+
+void KernelBuffer::Refresh(int32_t row) {
+  if (row == oldest_) {
+    oldest_ = next_[row];  // the ring turns by one: row is now the newest
+    return;
+  }
+  next_[prev_[row]] = next_[row];
+  prev_[next_[row]] = prev_[row];
+  LinkNewest(row);
+}
+
+void KernelBuffer::Replace(int32_t victim, int32_t row) {
+  if (next_[victim] == victim) {  // the only buffered row
+    prev_[row] = next_[row] = row;
+    return;
+  }
+  const int32_t before = prev_[victim];
+  const int32_t after = next_[victim];
+  prev_[row] = before;
+  next_[row] = after;
+  next_[before] = row;
+  prev_[after] = row;
 }
 
 const double* KernelBuffer::Lookup(int32_t row) {
@@ -32,18 +75,6 @@ const double* KernelBuffer::Lookup(int32_t row) {
   if (slot < 0 || poisoned_[Key(row)] != 0) return nullptr;
   if (policy_ == Policy::kLru) Refresh(row);
   return storage_.data() + slot * row_length_;
-}
-
-void KernelBuffer::Refresh(int32_t row) {
-  // O(queue) scan; the queue is at most capacity_rows_ entries and this is
-  // the ablation-only policy, so simplicity wins over an intrusive list.
-  for (auto it = fifo_.begin(); it != fifo_.end(); ++it) {
-    if (*it == row) {
-      fifo_.erase(it);
-      fifo_.push_back(row);
-      return;
-    }
-  }
 }
 
 void KernelBuffer::Partition(std::span<const int32_t> rows,
@@ -78,7 +109,7 @@ Result<std::vector<double*>> KernelBuffer::InsertBatch(
   for (int32_t row : rows) {
     if (slot_[Key(row)] >= 0) {
       // Only a poisoned row may be re-inserted: it keeps its slot and its
-      // place in the eviction queue; the caller overwrites the values.
+      // place in the eviction ring; the caller overwrites the values.
       GMP_DCHECK(poisoned_[Key(row)] != 0);
       poisoned_[Key(row)] = 0;
       out.push_back(storage_.data() + slot_[Key(row)] * row_length_);
@@ -88,35 +119,31 @@ Result<std::vector<double*>> KernelBuffer::InsertBatch(
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
       free_slots_.pop_back();
+      LinkNewest(row);
     } else {
-      // FIFO eviction skipping pinned rows: rotate pinned victims to the
-      // back of the queue (they stay buffered, just deferred).
-      size_t scanned = 0;
-      const size_t fifo_size = fifo_.size();
-      while (scanned < fifo_size) {
-        int32_t victim = fifo_.front();
-        fifo_.pop_front();
-        ++scanned;
-        if (IsPinned(victim)) {
-          fifo_.push_back(victim);
-          continue;
+      // Evict the oldest unpinned row: row takes its place in the ring, and
+      // the ring turns to start just after row, so row is the newest and the
+      // pinned rows that were ahead of the victim follow the rest in their
+      // order (they stay buffered, just deferred).
+      int32_t victim = oldest_;
+      while (IsPinned(victim)) {
+        victim = next_[victim];
+        if (victim == oldest_) {
+          return Status::FailedPrecondition(StrPrintf(
+              "kernel buffer exhausted: all %lld rows pinned, cannot insert row %d",
+              static_cast<long long>(capacity_rows_), row));
         }
-        slot = slot_[Key(victim)];
-        GMP_DCHECK(slot >= 0);
-        slot_[Key(victim)] = -1;
-        poisoned_[Key(victim)] = 0;
-        ++evictions_;
-        evicted_any = true;
-        break;
       }
-      if (slot < 0) {
-        return Status::FailedPrecondition(StrPrintf(
-            "kernel buffer exhausted: all %lld rows pinned, cannot insert row %d",
-            static_cast<long long>(capacity_rows_), row));
-      }
+      Replace(victim, row);
+      oldest_ = next_[row];
+      slot = slot_[Key(victim)];
+      GMP_DCHECK(slot >= 0);
+      slot_[Key(victim)] = -1;
+      poisoned_[Key(victim)] = 0;
+      ++evictions_;
+      evicted_any = true;
     }
     slot_[Key(row)] = slot;
-    fifo_.push_back(row);
     out.push_back(storage_.data() + slot * row_length_);
   }
   // Fault hook: an eviction pass may corrupt a bystander row (models a bad
@@ -131,7 +158,8 @@ Result<std::vector<double*>> KernelBuffer::InsertBatch(
 }
 
 void KernelBuffer::PoisonOldestUnpinned(std::span<const int32_t> just_inserted) {
-  for (int32_t row : fifo_) {
+  int32_t row = oldest_;
+  for (int64_t i = 0; i < rows_buffered(); ++i, row = next_[row]) {
     if (IsPinned(row) || poisoned_[Key(row)] != 0) continue;
     if (std::find(just_inserted.begin(), just_inserted.end(), row) !=
         just_inserted.end()) {

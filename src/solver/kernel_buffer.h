@@ -1,19 +1,25 @@
-// The GPU buffer of Section 3.3.1: a pre-allocated region of device memory
-// holding full kernel-matrix rows for the batched SMO solver, with FIFO
-// replacement (the paper's choice: "we find first-in first-out simple and
-// sufficiently effective").
+// The solver layer's one kernel-row store: a pre-allocated region holding
+// full kernel-matrix rows of one binary problem, keyed by local row index,
+// under one of the paper's two replacement policies.
+//
+//   * kFifo is the GPU buffer of Section 3.3.1 that the batched SMO solver
+//     keeps its working-set rows in (the paper's choice: "we find first-in
+//     first-out simple and sufficiently effective").
+//   * kLru is LibSVM's kernel cache (Section 3.2), which the classic SMO
+//     solver keeps its rows in on the CPU (LibSVM) and in device memory (the
+//     GPU baseline and GPUSVM); the batched solver's buffer-policy ablation
+//     selects it too.
 //
 // Refinement over the paper's per-batch description: eviction is per-row in
-// insertion (FIFO) order, and rows belonging to the current working set can
-// be pinned so a large insertion cannot evict rows the ongoing round still
-// needs. With q = capacity this degenerates to whole-buffer replacement,
-// exactly the paper's batch behaviour.
+// queue order, and rows belonging to the current working set can be pinned
+// so a large insertion cannot evict rows the ongoing round still needs. With
+// q = capacity this degenerates to whole-buffer replacement, exactly the
+// paper's batch behaviour.
 
 #ifndef GMPSVM_SOLVER_KERNEL_BUFFER_H_
 #define GMPSVM_SOLVER_KERNEL_BUFFER_H_
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -27,9 +33,8 @@ class FaultInjector;
 
 class KernelBuffer {
  public:
-  // Replacement policy. The paper uses kFifo ("simple and sufficiently
-  // effective") and leaves better policies as out of scope; kLru is provided
-  // for the ablation bench that quantifies that choice.
+  // Eviction order: kFifo evicts the oldest insertion, kLru the least
+  // recently used row (a hit moves the row to the newest end).
   enum class Policy { kFifo, kLru };
 
   // `row_length` kernel values per row (the binary problem's n);
@@ -38,6 +43,12 @@ class KernelBuffer {
   // indexed by it, and an id outside that range fails a GMP_DCHECK.
   KernelBuffer(int64_t row_length, int64_t capacity_rows,
                Policy policy = Policy::kFifo);
+
+  // Rows a cache of `bytes` holds under LibSVM's rule: bytes / (8 *
+  // row_length), at least two and at most row_length. An SMO step reads the
+  // rows of u and l together, so with one row fetching l would evict u; a
+  // kernel matrix has only row_length distinct rows.
+  static int64_t CacheRows(int64_t row_length, size_t bytes);
 
   int64_t row_length() const { return row_length_; }
   int64_t capacity_rows() const { return capacity_rows_; }
@@ -87,8 +98,12 @@ class KernelBuffer {
   size_t Key(int32_t row) const;
   bool IsPinned(int32_t row) const { return pin_stamp_[Key(row)] == pin_generation_; }
 
-  // Moves `row` to the back of the eviction queue (most recent).
+  // Links `row` into the eviction ring as the newest row.
+  void LinkNewest(int32_t row);
+  // Makes buffered `row` the newest row (kLru's hit), in O(1).
   void Refresh(int32_t row);
+  // Puts `row` in buffered `victim`'s place in the ring.
+  void Replace(int32_t victim, int32_t row);
 
   // Poisons the oldest unpinned resident row not in `just_inserted`.
   void PoisonOldestUnpinned(std::span<const int32_t> just_inserted);
@@ -98,7 +113,12 @@ class KernelBuffer {
   Policy policy_;
   std::vector<double> storage_;
   std::vector<int64_t> slot_;  // row -> slot, -1 while not buffered
-  std::deque<int32_t> fifo_;   // eviction order, front = next victim
+  // Eviction order, shared by both policies: a doubly linked ring over the
+  // buffered rows, indexed by row id. oldest_ is the next victim and
+  // prev_[oldest_] the newest row; -1 while nothing is buffered.
+  std::vector<int32_t> prev_;
+  std::vector<int32_t> next_;
+  int32_t oldest_ = -1;
   // A row is pinned while its stamp equals the current Pin() generation
   // (64 bits: never wraps).
   std::vector<uint64_t> pin_stamp_;

@@ -8,7 +8,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "solver/kernel_cache.h"
+#include "solver/kernel_buffer.h"
 #include "solver/working_set.h"
 
 namespace gmpsvm {
@@ -50,21 +50,15 @@ Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
     cvec[static_cast<size_t>(i)] = problem.CFor(y[static_cast<size_t>(i)]);
   }
 
-  // Kernel-row cache; on the GPU baseline it occupies device memory, halving
-  // until it fits the budget.
+  // LibSVM's LRU kernel-row cache; on the GPU baseline it occupies device
+  // memory, halving until it fits the budget.
   size_t cache_bytes = options_.cache_bytes;
   DeviceAllocation cache_reservation;
   if (options_.cache_on_device) {
-    while (cache_bytes > (1u << 20)) {
-      auto reservation = executor->Allocate(cache_bytes);
-      if (reservation.ok()) {
-        cache_reservation = std::move(reservation).value();
-        break;
-      }
-      cache_bytes /= 2;
-    }
+    cache_reservation = executor->AllocateHalving(&cache_bytes);
   }
-  KernelCache cache(n, cache_bytes, /*max_rows=*/n);
+  KernelBuffer cache(n, KernelBuffer::CacheRows(n, cache_bytes),
+                     KernelBuffer::Policy::kLru);
 
   // Fetches the local kernel row for `i`, serving from cache when possible.
   std::vector<int32_t> batch_one(1);
@@ -76,7 +70,8 @@ Result<BinarySolution> SmoSolver::Solve(const BinaryProblem& problem,
       if (stats != nullptr) ++stats->kernel_rows_reused;
       return row;
     }
-    double* slot = cache.Insert(i);
+    // Nothing is pinned, so the insert always finds a victim.
+    double* slot = ValueOrDie(cache.InsertBatch({&i, 1}))[0];
     batch_one[0] = problem.rows[static_cast<size_t>(i)];
     computer.ComputeBlock(batch_one, problem.rows, executor, stream, slot);
     if (stats != nullptr) ++stats->kernel_rows_computed;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <vector>
@@ -227,39 +229,44 @@ TEST(RetryPolicyTest, ValidateRejectsBadFields) {
   GMP_CHECK_OK(policy.Validate());
   policy.max_attempts = 0;
   EXPECT_TRUE(policy.Validate().IsInvalidArgument());
-  policy = RetryPolicy();
-  policy.backoff_multiplier = 0.5;
-  EXPECT_TRUE(policy.Validate().IsInvalidArgument());
-  policy = RetryPolicy();
-  policy.max_backoff_seconds = policy.initial_backoff_seconds / 2;
-  EXPECT_TRUE(policy.Validate().IsInvalidArgument());
-  policy = RetryPolicy();
-  policy.jitter_fraction = 1.0;
-  EXPECT_TRUE(policy.Validate().IsInvalidArgument());
 }
 
 TEST(RetryPolicyTest, BackoffIsDeterministicBoundedAndGrows) {
-  RetryPolicy policy;
-  policy.initial_backoff_seconds = 1e-3;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_seconds = 0.25;
-  policy.jitter_fraction = 0.2;
-
   for (int attempt = 1; attempt <= 12; ++attempt) {
-    const double a = BackoffSeconds(policy, attempt, 42);
-    const double b = BackoffSeconds(policy, attempt, 42);
-    EXPECT_EQ(a, b);  // pure function of (policy, attempt, seed)
-    EXPECT_GE(a, 0.0);
+    const double a = BackoffSeconds(attempt, 42);
+    const double b = BackoffSeconds(attempt, 42);
+    EXPECT_EQ(a, b);  // pure function of (attempt, seed)
     // Jitter is bounded: within +-20% of the capped exponential base.
-    EXPECT_LE(a, policy.max_backoff_seconds * 1.2);
+    const double base = std::min(0.25, 1e-3 * std::pow(2.0, attempt - 1));
+    EXPECT_GE(a, base * 0.8);
+    EXPECT_LE(a, base * 1.2);
   }
   // Different seeds jitter differently.
-  EXPECT_NE(BackoffSeconds(policy, 3, 1), BackoffSeconds(policy, 3, 2));
-  // The base grows with the attempt number (compare without jitter).
-  policy.jitter_fraction = 0.0;
-  EXPECT_LT(BackoffSeconds(policy, 1, 0), BackoffSeconds(policy, 4, 0));
+  EXPECT_NE(BackoffSeconds(3, 1), BackoffSeconds(3, 2));
+  // The base grows with the attempt number past the jitter band...
+  EXPECT_LT(BackoffSeconds(1, 0), BackoffSeconds(4, 0));
   // ...and saturates at the cap.
-  EXPECT_DOUBLE_EQ(BackoffSeconds(policy, 40, 0), policy.max_backoff_seconds);
+  EXPECT_LE(BackoffSeconds(40, 0), 0.25 * 1.2);
+  EXPECT_GE(BackoffSeconds(40, 0), 0.25 * 0.8);
+}
+
+// Exact backoffs of the configurable schedule (initial 1 ms, multiplier 2,
+// cap 0.25 s, jitter 0.2, the defaults no caller changed), recorded before
+// the schedule became fixed: retried runs keep their simulated seconds.
+TEST(RetryPolicyTest, BackoffKeepsItsRecordedValues) {
+  const int attempts[] = {1, 2, 3, 5, 8, 9, 12, 40};
+  const double seed0[] = {0x1.2e564900326dbp-10, 0x1.fdedaa5341b83p-10,
+                          0x1.a8f955af4f152p-9,  0x1.b9bba07e6b09p-7,
+                          0x1.229e22e8f97b9p-3,  0x1.cbeac6d9ce3adp-3,
+                          0x1.1abadc599bbe5p-2,  0x1.d954c85c1d374p-3};
+  const double seed42[] = {0x1.1f79526404e1ep-10, 0x1.2ac1fcb95015fp-9,
+                           0x1.f1ee05117239cp-9,  0x1.d31f2e760c836p-7,
+                           0x1.1b86ee881b578p-3,  0x1.1e9c396bd7edbp-2,
+                           0x1.1582615b5f0d2p-2,  0x1.f02166c2c041dp-3};
+  for (size_t i = 0; i < std::size(attempts); ++i) {
+    EXPECT_EQ(BackoffSeconds(attempts[i], 0), seed0[i]) << attempts[i];
+    EXPECT_EQ(BackoffSeconds(attempts[i], 42), seed42[i]) << attempts[i];
+  }
 }
 
 TEST(RetryPolicyTest, IsTransientFaultMatchesUnavailableOnly) {

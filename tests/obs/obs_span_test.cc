@@ -5,12 +5,15 @@
 
 #include "obs/span.h"
 
+#include <algorithm>
 #include <fstream>
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
+#include "../test_util.h"
+#include "core/mp_trainer.h"
 #include "device/executor.h"
 
 namespace gmpsvm {
@@ -148,6 +151,33 @@ TEST(TraceRecorderTest, LaneWidthWrapsStreamsIntoBand) {
   const SpanEvent span = trace.events().back();
   EXPECT_GE(span.lane, 16);
   EXPECT_LT(span.lane, 20);
+}
+
+// The trainer's phase spans (data_load, smo, sigmoid) take the executor's
+// lane mapping like its leaf spans, so a pair group with more streams than
+// the band is wide stays inside the band too.
+TEST(TraceRecorderTest, PhaseSpansWrapIntoBand) {
+  const Dataset data =
+      ValueOrDie(testing::MakeMulticlassBlobs(5, 12, 4, 2.0, 31));
+  SimExecutor exec(ExecutorModel::TeslaP100());
+  TraceRecorder trace;
+  exec.SetSpanRecorder(&trace, /*lane_base=*/16, /*lane_width=*/4);
+  MpTrainOptions options;
+  options.max_concurrent_svms = 10;  // the 10 pairs in one group
+  ValueOrDie(GmpSvmTrainer(options).Train(data, &exec, nullptr));
+
+  int phases = 0;
+  int outside = 0;
+  int max_phase_lane = -1;
+  for (const SpanEvent& e : trace.events()) {
+    if (e.lane < 16 || e.lane >= 20) ++outside;
+    if (!e.is_phase) continue;
+    ++phases;
+    max_phase_lane = std::max(max_phase_lane, e.lane);
+  }
+  EXPECT_GT(phases, 20);  // data_load plus smo and sigmoid per pair
+  EXPECT_EQ(max_phase_lane, 19);
+  EXPECT_EQ(outside, 0);
 }
 
 // Regression guard for the deleted ExecutionTrace shim (PR 2's deprecation,

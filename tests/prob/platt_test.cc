@@ -40,10 +40,9 @@ TEST(FitSigmoidTest, RejectsBadInput) {
   SimExecutor exec = MakeExecutor();
   std::vector<double> dec = {1.0};
   std::vector<int8_t> labels = {1, -1};
-  EXPECT_FALSE(
-      FitSigmoid(dec, labels, PlattOptions{}, &exec, kDefaultStream).ok());
-  EXPECT_FALSE(FitSigmoid(std::vector<double>{}, std::vector<int8_t>{},
-                          PlattOptions{}, &exec, kDefaultStream)
+  EXPECT_FALSE(FitSigmoid(dec, labels, &exec, kDefaultStream).ok());
+  EXPECT_FALSE(FitSigmoid(std::vector<double>{}, std::vector<int8_t>{}, &exec,
+                          kDefaultStream)
                    .ok());
 }
 
@@ -53,7 +52,7 @@ TEST(FitSigmoidTest, RecoversKnownParameters) {
   SampleFromSigmoid(-2.0, 0.3, 20000, 42, &dec, &labels);
   SimExecutor exec = MakeExecutor();
   auto params =
-      ValueOrDie(FitSigmoid(dec, labels, PlattOptions{}, &exec, kDefaultStream));
+      ValueOrDie(FitSigmoid(dec, labels, &exec, kDefaultStream));
   EXPECT_NEAR(params.a, -2.0, 0.15);
   EXPECT_NEAR(params.b, 0.3, 0.15);
 }
@@ -64,7 +63,7 @@ TEST(FitSigmoidTest, ProbabilityMonotoneInDecisionValue) {
   SampleFromSigmoid(-1.5, 0.0, 5000, 7, &dec, &labels);
   SimExecutor exec = MakeExecutor();
   auto params =
-      ValueOrDie(FitSigmoid(dec, labels, PlattOptions{}, &exec, kDefaultStream));
+      ValueOrDie(FitSigmoid(dec, labels, &exec, kDefaultStream));
   // Larger decision value => larger probability of the positive class
   // (requires the fitted A to be negative, which it is for sane data).
   double prev = params.Probability(-5.0);
@@ -87,7 +86,7 @@ TEST(FitSigmoidTest, SeparableDataGivesSteepSigmoid) {
   }
   SimExecutor exec = MakeExecutor();
   auto params =
-      ValueOrDie(FitSigmoid(dec, labels, PlattOptions{}, &exec, kDefaultStream));
+      ValueOrDie(FitSigmoid(dec, labels, &exec, kDefaultStream));
   EXPECT_LT(params.a, -1.0);
   EXPECT_GT(params.Probability(1.5), 0.9);
   EXPECT_LT(params.Probability(-1.5), 0.1);
@@ -105,7 +104,7 @@ TEST(FitSigmoidTest, ImbalancedPriorsShiftB) {
   }
   SimExecutor exec = MakeExecutor();
   auto params =
-      ValueOrDie(FitSigmoid(dec, labels, PlattOptions{}, &exec, kDefaultStream));
+      ValueOrDie(FitSigmoid(dec, labels, &exec, kDefaultStream));
   EXPECT_NEAR(params.Probability(0.0), 0.1, 0.03);
 }
 
@@ -114,8 +113,8 @@ TEST(FitSigmoidTest, DeterministicAndChargesWork) {
   std::vector<int8_t> labels;
   SampleFromSigmoid(-1.0, 0.0, 1000, 11, &dec, &labels);
   SimExecutor e1 = MakeExecutor(), e2 = MakeExecutor();
-  auto p1 = ValueOrDie(FitSigmoid(dec, labels, PlattOptions{}, &e1, kDefaultStream));
-  auto p2 = ValueOrDie(FitSigmoid(dec, labels, PlattOptions{}, &e2, kDefaultStream));
+  auto p1 = ValueOrDie(FitSigmoid(dec, labels, &e1, kDefaultStream));
+  auto p2 = ValueOrDie(FitSigmoid(dec, labels, &e2, kDefaultStream));
   EXPECT_DOUBLE_EQ(p1.a, p2.a);
   EXPECT_DOUBLE_EQ(p1.b, p2.b);
   EXPECT_GT(e1.NowSeconds(), 0.0);
@@ -128,9 +127,9 @@ TEST(FitSigmoidTest, ParallelCandidatesSameFitLessSimTime) {
   SampleFromSigmoid(-2.5, 1.0, 4000, 13, &dec, &labels);
   SimExecutor serial = MakeExecutor(), parallel = MakeExecutor();
   auto ps = ValueOrDie(
-      FitSigmoid(dec, labels, PlattOptions{}, &serial, kDefaultStream, 1));
+      FitSigmoid(dec, labels, &serial, kDefaultStream, 1));
   auto pp = ValueOrDie(
-      FitSigmoid(dec, labels, PlattOptions{}, &parallel, kDefaultStream, 8));
+      FitSigmoid(dec, labels, &parallel, kDefaultStream, 8));
   EXPECT_DOUBLE_EQ(ps.a, pp.a);  // identical result
   EXPECT_DOUBLE_EQ(ps.b, pp.b);
   EXPECT_LE(parallel.NowSeconds(), serial.NowSeconds() + 1e-12);
@@ -149,7 +148,7 @@ TEST_P(SigmoidRecoveryTest, RecoversParameters) {
   SampleFromSigmoid(a, b, 30000, 1234, &dec, &labels);
   SimExecutor exec = MakeExecutor();
   auto params =
-      ValueOrDie(FitSigmoid(dec, labels, PlattOptions{}, &exec, kDefaultStream));
+      ValueOrDie(FitSigmoid(dec, labels, &exec, kDefaultStream));
   EXPECT_NEAR(params.a, a, 0.25 * (1.0 + std::abs(a)));
   EXPECT_NEAR(params.b, b, 0.25 * (1.0 + std::abs(b)));
 }

@@ -108,8 +108,6 @@ TEST(SimdMathTest, ExpMatchesStdExpClosely) {
   EXPECT_EQ(simd::Exp(0.0), 1.0);
   EXPECT_EQ(simd::Exp(800.0), std::numeric_limits<double>::infinity());
   EXPECT_EQ(simd::Exp(-800.0), 0.0);
-  EXPECT_EQ(simd::PowInt(2.0, 10), 1024.0);
-  EXPECT_EQ(simd::PowInt(5.0, 0), 1.0);
 }
 
 TEST(SimdTierIdentityTest, DotAndGatherDotBitwiseAcrossTiers) {

@@ -129,6 +129,85 @@ TEST(KernelBufferTest, LargerBufferRetainsDepartedRows) {
   EXPECT_EQ(large.hits(), 2);  // 0 and 1 were still buffered on re-entry
 }
 
+// kLru is LibSVM's kernel cache, as SmoSolver and GPUSVM size and use it:
+// one row per lookup, nothing pinned, no fault injector.
+constexpr KernelBuffer::Policy kLru = KernelBuffer::Policy::kLru;
+
+double* InsertOne(KernelBuffer* cache, int32_t row) {
+  return ValueOrDie(cache->InsertBatch(std::vector<int32_t>{row}))[0];
+}
+
+TEST(KernelBufferLruTest, MissThenHit) {
+  KernelBuffer cache(/*row_length=*/4,
+                     KernelBuffer::CacheRows(4, /*bytes=*/4 * 8 * 3), kLru);
+  EXPECT_EQ(cache.capacity_rows(), 3);
+  EXPECT_EQ(cache.Lookup(0), nullptr);
+  std::vector<int32_t> present, missing;
+  std::vector<int32_t> want = {0};
+  cache.Partition(want, &present, &missing);
+  EXPECT_EQ(missing, want);
+  InsertOne(&cache, 0)[0] = 1.5;
+  const double* hit = cache.Lookup(0);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_DOUBLE_EQ(hit[0], 1.5);
+  cache.Partition(want, &present, &missing);
+  EXPECT_EQ(present, want);
+  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.misses(), 1);
+}
+
+TEST(KernelBufferLruTest, EvictsLeastRecentlyUsed) {
+  KernelBuffer cache(4, KernelBuffer::CacheRows(4, 4 * 8 * 2), kLru);  // 2 rows
+  InsertOne(&cache, 1)[0] = 1;
+  InsertOne(&cache, 2)[0] = 2;
+  // Touch 1 so 2 becomes least recent.
+  ASSERT_NE(cache.Lookup(1), nullptr);
+  InsertOne(&cache, 3)[0] = 3;
+  EXPECT_NE(cache.Lookup(1), nullptr);
+  EXPECT_EQ(cache.Lookup(2), nullptr);  // evicted
+  EXPECT_NE(cache.Lookup(3), nullptr);
+  EXPECT_EQ(cache.evictions(), 1);
+}
+
+TEST(KernelBufferLruTest, AtLeastTwoRowsEvenWithTinyBudget) {
+  // An SMO step reads two rows at once, so the floor is two rows (LibSVM's
+  // Cache does the same), still capped by the problem's row count.
+  EXPECT_EQ(KernelBuffer::CacheRows(1000, /*bytes=*/1), 2);
+  KernelBuffer cache(1000, KernelBuffer::CacheRows(1000, 1), kLru);
+  InsertOne(&cache, 5)[999] = 7.0;
+  InsertOne(&cache, 6)[0] = 1.0;
+  EXPECT_DOUBLE_EQ(cache.Lookup(5)[999], 7.0);
+  EXPECT_DOUBLE_EQ(cache.Lookup(6)[0], 1.0);
+  // The third insert evicts the least recent row (5 was looked up before 6).
+  InsertOne(&cache, 7);
+  EXPECT_EQ(cache.Lookup(5), nullptr);
+  EXPECT_NE(cache.Lookup(6), nullptr);
+  EXPECT_NE(cache.Lookup(7), nullptr);
+  EXPECT_EQ(KernelBuffer::CacheRows(1, 1), 1);
+  EXPECT_EQ(KernelBuffer::CacheRows(4, 4 * 8 * 100), 4);
+}
+
+TEST(KernelBufferLruTest, RowsBufferedTracksOccupancy) {
+  KernelBuffer cache(4, KernelBuffer::CacheRows(4, 4 * 8 * 4), kLru);
+  EXPECT_EQ(cache.rows_buffered(), 0);
+  InsertOne(&cache, 1);
+  InsertOne(&cache, 2);
+  EXPECT_EQ(cache.rows_buffered(), 2);
+}
+
+TEST(KernelBufferLruTest, ManyInsertionsCycleWithoutGrowth) {
+  KernelBuffer cache(100, KernelBuffer::CacheRows(100, 100 * 8 * 4), kLru);
+  ASSERT_EQ(cache.capacity_rows(), 4);
+  for (int32_t r = 0; r < 100; ++r) InsertOne(&cache, r)[0] = r;
+  EXPECT_EQ(cache.rows_buffered(), 4);
+  EXPECT_EQ(cache.evictions(), 96);
+  // The last four rows survive.
+  for (int32_t r = 96; r < 100; ++r) {
+    ASSERT_NE(cache.Lookup(r), nullptr);
+    EXPECT_DOUBLE_EQ(cache.Lookup(r)[0], r);
+  }
+}
+
 TEST(KernelBufferPoisonTest, PoisonedRowBehavesAsAbsentUntilRewritten) {
   fault::FaultPlan plan;
   plan.evict_poison_prob = 1.0;

@@ -56,16 +56,21 @@ PY
 grep -q "swaps: 1 committed, 0 rollbacks" "$work/clean.log"
 grep -q "served: .* (0 dropped)" "$work/clean.log"
 # Same deltas under a seeded fault plan on a sharded topology:
-# recovery must converge to the exact same model bytes.
+# recovery must converge to the exact same model bytes. Seed 4 draws faults
+# at the daemon's delta-parse and canary sites, so both retry loops run.
+# (No chaos seed reaches the swap retry: FaultPlan::Chaos leaves
+# swap_fail_prob at 0.)
 "$svm_tool" retrain-daemon \
   --delta-dir "$work/deltas" --brier-threshold 0.3 \
-  --chaos-seed 11 --devices 4 --host-threads 8 \
+  --chaos-seed 4 --devices 4 --host-threads 8 \
   --model-out "$work/chaos.model" \
   --metrics-out "$work/chaos.prom" \
   "$work/drift.libsvm" "$work/initial.model" \
   | tee "$work/chaos.log"
-grep -q "chaos enabled (seed 11)" "$work/chaos.log"
+grep -q "chaos enabled (seed 4)" "$work/chaos.log"
 grep -q "served: .* (0 dropped)" "$work/chaos.log"
+grep -Eq "recovery: [1-9][0-9]* delta-parse retries, [1-9][0-9]* canary retries" \
+  "$work/chaos.log"
 cmp "$work/clean.model" "$work/chaos.model"
 # The swapped-in model absorbed the drift, so it must differ from
 # the incumbent it replaced. (A bare `! cmp` would not stop the script:
