@@ -4,8 +4,8 @@
 // and beside it the host wall time per row of the same ComputeBlock calls
 // (best of kWallReps, one host thread). On the host, batching pays through
 // the register-blocked panels of BatchRowDots2: each target nonzero is loaded
-// once per simd::kPanelRows batch rows, so wall per row levels off from
-// b = kPanelRows on rather than tracking the simulated cost.
+// once per panel of up to 16 batch rows, so wall per row levels off from
+// b = 16 on rather than tracking the simulated cost.
 
 #include <algorithm>
 #include <cstdio>

@@ -103,6 +103,44 @@ void BM_BatchKernelRowsDense(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchKernelRowsDense)->Arg(16)->Arg(128);
 
+// Kernel-row batches at the shapes the end-to-end workloads train on. The
+// batch sizes take a partial 8-row panel (5), one 16-row panel (16) and four
+// (64) of BatchRowDots2's register-blocked panels; batch rows come from the
+// targets themselves, as in training.
+struct RowShape {
+  int64_t cols;
+  double density;
+  int64_t targets;
+};
+
+void BM_BatchKernelRows(benchmark::State& state, RowShape shape) {
+  const int64_t batch_size = state.range(0);
+  Dataset data = MakeData(shape.targets, shape.cols, shape.density);
+  KernelParams params;
+  params.gamma = 0.5;
+  KernelComputer computer(&data.features(), params);
+  std::vector<int32_t> all(static_cast<size_t>(data.size()));
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<int32_t> batch(all.begin(), all.begin() + batch_size);
+  std::vector<double> out(static_cast<size_t>(batch_size * data.size()));
+  SimExecutor gpu(ExecutorModel::TeslaP100());
+  for (auto _ : state) {
+    computer.ComputeBlock(batch, all, &gpu, kDefaultStream, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch_size * data.size());
+}
+// train-mnist's MNIST proxy: 256 columns, 25% dense.
+BENCHMARK_CAPTURE(BM_BatchKernelRows, mnist, RowShape{256, 0.25, 300})
+    ->Arg(5)->Arg(16)->Arg(64);
+// retrain-k16's RETRAIN-K16 problem: 24 dense columns.
+BENCHMARK_CAPTURE(BM_BatchKernelRows, retrain_k16, RowShape{24, 1.0, 206})
+    ->Arg(5)->Arg(16)->Arg(64);
+// Dense 512-column rows like the CIFAR-10 proxy's (no end-to-end workload).
+BENCHMARK_CAPTURE(BM_BatchKernelRows, cifar10, RowShape{512, 1.0, 500})
+    ->Arg(5)->Arg(16)->Arg(64);
+
 void BM_KernelBufferChurn(benchmark::State& state) {
   KernelBuffer buffer(/*row_length=*/4096, /*capacity_rows=*/512);
   std::vector<int32_t> present, missing;

@@ -390,7 +390,7 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
                 const BinarySvmEntry& svm = model.svms[pi];
                 ops.gather_dot_panel(svm.sv_coef.data(),
                                      svm.sv_pool_index.data(), svm.num_svs(),
-                                     block,
+                                     block, simd::kPanelRows,
                                      panel_dv.data() + pi * simd::kPanelRows);
               }
             }

@@ -57,9 +57,10 @@ void AtomicAddDouble(std::atomic<double>* target, double delta) {
 
 }  // namespace
 
-double* AlignedPanel(std::vector<double>& storage, int64_t cols) {
+double* AlignedPanel(std::vector<double>& storage, int64_t cols, int rows) {
   constexpr size_t kAlignDoubles = 32 / sizeof(double);
-  const size_t need = static_cast<size_t>(cols) * kPanelRows + kAlignDoubles;
+  const size_t need = static_cast<size_t>(cols) * static_cast<size_t>(rows) +
+                      kAlignDoubles;
   if (storage.size() < need) storage.resize(need, 0.0);
   const size_t misalign =
       reinterpret_cast<uintptr_t>(storage.data()) % 32 / sizeof(double);

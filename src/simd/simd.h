@@ -47,15 +47,17 @@ enum class SimdTier {
   kAvx2 = 2,    // x86-64 AVX2, 4 doubles per vector
 };
 
-// Rows per register-blocked panel of gather_dot_panel: one AVX2 vector. A
-// constant of the contract, not a tuning knob.
+// Rows of the prediction, Platt and coupling panels, and of the narrowest
+// gather_dot_panel: one AVX2 vector. A constant of the contract, not a
+// tuning knob.
 inline constexpr int kPanelRows = 4;
 
-// A 32-byte-aligned interleaved panel of `cols` columns (kPanelRows doubles
+// A 32-byte-aligned interleaved panel of `cols` columns (`rows` doubles
 // each) inside `storage`, which grows as needed; new entries are zero and
 // existing entries are kept, though a growth may move them to a different
 // panel offset.
-double* AlignedPanel(std::vector<double>& storage, int64_t cols);
+double* AlignedPanel(std::vector<double>& storage, int64_t cols,
+                     int rows = kPanelRows);
 
 // Function table for one tier. All routines are pure host computation; the
 // caller owns cost accounting. Pointers are always non-null within a
@@ -68,14 +70,18 @@ struct SimdOps {
   double (*gather_dot)(const double* vals, const int32_t* idx, int64_t n,
                        const double* dense) = nullptr;
 
-  // gather_dot against kPanelRows dense rows at once. The rows are stored
-  // interleaved, panel[c * kPanelRows + r] holding row r's column c, so each
-  // nonzero (idx[p], vals[p]) is loaded once and feeds every row of the
-  // panel. The canonical tree runs per row, with one row per lane instead of
-  // one product per lane, so out[r] is bitwise gather_dot(vals, idx, n,
-  // row r). `panel` must be 32-byte aligned.
+  // gather_dot against `rows` dense rows at once, `rows` being 4, 8 or 16.
+  // The rows are stored interleaved, panel[c * rows + r] holding row r's
+  // column c, so each nonzero (idx[p], vals[p]) is loaded once and feeds
+  // every row of the panel: AVX2 keeps one accumulator vector per 4 rows,
+  // all fed by one broadcast and one index load per nonzero. The canonical
+  // tree runs per row, with one row per lane instead of one product per
+  // lane (the scalar tier runs it row by row at stride `rows`), so out[r]
+  // is bitwise gather_dot(vals, idx, n, row r) for r < rows. `panel` must be
+  // 32-byte aligned.
   void (*gather_dot_panel)(const double* vals, const int32_t* idx, int64_t n,
-                           const double* panel, double* out) = nullptr;
+                           const double* panel, int rows,
+                           double* out) = nullptr;
 
   // Contiguous sum_p a[p] * b[p], same reduction tree as gather_dot (the
   // two agree bitwise when idx is the identity).

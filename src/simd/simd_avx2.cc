@@ -122,38 +122,65 @@ double GatherDotAvx2(const double* vals, const int32_t* idx, int64_t n,
   return acc;
 }
 
-// Lane r of the result is product vals[q] * (panel row r)[idx[q]]: one
-// broadcast and one aligned 4-row load per nonzero.
-inline __m256d PanelProduct(const double* vals, const int32_t* idx,
-                            const double* panel, int64_t q) {
-  return _mm256_mul_pd(
-      _mm256_set1_pd(vals[q]),
-      _mm256_load_pd(panel + static_cast<int64_t>(idx[q]) * kPanelRows));
-}
-
-// The block-8 tree of GatherDotAvx2, run lane-wise: s_j = c_j + c_{j+4},
-// block = (s0 + s2) + (s1 + s3), accumulated left to right, tail
-// sequential. No horizontal step — each lane is already one row's sum.
-void GatherDotPanelAvx2(const double* vals, const int32_t* idx, int64_t n,
-                        const double* panel, double* out) {
-  __m256d acc = _mm256_setzero_pd();
+// The block-8 tree of GatherDotAvx2, run lane-wise over kGroups vectors of
+// 4 panel rows each: s_j = c_j + c_{j+4}, block = (s0 + s2) + (s1 + s3),
+// accumulated left to right, tail sequential. No horizontal step — each
+// lane is already one row's sum. Each nonzero is one index load and one
+// broadcast, feeding one aligned load and one multiply per group.
+template <int kGroups>
+void PanelDotsAvx2(const double* vals, const int32_t* idx, int64_t n,
+                   const double* panel, double* out) {
+  // The loops over groups and block positions are unrolled by pragma: -O2
+  // left them rolled, with every vector of v, s and acc on the stack.
+  constexpr int64_t kRows = 4 * kGroups;
+  __m256d acc[kGroups];
+#pragma GCC unroll 4
+  for (int g = 0; g < kGroups; ++g) acc[g] = _mm256_setzero_pd();
   int64_t p = 0;
   for (; p + 8 <= n; p += 8) {
-    const __m256d s0 = _mm256_add_pd(PanelProduct(vals, idx, panel, p),
-                                     PanelProduct(vals, idx, panel, p + 4));
-    const __m256d s1 = _mm256_add_pd(PanelProduct(vals, idx, panel, p + 1),
-                                     PanelProduct(vals, idx, panel, p + 5));
-    const __m256d s2 = _mm256_add_pd(PanelProduct(vals, idx, panel, p + 2),
-                                     PanelProduct(vals, idx, panel, p + 6));
-    const __m256d s3 = _mm256_add_pd(PanelProduct(vals, idx, panel, p + 3),
-                                     PanelProduct(vals, idx, panel, p + 7));
-    acc = _mm256_add_pd(
-        acc, _mm256_add_pd(_mm256_add_pd(s0, s2), _mm256_add_pd(s1, s3)));
+    __m256d v[8];
+    const double* col[8];
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      v[j] = _mm256_set1_pd(vals[p + j]);
+      col[j] = panel + static_cast<int64_t>(idx[p + j]) * kRows;
+    }
+#pragma GCC unroll 4
+    for (int g = 0; g < kGroups; ++g) {
+      __m256d s[4];
+#pragma GCC unroll 4
+      for (int j = 0; j < 4; ++j) {
+        s[j] = _mm256_add_pd(
+            _mm256_mul_pd(v[j], _mm256_load_pd(col[j] + 4 * g)),
+            _mm256_mul_pd(v[j + 4], _mm256_load_pd(col[j + 4] + 4 * g)));
+      }
+      acc[g] = _mm256_add_pd(acc[g], _mm256_add_pd(_mm256_add_pd(s[0], s[2]),
+                                                   _mm256_add_pd(s[1], s[3])));
+    }
   }
   for (; p < n; ++p) {
-    acc = _mm256_add_pd(acc, PanelProduct(vals, idx, panel, p));
+    const __m256d v = _mm256_set1_pd(vals[p]);
+    const double* col = panel + static_cast<int64_t>(idx[p]) * kRows;
+#pragma GCC unroll 4
+    for (int g = 0; g < kGroups; ++g) {
+      acc[g] = _mm256_add_pd(acc[g],
+                             _mm256_mul_pd(v, _mm256_load_pd(col + 4 * g)));
+    }
   }
-  _mm256_storeu_pd(out, acc);
+#pragma GCC unroll 4
+  for (int g = 0; g < kGroups; ++g) _mm256_storeu_pd(out + 4 * g, acc[g]);
+}
+
+void GatherDotPanelAvx2(const double* vals, const int32_t* idx, int64_t n,
+                        const double* panel, int rows, double* out) {
+  switch (rows) {
+    case 16:
+      return PanelDotsAvx2<4>(vals, idx, n, panel, out);
+    case 8:
+      return PanelDotsAvx2<2>(vals, idx, n, panel, out);
+    default:
+      return PanelDotsAvx2<1>(vals, idx, n, panel, out);
+  }
 }
 
 double DotAvx2(const double* a, const double* b, int64_t n) {

@@ -23,7 +23,8 @@ inline double BlockTree(const double c[8]) {
 }
 
 // sum_p vals[p] * dense[idx[p] * kStride] in the canonical tree; kStride is
-// 1 for a plain dense row and kPanelRows for one row of an interleaved panel.
+// 1 for a plain dense row and the panel's row count for one row of an
+// interleaved panel.
 template <int64_t kStride>
 double StridedGatherDot(const double* vals, const int32_t* idx, int64_t n,
                         const double* dense) {
@@ -43,10 +44,23 @@ double GatherDotScalar(const double* vals, const int32_t* idx, int64_t n,
   return StridedGatherDot<1>(vals, idx, n, dense);
 }
 
+template <int kRows>
+void StridedPanelDots(const double* vals, const int32_t* idx, int64_t n,
+                      const double* panel, double* out) {
+  for (int r = 0; r < kRows; ++r) {
+    out[r] = StridedGatherDot<kRows>(vals, idx, n, panel + r);
+  }
+}
+
 void GatherDotPanelScalar(const double* vals, const int32_t* idx, int64_t n,
-                          const double* panel, double* out) {
-  for (int r = 0; r < kPanelRows; ++r) {
-    out[r] = StridedGatherDot<kPanelRows>(vals, idx, n, panel + r);
+                          const double* panel, int rows, double* out) {
+  switch (rows) {
+    case 16:
+      return StridedPanelDots<16>(vals, idx, n, panel, out);
+    case 8:
+      return StridedPanelDots<8>(vals, idx, n, panel, out);
+    default:
+      return StridedPanelDots<kPanelRows>(vals, idx, n, panel, out);
   }
 }
 

@@ -18,6 +18,7 @@ KernelBuffer::KernelBuffer(int64_t row_length, int64_t capacity_rows,
       prev_(slot_.size(), -1),
       next_(slot_.size(), -1),
       pin_stamp_(slot_.size(), 0),
+      call_stamp_(slot_.size(), 0),
       poisoned_(slot_.size(), 0) {
   storage_.resize(static_cast<size_t>(row_length_ * capacity_rows_));
   free_slots_.reserve(static_cast<size_t>(capacity_rows_));
@@ -103,6 +104,38 @@ void KernelBuffer::Pin(std::span<const int32_t> rows) {
 
 Result<std::vector<double*>> KernelBuffer::InsertBatch(
     std::span<const int32_t> rows) {
+  // Count the slots before changing anything, so a call that cannot place
+  // every row leaves the buffer as it found it. Each absent row takes a free
+  // slot or evicts an unpinned row from outside the call. A poisoned row of
+  // the call may be evicted before its turn, but then needs a slot itself,
+  // so it counts for neither side.
+  int64_t absent = 0;
+  int64_t unpinned_in_call = 0;
+  for (int32_t row : rows) {
+    if (slot_[Key(row)] < 0) {
+      ++absent;
+    } else if (!IsPinned(row)) {
+      ++unpinned_in_call;
+    }
+  }
+  const int64_t num_free = static_cast<int64_t>(free_slots_.size());
+  if (absent > num_free) {
+    int64_t unpinned_needed = absent - num_free + unpinned_in_call;
+    int32_t walk = oldest_;
+    for (int64_t i = 0; i < rows_buffered() && unpinned_needed > 0;
+         ++i, walk = next_[walk]) {
+      if (!IsPinned(walk)) --unpinned_needed;
+    }
+    if (unpinned_needed > 0) {
+      return Status::FailedPrecondition(StrPrintf(
+          "kernel buffer exhausted: %lld rows to place, %lld free slots and "
+          "%lld unpinned rows outside the call",
+          static_cast<long long>(absent), static_cast<long long>(num_free),
+          static_cast<long long>(absent - num_free - unpinned_needed)));
+    }
+  }
+  ++call_generation_;
+
   std::vector<double*> out;
   out.reserve(rows.size());
   bool evicted_any = false;
@@ -112,6 +145,7 @@ Result<std::vector<double*>> KernelBuffer::InsertBatch(
       // place in the eviction ring; the caller overwrites the values.
       GMP_DCHECK(poisoned_[Key(row)] != 0);
       poisoned_[Key(row)] = 0;
+      call_stamp_[Key(row)] = call_generation_;
       out.push_back(storage_.data() + slot_[Key(row)] * row_length_);
       continue;
     }
@@ -121,19 +155,13 @@ Result<std::vector<double*>> KernelBuffer::InsertBatch(
       free_slots_.pop_back();
       LinkNewest(row);
     } else {
-      // Evict the oldest unpinned row: row takes its place in the ring, and
-      // the ring turns to start just after row, so row is the newest and the
-      // pinned rows that were ahead of the victim follow the rest in their
-      // order (they stay buffered, just deferred).
+      // Evict the oldest row that is neither pinned nor placed by this call
+      // (the count above guarantees one): row takes its place in the ring,
+      // and the ring turns to start just after row, so row is the newest and
+      // the rows skipped ahead of the victim follow the rest in their order
+      // (they stay buffered, just deferred).
       int32_t victim = oldest_;
-      while (IsPinned(victim)) {
-        victim = next_[victim];
-        if (victim == oldest_) {
-          return Status::FailedPrecondition(StrPrintf(
-              "kernel buffer exhausted: all %lld rows pinned, cannot insert row %d",
-              static_cast<long long>(capacity_rows_), row));
-        }
-      }
+      while (!IsEvictable(victim)) victim = next_[victim];
       Replace(victim, row);
       oldest_ = next_[row];
       slot = slot_[Key(victim)];
@@ -144,6 +172,7 @@ Result<std::vector<double*>> KernelBuffer::InsertBatch(
       evicted_any = true;
     }
     slot_[Key(row)] = slot;
+    call_stamp_[Key(row)] = call_generation_;
     out.push_back(storage_.data() + slot * row_length_);
   }
   // Fault hook: an eviction pass may corrupt a bystander row (models a bad
@@ -152,19 +181,15 @@ Result<std::vector<double*>> KernelBuffer::InsertBatch(
   // round reads without re-checking.
   if (evicted_any && fault_ != nullptr &&
       fault_->ShouldInject(fault::Site::kBufferEvict)) {
-    PoisonOldestUnpinned(rows);
+    PoisonOldestUnpinned();
   }
   return out;
 }
 
-void KernelBuffer::PoisonOldestUnpinned(std::span<const int32_t> just_inserted) {
+void KernelBuffer::PoisonOldestUnpinned() {
   int32_t row = oldest_;
   for (int64_t i = 0; i < rows_buffered(); ++i, row = next_[row]) {
-    if (IsPinned(row) || poisoned_[Key(row)] != 0) continue;
-    if (std::find(just_inserted.begin(), just_inserted.end(), row) !=
-        just_inserted.end()) {
-      continue;
-    }
+    if (!IsEvictable(row) || poisoned_[Key(row)] != 0) continue;
     double* data = storage_.data() + slot_[Key(row)] * row_length_;
     std::fill(data, data + row_length_,
               std::numeric_limits<double>::quiet_NaN());

@@ -75,8 +75,10 @@ class KernelBuffer {
   // Allocates storage for `rows` (which must not be buffered or pinned-
   // absent duplicates — except poisoned rows, which reuse their slot and are
   // marked clean for the caller to overwrite), evicting the oldest unpinned
-  // rows as needed. Returns one writable pointer per row, in order. Fails if
-  // rows.size() exceeds what can be made free without evicting pinned rows.
+  // rows as needed, never one placed earlier in the same call. Returns one
+  // writable pointer per row, in order. Fails, changing nothing, if the
+  // absent rows outnumber the free slots plus the buffered rows that are
+  // neither pinned nor in `rows`.
   Result<std::vector<double*>> InsertBatch(std::span<const int32_t> rows);
 
   // Attaches a fault injector: an InsertBatch that evicts may additionally
@@ -97,6 +99,11 @@ class KernelBuffer {
   // Index of `row` into the per-row arrays.
   size_t Key(int32_t row) const;
   bool IsPinned(int32_t row) const { return pin_stamp_[Key(row)] == pin_generation_; }
+  // Whether buffered `row` may be evicted: not pinned and not placed by the
+  // current InsertBatch call.
+  bool IsEvictable(int32_t row) const {
+    return !IsPinned(row) && call_stamp_[Key(row)] != call_generation_;
+  }
 
   // Links `row` into the eviction ring as the newest row.
   void LinkNewest(int32_t row);
@@ -105,8 +112,8 @@ class KernelBuffer {
   // Puts `row` in buffered `victim`'s place in the ring.
   void Replace(int32_t victim, int32_t row);
 
-  // Poisons the oldest unpinned resident row not in `just_inserted`.
-  void PoisonOldestUnpinned(std::span<const int32_t> just_inserted);
+  // Poisons the oldest evictable row that is not poisoned yet.
+  void PoisonOldestUnpinned();
 
   int64_t row_length_;
   int64_t capacity_rows_;
@@ -123,6 +130,10 @@ class KernelBuffer {
   // (64 bits: never wraps).
   std::vector<uint64_t> pin_stamp_;
   uint64_t pin_generation_ = 1;
+  // The rows the current InsertBatch call has placed carry its stamp, the
+  // same way.
+  std::vector<uint64_t> call_stamp_;
+  uint64_t call_generation_ = 1;
   std::vector<int64_t> free_slots_;
   std::vector<uint8_t> poisoned_;  // per row
   fault::FaultInjector* fault_ = nullptr;

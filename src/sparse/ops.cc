@@ -22,26 +22,70 @@ std::vector<double>& ScatterWorkspace(int64_t cols) {
   return workspace;
 }
 
-// Interleaved counterpart for register-blocked panels: column c of panel row
-// r lives at [c * kPanelRows + r]. Same zero-on-exit discipline as
-// ScatterWorkspace. The returned base is 32-byte aligned, so each column's
-// kPanelRows doubles are one aligned vector load.
-double* PanelWorkspace(int64_t cols) {
+// Interleaved counterpart for register-blocked panels: column c of row r of
+// a `width`-row panel lives at [c * width + r]. Same zero-on-exit discipline
+// as ScatterWorkspace, so one workspace serves every width. The returned base
+// is 32-byte aligned, so each column's rows are whole aligned vector loads.
+double* PanelWorkspace(int64_t cols, int width) {
   static thread_local std::vector<double> workspace;
-  return simd::AlignedPanel(workspace, cols);
+  return simd::AlignedPanel(workspace, cols, width);
 }
 
-// Writes (or, with `values` false, re-zeroes) rows batch[first..first+rows)
-// of `a` into the interleaved panel.
+// The widest panel: four AVX2 vectors.
+constexpr int kMaxPanelRows = 16;
+
+// A panel wider than simd::kPanelRows is used only while its workspace fits
+// in this many bytes (8,192 columns at 16 rows), so wide sparse data keeps a
+// kPanelRows x cols workspace.
+constexpr int64_t kWidePanelBytes = int64_t{1} << 20;
+
+// Batch rows [first, first + rows) in a `width`-row panel; width 1 is a lone
+// row, which takes gather_dot.
+struct Panel {
+  int64_t first;
+  int width;
+  int rows;
+};
+
+// 16-row panels while at least 16 rows remain, 8-row panels while more than
+// 4 remain, then one kPanelRows-row panel, each wide one only if it is at
+// most `widest` rows and fits kWidePanelBytes; a lone last row gets no
+// panel, because a 1-row panel pays for kPanelRows lanes and measured slower
+// than gather_dot.
+std::vector<Panel> PlanPanels(int64_t num_rows, int64_t cols, int widest) {
+  const auto fits = [cols, widest](int width) {
+    const int64_t bytes = width * cols * static_cast<int64_t>(sizeof(double));
+    return width <= widest && bytes <= kWidePanelBytes;
+  };
+  std::vector<Panel> panels;
+  for (int64_t first = 0; first < num_rows;) {
+    const int64_t left = num_rows - first;
+    int width = 1;
+    if (left >= kMaxPanelRows && fits(kMaxPanelRows)) {
+      width = kMaxPanelRows;
+    } else if (left > simd::kPanelRows && fits(2 * simd::kPanelRows)) {
+      width = 2 * simd::kPanelRows;
+    } else if (left > 1) {
+      width = simd::kPanelRows;
+    }
+    const int rows = static_cast<int>(std::min<int64_t>(width, left));
+    panels.push_back({first, width, rows});
+    first += rows;
+  }
+  return panels;
+}
+
+// Writes (or, with `values` false, re-zeroes) the panel's batch rows of `a`
+// into the interleaved workspace.
 void ScatterPanel(const CsrMatrix& a, std::span<const int32_t> batch,
-                  int64_t first, int rows, bool values, double* panel) {
-  for (int r = 0; r < rows; ++r) {
-    const int64_t row = batch[static_cast<size_t>(first + r)];
+                  const Panel& p, bool values, double* panel) {
+  for (int r = 0; r < p.rows; ++r) {
+    const int64_t row = batch[static_cast<size_t>(p.first + r)];
     const auto idx = a.RowIndices(row);
     const auto val = a.RowValues(row);
-    for (size_t p = 0; p < idx.size(); ++p) {
-      panel[static_cast<int64_t>(idx[p]) * simd::kPanelRows + r] =
-          values ? val[p] : 0.0;
+    for (size_t q = 0; q < idx.size(); ++q) {
+      panel[static_cast<int64_t>(idx[q]) * p.width + r] =
+          values ? val[q] : 0.0;
     }
   }
 }
@@ -78,52 +122,52 @@ void RunRows(ThreadPool* pool, int64_t n, int64_t min_chunk,
 
 }  // namespace
 
-// Register blocked: batch rows are scattered kPanelRows at a time into an
-// interleaved panel, and each target row's nonzeros stream through
-// gather_dot_panel once per panel instead of once per batch row. The last
-// panel may be partial; its unused rows stay zero and their dots are
-// dropped. A lone last row skips the panel: a 1-row panel pays for
-// kPanelRows lanes and a kPanelRows-wide workspace stride, and measured
-// slower than the plain gather_dot it would replace. Panels write disjoint
-// `out` rows, so they are partitioned across the pool; the stats below
-// replay the serial accumulation order so the returned doubles are
+// Register blocked: batch rows are scattered into interleaved panels of 16,
+// 8 or 4 rows (PlanPanels), and each target row's nonzeros stream through
+// gather_dot_panel once per panel instead of once per batch row. A partial
+// panel's unused rows stay zero and their dots are dropped. Panels write
+// disjoint `out` rows, so they are partitioned across the pool; the stats
+// below replay the serial accumulation order so the returned doubles are
 // bit-identical for any pool size. Every panel row runs the SIMD tier's
 // canonical blocked-tree reduction, so each dot is bitwise the gather_dot
-// of ScatterRowDots, on every tier.
+// of ScatterRowDots, on every tier and at every panel width.
 OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
                       const CsrMatrix& b, std::span<const int32_t> targets,
                       double* out, ThreadPool* pool, const simd::SimdOps* ops) {
   const simd::SimdOps& simd_ops =
       ops != nullptr ? *ops : simd::OpsFor(simd::SimdTier::kAuto);
-  const int64_t num_rows = static_cast<int64_t>(batch.size());
   const int64_t num_targets = static_cast<int64_t>(targets.size());
-  const int64_t num_panels =
-      (num_rows + simd::kPanelRows - 1) / simd::kPanelRows;
+  // The scalar tier makes one pass over a target's nonzeros per panel row,
+  // so a wider panel would only spread those passes over a larger
+  // workspace; it measured slower on wide rows and keeps 4-row panels.
+  const int widest =
+      simd_ops.lane_width > 1 ? kMaxPanelRows : simd::kPanelRows;
+  const std::vector<Panel> panels =
+      PlanPanels(static_cast<int64_t>(batch.size()), a.cols(), widest);
+  const int64_t num_panels = static_cast<int64_t>(panels.size());
   const int64_t t_start = simd::NowNanos();
   RunRows(pool, num_panels, /*min_chunk=*/1, [&](int64_t begin, int64_t end) {
-    double* panel = PanelWorkspace(a.cols());
-    double dots[simd::kPanelRows];
+    double dots[kMaxPanelRows];
     for (int64_t pi = begin; pi < end; ++pi) {
-      const int64_t first = pi * simd::kPanelRows;
-      const int rows = static_cast<int>(
-          std::min<int64_t>(simd::kPanelRows, num_rows - first));
-      if (rows == 1) {
-        ScatterDots(a, batch[static_cast<size_t>(first)], b, targets,
-                    out + first * num_targets, simd_ops);
+      const Panel& p = panels[static_cast<size_t>(pi)];
+      double* out_panel = out + p.first * num_targets;
+      if (p.width == 1) {
+        ScatterDots(a, batch[static_cast<size_t>(p.first)], b, targets,
+                    out_panel, simd_ops);
         continue;
       }
-      ScatterPanel(a, batch, first, rows, /*values=*/true, panel);
-      double* out_panel = out + first * num_targets;
+      double* panel = PanelWorkspace(a.cols(), p.width);
+      ScatterPanel(a, batch, p, /*values=*/true, panel);
       for (int64_t tj = 0; tj < num_targets; ++tj) {
         const int64_t trow = targets[static_cast<size_t>(tj)];
         const auto tidx = b.RowIndices(trow);
         const auto tval = b.RowValues(trow);
         simd_ops.gather_dot_panel(tval.data(), tidx.data(),
                                   static_cast<int64_t>(tidx.size()), panel,
-                                  dots);
-        for (int r = 0; r < rows; ++r) out_panel[r * num_targets + tj] = dots[r];
+                                  p.width, dots);
+        for (int r = 0; r < p.rows; ++r) out_panel[r * num_targets + tj] = dots[r];
       }
-      ScatterPanel(a, batch, first, rows, /*values=*/false, panel);
+      ScatterPanel(a, batch, p, /*values=*/false, panel);
     }
   });
   const int64_t t_nanos = simd::NowNanos() - t_start;

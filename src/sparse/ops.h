@@ -50,12 +50,14 @@ struct OpStats {
 //   out[b * targets.size() + j] = a.row(batch[b]) · b.row(targets[j])
 // `a` and `b` may be the same matrix (training); test instances x support
 // vectors use two. Implemented as the row-wise SpGEMM schedule, register
-// blocked: batch rows are scattered simd::kPanelRows at a time into an
-// interleaved dense panel, and each target nonzero is loaded once per panel
-// and multiplied into all of its rows (SimdOps::gather_dot_panel).
-// O(|batch| * nnz(targets)) flops, with the target nonzeros streamed
-// |batch| / kPanelRows times. Each entry is bitwise the single-row
-// gather_dot (ScatterRowDots) of its pair.
+// blocked: batch rows are scattered 16, 8 or 4 at a time into an interleaved
+// dense panel, and each target nonzero is loaded once per panel and
+// multiplied into all of its rows (SimdOps::gather_dot_panel). Panels wider
+// than simd::kPanelRows are used only on a tier with vector lanes and only
+// while their workspace fits in 1 MiB (at most 8,192 columns at 16 rows).
+// O(|batch| * nnz(targets)) flops, with the target nonzeros streamed about
+// |batch| / 16 times. Each entry is bitwise the single-row gather_dot
+// (ScatterRowDots) of its pair.
 //
 // `out` must have batch.size() * targets.size() entries.
 OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,

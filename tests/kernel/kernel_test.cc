@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "device/executor.h"
@@ -182,6 +183,32 @@ TEST(DenseKernelComputerTest, ChargesMoreThanSparseOnSparseData) {
   dense_kc.ComputeBlock(batch, targets, &dense_exec, kDefaultStream, out.data());
 
   EXPECT_GT(dense_exec.counters().flops, 3.0 * sparse_exec.counters().flops);
+}
+
+TEST(KernelComputerTest, BlockIsBitwiseAtAnyHostThreadCount) {
+  // On the AVX2 tier 39 batch rows make two 16-row panels and one partial
+  // 8-row panel, which the host pool splits across its threads: values and
+  // charges must be the one-thread block's bits.
+  CsrMatrix x = RandomSparse(60, 40, 0.3, 91);
+  KernelParams p;
+  p.gamma = 0.5;
+  KernelComputer kc(&x, p);
+  std::vector<int32_t> batch, targets;
+  for (int32_t i = 0; i < 39; ++i) batch.push_back((i * 11) % 60);
+  for (int32_t t = 0; t < 60; t += 2) targets.push_back(t);
+
+  std::vector<double> want(batch.size() * targets.size());
+  SimExecutor one = MakeExecutor();
+  kc.ComputeBlock(batch, targets, &one, kDefaultStream, want.data());
+  ExecutorModel model = ExecutorModel::TeslaP100();
+  model.host_threads = 4;
+  SimExecutor four(model);
+  std::vector<double> got(want.size(), -1.0);
+  kc.ComputeBlock(batch, targets, &four, kDefaultStream, got.data());
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(one.counters().flops, four.counters().flops);
+  EXPECT_EQ(one.NowSeconds(), four.NowSeconds());
 }
 
 // Property sweep: batched block equals pointwise evaluation at several

@@ -153,47 +153,51 @@ TEST(SimdTierIdentityTest, DotAndGatherDotBitwiseAcrossTiers) {
 }
 
 TEST(SimdTierIdentityTest, GatherDotPanelIsPerRowGatherDotOnEveryTier) {
-  // Each lane of a register-blocked panel must reproduce the single-row
-  // gather_dot of its row bit for bit: main loop, tail, and a zero row.
+  // Each lane of a register-blocked panel of 4, 8 or 16 rows must reproduce
+  // the single-row gather_dot of its row bit for bit: main loop, tail, and a
+  // zero row.
   const std::vector<SimdTier> tiers = SupportedTiers();
   const SimdOps& ref = simd::OpsFor(SimdTier::kScalar);
   constexpr int64_t kCols = 512;
-  constexpr int kRows = simd::kPanelRows;
-  // 32-byte-aligned interleaved panel, plus the same rows stored plainly.
-  std::vector<double> storage(kCols * kRows + 4, 0.0);
-  const size_t misalign =
-      reinterpret_cast<uintptr_t>(storage.data()) % 32 / sizeof(double);
-  double* panel = storage.data() + (4 - misalign) % 4;
-  std::vector<std::vector<double>> rows(kRows, std::vector<double>(kCols));
   Rng rng(77);
-  for (int trial = 0; trial < 20; ++trial) {
-    for (int r = 0; r < kRows; ++r) {
-      for (int64_t c = 0; c < kCols; ++c) {
-        // Row kRows - 1 stays zero: the unused rows of a partial panel.
-        const double v = r == kRows - 1 ? 0.0 : rng.Normal();
-        rows[r][static_cast<size_t>(c)] = v;
-        panel[c * kRows + r] = v;
+  for (int rows_in_panel : {4, 8, 16}) {
+    // 32-byte-aligned interleaved panel, plus the same rows stored plainly.
+    std::vector<double> storage;
+    double* panel = simd::AlignedPanel(storage, kCols, rows_in_panel);
+    ASSERT_EQ(reinterpret_cast<uintptr_t>(panel) % 32, 0u);
+    std::vector<std::vector<double>> rows(
+        static_cast<size_t>(rows_in_panel), std::vector<double>(kCols));
+    for (int trial = 0; trial < 20; ++trial) {
+      for (int r = 0; r < rows_in_panel; ++r) {
+        for (int64_t c = 0; c < kCols; ++c) {
+          // The last row stays zero: the unused rows of a partial panel.
+          const double v = r == rows_in_panel - 1 ? 0.0 : rng.Normal();
+          rows[static_cast<size_t>(r)][static_cast<size_t>(c)] = v;
+          panel[c * rows_in_panel + r] = v;
+        }
       }
-    }
-    for (int64_t n : kLengths) {
-      std::vector<double> vals(static_cast<size_t>(n));
-      std::vector<int32_t> idx(static_cast<size_t>(n));
-      for (auto& v : vals) v = rng.Normal();
-      int32_t last = 0;
-      for (auto& v : idx) {
-        last += 1 + static_cast<int32_t>(rng.Uniform(0.0, 5.0));
-        v = last % kCols;
-      }
-      std::sort(idx.begin(), idx.end());
-      for (SimdTier tier : tiers) {
-        const SimdOps& ops = simd::OpsFor(tier);
-        double got[kRows];
-        ops.gather_dot_panel(vals.data(), idx.data(), n, panel, got);
-        for (int r = 0; r < kRows; ++r) {
-          const double want =
-              ref.gather_dot(vals.data(), idx.data(), n, rows[r].data());
-          EXPECT_EQ(std::memcmp(&got[r], &want, sizeof(double)), 0)
-              << ops.name << " n=" << n << " row=" << r;
+      for (int64_t n : kLengths) {
+        std::vector<double> vals(static_cast<size_t>(n));
+        std::vector<int32_t> idx(static_cast<size_t>(n));
+        for (auto& v : vals) v = rng.Normal();
+        int32_t last = 0;
+        for (auto& v : idx) {
+          last += 1 + static_cast<int32_t>(rng.Uniform(0.0, 5.0));
+          v = last % kCols;
+        }
+        std::sort(idx.begin(), idx.end());
+        for (SimdTier tier : tiers) {
+          const SimdOps& ops = simd::OpsFor(tier);
+          double got[16];
+          ops.gather_dot_panel(vals.data(), idx.data(), n, panel,
+                               rows_in_panel, got);
+          for (int r = 0; r < rows_in_panel; ++r) {
+            const double want = ref.gather_dot(
+                vals.data(), idx.data(), n, rows[static_cast<size_t>(r)].data());
+            EXPECT_EQ(std::memcmp(&got[r], &want, sizeof(double)), 0)
+                << ops.name << " rows=" << rows_in_panel << " n=" << n
+                << " row=" << r;
+          }
         }
       }
     }

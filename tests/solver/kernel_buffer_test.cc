@@ -69,6 +69,54 @@ TEST(KernelBufferTest, FailsWhenEverythingPinned) {
   EXPECT_TRUE(result.status().IsFailedPrecondition());
 }
 
+TEST(KernelBufferTest, FailedInsertChangesNothing) {
+  // Rows 0 and 1 fill two of three slots and stay pinned with 2 and 3; the
+  // call needs two slots and finds one, so it fails before placing 2.
+  KernelBuffer buf(/*row_length=*/8, /*capacity_rows=*/3);
+  const std::vector<int32_t> held = {0, 1};
+  buf.Pin(held);
+  ValueOrDie(buf.InsertBatch(held));
+  buf.Pin(std::vector<int32_t>{0, 1, 2, 3});
+  auto result = buf.InsertBatch(std::vector<int32_t>{2, 3});
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsFailedPrecondition());
+  EXPECT_EQ(buf.rows_buffered(), 2);
+  EXPECT_EQ(buf.Lookup(2), nullptr);
+  EXPECT_EQ(buf.Lookup(3), nullptr);
+  EXPECT_EQ(buf.evictions(), 0);
+  // The eviction order is unchanged too: unpinned, the free slot takes 4,
+  // then 0 and 1 go oldest first.
+  buf.Pin({});
+  ValueOrDie(buf.InsertBatch(std::vector<int32_t>{4}));
+  EXPECT_EQ(buf.evictions(), 0);
+  ValueOrDie(buf.InsertBatch(std::vector<int32_t>{5}));
+  EXPECT_EQ(buf.Lookup(0), nullptr);
+  EXPECT_NE(buf.Lookup(1), nullptr);
+  ValueOrDie(buf.InsertBatch(std::vector<int32_t>{6}));
+  EXPECT_EQ(buf.Lookup(1), nullptr);
+  for (int32_t row : {4, 5, 6}) EXPECT_NE(buf.Lookup(row), nullptr) << row;
+  EXPECT_EQ(buf.evictions(), 2);
+}
+
+TEST(KernelBufferTest, NeverEvictsARowOfTheSameCall) {
+  // Nothing is pinned, but three rows cannot share two slots: evicting the
+  // call's first row for its third would hand out one slot twice.
+  KernelBuffer buf(/*row_length=*/8, /*capacity_rows=*/2);
+  auto result = buf.InsertBatch(std::vector<int32_t>{1, 2, 3});
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsFailedPrecondition());
+  EXPECT_EQ(buf.rows_buffered(), 0);
+  // A buffered row from an earlier call is the victim instead.
+  ValueOrDie(buf.InsertBatch(std::vector<int32_t>{0}));
+  const std::vector<double*> slots =
+      ValueOrDie(buf.InsertBatch(std::vector<int32_t>{1, 2}));
+  EXPECT_NE(slots[0], slots[1]);
+  EXPECT_EQ(buf.Lookup(0), nullptr);
+  EXPECT_NE(buf.Lookup(1), nullptr);
+  EXPECT_NE(buf.Lookup(2), nullptr);
+  EXPECT_EQ(buf.evictions(), 1);
+}
+
 TEST(KernelBufferTest, PinReplacesPreviousPinSet) {
   KernelBuffer buf(4, 2);
   ValueOrDie(buf.InsertBatch(std::vector<int32_t>{1, 2}));
@@ -259,6 +307,31 @@ TEST(KernelBufferPoisonTest, PinnedRowsAreNeverPoisoned) {
   EXPECT_EQ(buf.rows_poisoned(), 0);
   EXPECT_NE(buf.Lookup(2), nullptr);
   EXPECT_NE(buf.Lookup(3), nullptr);
+}
+
+TEST(KernelBufferPoisonTest, FailedInsertKeepsPoisonFlags) {
+  fault::FaultPlan plan;
+  plan.evict_poison_prob = 1.0;
+  plan.max_consecutive_per_site = 0;
+  fault::FaultInjector injector(plan);
+
+  KernelBuffer buf(5, 3);
+  buf.SetFaultInjector(&injector);
+  ValueOrDie(buf.InsertBatch(std::vector<int32_t>{1, 2, 3}));
+  ValueOrDie(buf.InsertBatch(std::vector<int32_t>{4}));  // evicts 1, poisons 2
+  ASSERT_TRUE(buf.IsPoisoned(2));
+  // Re-inserting 2 needs no slot, but 0 needs one and every row is pinned:
+  // the call fails and 2 must stay poisoned, never handed out as clean.
+  buf.Pin(std::vector<int32_t>{0, 2, 3, 4});
+  auto result = buf.InsertBatch(std::vector<int32_t>{2, 0});
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsFailedPrecondition());
+  EXPECT_TRUE(buf.IsPoisoned(2));
+  EXPECT_EQ(buf.Lookup(2), nullptr);
+  EXPECT_EQ(buf.Lookup(0), nullptr);
+  EXPECT_EQ(buf.rows_buffered(), 3);
+  EXPECT_EQ(buf.rows_poisoned(), 1);
+  EXPECT_EQ(buf.evictions(), 1);
 }
 
 TEST(KernelBufferPoisonTest, NoInjectorNoPoisonEver) {

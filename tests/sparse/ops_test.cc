@@ -215,25 +215,11 @@ TEST(ScatterRowDotsTest, StatsMatchSingleRowBatch) {
   EXPECT_GT(s.flops, 0.0);
 }
 
-TEST(BatchRowDotsTest, PanelsMatchSingleRowDotsAtEveryBatchSize) {
-  // Batch rows run in register-blocked panels of simd::kPanelRows. Every
-  // batch size — empty, a partial panel, whole panels, whole plus partial —
-  // must give, per entry, the bits of the single-row ScatterRowDots, on
-  // every tier and pool size. The fixture has empty rows and a batch that
-  // repeats a row inside one panel.
-  const CsrMatrix dense_a = RandomSparse(40, 70, 0.3, 51);
-  const CsrMatrix b = RandomSparse(25, 70, 0.25, 52);
-  // The same rows with row 0 emptied.
-  CsrBuilder a_builder(dense_a.cols());
-  a_builder.AddRow({}, {});
-  for (int64_t r = 1; r < dense_a.rows(); ++r) {
-    a_builder.AddRow(dense_a.RowIndices(r), dense_a.RowValues(r));
-  }
-  const CsrMatrix a = ValueOrDie(a_builder.Finish());
-  const std::vector<int32_t> pick = {0, 9, 9, 17, 3, 39, 22, 5, 11, 30, 1};
-  std::vector<int32_t> targets;
-  for (int32_t i = 0; i < 25; ++i) targets.push_back(i);
-
+// For every prefix of `pick` as the batch, on every tier and pool size, each
+// BatchRowDots2 entry must be bitwise the single-row ScatterRowDots entry.
+void ExpectPanelsMatchSingleRows(const CsrMatrix& a, const CsrMatrix& b,
+                                 const std::vector<int32_t>& pick,
+                                 const std::vector<int32_t>& targets) {
   ThreadPool pool(4);
   for (size_t size = 0; size <= pick.size(); ++size) {
     const std::vector<int32_t> batch(pick.begin(),
@@ -250,9 +236,48 @@ TEST(BatchRowDotsTest, PanelsMatchSingleRowDotsAtEveryBatchSize) {
         BatchRowDots2(a, batch, b, targets, got.data(), p, &ops);
         EXPECT_TRUE(want.empty() || std::memcmp(want.data(), got.data(),
                                                 want.size() * sizeof(double)) == 0)
-            << ops.name << " batch size " << size << " pool " << (p != nullptr);
+            << ops.name << " cols " << a.cols() << " batch size " << size
+            << " pool " << (p != nullptr);
       }
     }
+  }
+}
+
+// `rows` rows of RandomSparse with row 0 emptied.
+CsrMatrix RandomSparseWithEmptyRow(int64_t rows, int64_t cols, double density,
+                                   uint64_t seed) {
+  const CsrMatrix full = RandomSparse(rows, cols, density, seed);
+  CsrBuilder builder(full.cols());
+  builder.AddRow({}, {});
+  for (int64_t r = 1; r < full.rows(); ++r) {
+    builder.AddRow(full.RowIndices(r), full.RowValues(r));
+  }
+  return ValueOrDie(builder.Finish());
+}
+
+TEST(BatchRowDotsTest, PanelsMatchSingleRowDotsAtEveryBatchSize) {
+  // Batch rows run in register-blocked panels of 16, 8 and 4 rows, and a
+  // lone last row takes gather_dot. Every batch size from 0 to 40 — each
+  // mix of whole and partial panels of every width — must give, per entry,
+  // the bits of the single-row ScatterRowDots, on every tier and pool size.
+  // The batch includes an empty row and repeats a row inside one panel.
+  std::vector<int32_t> pick = {0, 9, 9, 17, 3, 39, 22, 5, 11, 30, 1};
+  for (int32_t i = static_cast<int32_t>(pick.size()); i < 40; ++i) {
+    pick.push_back((i * 7 + 3) % 40);
+  }
+  std::vector<int32_t> targets;
+  for (int32_t i = 0; i < 25; ++i) targets.push_back(i);
+  ExpectPanelsMatchSingleRows(RandomSparseWithEmptyRow(40, 70, 0.3, 51),
+                              RandomSparse(25, 70, 0.25, 52), pick, targets);
+  // A panel is wider than 4 rows only while its workspace fits in 1 MiB:
+  // 12,000 columns allow 8-row panels but not 16, and 20,000 columns keep
+  // every panel at 4 rows.
+  pick.resize(20);
+  for (int32_t& row : pick) row %= 20;
+  for (int64_t cols : {int64_t{12000}, int64_t{20000}}) {
+    ExpectPanelsMatchSingleRows(RandomSparseWithEmptyRow(20, cols, 0.01, 53),
+                                RandomSparse(14, cols, 0.02, 54), pick,
+                                {0, 2, 3, 5, 8, 13});
   }
 }
 

@@ -31,6 +31,10 @@ def check_trace(path):
 def check_micro(path):
     names = [b['name'] for b in load(path)['benchmarks']]
     assert any('BM_BatchKernelRowsSparseMT/512/4' in n for n in names), names
+    for shape in ('mnist', 'retrain_k16', 'cifar10'):
+        for batch in (5, 16, 64):
+            bench = 'BM_BatchKernelRows/%s/%d' % (shape, batch)
+            assert bench in names, (bench, names)
     for bench in ('BM_KernelBufferChurn', 'BM_KernelBufferLru',
                   'BM_KernelBufferLruHotSet'):
         assert bench in names, (bench, names)
