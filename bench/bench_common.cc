@@ -304,10 +304,12 @@ Result<RunResult> RunImpl(Impl impl, const SyntheticSpec& spec,
   result.predict_sim = test_pred.sim_seconds;
   result.predict_wall = test_pred.wall_seconds;
   result.predict_phases = test_pred.phases;
+  result.test_labels = std::move(test_pred.labels);
 
   setup.executor.counters().PublishTo(
       BenchRegistry(), {{"impl", ImplName(impl)}, {"dataset", spec.name}});
   result.train_report.PublishTo(BenchRegistry());
+  result.model = std::move(model);
   return result;
 }
 

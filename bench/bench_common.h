@@ -121,6 +121,8 @@ struct RunResult {
   std::string model_name;  // scaled sim-model the impl ran on
   MpTrainReport train_report;
   PhaseTimer predict_phases;
+  MpSvmModel model;                  // the trained model (Table 4)
+  std::vector<int32_t> test_labels;  // its test-set labels (Table 4)
 };
 
 // Trains and predicts with one implementation on generated train/test data.

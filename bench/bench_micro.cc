@@ -1,6 +1,7 @@
 // Google-benchmark micro-benchmarks for the hot kernels of the library:
-// batched kernel rows (sparse vs dense), buffer/cache operations, sigmoid
-// fitting, and pairwise coupling. These measure host wall time of the
+// batched kernel rows (sparse vs dense), prediction's decision-value and
+// coupling panels, buffer/cache operations, sigmoid fitting, and pairwise
+// coupling. These measure host wall time of the
 // actual computation (not simulated time) and guard against performance
 // regressions in the substrate itself.
 
@@ -16,6 +17,7 @@
 #include "kernel/kernel_computer.h"
 #include "prob/pairwise_coupling.h"
 #include "prob/platt.h"
+#include "simd/simd.h"
 #include "solver/kernel_buffer.h"
 
 namespace gmpsvm {
@@ -140,6 +142,75 @@ BENCHMARK_CAPTURE(BM_BatchKernelRows, retrain_k16, RowShape{24, 1.0, 206})
 // Dense 512-column rows like the CIFAR-10 proxy's (no end-to-end workload).
 BENCHMARK_CAPTURE(BM_BatchKernelRows, cifar10, RowShape{512, 1.0, 500})
     ->Arg(5)->Arg(16)->Arg(64);
+
+// Exact prediction's decision values on predict-largek's shape: a k = 64
+// model with 16 training rows per class, every row a support vector, so
+// each of the 2016 pairs gathers 32 of the 1,024 pool columns. The arg is
+// the panel's row count; items are decision values, so the rows compare
+// per value.
+void BM_PanelDecisionValues(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  constexpr int kClasses = 64;
+  constexpr int kPerClass = 16;
+  constexpr int64_t kPool = kClasses * kPerClass;
+  Rng rng(9);
+  std::vector<double> storage;
+  double* panel = simd::AlignedPanel(storage, kPool, rows);
+  for (int64_t i = 0; i < kPool * rows; ++i) panel[i] = rng.Uniform();
+  std::vector<int32_t> idx;
+  std::vector<double> coef;
+  for (int s = 0; s < kClasses; ++s) {
+    for (int t = s + 1; t < kClasses; ++t) {
+      for (const int cls : {s, t}) {
+        for (int m = 0; m < kPerClass; ++m) {
+          idx.push_back(cls * kPerClass + m);
+          coef.push_back(rng.Uniform(-4.0, 4.0));
+        }
+      }
+    }
+  }
+  const int64_t pairs = kClasses * (kClasses - 1) / 2;
+  const int64_t nsv = 2 * kPerClass;
+  std::vector<double> out(static_cast<size_t>(pairs * rows));
+  const simd::SimdOps& ops = simd::OpsFor(simd::SimdTier::kAuto);
+  for (auto _ : state) {
+    for (int64_t pi = 0; pi < pairs; ++pi) {
+      ops.gather_dot_panel(coef.data() + pi * nsv, idx.data() + pi * nsv, nsv,
+                           panel, rows, out.data() + pi * rows);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * pairs * rows);
+}
+BENCHMARK(BM_PanelDecisionValues)->Arg(4)->Arg(8)->Arg(16);
+
+// One coupling panel solve by Gaussian elimination (couple_panel through
+// CouplePanel), args k and rows per panel; items are coupled rows, so the
+// 4- and 8-row panels compare per row.
+void BM_CouplePanel(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const int rows = static_cast<int>(state.range(1));
+  Rng rng(5);
+  std::vector<double> pairs(static_cast<size_t>(k) * (k - 1) / 2 *
+                            static_cast<size_t>(rows));
+  for (double& p : pairs) p = rng.Uniform(0.1, 0.9);
+  const CouplingOptions direct;
+  std::vector<double> scratch;
+  std::vector<double> out(static_cast<size_t>(rows) * k);
+  for (auto _ : state) {
+    const auto status =
+        CouplePanel(pairs, rows, rows, k, direct, &scratch, out.data());
+    benchmark::DoNotOptimize(status.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_CouplePanel)
+    ->Args({16, 4})
+    ->Args({16, 8})
+    ->Args({64, 4})
+    ->Args({64, 8});
 
 void BM_KernelBufferChurn(benchmark::State& state) {
   KernelBuffer buffer(/*row_length=*/4096, /*capacity_rows=*/512);

@@ -200,9 +200,10 @@ int main(int argc, char** argv) {
           // throughput (Q·p matvec + elementwise update) instead of how
           // fast this particular fixture happens to converge (~3 sweeps,
           // which would mostly time the O(k^2) BuildQ setup). The
-          // Gaussian-elimination solver's four-row panel solve
-          // (couple_panel) is held bitwise by simd_test and timed end to
-          // end by bench/e2e's predict-largek. Coupling runs on the
+          // Gaussian-elimination solver's 4- and 8-row panel solve
+          // (couple_panel) is held bitwise by simd_test, timed by
+          // bench_micro's BM_CouplePanel and end to end by bench/e2e's
+          // predict-largek. Coupling runs on the
           // process-wide tier, so the body switches it to the one under
           // test.
           GMP_CHECK_OK(simd::SetActiveTier(
@@ -221,7 +222,7 @@ int main(int argc, char** argv) {
   }
 
   {
-    // The fifth path: Platt's sigmoid over one 4-row panel of a k = 64
+    // The fifth path: Platt's sigmoid over one 8-row lane group of a k = 64
     // model's 2016 pairs, as exact prediction runs it before couple_panel.
     const int64_t pairs = 64 * 63 / 2;
     Rng prng(6);
@@ -231,7 +232,7 @@ int main(int argc, char** argv) {
                                  prng.Uniform(-4.0, -0.5),
                                  prng.Uniform(-0.5, 0.5)});
     }
-    for (int64_t i = 0; i < pairs * simd::kPanelRows; ++i) {
+    for (int64_t i = 0; i < pairs * simd::kWidePanelRows; ++i) {
       dv.push_back(prng.Uniform(-6.0, 6.0));
     }
     results.push_back(RunPath(
@@ -239,7 +240,8 @@ int main(int argc, char** argv) {
         [&](const simd::SimdOps& ops, double* out) {
           for (int pass = 0; pass < 20; ++pass) {
             std::memcpy(out, dv.data(), dv.size() * sizeof(double));
-            ops.platt_panel(out, table.data(), pairs);
+            ops.platt_panel(out, simd::kWidePanelRows, simd::kWidePanelRows,
+                            table.data(), pairs);
           }
         }));
   }

@@ -57,6 +57,34 @@ Status FinishRow(const MpSvmModel& model, bool voting,
   return Status::OK();
 }
 
+// Rows [first, first + rows) of a tile in one `width`-row panel; width 1 is
+// a lone row.
+struct RowPanel {
+  int64_t first;
+  int width;
+  int rows;
+};
+
+// The exact path's panels: the widest of 16, 8 and 4 rows that the rows
+// left fill, so every panel is full but a partial last one: 2 or 3 last
+// rows share one 4-row panel, and a lone last row gets none, as a 1-row
+// panel measured slower than gather_dot.
+std::vector<RowPanel> PlanRowPanels(int64_t tile) {
+  constexpr int kWidest = 2 * simd::kWidePanelRows;
+  std::vector<RowPanel> panels;
+  for (int64_t first = 0; first < tile;) {
+    const int64_t left = tile - first;
+    const int width = left >= kWidest                ? kWidest
+                      : left >= simd::kWidePanelRows ? simd::kWidePanelRows
+                      : left > 1                     ? simd::kPanelRows
+                                                     : 1;
+    const int rows = static_cast<int>(std::min<int64_t>(width, left));
+    panels.push_back({first, width, rows});
+    first += rows;
+  }
+  return panels;
+}
+
 }  // namespace
 
 Status CascadeOptions::Validate() const {
@@ -347,75 +375,86 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
     // Coupling (or vote counting) waits for all SVM streams.
     for (StreamId s : streams) executor->StreamWait(kDefaultStream, s);
 
-    // Row-fused host pass over the tile's panels of kPanelRows rows: each
-    // row's decision values, sigmoids and coupling, with one k x k r scratch
-    // per chunk. On the shared path a panel's kernel-block rows are
-    // interleaved into one aligned panel (unused lanes of a partial panel
-    // read zeros), and each pair's coefficients stream once through
-    // gather_dot_panel for all of its rows. Each lane is bitwise the row's
-    // gather_dot, the tier's canonical tree that the cascade's evaluations
-    // use too. A lone row keeps the plain gather_dot: a 1-row panel
-    // measured slower (as in BatchRowDots2). A full panel coupled by
-    // Gaussian elimination takes its sigmoids in one platt_panel call and is
-    // solved in one CouplePanel call, one row per SIMD lane, bitwise each
-    // row's Probability and CoupleProbabilities; every other row couples
-    // alone. Panels write disjoint outputs and status slots.
-    const int64_t num_panels =
-        (tile + simd::kPanelRows - 1) / simd::kPanelRows;
+    // Row-fused host pass over the tile's row panels (PlanRowPanels): each
+    // row's decision values, sigmoids and coupling, with one k x k r
+    // scratch per chunk. On the shared path a panel's kernel-block rows are
+    // transposed into one aligned interleaved panel (unused lanes of a
+    // partial panel read zeros), and each pair's coefficients stream once
+    // through gather_dot_panel for all of its rows. Each lane is bitwise
+    // the row's gather_dot, the tier's canonical tree that the cascade's
+    // evaluations use too. A lone row keeps the plain gather_dot: a 1-row
+    // panel measured slower (as in BatchRowDots2). A full panel coupled by
+    // Gaussian elimination runs its sigmoids and coupling in lane groups of
+    // up to kWidePanelRows rows, read in place at the panel's lane stride:
+    // one platt_panel call and one CouplePanel call per group, one row per
+    // SIMD lane, bitwise each row's Probability and CoupleProbabilities;
+    // every other row couples alone. Panels write disjoint outputs and
+    // status slots.
+    const std::vector<RowPanel> panels = PlanRowPanels(tile);
     row_status.assign(static_cast<size_t>(tile), Status::OK());
     executor->HostParallelFor(
-        num_panels, /*min_chunk=*/1, [&](int64_t begin, int64_t end) {
+        static_cast<int64_t>(panels.size()), /*min_chunk=*/1,
+        [&](int64_t begin, int64_t end) {
           std::vector<double> r(static_cast<size_t>(k) * k, 0.0);
           std::vector<double> panel_storage;
-          std::vector<double> panel_dv;  // pairs x kPanelRows, pair-major
+          std::vector<double> panel_dv;  // pairs x width, pair-major
           std::vector<double> coupling_scratch;
           int64_t coupling_nanos = 0;
-          int64_t platt_panels = 0;
+          int64_t platt_calls = 0;
+          int64_t platt_rows = 0;
           int64_t platt_nanos = 0;
-          for (int64_t p = begin; p < end; ++p) {
-            const int64_t first = p * simd::kPanelRows;
-            const int rows = static_cast<int>(
-                std::min<int64_t>(simd::kPanelRows, tile - first));
-            const bool panel = share && rows > 1;
+          for (int64_t pi_panel = begin; pi_panel < end; ++pi_panel) {
+            const RowPanel& rp = panels[static_cast<size_t>(pi_panel)];
+            const int64_t first = rp.first;
+            const int rows = rp.rows;
+            const int width = rp.width;
+            const bool panel = share && width > 1;
             if (panel) {
-              double* block = simd::AlignedPanel(panel_storage, pool);
-              for (int64_t col = 0; col < pool; ++col) {
-                for (int lane = 0; lane < simd::kPanelRows; ++lane) {
-                  block[col * simd::kPanelRows + lane] =
-                      lane < rows ? kblock[(first + lane) * pool + col] : 0.0;
-                }
+              double* block = simd::AlignedPanel(panel_storage, pool, width);
+              if (rows < width) {
+                std::fill(block, block + pool * width, 0.0);
               }
-              panel_dv.resize(model.svms.size() * simd::kPanelRows);
+              ops.transpose(kblock.data() + first * pool, pool, rows, pool,
+                            block, width);
+              panel_dv.resize(model.svms.size() * static_cast<size_t>(width));
               for (size_t pi = 0; pi < model.svms.size(); ++pi) {
                 const BinarySvmEntry& svm = model.svms[pi];
                 ops.gather_dot_panel(svm.sv_coef.data(),
                                      svm.sv_pool_index.data(), svm.num_svs(),
-                                     block, simd::kPanelRows,
-                                     panel_dv.data() + pi * simd::kPanelRows);
+                                     block, width, panel_dv.data() + pi * width);
               }
             }
-            if (panel && couple_panels && rows == simd::kPanelRows) {
+            if (panel && couple_panels && rows == width) {
               // The decision values become pair probabilities in place,
               // still pair-major in model (PairIndex) order.
-              const int64_t t_platt = simd::NowNanos();
-              ops.platt_panel(panel_dv.data(), platt_.data(), num_pairs);
-              platt_nanos += simd::NowNanos() - t_platt;
-              ++platt_panels;
-              double* out =
-                  result.probabilities.data() + (tile_begin + first) * k;
-              const int64_t t0 = simd::NowNanos();
-              const std::array<Status, simd::kPanelRows> status =
-                  CouplePanel(panel_dv, k, coupling, &coupling_scratch, out);
-              coupling_nanos += simd::NowNanos() - t0;
-              for (int lane = 0; lane < simd::kPanelRows; ++lane) {
-                const int64_t i = first + lane;
-                if (!status[static_cast<size_t>(lane)].ok()) {
-                  row_status[static_cast<size_t>(i)] =
-                      status[static_cast<size_t>(lane)].WithContext(
-                          StrPrintf("row %" PRId64, tile_begin + i));
+              const int lanes = std::min(width, simd::kWidePanelRows);
+              for (int group = 0; group < width; group += lanes) {
+                double* dv_group = panel_dv.data() + group;
+                const int64_t t_platt = simd::NowNanos();
+                ops.platt_panel(dv_group, width, lanes, platt_.data(),
+                                num_pairs);
+                platt_nanos += simd::NowNanos() - t_platt;
+                ++platt_calls;
+                platt_rows += lanes;
+                double* out = result.probabilities.data() +
+                              (tile_begin + first + group) * k;
+                const int64_t t0 = simd::NowNanos();
+                const std::array<Status, simd::kWidePanelRows> status =
+                    CouplePanel({dv_group, panel_dv.size() -
+                                               static_cast<size_t>(group)},
+                                width, lanes, k, coupling, &coupling_scratch,
+                                out);
+                coupling_nanos += simd::NowNanos() - t0;
+                for (int lane = 0; lane < lanes; ++lane) {
+                  const int64_t i = first + group + lane;
+                  if (!status[static_cast<size_t>(lane)].ok()) {
+                    row_status[static_cast<size_t>(i)] =
+                        status[static_cast<size_t>(lane)].WithContext(
+                            StrPrintf("row %" PRId64, tile_begin + i));
+                  }
+                  result.labels[static_cast<size_t>(tile_begin + i)] =
+                      ArgMax(out + lane * k, k);
                 }
-                result.labels[static_cast<size_t>(tile_begin + i)] =
-                    ArgMax(out + lane * k, k);
               }
               continue;
             }
@@ -425,7 +464,7 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
               const auto decision_value = [&](size_t pi) {
                 const BinarySvmEntry& svm = model.svms[pi];
                 if (panel) {
-                  return svm.bias + panel_dv[pi * simd::kPanelRows + lane];
+                  return svm.bias + panel_dv[pi * width + lane];
                 }
                 if (!share) return dv[pi * static_cast<size_t>(tile) + i];
                 return svm.bias + ops.gather_dot(svm.sv_coef.data(),
@@ -442,12 +481,12 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
             }
           }
           simd::RecordPathNanos(simd::SimdPath::kCoupling, coupling_nanos);
-          if (platt_panels > 0) {
+          if (platt_calls > 0) {
             // Charged like the sigmoid phase: 10 flops per value.
-            const int64_t values = platt_panels * num_pairs * simd::kPanelRows;
+            const int64_t values = platt_rows * num_pairs;
             simd::RecordPath(simd::SimdPath::kPlatt, values,
                              10.0 * static_cast<double>(values), platt_nanos,
-                             platt_panels);
+                             platt_calls);
           }
         });
     for (const Status& status : row_status) GMP_RETURN_NOT_OK(status);

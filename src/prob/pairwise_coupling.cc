@@ -208,29 +208,34 @@ Result<std::vector<double>> CoupleProbabilities(std::span<const double> r, int k
   return SolveIterative(r, k, options, ops);
 }
 
-std::array<Status, simd::kPanelRows> CouplePanel(
-    std::span<const double> pairs, int k, const CouplingOptions& options,
-    std::vector<double>* scratch, double* out) {
+std::array<Status, simd::kWidePanelRows> CouplePanel(
+    std::span<const double> pairs, int64_t stride, int rows, int k,
+    const CouplingOptions& options, std::vector<double>* scratch,
+    double* out) {
   GMP_DCHECK(options.method == CouplingMethod::kGaussianElimination);
-  constexpr int kLanes = simd::kPanelRows;
-  std::array<Status, kLanes> status;
-  const size_t num_pairs = static_cast<size_t>(k) * (k - 1) / 2;
-  if (k < 2 || pairs.size() != num_pairs * kLanes) {
+  std::array<Status, simd::kWidePanelRows> status;
+  const int64_t num_pairs = static_cast<int64_t>(k) * (k - 1) / 2;
+  if (k < 2 || (rows != simd::kPanelRows && rows != simd::kWidePanelRows) ||
+      stride < rows ||
+      static_cast<int64_t>(pairs.size()) < (num_pairs - 1) * stride + rows) {
     status.fill(Status::InvalidArgument(StrPrintf(
-        "coupling panel needs k >= 2 and %zu pair probabilities per lane, "
-        "got k = %d and %zu in all",
-        num_pairs, k, pairs.size())));
+        "coupling panel needs k >= 2, %d or %d rows at a stride of at least "
+        "that, and %lld pair probabilities per lane; got k = %d, %d rows at "
+        "stride %lld and %zu values",
+        simd::kPanelRows, simd::kWidePanelRows,
+        static_cast<long long>(num_pairs), k, rows,
+        static_cast<long long>(stride), pairs.size())));
     return status;
   }
   const simd::SimdOps& ops = simd::OpsFor(simd::SimdTier::kAuto);
   const int redo = ops.couple_panel(
-      pairs.data(), k, simd::AlignedPanel(*scratch, simd::CouplePanelCells(k)),
-      out);
+      pairs.data(), stride, rows, k,
+      simd::AlignedPanel(*scratch, simd::CouplePanelCells(k), rows), out);
   // The lanes solved here count as CoupleProbabilities would count them; a
   // lane solved again counts inside CoupleProbabilities.
   simd::PathCounts counts;
   std::vector<double> r;
-  for (int lane = 0; lane < kLanes; ++lane) {
+  for (int lane = 0; lane < rows; ++lane) {
     if ((redo >> lane & 1) == 0) {
       counts.Add(static_cast<int64_t>(k) * k,
                  (2.0 / 3.0) * static_cast<double>(k) * k * k);
@@ -239,7 +244,7 @@ std::array<Status, simd::kPanelRows> CouplePanel(
     r.assign(static_cast<size_t>(k) * k, 0.0);
     const double* p = pairs.data() + lane;
     for (int s = 0; s < k; ++s) {
-      for (int t = s + 1; t < k; ++t, p += kLanes) {
+      for (int t = s + 1; t < k; ++t, p += stride) {
         r[static_cast<size_t>(s) * k + t] = *p;
         r[static_cast<size_t>(t) * k + s] = 1.0 - *p;
       }

@@ -45,22 +45,25 @@ struct CouplingOptions {
 Result<std::vector<double>> CoupleProbabilities(std::span<const double> r, int k,
                                                 const CouplingOptions& options);
 
-// Couples simd::kPanelRows instances by Gaussian elimination, one per SIMD
-// lane of the tier's couple_panel. `pairs` holds each instance's k(k-1)/2
-// pair probabilities, pair-major in the model's pair order (0,1), (0,2),
-// ..., (1,2), ...: pairs[pi * kPanelRows + lane] = P(s | {s,t}, x_lane).
-// Lane L's probabilities go to out[L*k, (L+1)*k) and its status to entry L
-// of the result. Each lane is bitwise CoupleProbabilities of the r its
-// pairs define (r_st = P, r_ts = 1 - P), errors included: a lane that needs
-// the ridge retry, does not sum to a positive value or holds a NaN estimate
-// is solved again through CoupleProbabilities, as is every lane on the
-// scalar tier, which has no panel solve. `scratch` is reused across calls.
-// options.method must be kGaussianElimination. Host-only
-// (uncharged) like CoupleProbabilities, and records one coupling call per
-// lane.
-std::array<Status, simd::kPanelRows> CouplePanel(
-    std::span<const double> pairs, int k, const CouplingOptions& options,
-    std::vector<double>* scratch, double* out);
+// Couples `rows` instances (simd::kPanelRows or simd::kWidePanelRows) by
+// Gaussian elimination, one per SIMD lane of the tier's couple_panel.
+// `pairs` holds each instance's k(k-1)/2 pair probabilities, pair-major in
+// the model's pair order (0,1), (0,2), ..., (1,2), ..., at lane stride
+// `stride` >= rows: pairs[pi * stride + lane] = P(s | {s,t}, x_lane), so
+// the span may start inside a wider panel and reads it in place. Lane L's
+// probabilities go to out[L*k, (L+1)*k) and its status to entry L of the
+// result; entries from `rows` on stay OK. Each lane is bitwise
+// CoupleProbabilities of the r its pairs define (r_st = P, r_ts = 1 - P),
+// errors included: a lane that needs the ridge retry, does not sum to a
+// positive value or holds a NaN estimate is solved again through
+// CoupleProbabilities, as is every lane on the scalar tier, which has no
+// panel solve. `scratch` is reused across calls. options.method must be
+// kGaussianElimination. Host-only (uncharged) like CoupleProbabilities, and
+// records one coupling call per lane.
+std::array<Status, simd::kWidePanelRows> CouplePanel(
+    std::span<const double> pairs, int64_t stride, int rows, int k,
+    const CouplingOptions& options, std::vector<double>* scratch,
+    double* out);
 
 }  // namespace gmpsvm
 

@@ -47,10 +47,15 @@ enum class SimdTier {
   kAvx2 = 2,    // x86-64 AVX2, 4 doubles per vector
 };
 
-// Rows of the prediction, Platt and coupling panels, and of the narrowest
-// gather_dot_panel: one AVX2 vector. A constant of the contract, not a
+// Rows of the narrowest gather_dot_panel and of the narrower Platt and
+// coupling panel: one AVX2 vector. A constant of the contract, not a
 // tuning knob.
 inline constexpr int kPanelRows = 4;
+
+// Rows of the wider Platt and coupling panel: two AVX2 vectors per cell. A
+// cell of four vectors measured about 4x slower per panel, so coupling
+// stops here.
+inline constexpr int kWidePanelRows = 2 * kPanelRows;
 
 // A 32-byte-aligned interleaved panel of `cols` columns (`rows` doubles
 // each) inside `storage`, which grows as needed; new entries are zero and
@@ -110,32 +115,40 @@ struct SimdOps {
   void (*mul_neg)(double* out, const double* a, const double* b,
                   int64_t n) = nullptr;
 
-  // Pairwise coupling by Gaussian elimination (Equation 15) for kPanelRows
-  // instances at once, one per lane. `pairs` holds k(k-1)/2 pair
-  // probabilities per lane, pair-major in the model's pair order (0,1),
-  // (0,2), ..., (1,2), ...: pairs[pi * kPanelRows + lane] = P(s | {s,t})
-  // for pair pi = (s,t). Each lane runs the per-row solve of
-  // CoupleProbabilities operation for operation: Q_st = Q_ts = -(p(1-p)),
-  // Q_ss summed in ascending u, its own first-strict-maximum pivot with a
-  // physical row swap, the factor == 0 skip, the canonical block-8 dot in
-  // back substitution, then clamp and normalise. Writes lane L's
-  // probabilities to out[L * k + c] and returns a bit mask of the lanes
-  // whose rows must be solved again per row: a NaN estimate, a pivot below
-  // 1e-12 (the ridge retry) or a sum that is not positive. Their out rows
-  // are unspecified. `work` holds CouplePanelCells(k) cells of kPanelRows
-  // doubles each, 32-byte aligned (see AlignedPanel). The scalar tier has
-  // no panel solve and returns every lane, so its rows run the per-row
-  // solve.
-  int (*couple_panel)(const double* pairs, int k, double* work,
-                      double* out) = nullptr;
+  // Pairwise coupling by Gaussian elimination (Equation 15) for `rows`
+  // instances at once (kPanelRows or kWidePanelRows), one per lane. `pairs`
+  // holds k(k-1)/2 pair probabilities per lane, pair-major in the model's
+  // pair order (0,1), (0,2), ..., (1,2), ..., each pair's lanes at lane
+  // stride `stride` >= rows: pairs[pi * stride + lane] = P(s | {s,t}) for
+  // pair pi = (s,t), so a panel can be read in place from a wider one. Each
+  // lane runs the per-row solve of CoupleProbabilities operation for
+  // operation: Q_st = Q_ts = -(p(1-p)), Q_ss summed in ascending u, its own
+  // first-strict-maximum pivot with a physical row swap, the factor == 0
+  // skip, the canonical block-8 dot in back substitution, then clamp and
+  // normalise. Writes lane L's probabilities to out[L * k + c] and returns a
+  // bit mask of the lanes whose rows must be solved again per row: a NaN
+  // estimate, a pivot below 1e-12 (the ridge retry) or a sum that is not
+  // positive. Their out rows are unspecified. `work` holds
+  // CouplePanelCells(k) cells of `rows` doubles each, 32-byte aligned (see
+  // AlignedPanel). The scalar tier has no panel solve and returns every
+  // lane, so its rows run the per-row solve.
+  int (*couple_panel)(const double* pairs, int64_t stride, int rows, int k,
+                      double* work, double* out) = nullptr;
 
-  // Platt's sigmoid (Equation 12) over a full panel, in place: `pairs` holds
-  // num_pairs x kPanelRows decision values without their bias, pair-major as
+  // Platt's sigmoid (Equation 12) over a panel of `rows` lanes (kPanelRows
+  // or kWidePanelRows), in place: `pairs` holds num_pairs decision values
+  // per lane without their bias, pair-major at lane stride `stride` as
   // couple_panel reads them, and `table` holds each pair's (bias, A, B).
-  // pairs[pi * kPanelRows + lane] becomes PlattFromArg((bias + v) * A + B),
+  // pairs[pi * stride + lane] becomes PlattFromArg((bias + v) * A + B),
   // bitwise SigmoidParams::Probability(bias + v) on every tier.
-  void (*platt_panel)(double* pairs, const double* table,
-                      int64_t num_pairs) = nullptr;
+  void (*platt_panel)(double* pairs, int64_t stride, int rows,
+                      const double* table, int64_t num_pairs) = nullptr;
+
+  // dst[c * dst_stride + r] = src[r * src_stride + c] for r < rows and
+  // c < cols: a block transpose, which AVX2 moves in 4 x 4 register tiles.
+  // Data movement only, so every tier writes the same bits.
+  void (*transpose)(const double* src, int64_t src_stride, int64_t rows,
+                    int64_t cols, double* dst, int64_t dst_stride) = nullptr;
 };
 
 // Cells of couple_panel's work area: the k x (k+1) augmented matrix [Q | e]

@@ -258,11 +258,114 @@ void AxpyNegAvx2(double* y, const double* x, int64_t n, double factor) {
   for (; j < n; ++j) y[j] = y[j] - factor * x[j];
 }
 
-inline __m256d AbsVec(__m256d v) {
-  return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
+// kVecs AVX2 vectors side by side, lanes 4g..4g+3 in v[g]: one cell of a
+// coupling panel of 4 * kVecs rows. Each helper below applies one
+// intrinsic per vector; its loop is unrolled by pragma so that -O2 keeps
+// the vectors in registers, as in PanelDotsAvx2.
+template <int kVecs>
+struct Lanes {
+  __m256d v[kVecs];
+};
+
+template <int kVecs, typename Fn>
+inline Lanes<kVecs> Each(const Fn& fn) {
+  Lanes<kVecs> r;
+#pragma GCC unroll 2
+  for (int g = 0; g < kVecs; ++g) r.v[g] = fn(g);
+  return r;
 }
 
-// couple_panel with one vector per cell of the augmented matrix [Q | e]
+template <int kVecs>
+inline Lanes<kVecs> Set1(double x) {
+  return Each<kVecs>([x](int) { return _mm256_set1_pd(x); });
+}
+
+template <int kVecs>
+inline Lanes<kVecs> Load(const double* p) {
+  return Each<kVecs>([p](int g) { return _mm256_load_pd(p + 4 * g); });
+}
+
+template <int kVecs>
+inline Lanes<kVecs> LoadU(const double* p) {
+  return Each<kVecs>([p](int g) { return _mm256_loadu_pd(p + 4 * g); });
+}
+
+template <int kVecs>
+inline void Store(double* p, const Lanes<kVecs>& a) {
+#pragma GCC unroll 2
+  for (int g = 0; g < kVecs; ++g) _mm256_store_pd(p + 4 * g, a.v[g]);
+}
+
+template <int kVecs>
+inline Lanes<kVecs> Add(const Lanes<kVecs>& a, const Lanes<kVecs>& b) {
+  return Each<kVecs>([&](int g) { return _mm256_add_pd(a.v[g], b.v[g]); });
+}
+
+template <int kVecs>
+inline Lanes<kVecs> Sub(const Lanes<kVecs>& a, const Lanes<kVecs>& b) {
+  return Each<kVecs>([&](int g) { return _mm256_sub_pd(a.v[g], b.v[g]); });
+}
+
+template <int kVecs>
+inline Lanes<kVecs> Mul(const Lanes<kVecs>& a, const Lanes<kVecs>& b) {
+  return Each<kVecs>([&](int g) { return _mm256_mul_pd(a.v[g], b.v[g]); });
+}
+
+template <int kVecs>
+inline Lanes<kVecs> Div(const Lanes<kVecs>& a, const Lanes<kVecs>& b) {
+  return Each<kVecs>([&](int g) { return _mm256_div_pd(a.v[g], b.v[g]); });
+}
+
+template <int kVecs>
+inline Lanes<kVecs> Or(const Lanes<kVecs>& a, const Lanes<kVecs>& b) {
+  return Each<kVecs>([&](int g) { return _mm256_or_pd(a.v[g], b.v[g]); });
+}
+
+template <int kVecs>
+inline Lanes<kVecs> Xor(const Lanes<kVecs>& a, const Lanes<kVecs>& b) {
+  return Each<kVecs>([&](int g) { return _mm256_xor_pd(a.v[g], b.v[g]); });
+}
+
+// a > b ? a : b per lane, so b when either is NaN.
+template <int kVecs>
+inline Lanes<kVecs> Max(const Lanes<kVecs>& a, const Lanes<kVecs>& b) {
+  return Each<kVecs>([&](int g) { return _mm256_max_pd(a.v[g], b.v[g]); });
+}
+
+// |a|: a with its sign bit cleared.
+template <int kVecs>
+inline Lanes<kVecs> Abs(const Lanes<kVecs>& a) {
+  return Each<kVecs>([&](int g) {
+    return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a.v[g]);
+  });
+}
+
+// b where `mask` is set, else a.
+template <int kVecs>
+inline Lanes<kVecs> Blend(const Lanes<kVecs>& a, const Lanes<kVecs>& b,
+                          const Lanes<kVecs>& mask) {
+  return Each<kVecs>(
+      [&](int g) { return _mm256_blendv_pd(a.v[g], b.v[g], mask.v[g]); });
+}
+
+template <int kPredicate, int kVecs>
+inline Lanes<kVecs> Cmp(const Lanes<kVecs>& a, const Lanes<kVecs>& b) {
+  return Each<kVecs>(
+      [&](int g) { return _mm256_cmp_pd(a.v[g], b.v[g], kPredicate); });
+}
+
+// Bit L set for each lane L whose mask is set.
+template <int kVecs>
+inline int MoveMask(const Lanes<kVecs>& mask) {
+  int bits = 0;
+#pragma GCC unroll 2
+  for (int g = 0; g < kVecs; ++g) {
+    bits |= _mm256_movemask_pd(mask.v[g]) << (4 * g);
+  }
+  return bits;
+}
+
+// couple_panel with kVecs vectors per cell of the augmented matrix [Q | e]
 // (leading dimension k+1, rhs in column k); lane L follows the per-row
 // SolveDirect (prob/pairwise_coupling.cc) operation for operation. A pivot
 // swap exchanges the lane's two rows physically, so position i holds the
@@ -276,78 +379,77 @@ inline __m256d AbsVec(__m256d v) {
 // registers in step order. Rows finish in ascending order, so the pivot-row
 // values an element subtracts already carry the block's earlier steps: each
 // element sees the unblocked loop's roundings in the unblocked loop's order.
-int CouplePanelAvx2(const double* pairs, int k, double* work, double* out) {
+template <int kVecs>
+int CoupleLanesAvx2(const double* pairs, int64_t stride, int k, double* work,
+                    double* out) {
+  using V = Lanes<kVecs>;
+  constexpr int kLanes = 4 * kVecs;
   constexpr int kBlock = 4;
   const int64_t ld = k + 1;
   const auto cell = [work, ld](int64_t i, int64_t j) {
-    return work + (i * ld + j) * kPanelRows;
+    return work + (i * ld + j) * kLanes;
   };
   double* sol = cell(k, 0);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d sign = _mm256_set1_pd(-0.0);
+  const V zero = Set1<kVecs>(0.0);
+  const V one = Set1<kVecs>(1.0);
+  const V sign = Set1<kVecs>(-0.0);
 
   // Q from the pair probabilities; each diagonal cell sums in ascending u.
   for (int s = 0; s < k; ++s) {
-    _mm256_store_pd(cell(s, s), zero);
-    _mm256_store_pd(cell(s, k), one);
+    Store(cell(s, s), zero);
+    Store(cell(s, k), one);
   }
   const double* p = pairs;
   for (int s = 0; s < k; ++s) {
-    __m256d diag = _mm256_load_pd(cell(s, s));
-    for (int t = s + 1; t < k; ++t, p += kPanelRows) {
-      const __m256d r_st = _mm256_loadu_pd(p);
-      const __m256d r_ts = _mm256_sub_pd(one, r_st);
-      const __m256d v = _mm256_xor_pd(_mm256_mul_pd(r_st, r_ts), sign);
-      _mm256_store_pd(cell(s, t), v);
-      _mm256_store_pd(cell(t, s), v);
-      _mm256_store_pd(cell(t, t), _mm256_add_pd(_mm256_load_pd(cell(t, t)),
-                                                _mm256_mul_pd(r_st, r_st)));
-      diag = _mm256_add_pd(diag, _mm256_mul_pd(r_ts, r_ts));
+    V diag = Load<kVecs>(cell(s, s));
+    for (int t = s + 1; t < k; ++t, p += stride) {
+      const V r_st = LoadU<kVecs>(p);
+      const V r_ts = Sub(one, r_st);
+      const V v = Xor(Mul(r_st, r_ts), sign);
+      Store(cell(s, t), v);
+      Store(cell(t, s), v);
+      Store(cell(t, t), Add(Load<kVecs>(cell(t, t)), Mul(r_st, r_st)));
+      diag = Add(diag, Mul(r_ts, r_ts));
     }
-    _mm256_store_pd(cell(s, s), diag);
+    Store(cell(s, s), diag);
   }
-  __m256d nan = zero;
+  V nan = zero;
   for (int s = 0; s < k; ++s) {
-    const __m256d d = _mm256_load_pd(cell(s, s));
-    nan = _mm256_or_pd(nan, _mm256_cmp_pd(d, d, _CMP_UNORD_Q));
+    const V d = Load<kVecs>(cell(s, s));
+    nan = Or(nan, Cmp<_CMP_UNORD_Q>(d, d));
   }
-  int redo = _mm256_movemask_pd(nan);
+  int redo = MoveMask(nan);
 
   for (int col0 = 0; col0 < k; col0 += kBlock) {
     const int end = std::min(col0 + kBlock, k);
     for (int c = col0; c < end; ++c) {
-      __m256d best = AbsVec(_mm256_load_pd(cell(c, c)));
-      __m256d pivot = _mm256_set1_pd(c);
+      V best = Abs(Load<kVecs>(cell(c, c)));
+      V pivot = Set1<kVecs>(c);
       for (int row = c + 1; row < k; ++row) {
-        const __m256d v = AbsVec(_mm256_load_pd(cell(row, c)));
-        const __m256d gt = _mm256_cmp_pd(v, best, _CMP_GT_OQ);
-        best = _mm256_blendv_pd(best, v, gt);
-        pivot = _mm256_blendv_pd(pivot, _mm256_set1_pd(row), gt);
+        const V v = Abs(Load<kVecs>(cell(row, c)));
+        const V gt = Cmp<_CMP_GT_OQ>(v, best);
+        best = Blend(best, v, gt);
+        pivot = Blend(pivot, Set1<kVecs>(row), gt);
       }
-      redo |= _mm256_movemask_pd(
-          _mm256_cmp_pd(best, _mm256_set1_pd(1e-12), _CMP_LT_OQ));
-      alignas(32) double pivot_row[kPanelRows];
-      _mm256_store_pd(pivot_row, pivot);
-      for (int lane = 0; lane < kPanelRows; ++lane) {
+      redo |= MoveMask(Cmp<_CMP_LT_OQ>(best, Set1<kVecs>(1e-12)));
+      alignas(32) double pivot_row[kLanes];
+      Store(pivot_row, pivot);
+      for (int lane = 0; lane < kLanes; ++lane) {
         const int pr = static_cast<int>(pivot_row[lane]);
         if (pr == c) continue;
         for (int j = col0; j <= k; ++j) {
           std::swap(cell(c, j)[lane], cell(pr, j)[lane]);
         }
       }
-      const __m256d inv_pivot =
-          _mm256_div_pd(one, _mm256_load_pd(cell(c, c)));
+      const V inv_pivot = Div(one, Load<kVecs>(cell(c, c)));
       for (int row = c + 1; row < k; ++row) {
-        const __m256d factor =
-            _mm256_mul_pd(_mm256_load_pd(cell(row, c)), inv_pivot);
-        _mm256_store_pd(cell(row, c), factor);
-        const __m256d skip = _mm256_cmp_pd(factor, zero, _CMP_EQ_OQ);
+        const V factor = Mul(Load<kVecs>(cell(row, c)), inv_pivot);
+        Store(cell(row, c), factor);
+        const V skip = Cmp<_CMP_EQ_OQ>(factor, zero);
         for (int j = c + 1; j < end; ++j) {
-          const __m256d old = _mm256_load_pd(cell(row, j));
-          const __m256d upd = _mm256_sub_pd(
-              old, _mm256_mul_pd(factor, _mm256_load_pd(cell(c, j))));
-          _mm256_store_pd(cell(row, j), _mm256_blendv_pd(upd, old, skip));
+          const V old = Load<kVecs>(cell(row, j));
+          const V upd = Sub(old, Mul(factor, Load<kVecs>(cell(c, j))));
+          Store(cell(row, j), Blend(upd, old, skip));
         }
       }
     }
@@ -358,40 +460,39 @@ int CouplePanelAvx2(const double* pairs, int k, double* work, double* out) {
     for (int s = 0; s < end - col0; ++s) piv[s] = cell(col0 + s, end);
     for (int row = col0 + 1; row < k; ++row) {
       const int steps = std::min(end, row) - col0;
-      __m256d f[kBlock];
-      __m256d skip[kBlock];
+      V f[kBlock];
+      V skip[kBlock];
       int any_skip = 0;
       for (int s = 0; s < steps; ++s) {
-        f[s] = _mm256_load_pd(cell(row, col0 + s));
-        skip[s] = _mm256_cmp_pd(f[s], zero, _CMP_EQ_OQ);
-        any_skip |= _mm256_movemask_pd(skip[s]);
+        f[s] = Load<kVecs>(cell(row, col0 + s));
+        skip[s] = Cmp<_CMP_EQ_OQ>(f[s], zero);
+        any_skip |= MoveMask(skip[s]);
       }
       double* dst = cell(row, end);
       if (steps == kBlock && any_skip == 0) {
         // Spelled out: -O2 keeps a loop over f[] and piv[] in memory.
-        const __m256d f0 = f[0], f1 = f[1], f2 = f[2], f3 = f[3];
+        const V f0 = f[0], f1 = f[1], f2 = f[2], f3 = f[3];
         const double* p0 = piv[0];
         const double* p1 = piv[1];
         const double* p2 = piv[2];
         const double* p3 = piv[3];
-        for (int64_t j = 0; j < width * kPanelRows; j += kPanelRows) {
-          __m256d v = _mm256_load_pd(dst + j);
-          v = _mm256_sub_pd(v, _mm256_mul_pd(f0, _mm256_load_pd(p0 + j)));
-          v = _mm256_sub_pd(v, _mm256_mul_pd(f1, _mm256_load_pd(p1 + j)));
-          v = _mm256_sub_pd(v, _mm256_mul_pd(f2, _mm256_load_pd(p2 + j)));
-          v = _mm256_sub_pd(v, _mm256_mul_pd(f3, _mm256_load_pd(p3 + j)));
-          _mm256_store_pd(dst + j, v);
+        for (int64_t j = 0; j < width * kLanes; j += kLanes) {
+          V v = Load<kVecs>(dst + j);
+          v = Sub(v, Mul(f0, Load<kVecs>(p0 + j)));
+          v = Sub(v, Mul(f1, Load<kVecs>(p1 + j)));
+          v = Sub(v, Mul(f2, Load<kVecs>(p2 + j)));
+          v = Sub(v, Mul(f3, Load<kVecs>(p3 + j)));
+          Store(dst + j, v);
         }
         continue;
       }
-      for (int64_t j = 0; j < width * kPanelRows; j += kPanelRows) {
-        __m256d v = _mm256_load_pd(dst + j);
+      for (int64_t j = 0; j < width * kLanes; j += kLanes) {
+        V v = Load<kVecs>(dst + j);
         for (int s = 0; s < steps; ++s) {
-          const __m256d upd = _mm256_sub_pd(
-              v, _mm256_mul_pd(f[s], _mm256_load_pd(piv[s] + j)));
-          v = _mm256_blendv_pd(upd, v, skip[s]);
+          const V upd = Sub(v, Mul(f[s], Load<kVecs>(piv[s] + j)));
+          v = Blend(upd, v, skip[s]);
         }
-        _mm256_store_pd(dst + j, v);
+        Store(dst + j, v);
       }
     }
   }
@@ -400,64 +501,123 @@ int CouplePanelAvx2(const double* pairs, int k, double* work, double* out) {
   for (int col = k - 1; col >= 0; --col) {
     const int64_t n = k - col - 1;
     const double* a = cell(col, col + 1);
-    const double* b = sol + (col + 1) * kPanelRows;
+    const double* b = sol + (col + 1) * kLanes;
     const auto prod = [a, b](int64_t i) {
-      return _mm256_mul_pd(_mm256_load_pd(a + i * kPanelRows),
-                           _mm256_load_pd(b + i * kPanelRows));
+      return Mul(Load<kVecs>(a + i * kLanes), Load<kVecs>(b + i * kLanes));
     };
-    __m256d acc = zero;
+    V acc = zero;
     int64_t q = 0;
     for (; q + 8 <= n; q += 8) {
-      const __m256d s0 = _mm256_add_pd(prod(q), prod(q + 4));
-      const __m256d s1 = _mm256_add_pd(prod(q + 1), prod(q + 5));
-      const __m256d s2 = _mm256_add_pd(prod(q + 2), prod(q + 6));
-      const __m256d s3 = _mm256_add_pd(prod(q + 3), prod(q + 7));
-      acc = _mm256_add_pd(
-          acc, _mm256_add_pd(_mm256_add_pd(s0, s2), _mm256_add_pd(s1, s3)));
+      const V s0 = Add(prod(q), prod(q + 4));
+      const V s1 = Add(prod(q + 1), prod(q + 5));
+      const V s2 = Add(prod(q + 2), prod(q + 6));
+      const V s3 = Add(prod(q + 3), prod(q + 7));
+      acc = Add(acc, Add(Add(s0, s2), Add(s1, s3)));
     }
-    for (; q < n; ++q) acc = _mm256_add_pd(acc, prod(q));
-    _mm256_store_pd(sol + col * kPanelRows,
-                    _mm256_div_pd(_mm256_sub_pd(_mm256_load_pd(cell(col, k)),
-                                                acc),
-                                  _mm256_load_pd(cell(col, col))));
+    for (; q < n; ++q) acc = Add(acc, prod(q));
+    Store(sol + col * kLanes,
+          Div(Sub(Load<kVecs>(cell(col, k)), acc), Load<kVecs>(cell(col, col))));
   }
 
   // Clamp and normalise. max(0, v) is std::max(v, 0.0): v unless 0 > v.
-  __m256d sum = zero;
+  V sum = zero;
   for (int s = 0; s < k; ++s) {
-    const __m256d v =
-        _mm256_max_pd(zero, _mm256_load_pd(sol + s * kPanelRows));
-    _mm256_store_pd(sol + s * kPanelRows, v);
-    sum = _mm256_add_pd(sum, v);
+    const V v = Max(zero, Load<kVecs>(sol + s * kLanes));
+    Store(sol + s * kLanes, v);
+    sum = Add(sum, v);
   }
-  redo |= _mm256_movemask_pd(_mm256_cmp_pd(sum, zero, _CMP_NGT_UQ));
+  redo |= MoveMask(Cmp<_CMP_NGT_UQ>(sum, zero));
   for (int s = 0; s < k; ++s) {
-    alignas(32) double v[kPanelRows];
-    _mm256_store_pd(v,
-                    _mm256_div_pd(_mm256_load_pd(sol + s * kPanelRows), sum));
-    for (int lane = 0; lane < kPanelRows; ++lane) out[lane * k + s] = v[lane];
+    alignas(32) double v[kLanes];
+    Store(v, Div(Load<kVecs>(sol + s * kLanes), sum));
+    for (int lane = 0; lane < kLanes; ++lane) out[lane * k + s] = v[lane];
   }
   return redo;
 }
 
+int CouplePanelAvx2(const double* pairs, int64_t stride, int rows, int k,
+                    double* work, double* out) {
+  return rows == kWidePanelRows
+             ? CoupleLanesAvx2<2>(pairs, stride, k, work, out)
+             : CoupleLanesAvx2<1>(pairs, stride, k, work, out);
+}
+
 // Vector twin of simd::PlattFromArg on f = (bias + v) * A + B, one pair's
-// four lanes per step. -|f| is f with its sign bit set, as -std::fabs(f);
-// f >= 0 is ordered, so a NaN f takes 1.0 / (1 + NaN) as in the scalar form.
-void PlattPanelAvx2(double* pairs, const double* table, int64_t num_pairs) {
+// kVecs vectors of lanes per step. -|f| is f with its sign bit set, as
+// -std::fabs(f); f >= 0 is ordered, so a NaN f takes 1.0 / (1 + NaN) as in
+// the scalar form.
+template <int kVecs>
+void PlattLanesAvx2(double* pairs, int64_t stride, const double* table,
+                    int64_t num_pairs) {
   const __m256d sign = _mm256_set1_pd(-0.0);
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d zero = _mm256_setzero_pd();
   for (int64_t pi = 0; pi < num_pairs; ++pi) {
     const double* t = table + pi * 3;
-    double* v = pairs + pi * kPanelRows;
-    const __m256d f = _mm256_add_pd(
-        _mm256_mul_pd(_mm256_add_pd(_mm256_set1_pd(t[0]), _mm256_loadu_pd(v)),
-                      _mm256_set1_pd(t[1])),
-        _mm256_set1_pd(t[2]));
-    const __m256d e = ExpVec(_mm256_or_pd(f, sign));
-    const __m256d num =
-        _mm256_blendv_pd(one, e, _mm256_cmp_pd(f, zero, _CMP_GE_OQ));
-    _mm256_storeu_pd(v, _mm256_div_pd(num, _mm256_add_pd(one, e)));
+    const __m256d bias = _mm256_set1_pd(t[0]);
+    const __m256d a = _mm256_set1_pd(t[1]);
+    const __m256d b = _mm256_set1_pd(t[2]);
+#pragma GCC unroll 2
+    for (int g = 0; g < kVecs; ++g) {
+      double* v = pairs + pi * stride + 4 * g;
+      const __m256d f = _mm256_add_pd(
+          _mm256_mul_pd(_mm256_add_pd(bias, _mm256_loadu_pd(v)), a), b);
+      const __m256d e = ExpVec(_mm256_or_pd(f, sign));
+      const __m256d num =
+          _mm256_blendv_pd(one, e, _mm256_cmp_pd(f, zero, _CMP_GE_OQ));
+      _mm256_storeu_pd(v, _mm256_div_pd(num, _mm256_add_pd(one, e)));
+    }
+  }
+}
+
+void PlattPanelAvx2(double* pairs, int64_t stride, int rows,
+                    const double* table, int64_t num_pairs) {
+  if (rows == kWidePanelRows) {
+    return PlattLanesAvx2<2>(pairs, stride, table, num_pairs);
+  }
+  PlattLanesAvx2<1>(pairs, stride, table, num_pairs);
+}
+
+// Four rows of four doubles become four columns: r_i[j] moves to r_j[i].
+inline void Transpose4x4(__m256d& r0, __m256d& r1, __m256d& r2, __m256d& r3) {
+  const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // r0[0] r1[0] r0[2] r1[2]
+  const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // r0[1] r1[1] r0[3] r1[3]
+  const __m256d t2 = _mm256_unpacklo_pd(r2, r3);  // r2[0] r3[0] r2[2] r3[2]
+  const __m256d t3 = _mm256_unpackhi_pd(r2, r3);  // r2[1] r3[1] r2[3] r3[3]
+  r0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+  r1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+  r2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+  r3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+void TransposeAvx2(const double* src, int64_t src_stride, int64_t rows,
+                   int64_t cols, double* dst, int64_t dst_stride) {
+  int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const double* s = src + r * src_stride;
+    int64_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      __m256d a0 = _mm256_loadu_pd(s + c);
+      __m256d a1 = _mm256_loadu_pd(s + src_stride + c);
+      __m256d a2 = _mm256_loadu_pd(s + 2 * src_stride + c);
+      __m256d a3 = _mm256_loadu_pd(s + 3 * src_stride + c);
+      Transpose4x4(a0, a1, a2, a3);
+      double* d = dst + c * dst_stride + r;
+      _mm256_storeu_pd(d, a0);
+      _mm256_storeu_pd(d + dst_stride, a1);
+      _mm256_storeu_pd(d + 2 * dst_stride, a2);
+      _mm256_storeu_pd(d + 3 * dst_stride, a3);
+    }
+    for (; c < cols; ++c) {
+      for (int64_t i = 0; i < 4; ++i) {
+        dst[c * dst_stride + r + i] = s[i * src_stride + c];
+      }
+    }
+  }
+  for (; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      dst[c * dst_stride + r] = src[r * src_stride + c];
+    }
   }
 }
 
@@ -476,6 +636,7 @@ const SimdOps* Avx2OpsTable() {
       MulNegAvx2,
       CouplePanelAvx2,
       PlattPanelAvx2,
+      TransposeAvx2,
   };
   return &table;
 }

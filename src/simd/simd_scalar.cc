@@ -103,16 +103,27 @@ void MulNegScalar(double* out, const double* a, const double* b, int64_t n) {
 
 // Hands every lane back to the per-row solve (SolveDirect in
 // prob/pairwise_coupling.cc), which is the scalar tier's coupling.
-int CouplePanelScalar(const double*, int, double*, double*) {
-  return (1 << kPanelRows) - 1;
+int CouplePanelScalar(const double*, int64_t, int rows, int, double*,
+                      double*) {
+  return (1 << rows) - 1;
 }
 
-void PlattPanelScalar(double* pairs, const double* table, int64_t num_pairs) {
+void PlattPanelScalar(double* pairs, int64_t stride, int rows,
+                      const double* table, int64_t num_pairs) {
   for (int64_t pi = 0; pi < num_pairs; ++pi) {
     const double* t = table + pi * 3;
-    double* v = pairs + pi * kPanelRows;
-    for (int lane = 0; lane < kPanelRows; ++lane) {
+    double* v = pairs + pi * stride;
+    for (int lane = 0; lane < rows; ++lane) {
       v[lane] = PlattFromArg((t[0] + v[lane]) * t[1] + t[2]);
+    }
+  }
+}
+
+void TransposeScalar(const double* src, int64_t src_stride, int64_t rows,
+                     int64_t cols, double* dst, int64_t dst_stride) {
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      dst[c * dst_stride + r] = src[r * src_stride + c];
     }
   }
 }
@@ -132,6 +143,7 @@ const SimdOps* ScalarOpsTable() {
       MulNegScalar,
       CouplePanelScalar,
       PlattPanelScalar,
+      TransposeScalar,
   };
   return &table;
 }

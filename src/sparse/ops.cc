@@ -34,6 +34,10 @@ double* PanelWorkspace(int64_t cols, int width) {
 // The widest panel: four AVX2 vectors.
 constexpr int kMaxPanelRows = 16;
 
+// Targets whose panel dots are stored together: one AVX2 vector of each out
+// row, written through 4 x 4 register transposes.
+constexpr int64_t kTargetGroup = 4;
+
 // A panel wider than simd::kPanelRows is used only while its workspace fits
 // in this many bytes (8,192 columns at 16 rows), so wide sparse data keeps a
 // kPanelRows x cols workspace.
@@ -124,7 +128,8 @@ void RunRows(ThreadPool* pool, int64_t n, int64_t min_chunk,
 
 // Register blocked: batch rows are scattered into interleaved panels of 16,
 // 8 or 4 rows (PlanPanels), and each target row's nonzeros stream through
-// gather_dot_panel once per panel instead of once per batch row. A partial
+// gather_dot_panel once per panel instead of once per batch row; each group
+// of kTargetGroup targets' dots reaches `out` in one transpose. A partial
 // panel's unused rows stay zero and their dots are dropped. Panels write
 // disjoint `out` rows, so they are partitioned across the pool; the stats
 // below replay the serial accumulation order so the returned doubles are
@@ -147,7 +152,9 @@ OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
   const int64_t num_panels = static_cast<int64_t>(panels.size());
   const int64_t t_start = simd::NowNanos();
   RunRows(pool, num_panels, /*min_chunk=*/1, [&](int64_t begin, int64_t end) {
-    double dots[kMaxPanelRows];
+    // One group of targets' dots, dots[t * kMaxPanelRows + r] for target t
+    // and panel row r.
+    double dots[kTargetGroup * kMaxPanelRows];
     for (int64_t pi = begin; pi < end; ++pi) {
       const Panel& p = panels[static_cast<size_t>(pi)];
       double* out_panel = out + p.first * num_targets;
@@ -158,14 +165,19 @@ OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
       }
       double* panel = PanelWorkspace(a.cols(), p.width);
       ScatterPanel(a, batch, p, /*values=*/true, panel);
-      for (int64_t tj = 0; tj < num_targets; ++tj) {
-        const int64_t trow = targets[static_cast<size_t>(tj)];
-        const auto tidx = b.RowIndices(trow);
-        const auto tval = b.RowValues(trow);
-        simd_ops.gather_dot_panel(tval.data(), tidx.data(),
-                                  static_cast<int64_t>(tidx.size()), panel,
-                                  p.width, dots);
-        for (int r = 0; r < p.rows; ++r) out_panel[r * num_targets + tj] = dots[r];
+      for (int64_t tj = 0; tj < num_targets; tj += kTargetGroup) {
+        const int64_t group = std::min(kTargetGroup, num_targets - tj);
+        for (int64_t t = 0; t < group; ++t) {
+          const int64_t trow = targets[static_cast<size_t>(tj + t)];
+          const auto tidx = b.RowIndices(trow);
+          const auto tval = b.RowValues(trow);
+          simd_ops.gather_dot_panel(tval.data(), tidx.data(),
+                                    static_cast<int64_t>(tidx.size()), panel,
+                                    p.width, dots + t * kMaxPanelRows);
+        }
+        // Out row r of the panel takes the group's dots as one transpose.
+        simd_ops.transpose(dots, kMaxPanelRows, group, p.rows, out_panel + tj,
+                           num_targets);
       }
       ScatterPanel(a, batch, p, /*values=*/false, panel);
     }

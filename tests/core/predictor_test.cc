@@ -150,6 +150,11 @@ TEST(MpSvmPredictorTest, TilingDoesNotChangeResults) {
   EXPECT_EQ(r1.labels, r2.labels);
 }
 
+// Tile sizes that split the 30- and 50-row test sets into every mix of 16-,
+// 8- and 4-row panels, partial 4-row panels and lone rows (0 sizes the tile
+// from the memory budget: one tile).
+constexpr int64_t kTiles[] = {0, 1, 3, 4, 5, 8, 9, 15, 16, 17, 33, 50};
+
 // Independent per-row reference built from public pieces: the tile x pool
 // kernel block, each pair's gather-dot, its sigmoid, and one coupling solve
 // per row — all on the scalar tier, the canonical arithmetic.
@@ -196,14 +201,15 @@ NaiveReference NaivePredict(const MpSvmModel& model, const CsrMatrix& test) {
 
 TEST(MpSvmPredictorTest, RowFusedMatchesNaiveReference) {
   TrainedFixture fx = MakeFixture(5, 83);
-  const int64_t n = fx.test.size();
+  ASSERT_EQ(fx.test.size(), 50);
   const NaiveReference ref = NaivePredict(fx.model, fx.test.features());
   for (simd::SimdTier tier : testing::SupportedTiers()) {
     const testing::ScopedSimdTier scope(tier);
     for (bool share : {true, false}) {
-      // Tile 6 holds a full panel, coupled four rows per solve, and a
-      // partial one, coupled row by row.
-      for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{6}, n}) {
+      // The tiles cover every panel width: 16-row panels, coupled in two
+      // 8-lane groups, 8- and 4-row panels, a partial 4-row panel and lone
+      // rows, coupled row by row, and mixes of them in one tile.
+      for (int64_t tile : kTiles) {
         // Simulated time, phases and counters depend only on sizes: they
         // must not move with the host thread count.
         std::optional<PredictResult> serial;
@@ -250,18 +256,33 @@ TEST(MpSvmPredictorTest, RowFusedMatchesNaiveReference) {
 }
 
 // Each full panel coupled by Gaussian elimination takes its sigmoids in one
-// platt_panel call over every pair; lone rows, partial panels, the per-SVM
-// ablation and the iterative method take them one value at a time and
-// record nothing on the path.
+// platt_panel call over every pair per lane group of up to 8 rows: two
+// calls for a 16-row panel, one for an 8- or 4-row panel. Lone rows,
+// partial panels, the per-SVM ablation and the iterative method take them
+// one value at a time and record nothing on the path.
 TEST(MpSvmPredictorTest, PlattPathCountsOneCallPerFullPanel) {
   TrainedFixture fx = MakeFixture(5, 83);
   const int64_t n = fx.test.size();
   const int64_t pairs = fx.model.num_pairs();
+  // Platt calls and rows of one tile: 16-row panels while 16 rows remain,
+  // then at most one 8-row and one 4-row panel.
+  const auto tile_platt = [](int64_t rows, int64_t* calls, int64_t* lanes) {
+    for (; rows >= 16; rows -= 16) {
+      *calls += 2;
+      *lanes += 16;
+    }
+    for (const int64_t width : {int64_t{8}, int64_t{4}}) {
+      if (rows < width) continue;
+      *calls += 1;
+      *lanes += width;
+      rows -= width;
+    }
+  };
   for (simd::SimdTier tier : testing::SupportedTiers()) {
     const testing::ScopedSimdTier scope(tier);
     for (bool share : {true, false}) {
       for (bool iterative : {false, true}) {
-        for (int64_t tile : {n, int64_t{6}}) {
+        for (int64_t tile : {n, int64_t{6}, int64_t{12}}) {
           const simd::PathStatsSnapshot before =
               simd::PathStats(simd::SimdPath::kPlatt);
           SimExecutor exec = Gpu();
@@ -271,10 +292,13 @@ TEST(MpSvmPredictorTest, PlattPathCountsOneCallPerFullPanel) {
           if (iterative) options.coupling.method = CouplingMethod::kIterative;
           ValueOrDie(MpSvmPredictor(&fx.model).Predict(fx.test.features(),
                                                        &exec, options));
-          const int64_t panels =
-              share && !iterative ? (n / tile) * (tile / simd::kPanelRows) +
-                                        (n % tile) / simd::kPanelRows
-                                  : 0;
+          int64_t calls = 0;
+          int64_t lanes = 0;
+          if (share && !iterative) {
+            for (int64_t first = 0; first < n; first += tile) {
+              tile_platt(std::min(tile, n - first), &calls, &lanes);
+            }
+          }
           const simd::PathStatsSnapshot after =
               simd::PathStats(simd::SimdPath::kPlatt);
           const int64_t elements = after.elements - before.elements;
@@ -282,8 +306,8 @@ TEST(MpSvmPredictorTest, PlattPathCountsOneCallPerFullPanel) {
               StrPrintf("tier=%s share=%d iterative=%d tile=%lld",
                         simd::TierName(tier), share, iterative,
                         static_cast<long long>(tile));
-          EXPECT_EQ(after.calls - before.calls, panels) << what;
-          EXPECT_EQ(elements, panels * pairs * simd::kPanelRows) << what;
+          EXPECT_EQ(after.calls - before.calls, calls) << what;
+          EXPECT_EQ(elements, lanes * pairs) << what;
           EXPECT_EQ(after.flops - before.flops,
                     10.0 * static_cast<double>(elements))
               << what;
@@ -295,22 +319,24 @@ TEST(MpSvmPredictorTest, PlattPathCountsOneCallPerFullPanel) {
 
 TEST(MpSvmPredictorTest, FirstFailingRowStatusIsReturned) {
   // A NaN feature makes every pairwise estimate of its row NaN on every SIMD
-  // tier, and the coupling solve rejects it. Rows 2 and 5 fail; whatever the
-  // tier, tiling, thread count or path, Predict returns row 2's status. At
-  // tiles 0 and 6 row 2 is a lane of a full panel's coupling solve.
+  // tier, and the coupling solve rejects it. Rows 2, 5 and 13 fail; whatever
+  // the tier, tiling, thread count or path, Predict returns row 2's status.
+  // At tiles of 8 rows and more rows 2 and 5 are lanes of a full 8-lane
+  // coupling solve, and from 16 rows row 13 is a lane of a 16-row panel's
+  // second 8-lane group.
   TrainedFixture fx = MakeFixture(3, 89);
   const CsrMatrix& clean = fx.test.features();
   CsrBuilder builder(clean.cols());
   for (int64_t i = 0; i < clean.rows(); ++i) {
     std::vector<double> values(clean.RowValues(i).begin(), clean.RowValues(i).end());
-    if (i == 2 || i == 5) values[0] = std::nan("");
+    if (i == 2 || i == 5 || i == 13) values[0] = std::nan("");
     builder.AddRow(clean.RowIndices(i), values);
   }
   const CsrMatrix poisoned = ValueOrDie(builder.Finish());
   for (simd::SimdTier tier : testing::SupportedTiers()) {
     const testing::ScopedSimdTier scope(tier);
     for (int threads : {1, 4}) {
-      for (int64_t tile : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{6}}) {
+      for (int64_t tile : kTiles) {
         for (bool cascade : {false, true}) {
           const std::string what =
               StrPrintf("tier=%s threads=%d tile=%lld cascade=%d",

@@ -31,15 +31,29 @@ TEST(CouplingTest, RejectsBadInput) {
   EXPECT_FALSE(CoupleProbabilities(std::vector<double>{1.0}, 1, opts).ok());
   EXPECT_FALSE(CoupleProbabilities(std::vector<double>{1, 2, 3}, 2, opts).ok());
   EXPECT_FALSE(CoupleProbabilities(std::vector<double>(9, 0.5), 2, opts).ok());
-  // A panel needs k >= 2 and k(k-1)/2 pair probabilities per lane.
+  // A panel needs k >= 2, 4 or 8 rows at a lane stride of at least that,
+  // and k(k-1)/2 pair probabilities per lane.
   std::vector<double> scratch;
-  std::vector<double> out(4 * simd::kPanelRows);
-  for (const auto& [pairs, k] :
-       {std::pair{std::vector<double>(simd::kPanelRows), 1},
-        std::pair{std::vector<double>(2 * simd::kPanelRows, 0.5), 3}}) {
-    for (const Status& status :
-         CouplePanel(pairs, k, opts, &scratch, out.data())) {
-      EXPECT_TRUE(status.IsInvalidArgument()) << "k=" << k;
+  std::vector<double> out(4 * simd::kWidePanelRows);
+  struct BadPanel {
+    std::vector<double> pairs;
+    int64_t stride;
+    int rows;
+    int k;
+  };
+  const int kRows = simd::kPanelRows;
+  for (const BadPanel& bad : {
+           BadPanel{std::vector<double>(kRows), kRows, kRows, 1},
+           BadPanel{std::vector<double>(2 * kRows, 0.5), kRows, kRows, 3},
+           BadPanel{std::vector<double>(3 * 16, 0.5), 16, 5, 3},
+           BadPanel{std::vector<double>(3 * 16, 0.5), kRows, 8, 3},
+           BadPanel{std::vector<double>(2 * 16 + 7, 0.5), 16, 8, 3},
+       }) {
+    for (const Status& status : CouplePanel(bad.pairs, bad.stride, bad.rows,
+                                            bad.k, opts, &scratch,
+                                            out.data())) {
+      EXPECT_TRUE(status.IsInvalidArgument())
+          << "k=" << bad.k << " rows=" << bad.rows << " stride=" << bad.stride;
     }
   }
 }

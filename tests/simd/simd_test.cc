@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -399,23 +400,53 @@ TEST(SimdTierIdentityTest, CouplingSolvesBitwiseAcrossTiers) {
   }
 }
 
+// Where a Platt or coupling panel sits in its pair-major storage: `rows`
+// lanes from lane `offset`, at lane stride `stride`. The prediction path
+// reads each 8-lane half of a 16-row panel in place at stride 16.
+struct PanelLayout {
+  int rows;
+  int64_t stride;
+  int offset;
+};
+
+const PanelLayout kLayouts[] = {
+    {simd::kPanelRows, simd::kPanelRows, 0},
+    {simd::kPanelRows, 16, 12},
+    {simd::kWidePanelRows, simd::kWidePanelRows, 0},
+    {simd::kWidePanelRows, 16, 0},
+    {simd::kWidePanelRows, 16, simd::kWidePanelRows},
+};
+
+std::string LayoutName(const PanelLayout& layout) {
+  return StrPrintf("rows=%d stride=%lld offset=%d", layout.rows,
+                   static_cast<long long>(layout.stride), layout.offset);
+}
+
 // One coupling panel: each lane's k x k r (r_st = P, r_ts = 1 - P) and the
 // same probabilities pair-major in pair order, as CouplePanel takes them.
+// Storage slots outside the panel's lanes hold NaN, so a stray read shows.
 struct CouplingPanel {
   int k = 0;
+  PanelLayout layout;
   std::vector<std::vector<double>> r;
-  std::vector<double> pairs;
+  std::vector<double> storage;
 
-  explicit CouplingPanel(int classes)
+  CouplingPanel(int classes, const PanelLayout& where)
       : k(classes),
-        r(simd::kPanelRows,
+        layout(where),
+        r(static_cast<size_t>(where.rows),
           std::vector<double>(static_cast<size_t>(classes) * classes, 0.0)),
-        pairs(static_cast<size_t>(classes) * (classes - 1) / 2 *
-              simd::kPanelRows) {}
+        storage(static_cast<size_t>(classes) * (classes - 1) / 2 *
+                    static_cast<size_t>(where.stride),
+                std::numeric_limits<double>::quiet_NaN()) {}
 
+  std::span<const double> pairs() const {
+    return std::span<const double>(storage).subspan(
+        static_cast<size_t>(layout.offset));
+  }
   void Set(int lane, int s, int t, double p) {
     const int pi = s * k - s * (s + 3) / 2 + t - 1;
-    pairs[static_cast<size_t>(pi) * simd::kPanelRows + lane] = p;
+    storage[static_cast<size_t>(pi * layout.stride + layout.offset + lane)] = p;
     r[lane][static_cast<size_t>(s) * k + t] = p;
     r[lane][static_cast<size_t>(t) * k + s] = 1.0 - p;
   }
@@ -443,87 +474,127 @@ double QOf(const std::vector<double>& r, int k, int s, int t) {
 
 TEST(SimdTierIdentityTest, CouplePanelIsPerRowCouplingOnEveryTier) {
   // Every lane of a panel solve must be bitwise the per-row Gaussian
-  // elimination of its r, errors included, on every tier: lanes that pivot
-  // differently, a lane whose Q is singular until the ridge retry (r = 0.5
-  // everywhere), a NaN estimate, and saturated 0/1 estimates whose exact
-  // zero factors take the factor == 0 skip.
+  // elimination of its r, errors included, on every tier, at 4 and 8 rows
+  // and read in place at lane stride 16: lanes that pivot differently (in
+  // either half of an 8-lane panel), a lane whose Q is singular until the
+  // ridge retry (r = 0.5 everywhere), a NaN estimate, and saturated 0/1
+  // estimates whose exact zero factors take the factor == 0 skip.
+  enum Pattern { kUniform, kClass0Wins, kSaturated, kClass2Wins, kRidge, kNan };
+  // Lane patterns; a 4-row panel takes the first four of each list.
+  const Pattern mixed_lanes[] = {kUniform,   kClass0Wins, kSaturated,
+                                 kClass2Wins, kClass2Wins, kUniform,
+                                 kClass0Wins, kSaturated};
+  const Pattern failing_lanes[] = {kUniform, kRidge, kUniform, kNan,
+                                   kUniform, kRidge, kNan,     kUniform};
+  // The lanes AVX2 hands back when k > 2: the ridge and NaN lanes.
+  const int failing_redo[] = {0, 0, 0, 0, 0b1010, 0, 0, 0, 0b01101010};
   Rng rng(41);
   for (int k : {2, 3, 5, 9, 64}) {
     const auto uniform = [&](int, int) { return rng.Uniform(0.02, 0.98); };
-    CouplingPanel mixed(k);
-    mixed.Fill(0, uniform);
-    // Class 0 wins every pair almost surely: Q_00 ~ (k-1)e-6 against
-    // |Q_t0| ~ 1e-3, so this lane's first pivot moves (asserted below).
-    mixed.Fill(1, [&](int s, int t) { return s == 0 ? 0.999 : uniform(s, t); });
-    // Class 0's pairs saturate to 1, 0, 1, 0, ...: exact zeros in Q.
-    mixed.Fill(2, [&](int s, int t) {
-      return s == 0 ? static_cast<double>(t % 2) : uniform(s, t);
-    });
-    // Class 2 wins every pair: its tiny diagonal makes a pivot move inside
-    // the first block of four columns, where a swap carries the rows'
-    // pending factors of the block's earlier steps.
     const int winner = std::min(2, k - 1);
-    mixed.Fill(3, [&](int s, int t) {
-      return s == winner ? 0.999 : t == winner ? 0.001 : uniform(s, t);
-    });
-    double max_off = 0.0;
-    for (int t = 1; t < k; ++t) {
-      max_off = std::max(max_off, std::abs(QOf(mixed.r[1], k, t, 0)));
-    }
-    ASSERT_GT(max_off, QOf(mixed.r[1], k, 0, 0)) << "k=" << k;
-
-    CouplingPanel failing(k);
-    failing.Fill(0, uniform);
-    failing.Fill(1, [](int, int) { return 0.5; });
-    failing.Fill(2, uniform);
-    failing.Fill(3, uniform);
-    failing.Set(3, 0, k - 1, std::numeric_limits<double>::quiet_NaN());
-
-    for (const CouplingPanel* panel : {&mixed, &failing}) {
-      const CouplingOptions opts;
-      std::vector<Result<std::vector<double>>> wants;
-      {
-        const ScopedSimdTier scalar(SimdTier::kScalar);
-        for (int lane = 0; lane < simd::kPanelRows; ++lane) {
-          wants.push_back(CoupleProbabilities(panel->r[lane], k, opts));
-        }
+    const auto fill = [&](CouplingPanel& panel, int lane, Pattern pattern) {
+      switch (pattern) {
+        case kUniform:
+          return panel.Fill(lane, uniform);
+        case kClass0Wins:
+          // Class 0 wins every pair almost surely: Q_00 ~ (k-1)e-6 against
+          // |Q_t0| ~ 1e-3, so this lane's first pivot moves (asserted
+          // below).
+          return panel.Fill(lane, [&](int s, int t) {
+            return s == 0 ? 0.999 : uniform(s, t);
+          });
+        case kSaturated:
+          // Class 0's pairs saturate to 1, 0, 1, 0, ...: exact zeros in Q.
+          return panel.Fill(lane, [&](int s, int t) {
+            return s == 0 ? static_cast<double>(t % 2) : uniform(s, t);
+          });
+        case kClass2Wins:
+          // Class 2 wins every pair: its tiny diagonal makes a pivot move
+          // inside the first block of four columns, where a swap carries
+          // the rows' pending factors of the block's earlier steps.
+          return panel.Fill(lane, [&](int s, int t) {
+            return s == winner ? 0.999 : t == winner ? 0.001 : uniform(s, t);
+          });
+        case kRidge:
+          return panel.Fill(lane, [](int, int) { return 0.5; });
+        case kNan:
+          panel.Fill(lane, uniform);
+          return panel.Set(lane, 0, k - 1,
+                           std::numeric_limits<double>::quiet_NaN());
       }
-      for (SimdTier tier : SupportedTiers()) {
-        const ScopedSimdTier scope(tier);
-        std::vector<double> scratch;
-        std::vector<double> out(static_cast<size_t>(simd::kPanelRows) * k);
-        const std::array<Status, simd::kPanelRows> got =
-            CouplePanel(panel->pairs, k, opts, &scratch, out.data());
-        for (int lane = 0; lane < simd::kPanelRows; ++lane) {
-          const std::string what =
-              StrPrintf("%s k=%d lane=%d", simd::TierName(tier), k, lane);
-          const Result<std::vector<double>>& want = wants[lane];
-          ASSERT_EQ(got[lane].ok(), want.ok()) << what;
-          if (!want.ok()) {
-            EXPECT_EQ(got[lane].ToString(), want.status().ToString()) << what;
-            continue;
+    };
+    for (const PanelLayout& layout : kLayouts) {
+      CouplingPanel mixed(k, layout);
+      CouplingPanel failing(k, layout);
+      for (int lane = 0; lane < layout.rows; ++lane) {
+        fill(mixed, lane, mixed_lanes[lane]);
+        fill(failing, lane, failing_lanes[lane]);
+        if (mixed_lanes[lane] != kClass0Wins) continue;
+        double max_off = 0.0;
+        for (int t = 1; t < k; ++t) {
+          max_off = std::max(max_off, std::abs(QOf(mixed.r[lane], k, t, 0)));
+        }
+        ASSERT_GT(max_off, QOf(mixed.r[lane], k, 0, 0)) << "k=" << k;
+      }
+
+      for (const CouplingPanel* panel : {&mixed, &failing}) {
+        const CouplingOptions opts;
+        std::vector<Result<std::vector<double>>> wants;
+        {
+          const ScopedSimdTier scalar(SimdTier::kScalar);
+          for (int lane = 0; lane < layout.rows; ++lane) {
+            wants.push_back(CoupleProbabilities(panel->r[lane], k, opts));
           }
-          const std::vector<double> row(out.begin() + lane * k,
-                                        out.begin() + (lane + 1) * k);
-          EXPECT_TRUE(SameBits(row, want.value())) << what;
+        }
+        for (SimdTier tier : SupportedTiers()) {
+          const ScopedSimdTier scope(tier);
+          std::vector<double> scratch;
+          std::vector<double> out(static_cast<size_t>(layout.rows) * k);
+          const std::array<Status, simd::kWidePanelRows> got =
+              CouplePanel(panel->pairs(), layout.stride, layout.rows, k, opts,
+                          &scratch, out.data());
+          for (int lane = 0; lane < simd::kWidePanelRows; ++lane) {
+            const std::string what =
+                StrPrintf("%s k=%d %s lane=%d", simd::TierName(tier), k,
+                          LayoutName(layout).c_str(), lane);
+            if (lane >= layout.rows) {
+              EXPECT_TRUE(got[lane].ok()) << what;
+              continue;
+            }
+            const Result<std::vector<double>>& want = wants[lane];
+            ASSERT_EQ(got[lane].ok(), want.ok()) << what;
+            if (!want.ok()) {
+              EXPECT_EQ(got[lane].ToString(), want.status().ToString())
+                  << what;
+              continue;
+            }
+            const std::vector<double> row(out.begin() + lane * k,
+                                          out.begin() + (lane + 1) * k);
+            EXPECT_TRUE(SameBits(row, want.value())) << what;
+          }
         }
       }
-    }
 
-    // AVX2's entry hands back exactly the ridge and NaN lanes. At k = 2,
-    // Q = [(1-p)^2, -p(1-p); -p(1-p), p^2] is singular for every p, so
-    // every lane needs the ridge. The scalar entry hands back every lane:
-    // its rows run the per-row solve.
-    for (SimdTier tier : SupportedTiers()) {
-      const int want_redo =
-          tier == SimdTier::kAvx2 && k > 2 ? 0b1010 : 0b1111;
-      const SimdOps& ops = simd::OpsFor(tier);
-      std::vector<double> storage;
-      std::vector<double> out(static_cast<size_t>(simd::kPanelRows) * k);
-      const int redo = ops.couple_panel(
-          failing.pairs.data(), k,
-          simd::AlignedPanel(storage, simd::CouplePanelCells(k)), out.data());
-      EXPECT_EQ(redo, want_redo) << ops.name << " k=" << k;
+      // AVX2's entry hands back exactly the ridge and NaN lanes. At k = 2,
+      // Q = [(1-p)^2, -p(1-p); -p(1-p), p^2] is singular for every p, so
+      // every lane needs the ridge. The scalar entry hands back every lane:
+      // its rows run the per-row solve.
+      for (SimdTier tier : SupportedTiers()) {
+        const int all = (1 << layout.rows) - 1;
+        const int want_redo = tier == SimdTier::kAvx2 && k > 2
+                                  ? failing_redo[layout.rows]
+                                  : all;
+        const SimdOps& ops = simd::OpsFor(tier);
+        std::vector<double> storage;
+        std::vector<double> out(static_cast<size_t>(layout.rows) * k);
+        const int redo = ops.couple_panel(
+            failing.pairs().data(), layout.stride, layout.rows, k,
+            simd::AlignedPanel(storage, simd::CouplePanelCells(k),
+                               layout.rows),
+            out.data());
+        EXPECT_EQ(redo, want_redo)
+            << ops.name << " k=" << k << " " << LayoutName(layout);
+      }
     }
   }
 }
@@ -531,38 +602,43 @@ TEST(SimdTierIdentityTest, CouplePanelIsPerRowCouplingOnEveryTier) {
 TEST(SimdTierIdentityTest, CouplePanelCountsOneCallPerRow) {
   // Solved lanes and lanes solved again per row each count once.
   const int k = 5;
-  CouplingPanel panel(k);
-  for (int lane = 0; lane < simd::kPanelRows; ++lane) {
-    panel.Fill(lane, [lane](int s, int t) {
-      return lane == 2 ? 0.5 : 0.1 + 0.1 * s + 0.02 * t;  // lane 2: ridge
-    });
-  }
-  for (SimdTier tier : SupportedTiers()) {
-    const ScopedSimdTier scope(tier);
-    const CouplingOptions opts;
-    std::vector<double> scratch;
-    std::vector<double> out(static_cast<size_t>(simd::kPanelRows) * k);
-    const simd::PathStatsSnapshot before =
-        simd::PathStats(simd::SimdPath::kCoupling);
-    for (const Status& status :
-         CouplePanel(panel.pairs, k, opts, &scratch, out.data())) {
-      EXPECT_TRUE(status.ok()) << status.ToString();
+  for (const PanelLayout& layout : kLayouts) {
+    CouplingPanel panel(k, layout);
+    for (int lane = 0; lane < layout.rows; ++lane) {
+      panel.Fill(lane, [lane](int s, int t) {
+        return lane == 2 ? 0.5 : 0.1 + 0.1 * s + 0.02 * t;  // lane 2: ridge
+      });
     }
-    const simd::PathStatsSnapshot after =
-        simd::PathStats(simd::SimdPath::kCoupling);
-    EXPECT_EQ(after.calls - before.calls, simd::kPanelRows)
-        << simd::TierName(tier);
-    EXPECT_EQ(after.elements - before.elements, simd::kPanelRows * k * k)
-        << simd::TierName(tier);
+    for (SimdTier tier : SupportedTiers()) {
+      const ScopedSimdTier scope(tier);
+      const CouplingOptions opts;
+      std::vector<double> scratch;
+      std::vector<double> out(static_cast<size_t>(layout.rows) * k);
+      const simd::PathStatsSnapshot before =
+          simd::PathStats(simd::SimdPath::kCoupling);
+      for (const Status& status :
+           CouplePanel(panel.pairs(), layout.stride, layout.rows, k, opts,
+                       &scratch, out.data())) {
+        EXPECT_TRUE(status.ok()) << status.ToString();
+      }
+      const simd::PathStatsSnapshot after =
+          simd::PathStats(simd::SimdPath::kCoupling);
+      const std::string what =
+          StrPrintf("%s %s", simd::TierName(tier), LayoutName(layout).c_str());
+      EXPECT_EQ(after.calls - before.calls, layout.rows) << what;
+      EXPECT_EQ(after.elements - before.elements, layout.rows * k * k)
+          << what;
+    }
   }
 }
 
 // Platt's sigmoid over full panels: every lane is bitwise PlattFromArg of
-// its argument (and so SigmoidParams::Probability), on every tier, for 0, 1
-// and an odd number of pairs. Even pairs pass their decision values through
-// unchanged as f (bias -0, A 1, B -0), so their lanes hit the edges of Exp's
-// clamp, signed zeros, huge and infinite arguments and NaN; odd pairs draw
-// (bias, A, B) as fitted sigmoids look.
+// its argument (and so SigmoidParams::Probability), on every tier and
+// panel layout, for 0, 1 and an odd number of pairs, and no slot outside
+// the panel's lanes changes. Even pairs pass their decision values through
+// unchanged as f (bias -0, A 1, B -0), so their lanes hit the edges of
+// Exp's clamp, signed zeros, huge and infinite arguments and NaN; odd pairs
+// draw (bias, A, B) as fitted sigmoids look.
 TEST(SimdTierIdentityTest, PlattPanelIsPlattFromArgOnEveryTier) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double edges[] = {
@@ -577,50 +653,61 @@ TEST(SimdTierIdentityTest, PlattPanelIsPlattFromArgOnEveryTier) {
       std::numeric_limits<double>::quiet_NaN(), 40.0, -40.0, 1e-300, -1e-300,
       37.5};
   const int64_t num_edges = static_cast<int64_t>(std::size(edges));
-  for (const int64_t num_pairs : {int64_t{0}, int64_t{1}, int64_t{7},
-                                  int64_t{13}}) {
-    Rng rng(static_cast<uint64_t>(300 + num_pairs));
-    std::vector<double> table;
-    std::vector<double> dv;
-    for (int64_t pi = 0; pi < num_pairs; ++pi) {
-      if (pi % 2 == 0) {
-        table.insert(table.end(), {-0.0, 1.0, -0.0});
-      } else {
-        table.insert(table.end(), {rng.Uniform(-2.0, 2.0),
-                                   rng.Uniform(-6.0, -0.05),
-                                   rng.Uniform(-1.5, 1.5)});
-      }
-      for (int lane = 0; lane < simd::kPanelRows; ++lane) {
-        dv.push_back(pi % 2 == 0
-                         ? edges[(pi / 2 * simd::kPanelRows + lane) % num_edges]
-                         : rng.Uniform(-12.0, 12.0));
-      }
-    }
-    // With 13 pairs the 7 pass-through pairs hold 28 lanes, every edge.
-    std::vector<double> want(dv.size());
-    for (int64_t pi = 0; pi < num_pairs; ++pi) {
-      const double* t = table.data() + pi * 3;
-      const SigmoidParams sigmoid{t[1], t[2]};
-      for (int lane = 0; lane < simd::kPanelRows; ++lane) {
-        const size_t at = static_cast<size_t>(pi * simd::kPanelRows + lane);
-        want[at] = simd::PlattFromArg((t[0] + dv[at]) * t[1] + t[2]);
-        const double probability = sigmoid.Probability(t[0] + dv[at]);
-        EXPECT_EQ(std::memcmp(&want[at], &probability, sizeof(double)), 0)
-            << "pair " << pi << " lane " << lane;
-      }
-    }
-    for (SimdTier tier : SupportedTiers()) {
-      std::vector<double> got = dv;
-      simd::OpsFor(tier).platt_panel(got.data(), table.data(), num_pairs);
-      for (size_t at = 0; at < got.size(); ++at) {
-        SCOPED_TRACE(StrPrintf("%s pairs=%lld slot=%zu f=%a",
-                               simd::TierName(tier),
-                               static_cast<long long>(num_pairs), at, dv[at]));
-        if (std::isnan(want[at])) {
-          EXPECT_TRUE(std::isnan(got[at]));
+  for (const PanelLayout& layout : kLayouts) {
+    const int rows = layout.rows;
+    for (const int64_t num_pairs : {int64_t{0}, int64_t{1}, int64_t{7},
+                                    int64_t{13}}) {
+      Rng rng(static_cast<uint64_t>(300 + num_pairs));
+      std::vector<double> table;
+      std::vector<double> dv;
+      for (int64_t pi = 0; pi < num_pairs; ++pi) {
+        if (pi % 2 == 0) {
+          table.insert(table.end(), {-0.0, 1.0, -0.0});
         } else {
-          EXPECT_EQ(std::memcmp(&got[at], &want[at], sizeof(double)), 0)
-              << got[at] << " vs " << want[at];
+          table.insert(table.end(), {rng.Uniform(-2.0, 2.0),
+                                     rng.Uniform(-6.0, -0.05),
+                                     rng.Uniform(-1.5, 1.5)});
+        }
+        for (int64_t slot = 0; slot < layout.stride; ++slot) {
+          const int lane = static_cast<int>(slot) - layout.offset;
+          dv.push_back(lane < 0 || lane >= rows ? rng.Uniform(-12.0, 12.0)
+                       : pi % 2 == 0
+                           ? edges[(pi / 2 * rows + lane) % num_edges]
+                           : rng.Uniform(-12.0, 12.0));
+        }
+      }
+      // With 13 pairs the 7 pass-through pairs hold 28 or 56 lanes, every
+      // edge.
+      std::vector<double> want = dv;
+      for (int64_t pi = 0; pi < num_pairs; ++pi) {
+        const double* t = table.data() + pi * 3;
+        const SigmoidParams sigmoid{t[1], t[2]};
+        for (int lane = 0; lane < rows; ++lane) {
+          const size_t at =
+              static_cast<size_t>(pi * layout.stride + layout.offset + lane);
+          want[at] = simd::PlattFromArg((t[0] + dv[at]) * t[1] + t[2]);
+          const double probability = sigmoid.Probability(t[0] + dv[at]);
+          EXPECT_EQ(std::memcmp(&want[at], &probability, sizeof(double)), 0)
+              << "pair " << pi << " lane " << lane;
+        }
+      }
+      for (SimdTier tier : SupportedTiers()) {
+        std::vector<double> got = dv;
+        simd::OpsFor(tier).platt_panel(got.data() + layout.offset,
+                                       layout.stride, rows, table.data(),
+                                       num_pairs);
+        for (size_t at = 0; at < got.size(); ++at) {
+          SCOPED_TRACE(StrPrintf("%s %s pairs=%lld slot=%zu f=%a",
+                                 simd::TierName(tier),
+                                 LayoutName(layout).c_str(),
+                                 static_cast<long long>(num_pairs), at,
+                                 dv[at]));
+          if (std::isnan(want[at])) {
+            EXPECT_TRUE(std::isnan(got[at]));
+          } else {
+            EXPECT_EQ(std::memcmp(&got[at], &want[at], sizeof(double)), 0)
+                << got[at] << " vs " << want[at];
+          }
         }
       }
     }
@@ -630,6 +717,35 @@ TEST(SimdTierIdentityTest, PlattPanelIsPlattFromArgOnEveryTier) {
   EXPECT_EQ(simd::PlattFromArg(-kInf), 1.0);
   EXPECT_TRUE(std::isnan(
       simd::PlattFromArg(std::numeric_limits<double>::quiet_NaN())));
+}
+
+// The block transpose moves every value of the block and nothing else, on
+// every tier, at shapes with and without whole 4 x 4 tiles.
+TEST(SimdTierIdentityTest, TransposeMovesEveryValueOnEveryTier) {
+  Rng rng(77);
+  for (int64_t rows : {0, 1, 3, 4, 5, 8, 16}) {
+    for (int64_t cols : {0, 1, 4, 7, 9, 33}) {
+      const int64_t src_stride = cols + 3;
+      const int64_t dst_stride = rows + 5;
+      std::vector<double> src(static_cast<size_t>(rows * src_stride));
+      for (double& v : src) v = rng.Normal();
+      std::vector<double> want(static_cast<size_t>(cols * dst_stride + 1),
+                               -7.0);
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t c = 0; c < cols; ++c) {
+          want[static_cast<size_t>(c * dst_stride + r)] =
+              src[static_cast<size_t>(r * src_stride + c)];
+        }
+      }
+      for (SimdTier tier : SupportedTiers()) {
+        std::vector<double> got(want.size(), -7.0);
+        simd::OpsFor(tier).transpose(src.data(), src_stride, rows, cols,
+                                     got.data(), dst_stride);
+        EXPECT_TRUE(SameBits(got, want))
+            << simd::TierName(tier) << " rows=" << rows << " cols=" << cols;
+      }
+    }
+  }
 }
 
 // PlattFromArg against 1 / (1 + e^f) in long double over the range fitted

@@ -278,6 +278,22 @@ TEST(BatchRowDotsTest, PanelsMatchSingleRowDotsAtEveryBatchSize) {
     ExpectPanelsMatchSingleRows(RandomSparseWithEmptyRow(20, cols, 0.01, 53),
                                 RandomSparse(14, cols, 0.02, 54), pick,
                                 {0, 2, 3, 5, 8, 13});
+  }}
+
+TEST(BatchRowDotsTest, TransposedStoresMatchSingleRowDotsAtEveryTargetCount) {
+  // A panel's dots reach `out` four targets at a time through 4 x 4
+  // transposes, with a shorter last group. Every target count from 0 to 9
+  // (no group, whole groups and every remainder), at batch sizes that take
+  // 16-, 8- and 4-row panels, full and partial, must still give the bits of
+  // the single-row ScatterRowDots.
+  std::vector<int32_t> pick;
+  for (int32_t i = 0; i < 21; ++i) pick.push_back((i * 5 + 2) % 30);
+  const CsrMatrix a = RandomSparseWithEmptyRow(30, 50, 0.3, 61);
+  const CsrMatrix b = RandomSparse(12, 50, 0.25, 62);
+  for (int32_t count = 0; count <= 9; ++count) {
+    std::vector<int32_t> targets;
+    for (int32_t t = 0; t < count; ++t) targets.push_back((t * 7 + 3) % 12);
+    ExpectPanelsMatchSingleRows(a, b, pick, targets);
   }
 }
 

@@ -38,6 +38,13 @@ def check_micro(path):
     for bench in ('BM_KernelBufferChurn', 'BM_KernelBufferLru',
                   'BM_KernelBufferLruHotSet'):
         assert bench in names, (bench, names)
+    for rows in (4, 8, 16):
+        bench = 'BM_PanelDecisionValues/%d' % rows
+        assert bench in names, (bench, names)
+    for k in (16, 64):
+        for rows in (4, 8):
+            bench = 'BM_CouplePanel/%d/%d' % (k, rows)
+            assert bench in names, (bench, names)
     print('micro benchmarks:', len(names))
 
 

@@ -5,9 +5,10 @@
 # and the determinism suites), the cluster layer (one trainer thread per
 # device, the replica router), the predictor at 4 host threads
 # (predictor_test, predict_pin_test), whose per-call streams are created and
-# retired on the calling thread, and the kernel-row panels that BatchRowDots2
-# splits across the pool, each thread in its own workspace (ops_test,
-# simd_test, kernel_test).
+# retired on the calling thread and whose 16-, 8- and 4-row panels the pool
+# splits, each thread with its own panel and coupling scratch, and the
+# kernel-row panels that BatchRowDots2 splits across the pool, each thread
+# in its own workspace (ops_test, simd_test, kernel_test).
 #
 # Usage: tools/ci/tsan.sh BUILD_DIR
 #   Configures BUILD_DIR with -DGMPSVM_SANITIZE=thread (benchmarks and
