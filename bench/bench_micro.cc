@@ -1,9 +1,11 @@
 // Google-benchmark micro-benchmarks for the hot kernels of the library:
 // batched kernel rows (sparse vs dense), prediction's decision-value and
-// coupling panels, buffer/cache operations, sigmoid fitting, and pairwise
-// coupling. These measure host wall time of the
-// actual computation (not simulated time) and guard against performance
-// regressions in the substrate itself.
+// coupling panels, buffer/cache operations, sigmoid fitting, pairwise
+// coupling, and the cost of one dispatched ParallelFor. These measure host
+// wall time of the actual computation (not simulated time) and guard
+// against performance regressions in the substrate itself. The paths that
+// ParallelFor splits also report `charged_flops`, the flops they charge per
+// second of host time: the host rate that kMinChunkFlops is set against.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "device/executor.h"
 #include "kernel/kernel_computer.h"
@@ -22,6 +25,12 @@
 
 namespace gmpsvm {
 namespace {
+
+// The flops charged over the timed loop, as a rate.
+void ReportChargedFlops(benchmark::State& state, double flops) {
+  state.counters["charged_flops"] =
+      benchmark::Counter(flops, benchmark::Counter::kIsRate);
+}
 
 Dataset MakeData(int64_t rows, int64_t dim, double density) {
   SyntheticSpec spec;
@@ -52,6 +61,7 @@ void BM_BatchKernelRowsSparse(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch_size * data.size());
+  ReportChargedFlops(state, gpu.counters().flops);
 }
 BENCHMARK(BM_BatchKernelRowsSparse)->Arg(1)->Arg(16)->Arg(128)->Arg(512);
 
@@ -77,6 +87,7 @@ void BM_BatchKernelRowsSparseMT(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch_size * data.size());
+  ReportChargedFlops(state, gpu.counters().flops);
 }
 BENCHMARK(BM_BatchKernelRowsSparseMT)
     ->Args({512, 1})
@@ -102,6 +113,7 @@ void BM_BatchKernelRowsDense(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch_size * data.size());
+  ReportChargedFlops(state, gpu.counters().flops);
 }
 BENCHMARK(BM_BatchKernelRowsDense)->Arg(16)->Arg(128);
 
@@ -132,6 +144,7 @@ void BM_BatchKernelRows(benchmark::State& state, RowShape shape) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * batch_size * data.size());
+  ReportChargedFlops(state, gpu.counters().flops);
 }
 // train-mnist's MNIST proxy: 256 columns, 25% dense.
 BENCHMARK_CAPTURE(BM_BatchKernelRows, mnist, RowShape{256, 0.25, 300})
@@ -182,6 +195,9 @@ void BM_PanelDecisionValues(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * pairs * rows);
+  // Charged like the exact path's decision values: 2 flops per SV reference.
+  ReportChargedFlops(state, 2.0 * static_cast<double>(state.iterations()) *
+                                pairs * nsv * rows);
 }
 BENCHMARK(BM_PanelDecisionValues)->Arg(4)->Arg(8)->Arg(16);
 
@@ -205,12 +221,32 @@ void BM_CouplePanel(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * rows);
+  // Charged like prediction's coupling: (2/3) k^3 flops per row.
+  ReportChargedFlops(state, static_cast<double>(state.iterations()) * rows *
+                                (2.0 / 3.0) * k * k * k);
 }
 BENCHMARK(BM_CouplePanel)
     ->Args({16, 4})
     ->Args({16, 8})
     ->Args({64, 4})
     ->Args({64, 8});
+
+// One dispatched ParallelFor whose chunks do no work: the caller wall that a
+// split costs, wake-up, hand-off and join included. The arg is the pool's
+// thread count; the call is priced at one chunk per item, so it splits into
+// four chunks per thread.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  const int64_t n = 4 * int64_t{pool.num_threads()};
+  const double flops = static_cast<double>(n) * kMinChunkFlops;
+  for (auto _ : state) {
+    ParallelFor(&pool, n, flops, [](int64_t begin, int64_t end) {
+      benchmark::DoNotOptimize(begin + end);
+    });
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_KernelBufferChurn(benchmark::State& state) {
   KernelBuffer buffer(/*row_length=*/4096, /*capacity_rows=*/512);

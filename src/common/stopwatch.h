@@ -55,24 +55,6 @@ class PhaseTimer {
   std::map<std::string, double> phases_;
 };
 
-// RAII helper: adds the scope's duration to `timer[phase]` on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimer* timer, std::string phase)
-      : timer_(timer), phase_(std::move(phase)) {}
-  ~ScopedPhase() {
-    if (timer_ != nullptr) timer_->Add(phase_, watch_.ElapsedSeconds());
-  }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimer* timer_;
-  std::string phase_;
-  Stopwatch watch_;
-};
-
 }  // namespace gmpsvm
 
 #endif  // GMPSVM_COMMON_STOPWATCH_H_

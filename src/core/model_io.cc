@@ -1,11 +1,11 @@
 #include "core/model_io.h"
 
 #include <cinttypes>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <utility>
 
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "sparse/csr_matrix.h"
 
@@ -19,23 +19,6 @@ constexpr char kMagicV1[] = "gmpsvm_model_v1";
 constexpr char kMagic[] = "gmpsvm_model_v2";
 constexpr char kPairMagic[] = "gmpsvm_pair_checkpoint_v1";
 constexpr char kManifestMagic[] = "gmpsvm_checkpoint_v1";
-
-// Reads a whole file into a string; kIoError if it cannot be opened.
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-Status WriteFile(const std::string& text, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << text;
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -220,11 +203,7 @@ Result<MpSvmModel> DeserializeModel(const std::string& text) {
 }
 
 Status SaveModel(const MpSvmModel& model, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << SerializeModel(model);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  return WriteFile(SerializeModel(model), path);
 }
 
 Result<MpSvmModel> LoadModel(const std::string& path) {

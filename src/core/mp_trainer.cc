@@ -9,6 +9,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "core/model_io.h"
 #include "core/pair_engine.h"
@@ -18,16 +19,10 @@
 namespace gmpsvm {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-
-uint64_t Fnv1a64Bytes(const void* data, size_t bytes, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// The seed of every training fingerprint: FNV-1a's offset basis missing its
+// last digit. Existing checkpoint manifests hold fingerprints made with it,
+// so a corrected seed would make --resume refuse every one of them.
+constexpr uint64_t kTrainFingerprintSeed = 1469598103934665603ULL;
 
 // Fingerprint of (dataset shape + content + the options that affect the
 // numeric result). Content means the actual labels and CSR feature arrays —
@@ -40,14 +35,14 @@ uint64_t TrainFingerprint(const Dataset& dataset, const MpTrainOptions& options)
   for (int k = 0; k < dataset.num_classes(); ++k) {
     key << " " << dataset.ClassRows(k).size();
   }
-  uint64_t content = kFnvOffset;
+  uint64_t content = kTrainFingerprintSeed;
   const auto& labels = dataset.labels();
-  content = Fnv1a64Bytes(labels.data(), labels.size() * sizeof(labels[0]),
+  content = Fnv1a64(labels.data(), labels.size() * sizeof(labels[0]),
                          content);
   const CsrMatrix& features = dataset.features();
-  content = Fnv1a64Bytes(features.col_idx().data(),
+  content = Fnv1a64(features.col_idx().data(),
                          features.col_idx().size() * sizeof(int32_t), content);
-  content = Fnv1a64Bytes(features.values().data(),
+  content = Fnv1a64(features.values().data(),
                          features.values().size() * sizeof(double), content);
   key << " content=" << content;
   key << " c=" << options.c
@@ -61,7 +56,7 @@ uint64_t TrainFingerprint(const Dataset& dataset, const MpTrainOptions& options)
       << " shared_sv=" << (options.share_support_vectors ? 1 : 0);
   for (double w : options.class_weights) key << " w=" << w;
   const std::string text = key.str();
-  return Fnv1a64Bytes(text.data(), text.size(), kFnvOffset);
+  return Fnv1a64(text.data(), text.size(), kTrainFingerprintSeed);
 }
 
 // Manages the checkpoint directory for one training run: loads completed

@@ -12,23 +12,6 @@
 namespace gmpsvm {
 namespace {
 
-// Emits a named device-origin phase span for [start, end) on `stream` if the
-// executor has a span recorder attached. Phase spans envelop the leaf task
-// spans the executor records itself; they are excluded from busy-time math.
-void RecordPhaseSpan(SimExecutor* executor, StreamId stream, std::string name,
-                     double start, double end) {
-  obs::SpanRecorder* recorder = executor->span_recorder();
-  if (recorder == nullptr || end <= start) return;
-  obs::SpanEvent span;
-  span.name = std::move(name);
-  span.origin = obs::SpanEvent::Origin::kDevice;
-  span.lane = executor->SpanLane(stream);
-  span.start_seconds = start;
-  span.end_seconds = end;
-  span.is_phase = true;
-  recorder->RecordSpan(span);
-}
-
 // Distills a solved pair into its checkpoint-shaped result: the positive
 // alphas as (global row, alpha * y) plus bias and sigmoid. Model entries are
 // rebuilt from this whether the pair was just trained or loaded from disk, so
@@ -61,8 +44,7 @@ Result<PairCheckpoint> FitPair(const PairEngine& engine, const PairJob& job,
   GMP_ASSIGN_OR_RETURN(BinarySolution solution,
                        engine.solve(job.problem, job.s, job.t, job.warm_alpha,
                                     exec, stream, &attempt->stats));
-  RecordPhaseSpan(exec, stream, StrPrintf("smo %dv%d", job.s, job.t), smo_t0,
-                  exec->StreamTime(stream));
+  exec->RecordPhase(stream, StrPrintf("smo %dv%d", job.s, job.t), smo_t0);
 
   std::vector<double> v;
   if (options.sigmoid_cv_folds >= 2) {
@@ -79,8 +61,8 @@ Result<PairCheckpoint> FitPair(const PairEngine& engine, const PairJob& job,
       SigmoidParams sigmoid,
       FitSigmoid(v, job.problem.y, exec, stream,
                  engine.sequential ? 1 : options.platt_parallel_candidates));
-  RecordPhaseSpan(exec, stream, StrPrintf("sigmoid %dv%d", job.s, job.t),
-                  sigmoid_t0, exec->StreamTime(stream));
+  exec->RecordPhase(stream, StrPrintf("sigmoid %dv%d", job.s, job.t),
+                    sigmoid_t0);
   attempt->sigmoid_seconds = exec->StreamTime(stream) - sigmoid_t0;
   attempt->sigmoid_done = true;
   return DistillPair(job.s, job.t, job.problem, solution, sigmoid);
@@ -300,7 +282,7 @@ void MergePairOutcome(const PairTrainOutcome& outcome, MpTrainReport* report) {
 void ChargeDataLoad(SimExecutor* executor, StreamId stream, double bytes) {
   const double t0 = executor->StreamTime(stream);
   executor->Transfer(stream, bytes, TransferDirection::kHostToDevice);
-  RecordPhaseSpan(executor, stream, "data_load", t0, executor->StreamTime(stream));
+  executor->RecordPhase(stream, "data_load", t0);
 }
 
 }  // namespace gmpsvm

@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "kernel/kernel_computer.h"
 
 namespace gmpsvm {
@@ -340,17 +341,17 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
         if (nsv > 0) {
           computer.ComputeBlock(tile_ids, svm.sv_pool_index, executor, stream,
                                 kpair.data());
-          executor->HostParallelFor(
-              tile, /*min_chunk=*/64, [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  v[i] +=
-                      ops.dot(svm.sv_coef.data(), kpair.data() + i * nsv, nsv);
-                }
-              });
           TaskCost cost;
           cost.parallel_items = tile;
           cost.flops = 2.0 * static_cast<double>(tile * nsv);
           cost.bytes_read = static_cast<double>(tile * nsv) * sizeof(double);
+          ParallelFor(executor->host_pool(), tile, cost.flops,
+                      [&](int64_t begin, int64_t end) {
+                        for (int64_t i = begin; i < end; ++i) {
+                          v[i] += ops.dot(svm.sv_coef.data(),
+                                          kpair.data() + i * nsv, nsv);
+                        }
+                      });
           executor->Charge(stream, cost);
         }
       }
@@ -389,11 +390,18 @@ Status MpSvmPredictor::PredictExact(const CsrMatrix& test,
     // one platt_panel call and one CouplePanel call per group, one row per
     // SIMD lane, bitwise each row's Probability and CoupleProbabilities;
     // every other row couples alone. Panels write disjoint outputs and
-    // status slots.
+    // status slots. The pass splits by the flops charged for its work: the
+    // shared path's decision values, each pair's sigmoid (or vote) and each
+    // row's coupling.
     const std::vector<RowPanel> panels = PlanRowPanels(tile);
     row_status.assign(static_cast<size_t>(tile), Status::OK());
-    executor->HostParallelFor(
-        static_cast<int64_t>(panels.size()), /*min_chunk=*/1,
+    const double row_flops =
+        (share ? 2.0 * static_cast<double>(model.total_sv_references()) : 0.0) +
+        (voting ? 2.0 * num_pairs
+                : 10.0 * num_pairs + (2.0 / 3.0) * k * k * k);
+    ParallelFor(
+        executor->host_pool(), static_cast<int64_t>(panels.size()),
+        static_cast<double>(tile) * row_flops,
         [&](int64_t begin, int64_t end) {
           std::vector<double> r(static_cast<size_t>(k) * k, 0.0);
           std::vector<double> panel_storage;
@@ -558,6 +566,8 @@ Status MpSvmPredictor::PredictCascade(const CsrMatrix& test,
   const int budget = options.cascade.budget > 0
                          ? std::min(options.cascade.budget, num_pairs)
                          : std::min(num_pairs, 4 * k);
+  const double mean_svs_per_pair =
+      static_cast<double>(model.total_sv_references()) / num_pairs;
   const double threshold = options.cascade.elimination_threshold;
   const double band = options.cascade.ambiguity_band;
   const bool force_exact_rows = band >= 1.0;
@@ -663,8 +673,12 @@ Status MpSvmPredictor::PredictCascade(const CsrMatrix& test,
 
     // Elimination + survivor coupling + per-row exact fallback. Rows write
     // disjoint slices of kblock/computed/result and their own counters slot.
-    executor->HostParallelFor(
-        tile, /*min_chunk=*/1, [&](int64_t begin, int64_t end) {
+    // Their charges are known only after the scan, so the split takes a
+    // closed-form bound: `budget` evaluations a row at the mean SVs per pair.
+    ParallelFor(
+        executor->host_pool(), tile,
+        static_cast<double>(tile) * budget * 2.0 * mean_svs_per_pair,
+        [&](int64_t begin, int64_t end) {
           std::vector<double> rpair(static_cast<size_t>(num_pairs), 0.0);
           std::vector<uint8_t> rdone(static_cast<size_t>(num_pairs), 0);
           std::vector<double> loss(static_cast<size_t>(k), 0.0);

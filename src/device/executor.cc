@@ -45,18 +45,6 @@ ThreadPool* SimExecutor::host_pool() {
   return pool_.get();
 }
 
-void SimExecutor::HostParallelFor(
-    int64_t n, int64_t min_chunk,
-    const std::function<void(int64_t, int64_t)>& body) {
-  if (n <= 0) return;
-  ThreadPool* pool = host_pool();
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    body(0, n);
-    return;
-  }
-  pool->ParallelFor(n, body, min_chunk);
-}
-
 StreamId SimExecutor::CreateStream(double unit_share) {
   unit_share = std::clamp(unit_share, 1.0 / model_.compute_units, 1.0);
   // New streams start at the current makespan so work submitted to them
@@ -99,16 +87,7 @@ void SimExecutor::Charge(StreamId stream, const TaskCost& cost) {
     if (spike > 0.0) {
       const double spike_start = s.ready_at;
       s.ready_at += spike;
-      if (recorder_ != nullptr) {
-        obs::SpanEvent span;
-        span.name = "fault_latency_spike";
-        span.origin = obs::SpanEvent::Origin::kDevice;
-        span.lane = SpanLane(stream);
-        span.start_seconds = spike_start;
-        span.end_seconds = s.ready_at;
-        span.is_phase = true;  // excluded from busy-time math
-        recorder_->RecordSpan(span);
-      }
+      RecordPhase(stream, "fault_latency_spike", spike_start);
     }
   }
   ++counters_.launches;
@@ -157,16 +136,21 @@ void SimExecutor::AdvanceStream(StreamId stream, double seconds,
   Stream& s = streams_[static_cast<size_t>(stream)];
   const double start = s.ready_at;
   s.ready_at += seconds;
-  if (recorder_ != nullptr && label != nullptr) {
-    obs::SpanEvent span;
-    span.name = label;
-    span.origin = obs::SpanEvent::Origin::kDevice;
-    span.lane = SpanLane(stream);
-    span.start_seconds = start;
-    span.end_seconds = s.ready_at;
-    span.is_phase = true;
-    recorder_->RecordSpan(span);
-  }
+  if (label != nullptr) RecordPhase(stream, label, start);
+}
+
+void SimExecutor::RecordPhase(StreamId stream, std::string name,
+                              double start) {
+  const double end = StreamTime(stream);
+  if (recorder_ == nullptr || end <= start) return;
+  obs::SpanEvent span;
+  span.name = std::move(name);
+  span.origin = obs::SpanEvent::Origin::kDevice;
+  span.lane = SpanLane(stream);
+  span.start_seconds = start;
+  span.end_seconds = end;
+  span.is_phase = true;
+  recorder_->RecordSpan(span);
 }
 
 void SimExecutor::StreamWait(StreamId stream, StreamId other) {

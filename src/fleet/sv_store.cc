@@ -3,32 +3,19 @@
 #include <cstring>
 #include <utility>
 
+#include "common/hash.h"
+
 namespace gmpsvm::fleet {
 namespace {
 
-// FNV-1a over raw bytes; doubles hash by bit pattern so distinct encodings
-// of the same value (there are none we produce) never alias and equal bit
-// patterns always collide into the same bucket.
-inline uint64_t HashBytes(const void* data, size_t len, uint64_t seed) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-
 uint64_t HashParams(const KernelParams& params, uint64_t h) {
-  return HashBytes(&params.gamma, sizeof(params.gamma), h);
+  return Fnv1a64(&params.gamma, sizeof(params.gamma), h);
 }
 
 uint64_t HashRow(std::span<const int32_t> indices,
                  std::span<const double> values, uint64_t h) {
-  h = HashBytes(indices.data(), indices.size() * sizeof(int32_t), h);
-  h = HashBytes(values.data(), values.size() * sizeof(double), h);
+  h = Fnv1a64(indices.data(), indices.size() * sizeof(int32_t), h);
+  h = Fnv1a64(values.data(), values.size() * sizeof(double), h);
   return h;
 }
 
@@ -126,7 +113,7 @@ int64_t SvStore::InternSvLocked(
     const KernelParams& params) {
   const auto indices = owner->support_vectors.RowIndices(pool_row);
   const auto values = owner->support_vectors.RowValues(pool_row);
-  const uint64_t hash = HashRow(indices, values, HashParams(params, kFnvOffset));
+  const uint64_t hash = HashRow(indices, values, HashParams(params, kFnv1aOffset));
   const auto [begin, end] = sv_by_hash_.equal_range(hash);
   for (auto it = begin; it != end; ++it) {
     const SvEntry& entry = svs_[static_cast<size_t>(it->second)];
@@ -179,7 +166,7 @@ void SvStore::EvictLocked() {
     if (it == queries_.end()) continue;
     const int64_t freed = static_cast<int64_t>(it->second.kernel_values.size());
     const uint64_t hash = HashRow(it->second.indices, it->second.values,
-                                  kFnvOffset);
+                                  kFnv1aOffset);
     const auto [begin, end] = query_by_hash_.equal_range(hash);
     for (auto hit_it = begin; hit_it != end; ++hit_it) {
       if (hit_it->second == victim) {
@@ -207,7 +194,7 @@ int64_t SvStore::Gather(const std::vector<int64_t>& global_ids,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (options_.kernel_value_capacity != 0) {
-      const uint64_t hash = HashRow(row.indices, row.values, kFnvOffset);
+      const uint64_t hash = HashRow(row.indices, row.values, kFnv1aOffset);
       const int64_t qid = FindQueryLocked(row, hash);
       if (qid >= 0) {
         const QueryEntry& q = queries_.at(qid);
@@ -238,7 +225,7 @@ void SvStore::Commit(const std::vector<int64_t>& global_ids,
                      std::span<const uint8_t> hit) {
   if (options_.kernel_value_capacity == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t hash = HashRow(row.indices, row.values, kFnvOffset);
+  const uint64_t hash = HashRow(row.indices, row.values, kFnv1aOffset);
   int64_t qid = FindQueryLocked(row, hash);
   if (qid < 0) qid = InternQueryLocked(row, hash);
   QueryEntry& q = queries_.at(qid);

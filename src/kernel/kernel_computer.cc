@@ -7,8 +7,8 @@ namespace gmpsvm {
 namespace {
 
 // Applies the Gaussian transform in place, row by row through the SIMD tier,
-// and returns the flops charged (a closed form, so the host-parallel row
-// partition cannot perturb it). The vector transform replays FromDot's exact
+// and returns the flops charged (a closed form, which also sizes the
+// host-parallel row partition). The vector transform replays FromDot's exact
 // per-lane op sequence (simd/simd_math.h), so every tier — and the scalar
 // FromDot itself — agrees bitwise. Records the batched transform on the
 // kernel_transform dispatch path.
@@ -19,24 +19,21 @@ double TransformBlock(const KernelFunction& fn, const simd::SimdOps& ops,
                       std::span<const int32_t> targets, double* out,
                       ThreadPool* pool) {
   const size_t num_targets = targets.size();
-  const int64_t t_start = simd::NowNanos();
-  const auto rows_body = [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const double norm_i = norms_a[static_cast<size_t>(batch[static_cast<size_t>(i)])];
-      ops.gaussian_transform(out + i * static_cast<int64_t>(num_targets),
-                             norms_b.data(), targets.data(),
-                             static_cast<int64_t>(num_targets), norm_i,
-                             fn.params().gamma);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(static_cast<int64_t>(batch.size()), rows_body,
-                      /*min_chunk=*/1);
-  } else {
-    rows_body(0, static_cast<int64_t>(batch.size()));
-  }
   const double flops =
       fn.FlopsPerValue() * static_cast<double>(batch.size() * num_targets);
+  const int64_t t_start = simd::NowNanos();
+  ParallelFor(pool, static_cast<int64_t>(batch.size()), flops,
+              [&](int64_t begin, int64_t end) {
+                for (int64_t i = begin; i < end; ++i) {
+                  const double norm_i = norms_a[static_cast<size_t>(
+                      batch[static_cast<size_t>(i)])];
+                  ops.gaussian_transform(
+                      out + i * static_cast<int64_t>(num_targets),
+                      norms_b.data(), targets.data(),
+                      static_cast<int64_t>(num_targets), norm_i,
+                      fn.params().gamma);
+                }
+              });
   simd::RecordPath(simd::SimdPath::kKernelTransform,
                    static_cast<int64_t>(batch.size() * num_targets), flops,
                    simd::NowNanos() - t_start);

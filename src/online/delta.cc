@@ -1,9 +1,10 @@
 #include "online/delta.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
+#include "common/file_util.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "sparse/csr_matrix.h"
 
@@ -12,49 +13,22 @@ namespace {
 
 constexpr char kDeltaMagic[] = "gmpsvm_delta_v1";
 
-inline uint64_t Fnv1aBytes(const void* data, size_t len, uint64_t h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-Status WriteFile(const std::string& text, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << text;
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
 }  // namespace
 
 uint64_t DatasetFingerprint(const Dataset& dataset) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1aOffset;
   const int32_t k = dataset.num_classes();
   const int64_t rows = dataset.size();
   const int64_t cols = dataset.dim();
-  h = Fnv1aBytes(&k, sizeof(k), h);
-  h = Fnv1aBytes(&rows, sizeof(rows), h);
-  h = Fnv1aBytes(&cols, sizeof(cols), h);
+  h = Fnv1a64(&k, sizeof(k), h);
+  h = Fnv1a64(&rows, sizeof(rows), h);
+  h = Fnv1a64(&cols, sizeof(cols), h);
   const auto& labels = dataset.labels();
-  h = Fnv1aBytes(labels.data(), labels.size() * sizeof(int32_t), h);
+  h = Fnv1a64(labels.data(), labels.size() * sizeof(int32_t), h);
   const CsrMatrix& m = dataset.features();
-  h = Fnv1aBytes(m.row_ptr().data(), m.row_ptr().size() * sizeof(int64_t), h);
-  h = Fnv1aBytes(m.col_idx().data(), m.col_idx().size() * sizeof(int32_t), h);
-  h = Fnv1aBytes(m.values().data(), m.values().size() * sizeof(double), h);
+  h = Fnv1a64(m.row_ptr().data(), m.row_ptr().size() * sizeof(int64_t), h);
+  h = Fnv1a64(m.col_idx().data(), m.col_idx().size() * sizeof(int32_t), h);
+  h = Fnv1a64(m.values().data(), m.values().size() * sizeof(double), h);
   return h;
 }
 

@@ -48,9 +48,9 @@ Status InferenceServer::Start() {
   // every batch on a worker thread.
   GMP_RETURN_NOT_OK(options_.predict.Validate());
   started_ = true;
-  workers_ = std::make_unique<ThreadPool>(options_.num_workers);
+  workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int w = 0; w < options_.num_workers; ++w) {
-    workers_->Schedule([this, w] { WorkerLoop(w); });
+    workers_.emplace_back([this, w] { WorkerLoop(w); });
   }
   return Status::OK();
 }
@@ -100,7 +100,7 @@ void InferenceServer::Pause() { queue_.Pause(); }
 void InferenceServer::Resume() { queue_.Resume(); }
 
 Status InferenceServer::Shutdown() {
-  std::unique_ptr<ThreadPool> workers;
+  std::vector<std::thread> workers;
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     if (shut_down_) return Status::OK();
@@ -109,9 +109,8 @@ Status InferenceServer::Shutdown() {
   }
   queue_.Close();
   queue_.Resume();  // a paused queue must still drain
-  if (workers != nullptr) {
-    workers->Wait();  // WorkerLoop exits once the queue is drained
-  }
+  // WorkerLoop exits once the queue is drained.
+  for (std::thread& worker : workers) worker.join();
   return Status::OK();
 }
 

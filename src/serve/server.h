@@ -4,8 +4,8 @@
 //                                    │
 //                              MicroBatcher (coalesce ≤ max_batch_size,
 //                                    │        wait ≤ max_queue_delay)
-//                              worker pool (common/ThreadPool; one simulated
-//                                    │      executor per worker)
+//                              worker threads (one std::thread and one
+//                                    │      simulated executor per worker)
 //                              MpSvmPredictor::PredictRows through a
 //                                    │      ModelRegistry snapshot's own
 //                                    │      predictor (hot-swappable)
@@ -30,13 +30,14 @@
 #include <atomic>
 #include <functional>
 #include <future>
-#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/deadline.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/predictor.h"
 #include "device/executor.h"
 #include "fault/fault_injector.h"
@@ -193,7 +194,7 @@ class InferenceServer {
   RequestQueue queue_;
   MicroBatcher batcher_;
   ServeStats stats_;
-  std::unique_ptr<ThreadPool> workers_;
+  std::vector<std::thread> workers_;
   std::mutex lifecycle_mu_;
   bool started_ = false;
   bool shut_down_ = false;

@@ -115,15 +115,6 @@ int64_t ScatterDots(const CsrMatrix& a, int64_t row, const CsrMatrix& b,
   return nnz_targets;
 }
 
-void RunRows(ThreadPool* pool, int64_t n, int64_t min_chunk,
-             const std::function<void(int64_t, int64_t)>& body) {
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(n, body, min_chunk);
-  } else if (n > 0) {
-    body(0, n);
-  }
-}
-
 }  // namespace
 
 // Register blocked: batch rows are scattered into interleaved panels of 16,
@@ -131,11 +122,12 @@ void RunRows(ThreadPool* pool, int64_t n, int64_t min_chunk,
 // gather_dot_panel once per panel instead of once per batch row; each group
 // of kTargetGroup targets' dots reaches `out` in one transpose. A partial
 // panel's unused rows stay zero and their dots are dropped. Panels write
-// disjoint `out` rows, so they are partitioned across the pool; the stats
-// below replay the serial accumulation order so the returned doubles are
-// bit-identical for any pool size. Every panel row runs the SIMD tier's
-// canonical blocked-tree reduction, so each dot is bitwise the gather_dot
-// of ScatterRowDots, on every tier and at every panel width.
+// disjoint `out` rows, so they are partitioned across the pool by the
+// flops charged for them; the stats are a closed form of the op's sizes,
+// integer-valued doubles that are exact whatever the partition. Every panel
+// row runs the SIMD tier's canonical blocked-tree reduction, so each dot is
+// bitwise the gather_dot of ScatterRowDots, on every tier and at every panel
+// width.
 OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
                       const CsrMatrix& b, std::span<const int32_t> targets,
                       double* out, ThreadPool* pool, const simd::SimdOps* ops) {
@@ -149,9 +141,29 @@ OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
       simd_ops.lane_width > 1 ? kMaxPanelRows : simd::kPanelRows;
   const std::vector<Panel> panels =
       PlanPanels(static_cast<int64_t>(batch.size()), a.cols(), widest);
-  const int64_t num_panels = static_cast<int64_t>(panels.size());
+  // Every batch row streams the same target set. Per-row traffic: the batch
+  // row itself; the target matrix is tiled through on-chip memory and read
+  // from DRAM once per *batch*, not once per row — this amortization is why
+  // computing q rows together is far cheaper per row than computing them one
+  // by one (Section 3.3.1's ">10x cheaper when q > 10" claim; see
+  // bench_ablation_batch_rows).
+  int64_t nnz_targets = 0;
+  int64_t nnz_batch = 0;
+  if (!batch.empty()) {
+    for (const int32_t t : targets) nnz_targets += b.RowNnz(t);
+    for (const int32_t r : batch) nnz_batch += a.RowNnz(r);
+  }
+  const double rows = static_cast<double>(batch.size());
+  OpStats stats;
+  stats.flops = 2.0 * rows * static_cast<double>(nnz_targets);
+  stats.bytes_read = static_cast<double>(nnz_batch + nnz_targets) *
+                     (sizeof(double) + sizeof(int32_t));
+  stats.bytes_written =
+      rows * static_cast<double>(num_targets) * sizeof(double);
+
   const int64_t t_start = simd::NowNanos();
-  RunRows(pool, num_panels, /*min_chunk=*/1, [&](int64_t begin, int64_t end) {
+  ParallelFor(pool, static_cast<int64_t>(panels.size()), stats.flops,
+              [&](int64_t begin, int64_t end) {
     // One group of targets' dots, dots[t * kMaxPanelRows + r] for target t
     // and panel row r.
     double dots[kTargetGroup * kMaxPanelRows];
@@ -182,37 +194,9 @@ OpStats BatchRowDots2(const CsrMatrix& a, std::span<const int32_t> batch,
       ScatterPanel(a, batch, p, /*values=*/false, panel);
     }
   });
-  const int64_t t_nanos = simd::NowNanos() - t_start;
-
-  // Every batch row streams the same target set, so the per-row nnz total is
-  // one value; accumulate it in target order exactly as the compute loop
-  // used to.
-  double nnz_targets = 0.0;
-  if (!batch.empty()) {
-    for (size_t tj = 0; tj < targets.size(); ++tj) {
-      nnz_targets += static_cast<double>(b.RowIndices(targets[tj]).size());
-    }
-  }
-  OpStats stats;
-  double nnz_targets_once = 0.0;
-  for (size_t bi = 0; bi < batch.size(); ++bi) {
-    stats.flops += 2.0 * nnz_targets;
-    // Per-row traffic: the batch row itself; the target matrix is tiled
-    // through on-chip memory and read from DRAM once per *batch*, not once
-    // per row — this amortization is why computing q rows together is far
-    // cheaper per row than computing them one by one (Section 3.3.1's
-    // ">10x cheaper when q > 10" claim; see bench_ablation_batch_rows).
-    stats.bytes_read += static_cast<double>(a.RowIndices(batch[bi]).size()) *
-                        (sizeof(double) + sizeof(int32_t));
-    stats.bytes_written += static_cast<double>(num_targets) * sizeof(double);
-    nnz_targets_once = nnz_targets;
-  }
-  stats.bytes_read += nnz_targets_once * (sizeof(double) + sizeof(int32_t));
   simd::RecordPath(simd::SimdPath::kBatchRowDots,
-                   static_cast<int64_t>(batch.size()) *
-                       static_cast<int64_t>(nnz_targets),
-                   2.0 * static_cast<double>(batch.size()) * nnz_targets,
-                   t_nanos);
+                   static_cast<int64_t>(batch.size()) * nnz_targets,
+                   stats.flops, simd::NowNanos() - t_start);
   return stats;
 }
 
@@ -241,20 +225,21 @@ OpStats DenseBatchRowDots(const DenseMatrix& x, std::span<const int32_t> batch,
                           std::span<const int32_t> targets, double* out,
                           ThreadPool* pool) {
   const size_t num_targets = targets.size();
-  RunRows(pool, static_cast<int64_t>(batch.size()), /*min_chunk=*/1,
-          [&](int64_t begin, int64_t end) {
-            for (int64_t bi = begin; bi < end; ++bi) {
-              double* out_row = out + bi * static_cast<int64_t>(num_targets);
-              for (size_t tj = 0; tj < num_targets; ++tj) {
-                out_row[tj] =
-                    x.RowDot(batch[static_cast<size_t>(bi)], targets[tj]);
-              }
-            }
-          });
   OpStats stats;
   const double cols = static_cast<double>(x.cols());
   const double pairs = static_cast<double>(batch.size() * num_targets);
   stats.flops = 2.0 * pairs * cols;
+  ParallelFor(pool, static_cast<int64_t>(batch.size()), stats.flops,
+              [&](int64_t begin, int64_t end) {
+                for (int64_t bi = begin; bi < end; ++bi) {
+                  double* out_row =
+                      out + bi * static_cast<int64_t>(num_targets);
+                  for (size_t tj = 0; tj < num_targets; ++tj) {
+                    out_row[tj] =
+                        x.RowDot(batch[static_cast<size_t>(bi)], targets[tj]);
+                  }
+                }
+              });
   // Same tiling amortization as the sparse path: batch rows read per row,
   // target matrix read once per batch.
   stats.bytes_read = (static_cast<double>(batch.size()) * cols +

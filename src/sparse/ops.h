@@ -6,10 +6,10 @@
 // substrate model.
 //
 // Each routine optionally takes a ThreadPool: batch rows are independent
-// (disjoint output slices, per-thread scatter workspaces), so they are
-// partitioned across the pool, while the OpStats accumulation always replays
-// the serial order — results and stats are byte-identical for any pool size,
-// including none.
+// (disjoint output slices, per-thread scatter workspaces), so ParallelFor
+// partitions them across the pool by the flops the op charges, while the
+// OpStats are a closed form of the op's sizes — results and stats are
+// byte-identical for any pool size, including none.
 //
 // Inner dot products run on the SIMD kernel tier (src/simd): each routine
 // optionally takes a `const simd::SimdOps*` (nullptr = the process-wide

@@ -11,6 +11,7 @@
 #include "../simd_tier_guard.h"
 #include "../test_util.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "core/mp_trainer.h"
 #include "kernel/kernel_computer.h"
 #include "metrics/metrics.h"
@@ -251,6 +252,57 @@ TEST(MpSvmPredictorTest, RowFusedMatchesNaiveReference) {
               << what;
         }
       }
+    }
+  }
+}
+
+TEST(MpSvmPredictorTest, WorkOfSeveralChunksSplitsBitwise) {
+  // ParallelFor splits only calls worth two chunks of kMinChunkFlops, which
+  // the small fixtures above never reach. Two overlapping classes give a
+  // model with hundreds of SVs, so at 4 host threads an 800-row tile splits
+  // the row pass, the per-SVM ablation's dots and the cascade's rows: every
+  // output, phase and counter must be the 1-thread run's bits.
+  const Dataset train = ValueOrDie(MakeMulticlassBlobs(2, 300, 6, 0.4, 97));
+  const Dataset test = ValueOrDie(MakeMulticlassBlobs(2, 400, 6, 0.4, 1097));
+  SimExecutor train_exec = Gpu();
+  const MpSvmModel model = ValueOrDie(
+      GmpSvmTrainer(SmallGmpOptions()).Train(train, &train_exec, nullptr));
+  ASSERT_GE(2.0 * static_cast<double>(test.size() * model.svms[0].num_svs()),
+            2.0 * kMinChunkFlops);
+  for (bool share : {true, false}) {
+    for (bool cascade : {false, true}) {
+      const std::string what =
+          StrPrintf("share=%d cascade=%d", share, cascade);
+      PredictOptions options;
+      options.share_kernel_values = share;
+      options.tile_rows = test.size();
+      if (cascade) options.cascade.mode = CascadeOptions::Mode::kEliminate;
+      std::vector<PredictResult> results;
+      std::vector<ExecutorCounters> counters;
+      for (int threads : {1, 4}) {
+        ExecutorModel device = ExecutorModel::TeslaP100();
+        device.host_threads = threads;
+        SimExecutor exec(device);
+        results.push_back(ValueOrDie(
+            MpSvmPredictor(&model).Predict(test.features(), &exec, options)));
+        counters.push_back(exec.counters());
+      }
+      const PredictResult& one = results[0];
+      const PredictResult& four = results[1];
+      ASSERT_EQ(one.probabilities.size(), four.probabilities.size()) << what;
+      EXPECT_EQ(0, std::memcmp(one.probabilities.data(),
+                               four.probabilities.data(),
+                               one.probabilities.size() * sizeof(double)))
+          << what;
+      EXPECT_EQ(one.labels, four.labels) << what;
+      EXPECT_EQ(one.sim_seconds, four.sim_seconds) << what;
+      EXPECT_EQ(one.phases.phases(), four.phases.phases()) << what;
+      EXPECT_EQ(counters[0].launches, counters[1].launches) << what;
+      EXPECT_EQ(counters[0].flops, counters[1].flops) << what;
+      EXPECT_EQ(counters[0].bytes_read, counters[1].bytes_read) << what;
+      EXPECT_EQ(counters[0].kernel_values_computed,
+                counters[1].kernel_values_computed)
+          << what;
     }
   }
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "device/sim_model.h"
@@ -324,34 +323,6 @@ TEST(SimExecutorFaultTest, DetachingInjectorRestoresCleanBehaviour) {
   EXPECT_TRUE(exec.Allocate(100).status().IsUnavailable());
   exec.SetFaultInjector(nullptr);
   GMP_CHECK_OK(exec.Allocate(100).status());
-}
-
-TEST(HostParallelForTest, ThreadCountDoesNotChangeOutputOrSimTime) {
-  constexpr int64_t kN = 10000;
-  auto run = [&](int host_threads, std::vector<double>* out) -> double {
-    ExecutorModel model = ExecutorModel::TeslaP100();
-    model.host_threads = host_threads;
-    SimExecutor exec(std::move(model));
-    out->assign(static_cast<size_t>(kN), 0.0);
-    exec.HostParallelFor(
-        kN, /*min_chunk=*/64, [out](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            (*out)[static_cast<size_t>(i)] =
-                static_cast<double>(i) * 1.000000001 + 0.5;
-          }
-        });
-    exec.Charge(kDefaultStream, VectorPassCost(kN, /*flops_per_item=*/10.0,
-                                               /*bytes_per_item=*/16.0));
-    exec.SynchronizeAll();
-    return exec.NowSeconds();
-  };
-  std::vector<double> serial_out, mt_out;
-  const double serial_time = run(1, &serial_out);
-  const double mt_time = run(4, &mt_out);
-  EXPECT_EQ(serial_time, mt_time);
-  ASSERT_EQ(serial_out.size(), mt_out.size());
-  EXPECT_EQ(0, std::memcmp(serial_out.data(), mt_out.data(),
-                           serial_out.size() * sizeof(double)));
 }
 
 }  // namespace

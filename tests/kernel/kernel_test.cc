@@ -187,15 +187,16 @@ TEST(DenseKernelComputerTest, ChargesMoreThanSparseOnSparseData) {
 
 TEST(KernelComputerTest, BlockIsBitwiseAtAnyHostThreadCount) {
   // On the AVX2 tier 39 batch rows make two 16-row panels and one partial
-  // 8-row panel, which the host pool splits across its threads: values and
-  // charges must be the one-thread block's bits.
-  CsrMatrix x = RandomSparse(60, 40, 0.3, 91);
+  // 8-row panel. Against 2,000 targets both the panels and the transform's
+  // rows carry enough flops for ParallelFor to split them across the host
+  // pool: values and charges must be the one-thread block's bits.
+  CsrMatrix x = RandomSparse(2000, 40, 0.3, 91);
   KernelParams p;
   p.gamma = 0.5;
   KernelComputer kc(&x, p);
   std::vector<int32_t> batch, targets;
-  for (int32_t i = 0; i < 39; ++i) batch.push_back((i * 11) % 60);
-  for (int32_t t = 0; t < 60; t += 2) targets.push_back(t);
+  for (int32_t i = 0; i < 39; ++i) batch.push_back((i * 11) % 2000);
+  for (int32_t t = 0; t < 2000; ++t) targets.push_back(t);
 
   std::vector<double> want(batch.size() * targets.size());
   SimExecutor one = MakeExecutor();

@@ -119,8 +119,8 @@ TEST(DenseBatchRowDotsTest, DenseCostsMoreFlopsOnSparseData) {
 
 TEST(ParallelOpsTest, PoolDoesNotChangeResultsOrStats) {
   // Every op routed through a ThreadPool must return bitwise-identical
-  // outputs AND bitwise-identical OpStats: per-row flop accounting is summed
-  // in serial row order regardless of which thread computed the row.
+  // outputs AND bitwise-identical OpStats: the accounting is a closed form
+  // of the op's sizes, whichever thread computed each row.
   CsrMatrix x = RandomSparse(120, 64, 0.2, 21);
   CsrMatrix b = RandomSparse(80, 64, 0.15, 22);
   std::vector<int32_t> batch, targets, brows;
@@ -190,6 +190,42 @@ TEST(ParallelOpsTest, OpStatsBitwiseIdenticalAcrossPoolSizes) {
     EXPECT_EQ(dots_stats[0].flops, dots_stats[i].flops);
     EXPECT_EQ(dots_stats[0].bytes_read, dots_stats[i].bytes_read);
     EXPECT_EQ(dots_stats[0].bytes_written, dots_stats[i].bytes_written);
+  }
+}
+
+TEST(ParallelOpsTest, OpsWorthSeveralChunksSplitBitwise) {
+  // ParallelFor runs the small ops above inline even on a 4-thread pool.
+  // These are worth several chunks of kMinChunkFlops, so the pool splits
+  // them; outputs and OpStats must still be the serial bits.
+  CsrMatrix x = RandomSparse(400, 256, 0.25, 57);
+  std::vector<int32_t> batch, targets;
+  for (int32_t i = 0; i < 61; ++i) batch.push_back((i * 7) % 400);
+  for (int32_t i = 0; i < 400; ++i) targets.push_back(i);
+  ThreadPool pool(4);
+  {
+    std::vector<double> serial(batch.size() * targets.size());
+    std::vector<double> parallel(serial.size(), -1.0);
+    const OpStats s = BatchRowDots2(x, batch, x, targets, serial.data());
+    ASSERT_GE(s.flops, 4.0 * kMinChunkFlops);
+    const OpStats p =
+        BatchRowDots2(x, batch, x, targets, parallel.data(), &pool);
+    EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(),
+                             serial.size() * sizeof(double)));
+    EXPECT_EQ(s.flops, p.flops);
+    EXPECT_EQ(s.bytes_read, p.bytes_read);
+    EXPECT_EQ(s.bytes_written, p.bytes_written);
+  }
+  {
+    DenseMatrix dense(x.rows(), x.cols(), x.ToDense());
+    std::vector<double> serial(batch.size() * targets.size());
+    std::vector<double> parallel(serial.size(), -1.0);
+    const OpStats s = DenseBatchRowDots(dense, batch, targets, serial.data());
+    ASSERT_GE(s.flops, 4.0 * kMinChunkFlops);
+    const OpStats p =
+        DenseBatchRowDots(dense, batch, targets, parallel.data(), &pool);
+    EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(),
+                             serial.size() * sizeof(double)));
+    EXPECT_EQ(s.flops, p.flops);
   }
 }
 

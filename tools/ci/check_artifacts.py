@@ -45,6 +45,9 @@ def check_micro(path):
         for rows in (4, 8):
             bench = 'BM_CouplePanel/%d/%d' % (k, rows)
             assert bench in names, (bench, names)
+    for threads in (2, 4):
+        bench = 'BM_ParallelForDispatch/%d/real_time' % threads
+        assert bench in names, (bench, names)
     print('micro benchmarks:', len(names))
 
 

@@ -10,7 +10,8 @@
 #   * SIMD tier scalar vs auto, for both train and predict, and a tier the
 #     tool does not have as a usage error;
 #   * the prediction cascade at host threads 1 vs 8 and SIMD tier scalar vs
-#     auto, --cascade exact against the default predictor, and malformed
+#     auto, --cascade exact against the default predictor, the exact
+#     fallback on every row (--cascade-band 1) on both tiers, and malformed
 #     cascade values as usage errors.
 # Every model and prediction file must be cmp-equal to its reference.
 #
@@ -139,6 +140,17 @@ cmp "$work/es.pred" "$work/ev.pred"
 "$svm_tool" predict --cascade exact \
   "$work/smoke.libsvm" "$work/s.model" "$work/x.pred"
 cmp "$work/s.pred" "$work/x.pred"
+# The cascade's exact fallback: band 1 sends every row back through the
+# exact predictor, on both tiers. The predictions file prints %g, so this
+# checks that the fallback runs and keeps the labels; cascade_test holds
+# its probabilities bitwise.
+for tier in scalar auto; do
+  "$svm_tool" predict --simd=$tier --cascade eliminate --cascade-band 1 \
+    "$work/smoke.libsvm" "$work/s.model" "$work/f_$tier.pred" \
+    | tee "$work/f_$tier.log"
+  grep -q "12 exact fallbacks" "$work/f_$tier.log"
+  cmp "$work/s.pred" "$work/f_$tier.pred"
+done
 # Strict flag validation: a malformed cascade value is a usage error.
 for flag in "--cascade-budget 2x" "--cascade-threshold xyz" \
   "--cascade-band abc"; do

@@ -4,17 +4,20 @@
 # Builds the repository with --coverage -O0 and tests off, links
 # gmpsvm_bench from bench/e2e's sources against that library (its objects
 # go under WORK_DIR; nothing is written under bench/e2e), then drives every
-# entry point that is not a unit test, 53 runs in all:
+# entry point that is not a unit test, 50 runs in all:
 #   *  5 bench/e2e runs: the four workloads at --smoke, train-mnist also
 #        traced;
 #   * 25 bench runs: the 22 table/figure/ablation/system benches at
 #        --scale=0.02, bench_serve_throughput --largek-only, bench_micro
 #        and bench_simd;
 #   *  7 examples;
-#   * 11 svm_tool commands: CI's observability steps (train and serve with
-#        metrics and traces), the retrain steps (train, make-delta, the
-#        clean and chaos daemon runs), predict, cv, grid, scale, bench-env;
-#   *  5 tools/ci drills: fleet, chaos, determinism, largek, simd.
+#   *  2 svm_tool commands: CI's observability steps (train and serve with
+#        metrics and traces);
+#   *  6 tools/ci drills: retrain (CI's retrain steps: train, make-delta,
+#        the clean and chaos daemon runs, bench_retrain), then fleet, chaos,
+#        determinism, largek and simd;
+#   *  5 svm_tool commands: predict, cv and scale on the retrain drill's
+#        drift.libsvm and clean.model, grid and bench-env.
 # It records each run's exit status in WORK_DIR/runs.tsv and prints, per
 # src/ file, the functions gcov reports as never called, then their count.
 # Functions defined in headers count once, summed over the translation
@@ -112,42 +115,24 @@ cat >"$out/smoke.libsvm" <<'EOF'
 1 2:0.6 4:0.4
 2 1:0.4 2:0.6
 EOF
-python3 - "$out/drift.libsvm" <<'PY'
-import random
-import sys
-
-rng = random.Random(5)
-centers = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1.5, 1.5, 0)]
-with open(sys.argv[1], 'w') as f:
-    for cls, center in enumerate(centers):
-        for _ in range(60):
-            row = [v + rng.gauss(0, 0.35) for v in center]
-            feats = ' '.join(f'{i + 1}:{v:.6f}' for i, v in enumerate(row))
-            f.write(f'{cls} {feats}\n')
-PY
-mkdir -p "$out/deltas"
 run svm_tool_train_observed "$svm_tool" train -c 4 -g 0.5 \
   --metrics-out train.prom --trace-out train_trace.json smoke.libsvm smoke.model
 run svm_tool_serve_observed "$svm_tool" serve -n 64 -w 2 -b 8 \
   --metrics-out serve.prom --trace-out serve_trace.json smoke.model
-run svm_tool_train_drift "$svm_tool" train -g 0.5 drift.libsvm initial.model
-run svm_tool_make_delta "$svm_tool" make-delta --relabel 40 --from 0 --to 1 \
-  --seed 7 drift.libsvm deltas/000_drift.delta
-run svm_tool_retrain_clean "$svm_tool" retrain-daemon --delta-dir deltas \
-  --brier-threshold 0.3 --model-out clean.model --metrics-out retrain.prom \
-  drift.libsvm initial.model
-run svm_tool_retrain_chaos "$svm_tool" retrain-daemon --delta-dir deltas \
-  --brier-threshold 0.3 --chaos-seed 11 --devices 4 --host-threads 8 \
-  --model-out chaos.model --metrics-out chaos.prom drift.libsvm initial.model
-run svm_tool_predict "$svm_tool" predict drift.libsvm clean.model predictions.txt
-run svm_tool_cv "$svm_tool" cv -g 0.5 -v 3 drift.libsvm
+drill() {
+  run "drill_$1" bash "$repo/tools/ci/${1}_smoke.sh" "$build" "$out/drill_$1"
+}
+drill retrain
+drift="$out/drill_retrain/drift.libsvm"
+run svm_tool_predict "$svm_tool" predict "$drift" \
+  "$out/drill_retrain/clean.model" predictions.txt
+run svm_tool_cv "$svm_tool" cv -g 0.5 -v 3 "$drift"
 run svm_tool_grid "$svm_tool" grid -v 3 smoke.libsvm
-run svm_tool_scale "$svm_tool" scale drift.libsvm drift.scaled
+run svm_tool_scale "$svm_tool" scale "$drift" drift.scaled
 run svm_tool_bench_env "$svm_tool" bench-env
 
-for drill in fleet chaos determinism largek simd; do
-  run "drill_$drill" bash "$repo/tools/ci/${drill}_smoke.sh" "$build" \
-    "$out/drill_$drill"
+for name in fleet chaos determinism largek simd; do
+  drill "$name"
 done
 
 echo "reach: $(wc -l <"$work/runs.tsv") runs; nonzero exits:" >&2

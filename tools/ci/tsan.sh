@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# ThreadSanitizer over the concurrency-heavy suites: the serving stack, the
+# ThreadSanitizer over the concurrency-heavy suites: the serving stack, whose
+# workers are plain std::threads (server_test and the serve suites), the
 # fault-injection paths that mutate shared state under load, the thread pool
-# they are built on, op-level threading in training (pair_parallel_trainer_test
-# and the determinism suites), the cluster layer (one trainer thread per
-# device, the replica router), the predictor at 4 host threads
-# (predictor_test, predict_pin_test), whose per-call streams are created and
-# retired on the calling thread and whose 16-, 8- and 4-row panels the pool
-# splits, each thread with its own panel and coupling scratch, and the
-# kernel-row panels that BatchRowDots2 splits across the pool, each thread
-# in its own workspace (ops_test, simd_test, kernel_test).
+# and its one work-based split, ParallelFor, which splits an op body only
+# when the flops it charges make two chunks of kMinChunkFlops
+# (thread_pool_test), op-level threading in training
+# (pair_parallel_trainer_test and the determinism suites), the cluster layer
+# (one trainer thread per device, the replica router), the predictor at 4
+# host threads (predictor_test, predict_pin_test), whose per-call streams
+# are created and retired on the calling thread and whose 16-, 8- and 4-row
+# panels the pool splits, each thread with its own panel and coupling
+# scratch, and the kernel-row panels that BatchRowDots2 splits across the
+# pool, each thread in its own workspace (ops_test, simd_test, kernel_test).
 #
 # Usage: tools/ci/tsan.sh BUILD_DIR
 #   Configures BUILD_DIR with -DGMPSVM_SANITIZE=thread (benchmarks and
